@@ -26,8 +26,6 @@ from .special import ConvergenceError, DomainError, EvalConfig
 
 __all__ = ["main", "entry"]
 
-_MARGIN_TOL = 1e-12
-
 _CONFIG_KEYS = {
     "seed": int,
     "rel_tol": float,
@@ -270,7 +268,8 @@ def _bounds_real_rows(name: str, triples) -> tuple[list[str], bool]:
     rows = []
     ok = True
     for params, t in triples:
-        ok = ok and t.lower_margin >= -_MARGIN_TOL and t.upper_margin >= -_MARGIN_TOL
+        # margins within bounds.EQUALITY_TOL of zero are already clamped to 0
+        ok = ok and t.lower_margin >= 0.0 and t.upper_margin >= 0.0
         rows.append(
             f"{name},{_fmt_params(params)},{_fmt(t.lower)},{_fmt(t.value)},{_fmt(t.upper)},"
             f"{_fmt(t.lower_margin)},{_fmt(t.upper_margin)}"
@@ -331,10 +330,8 @@ def _cmd_bounds(args, config) -> int:
                         raise DomainError("bounds beta-complex requires --a and --b")
                     params = {"a": float(args.a), "b": float(args.b)}
                     modulus, bound = bnd.beta_ratio_modulus(s, args.a, args.b, cfg)
-                margin = bound - modulus
-                if abs(margin) <= bnd.EQUALITY_TOL:
-                    margin = 0.0
-                ok = ok and margin >= -_MARGIN_TOL
+                margin = bnd._clamp(bound - modulus)
+                ok = ok and margin >= 0.0
                 lines.append(
                     f"{name},{_fmt_params(params)},{_fmt(s.real)},{_fmt(s.imag)},"
                     f"{_fmt(modulus)},{_fmt(bound)},{_fmt(margin)}"

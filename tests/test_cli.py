@@ -1,9 +1,13 @@
 """CLI contract: exit codes, CSV shape and determinism, flag validation."""
 
+import contextlib
+import io
 import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgamma.cli import main
 
@@ -48,6 +52,29 @@ def test_eval_usage_errors(capsys):
     assert run(capsys, "eval", "gamma-q", "--x", "2")[0] == 2  # missing --q
 
 
+EVAL_FNS = ("gamma", "log-gamma", "psi", "psi-n", "gamma-q", "psi-q", "psi-q-n", "dilog-F")
+
+
+@settings(max_examples=200)  # covers all 160 combinations
+@given(
+    fn=st.sampled_from(EVAL_FNS),
+    x=st.sampled_from(("1e-300", "1e300", "inf", "-inf", "nan")),
+    q=st.sampled_from(("0.5", repr(1.0 - 1e-6))),
+    n=st.sampled_from(("1", "3")),
+)
+def test_eval_extreme_inputs_exit_cleanly(fn, x, q, n):
+    # extreme or non-finite input is a value or a typed error (exit 2); never a
+    # traceback (exit 1) or a NaN / infinity printed with exit 0
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["eval", fn, "--x", x, "--q", q, "--n", n])
+    assert code in (0, 2), (fn, x, q, n, err.getvalue())
+    if code == 0:
+        assert "nan" not in out.getvalue() and "inf" not in out.getvalue(), out.getvalue()
+    else:
+        assert err.getvalue().startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -85,6 +112,14 @@ def test_verify_mismatch_exits_one(capsys):
     code, _ = run(capsys, "verify", "thm2.1-neither", "--max-order", "1",
                   "--h-set", "0.125", "--points", "3", "--x-min", "5", "--x-max", "6")
     assert code == 1
+
+
+@pytest.mark.parametrize("case_id", ["thm2.2", "thm3.2"])
+def test_verify_near_q_one(capsys, case_id):
+    code, out = run(capsys, "verify", case_id, "--q", "0.9999")
+    assert code == 0
+    rows = [ln.split(",") for ln in out.splitlines() if ",expected-verdict," in ln]
+    assert len(rows) == 1 and rows[0][-1] == "match"
 
 
 def test_verify_unknown_selector(capsys):
@@ -211,6 +246,13 @@ def test_q_limit_table(capsys):
     # x = 1 sits at the roundoff floor
     errs1 = [float(ln.split(",")[4]) for ln in lines[1:] if ln.startswith("1,")]
     assert all(e <= 1e-14 for e in errs1)
+
+
+def test_q_limit_table_near_q_one(capsys):
+    qs = (0.9, 0.99, 0.999, 0.9999, 0.99999)
+    code, out = run(capsys, "q-limit-table", "--x", "0.5,1.5,4", "--q", ",".join(map(str, qs)))
+    assert code == 0  # |Gamma_q - Gamma| falls monotonically along every row
+    assert len(out.splitlines()) == 1 + 3 * len(qs)
 
 
 def test_q_limit_table_usage(capsys):

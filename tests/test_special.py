@@ -189,8 +189,9 @@ def test_log_gamma_q_routes_and_domain():
         sp.log_gamma_q(-1.0, 0.5)
     with pytest.raises(sp.DomainError):
         sp.log_gamma_q(1.0, 0.9999999)  # above q_series_max
+    # the Euler-Maclaurin scheme sums a fixed 18 terms; a cap below that raises
     with pytest.raises(sp.ConvergenceError):
-        sp.log_gamma_q(0.01, 0.999, sp.EvalConfig(max_terms=100))
+        sp.log_gamma_q(0.01, 0.999, sp.EvalConfig(max_terms=17))
 
 
 def test_gamma_q_overflow():
@@ -294,8 +295,7 @@ def test_dilog_trivial_and_frozen():
 
 def test_dilog_at_one_integral_tail():
     res = sp.dilog_F(1.0)
-    assert not res.converged
-    assert res.abs_error_bound == 1.0 / res.terms_used
+    assert res.converged
     assert abs(res.value - PI2_OVER_6) <= res.abs_error_bound
 
 
@@ -398,3 +398,181 @@ def test_gamma_ratio_asymptotic_sanity():
             return ratio - 1.0 - (a - b) * (a + b + 1.0) / (2.0 * z)
 
         assert abs(residual(200.0)) <= 4.0 * abs(residual(400.0)) + 1e-13, (a, b)
+
+
+# ---------------------------------------------------------------------------
+# 40-digit oracles: every reported abs_error_bound covers the actual error
+# ---------------------------------------------------------------------------
+#
+# The q-series references are high-order Euler-Maclaurin sums in mpmath: 30
+# direct terms, the closed-form tail integral and 12 Bernoulli corrections,
+# with the polylogarithms of negative order written through Stirling numbers
+# (remainder below 1e-30 for every q).
+# mpmath.nsum extrapolates these slowly decaying series to wrong values and
+# mpmath.qgamma does not converge near q = 1, so neither is used.  The
+# references are themselves checked against plain direct sums where those
+# are affordable.
+
+ORACLE_XS = (0.05, 0.37, 1.0, 1.4616321449683622, 2.9, 9.5, 30.0)
+ORACLE_QS = (0.1, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-6)
+
+
+def _em_reference(deriv, x, direct=30, order=12):
+    """sum_{i>=0} f(x+i) for f^(k)(t) = deriv(k, t); deriv(-1, t) is int_t^inf f."""
+    with mp.workdps(40):
+        total = mp.fsum(deriv(0, x + i) for i in range(direct))
+        t = x + direct
+        total += deriv(-1, t) + deriv(0, t) / 2
+        for j in range(1, order + 1):
+            total -= mp.bernoulli(2 * j) / mp.factorial(2 * j) * deriv(2 * j - 1, t)
+        return total
+
+
+def _li_neg(m, z):
+    """Li_{-m}(z) = sum_j j! S(m+1, j+1) (z/(1-z))^{j+1}, S the Stirling numbers of the second kind."""
+    u = z / (1 - z)
+    return mp.fsum(mp.factorial(j) * mp.stirling2(m + 1, j + 1) * u ** (j + 1) for j in range(m + 1))
+
+
+def _psi_q_n_reference(n, x, q):
+    """psi_q^(n)(x) = [n=0](-log(1-q)) + log q sum_{i>=0} (log q)^n Li_{-n}(q^{x+i})."""
+    with mp.workdps(40):
+        x, q = mp.mpf(x), mp.mpf(q)
+        lq = mp.log(q)
+
+        def g(k, t):
+            m = n + k
+            if m == -1:
+                return mp.log(-mp.expm1(t * lq)) / lq
+            val = lq ** m * _li_neg(m, mp.exp(t * lq))
+            return -val if k == -1 else val
+
+        base = -mp.log1p(-q) if n == 0 else 0
+        return base + lq * _em_reference(g, x)
+
+
+def _log_gamma_q_reference(x, q):
+    """(1-x) log(1-q) + sum_{n>=0} [l(n+x) - l(n+1)], l(s) = -log(1-q^s)."""
+    with mp.workdps(40):
+        x, q = mp.mpf(x), mp.mpf(q)
+        lq = mp.log(q)
+
+        def ell(k, s):
+            if k == -1:
+                return mp.polylog(2, mp.exp(s * lq)) / -lq
+            if k == 0:
+                return -mp.log(-mp.expm1(s * lq))
+            return lq ** k * _li_neg(k - 1, mp.exp(s * lq))
+
+        phi = lambda k, t: ell(k, t + x) - ell(k, t + 1)
+        return (1 - x) * mp.log1p(-q) + _em_reference(phi, mp.mpf(0))
+
+
+def _assert_within_bound(res, ref, label):
+    err = abs(mp.mpf(res.value) - ref)
+    assert err <= res.abs_error_bound, (label, float(err), res.abs_error_bound)
+
+
+def test_em_references_match_direct_sums():
+    with mp.workdps(40):
+        for x, q in [(0.37, 0.5), (2.9, 0.9), (0.05, 0.1)]:
+            xm, qm = mp.mpf(x), mp.mpf(q)
+            lq = mp.log(qm)
+            ms = range(1200)  # q^1200 < 1e-50 for every q here
+            for n in (0, 1, 4):
+                direct = mp.fsum(mp.polylog(-n, mp.exp((xm + m) * lq)) for m in ms)  # mpmath's own
+                want = (-mp.log1p(-qm) if n == 0 else 0) + lq ** (n + 1) * direct
+                assert abs(_psi_q_n_reference(n, x, q) - want) <= mp.mpf(10) ** -30 * (1 + abs(want))
+            prod = mp.fsum(mp.log(-mp.expm1((m + 1) * lq)) - mp.log(-mp.expm1((m + xm) * lq))
+                           for m in ms)
+            want = (1 - xm) * mp.log1p(-qm) + prod
+            assert abs(_log_gamma_q_reference(x, q) - want) <= mp.mpf(10) ** -30 * (1 + abs(want))
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_q_series_within_bounds_against_oracle(q):
+    for x in ORACLE_XS:
+        _assert_within_bound(sp.psi_q(x, q), _psi_q_n_reference(0, x, q), ("psi_q", x, q))
+        for n in range(1, 6):
+            res = sp.psi_q_n(n, x, q)
+            _assert_within_bound(res, _psi_q_n_reference(n, x, q), ("psi_q_n", n, x, q))
+        lg_ref = _log_gamma_q_reference(x, q)
+        _assert_within_bound(sp.log_gamma_q(x, q), lg_ref, ("log_gamma_q", x, q))
+        _assert_within_bound(sp.gamma_q(x, q), mp.exp(lg_ref), ("gamma_q", x, q))
+
+
+def test_q_series_far_range_within_bounds_against_oracle():
+    # large x with small q: values underflow or (1-x) log(1-q) dominates
+    for q in (1e-5, 0.3, 0.95, 1.0 - 1e-6):
+        for x in (300.0, 1e5):
+            _assert_within_bound(sp.psi_q(x, q), _psi_q_n_reference(0, x, q), ("psi_q", x, q))
+            _assert_within_bound(sp.psi_q_n(2, x, q), _psi_q_n_reference(2, x, q), ("psi_q_n", x, q))
+            _assert_within_bound(sp.log_gamma_q(x, q), _log_gamma_q_reference(x, q), ("lgq", x, q))
+
+
+def test_dilog_within_bounds_against_oracle():
+    xs = [k / 64.0 for k in range(65)] + [1e-300, 1e-8, 0.4999999, 0.5000001, 1.0 - 1e-9]
+    with mp.workdps(40):
+        for x in xs:
+            res = sp.dilog_F(x)
+            _assert_within_bound(res, mp.polylog(2, mp.mpf(x)), ("dilog_F", x))
+            assert type(res.value) is float and type(res.abs_error_bound) is float
+            assert res.converged
+
+
+def test_log_gamma_within_bounds_against_oracle():
+    xs = list(np.linspace(0.0, 5.0, 37)[1:]) + list(np.geomspace(1e-3, 170.0, 40))
+    zs = [0.3 + 1j, 1 + 3j, 2.5 - 40j, 0.05 + 100j, 30 + 100j, 7 - 0.1j, 96.2 + 0.5j]
+    with mp.workdps(40):
+        for x in xs:
+            _assert_within_bound(sp.log_gamma(float(x)), mp.loggamma(mp.mpf(float(x))), x)
+        for z in zs:
+            res = sp.log_gamma(z)
+            ref = mp.loggamma(mp.mpc(z))
+            err = abs(mp.mpc(res.value) - ref)
+            assert err <= res.abs_error_bound, (z, float(err), res.abs_error_bound)
+
+
+def test_q_series_cost_does_not_depend_on_q():
+    near_one = 1.0 - 1e-6
+    for x in (0.05, 1.3, 30.0):
+        for f in (lambda q: sp.psi_q(x, q), lambda q: sp.psi_q_n(3, x, q),
+                  lambda q: sp.log_gamma_q(x, q), lambda q: sp.gamma_q(x, q)):
+            assert f(0.5).terms_used == f(near_one).terms_used
+    assert sp.dilog_F(0.1).terms_used == sp.dilog_F(0.999999).terms_used
+
+
+def test_q_series_cap_and_tolerance_raise():
+    cap = sp.EvalConfig(max_terms=sp.psi_q(1.0, 0.5).terms_used - 1)
+    for call in (lambda: sp.psi_q(1.0, 0.5, cap), lambda: sp.psi_q_n(2, 1.0, 0.5, cap),
+                 lambda: sp.gamma_q(1.5, 0.5, cap), lambda: sp.dilog_F(0.3, sp.EvalConfig(max_terms=1))):
+        with pytest.raises(sp.ConvergenceError):
+            call()
+    # no fixed-cost scheme certifies 1e-30 relative
+    with pytest.raises(sp.ConvergenceError):
+        sp.psi_q(1.0, 0.999, sp.EvalConfig(rel_tol=1e-30))
+
+
+def test_non_finite_arguments_are_domain_errors():
+    calls = [
+        lambda v: sp.log_gamma(v), lambda v: sp.gamma(v), lambda v: sp.psi(v),
+        lambda v: sp.psi_n(2, v), lambda v: sp.log_gamma_q(v, 0.5), lambda v: sp.gamma_q(v, 0.5),
+        lambda v: sp.psi_q(v, 0.5), lambda v: sp.psi_q_n(1, v, 0.5), lambda v: sp.dilog_F(v),
+        lambda v: sp.measure_moment(v, 0.5), lambda v: sp.measure_moment_over_t(v, 0.5),
+        lambda v: sp.psi_q(1.0, v), lambda v: sp.log_gamma(complex(1.0, v)),
+    ]
+    for call in calls:
+        for v in (math.inf, -math.inf, math.nan):
+            with pytest.raises(sp.DomainError):
+                call(v)
+
+
+def test_tiny_argument_gives_value_or_typed_error():
+    for q in (0.5, 1.0 - 1e-6):
+        assert sp.psi_q(1e-300, q).value == pytest.approx(-1e300, rel=1e-12)
+        for n in (1, 2):
+            with pytest.raises(OverflowError):
+                sp.psi_q_n(n, 1e-300, q)
+        # Gamma_q(x) ~ (1-q) / (x |log q|) as x -> 0
+        near_zero = -math.log(1e-300) + math.log((1.0 - q) / -math.log(q))
+        assert sp.log_gamma_q(1e-300, q).value == pytest.approx(near_zero, rel=1e-12)
