@@ -9,15 +9,17 @@ exactly zero: the analytic equality cases (s -> 1, q = 1 reductions, c in
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .special import (
     DEFAULT_CONFIG,
     DomainError,
     EvalConfig,
     QValue,
+    _lgamma_core,
     log_gamma,
     log_gamma_q,
     psi,
@@ -37,9 +39,15 @@ __all__ = [
 ]
 
 EQUALITY_TOL = 1e-12
+# Deepest recurrence _lgamma_shifted takes to reach Re z >= 1/2; each step adds
+# one logarithm's rounding to the result.
+_MAX_RECURRENCE = 1000
 
 
-def _clamp(margin: float) -> float:
+def _clamp(margin):
+    """margin, or 0.0 where |margin| <= EQUALITY_TOL; a float or an ndarray."""
+    if isinstance(margin, np.ndarray):
+        return np.where(np.abs(margin) <= EQUALITY_TOL, 0.0, margin)
     return 0.0 if abs(margin) <= EQUALITY_TOL else margin
 
 
@@ -149,68 +157,126 @@ def q_sandwich(x: float, s: float, q, cfg: EvalConfig = DEFAULT_CONFIG) -> Bound
     return BoundTriple(lower, value, upper)
 
 
-def _lgamma_shifted(z: complex, cfg: EvalConfig) -> complex:
-    """Complex log-gamma continued to Re z <= 0 by the recurrence (poles excluded)."""
-    k = 0
-    while (z.real + k) < 0.5:
-        k += 1
-    acc = 0.0 + 0.0j
-    for j in range(k):
-        w = z + j
-        if w == 0:
-            raise DomainError(f"log-gamma pole at {z!r} + {j}")
-        acc += cmath.log(w)
-    return log_gamma(z + k, cfg).value - acc
+def _first(s: np.ndarray, mask: np.ndarray) -> complex:
+    """The first element of ``s`` (in row order) where ``mask`` holds."""
+    return complex(s.reshape(-1)[np.flatnonzero(mask)[0]])
 
 
-def rademacher_ratio_bound(
-    s: complex, c: float, cfg: EvalConfig = DEFAULT_CONFIG
-) -> tuple[float, float]:
+def _lgamma_shifted(z: np.ndarray) -> np.ndarray:
+    """Complex log-gamma on an array, continued to Re z <= 0 by the recurrence.
+
+    Each element is shifted by k = max(0, ceil(1/2 - Re z)) so that one
+    Stirling pass on z + k serves the whole array; log Gamma(z) is then
+    log Gamma(z + k) minus the logarithms of z + j for j < k.  Poles
+    (z + j = 0), non-finite z and shifts deeper than ``_MAX_RECURRENCE`` raise
+    DomainError; a result beyond float64 raises OverflowError.
+    """
+    bad = ~np.isfinite(z)
+    if bad.any():
+        raise DomainError(f"log-gamma requires finite arguments, got {_first(z, bad)!r}")
+    pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.floor(z.real))
+    if pole.any():
+        raise DomainError(f"log-gamma pole at {_first(z, pole)!r}")
+    k = np.maximum(0.0, np.ceil(0.5 - z.real))
+    depth = int(k.max())
+    if depth > _MAX_RECURRENCE:
+        raise DomainError(
+            f"log-gamma at {_first(z, k == depth)!r} needs {depth} recurrence steps, "
+            f"more than {_MAX_RECURRENCE}"
+        )
+    with np.errstate(all="ignore"):
+        out = _lgamma_core(z + k)
+        for j in range(depth):
+            m = k > j
+            out[m] -= np.log(z[m] + j)
+    bad = ~np.isfinite(out)
+    if bad.any():
+        raise OverflowError(f"log-gamma at {_first(z, bad)!r} exceeds the float64 range")
+    return out
+
+
+def _complex_s(fn: str, s) -> tuple[np.ndarray, bool]:
+    """s as a finite complex array of at least one dimension, and whether it was scalar."""
+    arr = np.atleast_1d(np.asarray(s, dtype=complex))
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise DomainError(f"{fn} requires finite s, got {_first(arr, bad)!r}")
+    return arr, np.ndim(s) == 0
+
+
+def _ratio_result(fn: str, s: np.ndarray, scalar: bool, modulus, bound):
+    """(modulus, bound) as floats for a scalar s, else as arrays shaped like s."""
+    modulus = np.broadcast_to(modulus, s.shape)
+    bound = np.broadcast_to(bound, s.shape)
+    bad = ~(np.isfinite(modulus) & np.isfinite(bound))
+    if bad.any():
+        raise OverflowError(f"{fn} at s={_first(s, bad)!r} exceeds the float64 range")
+    if scalar:
+        return float(modulus[0]), float(bound[0])
+    return modulus.copy(), bound.copy()
+
+
+def rademacher_ratio_bound(s, c: float, cfg: EvalConfig = DEFAULT_CONFIG):
     """(|Gamma(s+c)/Gamma(s)|, |s|^c) under Re(s) >= (1-c)/2, 0 <= c <= 1.
 
-    c = 1 is the recurrence equality |Gamma(s+1)/Gamma(s)| = |s| and is handled
-    exactly; c = 0 degenerates to (1, 1).
+    ``s`` is a complex scalar, giving a pair of floats, or an array, giving a
+    pair of arrays of its shape; a hypothesis violation names the first
+    offending s in row order.  c = 1 is the recurrence equality
+    |Gamma(s+1)/Gamma(s)| = |s| and is handled exactly; c = 0 degenerates to
+    (1, 1).  ``cfg`` is accepted for signature symmetry; the Stirling pass has
+    a fixed cost.
     """
-    s = complex(s)
     c = float(c)
     if not (0.0 <= c <= 1.0):
         raise DomainError(f"rademacher_ratio_bound requires 0 <= c <= 1, got {c!r}")
-    if s == 0:
+    s, scalar = _complex_s("rademacher_ratio_bound", s)
+    zero = s == 0
+    if zero.any():
         raise DomainError("rademacher_ratio_bound requires s != 0")
-    if s.real < (1.0 - c) / 2.0:
+    bad = s.real < (1.0 - c) / 2.0
+    if bad.any():
         raise DomainError(
-            f"hypothesis Re(s) >= (1-c)/2 violated: Re(s)={s.real}, c={c}"
+            f"hypothesis Re(s) >= (1-c)/2 violated: s={_first(s, bad)!r}, c={c}"
         )
-    bound = abs(s) ** c
+    with np.errstate(all="ignore"):
+        abs_s = np.abs(s)
+        bound = abs_s ** c
     if c == 0.0:
-        return 1.0, bound
-    if c == 1.0:
-        return abs(s), bound
-    modulus = math.exp((_lgamma_shifted(s + c, cfg) - _lgamma_shifted(s, cfg)).real)
-    return modulus, bound
+        modulus = 1.0
+    elif c == 1.0:
+        modulus = abs_s
+    else:
+        lg = _lgamma_shifted(np.stack([s + c, s]))
+        with np.errstate(all="ignore"):
+            modulus = np.exp((lg[0] - lg[1]).real)
+    return _ratio_result("rademacher_ratio_bound", s, scalar, modulus, bound)
 
 
-def beta_ratio_modulus(
-    s: complex, a: float, b: float, cfg: EvalConfig = DEFAULT_CONFIG
-) -> tuple[float, float]:
+def beta_ratio_modulus(s, a: float, b: float, cfg: EvalConfig = DEFAULT_CONFIG):
     """(|Gamma(s+a)Gamma(s+b) / (Gamma(s)Gamma(s+a+b))|, 1.0) for Re(s) > (1-a-b)/2.
 
-    Arguments left of the imaginary axis (possible when a + b > 1) are reached
-    through the recurrence, not reflection, so gamma poles raise cleanly.
+    ``s`` is a complex scalar, giving a pair of floats, or an array, giving a
+    pair of arrays of its shape; a hypothesis violation names the first
+    offending s in row order.  Arguments left of the imaginary axis (possible
+    when a + b > 1) are reached through the recurrence, not reflection, so
+    gamma poles raise cleanly.  ``cfg`` is accepted for signature symmetry.
     """
-    s = complex(s)
     a = float(a)
     b = float(b)
     if not (0.0 <= a <= 1.0):
         raise DomainError(f"beta_ratio_modulus requires 0 <= a <= 1, got {a!r}")
-    if b < 0.0:
-        raise DomainError(f"beta_ratio_modulus requires b >= 0, got {b!r}")
-    if s.real <= (1.0 - a - b) / 2.0:
+    if not (0.0 <= b < math.inf):
+        raise DomainError(f"beta_ratio_modulus requires finite b >= 0, got {b!r}")
+    s, scalar = _complex_s("beta_ratio_modulus", s)
+    bad = s.real <= (1.0 - a - b) / 2.0
+    if bad.any():
         raise DomainError(
-            f"hypothesis Re(s) > (1-a-b)/2 violated: Re(s)={s.real}, a={a}, b={b}"
+            f"hypothesis Re(s) > (1-a-b)/2 violated: s={_first(s, bad)!r}, a={a}, b={b}"
         )
     if a == 0.0:
-        return 1.0, 1.0
-    lg = lambda z: _lgamma_shifted(z, cfg)
-    log_ratio = lg(s + a) + lg(s + b) - lg(s) - lg(s + a + b)
-    return math.exp(log_ratio.real), 1.0
+        modulus = 1.0
+    else:
+        lg = _lgamma_shifted(np.stack([s + a, s + b, s, s + a + b]))
+        with np.errstate(all="ignore"):
+            modulus = np.exp((lg[0] + lg[1] - lg[2] - lg[3]).real)
+    return _ratio_result("beta_ratio_modulus", s, scalar, modulus, 1.0)

@@ -316,26 +316,32 @@ def _cmd_bounds(args, config) -> int:
         taus = _grid_triplet(args.tau_grid) if args.tau_grid else [args.tau]
         if any(v is None for v in sigmas) or any(v is None for v in taus):
             raise DomainError(f"bounds {name} requires --sigma/--tau (or grids)")
+        sigmas = np.asarray(sigmas, dtype=float)
+        taus = np.asarray(taus, dtype=float)
+        # sigma is the row axis, so row order is sigma-major, tau-minor
+        s = np.empty((sigmas.size, taus.size), dtype=complex)
+        s.real = sigmas[:, None]
+        s.imag = taus[None, :]
+        if name == "rademacher":
+            if args.c is None:
+                raise DomainError("bounds rademacher requires --c")
+            params = {"c": float(args.c)}
+            modulus, bound = bnd.rademacher_ratio_bound(s, args.c, cfg)
+        else:
+            if args.a is None or args.b is None:
+                raise DomainError("bounds beta-complex requires --a and --b")
+            params = {"a": float(args.a), "b": float(args.b)}
+            modulus, bound = bnd.beta_ratio_modulus(s, args.a, args.b, cfg)
+        margin = bnd._clamp(bound - modulus)
+        ok = bool((margin >= 0.0).all())
+        prefix = f"{name},{_fmt_params(params)},"
         lines = ["bound,params,s_re,s_im,modulus,bound_value,margin"]
-        for sigma in sigmas:
-            for tau in taus:
-                s = complex(float(sigma), float(tau))
-                if name == "rademacher":
-                    if args.c is None:
-                        raise DomainError("bounds rademacher requires --c")
-                    params = {"c": float(args.c)}
-                    modulus, bound = bnd.rademacher_ratio_bound(s, args.c, cfg)
-                else:
-                    if args.a is None or args.b is None:
-                        raise DomainError("bounds beta-complex requires --a and --b")
-                    params = {"a": float(args.a), "b": float(args.b)}
-                    modulus, bound = bnd.beta_ratio_modulus(s, args.a, args.b, cfg)
-                margin = bnd._clamp(bound - modulus)
-                ok = ok and margin >= 0.0
-                lines.append(
-                    f"{name},{_fmt_params(params)},{_fmt(s.real)},{_fmt(s.imag)},"
-                    f"{_fmt(modulus)},{_fmt(bound)},{_fmt(margin)}"
-                )
+        for sigma, mod_row, bound_row, margin_row in zip(
+            sigmas.tolist(), modulus.tolist(), bound.tolist(), margin.tolist()
+        ):
+            head = prefix + _fmt(sigma) + ","
+            for tau, m, bv, mg in zip(taus.tolist(), mod_row, bound_row, margin_row):
+                lines.append(f"{head}{_fmt(tau)},{_fmt(m)},{_fmt(bv)},{_fmt(mg)}")
     else:
         raise DomainError(f"unknown bound name {name!r}")
     _emit(lines, args.output)

@@ -406,9 +406,10 @@ SIGN_ZERO_TOL = 1e-12  # values within this (scaled) band count as zero
 
 
 def _count_sign_changes(values: np.ndarray, zero_tol: float) -> int:
-    signs = [1 if v > zero_tol else -1 if v < -zero_tol else 0 for v in values]
-    nonzero = [s for s in signs if s != 0]
-    return sum(1 for u, v in zip(nonzero, nonzero[1:]) if u != v)
+    """Sign flips along ``values``, skipping entries within zero_tol of zero (and NaN)."""
+    signs = np.where(values > zero_tol, 1, np.where(values < -zero_tol, -1, 0))
+    nonzero = signs[signs != 0]
+    return int(np.count_nonzero(nonzero[1:] != nonzero[:-1]))
 
 
 def scan_kernel(kernel_id: str, params: dict | None = None, t_grid=None):

@@ -209,8 +209,8 @@ def _lgamma_core(z):
     z = np.asarray(z)
     w = z + _SHIFT
     s = (w - 0.5) * np.log(w) - w + _HALF_LOG_2PI
-    rw2 = 1.0 / (w * w)
     p = 1.0 / w
+    rw2 = p * p  # not 1/(w*w), which overflows for |w| > 1.3e154
     for c in _STIRLING_COEF:
         s = s + c * p
         p = p * rw2
@@ -284,7 +284,8 @@ def psi(x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
 def _psi_core(x):
     x = np.asarray(x, dtype=float)
     w = x + _SHIFT
-    rw2 = 1.0 / (w * w)
+    rw = 1.0 / w
+    rw2 = rw * rw  # not 1/(w*w), which overflows for |w| > 1.3e154
     s = np.log(w) - 0.5 / w
     p = rw2
     for c in _PSI_COEF:

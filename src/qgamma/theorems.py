@@ -44,6 +44,7 @@ from .kernels import (
     kernel_thm41_split,
 )
 from .special import (
+    ConvergenceError,
     DomainError,
     EvalConfig,
     QValue,
@@ -212,6 +213,9 @@ class _Q:
         return dilog_F(y, _CASE_CONFIG).value
 
 
+_MASS_SUM_CAP = 400_000
+
+
 def _mass_sum(
     x: float,
     q: float,
@@ -224,13 +228,14 @@ def _mass_sum(
 
     The independent route for checking a case's analytic derivative against its
     kernel: masses -log q sit at t_k, and the factor 1/(1-e^{-t}) is switched
-    on by ``rho``.  Terms are summed until they fall below 1e-17 of the total.
+    on by ``rho``.  Terms are summed until they fall below 1e-17 of the total;
+    a sum still running at ``_MASS_SUM_CAP`` terms raises ConvergenceError.
     """
     lq = math.log(q)
     total = 0.0
     block = 512
     k0 = 1
-    while k0 < 400_000:
+    while k0 < _MASS_SUM_CAP:
         k = np.arange(k0, k0 + block, dtype=float)
         t = -k * lq
         weight = -lq * np.exp(-(x + sigma) * t)
@@ -241,7 +246,9 @@ def _mass_sum(
         if float(np.abs(terms[-8:]).max()) <= 1e-17 * max(1.0, abs(total)):
             return scale * total
         k0 += block
-    raise RuntimeError("mass sum did not converge")
+    raise ConvergenceError(
+        f"mass sum at x={x!r}, q={q!r} did not converge within {_MASS_SUM_CAP} terms"
+    )
 
 
 # ---------------------------------------------------------------------------

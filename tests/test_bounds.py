@@ -1,14 +1,15 @@
 """Sandwich-bound oracles, seeded admissible sweeps, and complex-plane checks."""
 
-import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qgamma import bounds as B
+from qgamma.cli import main
 from qgamma.special import DomainError
 
 SQRT_PI = math.sqrt(math.pi)
@@ -190,3 +191,151 @@ def test_seeded_admissible_sweeps():
         x = float(rng.uniform(-s / 2.0 + 0.05, 20.0))
         t = B.q_sandwich(x, s, q)
         assert t.lower_margin >= 0.0 and t.upper_margin >= 0.0, (x, s, q)
+
+
+# ---------------------------------------------------------------------------
+# array-native complex bounds
+# ---------------------------------------------------------------------------
+
+
+def _mesh(sigmas, taus) -> np.ndarray:
+    s = np.empty((len(sigmas), len(taus)), dtype=complex)
+    s.real = np.asarray(sigmas, dtype=float)[:, None]
+    s.imag = np.asarray(taus, dtype=float)[None, :]
+    return s
+
+
+def _seeded_grid(rng, sig_lo, sig_hi, n_sig=9, n_tau=11) -> np.ndarray:
+    # the grid's lowest sigma sits at sig_lo, where the recurrence goes deepest
+    sigmas = np.concatenate([[sig_lo], np.sort(rng.uniform(sig_lo, sig_hi, n_sig - 1))])
+    taus = np.sort(rng.uniform(-25.0, 25.0, n_tau))
+    return _mesh(sigmas, taus)
+
+
+def _mp_modulus(num, den) -> float:
+    with mp.workdps(40):
+        lg = mp.fsum(mp.loggamma(mp.mpc(z)) for z in num) - mp.fsum(
+            mp.loggamma(mp.mpc(z)) for z in den
+        )
+        return float(mp.exp(mp.re(lg)))
+
+
+# (a, b) pairs; a = 1, b = 2 puts Re s down to -1 and every argument's shift k at
+# up to 2, so the recurrence continuation is covered
+BETA_PARAMS = ((0.5, 0.5), (0.3, 0.9), (1.0, 2.0), (0.8, 3.5))
+
+
+@pytest.mark.parametrize("a,b", BETA_PARAMS)
+def test_beta_ratio_array_matches_mpmath(a, b):
+    rng = np.random.default_rng(int(1000 * a + 10 * b))
+    lo = (1.0 - a - b) / 2.0
+    s = _seeded_grid(rng, lo + 0.01, lo + 6.0)
+    modulus, bound = B.beta_ratio_modulus(s, a, b)
+    assert modulus.shape == bound.shape == s.shape and np.all(bound == 1.0)
+    for z, m in zip(s.ravel().tolist(), modulus.ravel().tolist()):
+        ref = _mp_modulus((z + a, z + b), (z, z + a + b))
+        assert abs(m - ref) <= 1e-12 * ref, (z, a, b, m, ref)
+
+
+@pytest.mark.parametrize("c", (0.1, 0.5, 0.93))
+def test_rademacher_array_matches_mpmath(c):
+    rng = np.random.default_rng(int(100 * c))
+    lo = (1.0 - c) / 2.0
+    s = _seeded_grid(rng, lo, lo + 6.0)
+    modulus, bound = B.rademacher_ratio_bound(s, c)
+    for z, m, bv in zip(s.ravel().tolist(), modulus.ravel().tolist(), bound.ravel().tolist()):
+        ref = _mp_modulus((z + c,), (z,))
+        assert abs(m - ref) <= 1e-12 * ref, (z, c, m, ref)
+        assert bv == pytest.approx(abs(z) ** c, rel=1e-15)
+
+
+def test_beta_recurrence_reaches_shift_two():
+    # Re(s) in (-1, -1/2) with a = 1, b = 2: Gamma(s) needs two recurrence steps
+    s = np.array([-0.9 + 0.3j, -0.6 - 4.0j, -0.99 + 0.0j])
+    modulus, _ = B.beta_ratio_modulus(s, 1.0, 2.0)
+    np.testing.assert_allclose(modulus, np.abs(s / (s + 2.0)), rtol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (B.beta_ratio_modulus, (0.5, 0.5)),
+        (B.beta_ratio_modulus, (1.0, 2.0)),
+        (B.beta_ratio_modulus, (0.0, 2.0)),
+        (B.rademacher_ratio_bound, (0.37,)),
+        (B.rademacher_ratio_bound, (0.0,)),
+        (B.rademacher_ratio_bound, (1.0,)),
+    ],
+)
+def test_array_call_equals_scalar_calls_bitwise(fn, args):
+    s = _mesh(np.linspace(0.55, 4.0, 7), np.linspace(-12.0, 12.0, 9))
+    modulus, bound = fn(s, *args)
+    assert isinstance(modulus, np.ndarray) and modulus.shape == s.shape
+    for idx in np.ndindex(s.shape):
+        m, bv = fn(complex(s[idx]), *args)
+        assert type(m) is float and type(bv) is float
+        assert m == modulus[idx] and bv == bound[idx], (idx, m, modulus[idx])
+
+
+def test_complex_bounds_exact_cases_elementwise():
+    s = _mesh([0.5, 1.0, 3.0], [-2.0, 0.0, 7.0])
+    modulus, bound = B.beta_ratio_modulus(s, 0.0, 5.0)
+    assert np.all(modulus == 1.0) and np.all(bound == 1.0)
+    modulus, bound = B.rademacher_ratio_bound(s, 0.0)
+    assert np.all(modulus == 1.0) and np.all(bound == 1.0)
+    modulus, bound = B.rademacher_ratio_bound(s, 1.0)
+    assert np.array_equal(modulus, np.abs(s)) and np.array_equal(bound, np.abs(s))
+
+
+def test_hypothesis_violation_names_first_s_in_row_order():
+    s = _mesh([-0.3, -0.1, 1.0], [2.0, -5.0])
+    with pytest.raises(DomainError, match=r"s=\(-0\.3\+2j\)"):
+        B.beta_ratio_modulus(s, 0.5, 0.5)
+    s = _mesh([1.0, 0.1, 0.05], [-1.0, 3.0])
+    with pytest.raises(DomainError, match=r"s=\(0\.1-1j\)"):
+        B.rademacher_ratio_bound(s, 0.5)
+
+
+@pytest.mark.parametrize("bad", [complex("nan+1j"), complex(1.0, math.inf), complex(math.inf, 0.0)])
+def test_non_finite_grid_raises(bad):
+    s = _mesh([1.0, 2.0], [0.0, 1.0])
+    s[1, 0] = bad
+    with pytest.raises(DomainError):
+        B.beta_ratio_modulus(s, 0.5, 0.5)
+    with pytest.raises(DomainError):
+        B.rademacher_ratio_bound(s, 0.5)
+    with pytest.raises(DomainError):
+        B.beta_ratio_modulus(bad, 0.5, 0.5)
+
+
+def test_pole_in_grid_raises():
+    # a = 1, b = 2 admits Re s > -1, so s = 0 and s = -1/2 + 0j are allowed; Gamma(s)
+    # has a pole at 0
+    s = _mesh([-0.5, 0.0, 0.5], [0.0])
+    with pytest.raises(DomainError, match="pole"):
+        B.beta_ratio_modulus(s, 1.0, 2.0)
+    with pytest.raises(DomainError, match="pole"):
+        B.beta_ratio_modulus(-1.0 + 0j, 1.0, 3.0)  # Gamma(s) pole at -1, two steps down
+    with pytest.raises(DomainError):
+        B.beta_ratio_modulus(1.0 + 0j, 0.5, math.inf)
+    with pytest.raises(DomainError, match="recurrence steps"):
+        B.beta_ratio_modulus(-1e200 + 1j, 1.0, 1e300)  # admissible, but 1e200 steps down
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("beta-complex", "--a", "1", "--b", "2", "--sigma-grid", "-0.5:0.5:3", "--tau", "0"),
+        ("beta-complex", "--a", "0.5", "--b", "0.5", "--sigma", "nan", "--tau-grid", "0:1:3"),
+        ("beta-complex", "--a", "0.5", "--b", "0.5", "--sigma-grid", "1:2:3", "--tau", "inf"),
+        ("rademacher", "--c", "0.5", "--sigma", "inf", "--tau", "1"),
+        ("rademacher", "--c", "0.5", "--sigma-grid", "1:2:3", "--tau", "-inf"),
+    ],
+)
+def test_cli_bad_complex_grid_exits_2_without_output(capsys, tmp_path, argv):
+    out_path = tmp_path / "never.csv"
+    code = main(["bounds", *argv, "--output", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert not out_path.exists()

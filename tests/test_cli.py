@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import os
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -65,12 +66,18 @@ EVAL_FNS = ("gamma", "log-gamma", "psi", "psi-n", "gamma-q", "psi-q", "psi-q-n",
 def test_eval_extreme_inputs_exit_cleanly(fn, x, q, n):
     # extreme or non-finite input is a value or a typed error (exit 2); never a
     # traceback (exit 1) or a NaN / infinity printed with exit 0
+    # and no numpy RuntimeWarning (overflow, invalid) along the way
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["eval", fn, "--x", x, "--q", q, "--n", n])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["eval", fn, "--x", x, "--q", q, "--n", n])
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not runtime, (fn, x, q, n, runtime)
     assert code in (0, 2), (fn, x, q, n, err.getvalue())
     if code == 0:
         assert "nan" not in out.getvalue() and "inf" not in out.getvalue(), out.getvalue()
+        assert err.getvalue() == "", (fn, x, err.getvalue())
     else:
         assert err.getvalue().startswith("error: ")
 

@@ -229,3 +229,32 @@ def test_scan_min_max_exclude_virtual_point():
     # positive at alpha = 1/2
     _, _, rep = K.scan_kernel("thm3.4", {"alpha": 0.5})
     assert rep.t0_limit == 0.0 and rep.min_value > 0.0
+
+
+def _count_sign_changes_reference(values, zero_tol):
+    """The original element-by-element count, kept as the oracle for the numpy version."""
+    signs = [1 if v > zero_tol else -1 if v < -zero_tol else 0 for v in values]
+    nonzero = [s for s in signs if s != 0]
+    return sum(1 for u, v in zip(nonzero, nonzero[1:]) if u != v)
+
+
+ZERO_TOL = 1e-6
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.just(0.0),
+            st.just(-0.0),
+            st.floats(-ZERO_TOL, ZERO_TOL),  # inside the zero band, edges included
+            st.sampled_from((ZERO_TOL, -ZERO_TOL, math.nan)),
+            st.floats(-10.0, 10.0),
+        ),
+        max_size=60,
+    )
+)
+def test_count_sign_changes_matches_reference(values):
+    arr = np.asarray(values, dtype=float)
+    got = K._count_sign_changes(arr, ZERO_TOL)
+    assert type(got) is int
+    assert got == _count_sign_changes_reference(arr, ZERO_TOL)

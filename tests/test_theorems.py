@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from qgamma import kernels as K
 from qgamma import theorems as T
 from qgamma.cmcheck import CONSISTENT, VIOLATES
-from qgamma.special import DomainError
+from qgamma.special import ConvergenceError, DomainError
 
 X_PROBE = (0.3, 0.8, 1.7, 3.1)
 
@@ -167,3 +167,10 @@ def test_verify_case_deterministic():
     v1 = T.verify_case(case)
     v2 = T.verify_case(case)
     assert v1.reports == v2.reports and v1.matches == v2.matches
+
+
+def test_mass_sum_cap_raises_convergence_error():
+    # near q = 1 the masses at small x decay too slowly for the term cap
+    rep = T.make_case("thm2.2", q=0.9999).representation
+    with pytest.raises(ConvergenceError, match=r"x=0\.1, q=0\.9999.*400000"):
+        rep(0.1)
