@@ -216,15 +216,14 @@ def _ratio_result(fn: str, s: np.ndarray, scalar: bool, modulus, bound):
     return modulus.copy(), bound.copy()
 
 
-def rademacher_ratio_bound(s, c: float, cfg: EvalConfig = DEFAULT_CONFIG):
+def rademacher_ratio_bound(s, c: float):
     """(|Gamma(s+c)/Gamma(s)|, |s|^c) under Re(s) >= (1-c)/2, 0 <= c <= 1.
 
     ``s`` is a complex scalar, giving a pair of floats, or an array, giving a
     pair of arrays of its shape; a hypothesis violation names the first
     offending s in row order.  c = 1 is the recurrence equality
     |Gamma(s+1)/Gamma(s)| = |s| and is handled exactly; c = 0 degenerates to
-    (1, 1).  ``cfg`` is accepted for signature symmetry; the Stirling pass has
-    a fixed cost.
+    (1, 1).  The Stirling pass has a fixed cost, so there is no tolerance to set.
     """
     c = float(c)
     if not (0.0 <= c <= 1.0):
@@ -252,14 +251,14 @@ def rademacher_ratio_bound(s, c: float, cfg: EvalConfig = DEFAULT_CONFIG):
     return _ratio_result("rademacher_ratio_bound", s, scalar, modulus, bound)
 
 
-def beta_ratio_modulus(s, a: float, b: float, cfg: EvalConfig = DEFAULT_CONFIG):
+def beta_ratio_modulus(s, a: float, b: float):
     """(|Gamma(s+a)Gamma(s+b) / (Gamma(s)Gamma(s+a+b))|, 1.0) for Re(s) > (1-a-b)/2.
 
     ``s`` is a complex scalar, giving a pair of floats, or an array, giving a
     pair of arrays of its shape; a hypothesis violation names the first
     offending s in row order.  Arguments left of the imaginary axis (possible
     when a + b > 1) are reached through the recurrence, not reflection, so
-    gamma poles raise cleanly.  ``cfg`` is accepted for signature symmetry.
+    gamma poles raise cleanly.
     """
     a = float(a)
     b = float(b)

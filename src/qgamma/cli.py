@@ -15,6 +15,7 @@ always override it.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -114,8 +115,8 @@ def _emit(lines: list[str], output: str | None):
 
 def _eval_cfg(args, config) -> EvalConfig:
     return EvalConfig(
-        rel_tol=_pick(getattr(args, "rel_tol", None), config, "rel_tol", 1e-12),
-        max_terms=_pick(getattr(args, "max_terms", None), config, "max_terms", 100_000),
+        rel_tol=_pick(args.rel_tol, config, "rel_tol", 1e-12),
+        max_terms=_pick(args.max_terms, config, "max_terms", 100_000),
     )
 
 
@@ -279,10 +280,10 @@ def _bounds_real_rows(name: str, triples) -> tuple[list[str], bool]:
 
 def _cmd_bounds(args, config) -> int:
     name = args.bound
-    cfg = _eval_cfg(args, config)
     lines: list[str]
     ok = True
     if name in ("gautschi", "kershaw-psi", "kershaw-power", "q-sandwich"):
+        cfg = _eval_cfg(args, config)
         if name == "gautschi":
             xs = _grid_triplet(args.x_grid) if args.x_grid else [args.n if args.n is not None else args.x]
         else:
@@ -312,6 +313,9 @@ def _cmd_bounds(args, config) -> int:
         rows, ok = _bounds_real_rows(name, triples)
         lines += rows
     elif name in ("rademacher", "beta-complex"):
+        for flag, value in (("--rel-tol", args.rel_tol), ("--max-terms", args.max_terms)):
+            if value is not None:
+                raise DomainError(f"bounds {name} takes no {flag}; its cost is fixed")
         sigmas = _grid_triplet(args.sigma_grid) if args.sigma_grid else [args.sigma]
         taus = _grid_triplet(args.tau_grid) if args.tau_grid else [args.tau]
         if any(v is None for v in sigmas) or any(v is None for v in taus):
@@ -326,12 +330,12 @@ def _cmd_bounds(args, config) -> int:
             if args.c is None:
                 raise DomainError("bounds rademacher requires --c")
             params = {"c": float(args.c)}
-            modulus, bound = bnd.rademacher_ratio_bound(s, args.c, cfg)
+            modulus, bound = bnd.rademacher_ratio_bound(s, args.c)
         else:
             if args.a is None or args.b is None:
                 raise DomainError("bounds beta-complex requires --a and --b")
             params = {"a": float(args.a), "b": float(args.b)}
-            modulus, bound = bnd.beta_ratio_modulus(s, args.a, args.b, cfg)
+            modulus, bound = bnd.beta_ratio_modulus(s, args.a, args.b)
         margin = bnd._clamp(bound - modulus)
         ok = bool((margin >= 0.0).all())
         prefix = f"{name},{_fmt_params(params)},"
@@ -384,17 +388,20 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qgamma",
         description="Evaluate gamma/q-gamma functions and verify monotonicity "
         "and bound claims numerically.",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", help="key=value defaults file", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
+    # full flag names only: a removed flag such as scan-kernel --s must not become --seed
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_eval = sub.add_parser("eval", help="evaluate one function with an error bound")
+    p_eval = add("eval", help="evaluate one function with an error bound")
     p_eval.add_argument("fn")
     p_eval.add_argument("--x", type=float)
     p_eval.add_argument("--q", type=float)
     p_eval.add_argument("--n", type=int)
 
-    p_verify = sub.add_parser("verify", help="run CM verification on registered cases")
+    p_verify = add("verify", help="run CM verification on registered cases")
     p_verify.add_argument("selector")
     for flag in ("--alpha", "--a", "--b", "--c", "--s", "--q"):
         p_verify.add_argument(flag, type=float)
@@ -408,16 +415,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol-abs", type=float)
     p_verify.add_argument("--tol-rel", type=float)
 
-    p_scan = sub.add_parser("scan-kernel", help="scan a proof kernel's sign on a t grid")
+    p_scan = add("scan-kernel", help="scan a proof kernel's sign on a t grid")
     p_scan.add_argument("kernel")
-    for flag in ("--alpha", "--a", "--b", "--c", "--s", "--q"):
+    for flag in ("--alpha", "--a", "--b", "--c"):
         p_scan.add_argument(flag, type=float)
     p_scan.add_argument("--a-list")
     p_scan.add_argument("--t-min", type=float)
     p_scan.add_argument("--t-max", type=float)
     p_scan.add_argument("--t-points", type=int)
 
-    p_bounds = sub.add_parser("bounds", help="evaluate two-sided ratio bounds")
+    p_bounds = add("bounds", help="evaluate two-sided ratio bounds")
     p_bounds.add_argument("bound")
     p_bounds.add_argument("--x", type=float)
     p_bounds.add_argument("--s", type=float)
@@ -433,13 +440,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--sigma-grid")
     p_bounds.add_argument("--tau-grid")
 
-    p_qlim = sub.add_parser("q-limit-table", help="|Gamma_q - Gamma| as q increases to 1")
+    p_qlim = add("q-limit-table", help="|Gamma_q - Gamma| as q increases to 1")
     p_qlim.add_argument("--x", required=True)
     p_qlim.add_argument("--q", required=True)
 
     for p in (p_eval, p_verify, p_scan, p_bounds, p_qlim):
         p.add_argument("--output", "--csv", dest="output", default=None)
         p.add_argument("--seed", type=int, default=None)
+    # only these commands evaluate series whose tolerance and term cap can be set
+    for p in (p_eval, p_bounds, p_qlim):
         p.add_argument("--rel-tol", type=float, default=None)
         p.add_argument("--max-terms", type=int, default=None)
     return parser

@@ -295,9 +295,9 @@ def _sign32(a, b, c):
 
 
 def _sign34(alpha):
-    if alpha >= 0.5:
+    if alpha >= 0.5 - _BOUNDARY_EPS:
         return POSITIVE
-    if alpha <= 0.0:
+    if alpha <= _BOUNDARY_EPS:
         return NEGATIVE
     return ONE_SIGN_CHANGE
 
@@ -422,6 +422,12 @@ def scan_kernel(kernel_id: str, params: dict | None = None, t_grid=None):
     if kernel_id not in KERNELS:
         raise DomainError(f"unknown kernel id {kernel_id!r}")
     kern = KERNELS[kernel_id]
+    unknown = sorted(set(params or ()) - set(kern.defaults))
+    if unknown:
+        raise DomainError(
+            f"kernel {kernel_id!r} takes no parameter {', '.join(unknown)}; "
+            f"it accepts {', '.join(kern.defaults)}"
+        )
     p = dict(kern.defaults)
     if params:
         p.update(params)

@@ -45,6 +45,7 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 _PI2_OVER_6 = math.pi ** 2 / 6.0
 _U = 2.0 ** -53  # unit roundoff of binary64
+_TINY = float(np.finfo(float).tiny)  # smallest normal binary64
 # Relative rounding error, in units of u, allowed for each elementary piece an
 # evaluator adds up (a logarithm, an exp-based q-power, a Stirling term).
 # Errors measured against 40-digit mpmath stay below half of the bounds this
@@ -732,20 +733,36 @@ def dilog_F(x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     return _series_result("dilog_F", value, trunc, ulps, _LI2_TERMS, cfg)
 
 
-def measure_moment(x, q) -> float:
-    """int e^{-xt} d gamma_q(t) = -q^x log q / (1 - q^x) in closed form (0 < q < 1)."""
-    x = _checked("measure_moment", x)
+def _moment(k: int, x: float, lq: float) -> float:
+    """k-th x-derivative of int e^{-xt} d gamma_q(t) = -log q * q^x/(1-q^x), for lq = log q."""
+    v = -lq * _lambert(k, x, lq)
+    if not math.isfinite(v):
+        raise OverflowError(f"moment derivative of order {k} at x={x!r} exceeds the float64 range")
+    return v
+
+
+def _moment_over_t(x: float, lq: float) -> float:
+    """int (e^{-xt}/t) d gamma_q(t) = sum_k q^{kx}/k = -log(1 - q^x), for lq = log q."""
+    e = x * lq
+    if e > -_TINY:  # x log q is subnormal (or 0): 1 - q^x = x |log q| to the last bit
+        return -math.log(x) - math.log(-lq)
+    return -math.log(-math.expm1(e))
+
+
+def _moment_log_q(fn: str, x, q) -> tuple[float, float]:
+    """(x, log q) for the closed-form moments, once x > 0 and q < 1 are checked."""
+    x = _checked(fn, x)
     q = _coerce_q(q)
     if q.is_classical:
-        raise DomainError("measure_moment requires q < 1 (at q=1 the measure is Lebesgue)")
-    lq = math.log(q.q)
-    return -lq * math.exp(x * lq) / -math.expm1(x * lq)
+        raise DomainError(f"{fn} requires q < 1 (at q=1 the measure is Lebesgue)")
+    return x, math.log(q.q)
+
+
+def measure_moment(x, q) -> float:
+    """int e^{-xt} d gamma_q(t) = -q^x log q / (1 - q^x) in closed form (0 < q < 1)."""
+    return _moment(0, *_moment_log_q("measure_moment", x, q))
 
 
 def measure_moment_over_t(x, q) -> float:
     """int (e^{-xt}/t) d gamma_q(t) = sum_k q^{kx}/k = -log(1 - q^x) in closed form."""
-    x = _checked("measure_moment_over_t", x)
-    q = _coerce_q(q)
-    if q.is_classical:
-        raise DomainError("measure_moment_over_t requires q < 1")
-    return -math.log(-math.expm1(x * math.log(q.q)))
+    return _moment_over_t(*_moment_log_q("measure_moment_over_t", x, q))

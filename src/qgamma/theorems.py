@@ -8,13 +8,26 @@ and the valid x-interval.  Case ids are stable strings used by the CLI and
 CSV reports; suffixes ``-pos`` / ``-neg`` / ``-low`` / ``-neither`` name the
 parameter branches of a theorem.
 
-Orientation notes.  The ``thm3.4`` family (and its corollaries ``cor3.5`` /
-``cor3.6``) is registered with the algebraic factor (1-q^x)^{1/2} and with
-the monotone direction matching the sign of the kernel p_alpha: for
-alpha >= 1/2 the kernel is positive and -(log g)' is the completely monotonic
-direction, for alpha <= 0 it is +(log g)'.  This is the orientation the
-integral representation actually produces (verified numerically to high
-precision); see the case notes.
+Expected verdicts.  Each kernel-bearing case has a representation
+f' = orientation * int e^{-xt} w(t) d gamma_q(t) (f itself for thm3.1).  Its
+verdict is therefore read off the kernel's sign regime,
+``KERNELS[kernel_id].expected_sign`` (the table ``scan-kernel`` reports),
+times the orientation:
+
+    sign(w) * orientation > 0   ->  f' CM  (f CM for thm3.1)
+    sign(w) * orientation < 0   ->  -f' CM
+    w has one sign change       ->  neither
+
+    orientation  cases
+    -1           thm2.1, thm2.2, thm2.3, cor2.4, thm2.5, thm3.2, thm3.4,
+                 cor3.5, cor3.6
+    +1           thm2.6, thm3.1, thm4.1-mean, thm4.1-split
+
+The orientation is also the scale of the case's mass-sum representation.
+The ``thm3.4`` family (with ``cor3.5`` / ``cor3.6``) carries the algebraic
+factor (1-q^x)^{1/2}; with it (log g)' = -sum e^{-xt} p_alpha d gamma_q,
+verified numerically to high precision.  ``psi-prime`` has no kernel and
+states its verdict.
 """
 
 from __future__ import annotations
@@ -34,6 +47,10 @@ from .cmcheck import (
     check_cm,
 )
 from .kernels import (
+    KERNELS,
+    NEGATIVE,
+    ONE_SIGN_CHANGE,
+    POSITIVE,
     kernel_thm21,
     kernel_thm25,
     kernel_thm26,
@@ -48,6 +65,8 @@ from .special import (
     DomainError,
     EvalConfig,
     QValue,
+    _moment,
+    _moment_over_t,
     dilog_F,
     log_gamma,
     log_gamma_q,
@@ -91,7 +110,6 @@ class TheoremCase:
     interval: str
     x_start: float
     expected: str
-    f: Callable[[float], float]
     deriv: Callable[[int, float], float]  # k-th derivative of f, k = 0..4
     grid: GridSpec
     kernel_id: str = ""
@@ -171,13 +189,9 @@ class _Q:
         self.lq = 0.0 if self.classical else math.log(self.q)
 
     def lg(self, y: float) -> float:
-        if self.classical:
-            return log_gamma(y, _CASE_CONFIG).value
         return log_gamma_q(y, self.qv, _CASE_CONFIG).value
 
     def ps(self, k: int, y: float) -> float:
-        if self.classical:
-            return psi(y, _CASE_CONFIG).value if k == 0 else psi_n(k, y, _CASE_CONFIG).value
         if k == 0:
             return psi_q(y, self.qv, _CASE_CONFIG).value
         return psi_q_n(k, y, self.qv, _CASE_CONFIG).value
@@ -186,22 +200,11 @@ class _Q:
         """k-th derivative of the first moment -q^y log q / (1 - q^y); 1/y classically."""
         if self.classical:
             return (-1.0) ** k * math.factorial(k) * y ** (-k - 1)
-        u = math.exp(y * self.lq)
-        r = 1.0 / -math.expm1(y * self.lq)  # 1/(1-u)
-        lq = self.lq
-        if k == 0:
-            return -lq * u * r
-        if k == 1:
-            return -(lq ** 2) * u * r * r
-        if k == 2:
-            return -(lq ** 3) * u * (1.0 + u) * r ** 3
-        if k == 3:
-            return -(lq ** 4) * u * (1.0 + 4.0 * u + u * u) * r ** 4
-        raise DomainError(f"moment derivative order {k} not provided")
+        return _moment(k, y, self.lq)
 
     def mt(self, y: float) -> float:
         """-log(1 - q^y) = sum_k q^{ky}/k (q < 1 only)."""
-        return -math.log(-math.expm1(y * self.lq))
+        return _moment_over_t(y, self.lq)
 
     def log_scale(self, y: float) -> float:
         """log((1-q^y)/(1-q)) for q < 1, log(y) classically."""
@@ -263,21 +266,23 @@ def _default_grid(x_start: float) -> GridSpec:
     return GridSpec(lo, lo + 15.0, 21, "linear")
 
 
-def _verdict_three_way(value, low, high, low_verdict, high_verdict):
-    if value <= low:
-        return low_verdict
-    if value >= high:
-        return high_verdict
-    return NEITHER
+# (sign of w times orientation, object the representation gives) -> verdict
+_VERDICTS = {(1, "fprime"): F_PRIME_CM, (-1, "fprime"): NEG_F_PRIME_CM, (1, "f"): F_CM}
+
+
+def _regime_verdict(kernel_id: str, params: dict, orientation: int, target: str = "fprime") -> str:
+    """The verdict implied by the kernel's sign regime and the case's orientation."""
+    kern = KERNELS[kernel_id]
+    sign = kern.expected_sign(**{k: params[k] for k in kern.defaults})
+    if sign == ONE_SIGN_CHANGE:
+        return NEITHER
+    return _VERDICTS[({POSITIVE: 1, NEGATIVE: -1}[sign] * orientation, target)]
 
 
 def _thm21_family(alpha: float):
-    def f(x):
-        return alpha * math.log(x) + log_gamma(x, _CASE_CONFIG).value + x - x * math.log(x)
-
     def deriv(k, x):
         if k == 0:
-            return f(x)
+            return alpha * math.log(x) + log_gamma(x, _CASE_CONFIG).value + x - x * math.log(x)
         if k == 1:
             return alpha / x + psi(x, _CASE_CONFIG).value - math.log(x)
         if k == 2:
@@ -288,22 +293,20 @@ def _thm21_family(alpha: float):
             return -6.0 * alpha / x ** 4 + psi_n(3, x, _CASE_CONFIG).value - 2.0 / x ** 3
         raise DomainError(f"derivative order {k} not provided")
 
-    return f, deriv
+    return deriv
 
 
 def _case_thm21(case_id: str, alpha: float = 0.5) -> TheoremCase:
-    f, deriv = _thm21_family(alpha)
-    expected = _verdict_three_way(alpha, 0.5, 1.0, NEG_F_PRIME_CM, F_PRIME_CM)
+    params = {"alpha": alpha}
     return TheoremCase(
         id=case_id,
         theorem="thm2.1",
-        params={"alpha": alpha},
+        params=params,
         param_domain="alpha real; -h' CM for alpha <= 1/2, h' CM for alpha >= 1, neither between",
         interval="(0, inf)",
         x_start=0.0,
-        expected=expected,
-        f=f,
-        deriv=deriv,
+        expected=_regime_verdict("thm2.1", params, -1),
+        deriv=_thm21_family(alpha),
         grid=_default_grid(0.0),
         kernel_id="thm2.1",
         notes="h(x) = log[x^alpha Gamma(x) (e/x)^x]; classical q = 1",
@@ -315,35 +318,31 @@ def _thm22_family(alpha: float, q: float):
     lq = P.lq
     l1q = math.log1p(-P.q)
 
-    def f(x):
-        # x log(1-q) + alpha log(1-q^x) + log Gamma_q(x) + F(q^x)/log q
-        return x * l1q - alpha * P.mt(x) + P.lg(x) + P.dilog(math.exp(x * lq)) / lq
-
     def deriv(k, x):
         if k == 0:
-            return f(x)
+            # x log(1-q) + alpha log(1-q^x) + log Gamma_q(x) + F(q^x)/log q
+            return x * l1q - alpha * P.mt(x) + P.lg(x) + P.dilog(math.exp(x * lq)) / lq
         if k == 1:
             return l1q + alpha * P.mom(0, x) + P.ps(0, x) + P.mt(x)
         return alpha * P.mom(k - 1, x) + P.ps(k - 1, x) - P.mom(k - 2, x)
 
-    return f, deriv, P
+    return deriv, P
 
 
 def _case_thm22(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase:
-    f, deriv, P = _thm22_family(alpha, q)
+    deriv, P = _thm22_family(alpha, q)
     if P.classical:
         raise DomainError("thm2.2 requires q < 1")
-    expected = NEG_F_PRIME_CM if alpha <= 0.5 else F_PRIME_CM if alpha >= 1.0 else NEITHER
-    rep = lambda x: _mass_sum(x, P.q, lambda t: kernel_thm21(alpha, t), scale=-1.0)
+    params, orientation = {"alpha": alpha, "q": q}, -1
+    rep = lambda x: _mass_sum(x, P.q, lambda t: kernel_thm21(alpha, t), scale=orientation)
     return TheoremCase(
         id=case_id,
         theorem="thm2.2",
-        params={"alpha": alpha, "q": q},
+        params=params,
         param_domain="0 < q < 1; -h' CM for alpha <= 1/2, h' CM for alpha >= 1",
         interval="(0, inf)",
         x_start=0.0,
-        expected=expected,
-        f=f,
+        expected=_regime_verdict("thm2.1", params, orientation),
         deriv=deriv,
         grid=_default_grid(0.0),
         kernel_id="thm2.1",
@@ -353,25 +352,22 @@ def _case_thm22(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase
 
 
 def _case_thm23(case_id: str, alpha: float = 0.5, a: float = 1.0, q: float = 0.5) -> TheoremCase:
-    base_f, base_d, P = _thm22_family(alpha, q)
+    base_d, P = _thm22_family(alpha, q)
     if P.classical:
         raise DomainError("thm2.3 requires q < 1")
-    f = lambda x: base_f(x) - base_f(x + a)
-    deriv = lambda k, x: base_d(k, x) - base_d(k, x + a)
-    expected = NEG_F_PRIME_CM if alpha <= 0.5 else F_PRIME_CM if alpha >= 1.0 else NEITHER
+    params, orientation = {"alpha": alpha, "a": a, "q": q}, -1
     rep = lambda x: _mass_sum(
-        x, P.q, lambda t: (-np.expm1(-a * t)) * kernel_thm21(alpha, t), scale=-1.0
+        x, P.q, lambda t: (-np.expm1(-a * t)) * kernel_thm21(alpha, t), scale=orientation
     )
     return TheoremCase(
         id=case_id,
         theorem="thm2.3",
-        params={"alpha": alpha, "a": a, "q": q},
+        params=params,
         param_domain="0 < q < 1, a > 0; -H' CM for alpha <= 1/2, H' CM for alpha >= 1",
         interval="(0, inf)",
         x_start=0.0,
-        expected=expected,
-        f=f,
-        deriv=deriv,
+        expected=_regime_verdict("thm2.1", params, orientation),
+        deriv=lambda k, x: base_d(k, x) - base_d(k, x + a),
         grid=_default_grid(0.0),
         kernel_id="thm2.1",
         representation=rep,
@@ -380,20 +376,17 @@ def _case_thm23(case_id: str, alpha: float = 0.5, a: float = 1.0, q: float = 0.5
 
 
 def _case_cor24(case_id: str, alpha: float = 0.75, a: float = 1.0) -> TheoremCase:
-    base_f, base_d = _thm21_family(alpha)
-    f = lambda x: base_f(x) - base_f(x + a)
-    deriv = lambda k, x: base_d(k, x) - base_d(k, x + a)
-    expected = _verdict_three_way(alpha, 0.5, 1.0, NEG_F_PRIME_CM, F_PRIME_CM)
+    base_d = _thm21_family(alpha)
+    params = {"alpha": alpha, "a": a}
     return TheoremCase(
         id=case_id,
         theorem="cor2.4",
-        params={"alpha": alpha, "a": a},
+        params=params,
         param_domain="a > 0; -H' CM for alpha <= 1/2, H' CM for alpha >= 1, neither between",
         interval="(0, inf)",
         x_start=0.0,
-        expected=expected,
-        f=f,
-        deriv=deriv,
+        expected=_regime_verdict("thm2.1", params, -1),
+        deriv=lambda k, x: base_d(k, x) - base_d(k, x + a),
         grid=_default_grid(0.0),
         kernel_id="thm2.1",
         notes="classical difference composition of thm2.1; neither branch at alpha = 0.75",
@@ -407,34 +400,30 @@ def _case_thm25(
         raise DomainError(f"thm2.5 requires a < b <= a + 1, got a={a}, b={b}")
     P = _Q(q)
 
-    def f(x):
-        return (a - b) * P.log_scale(x + c) + P.lg(x + b) - P.lg(x + a)
-
     def deriv(k, x):
         if k == 0:
-            return f(x)
+            return (a - b) * P.log_scale(x + c) + P.lg(x + b) - P.lg(x + a)
         return (a - b) * P.mom(k - 1, x + c) + P.ps(k - 1, x + b) - P.ps(k - 1, x + a)
 
-    eps = 1e-12
-    if -eps <= c <= (a + b - 1.0) / 2.0 + eps:
-        expected, x_start, interval = NEG_F_PRIME_CM, -c, "(-c, inf)"
-    elif c >= a - eps >= -eps:
-        expected, x_start, interval = F_PRIME_CM, -a, "(-a, inf)"
-    else:
-        expected, x_start, interval = NEITHER, -min(a, c), "(-min(a,c), inf)"
+    params, orientation = {"a": a, "b": b, "c": c, "q": q}, -1
+    expected = _regime_verdict("thm2.5", params, orientation)
+    x_start, interval = {
+        NEG_F_PRIME_CM: (-c, "(-c, inf)"),
+        F_PRIME_CM: (-a, "(-a, inf)"),
+        NEITHER: (-min(a, c), "(-min(a,c), inf)"),
+    }[expected]
     rep = None
     if not P.classical:
-        rep = lambda x: _mass_sum(x, P.q, lambda t: kernel_thm25(a, b, c, t), scale=-1.0)
+        rep = lambda x: _mass_sum(x, P.q, lambda t: kernel_thm25(a, b, c, t), scale=orientation)
     return TheoremCase(
         id=case_id,
         theorem="thm2.5",
-        params={"a": a, "b": b, "c": c, "q": q},
+        params=params,
         param_domain="a < b <= a+1; -(log g)' CM on (-c, inf) for 0 <= c <= (a+b-1)/2, "
         "(log g)' CM on (-a, inf) for c >= a >= 0",
         interval=interval,
         x_start=x_start,
         expected=expected,
-        f=f,
         deriv=deriv,
         grid=_default_grid(x_start),
         kernel_id="thm2.5",
@@ -449,26 +438,23 @@ def _case_thm26(case_id: str, a: float = 1.5, q: float = 0.5) -> TheoremCase:
     if P.classical:
         raise DomainError("thm2.6 requires q < 1")
 
-    def f(x):
-        return a * P.log_scale(x) + P.lg(x) - P.lg(x + a)
-
     def deriv(k, x):
         if k == 0:
-            return f(x)
+            return a * P.log_scale(x) + P.lg(x) - P.lg(x + a)
         return a * P.mom(k - 1, x) + P.ps(k - 1, x) - P.ps(k - 1, x + a)
 
+    params, orientation = {"a": a, "q": q}, 1
     rep = lambda x: _mass_sum(
-        x, P.q, lambda t: kernel_thm26(a, t), sigma=(a - 1.0) / 2.0, scale=1.0
+        x, P.q, lambda t: kernel_thm26(a, t), sigma=(a - 1.0) / 2.0, scale=orientation
     )
     return TheoremCase(
         id=case_id,
         theorem="thm2.6",
-        params={"a": a, "q": q},
+        params=params,
         param_domain="0 < q < 1; h' CM on (0, inf) for a >= 1",
         interval="(0, inf)",
         x_start=0.0,
-        expected=F_PRIME_CM,
-        f=f,
+        expected=_regime_verdict("thm2.6", params, orientation),
         deriv=deriv,
         grid=_default_grid(0.0),
         kernel_id="thm2.6",
@@ -492,18 +478,18 @@ def _case_thm31(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase
     # log((1-q^{1/alpha})/(1-q)), which leaves every monotonicity conclusion
     # (order 0 included) intact.
     const = math.log(-math.expm1(math.log(P.q) / alpha)) - math.log1p(-P.q)
+    params, orientation = {"alpha": alpha, "q": q}, 1
     rep = lambda x: const + _mass_sum(
-        x, P.q, lambda t: kernel_thm31(alpha, t), scale=1.0 / alpha
+        x, P.q, lambda t: kernel_thm31(alpha, t), scale=orientation / alpha
     )
     return TheoremCase(
         id=case_id,
         theorem="thm3.1",
-        params={"alpha": alpha, "q": q},
+        params=params,
         param_domain="0 < alpha < 1, 0 < q < 1",
         interval="(0, inf)",
         x_start=0.0,
-        expected=F_CM,
-        f=lambda x: deriv(0, x),
+        expected=_regime_verdict("thm3.1", params, orientation, target="f"),
         deriv=deriv,
         grid=_default_grid(0.0),
         kernel_id="thm3.1",
@@ -521,21 +507,14 @@ def _case_thm32(
         raise DomainError(f"thm3.2 requires 0 < a < b, got a={a}, b={b}")
     P = _Q(q)
 
-    def f(x):
-        return P.lg(x + a) - P.lg(x + b) + (b - a) * P.ps(0, x + c)
-
     def deriv(k, x):
         if k == 0:
-            return f(x)
+            return P.lg(x + a) - P.lg(x + b) + (b - a) * P.ps(0, x + c)
         return P.ps(k - 1, x + a) - P.ps(k - 1, x + b) + (b - a) * P.ps(k, x + c)
 
-    eps = 1e-12
-    if c >= (a + b) / 2.0 - eps:
-        expected, x_start, interval = NEG_F_PRIME_CM, -a, "(-a, inf)"
-    elif c <= a + eps:
-        expected, x_start, interval = F_PRIME_CM, -c, "(-c, inf)"
-    else:
-        expected, x_start, interval = NEITHER, -a, "(-a, inf)"
+    params, orientation = {"a": a, "b": b, "c": c, "q": q}, -1
+    expected = _regime_verdict("thm3.2", params, orientation)
+    x_start, interval = (-c, "(-c, inf)") if expected == F_PRIME_CM else (-a, "(-a, inf)")
     rep = None
     if not P.classical:
         rep = lambda x: _mass_sum(
@@ -544,18 +523,17 @@ def _case_thm32(
             lambda t: kernel_thm32(a, b, c, t),
             sigma=(a + b) / 2.0,
             rho=True,
-            scale=-1.0,
+            scale=orientation,
         )
     return TheoremCase(
         id=case_id,
         theorem="thm3.2",
-        params={"a": a, "b": b, "c": c, "q": q},
+        params=params,
         param_domain="0 < a < b, 0 < q <= 1; -h' CM on (-a, inf) for c >= (a+b)/2, "
         "h' CM on (-c, inf) for c <= a, neither for a < c < (a+b)/2",
         interval=interval,
         x_start=x_start,
         expected=expected,
-        f=f,
         deriv=deriv,
         grid=_default_grid(x_start),
         kernel_id="thm3.2",
@@ -571,18 +549,15 @@ def _thm34_family(alpha: float, q: float):
     lq = P.lq
     l1q = math.log1p(-P.q)
 
-    def f(x):
-        return (
-            x * l1q
-            - 0.5 * P.mt(x)
-            + P.lg(x)
-            + P.dilog(math.exp(x * lq)) / lq
-            - P.ps(1, x + alpha) / 12.0
-        )
-
     def deriv(k, x):
         if k == 0:
-            return f(x)
+            return (
+                x * l1q
+                - 0.5 * P.mt(x)
+                + P.lg(x)
+                + P.dilog(math.exp(x * lq)) / lq
+                - P.ps(1, x + alpha) / 12.0
+            )
         if k == 1:
             return l1q + 0.5 * P.mom(0, x) + P.ps(0, x) + P.mt(x) - P.ps(2, x + alpha) / 12.0
         return (
@@ -592,32 +567,22 @@ def _thm34_family(alpha: float, q: float):
             - P.ps(k + 1, x + alpha) / 12.0
         )
 
-    return f, deriv, P
-
-
-def _thm34_expected(alpha: float) -> str:
-    # kernel p_alpha > 0 for alpha >= 1/2 makes -(log g)' the CM direction;
-    # p_alpha < 0 for alpha <= 0 makes +(log g)' CM
-    if alpha >= 0.5:
-        return NEG_F_PRIME_CM
-    if alpha <= 0.0:
-        return F_PRIME_CM
-    return NEITHER
+    return deriv, P
 
 
 def _case_thm34(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase:
-    f, deriv, P = _thm34_family(alpha, q)
+    deriv, P = _thm34_family(alpha, q)
     x_start = max(0.0, -alpha)
-    rep = lambda x: _mass_sum(x, P.q, lambda t: kernel_thm34(alpha, t), scale=-1.0)
+    params, orientation = {"alpha": alpha, "q": q}, -1
+    rep = lambda x: _mass_sum(x, P.q, lambda t: kernel_thm34(alpha, t), scale=orientation)
     return TheoremCase(
         id=case_id,
         theorem="thm3.4",
-        params={"alpha": alpha, "q": q},
+        params=params,
         param_domain="0 < q < 1; -(log g)' CM for alpha >= 1/2, (log g)' CM for alpha <= 0",
         interval="(max(0,-alpha), inf)",
         x_start=x_start,
-        expected=_thm34_expected(alpha),
-        f=f,
+        expected=_regime_verdict("thm3.4", params, orientation),
         deriv=deriv,
         grid=_default_grid(x_start),
         kernel_id="thm3.4",
@@ -633,28 +598,26 @@ def _case_cor35(
 ) -> TheoremCase:
     if not (0.0 < s < 1.0):
         raise DomainError(f"cor3.5 requires 0 < s < 1, got {s!r}")
-    base_f, base_d, P = _thm34_family(alpha, q)
-    f = lambda x: base_f(x + s) - base_f(x + 1.0)
-    deriv = lambda k, x: base_d(k, x + s) - base_d(k, x + 1.0)
+    base_d, P = _thm34_family(alpha, q)
     x_start = max(0.0, -alpha - s)
+    params, orientation = {"alpha": alpha, "s": s, "q": q}, -1
     rep = lambda x: _mass_sum(
         x,
         P.q,
         lambda t: (np.exp(-s * t) - np.exp(-t)) * kernel_thm34(alpha, t),
-        scale=-1.0,
+        scale=orientation,
     )
     grid = GridSpec(max(x_start + 0.05, 0.05), 15.0, 21, "geometric", (0.125, 0.5, 1.0, 2.0), 8)
     return TheoremCase(
         id=case_id,
         theorem="cor3.5",
-        params={"alpha": alpha, "s": s, "q": q},
+        params=params,
         param_domain="0 < q < 1, 0 < s < 1; -(log f)' CM for alpha >= 1/2, "
         "(log f)' CM for alpha <= 0, neither for 0 < alpha < 1/2",
         interval="(max(0,-alpha-s), inf)",
         x_start=x_start,
-        expected=_thm34_expected(alpha),
-        f=f,
-        deriv=deriv,
+        expected=_regime_verdict("thm3.4", params, orientation),
+        deriv=lambda k, x: base_d(k, x + s) - base_d(k, x + 1.0),
         grid=grid,
         kernel_id="thm3.4",
         representation=rep,
@@ -666,20 +629,17 @@ def _case_cor36(case_id: str, alpha: float = 0.75, s: float = 0.1) -> TheoremCas
     if not (0.0 < s < 1.0):
         raise DomainError(f"cor3.6 requires 0 < s < 1, got {s!r}")
 
-    def f(x):
-        return (
-            (x + 0.5) * math.log(x + 1.0)
-            - (x + s - 0.5) * math.log(x + s)
-            + log_gamma(x + s, _CASE_CONFIG).value
-            - log_gamma(x + 1.0, _CASE_CONFIG).value
-            + (s - 1.0)
-            + (psi_n(1, x + 1.0 + alpha, _CASE_CONFIG).value
-               - psi_n(1, x + s + alpha, _CASE_CONFIG).value) / 12.0
-        )
-
     def deriv(k, x):
         if k == 0:
-            return f(x)
+            return (
+                (x + 0.5) * math.log(x + 1.0)
+                - (x + s - 0.5) * math.log(x + s)
+                + log_gamma(x + s, _CASE_CONFIG).value
+                - log_gamma(x + 1.0, _CASE_CONFIG).value
+                + (s - 1.0)
+                + (psi_n(1, x + 1.0 + alpha, _CASE_CONFIG).value
+                   - psi_n(1, x + s + alpha, _CASE_CONFIG).value) / 12.0
+            )
         u, v = x + 1.0, x + s
         pg = lambda m, y: psi_n(m, y, _CASE_CONFIG).value
         tail = (pg(k + 1, x + 1.0 + alpha) - pg(k + 1, x + s + alpha)) / 12.0
@@ -700,17 +660,17 @@ def _case_cor36(case_id: str, alpha: float = 0.75, s: float = 0.1) -> TheoremCas
         return lead + mid + tail
 
     x_start = max(0.0, -alpha - s)
+    params = {"alpha": alpha, "s": s}
     grid = GridSpec(max(x_start + 0.05, 0.05), 15.0, 21, "geometric", (0.125, 0.5, 1.0, 2.0), 8)
     return TheoremCase(
         id=case_id,
         theorem="cor3.6",
-        params={"alpha": alpha, "s": s},
+        params=params,
         param_domain="0 < s < 1; -(log f)' CM for alpha >= 1/2, (log f)' CM for "
         "alpha <= 0, neither for 0 < alpha < 1/2",
         interval="(max(0,-alpha-s), inf)",
         x_start=x_start,
-        expected=_thm34_expected(alpha),
-        f=f,
+        expected=_regime_verdict("thm3.4", params, -1),
         deriv=deriv,
         grid=grid,
         kernel_id="thm3.4",
@@ -728,51 +688,44 @@ def _case_thm41(case_id: str, variant: str, a_list=(0.5, 1.5), q: float = 0.5) -
     total = sum(a)
 
     if variant == "mean":
-        def f(x):
-            return sum(P.lg(x + ai) for ai in a) - n * P.lg(x + abar)
-
         def deriv(k, x):
             if k == 0:
-                return f(x)
+                return sum(P.lg(x + ai) for ai in a) - n * P.lg(x + abar)
             return sum(P.ps(k - 1, x + ai) for ai in a) - n * P.ps(k - 1, x + abar)
 
-        expected = NEG_F_PRIME_CM
         kernel_fn = lambda t: kernel_thm41_mean(a, t)
         notes = "ratio prod Gamma_q(x+a_i) / Gamma_q(x+abar)^n"
     elif variant == "split":
-        def f(x):
-            return sum(P.lg(x + ai) for ai in a) - (n - 1) * P.lg(x) - P.lg(x + total)
-
         def deriv(k, x):
             if k == 0:
-                return f(x)
+                return sum(P.lg(x + ai) for ai in a) - (n - 1) * P.lg(x) - P.lg(x + total)
             return (
                 sum(P.ps(k - 1, x + ai) for ai in a)
                 - (n - 1) * P.ps(k - 1, x)
                 - P.ps(k - 1, x + total)
             )
 
-        expected = F_PRIME_CM
         kernel_fn = lambda t: kernel_thm41_split(a, t)
         notes = "ratio prod Gamma_q(x+a_i) / (Gamma_q(x)^{n-1} Gamma_q(x+sum a_i))"
     else:
         raise DomainError(f"unknown thm4.1 variant {variant!r}")
 
+    params, orientation = {"a_list": a, "q": q}, 1
+    kernel_id = f"thm4.1-{variant}"
     rep = None
     if not P.classical:
-        rep = lambda x: _mass_sum(x, P.q, kernel_fn, rho=True, scale=1.0)
+        rep = lambda x: _mass_sum(x, P.q, kernel_fn, rho=True, scale=orientation)
     return TheoremCase(
         id=case_id,
         theorem="thm4.1",
-        params={"a_list": a, "q": q},
+        params=params,
         param_domain="a_i > 0, 0 < q <= 1; both log-derivative directions CM on (0, inf)",
         interval="(0, inf)",
         x_start=0.0,
-        expected=expected,
-        f=f,
+        expected=_regime_verdict(kernel_id, params, orientation),
         deriv=deriv,
         grid=_default_grid(0.0),
-        kernel_id=f"thm4.1-{variant}",
+        kernel_id=kernel_id,
         representation=rep,
         notes=notes,
     )
@@ -790,7 +743,6 @@ def _case_psi_prime(case_id: str = "psi-prime") -> TheoremCase:
         interval="(0, inf)",
         x_start=0.0,
         expected=F_PRIME_CM,
-        f=lambda x: deriv(0, x),
         deriv=deriv,
         grid=GridSpec(0.1, 20.0, 25, "geometric"),
         notes="psi'(x) = sum_k (k+x)^{-2} is completely monotonic",

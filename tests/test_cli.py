@@ -133,6 +133,23 @@ def test_verify_unknown_selector(capsys):
     assert run(capsys, "verify", "thm9.9")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "case_id,alpha,verdict",
+    [
+        ("thm2.1", "0.5000000000001", "-f' CM"),
+        ("thm2.2", "0.9999999999999", "f' CM"),
+        ("thm3.4", "0.4999999999999", "-f' CM"),
+        ("cor3.6", "1e-13", "f' CM"),
+    ],
+)
+def test_verify_verdict_next_to_regime_boundary(capsys, case_id, alpha, verdict):
+    # the expectation is the kernel's sign regime, the one scan-kernel reports
+    code, out = run(capsys, "verify", case_id, "--alpha", alpha)
+    assert code == 0
+    rows = [ln.split(",") for ln in out.splitlines() if ",expected-verdict," in ln]
+    assert [r[-2:] for r in rows] == [[verdict, "match"]]
+
+
 def test_verify_all_deterministic(capsys, tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(capsys, "verify", "thm2.2", "--seed", "42", "--output", str(p1))[0] == 0
@@ -183,6 +200,51 @@ def test_scan_kernel_point_rows(capsys):
 def test_scan_kernel_usage(capsys):
     assert run(capsys, "scan-kernel", "nope")[0] == 2
     assert run(capsys, "scan-kernel", "thm2.5", "--a", "1", "--b", "0.5", "--c", "0")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan-kernel", "thm2.1", "--q", "0.5"),
+        ("scan-kernel", "thm2.1", "--s", "0.5"),
+        ("scan-kernel", "thm2.1", "--s", "1"),  # not a prefix of --seed
+        ("scan-kernel", "thm2.1", "--a", "1"),
+        ("scan-kernel", "thm2.5", "--alpha", "0.3"),
+    ],
+)
+def test_scan_kernel_foreign_parameter_exits_two(capsys, argv):
+    assert run(capsys, *argv) == (2, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "thm2.1", "--rel-tol", "0.5"),
+        ("verify", "thm2.1", "--max-terms", "1"),
+        ("scan-kernel", "thm2.1", "--rel-tol", "0.5"),
+        ("scan-kernel", "thm2.1", "--max-terms", "1"),
+        ("bounds", "rademacher", "--c", "0.5", "--sigma", "1", "--tau", "1", "--rel-tol", "1e-10"),
+        ("bounds", "rademacher", "--c", "0.5", "--sigma", "1", "--tau", "1", "--max-terms", "50"),
+        ("bounds", "beta-complex", "--a", "0.5", "--b", "0.5", "--sigma", "1", "--tau", "1",
+         "--rel-tol", "1e-10"),
+        ("bounds", "beta-complex", "--a", "0.5", "--b", "0.5", "--sigma", "1", "--tau", "1",
+         "--max-terms", "50"),
+    ],
+)
+def test_tolerance_flags_rejected_where_nothing_uses_them(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert argv[-2] in captured.err  # the message names the flag
+
+
+def test_complex_bounds_accept_config_tolerances(capsys, tmp_path):
+    cfg = tmp_path / "qgamma.cfg"
+    cfg.write_text("rel_tol=1e-10\nmax_terms=50\n")
+    base = ("bounds", "rademacher", "--c", "0.5", "--sigma", "1", "--tau", "1")
+    code, out = run(capsys, *base)
+    assert code == 0
+    assert run(capsys, "--config", str(cfg), *base) == (0, out)
 
 
 # ---------------------------------------------------------------------------

@@ -258,3 +258,14 @@ def test_count_sign_changes_matches_reference(values):
     got = K._count_sign_changes(arr, ZERO_TOL)
     assert type(got) is int
     assert got == _count_sign_changes_reference(arr, ZERO_TOL)
+
+
+@pytest.mark.parametrize(
+    "kid,params",
+    [("thm2.1", {"q": 0.5}), ("thm2.1", {"s": 0.5}), ("thm2.1", {"a": 1.0}),
+     ("thm2.5", {"alpha": 0.3}), ("thm4.1-mean", {"a_list": (1.0, 2.0), "c": 0.1})],
+)
+def test_scan_kernel_rejects_foreign_parameters(kid, params):
+    accepted = ", ".join(K.KERNELS[kid].defaults)
+    with pytest.raises(DomainError, match=f"accepts {accepted}$"):
+        K.scan_kernel(kid, params)

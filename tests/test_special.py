@@ -346,6 +346,20 @@ def test_measure_moment_domain():
         sp.measure_moment_over_t(-1.0, 0.5)
 
 
+@pytest.mark.parametrize("x", [5e-324, 1e-320])
+@pytest.mark.parametrize("q", [0.5, 0.9])
+def test_measure_moment_at_subnormal_x(x, q):
+    # the moment ~ 1/x lies beyond float64; -log(1 - q^x) ~ -log(x |log q|) does not,
+    # even where x log q is subnormal or underflows to zero
+    with pytest.raises(OverflowError):
+        sp.measure_moment(x, q)
+    with mp.workdps(40):
+        want = -mp.log(-mp.expm1(mp.mpf(x) * mp.log(mp.mpf(q))))
+    got = sp.measure_moment_over_t(x, q)
+    assert math.isfinite(got)
+    assert abs(got - float(want)) <= 4e-16 * float(want)
+
+
 # ---------------------------------------------------------------------------
 # cross-cutting invariants
 # ---------------------------------------------------------------------------

@@ -174,3 +174,80 @@ def test_mass_sum_cap_raises_convergence_error():
     rep = T.make_case("thm2.2", q=0.9999).representation
     with pytest.raises(ConvergenceError, match=r"x=0\.1, q=0\.9999.*400000"):
         rep(0.1)
+
+
+# ---------------------------------------------------------------------------
+# one regime table: expected verdicts follow the kernel's sign regime
+# ---------------------------------------------------------------------------
+
+# f' = orientation * int e^{-xt} w(t) d gamma_q(t) (f itself for thm3.1)
+ORIENTATION = {
+    "thm2.1": -1, "thm2.2": -1, "thm2.3": -1, "cor2.4": -1, "thm2.5": -1,
+    "thm3.2": -1, "thm3.4": -1, "cor3.5": -1, "cor3.6": -1,
+    "thm2.6": +1, "thm3.1": +1, "thm4.1-mean": +1, "thm4.1-split": +1,
+}
+KERNEL_OF = {
+    "thm2.1": "thm2.1", "thm2.2": "thm2.1", "thm2.3": "thm2.1", "cor2.4": "thm2.1",
+    "thm2.5": "thm2.5", "thm2.6": "thm2.6", "thm3.1": "thm3.1", "thm3.2": "thm3.2",
+    "thm3.4": "thm3.4", "cor3.5": "thm3.4", "cor3.6": "thm3.4",
+    "thm4.1-mean": "thm4.1-mean", "thm4.1-split": "thm4.1-split",
+}
+# (kernel sign regime, orientation) -> expected verdict
+REGIME_VERDICT = {
+    ("positive", -1): "-f' CM", ("negative", -1): "f' CM",
+    ("positive", +1): "f' CM", ("negative", +1): "-f' CM",
+    ("one-sign-change", -1): "neither", ("one-sign-change", +1): "neither",
+}
+
+
+def _around(*points):
+    return [p + d for p in points for d in (-1e-13, 0.0, 1e-13)]
+
+
+REGIME_SWEEP = (
+    [(cid, {"alpha": v}) for cid in ("thm2.1", "thm2.2", "thm2.3", "cor2.4")
+     for v in _around(0.5, 1.0)]
+    + [("thm2.5", {"c": v}) for v in _around(0.0, 0.1, 0.2)]  # a = 0.2, b = 1: (a+b-1)/2 = 0.1
+    + [("thm2.6", {"a": v}) for v in (1.0, 1.0 + 1e-13, 1.5)]
+    + [("thm3.1", {"alpha": v}) for v in (1e-3, 0.5, 1.0 - 1e-13)]
+    + [("thm3.2", {"c": v}) for v in _around(0.5, 0.75)]  # a = 0.5, b = 1: (a+b)/2 = 0.75
+    + [(cid, {"alpha": v}) for cid in ("thm3.4", "cor3.5", "cor3.6") for v in _around(0.0, 0.5)]
+    + [(cid, {"a_list": v}) for cid in ("thm4.1-mean", "thm4.1-split")
+       for v in ((0.5, 1.5), (1.0, 1.0), (0.2, 0.7, 3.0))]
+)
+
+
+@pytest.mark.parametrize("cid,override", REGIME_SWEEP)
+def test_expected_verdict_follows_kernel_sign_regime(cid, override):
+    case = T.make_case(cid, **override)
+    assert case.kernel_id == KERNEL_OF[cid]
+    kernel_params = {k: case.params[k] for k in K.KERNELS[case.kernel_id].defaults}
+    _, _, rep = K.scan_kernel(case.kernel_id, kernel_params)
+    want = REGIME_VERDICT[(rep.expected_sign, ORIENTATION[cid])]
+    if cid == "thm3.1":  # the representation gives f itself, not f'
+        want = {"f' CM": "f CM"}[want]
+    assert case.expected == want, (cid, override, rep.expected_sign)
+
+
+def _mom_closed_form(k, y, lq):
+    """The hand-expanded moment derivatives the Eulerian form replaced, kept as the reference."""
+    u = math.exp(y * lq)
+    r = 1.0 / -math.expm1(y * lq)
+    return (
+        -lq * u * r,
+        -(lq ** 2) * u * r * r,
+        -(lq ** 3) * u * (1.0 + u) * r ** 3,
+        -(lq ** 4) * u * (1.0 + 4.0 * u + u * u) * r ** 4,
+    )[k]
+
+
+def test_moment_derivatives_match_closed_forms():
+    # each form rounds on its own; on a dense grid they differ by at most
+    # 3.7, 5.4, 7.4 and 8.5 units of 2^-53 for k = 0..3
+    for q in (0.01, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-6):
+        P = T._Q(q)
+        for y in (0.05, 0.1, 0.3, 1.0, 1.7, 3.7, 20.0, 150.0):
+            for k in range(4):
+                want = _mom_closed_form(k, y, P.lq)
+                tol = (6 + 3 * k) * 2.0 ** -53 * max(1.0, abs(want))
+                assert abs(P.mom(k, y) - want) <= tol, (q, y, k)
