@@ -53,18 +53,22 @@ def _clamp(margin):
 
 @dataclass(frozen=True)
 class BoundTriple:
-    """lower < value < upper sandwich with clamped margins."""
+    """lower < value < upper sandwich with clamped margins.
 
-    lower: float
-    value: float
-    upper: float
+    Floats for scalar arguments; arrays of the broadcast argument shape when
+    x or s is an ndarray, each element equal to the scalar call's.
+    """
+
+    lower: float | np.ndarray
+    value: float | np.ndarray
+    upper: float | np.ndarray
 
     @property
-    def lower_margin(self) -> float:
+    def lower_margin(self):
         return _clamp(self.value - self.lower)
 
     @property
-    def upper_margin(self) -> float:
+    def upper_margin(self):
         return _clamp(self.upper - self.value)
 
 
@@ -84,77 +88,103 @@ class ComplexSample:
             )
 
 
-def _lg(z, cfg: EvalConfig) -> float:
+def _lg(z, cfg: EvalConfig):
     return log_gamma(z, cfg).value
 
 
-def gautschi_bounds(n: int, s: float, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundTriple:
-    """n^{1-s} < Gamma(n+1)/Gamma(n+s) < exp[(1-s) psi(n+1)] for integer n >= 1."""
-    n = int(n)
-    s = float(s)
-    if n < 1:
-        raise DomainError(f"gautschi_bounds requires n >= 1, got {n!r}")
-    if not (0.0 < s < 1.0):
-        raise DomainError(f"gautschi_bounds requires 0 < s < 1, got {s!r}")
-    value = math.exp(_lg(n + 1.0, cfg) - _lg(n + s, cfg))
-    lower = float(n) ** (1.0 - s)
-    upper = math.exp((1.0 - s) * psi(n + 1.0, cfg).value)
-    return BoundTriple(lower, value, upper)
+def _real_args(fn: str, x, s, x_name: str = "x", x_ok=lambda x, s: x > 0.0, x_rule: str = "x > 0"):
+    """x and s broadcast to float arrays after the hypotheses 0 < s < 1 and ``x_rule``.
+
+    A violation names the first offending pair in row order.
+    """
+    # at least 1-d, so a scalar call runs the same numpy loops as an array call
+    x, s = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
+                               np.atleast_1d(np.asarray(s, dtype=float)))
+    for bad, rule in ((~((0.0 < s) & (s < 1.0)), "0 < s < 1"), (~x_ok(x, s), x_rule)):
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            raise DomainError(
+                f"{fn} requires {rule}, got {x_name}={x.item(i)!r}, s={s.item(i)!r}"
+            )
+    return x, s
 
 
-def kershaw_psi_bounds(x: float, s: float, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundTriple:
-    """exp[(1-s) psi(x + sqrt(s))] < Gamma(x+1)/Gamma(x+s) < exp[(1-s) psi(x + (s+1)/2)]."""
-    x = float(x)
-    s = float(s)
-    if x <= 0.0:
-        raise DomainError(f"kershaw_psi_bounds requires x > 0, got {x!r}")
-    if not (0.0 < s < 1.0):
-        raise DomainError(f"kershaw_psi_bounds requires 0 < s < 1, got {s!r}")
-    value = math.exp(_lg(x + 1.0, cfg) - _lg(x + s, cfg))
-    lower = math.exp((1.0 - s) * psi(x + math.sqrt(s), cfg).value)
-    upper = math.exp((1.0 - s) * psi(x + (s + 1.0) / 2.0, cfg).value)
-    return BoundTriple(lower, value, upper)
+def _triple(fn: str, lower, value, upper, scalar: bool) -> BoundTriple:
+    """A BoundTriple of floats (scalar arguments) or arrays; beyond float64 raises OverflowError."""
+    parts = np.broadcast_arrays(lower, value, upper)
+    bad = ~(np.isfinite(parts[0]) & np.isfinite(parts[1]) & np.isfinite(parts[2]))
+    if bad.any():
+        raise OverflowError(f"{fn} exceeds the float64 range at element {np.flatnonzero(bad)[0]}")
+    if scalar:
+        return BoundTriple(*(p.item(0) for p in parts))
+    return BoundTriple(*(np.array(p) for p in parts))
 
 
-def kershaw_power_bounds(x: float, s: float, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundTriple:
-    """(x + s/2)^{1-s} < Gamma(x+1)/Gamma(x+s) < (x - 1/2 + sqrt(s + 1/4))^{1-s}."""
-    x = float(x)
-    s = float(s)
-    if x <= 0.0:
-        raise DomainError(f"kershaw_power_bounds requires x > 0, got {x!r}")
-    if not (0.0 < s < 1.0):
-        raise DomainError(f"kershaw_power_bounds requires 0 < s < 1, got {s!r}")
-    value = math.exp(_lg(x + 1.0, cfg) - _lg(x + s, cfg))
+def _gamma_ratio(x, s, cfg: EvalConfig):
+    """Gamma(x+1)/Gamma(x+s) from one log-gamma difference."""
+    return np.exp(_lg(x + 1.0, cfg) - _lg(x + s, cfg))
+
+
+@np.errstate(all="ignore")
+def gautschi_bounds(n, s, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundTriple:
+    """n^{1-s} < Gamma(n+1)/Gamma(n+s) < exp[(1-s) psi(n+1)] for integer n >= 1.
+
+    n (truncated to an integer) and s may be ndarrays; they broadcast.
+    """
+    scalar = np.ndim(n) == 0 and np.ndim(s) == 0
+    n, s = _real_args("gautschi_bounds", np.trunc(np.asarray(n, dtype=float)), s, "n",
+                      lambda n, s: n >= 1.0, "n >= 1")
+    upper = np.exp((1.0 - s) * psi(n + 1.0, cfg).value)
+    return _triple("gautschi_bounds", n ** (1.0 - s), _gamma_ratio(n, s, cfg), upper, scalar)
+
+
+@np.errstate(all="ignore")
+def kershaw_psi_bounds(x, s, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundTriple:
+    """exp[(1-s) psi(x + sqrt(s))] < Gamma(x+1)/Gamma(x+s) < exp[(1-s) psi(x + (s+1)/2)].
+
+    x and s may be ndarrays; they broadcast.
+    """
+    scalar = np.ndim(x) == 0 and np.ndim(s) == 0
+    x, s = _real_args("kershaw_psi_bounds", x, s)
+    lower = np.exp((1.0 - s) * psi(x + np.sqrt(s), cfg).value)
+    upper = np.exp((1.0 - s) * psi(x + (s + 1.0) / 2.0, cfg).value)
+    return _triple("kershaw_psi_bounds", lower, _gamma_ratio(x, s, cfg), upper, scalar)
+
+
+@np.errstate(all="ignore")
+def kershaw_power_bounds(x, s, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundTriple:
+    """(x + s/2)^{1-s} < Gamma(x+1)/Gamma(x+s) < (x - 1/2 + sqrt(s + 1/4))^{1-s}.
+
+    x and s may be ndarrays; they broadcast.
+    """
+    scalar = np.ndim(x) == 0 and np.ndim(s) == 0
+    x, s = _real_args("kershaw_power_bounds", x, s)
     lower = (x + s / 2.0) ** (1.0 - s)
-    upper = (x - 0.5 + math.sqrt(s + 0.25)) ** (1.0 - s)
-    return BoundTriple(lower, value, upper)
+    upper = (x - 0.5 + np.sqrt(s + 0.25)) ** (1.0 - s)
+    return _triple("kershaw_power_bounds", lower, _gamma_ratio(x, s, cfg), upper, scalar)
 
 
-def q_sandwich(x: float, s: float, q, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundTriple:
+@np.errstate(all="ignore")
+def q_sandwich(x, s, q, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundTriple:
     """q-analogue sandwich for Gamma_q(x+1)/Gamma_q(x+s) on x > -s/2.
 
     lower = ((1-q^{x+s/2})/(1-q))^{1-s}, upper = exp[(1-s) psi_q(x+(s+1)/2)];
-    at q = 1 both members reduce to the classical forms.
+    at q = 1 both members reduce to the classical forms.  x and s may be
+    ndarrays; they broadcast.
     """
-    x = float(x)
-    s = float(s)
+    scalar = np.ndim(x) == 0 and np.ndim(s) == 0
     q = q if isinstance(q, QValue) else QValue(float(q))
-    if not (0.0 < s < 1.0):
-        raise DomainError(f"q_sandwich requires 0 < s < 1, got {s!r}")
-    if not x > -s / 2.0:
-        raise DomainError(f"q_sandwich requires x > -s/2, got x={x!r}, s={s!r}")
+    x, s = _real_args("q_sandwich", x, s, x_ok=lambda x, s: x > -s / 2.0, x_rule="x > -s/2")
     if q.is_classical:
         lower = (x + s / 2.0) ** (1.0 - s)
-        value = math.exp(_lg(x + 1.0, cfg) - _lg(x + s, cfg))
-        upper = math.exp((1.0 - s) * psi(x + (s + 1.0) / 2.0, cfg).value)
+        value = _gamma_ratio(x, s, cfg)
+        upper = np.exp((1.0 - s) * psi(x + (s + 1.0) / 2.0, cfg).value)
     else:
         lq = math.log(q.q)
-        lower = (-math.expm1((x + s / 2.0) * lq) / (1.0 - q.q)) ** (1.0 - s)
-        value = math.exp(
-            log_gamma_q(x + 1.0, q, cfg).value - log_gamma_q(x + s, q, cfg).value
-        )
-        upper = math.exp((1.0 - s) * psi_q(x + (s + 1.0) / 2.0, q, cfg).value)
-    return BoundTriple(lower, value, upper)
+        lower = (-np.expm1((x + s / 2.0) * lq) / (1.0 - q.q)) ** (1.0 - s)
+        value = np.exp(log_gamma_q(x + 1.0, q, cfg).value - log_gamma_q(x + s, q, cfg).value)
+        upper = np.exp((1.0 - s) * psi_q(x + (s + 1.0) / 2.0, q, cfg).value)
+    return _triple("q_sandwich", lower, value, upper, scalar)
 
 
 def _first(s: np.ndarray, mask: np.ndarray) -> complex:

@@ -5,7 +5,9 @@ Exit codes: 0 = all expectations met, 1 = a mathematical expectation was
 violated, 2 = usage or domain error.  CSV output uses a header row, comma
 separators, LF line endings and 17 significant digits; rows are emitted in
 deterministic sorted order, so identical invocations produce identical bytes.
-Output is built in memory and written only on success, never partially.
+Output is built in memory and written only on success, never partially: a
+file goes through a temporary file in its directory and ``os.replace``, and a
+write error exits 2.
 
 An optional ``--config`` file supplies ``key=value`` defaults (keys: seed,
 rel_tol, max_terms, tol_abs, tol_rel, t_min, t_max, t_points); explicit flags
@@ -15,7 +17,9 @@ always override it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import os
 import sys
 
 import numpy as np
@@ -105,12 +109,26 @@ def _pick(flag_value, config: dict, key: str, fallback):
 
 
 def _emit(lines: list[str], output: str | None):
+    """Write the report to stdout, or to ``output`` through a temporary file and os.replace.
+
+    The target is either left as it was or replaced whole, also if the
+    process dies mid-write; a failed write removes the temporary file and
+    raises OSError.
+    """
     text = "\n".join(lines) + "\n"
-    if output:
-        with open(output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
+    if not output:
         sys.stdout.write(text)
+        return
+    head, tail = os.path.split(os.path.abspath(output))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, output)
+    except OSError as e:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise OSError(e.errno, f"cannot write {output!r}: {e.strerror}") from e
 
 
 def _eval_cfg(args, config) -> EvalConfig:
@@ -265,19 +283,6 @@ def _cmd_scan_kernel(args, config) -> int:
     return 0 if report.verdict == "match" else 1
 
 
-def _bounds_real_rows(name: str, triples) -> tuple[list[str], bool]:
-    rows = []
-    ok = True
-    for params, t in triples:
-        # margins within bounds.EQUALITY_TOL of zero are already clamped to 0
-        ok = ok and t.lower_margin >= 0.0 and t.upper_margin >= 0.0
-        rows.append(
-            f"{name},{_fmt_params(params)},{_fmt(t.lower)},{_fmt(t.value)},{_fmt(t.upper)},"
-            f"{_fmt(t.lower_margin)},{_fmt(t.upper_margin)}"
-        )
-    return rows, ok
-
-
 def _cmd_bounds(args, config) -> int:
     name = args.bound
     lines: list[str]
@@ -292,26 +297,29 @@ def _cmd_bounds(args, config) -> int:
         if any(v is None for v in xs) or any(v is None for v in ss):
             flag = "--n" if name == "gautschi" else "--x"
             raise DomainError(f"bounds {name} requires {flag} and --s (or grids)")
-        triples = []
-        for x in xs:
-            for s in ss:
-                params = {"x": float(x), "s": float(s)}
-                if name == "gautschi":
-                    n = int(round(x))
-                    params = {"n": float(n), "s": float(s)}
-                    t = bnd.gautschi_bounds(n, s, cfg)
-                elif name == "kershaw-psi":
-                    t = bnd.kershaw_psi_bounds(x, s, cfg)
-                elif name == "kershaw-power":
-                    t = bnd.kershaw_power_bounds(x, s, cfg)
-                else:
-                    q = args.q if args.q is not None else 1.0
-                    params["q"] = float(q)
-                    t = bnd.q_sandwich(x, s, q, cfg)
-                triples.append((params, t))
+        # x is the row axis, so row order is x-major, s-minor
+        x, s = np.meshgrid(np.asarray(xs, dtype=float), np.asarray(ss, dtype=float), indexing="ij")
+        extra = {}
+        if name == "gautschi":
+            x = np.rint(x)  # round half to even, as round() does
+            t = bnd.gautschi_bounds(x, s, cfg)
+        elif name == "kershaw-psi":
+            t = bnd.kershaw_psi_bounds(x, s, cfg)
+        elif name == "kershaw-power":
+            t = bnd.kershaw_power_bounds(x, s, cfg)
+        else:
+            q = args.q if args.q is not None else 1.0
+            extra = {"q": float(q)}
+            t = bnd.q_sandwich(x, s, q, cfg)
+        lower_margin, upper_margin = t.lower_margin, t.upper_margin
+        # margins within bounds.EQUALITY_TOL of zero are already clamped to 0
+        ok = bool((lower_margin >= 0.0).all() and (upper_margin >= 0.0).all())
+        key = "n" if name == "gautschi" else "x"
         lines = ["bound,params,lower,value,upper,lower_margin,upper_margin"]
-        rows, ok = _bounds_real_rows(name, triples)
-        lines += rows
+        columns = (x, s, t.lower, t.value, t.upper, lower_margin, upper_margin)
+        for xv, sv, *vals in zip(*(c.ravel().tolist() for c in columns)):
+            params = _fmt_params({key: xv, "s": sv, **extra})
+            lines.append(f"{name},{params}," + ",".join(_fmt(v) for v in vals))
     elif name in ("rademacher", "beta-complex"):
         for flag, value in (("--rel-tol", args.rel_tol), ("--max-terms", args.max_terms)):
             if value is not None:
@@ -362,17 +370,16 @@ def _cmd_q_limit_table(args, config) -> int:
         raise DomainError("--q list must be increasing toward 1")
     lines = ["x,q,gamma_q,gamma,abs_error"]
     ok = True
-    for x in xs:
-        gx = special.gamma(x, cfg).value
-        floor = 1e-14 * max(1.0, abs(gx))
-        errs = []
-        for q in qs:
-            gq = special.gamma_q(x, q, cfg).value
-            err = abs(gq - gx)
-            errs.append(err)
-            lines.append(f"{_fmt(x)},{_fmt(q)},{_fmt(gq)},{_fmt(gx)},{_fmt(err)}")
-        for e0, e1 in zip(errs, errs[1:]):
-            if not (e1 < e0 or e1 <= floor):
+    x = np.asarray(xs, dtype=float)
+    gx = special.gamma(x, cfg).value
+    gq = np.stack([special.gamma_q(x, q, cfg).value for q in qs], axis=1)  # (x, q)
+    err = np.abs(gq - gx[:, None])
+    floor = 1e-14 * np.maximum(1.0, np.abs(gx))
+    for xv, gxv, gq_row, err_row, fl in zip(xs, gx.tolist(), gq.tolist(), err.tolist(), floor.tolist()):
+        for q, gqv, e in zip(qs, gq_row, err_row):
+            lines.append(f"{_fmt(xv)},{_fmt(q)},{_fmt(gqv)},{_fmt(gxv)},{_fmt(e)}")
+        for e0, e1 in zip(err_row, err_row[1:]):
+            if not (e1 < e0 or e1 <= fl):
                 ok = False
     _emit(lines, args.output)
     return 0 if ok else 1
@@ -463,28 +470,31 @@ _DISPATCH = {
 }
 
 
-# flags whose values may begin with "-" (negative grid endpoints, shifted
-# intervals, alpha <= 0 branches); argparse would otherwise read the value as
-# an option name
-_VALUE_FLAGS = (
-    "--tau-grid",
-    "--sigma-grid",
-    "--x-grid",
-    "--s-grid",
-    "--tau",
-    "--sigma",
-    "--x-min",
-    "--x",
-    "--alpha",
-)
+def _value_flags(parser: argparse.ArgumentParser) -> set[str]:
+    """Every option string of the parser and its subcommands that takes a value."""
+    flags: set[str] = set()
+    parsers = [parser]
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif action.option_strings and action.nargs != 0:
+                flags.update(action.option_strings)
+    return flags
 
 
-def _join_negative_values(argv: list[str]) -> list[str]:
+def _join_negative_values(argv: list[str], value_flags: set[str]) -> list[str]:
+    """Join "--flag -value" into "--flag=-value" for every value-taking flag.
+
+    Values may begin with "-" (negative grid endpoints, shifted intervals,
+    alpha <= 0 branches, -1e-13); argparse reads such a token as an option
+    name unless it looks like a plain negative number.
+    """
     out = []
     i = 0
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+        if tok in value_flags and i + 1 < len(argv) and argv[i + 1].startswith("-"):
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -498,13 +508,13 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_join_negative_values(list(argv)))
+        args = parser.parse_args(_join_negative_values(list(argv), _value_flags(parser)))
     except SystemExit as e:
         return 0 if e.code == 0 else 2
     try:
         config = _load_config(args.config)
         return _DISPATCH[args.command](args, config)
-    except (DomainError, ConvergenceError, OverflowError, ValueError) as e:
+    except (DomainError, ConvergenceError, OverflowError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

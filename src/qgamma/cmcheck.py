@@ -78,8 +78,9 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class CMReport:
-    """Outcome of a CM scan; ``verdict`` is violates-CM iff the worst signed
-    value falls below -(tol_abs + tol_rel * scale) at its own stencil scale."""
+    """Outcome of a CM scan; ``verdict`` is violates-CM iff some signed value
+    falls below -(tol_abs + tol_rel * scale) at its own stencil scale.
+    ``evaluations`` counts the points passed to the tested function."""
 
     case_id: str
     grid: GridSpec
@@ -93,100 +94,96 @@ class CMReport:
     evaluations: int = 0
 
 
+def _alternating_sum(value_at: Callable[[int], float], n: int):
+    """sum_j (-1)^j C(n, j) value_at(n - j), added in order of j: Delta_h^n from its nodes.
+
+    ``value_at(i)`` is f(x + i h); it may be an array over a lattice of (x, h),
+    and each element is then the scalar sum at its own (x, h).
+    """
+    total = 0.0
+    for j in range(n + 1):
+        total = total + (-1) ** j * math.comb(n, j) * value_at(n - j)
+    return total
+
+
 def forward_difference(f: Callable[[float], float], x: float, h: float, n: int) -> float:
     """Delta_h^n f(x) = sum_j (-1)^j C(n, j) f(x + (n-j) h)."""
     if h <= 0.0:
         raise DomainError(f"forward_difference requires h > 0, got {h!r}")
     if n < 0:
         raise DomainError(f"forward_difference requires n >= 0, got {n!r}")
-    total = 0.0
-    for j in range(n + 1):
-        total += (-1) ** j * math.comb(n, j) * f(x + (n - j) * h)
-    return total
-
-
-class _Tracker:
-    def __init__(self):
-        self.per_order: dict[int, float] = {}
-        self.worst_margin = math.inf
-        self.worst = (math.inf, 0.0, (math.nan, math.nan, -1))
-        self.violated = False
-
-    def record(self, signed: float, thresh: float, x: float, h: float, n: int):
-        self.per_order[n] = min(self.per_order.get(n, math.inf), signed)
-        margin = signed + thresh
-        if margin < self.worst_margin:
-            self.worst_margin = margin
-            self.worst = (signed, thresh, (x, h, n))
-        if signed < -thresh:
-            self.violated = True
+    return _alternating_sum(lambda i: f(x + i * h), n)
 
 
 def check_cm(
-    fn: Callable[[float], float],
+    fn: Callable[[np.ndarray], np.ndarray],
     grid: GridSpec,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
-    derivs: Callable[[int, float], float] | None = None,
+    derivs: Callable[[int, np.ndarray], np.ndarray] | None = None,
     include_order_zero: bool = True,
     case_id: str = "",
 ) -> CMReport:
     """Scan (-1)^n Delta_h^n fn(x) over the grid, plus analytic derivative signs.
 
-    ``derivs(k, x)``, when given, must return the k-th derivative of ``fn``;
-    orders 1..3 are checked directly as (-1)^k fn^(k)(x) >= 0.  The violation
-    threshold at each stencil is tol_abs + tol_rel * max |fn| over the stencil.
+    ``fn`` must map an ndarray of x elementwise: it is called once, on every
+    stencil node x + j h of the grid (j = 0..max_order).  ``derivs(k, xs)``,
+    when given, must return the k-th derivative of ``fn`` at the grid points
+    xs; orders 1..3 are checked directly as (-1)^k fn^(k)(x) >= 0.  The
+    violation threshold at each stencil is tol_abs + tol_rel * max |fn| over
+    the stencil.  The witness is the first worst margin (signed + threshold)
+    in scan order: order 0, then n, h and x, then the derivative rows.
     """
     xs = grid.xs()
-    cache: dict[float, float] = {}
+    steps = np.arange(grid.max_order + 1) * np.asarray(grid.h_set, dtype=float)[:, None, None]
+    nodes = xs[None, :, None] + steps  # (h, x, j): x + j h
+    vals = np.asarray(fn(nodes.ravel()), dtype=float)
+    vals = np.broadcast_to(vals, (nodes.size,)).reshape(nodes.shape)
+    f0 = vals[0, :, 0]  # fn at the grid points
+    d_rows = [] if derivs is None else [
+        np.broadcast_to(np.asarray(derivs(k, xs), dtype=float), xs.shape) for k in range(1, 4)
+    ]
 
-    def ev(x: float) -> float:
-        v = cache.get(x)
-        if v is None:
-            v = float(fn(x))
-            cache[x] = v
-        return v
+    rows: list[tuple[int, float, np.ndarray, np.ndarray]] = []  # (n, h, signed, threshold)
+    with np.errstate(all="ignore"):
+        if include_order_zero:
+            rows.append((0, 0.0, f0, tol_abs + tol_rel * np.abs(f0)))
+        scale = np.maximum.accumulate(np.abs(vals), axis=-1)  # max |fn| over x + (0..n) h
+        for n in range(1, grid.max_order + 1):
+            delta = _alternating_sum(lambda i: vals[..., i], n)
+            signed = delta if n % 2 == 0 else -delta
+            thresh = tol_abs + tol_rel * scale[..., n]
+            rows += [(n, h, signed[k], thresh[k]) for k, h in enumerate(grid.h_set)]
+        for k, d in enumerate(d_rows, start=1):
+            signed = d if k % 2 == 0 else -d
+            rows.append((k, 0.0, signed, tol_abs + tol_rel * np.maximum(np.abs(f0), np.abs(d))))
+        signed = np.stack([r[2] for r in rows])
+        thresh = np.stack([r[3] for r in rows])
+        margin = signed + thresh
+        margin[np.isnan(margin)] = math.inf  # a NaN row is no evidence either way
+        violated = bool((signed < -thresh).any())
+        row_min = np.where(np.isnan(signed), math.inf, signed).min(axis=1)
 
-    tracker = _Tracker()
-    if include_order_zero:
-        for x in xs:
-            v = ev(float(x))
-            tracker.record(v, tol_abs + tol_rel * abs(v), float(x), 0.0, 0)
-
-    binom = [[math.comb(n, j) for j in range(n + 1)] for n in range(grid.max_order + 1)]
-    for n in range(1, grid.max_order + 1):
-        for h in grid.h_set:
-            for x in xs:
-                x = float(x)
-                vals = [ev(x + j * h) for j in range(n + 1)]
-                delta = 0.0
-                for j in range(n + 1):
-                    delta += (-1) ** j * binom[n][j] * vals[n - j]
-                signed = delta if n % 2 == 0 else -delta
-                scale = max(abs(v) for v in vals)
-                tracker.record(signed, tol_abs + tol_rel * scale, x, h, n)
-
-    if derivs is not None:
-        for k in range(1, 4):
-            for x in xs:
-                x = float(x)
-                d = float(derivs(k, x))
-                signed = d if k % 2 == 0 else -d
-                scale = max(abs(ev(x)), abs(d))
-                tracker.record(signed, tol_abs + tol_rel * scale, x, 0.0, k)
-
-    signed, thresh, witness = tracker.worst
+    per_order: dict[int, float] = {}
+    for (n, *_), worst in zip(rows, row_min.tolist()):
+        per_order[n] = min(per_order.get(n, math.inf), worst)
+    worst_violation, worst_threshold, witness = math.inf, 0.0, (math.nan, math.nan, -1)
+    i, p = divmod(int(margin.argmin()), xs.size)
+    if margin[i, p] < math.inf:
+        n, h = rows[i][:2]
+        worst_violation, worst_threshold = float(signed[i, p]), float(thresh[i, p])
+        witness = (float(xs[p]), h, n)
     return CMReport(
         case_id=case_id,
         grid=grid,
         tol_abs=tol_abs,
         tol_rel=tol_rel,
-        per_order_worst=dict(sorted(tracker.per_order.items())),
-        worst_violation=signed,
-        worst_threshold=thresh,
+        per_order_worst=dict(sorted(per_order.items())),
+        worst_violation=worst_violation,
+        worst_threshold=worst_threshold,
         witness=witness,
-        verdict=VIOLATES if tracker.violated else CONSISTENT,
-        evaluations=len(cache),
+        verdict=VIOLATES if violated else CONSISTENT,
+        evaluations=nodes.size,
     )
 
 

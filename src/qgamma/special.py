@@ -6,6 +6,13 @@ used and a convergence flag.  The q-series cost a fixed number of terms at
 every q: direct terms closed by an Euler-Maclaurin tail.  Ratios of gamma
 values should always be formed from log-gamma differences, never from
 quotients of direct values.
+
+Every public evaluator takes a float or an ndarray x and runs one numpy path
+for both.  A scalar argument gives Python numbers; an array gives ``value``
+and ``abs_error_bound`` arrays of its shape, each element equal bit for bit
+to the scalar call at that element, with ``converged`` true when every
+element converged.  Where a formula branches on the argument, each element
+takes the branch its scalar call takes.
 """
 
 from __future__ import annotations
@@ -112,11 +119,14 @@ class SeriesResult:
 
     ``converged`` is true exactly when ``abs_error_bound`` meets the relative
     tolerance the evaluation was asked for, i.e.
-    ``abs_error_bound <= rel_tol * max(1, |value|)``.
+    ``abs_error_bound <= rel_tol * max(1, |value|)``, at every element.
+    ``value`` and ``abs_error_bound`` are floats (``value`` complex for a
+    complex log_gamma argument) or, for an ndarray argument, arrays of its
+    shape; ``terms_used`` is the fixed term count of the evaluator.
     """
 
-    value: float | complex
-    abs_error_bound: float
+    value: float | complex | np.ndarray
+    abs_error_bound: float | np.ndarray
     terms_used: int
     converged: bool
 
@@ -125,18 +135,47 @@ def _coerce_q(q) -> QValue:
     return q if isinstance(q, QValue) else QValue(float(q))
 
 
-def _checked(fn: str, x, lo: float = 0.0, hi: float = math.inf, closed: bool = False,
-             what: str = "x") -> float:
-    """x as a finite float inside (lo, hi), or [lo, hi] when ``closed``; else DomainError.
+# Every public evaluator runs under this: numpy's overflow and invalid flags
+# become typed errors through the checks below, never RuntimeWarnings.
+_quiet = np.errstate(all="ignore")
 
-    Every public evaluator validates its arguments here, so NaN and infinities
-    become a DomainError instead of a NaN value or an arithmetic exception.
+
+def _first(arr, mask) -> str:
+    """The first element of ``arr`` (row order) where ``mask`` holds, for messages."""
+    flat = np.asarray(arr).reshape(-1)
+    i = int(np.flatnonzero(np.broadcast_to(np.asarray(mask).reshape(-1), flat.shape))[0])
+    text = repr(flat[i].item())
+    return text if flat.size == 1 else f"{text} (element {i})"
+
+
+def _flat(v) -> np.ndarray:
+    return np.asarray(v).reshape(-1)
+
+
+def _shaped(v: np.ndarray, shape: tuple):
+    """A flat result in the argument's shape; a Python number for a scalar argument."""
+    return v.item(0) if shape == () else v.reshape(shape)
+
+
+def _checked(fn: str, x, lo: float = 0.0, hi: float = math.inf, closed: bool = False,
+             what: str = "x") -> np.ndarray:
+    """x as a flat float array, every element finite and inside (lo, hi), or [lo, hi] when ``closed``.
+
+    Every public evaluator validates its arguments here, so NaN, infinities
+    and complex values become a DomainError naming the first offending
+    element instead of a NaN value or an arithmetic exception.
     """
-    x = float(x)
-    if not (lo <= x <= hi if closed else lo < x < hi):  # NaN fails either test
+    arr = np.asarray(x)
+    if arr.dtype.kind == "c":
+        raise DomainError(f"{fn} requires real {what}, got a complex argument")
+    arr = arr.astype(float, copy=False).reshape(-1)
+    ok = (lo <= arr) & (arr <= hi) if closed else (lo < arr) & (arr < hi)  # NaN fails either
+    if not ok.all():
         left, right = "[]" if closed else "()"
-        raise DomainError(f"{fn} requires finite {what} in {left}{lo:g}, {hi:g}{right}, got {x!r}")
-    return x
+        raise DomainError(
+            f"{fn} requires finite {what} in {left}{lo:g}, {hi:g}{right}, got {_first(arr, ~ok)}"
+        )
+    return arr
 
 
 def _checked_order(fn: str, n) -> int:
@@ -146,11 +185,28 @@ def _checked_order(fn: str, n) -> int:
     return n
 
 
-def _result(fn: str, value, bound, terms, cfg: EvalConfig) -> SeriesResult:
-    if not math.isfinite(abs(value)):
-        raise OverflowError(f"{fn} result exceeds the float64 range")
-    conv = bound <= cfg.rel_tol * max(1.0, abs(value))
-    return SeriesResult(value, float(bound), int(terms), bool(conv))
+def _result(fn: str, value, bound, terms, cfg: EvalConfig, shape: tuple) -> SeriesResult:
+    """Package flat value and bound arrays for an argument of ``shape``."""
+    bad = ~np.isfinite(np.abs(value))
+    if bad.any():
+        where = "" if value.size == 1 else f" at element {int(np.flatnonzero(bad)[0])}"
+        raise OverflowError(f"{fn} result exceeds the float64 range{where}")
+    bound = np.broadcast_to(bound, value.shape).astype(float)
+    conv = bool((bound <= cfg.rel_tol * np.maximum(1.0, np.abs(value))).all())
+    return SeriesResult(_shaped(value, shape), _shaped(bound, shape), int(terms), conv)
+
+
+# The series cores hold a dozen (term, element) scratch arrays; blocks of this
+# many elements keep that scratch near 1 MiB for an argument of any size.
+_BLOCK = 1024
+
+
+def _blocked(core, x: np.ndarray) -> tuple:
+    """core(x) for a core returning a tuple of arrays shaped like x, run over blocks of x."""
+    if x.size <= _BLOCK:
+        return core(x)
+    blocks = [core(x[i:i + _BLOCK]) for i in range(0, x.size, _BLOCK)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +257,12 @@ _BERNOULLI = (
 _SHIFT = 10  # arguments are recurred up by this much before the asymptotic series
 
 
-def _lgamma_core(z):
-    """Stirling series with upward recurrence; z is a float/complex scalar or array.
+def _lgamma_core(z: np.ndarray) -> np.ndarray:
+    """Stirling series with upward recurrence on a float or complex array.
 
     Valid for Re z > 0.  The uniform shift puts the series argument at
     Re w >= 10 where the first omitted term is below 2e-19.
     """
-    z = np.asarray(z)
     w = z + _SHIFT
     s = (w - 0.5) * np.log(w) - w + _HALF_LOG_2PI
     p = 1.0 / w
@@ -217,10 +272,10 @@ def _lgamma_core(z):
         p = p * rw2
     for j in range(_SHIFT):
         s = s - np.log(z + j)
-    return s[()] if s.ndim == 0 else s
+    return s
 
 
-def _lgamma_bound(z) -> float:
+def _lgamma_bound(z: np.ndarray) -> np.ndarray:
     """Truncation of the shifted Stirling series plus rounding.
 
     The rounding term scales with what the sum adds up, not with the result:
@@ -228,62 +283,63 @@ def _lgamma_bound(z) -> float:
     ten recurrence logarithms, each at most max(|log Re z|, log(|z| + 10)) in
     modulus plus pi/2 for its argument off the real axis.
     """
-    zc = complex(z)
-    wc = zc + _SHIFT
-    w = abs(wc)
-    slack = 1.0
-    arg_room = 0.0
-    if zc.imag != 0.0:
-        # sec(arg(w)/2)^{20} stays below ~250 on the strip |Im z| <= 100
-        theta = abs(math.atan2(wc.imag, wc.real))
-        slack = (1.0 / math.cos(theta / 2.0)) ** 20
-        arg_room = 0.5 * math.pi
+    wc = z + _SHIFT
+    w = np.abs(wc)
+    arg = np.arctan2(wc.imag, wc.real)
+    off_axis = z.imag != 0.0
+    # sec(arg(w)/2)^{20} stays below ~250 on the strip |Im z| <= 100
+    slack = np.where(off_axis, (1.0 / np.cos(np.abs(arg) / 2.0)) ** 20, 1.0)
+    arg_room = np.where(off_axis, 0.5 * math.pi, 0.0)
     trunc = _STIRLING_NEXT * w ** -19 * slack
-    log_w = math.hypot(math.log(w), math.atan2(wc.imag, wc.real))
-    recur = max(abs(math.log(zc.real)), math.log(abs(zc) + _SHIFT)) + arg_room
-    mag = abs(wc - 0.5) * log_w + w + _HALF_LOG_2PI + _SHIFT * recur
+    log_w = np.hypot(np.log(w), arg)
+    recur = np.maximum(np.abs(np.log(z.real)), np.log(np.abs(z) + _SHIFT)) + arg_room
+    mag = np.abs(wc - 0.5) * log_w + w + _HALF_LOG_2PI + _SHIFT * recur
     return trunc + _TERM_ULPS * _U * mag
 
 
+@_quiet
 def log_gamma(z, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     """log Gamma(z) for Re z > 0, real or complex.
 
     Agrees with the real logarithm of Gamma on (0, inf) and continues it
     analytically over the right half-plane (imaginary parts are not reduced
-    mod 2 pi).  Reflection to Re z <= 0 is deliberately unsupported.
+    mod 2 pi).  Reflection to Re z <= 0 is deliberately unsupported.  A
+    complex argument gives a complex value even on the real axis.
     """
-    zc = complex(z)
-    _checked("log_gamma", zc.real, what="Re z")
-    _checked("log_gamma", zc.imag, -math.inf, what="Im z")
-    if zc.imag == 0.0 and not isinstance(z, complex):
-        value = float(_lgamma_core(zc.real))
+    zs = np.asarray(z)
+    if zs.dtype.kind == "c":
+        zc = zs.astype(complex).reshape(-1)
+        _checked("log_gamma", zc.real, what="Re z")
+        _checked("log_gamma", zc.imag, -math.inf, what="Im z")
     else:
-        value = complex(_lgamma_core(zc))
-    return _result("log_gamma", value, _lgamma_bound(zc), _SHIFT + len(_STIRLING_COEF), cfg)
+        zc = _checked("log_gamma", zs, what="Re z")
+    terms = _SHIFT + len(_STIRLING_COEF)
+    return _result("log_gamma", _lgamma_core(zc), _lgamma_bound(zc), terms, cfg, zs.shape)
 
 
+@_quiet
 def gamma(z, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     """Gamma(z) = exp(log_gamma(z)); overflows past z ~ 171.6 on the real axis."""
     lg = log_gamma(z, cfg)
-    re = lg.value.real if isinstance(lg.value, complex) else lg.value
-    if re > _LOG_MAX_FLOAT:
-        raise OverflowError(f"Gamma({z!r}) exceeds the float64 range")
-    value = np.exp(lg.value)
-    value = value if isinstance(lg.value, complex) else float(value)
-    bound = abs(value) * (math.expm1(min(lg.abs_error_bound, 1.0)) + 2.0 * _U)
-    return _result("gamma", value, bound, lg.terms_used, cfg)
+    lv = _flat(lg.value)
+    over = lv.real > _LOG_MAX_FLOAT
+    if over.any():
+        raise OverflowError(f"Gamma({_first(z, over)}) exceeds the float64 range")
+    value = np.exp(lv)
+    bound = np.abs(value) * (np.expm1(np.minimum(_flat(lg.abs_error_bound), 1.0)) + 2.0 * _U)
+    return _result("gamma", value, bound, lg.terms_used, cfg, np.shape(z))
 
 
+@_quiet
 def psi(x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     """Digamma at real x > 0: recurrence up by 10 then the Bernoulli asymptotic series."""
-    x = _checked("psi", x)
-    value = float(_psi_core(x))
-    bound = _PSI_NEXT * (x + _SHIFT) ** -18 + 1e-15 * max(1.0, abs(value))
-    return _result("psi", value, bound, _SHIFT + len(_PSI_COEF), cfg)
+    xs = _checked("psi", x)
+    value = _psi_core(xs)
+    bound = _PSI_NEXT * (xs + _SHIFT) ** -18 + 1e-15 * np.maximum(1.0, np.abs(value))
+    return _result("psi", value, bound, _SHIFT + len(_PSI_COEF), cfg, np.shape(x))
 
 
-def _psi_core(x):
-    x = np.asarray(x, dtype=float)
+def _psi_core(x: np.ndarray) -> np.ndarray:
     w = x + _SHIFT
     rw = 1.0 / w
     rw2 = rw * rw  # not 1/(w*w), which overflows for |w| > 1.3e154
@@ -294,36 +350,38 @@ def _psi_core(x):
         p = p * rw2
     for j in range(_SHIFT):
         s = s - 1.0 / (x + j)
-    return s[()] if s.ndim == 0 else s
+    return s
 
 
-def _hurwitz_zeta_int(s: int, a: float) -> tuple[float, float]:
+_ZETA_DIRECT = 14
+_ZETA_OFFSETS = np.arange(_ZETA_DIRECT, dtype=float)[:, None]
+
+
+def _hurwitz_zeta_int(s: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """zeta(s, a) for integer s >= 2 by Euler-Maclaurin; returns (value, error bound).
 
     The tail past K direct terms is the integral int_K (t+a)^{-s} dt refined by
     Bernoulli corrections; the remainder is below the first omitted correction.
     """
-    K = 14
-    w = K + a
+    w = _ZETA_DIRECT + a
     total = 0.0
-    for k in range(K):
-        total += (k + a) ** -s
-    total += w ** (1 - s) / (s - 1) + 0.5 * w ** -s
+    for p in (a + _ZETA_OFFSETS) ** -s:  # (k + a)^{-s}, added in order of k
+        total = total + p
+    total = total + (w ** (1 - s) / (s - 1) + 0.5 * w ** -s)
     rising = float(s)  # (s)_{2j-1} rising factorial
     fact = 2.0  # (2j)!
     wpow = w ** (-s - 1)
     rw2 = 1.0 / (w * w)
-    term = 0.0
     for j, b in enumerate(_BERNOULLI[:-1], start=1):
-        term = b / fact * rising * wpow
-        total += term
+        total = total + b / fact * rising * wpow
         rising *= (s + 2 * j - 1) * (s + 2 * j)
         fact *= (2 * j + 1) * (2 * j + 2)
-        wpow *= rw2
-    bound = abs(_BERNOULLI[-1] / fact * rising * wpow)
+        wpow = wpow * rw2
+    bound = np.abs(_BERNOULLI[-1] / fact * rising * wpow)
     return total, bound
 
 
+@_quiet
 def psi_n(n: int, x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     """n-th derivative of psi via the termwise-differentiated series.
 
@@ -332,13 +390,13 @@ def psi_n(n: int, x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     1e-12 reachable without ~1/tol direct terms.
     """
     n = _checked_order("psi_n", n)
-    x = _checked("psi_n", x)
-    zeta, zbound = _hurwitz_zeta_int(n + 1, x)
+    xs = _checked("psi_n", x)
+    zeta, zbound = _blocked(lambda b: _hurwitz_zeta_int(n + 1, b), xs)
     nf = math.factorial(n)
     sign = 1.0 if n % 2 == 1 else -1.0
     value = sign * nf * zeta
-    bound = nf * zbound + 1e-15 * max(1.0, abs(value))
-    return _result("psi_n", value, bound, 14 + len(_BERNOULLI), cfg)
+    bound = nf * zbound + 1e-15 * np.maximum(1.0, np.abs(value))
+    return _result("psi_n", value, bound, _ZETA_DIRECT + len(_BERNOULLI), cfg, np.shape(x))
 
 
 # ---------------------------------------------------------------------------
@@ -389,15 +447,24 @@ def _eulerian(k: int) -> tuple[float, ...]:
     return tuple(float(c) for c in row)
 
 
-def _one_minus_q_pow(e: float) -> float:
+def _one_minus_q_pow(e):
     """1 - q^t = -expm1(e) for e = t log q, without cancellation."""
-    w = -math.expm1(e)
-    if w == 0.0:  # t log q underflowed: the q-series term is beyond float64
-        raise OverflowError(f"q-series term at t log q = {e!r} exceeds the float64 range")
+    w = -np.expm1(e)
+    under = w == 0.0  # t log q underflowed: the q-series term is beyond float64
+    if np.any(under):
+        raise OverflowError(f"q-series term at t log q = {_first(e, under)} exceeds the float64 range")
     return w
 
 
-def _lambert(k: int, t: float, lq: float) -> float:
+def _horner(coef, z):
+    """sum_m coef[m] z^(len-1-m) by Horner's rule, from 0.0, coefficients in order."""
+    poly = 0.0
+    for c in coef:
+        poly = poly * z + c
+    return poly
+
+
+def _lambert(k: int, t, lq: float):
     """g^(k)(t) for g(t) = q^t/(1-q^t) = sum_{j>=1} q^{jt}, completely monotonic in t.
 
     g^(k)(t) = (log q)^k Li_{-k}(q^t) = z A_k(z) rho^k / (1-z) with z = q^t and
@@ -406,46 +473,56 @@ def _lambert(k: int, t: float, lq: float) -> float:
     """
     e = t * lq
     w = _one_minus_q_pow(e)
-    z = math.exp(e)
-    poly = 0.0
-    for c in _eulerian(k):
-        poly = poly * z + c
-    return z * poly * (lq / w) ** k / w
+    z = np.exp(e)
+    return z * _horner(_eulerian(k), z) * (lq / w) ** k / w
 
 
 @functools.cache
-def _em_rows(k0: int) -> tuple[tuple[float, tuple[float, ...]], ...]:
-    """(B_2j/(2j)!, A_k) for the orders k = k0 + 2j - 1, j = 1..M+1, of _em_corrections."""
-    return tuple((c, _eulerian(k0 + 2 * j - 1)) for j, c in enumerate(_EM_COEF, start=1))
+def _em_rows(k0: int) -> tuple[np.ndarray, np.ndarray]:
+    """(B_2j/(2j)! as a column, Horner table of A_k) for the orders k = k0 + 2j - 1, j = 1..M+1.
+
+    Column j of the table holds A_k padded with leading zeros to a common
+    length; Horner's partial value stays exactly 0.0 through the padding, so
+    one pass over the table gives every order's polynomial, each equal to its
+    own Horner sum.  Shape (length, M+1, 1): each row broadcasts over t.
+    """
+    rows = [_eulerian(k0 + 2 * j - 1) for j in range(1, len(_EM_COEF) + 1)]
+    width = max(len(r) for r in rows)
+    table = np.array([(0.0,) * (width - len(r)) + r for r in rows]).T[:, :, None]
+    coefs = np.array(_EM_COEF)[:, None]
+    table.flags.writeable = coefs.flags.writeable = False
+    return coefs, table
 
 
-def _em_corrections(k0: int, t: float, lq: float, scale: float) -> tuple[float, float, float]:
+def _em_corrections(k0: int, t, lq: float, scale: float):
     """-sum_{j=1..M} B_2j/(2j)! f^(2j-1)(t) for f^(m)(t) = scale * g^(k0+m)(t).
 
-    All orders share z = q^t and rho, so each costs one Horner pass.  Returns
-    (correction, remainder bound |B_2M+2/(2M+2)! f^(2M+1)(t)|, rounding budget
-    in ulps: each term within its order's budget, plus M additions).
+    All orders share z = q^t and rho, so one Horner pass over a table serves
+    them.  Returns (correction, remainder bound |B_2M+2/(2M+2)! f^(2M+1)(t)|,
+    rounding budget in ulps: each term within its order's budget, plus M
+    additions).
     """
     e = t * lq
     w = _one_minus_q_pow(e)
-    z = math.exp(e)
+    z = np.exp(e)
     rho = lq / w
     rr = rho * rho
     fac = scale * z / w * rho ** (k0 + 1)  # scale z rho^k / (1-z) at k = k0 + 1
-    corr = mag = term = 0.0
-    for c, coef in _em_rows(k0):
-        corr -= term  # the last term is left out: it bounds the remainder
-        mag += abs(term)
-        poly = 0.0
-        for a in coef:
-            poly = poly * z + a
-        term = c * fac * poly
-        fac *= rr
-    ulps = _TERM_ULPS + 3.0 * (min(-e, _EXP_ARG_MAX) + k0 + 2 * _EM_ORDER) + _EM_ORDER
-    return corr, abs(term), mag * ulps
+    fac, rr = np.atleast_1d(fac, rr)
+    coefs, table = _em_rows(k0)
+    # row j: B_2j/(2j)! (fac rr^j) A_k(z); running sums are added in order of j
+    terms = coefs * np.multiply.accumulate(np.stack([fac] + [rr] * _EM_ORDER), axis=0) * _horner(table, z)
+    kept = terms[:-1]  # the last term is left out: it bounds the remainder
+    corr = -np.add.accumulate(kept, axis=0)[-1]
+    mag = np.add.accumulate(np.abs(kept), axis=0)[-1]
+    ulps = _TERM_ULPS + 3.0 * (np.minimum(-e, _EXP_ARG_MAX) + k0 + 2 * _EM_ORDER) + _EM_ORDER
+    return corr, np.abs(terms[-1]), mag * ulps
 
 
-def _q_polygamma(n: int, x: float, lq: float) -> tuple[float, float, float]:
+_EM_OFFSETS = np.arange(_EM_DIRECT, dtype=float)[:, None]
+
+
+def _q_polygamma(n: int, x: np.ndarray, lq: float):
     """psi_q^(n)(x) = [n=0] (-log(1-q)) + log q * sum_{i>=0} g^(n)(x+i).
 
     Returns (value, truncation bound, rounding budget in ulps).  The tail
@@ -453,40 +530,42 @@ def _q_polygamma(n: int, x: float, lq: float) -> tuple[float, float, float]:
     -log(1-q^T)/|log q|, which is merged with -log(1-q) into
     log((1-q^T)/(1-q)) so the two large logarithms near q = 1 do not cancel.
     """
-    _one_minus_q_pow(x * lq)  # the only place t log q can underflow
-    coef = _eulerian(n)
-    direct = weighted = partial = 0.0
-    for i in range(_EM_DIRECT):  # inlined _lambert: all terms have one sign
-        t = x + i
-        e = t * lq
-        w = -math.expm1(e)
-        z = math.exp(e)
-        if n:
-            poly = 0.0
-            for c in coef:
-                poly = poly * z + c
-            v = z * poly * (lq / w) ** n / w
-        else:
-            v = z / w
-        direct += v
-        weighted += v * t
-        partial += direct
-    err = abs(direct) * (_TERM_ULPS + 3.0 * n) + abs(3.0 * lq * weighted) + abs(partial)
+    t = x + _EM_OFFSETS  # row i holds x + i; inlined _lambert, all terms of one sign
+    e = t * lq
+    w = -np.expm1(e)
+    z = np.exp(e)
+    v = z * _horner(_eulerian(n), z) * (lq / w) ** n / w if n else z / w
+    # running sums in term order (accumulate never regroups, whatever the shape)
+    running = np.add.accumulate(v, axis=0)
+    direct = running[-1]
+    weighted = np.add.accumulate(v * t, axis=0)[-1]
+    partial = np.add.accumulate(running, axis=0)[-1]
+    err = np.abs(direct) * (_TERM_ULPS + 3.0 * n) + np.abs(3.0 * lq * weighted) + np.abs(partial)
     t = x + _EM_DIRECT
-    ulps = _TERM_ULPS + 3.0 * (n + min(-t * lq, _EXP_ARG_MAX))
+    ulps = _TERM_ULPS + 3.0 * (n + np.minimum(-t * lq, _EXP_ARG_MAX))
     if n == 0:
-        head = math.log(math.expm1(t * lq) / math.expm1(lq))
-        head_err = _TERM_ULPS + abs(head)  # the ratio's relative error, now absolute
+        head = np.log(np.expm1(t * lq) / math.expm1(lq))
+        head_err = _TERM_ULPS + np.abs(head)  # the ratio's relative error, now absolute
     else:
         head = -lq * _lambert(n - 1, t, lq)
-        head_err = abs(head) * ulps
+        head_err = np.abs(head) * ulps
     half = 0.5 * _lambert(n, t, lq)
     corr, rem, corr_err = _em_corrections(n, t, lq, 1.0)
     inner = direct + half + corr
-    err += abs(half) * ulps + corr_err + 2.0 * abs(inner)
+    err = err + (np.abs(half) * ulps + corr_err + 2.0 * np.abs(inner))
     value = head + lq * inner
-    err = head_err + abs(lq) * (err + abs(inner)) + abs(value)
+    err = head_err + abs(lq) * (err + np.abs(inner)) + np.abs(value)
     return value, abs(lq) * rem, err
+
+
+def _branch(cond, when_true, when_false):
+    """Per element, the tuple of the branch ``cond`` picks; a branch no element takes is not run."""
+    cond = np.asarray(cond)
+    if cond.all():
+        return when_true()
+    if not cond.any():
+        return when_false()
+    return tuple(np.where(cond, a, b) for a, b in zip(when_true(), when_false()))
 
 
 # B_2k / (2k+1)! for k = 1..9, the coefficients of the dilogarithm's Bernoulli
@@ -498,7 +577,7 @@ _LI2_TERMS = len(_LI2_COEF) + 1  # y, -y^2/4 and c_1..c_8
 _LOG2 = math.log(2.0)
 
 
-def _li2_series_diff(alpha: float, beta: float, d: float) -> tuple[float, float, float]:
+def _li2_series_diff(alpha, beta, d):
     """(B(alpha) - B(beta)) d / (alpha - beta) for B(y) = y - y^2/4 + sum_k c_k y^{2k+1}.
 
     The y^{n+1} term becomes f_n = (alpha^{n+1} - beta^{n+1}) d / (alpha - beta),
@@ -510,19 +589,19 @@ def _li2_series_diff(alpha: float, beta: float, d: float) -> tuple[float, float,
     """
     a2, ab, b2 = alpha * alpha, alpha + beta, beta * beta
     value = d - 0.25 * ab * d
-    mag = abs(d) + abs(0.25 * ab * d)
+    mag = np.abs(d) + np.abs(0.25 * ab * d)
     f, bpow, term = d, beta, 0.0
     for c in _LI2_COEF:
-        value += term  # the last term is left out: it bounds the remainder
-        mag += abs(term)
+        value = value + term  # the last term is left out: it bounds the remainder
+        mag = mag + np.abs(term)
         f = a2 * f + ab * bpow * d  # f_2k from f_2k-2
-        bpow *= b2
+        bpow = bpow * b2
         term = c * f
     # each term within _TERM_ULPS plus 8 ulps per power pair, plus the additions
-    return value, abs(term), mag * (_TERM_ULPS + 8.0 * len(_LI2_COEF) + _LI2_TERMS)
+    return value, np.abs(term), mag * (_TERM_ULPS + 8.0 * len(_LI2_COEF) + _LI2_TERMS)
 
 
-def _li2(z: float, log_z: float, one_minus_z: float) -> tuple[float, float, float]:
+def _li2(z, log_z, one_minus_z):
     """Li2(z) on (0, 1) at bounded cost; returns (value, remainder bound, ulps).
 
     z <= 1/2 sums the Bernoulli series in y = -log(1-z) <= log 2.  z > 1/2 uses
@@ -530,18 +609,26 @@ def _li2(z: float, log_z: float, one_minus_z: float) -> tuple[float, float, floa
     whose last term is the same series in y = -log z < log 2.  The caller
     passes log z and 1 - z so it can supply them without cancellation.
     """
-    if z <= 0.5:
-        y = -math.log1p(-z)
+
+    def series():
+        y = -np.log1p(-z)
         return _li2_series_diff(y, 0.0, y)
-    y = -log_z
-    s, rem, err = _li2_series_diff(y, 0.0, y)
-    cross = y * math.log(one_minus_z)
-    value = _PI2_OVER_6 + cross - s
-    err += 1.0 + _TERM_ULPS * (abs(cross) + y) + abs(_PI2_OVER_6 + cross) + abs(value)
-    return value, rem, err
+
+    def reflected():
+        y = -log_z
+        s, rem, err = _li2_series_diff(y, 0.0, y)
+        cross = y * np.log(one_minus_z)
+        value = _PI2_OVER_6 + cross - s
+        err = err + (1.0 + _TERM_ULPS * (np.abs(cross) + y) + np.abs(_PI2_OVER_6 + cross) + np.abs(value))
+        return value, rem, err
+
+    return _branch(z <= 0.5, series, reflected)
 
 
-def _log_gamma_q_series(x: float, lq: float) -> tuple[float, float, float]:
+_PHI_N = np.arange(_EM_DIRECT + 1, dtype=float)[:, None]  # phi(0..N-1), then phi(N)
+
+
+def _log_gamma_q_series(x: np.ndarray, lq: float):
     """log Gamma_q(x) = (1-x) log(1-q) + sum_{n>=0} phi(n), phi(n) = log((1-q^{n+1})/(1-q^{n+x})).
 
     phi is completely monotonic for x < 1 and minus one for x > 1.  Its tail
@@ -559,60 +646,73 @@ def _log_gamma_q_series(x: float, lq: float) -> tuple[float, float, float]:
       bounds the loss, and the rounding budget counts it.
     Returns (value, truncation bound, rounding budget in ulps).
     """
-    _one_minus_q_pow(x * lq)  # the only place t log q can underflow
-    d = -math.expm1(abs(x - 1.0) * lq)  # 1 - q^{|x-1|}
-    direct = err = 0.0
-    for n in range(_EM_DIRECT + 1):  # phi(0..N-1), then phi(N) for the tail
-        # r = phi's ratio minus 1 = (q^{n+x} - q^{n+1}) / (1 - q^{n+x}), free of cancellation
-        e = (n + x) * lq
-        w = -math.expm1(e)
-        r = (math.exp(e) if x < 1.0 else -math.exp((n + 1.0) * lq)) * d / w
-        if r > -0.5:
-            v = math.log1p(r)
-            v_err = abs(v) * (2.0 * _TERM_ULPS + 3.0 * min(-e, _EXP_ARG_MAX))
-        else:
-            v = math.log(-math.expm1((n + 1.0) * lq) / w)
-            v_err = _TERM_ULPS + abs(v)
-        if n == _EM_DIRECT:
-            break
-        direct += v
-        err += v_err + abs(direct)
-    phi_n, phi_err = v, v_err
+    d = -np.expm1(np.abs(x - 1.0) * lq)  # 1 - q^{|x-1|}
+    # row n: phi(n); r = phi's ratio minus 1 = (q^{n+x} - q^{n+1}) / (1 - q^{n+x}),
+    # free of cancellation, goes through log1p unless r <= -1/2
+    e = (_PHI_N + x) * lq
+    w = -np.expm1(e)
+    r = np.where(x < 1.0, np.exp(e), -np.exp((_PHI_N + 1.0) * lq)) * d / w
+
+    def near():
+        v = np.log1p(r)
+        return v, np.abs(v) * (2.0 * _TERM_ULPS + 3.0 * np.minimum(-e, _EXP_ARG_MAX))
+
+    def ratio():
+        v = np.log(-np.expm1((_PHI_N + 1.0) * lq) / w)
+        return v, _TERM_ULPS + np.abs(v)
+
+    v, v_err = _branch(r > -0.5, near, ratio)
+    running = np.add.accumulate(v[:-1], axis=0)  # the direct terms, in order
+    direct = running[-1]
+    err = np.add.accumulate(v_err[:-1] + np.abs(running), axis=0)[-1]
+    phi_n, phi_err = v[-1], v_err[-1]  # phi(N), for the tail
     a, b = _EM_DIRECT + x, _EM_DIRECT + 1.0
     # phi^(m)(N) = log q [g^(m-1)(a) - g^(m-1)(b)]
     corr_a, rem_a, err_a = _em_corrections(-1, a, lq, lq)
     corr_b, rem_b, err_b = _em_corrections(-1, b, lq, -lq)
     alpha, beta = -a * lq, -b * lq
-    if max(alpha, beta) <= _LOG2:
+
+    def close(parts, brem, part_err):
+        value, total = direct, err + part_err
+        for p in (*parts, 0.5 * phi_n, corr_a, corr_b):
+            value = value + p
+            total = total + np.abs(value)
+        total = total + (0.5 * phi_err + err_a + err_b)
+        return value, rem_a + rem_b + brem, total
+
+    def reflected():  # q^a, q^b >= 1/2
         log_b1 = math.log(math.expm1(b * lq) / math.expm1(lq))
         bdiff, brem, berr = _li2_series_diff(alpha, beta, x - 1.0)
         parts = (-a * phi_n, (x - 1.0) * log_b1, -bdiff)
-        err += a * (phi_err + abs(phi_n)) + abs(x - 1.0) * (_TERM_ULPS + 2.0 * abs(log_b1)) + berr
-    else:
+        part_err = (a * (phi_err + np.abs(phi_n))
+                    + np.abs(x - 1.0) * (_TERM_ULPS + 2.0 * abs(log_b1)) + berr)
+        return close(parts, brem, part_err)
+
+    def direct_li2():
         if lq < -_LOG2:  # log(1-q) from q itself: accurate relative to a small q
             log_1 = math.log1p(-math.exp(lq))
             log_1_err = abs(log_1) * (_TERM_ULPS + 3.0 * -lq)
         else:  # from 1 - q = -expm1(log q): consistent with every other q-power
             log_1 = math.log(-math.expm1(lq))
             log_1_err = _TERM_ULPS + abs(log_1)
-        za, zb = math.exp(a * lq), math.exp(b * lq)
-        if max(za, zb) <= 0.5:
-            ya, yb = -math.log1p(-za), -math.log1p(-zb)
+        za, zb = np.exp(a * lq), math.exp(b * lq)
+
+        def series():  # q^a, q^b <= 1/2
+            ya, yb = -np.log1p(-za), -math.log1p(-zb)
             tail, brem, terr = _li2_series_diff(ya, yb, phi_n)
-            terr += phi_err  # |B(y_a) - B(y_b)| <= |y_a - y_b| carries phi(N)'s error
-        else:
-            la, ra, la_err = _li2(za, a * lq, -math.expm1(a * lq))
+            return tail, brem, terr + phi_err  # |B(y_a) - B(y_b)| <= |y_a - y_b| carries phi(N)'s error
+
+        def difference():
+            la, ra, la_err = _li2(za, a * lq, -np.expm1(a * lq))
             lb, rb, lb_err = _li2(zb, b * lq, -math.expm1(b * lq))
-            tail, brem, terr = la - lb, ra + rb, la_err + lb_err + abs(la - lb)
+            return la - lb, ra + rb, la_err + lb_err + np.abs(la - lb)
+
+        tail, brem, terr = _branch(np.maximum(za, zb) <= 0.5, series, difference)
         parts = ((1.0 - x) * log_1, tail / -lq)
-        brem /= -lq
-        err += abs(1.0 - x) * (log_1_err + abs(log_1)) + (terr + abs(tail)) / -lq
-    value = direct
-    for p in (*parts, 0.5 * phi_n, corr_a, corr_b):
-        value += p
-        err += abs(value)
-    err += 0.5 * phi_err + err_a + err_b
-    return value, rem_a + rem_b + brem, err
+        part_err = np.abs(1.0 - x) * (log_1_err + abs(log_1)) + (terr + np.abs(tail)) / -lq
+        return close(parts, brem / -lq, part_err)
+
+    return _branch(np.maximum(alpha, beta) <= _LOG2, reflected, direct_li2)
 
 
 def _check_cap(fn: str, cfg: EvalConfig, terms: int):
@@ -620,15 +720,18 @@ def _check_cap(fn: str, cfg: EvalConfig, terms: int):
         raise ConvergenceError(f"{fn} sums {terms} terms; max_terms={cfg.max_terms} is below that")
 
 
-def _q_series_log_q(fn: str, q: QValue, cfg: EvalConfig) -> float:
-    """log q, once q is within q_series_max and max_terms allows the fixed term count."""
+def _q_series_log_q(fn: str, x: np.ndarray, q: QValue, cfg: EvalConfig) -> float:
+    """log q, once q is within q_series_max, max_terms allows the fixed term count
+    and 1 - q^x is nonzero at every x (the series' other q-powers lie further out)."""
     if q.q > cfg.q_series_max:
         raise DomainError(
             f"q={q.q!r} exceeds q_series_max={cfg.q_series_max!r}; "
             "pass q=1 explicitly for the classical limit"
         )
     _check_cap(fn, cfg, _EM_TERMS)
-    return math.log(q.q)
+    lq = math.log(q.q)
+    _one_minus_q_pow(x * lq)
+    return lq
 
 
 # absolute error left by gradual underflow: a few hundred operations, each off
@@ -636,19 +739,25 @@ def _q_series_log_q(fn: str, q: QValue, cfg: EvalConfig) -> float:
 _UNDERFLOW_ERR = 500 * 2.0 ** -1074
 
 
-def _series_result(fn, value, trunc, ulps, terms, cfg: EvalConfig) -> SeriesResult:
-    """Bound = truncation bound + ulps * u; the truncation alone must meet rel_tol."""
-    scale = cfg.rel_tol * max(1.0, abs(value))
-    if not math.isfinite(value):
-        raise OverflowError(f"{fn} result exceeds the float64 range")
-    if trunc > scale:
+def _series_bound(fn, value, trunc, ulps, cfg: EvalConfig):
+    """Bound = truncation bound + ulps * u; the truncation alone must meet rel_tol at every element."""
+    value, trunc = np.broadcast_arrays(value, trunc)
+    miss = trunc > cfg.rel_tol * np.maximum(1.0, np.abs(value))  # a NaN value is _result's to report
+    if miss.any():
+        i = int(np.flatnonzero(miss)[0])
+        where = "" if value.size == 1 else f" (element {i})"
         raise ConvergenceError(
-            f"{fn} truncation bound {trunc:.3g} misses rel_tol={cfg.rel_tol} at value {value!r}"
+            f"{fn} truncation bound {trunc.item(i):.3g} misses rel_tol={cfg.rel_tol} "
+            f"at value {value.item(i)!r}{where}"
         )
-    bound = trunc + ulps * _U + _UNDERFLOW_ERR
-    return SeriesResult(value, bound, terms, bound <= scale)
+    return trunc + ulps * _U + _UNDERFLOW_ERR
 
 
+def _series_result(fn, value, trunc, ulps, terms, cfg: EvalConfig, shape: tuple) -> SeriesResult:
+    return _result(fn, value, _series_bound(fn, value, trunc, ulps, cfg), terms, cfg, shape)
+
+
+@_quiet
 def log_gamma_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     """log Gamma_q(x) for x > 0 and q in (0, 1]; q = 1 routes to the classical log_gamma.
 
@@ -659,26 +768,30 @@ def log_gamma_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     the first omitted correction.  The bound adds a rounding term of a few u
     per |term| (see _TERM_ULPS), so it covers the whole error.
     """
-    x = _checked("log_gamma_q", x)
+    xs = _checked("log_gamma_q", x)
     q = _coerce_q(q)
     if q.is_classical:
         return log_gamma(x, cfg)
-    lq = _q_series_log_q("log_gamma_q", q, cfg)
-    value, trunc, ulps = _log_gamma_q_series(x, lq)
-    return _series_result("log_gamma_q", value, trunc, ulps, _EM_TERMS, cfg)
+    lq = _q_series_log_q("log_gamma_q", xs, q, cfg)
+    value, trunc, ulps = _blocked(lambda b: _log_gamma_q_series(b, lq), xs)
+    return _series_result("log_gamma_q", value, trunc, ulps, _EM_TERMS, cfg, np.shape(x))
 
 
+@_quiet
 def gamma_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     """Gamma_q(x) = exp(log_gamma_q(x)) with the error bound scaled by the value."""
     q = _coerce_q(q)
     lg = log_gamma_q(x, q, cfg)
-    if lg.value > _LOG_MAX_FLOAT:
-        raise OverflowError(f"Gamma_q({x!r}, q={q.q!r}) exceeds the float64 range")
-    value = math.exp(lg.value)
-    bound = value * (math.expm1(min(lg.abs_error_bound, 1.0)) + 2.0 * _U)
-    return _result("gamma_q", value, bound, lg.terms_used, cfg)
+    lv = _flat(lg.value)
+    over = lv > _LOG_MAX_FLOAT
+    if over.any():
+        raise OverflowError(f"Gamma_q({_first(x, over)}, q={q.q!r}) exceeds the float64 range")
+    value = np.exp(lv)
+    bound = value * (np.expm1(np.minimum(_flat(lg.abs_error_bound), 1.0)) + 2.0 * _U)
+    return _result("gamma_q", value, bound, lg.terms_used, cfg, np.shape(x))
 
 
+@_quiet
 def psi_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     """q-digamma: -log(1-q) + log q * sum_{i>=0} g(x+i), g(t) = q^t/(1-q^t); q = 1 routes to psi.
 
@@ -688,15 +801,16 @@ def psi_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     omitted one.  The bound is that term plus a rounding term of a few u per
     |term| (see _TERM_ULPS), the merged prefix log((1-q^T)/(1-q)) included.
     """
-    x = _checked("psi_q", x)
+    xs = _checked("psi_q", x)
     q = _coerce_q(q)
     if q.is_classical:
         return psi(x, cfg)
-    lq = _q_series_log_q("psi_q", q, cfg)
-    value, trunc, ulps = _q_polygamma(0, x, lq)
-    return _series_result("psi_q", value, trunc, ulps, _EM_TERMS, cfg)
+    lq = _q_series_log_q("psi_q", xs, q, cfg)
+    value, trunc, ulps = _blocked(lambda b: _q_polygamma(0, b, lq), xs)
+    return _series_result("psi_q", value, trunc, ulps, _EM_TERMS, cfg, np.shape(x))
 
 
+@_quiet
 def psi_q_n(n: int, x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     """n-th derivative of psi_q: log q * sum_{i>=0} g^(n)(x+i); q = 1 routes to psi_n.
 
@@ -706,63 +820,75 @@ def psi_q_n(n: int, x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     correction plus a rounding term of a few u per |term|.
     """
     n = _checked_order("psi_q_n", n)
-    x = _checked("psi_q_n", x)
+    xs = _checked("psi_q_n", x)
     q = _coerce_q(q)
     if q.is_classical:
         return psi_n(n, x, cfg)
-    lq = _q_series_log_q("psi_q_n", q, cfg)
-    value, trunc, ulps = _q_polygamma(n, x, lq)
-    return _series_result("psi_q_n", value, trunc, ulps, _EM_TERMS, cfg)
+    lq = _q_series_log_q("psi_q_n", xs, q, cfg)
+    value, trunc, ulps = _blocked(lambda b: _q_polygamma(n, b, lq), xs)
+    return _series_result("psi_q_n", value, trunc, ulps, _EM_TERMS, cfg, np.shape(x))
 
 
+@_quiet
 def dilog_F(x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     """F(x) = sum_{n>=1} x^n / n^2 = Li2(x) on [0, 1], at a cost independent of x.
 
     x <= 1/2 sums the Bernoulli series in -log(1-x); x > 1/2 goes through the
     reflection Li2(x) = pi^2/6 - log x log(1-x) - Li2(1-x).  Either series
     has 10 terms and alternates, so the first omitted one bounds the tail;
-    the bound adds a rounding term of a few u per |term|.  F(1) = pi^2/6.
+    the bound adds a rounding term of a few u per |term|.  F(0) = 0 exactly
+    and F(1) = pi^2/6 within rounding, at no terms.
     """
-    x = _checked("dilog_F", x, 0.0, 1.0, closed=True)
-    if x == 0.0:
-        return SeriesResult(0.0, 0.0, 0, True)
-    if x == 1.0:
-        return _series_result("dilog_F", _PI2_OVER_6, 0.0, 1.0, 0, cfg)
-    _check_cap("dilog_F", cfg, _LI2_TERMS)
-    value, trunc, ulps = _li2(x, math.log(x), 1.0 - x)
-    return _series_result("dilog_F", value, trunc, ulps, _LI2_TERMS, cfg)
+    xs = _checked("dilog_F", x, 0.0, 1.0, closed=True)
+    zero = xs == 0.0
+    inside = ~zero & (xs < 1.0)
+    value = np.where(zero, 0.0, _PI2_OVER_6)
+    trunc, ulps, terms = 0.0, 1.0, 0
+    if inside.any():
+        _check_cap("dilog_F", cfg, _LI2_TERMS)
+        li2, li2_trunc, li2_ulps = _li2(xs, np.log(xs), 1.0 - xs)
+        value = np.where(inside, li2, value)
+        trunc = np.where(inside, li2_trunc, 0.0)
+        ulps = np.where(inside, li2_ulps, 1.0)
+        terms = _LI2_TERMS
+    bound = np.where(zero, 0.0, _series_bound("dilog_F", value, trunc, ulps, cfg))
+    return _result("dilog_F", value, bound, terms, cfg, np.shape(x))
 
 
-def _moment(k: int, x: float, lq: float) -> float:
+@_quiet
+def _moment(k: int, x, lq: float):
     """k-th x-derivative of int e^{-xt} d gamma_q(t) = -log q * q^x/(1-q^x), for lq = log q."""
     v = -lq * _lambert(k, x, lq)
-    if not math.isfinite(v):
-        raise OverflowError(f"moment derivative of order {k} at x={x!r} exceeds the float64 range")
+    bad = ~np.isfinite(v)
+    if bad.any():
+        raise OverflowError(
+            f"moment derivative of order {k} at x={_first(x, bad)} exceeds the float64 range"
+        )
     return v
 
 
-def _moment_over_t(x: float, lq: float) -> float:
+@_quiet
+def _moment_over_t(x, lq: float):
     """int (e^{-xt}/t) d gamma_q(t) = sum_k q^{kx}/k = -log(1 - q^x), for lq = log q."""
     e = x * lq
-    if e > -_TINY:  # x log q is subnormal (or 0): 1 - q^x = x |log q| to the last bit
-        return -math.log(x) - math.log(-lq)
-    return -math.log(-math.expm1(e))
+    # where x log q is subnormal (or 0), 1 - q^x = x |log q| to the last bit
+    return np.where(e > -_TINY, -np.log(x) - math.log(-lq), -np.log(-np.expm1(e)))
 
 
-def _moment_log_q(fn: str, x, q) -> tuple[float, float]:
+def _moment_log_q(fn: str, x, q) -> tuple[np.ndarray, float]:
     """(x, log q) for the closed-form moments, once x > 0 and q < 1 are checked."""
-    x = _checked(fn, x)
+    xs = _checked(fn, x)
     q = _coerce_q(q)
     if q.is_classical:
         raise DomainError(f"{fn} requires q < 1 (at q=1 the measure is Lebesgue)")
-    return x, math.log(q.q)
+    return xs, math.log(q.q)
 
 
-def measure_moment(x, q) -> float:
+def measure_moment(x, q):
     """int e^{-xt} d gamma_q(t) = -q^x log q / (1 - q^x) in closed form (0 < q < 1)."""
-    return _moment(0, *_moment_log_q("measure_moment", x, q))
+    return _shaped(_moment(0, *_moment_log_q("measure_moment", x, q)), np.shape(x))
 
 
-def measure_moment_over_t(x, q) -> float:
+def measure_moment_over_t(x, q):
     """int (e^{-xt}/t) d gamma_q(t) = sum_k q^{kx}/k = -log(1 - q^x) in closed form."""
-    return _moment_over_t(*_moment_log_q("measure_moment_over_t", x, q))
+    return _shaped(_moment_over_t(*_moment_log_q("measure_moment_over_t", x, q)), np.shape(x))

@@ -2,7 +2,9 @@
 
 Each :class:`TheoremCase` bundles a function family f, analytic derivatives of
 f built from the q-special primitives (never from the kernel representation,
-so the two stay independently checkable), the proof kernel it corresponds to,
+so the two stay independently checkable; ``deriv(k, x)`` takes a float or an
+ndarray x and maps it elementwise, so ``check_cm`` evaluates a whole stencil
+lattice in one call), the proof kernel it corresponds to,
 the documented sample parameters, the expected complete-monotonicity verdict
 and the valid x-interval.  Case ids are stable strings used by the CLI and
 CSV reports; suffixes ``-pos`` / ``-neg`` / ``-low`` / ``-neither`` name the
@@ -110,7 +112,7 @@ class TheoremCase:
     interval: str
     x_start: float
     expected: str
-    deriv: Callable[[int, float], float]  # k-th derivative of f, k = 0..4
+    deriv: Callable[[int, np.ndarray], np.ndarray]  # k-th derivative of f, k = 0..4, elementwise
     grid: GridSpec
     kernel_id: str = ""
     representation: Callable[[float], float] | None = None
@@ -131,8 +133,20 @@ class TheoremCase:
         raise DomainError(f"unknown expected verdict {self.expected!r}")
 
     def tested(self, sign: int, base: int):
-        fn = lambda x: sign * self.deriv(base, x)
-        derivs = lambda k, x: sign * self.deriv(base + k, x)
+        """``fn`` and ``derivs`` for check_cm, with numpy's flags quiet over the whole lattice.
+
+        An x outside the case's interval still raises DomainError from the
+        evaluators it reaches; the closures' own arithmetic at such an x
+        (1/0, the log of a negative) must not warn first.
+        """
+        @np.errstate(all="ignore")
+        def fn(x):
+            return sign * self.deriv(base, x)
+
+        @np.errstate(all="ignore")
+        def derivs(k, x):
+            return sign * self.deriv(base + k, x)
+
         return fn, derivs
 
 
@@ -209,8 +223,8 @@ class _Q:
     def log_scale(self, y: float) -> float:
         """log((1-q^y)/(1-q)) for q < 1, log(y) classically."""
         if self.classical:
-            return math.log(y)
-        return math.log(-math.expm1(y * self.lq)) - math.log1p(-self.q)
+            return np.log(y)
+        return np.log(-np.expm1(y * self.lq)) - math.log1p(-self.q)
 
     def dilog(self, y: float) -> float:
         return dilog_F(y, _CASE_CONFIG).value
@@ -282,9 +296,9 @@ def _regime_verdict(kernel_id: str, params: dict, orientation: int, target: str 
 def _thm21_family(alpha: float):
     def deriv(k, x):
         if k == 0:
-            return alpha * math.log(x) + log_gamma(x, _CASE_CONFIG).value + x - x * math.log(x)
+            return alpha * np.log(x) + log_gamma(x, _CASE_CONFIG).value + x - x * np.log(x)
         if k == 1:
-            return alpha / x + psi(x, _CASE_CONFIG).value - math.log(x)
+            return alpha / x + psi(x, _CASE_CONFIG).value - np.log(x)
         if k == 2:
             return -alpha / x ** 2 + psi_n(1, x, _CASE_CONFIG).value - 1.0 / x
         if k == 3:
@@ -321,7 +335,7 @@ def _thm22_family(alpha: float, q: float):
     def deriv(k, x):
         if k == 0:
             # x log(1-q) + alpha log(1-q^x) + log Gamma_q(x) + F(q^x)/log q
-            return x * l1q - alpha * P.mt(x) + P.lg(x) + P.dilog(math.exp(x * lq)) / lq
+            return x * l1q - alpha * P.mt(x) + P.lg(x) + P.dilog(np.exp(x * lq)) / lq
         if k == 1:
             return l1q + alpha * P.mom(0, x) + P.ps(0, x) + P.mt(x)
         return alpha * P.mom(k - 1, x) + P.ps(k - 1, x) - P.mom(k - 2, x)
@@ -555,7 +569,7 @@ def _thm34_family(alpha: float, q: float):
                 x * l1q
                 - 0.5 * P.mt(x)
                 + P.lg(x)
-                + P.dilog(math.exp(x * lq)) / lq
+                + P.dilog(np.exp(x * lq)) / lq
                 - P.ps(1, x + alpha) / 12.0
             )
         if k == 1:
@@ -632,8 +646,8 @@ def _case_cor36(case_id: str, alpha: float = 0.75, s: float = 0.1) -> TheoremCas
     def deriv(k, x):
         if k == 0:
             return (
-                (x + 0.5) * math.log(x + 1.0)
-                - (x + s - 0.5) * math.log(x + s)
+                (x + 0.5) * np.log(x + 1.0)
+                - (x + s - 0.5) * np.log(x + s)
                 + log_gamma(x + s, _CASE_CONFIG).value
                 - log_gamma(x + 1.0, _CASE_CONFIG).value
                 + (s - 1.0)
@@ -644,7 +658,7 @@ def _case_cor36(case_id: str, alpha: float = 0.75, s: float = 0.1) -> TheoremCas
         pg = lambda m, y: psi_n(m, y, _CASE_CONFIG).value
         tail = (pg(k + 1, x + 1.0 + alpha) - pg(k + 1, x + s + alpha)) / 12.0
         if k == 1:
-            lead = math.log(u) - math.log(v) - 0.5 / u + 0.5 / v
+            lead = np.log(u) - np.log(v) - 0.5 / u + 0.5 / v
             mid = psi(v, _CASE_CONFIG).value - psi(u, _CASE_CONFIG).value
         elif k == 2:
             lead = 1.0 / u - 1.0 / v + 0.5 / u ** 2 - 0.5 / v ** 2

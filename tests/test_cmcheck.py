@@ -61,16 +61,16 @@ def test_sine_second_difference_sign_violation():
 
 
 def test_known_cm_functions_pass():
-    assert cm.check_cm(lambda x: math.exp(-2.0 * x), GRID).verdict == cm.CONSISTENT
+    assert cm.check_cm(lambda x: np.exp(-2.0 * x), GRID).verdict == cm.CONSISTENT
     assert cm.check_cm(lambda x: x ** -1.5, GRID).verdict == cm.CONSISTENT
     assert cm.check_cm(lambda x: psi_n(1, x).value, GRID).verdict == cm.CONSISTENT
 
 
 def test_known_non_cm_functions_fail():
-    rep = cm.check_cm(math.sin, cm.GridSpec(0.1, 10.0, 21, "linear"))
+    rep = cm.check_cm(np.sin, cm.GridSpec(0.1, 10.0, 21, "linear"))
     assert rep.verdict == cm.VIOLATES
     # -log is nonnegative-violating only through order 0 on (0.1, 20)
-    rep = cm.check_cm(lambda x: -math.log(x), GRID)
+    rep = cm.check_cm(lambda x: -np.log(x), GRID)
     assert rep.verdict == cm.VIOLATES and rep.witness[2] == 0
     # x -> x fails at first order
     rep = cm.check_cm(lambda x: x, GRID)
@@ -84,17 +84,17 @@ def test_check_cm_analytic_derivative_rows():
     # e^{-x} passes every difference test, so feeding deliberately wrong
     # derivative values must be caught through the analytic rows (h = 0)
     rep = cm.check_cm(
-        lambda x: math.exp(-x),
+        lambda x: np.exp(-x),
         GRID,
-        derivs=lambda k, x: math.exp(-x),  # wrong sign at odd orders
+        derivs=lambda k, x: np.exp(-x),  # wrong sign at odd orders
         include_order_zero=True,
     )
     assert rep.verdict == cm.VIOLATES and rep.witness[1] == 0.0 and rep.witness[2] == 1
 
 
 def test_check_cm_report_fields_and_determinism():
-    rep1 = cm.check_cm(lambda x: math.exp(-x), GRID, case_id="exp")
-    rep2 = cm.check_cm(lambda x: math.exp(-x), GRID, case_id="exp")
+    rep1 = cm.check_cm(lambda x: np.exp(-x), GRID, case_id="exp")
+    rep2 = cm.check_cm(lambda x: np.exp(-x), GRID, case_id="exp")
     assert rep1 == rep2
     assert rep1.case_id == "exp"
     assert set(rep1.per_order_worst) == set(range(0, GRID.max_order + 1))
