@@ -29,7 +29,6 @@ from .special import (
 __all__ = [
     "EQUALITY_TOL",
     "BoundTriple",
-    "ComplexSample",
     "gautschi_bounds",
     "kershaw_psi_bounds",
     "kershaw_power_bounds",
@@ -70,22 +69,6 @@ class BoundTriple:
     @property
     def upper_margin(self):
         return _clamp(self.upper - self.value)
-
-
-@dataclass(frozen=True)
-class ComplexSample:
-    """One complex-plane bound evaluation; construction enforces the hypothesis."""
-
-    s: complex
-    a: float
-    b: float
-    modulus: float
-
-    def __post_init__(self):
-        if self.s.real <= (1.0 - self.a - self.b) / 2.0:
-            raise DomainError(
-                f"Re(s)={self.s.real} violates Re(s) > (1-a-b)/2 for a={self.a}, b={self.b}"
-            )
 
 
 def _lg(z, cfg: EvalConfig):

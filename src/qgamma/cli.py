@@ -9,15 +9,15 @@ Output is built in memory and written only on success, never partially: a
 file goes through a temporary file in its directory and ``os.replace``, and a
 write error exits 2.
 
-An optional ``--config`` file supplies ``key=value`` defaults (keys: seed,
-rel_tol, max_terms, tol_abs, tol_rel, t_min, t_max, t_points); explicit flags
-always override it.
+An optional ``--config`` file supplies ``key=value`` defaults (keys: rel_tol,
+tol_abs, tol_rel, t_min, t_max, t_points); explicit flags always override it.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import os
 import sys
@@ -32,9 +32,7 @@ from .special import ConvergenceError, DomainError, EvalConfig
 __all__ = ["main", "entry"]
 
 _CONFIG_KEYS = {
-    "seed": int,
     "rel_tol": float,
-    "max_terms": int,
     "tol_abs": float,
     "tol_rel": float,
     "t_min": float,
@@ -132,10 +130,7 @@ def _emit(lines: list[str], output: str | None):
 
 
 def _eval_cfg(args, config) -> EvalConfig:
-    return EvalConfig(
-        rel_tol=_pick(args.rel_tol, config, "rel_tol", 1e-12),
-        max_terms=_pick(args.max_terms, config, "max_terms", 100_000),
-    )
+    return EvalConfig(rel_tol=_pick(args.rel_tol, config, "rel_tol", 1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -203,18 +198,7 @@ def _grid_override(args, base: GridSpec) -> GridSpec:
         fields["h_set"] = tuple(_floats_csv(args.h_set))
     if args.max_order is not None:
         fields["max_order"] = args.max_order
-    if not fields:
-        return base
-    merged = {
-        "x_min": base.x_min,
-        "x_max": base.x_max,
-        "points": base.points,
-        "spacing": base.spacing,
-        "h_set": base.h_set,
-        "max_order": base.max_order,
-    }
-    merged.update(fields)
-    return GridSpec(**merged)
+    return dataclasses.replace(base, **fields) if fields else base
 
 
 def _cmd_verify(args, config) -> int:
@@ -231,9 +215,6 @@ def _cmd_verify(args, config) -> int:
     overrides = _case_overrides(args)
     tol_abs = _pick(args.tol_abs, config, "tol_abs", DEFAULT_TOL_ABS)
     tol_rel = _pick(args.tol_rel, config, "tol_rel", DEFAULT_TOL_REL)
-    # the seed is part of the reproducibility contract even though the sweep
-    # itself is deterministic
-    _ = _pick(args.seed, config, "seed", 0)
 
     rows = []
     all_match = True
@@ -321,9 +302,8 @@ def _cmd_bounds(args, config) -> int:
             params = _fmt_params({key: xv, "s": sv, **extra})
             lines.append(f"{name},{params}," + ",".join(_fmt(v) for v in vals))
     elif name in ("rademacher", "beta-complex"):
-        for flag, value in (("--rel-tol", args.rel_tol), ("--max-terms", args.max_terms)):
-            if value is not None:
-                raise DomainError(f"bounds {name} takes no {flag}; its cost is fixed")
+        if args.rel_tol is not None:
+            raise DomainError(f"bounds {name} takes no --rel-tol; its cost is fixed")
         sigmas = _grid_triplet(args.sigma_grid) if args.sigma_grid else [args.sigma]
         taus = _grid_triplet(args.tau_grid) if args.tau_grid else [args.tau]
         if any(v is None for v in sigmas) or any(v is None for v in taus):
@@ -399,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="key=value defaults file", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    # full flag names only: a removed flag such as scan-kernel --s must not become --seed
+    # full flag names only: an abbreviation must not silently select a longer flag
     add = functools.partial(sub.add_parser, allow_abbrev=False)
 
     p_eval = add("eval", help="evaluate one function with an error bound")
@@ -453,11 +433,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for p in (p_eval, p_verify, p_scan, p_bounds, p_qlim):
         p.add_argument("--output", "--csv", dest="output", default=None)
-        p.add_argument("--seed", type=int, default=None)
-    # only these commands evaluate series whose tolerance and term cap can be set
+    # only these commands evaluate series whose tolerance can be set
     for p in (p_eval, p_bounds, p_qlim):
         p.add_argument("--rel-tol", type=float, default=None)
-        p.add_argument("--max-terms", type=int, default=None)
     return parser
 
 

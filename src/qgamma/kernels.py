@@ -48,6 +48,12 @@ ONE_SIGN_CHANGE = "one-sign-change"
 UNSPECIFIED = "unspecified"
 
 
+def _unwrap(out):
+    """A 0-d result as a numpy scalar; an array of any other shape as it is."""
+    out = np.asarray(out)
+    return out[()] if out.ndim == 0 else out
+
+
 def _rho(t):
     """1 / (1 - e^{-t}), computed through expm1."""
     return 1.0 / -np.expm1(-t)
@@ -68,13 +74,13 @@ def sinh_ratio(alpha: float, t):
         raise DomainError("sinh_ratio requires t > 0")
     if alpha == 1.0:
         out = np.ones_like(t)
-        return out[()] if out.ndim == 0 else out
+        return _unwrap(out)
     # sinh(at)/sinh(t) = e^{(a-1)t} (1 - e^{-2at}) / (1 - e^{-2t})
     log_ratio = (alpha - 1.0) * t + np.log(-np.expm1(-2.0 * alpha * t)) - np.log(
         -np.expm1(-2.0 * t)
     )
     out = np.exp(log_ratio)
-    return out[()] if out.ndim == 0 else out
+    return _unwrap(out)
 
 
 def sinh_ratio_bounds(alpha: float, t):
@@ -83,7 +89,7 @@ def sinh_ratio_bounds(alpha: float, t):
     t = np.asarray(t, dtype=float)
     lower = alpha * np.exp((alpha - 1.0) * t)
     upper = np.full_like(lower, alpha)
-    return (lower[()], upper[()]) if lower.ndim == 0 else (lower, upper)
+    return _unwrap(lower), _unwrap(upper)
 
 
 def kernel_lemma12_margin(alpha: float, t):
@@ -101,7 +107,7 @@ def kernel_thm21(alpha: float, t):
     direct = _rho(t_safe) - 1.0 / t_safe - alpha
     series = 0.5 + t / 12.0 - t ** 3 / 720.0 + t ** 5 / 30240.0 - alpha
     out = np.where(t < SMALL_T, series, direct)
-    return out[()] if out.ndim == 0 else out
+    return _unwrap(out)
 
 
 def kernel_thm25(a: float, b: float, c: float, t):
@@ -130,7 +136,7 @@ def kernel_thm25(a: float, b: float, c: float, t):
         + (c ** 4 / 24.0 - g4) * t ** 4
     )
     out = np.where(t < SMALL_T, series, direct)
-    return out[()] if out.ndim == 0 else out
+    return _unwrap(out)
 
 
 def kernel_thm26(a: float, t):
@@ -140,7 +146,7 @@ def kernel_thm26(a: float, t):
         raise DomainError(f"kernel_thm26 requires a >= 1, got {a!r}")
     t = np.asarray(t, dtype=float)
     out = a * np.exp((a - 1.0) * t / 2.0) - sinh_ratio(a, t / 2.0)
-    return out[()] if out.ndim == 0 else out
+    return _unwrap(out)
 
 
 def kernel_thm31(alpha: float, t):
@@ -157,7 +163,7 @@ def kernel_thm31(alpha: float, t):
         - (1.0 / alpha ** 3 - alpha) * t ** 3 / 720.0
     )
     out = np.where(t < SMALL_T, series, direct)
-    return out[()] if out.ndim == 0 else out
+    return _unwrap(out)
 
 
 def kernel_thm32(a: float, b: float, c: float, t):
@@ -169,7 +175,7 @@ def kernel_thm32(a: float, b: float, c: float, t):
     out = 2.0 * np.sinh(0.5 * (b - a) * t) - (b - a) * t * np.exp(
         (0.5 * (a + b) - c) * t
     )
-    return out[()] if out.ndim == 0 else out
+    return _unwrap(out)
 
 
 def kernel_thm34(alpha: float, t):
@@ -199,7 +205,7 @@ def kernel_thm34(alpha: float, t):
     )
     series = c2 * t ** 2 + c3 * t ** 3 + c4 * t ** 4 + c5 * t ** 5
     out = np.where(t < SMALL_T, series, direct)
-    return out[()] if out.ndim == 0 else out
+    return _unwrap(out)
 
 
 def _check_a_list(a_list) -> np.ndarray:
@@ -220,7 +226,7 @@ def kernel_thm41_mean(a_list, t):
     t = np.asarray(t, dtype=float)
     abar = a.mean()
     out = a.size * np.exp(-abar * t) - sum(np.exp(-ai * t) for ai in a)
-    return out[()] if np.asarray(out).ndim == 0 else out
+    return _unwrap(out)
 
 
 def kernel_thm41_split(a_list, t):
@@ -228,7 +234,7 @@ def kernel_thm41_split(a_list, t):
     a = _check_a_list(a_list)
     t = np.asarray(t, dtype=float)
     out = (a.size - 1.0) + np.exp(-a.sum() * t) - sum(np.exp(-ai * t) for ai in a)
-    return out[()] if np.asarray(out).ndim == 0 else out
+    return _unwrap(out)
 
 
 def identity_47(z_list) -> tuple[float, float]:

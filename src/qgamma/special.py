@@ -65,7 +65,7 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """The tail bound cannot meet the tolerance within the term cap."""
+    """The truncation bound cannot meet the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -87,23 +87,19 @@ class QValue:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Truncation tolerance and cost caps shared by all series evaluators.
+    """Truncation tolerance and q range shared by all series evaluators.
 
     ``q_series_max`` is the largest q the q-series accept; callers wanting the
-    classical limit pass q = 1, which routes to the classical evaluators.  The
-    q-series sum a fixed number of terms, so ``max_terms`` below that number
-    raises ConvergenceError.
+    classical limit pass q = 1, which routes to the classical evaluators.
+    Every series sums a fixed number of terms, so there is no term cap.
     """
 
     rel_tol: float = 1e-12
-    max_terms: int = 100_000
     q_series_max: float = 1.0 - 1e-6
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms!r}")
         if not (0.0 < self.q_series_max < 1.0):
             raise DomainError(
                 f"q_series_max must lie in (0, 1), got {self.q_series_max!r}"
@@ -715,20 +711,14 @@ def _log_gamma_q_series(x: np.ndarray, lq: float):
     return _branch(np.maximum(alpha, beta) <= _LOG2, reflected, direct_li2)
 
 
-def _check_cap(fn: str, cfg: EvalConfig, terms: int):
-    if cfg.max_terms < terms:
-        raise ConvergenceError(f"{fn} sums {terms} terms; max_terms={cfg.max_terms} is below that")
-
-
-def _q_series_log_q(fn: str, x: np.ndarray, q: QValue, cfg: EvalConfig) -> float:
-    """log q, once q is within q_series_max, max_terms allows the fixed term count
-    and 1 - q^x is nonzero at every x (the series' other q-powers lie further out)."""
+def _q_series_log_q(x: np.ndarray, q: QValue, cfg: EvalConfig) -> float:
+    """log q, once q is within q_series_max and 1 - q^x is nonzero at every x
+    (the series' other q-powers lie further out)."""
     if q.q > cfg.q_series_max:
         raise DomainError(
             f"q={q.q!r} exceeds q_series_max={cfg.q_series_max!r}; "
             "pass q=1 explicitly for the classical limit"
         )
-    _check_cap(fn, cfg, _EM_TERMS)
     lq = math.log(q.q)
     _one_minus_q_pow(x * lq)
     return lq
@@ -772,7 +762,7 @@ def log_gamma_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     q = _coerce_q(q)
     if q.is_classical:
         return log_gamma(x, cfg)
-    lq = _q_series_log_q("log_gamma_q", xs, q, cfg)
+    lq = _q_series_log_q(xs, q, cfg)
     value, trunc, ulps = _blocked(lambda b: _log_gamma_q_series(b, lq), xs)
     return _series_result("log_gamma_q", value, trunc, ulps, _EM_TERMS, cfg, np.shape(x))
 
@@ -805,7 +795,7 @@ def psi_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     q = _coerce_q(q)
     if q.is_classical:
         return psi(x, cfg)
-    lq = _q_series_log_q("psi_q", xs, q, cfg)
+    lq = _q_series_log_q(xs, q, cfg)
     value, trunc, ulps = _blocked(lambda b: _q_polygamma(0, b, lq), xs)
     return _series_result("psi_q", value, trunc, ulps, _EM_TERMS, cfg, np.shape(x))
 
@@ -824,7 +814,7 @@ def psi_q_n(n: int, x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     q = _coerce_q(q)
     if q.is_classical:
         return psi_n(n, x, cfg)
-    lq = _q_series_log_q("psi_q_n", xs, q, cfg)
+    lq = _q_series_log_q(xs, q, cfg)
     value, trunc, ulps = _blocked(lambda b: _q_polygamma(n, b, lq), xs)
     return _series_result("psi_q_n", value, trunc, ulps, _EM_TERMS, cfg, np.shape(x))
 
@@ -845,7 +835,6 @@ def dilog_F(x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     value = np.where(zero, 0.0, _PI2_OVER_6)
     trunc, ulps, terms = 0.0, 1.0, 0
     if inside.any():
-        _check_cap("dilog_F", cfg, _LI2_TERMS)
         li2, li2_trunc, li2_ulps = _li2(xs, np.log(xs), 1.0 - xs)
         value = np.where(inside, li2, value)
         trunc = np.where(inside, li2_trunc, 0.0)
@@ -857,38 +846,47 @@ def dilog_F(x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
 
 @_quiet
 def _moment(k: int, x, lq: float):
-    """k-th x-derivative of int e^{-xt} d gamma_q(t) = -log q * q^x/(1-q^x), for lq = log q."""
-    v = -lq * _lambert(k, x, lq)
+    """k-th x-derivative of int e^{-xt} d gamma_q(t) = -log q * q^x/(1-q^x), for lq = log q.
+
+    x is a float or an ndarray; an element outside (0, inf) is a DomainError
+    naming it.  The result is an array of x's shape.
+    """
+    xs = _checked("measure_moment", x)
+    v = -lq * _lambert(k, xs, lq)
     bad = ~np.isfinite(v)
     if bad.any():
         raise OverflowError(
-            f"moment derivative of order {k} at x={_first(x, bad)} exceeds the float64 range"
+            f"moment derivative of order {k} at x={_first(xs, bad)} exceeds the float64 range"
         )
-    return v
+    return v.reshape(np.shape(x))
 
 
 @_quiet
 def _moment_over_t(x, lq: float):
-    """int (e^{-xt}/t) d gamma_q(t) = sum_k q^{kx}/k = -log(1 - q^x), for lq = log q."""
-    e = x * lq
+    """int (e^{-xt}/t) d gamma_q(t) = sum_k q^{kx}/k = -log(1 - q^x), for lq = log q.
+
+    Validates x and shapes its result as _moment does.
+    """
+    xs = _checked("measure_moment_over_t", x)
+    e = xs * lq
     # where x log q is subnormal (or 0), 1 - q^x = x |log q| to the last bit
-    return np.where(e > -_TINY, -np.log(x) - math.log(-lq), -np.log(-np.expm1(e)))
+    v = np.where(e > -_TINY, -np.log(xs) - math.log(-lq), -np.log(-np.expm1(e)))
+    return v.reshape(np.shape(x))
 
 
-def _moment_log_q(fn: str, x, q) -> tuple[np.ndarray, float]:
-    """(x, log q) for the closed-form moments, once x > 0 and q < 1 are checked."""
-    xs = _checked(fn, x)
+def _moment_log_q(fn: str, q) -> float:
+    """log q for the closed-form moments, once q < 1 is checked."""
     q = _coerce_q(q)
     if q.is_classical:
         raise DomainError(f"{fn} requires q < 1 (at q=1 the measure is Lebesgue)")
-    return xs, math.log(q.q)
+    return math.log(q.q)
 
 
 def measure_moment(x, q):
     """int e^{-xt} d gamma_q(t) = -q^x log q / (1 - q^x) in closed form (0 < q < 1)."""
-    return _shaped(_moment(0, *_moment_log_q("measure_moment", x, q)), np.shape(x))
+    return _shaped(_moment(0, x, _moment_log_q("measure_moment", q)), np.shape(x))
 
 
 def measure_moment_over_t(x, q):
     """int (e^{-xt}/t) d gamma_q(t) = sum_k q^{kx}/k = -log(1 - q^x) in closed form."""
-    return _shaped(_moment_over_t(*_moment_log_q("measure_moment_over_t", x, q)), np.shape(x))
+    return _shaped(_moment_over_t(x, _moment_log_q("measure_moment_over_t", q)), np.shape(x))

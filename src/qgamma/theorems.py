@@ -30,6 +30,14 @@ The ``thm3.4`` family (with ``cor3.5`` / ``cor3.6``) carries the algebraic
 factor (1-q^x)^{1/2}; with it (log g)' = -sum e^{-xt} p_alpha d gamma_q,
 verified numerically to high precision.  ``psi-prime`` has no kernel and
 states its verdict.
+
+Families.  Each theorem has one derivative closure, written in the q-pieces
+of ``_Q`` (log Gamma_q, psi_q and its derivatives, the first moment, log(1-q^x),
+the scale log((1-q^x)/(1-q)) and the q-Stirling term); each piece takes its
+classical form at q = 1.  The classical cases are the q = 1 members of their
+families: ``thm2.1`` of ``thm2.2``'s h, ``cor2.4`` of ``thm2.3``'s
+difference h(x) - h(x+a), and ``cor3.6`` of ``cor3.5``'s difference
+log g(x+s) - log g(x+1).  The q-only factories reject q = 1 themselves.
 """
 
 from __future__ import annotations
@@ -70,7 +78,6 @@ from .special import (
     _moment,
     _moment_over_t,
     dilog_F,
-    log_gamma,
     log_gamma_q,
     psi,
     psi_n,
@@ -112,7 +119,7 @@ class TheoremCase:
     interval: str
     x_start: float
     expected: str
-    deriv: Callable[[int, np.ndarray], np.ndarray]  # k-th derivative of f, k = 0..4, elementwise
+    deriv: Callable[[int, np.ndarray], np.ndarray]  # k-th derivative of f, any k >= 0, elementwise
     grid: GridSpec
     kernel_id: str = ""
     representation: Callable[[float], float] | None = None
@@ -194,7 +201,12 @@ def verify_case(
 
 
 class _Q:
-    """Primitives bound to one deformation parameter (q = 1 means classical)."""
+    """Primitives bound to one deformation parameter (q = 1 means classical).
+
+    Each primitive is the q-analogue of a classical piece and takes the
+    classical form at q = 1, so one family closure serves a theorem and its
+    q = 1 member.
+    """
 
     def __init__(self, q: float):
         self.qv = QValue(q)
@@ -216,9 +228,11 @@ class _Q:
             return (-1.0) ** k * math.factorial(k) * y ** (-k - 1)
         return _moment(k, y, self.lq)
 
-    def mt(self, y: float) -> float:
-        """-log(1 - q^y) = sum_k q^{ky}/k (q < 1 only)."""
-        return _moment_over_t(y, self.lq)
+    def log1m(self, y: float) -> float:
+        """log(1 - q^y) for q < 1, log(y) classically."""
+        if self.classical:
+            return np.log(y)
+        return -_moment_over_t(y, self.lq)
 
     def log_scale(self, y: float) -> float:
         """log((1-q^y)/(1-q)) for q < 1, log(y) classically."""
@@ -226,8 +240,15 @@ class _Q:
             return np.log(y)
         return np.log(-np.expm1(y * self.lq)) - math.log1p(-self.q)
 
-    def dilog(self, y: float) -> float:
-        return dilog_F(y, _CASE_CONFIG).value
+    def stirling(self, y: float) -> float:
+        """The q-Stirling term y log(1-q) + F(q^y)/log q; y - y log y classically.
+
+        Its derivative is -log_scale(y); y - y log y is its q -> 1 limit up to
+        a constant.
+        """
+        if self.classical:
+            return y - y * np.log(y)
+        return y * math.log1p(-self.q) + dilog_F(np.exp(y * self.lq), _CASE_CONFIG).value / self.lq
 
 
 _MASS_SUM_CAP = 400_000
@@ -293,23 +314,6 @@ def _regime_verdict(kernel_id: str, params: dict, orientation: int, target: str 
     return _VERDICTS[({POSITIVE: 1, NEGATIVE: -1}[sign] * orientation, target)]
 
 
-def _thm21_family(alpha: float):
-    def deriv(k, x):
-        if k == 0:
-            return alpha * np.log(x) + log_gamma(x, _CASE_CONFIG).value + x - x * np.log(x)
-        if k == 1:
-            return alpha / x + psi(x, _CASE_CONFIG).value - np.log(x)
-        if k == 2:
-            return -alpha / x ** 2 + psi_n(1, x, _CASE_CONFIG).value - 1.0 / x
-        if k == 3:
-            return 2.0 * alpha / x ** 3 + psi_n(2, x, _CASE_CONFIG).value + 1.0 / x ** 2
-        if k == 4:
-            return -6.0 * alpha / x ** 4 + psi_n(3, x, _CASE_CONFIG).value - 2.0 / x ** 3
-        raise DomainError(f"derivative order {k} not provided")
-
-    return deriv
-
-
 def _case_thm21(case_id: str, alpha: float = 0.5) -> TheoremCase:
     params = {"alpha": alpha}
     return TheoremCase(
@@ -320,7 +324,7 @@ def _case_thm21(case_id: str, alpha: float = 0.5) -> TheoremCase:
         interval="(0, inf)",
         x_start=0.0,
         expected=_regime_verdict("thm2.1", params, -1),
-        deriv=_thm21_family(alpha),
+        deriv=_thm22_family(alpha, 1.0),
         grid=_default_grid(0.0),
         kernel_id="thm2.1",
         notes="h(x) = log[x^alpha Gamma(x) (e/x)^x]; classical q = 1",
@@ -328,23 +332,24 @@ def _case_thm21(case_id: str, alpha: float = 0.5) -> TheoremCase:
 
 
 def _thm22_family(alpha: float, q: float):
+    """h(x) = x log(1-q) + alpha log(1-q^x) + log Gamma_q(x) + F(q^x)/log q and its derivatives.
+
+    At q = 1 this is thm2.1's h(x) = alpha log x + log Gamma(x) + x - x log x.
+    """
     P = _Q(q)
-    lq = P.lq
-    l1q = math.log1p(-P.q)
 
     def deriv(k, x):
         if k == 0:
-            # x log(1-q) + alpha log(1-q^x) + log Gamma_q(x) + F(q^x)/log q
-            return x * l1q - alpha * P.mt(x) + P.lg(x) + P.dilog(np.exp(x * lq)) / lq
+            return P.stirling(x) + alpha * P.log1m(x) + P.lg(x)
         if k == 1:
-            return l1q + alpha * P.mom(0, x) + P.ps(0, x) + P.mt(x)
+            return alpha * P.mom(0, x) + P.ps(0, x) - P.log_scale(x)
         return alpha * P.mom(k - 1, x) + P.ps(k - 1, x) - P.mom(k - 2, x)
 
-    return deriv, P
+    return deriv
 
 
 def _case_thm22(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase:
-    deriv, P = _thm22_family(alpha, q)
+    P = _Q(q)
     if P.classical:
         raise DomainError("thm2.2 requires q < 1")
     params, orientation = {"alpha": alpha, "q": q}, -1
@@ -357,7 +362,7 @@ def _case_thm22(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase
         interval="(0, inf)",
         x_start=0.0,
         expected=_regime_verdict("thm2.1", params, orientation),
-        deriv=deriv,
+        deriv=_thm22_family(alpha, q),
         grid=_default_grid(0.0),
         kernel_id="thm2.1",
         representation=rep,
@@ -366,9 +371,10 @@ def _case_thm22(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase
 
 
 def _case_thm23(case_id: str, alpha: float = 0.5, a: float = 1.0, q: float = 0.5) -> TheoremCase:
-    base_d, P = _thm22_family(alpha, q)
+    P = _Q(q)
     if P.classical:
         raise DomainError("thm2.3 requires q < 1")
+    base_d = _thm22_family(alpha, q)
     params, orientation = {"alpha": alpha, "a": a, "q": q}, -1
     rep = lambda x: _mass_sum(
         x, P.q, lambda t: (-np.expm1(-a * t)) * kernel_thm21(alpha, t), scale=orientation
@@ -390,7 +396,7 @@ def _case_thm23(case_id: str, alpha: float = 0.5, a: float = 1.0, q: float = 0.5
 
 
 def _case_cor24(case_id: str, alpha: float = 0.75, a: float = 1.0) -> TheoremCase:
-    base_d = _thm21_family(alpha)
+    base_d = _thm22_family(alpha, 1.0)
     params = {"alpha": alpha, "a": a}
     return TheoremCase(
         id=case_id,
@@ -557,23 +563,18 @@ def _case_thm32(
 
 
 def _thm34_family(alpha: float, q: float):
+    """log g(x) = x log(1-q) + log(1-q^x)/2 + log Gamma_q(x) + F(q^x)/log q - psi_q'(x+alpha)/12.
+
+    At q = 1 this is x - x log x + log(x)/2 + log Gamma(x) - psi'(x+alpha)/12,
+    the function whose differences cor3.6 tests.
+    """
     P = _Q(q)
-    if P.classical:
-        raise DomainError("thm3.4 requires q < 1")
-    lq = P.lq
-    l1q = math.log1p(-P.q)
 
     def deriv(k, x):
         if k == 0:
-            return (
-                x * l1q
-                - 0.5 * P.mt(x)
-                + P.lg(x)
-                + P.dilog(np.exp(x * lq)) / lq
-                - P.ps(1, x + alpha) / 12.0
-            )
+            return P.stirling(x) + 0.5 * P.log1m(x) + P.lg(x) - P.ps(1, x + alpha) / 12.0
         if k == 1:
-            return l1q + 0.5 * P.mom(0, x) + P.ps(0, x) + P.mt(x) - P.ps(2, x + alpha) / 12.0
+            return 0.5 * P.mom(0, x) + P.ps(0, x) - P.log_scale(x) - P.ps(2, x + alpha) / 12.0
         return (
             0.5 * P.mom(k - 1, x)
             + P.ps(k - 1, x)
@@ -581,11 +582,13 @@ def _thm34_family(alpha: float, q: float):
             - P.ps(k + 1, x + alpha) / 12.0
         )
 
-    return deriv, P
+    return deriv
 
 
 def _case_thm34(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase:
-    deriv, P = _thm34_family(alpha, q)
+    P = _Q(q)
+    if P.classical:
+        raise DomainError("thm3.4 requires q < 1")
     x_start = max(0.0, -alpha)
     params, orientation = {"alpha": alpha, "q": q}, -1
     rep = lambda x: _mass_sum(x, P.q, lambda t: kernel_thm34(alpha, t), scale=orientation)
@@ -597,7 +600,7 @@ def _case_thm34(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase
         interval="(max(0,-alpha), inf)",
         x_start=x_start,
         expected=_regime_verdict("thm3.4", params, orientation),
-        deriv=deriv,
+        deriv=_thm34_family(alpha, q),
         grid=_default_grid(x_start),
         kernel_id="thm3.4",
         representation=rep,
@@ -612,7 +615,10 @@ def _case_cor35(
 ) -> TheoremCase:
     if not (0.0 < s < 1.0):
         raise DomainError(f"cor3.5 requires 0 < s < 1, got {s!r}")
-    base_d, P = _thm34_family(alpha, q)
+    P = _Q(q)
+    if P.classical:
+        raise DomainError("cor3.5 requires q < 1")
+    base_d = _thm34_family(alpha, q)
     x_start = max(0.0, -alpha - s)
     params, orientation = {"alpha": alpha, "s": s, "q": q}, -1
     rep = lambda x: _mass_sum(
@@ -642,37 +648,7 @@ def _case_cor35(
 def _case_cor36(case_id: str, alpha: float = 0.75, s: float = 0.1) -> TheoremCase:
     if not (0.0 < s < 1.0):
         raise DomainError(f"cor3.6 requires 0 < s < 1, got {s!r}")
-
-    def deriv(k, x):
-        if k == 0:
-            return (
-                (x + 0.5) * np.log(x + 1.0)
-                - (x + s - 0.5) * np.log(x + s)
-                + log_gamma(x + s, _CASE_CONFIG).value
-                - log_gamma(x + 1.0, _CASE_CONFIG).value
-                + (s - 1.0)
-                + (psi_n(1, x + 1.0 + alpha, _CASE_CONFIG).value
-                   - psi_n(1, x + s + alpha, _CASE_CONFIG).value) / 12.0
-            )
-        u, v = x + 1.0, x + s
-        pg = lambda m, y: psi_n(m, y, _CASE_CONFIG).value
-        tail = (pg(k + 1, x + 1.0 + alpha) - pg(k + 1, x + s + alpha)) / 12.0
-        if k == 1:
-            lead = np.log(u) - np.log(v) - 0.5 / u + 0.5 / v
-            mid = psi(v, _CASE_CONFIG).value - psi(u, _CASE_CONFIG).value
-        elif k == 2:
-            lead = 1.0 / u - 1.0 / v + 0.5 / u ** 2 - 0.5 / v ** 2
-            mid = pg(1, v) - pg(1, u)
-        elif k == 3:
-            lead = -1.0 / u ** 2 + 1.0 / v ** 2 - 1.0 / u ** 3 + 1.0 / v ** 3
-            mid = pg(2, v) - pg(2, u)
-        elif k == 4:
-            lead = 2.0 / u ** 3 - 2.0 / v ** 3 + 3.0 / u ** 4 - 3.0 / v ** 4
-            mid = pg(3, v) - pg(3, u)
-        else:
-            raise DomainError(f"derivative order {k} not provided")
-        return lead + mid + tail
-
+    base_d = _thm34_family(alpha, 1.0)
     x_start = max(0.0, -alpha - s)
     params = {"alpha": alpha, "s": s}
     grid = GridSpec(max(x_start + 0.05, 0.05), 15.0, 21, "geometric", (0.125, 0.5, 1.0, 2.0), 8)
@@ -685,7 +661,7 @@ def _case_cor36(case_id: str, alpha: float = 0.75, s: float = 0.1) -> TheoremCas
         interval="(max(0,-alpha-s), inf)",
         x_start=x_start,
         expected=_regime_verdict("thm3.4", params, -1),
-        deriv=deriv,
+        deriv=lambda k, x: base_d(k, x + s) - base_d(k, x + 1.0),
         grid=grid,
         kernel_id="thm3.4",
         notes="classical limit of cor3.5 with the gamma function (not Gamma_q) in the ratio",

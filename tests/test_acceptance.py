@@ -112,7 +112,7 @@ def test_criterion_05_kernel_sign_regimes():
 
 def test_criterion_06_cm_verdict_sweep(tmp_path):
     out = tmp_path / "verify_all.csv"
-    code = cli_main(["verify", "all", "--seed", "42", "--output", str(out)])
+    code = cli_main(["verify", "all", "--output", str(out)])
     assert code == 0
     text = out.read_text()
     # every registered branch present, "neither" branches with double witnesses
@@ -206,7 +206,7 @@ def test_criterion_10_algebraic_identity_and_sum_margin():
 
 def test_criterion_11_determinism(tmp_path):
     p1, p2 = tmp_path / "run1.csv", tmp_path / "run2.csv"
-    assert cli_main(["verify", "all", "--seed", "42", "--output", str(p1)]) == 0
-    assert cli_main(["verify", "all", "--seed", "42", "--output", str(p2)]) == 0
+    assert cli_main(["verify", "all", "--output", str(p1)]) == 0
+    assert cli_main(["verify", "all", "--output", str(p2)]) == 0
     assert p1.read_bytes() == p2.read_bytes()
-    _ok(11, "two runs of verify all --seed 42 produce byte-identical CSV")
+    _ok(11, "two runs of verify all produce byte-identical CSV")

@@ -316,7 +316,13 @@ def test_check_cm_calls_fn_once_on_the_whole_lattice():
     assert calls == [(3 * 7 * 9,)] and rep.evaluations == 3 * 7 * 9
 
 
-@pytest.mark.parametrize("case_id", ["thm2.1", "cor3.6-low", "thm2.5", "thm3.4"])
+# the first argument outside (0, inf) each closure meets on a lattice from x = -0.5:
+# x itself, or x + c (thm2.5, c = 0.1) and x + s (cor3.6, s = 0.1)
+_FIRST_BAD_ARGUMENT = {"thm2.1": -0.5, "cor3.6-low": -0.4, "thm2.5": -0.4, "thm3.4": -0.5,
+                       "thm2.2": -0.5, "thm2.6": -0.5}
+
+
+@pytest.mark.parametrize("case_id", list(_FIRST_BAD_ARGUMENT))
 def test_lattice_outside_the_interval_is_a_domain_error_without_warnings(capsys, case_id):
     # the lattice reaches x <= 0, where the closures divide by zero or take logs
     # of negatives before an evaluator rejects the point
@@ -325,6 +331,7 @@ def test_lattice_outside_the_interval_is_a_domain_error_without_warnings(capsys,
         code = main(["verify", case_id, "--x-min", "-0.5", "--x-max", "3", "--spacing", "linear"])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    assert f"requires finite x in (0, inf), got {_FIRST_BAD_ARGUMENT[case_id]!r} (element 0)" in err
 
 
 def test_verify_every_registered_case_without_warnings():

@@ -161,12 +161,6 @@ def test_beta_ratio_hypothesis_errors():
         B.beta_ratio_modulus(1.0 + 0j, 0.5, -0.1)
 
 
-def test_complex_sample_enforces_hypothesis():
-    B.ComplexSample(1.0 + 2j, 0.5, 0.5, 0.9)
-    with pytest.raises(DomainError):
-        B.ComplexSample(-0.2 + 2j, 0.5, 0.5, 0.9)
-
-
 def test_margin_clamping():
     assert B.BoundTriple(1.0, 1.0 + 5e-13, 1.0 + 1e-12).lower_margin == 0.0
     assert B.BoundTriple(1.0, 2.0, 3.0).lower_margin == 1.0

@@ -133,6 +133,11 @@ def test_verify_unknown_selector(capsys):
     assert run(capsys, "verify", "thm9.9")[0] == 2
 
 
+def test_verify_has_no_seed(capsys):
+    # the sweep is deterministic; there is no seed to set
+    assert run(capsys, "verify", "thm2.1", "--seed", "1") == (2, "")
+
+
 @pytest.mark.parametrize(
     "case_id,alpha,verdict",
     [
@@ -152,8 +157,8 @@ def test_verify_verdict_next_to_regime_boundary(capsys, case_id, alpha, verdict)
 
 def test_verify_all_deterministic(capsys, tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run(capsys, "verify", "thm2.2", "--seed", "42", "--output", str(p1))[0] == 0
-    assert run(capsys, "verify", "thm2.2", "--seed", "42", "--output", str(p2))[0] == 0
+    assert run(capsys, "verify", "thm2.2", "--output", str(p1))[0] == 0
+    assert run(capsys, "verify", "thm2.2", "--output", str(p2))[0] == 0
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -207,7 +212,7 @@ def test_scan_kernel_usage(capsys):
     [
         ("scan-kernel", "thm2.1", "--q", "0.5"),
         ("scan-kernel", "thm2.1", "--s", "0.5"),
-        ("scan-kernel", "thm2.1", "--s", "1"),  # not a prefix of --seed
+        ("scan-kernel", "thm2.1", "--s", "1"),  # a prefix of no scan-kernel flag
         ("scan-kernel", "thm2.1", "--a", "1"),
         ("scan-kernel", "thm2.5", "--alpha", "0.3"),
     ],
@@ -240,7 +245,7 @@ def test_tolerance_flags_rejected_where_nothing_uses_them(capsys, argv):
 
 def test_complex_bounds_accept_config_tolerances(capsys, tmp_path):
     cfg = tmp_path / "qgamma.cfg"
-    cfg.write_text("rel_tol=1e-10\nmax_terms=50\n")
+    cfg.write_text("rel_tol=1e-10\n")
     base = ("bounds", "rademacher", "--c", "0.5", "--sigma", "1", "--tau", "1")
     code, out = run(capsys, *base)
     assert code == 0

@@ -16,7 +16,20 @@ from scipy.integrate import quad
 from qgamma import kernels as K
 from qgamma import theorems as T
 from qgamma.cmcheck import CONSISTENT, VIOLATES
-from qgamma.special import ConvergenceError, DomainError
+from qgamma.special import (
+    ConvergenceError,
+    DomainError,
+    EvalConfig,
+    dilog_F,
+    log_gamma,
+    log_gamma_q,
+    measure_moment,
+    measure_moment_over_t,
+    psi,
+    psi_n,
+    psi_q,
+    psi_q_n,
+)
 
 X_PROBE = (0.3, 0.8, 1.7, 3.1)
 
@@ -251,3 +264,102 @@ def test_moment_derivatives_match_closed_forms():
                 want = _mom_closed_form(k, y, P.lq)
                 tol = (6 + 3 * k) * 2.0 ** -53 * max(1.0, abs(want))
                 assert abs(P.mom(k, y) - want) <= tol, (q, y, k)
+
+
+# ---------------------------------------------------------------------------
+# classical cases as the q = 1 members of their q-families
+# ---------------------------------------------------------------------------
+
+_REF_CFG = EvalConfig(rel_tol=1e-14)
+X_DENSE = np.geomspace(0.01, 60.0, 2001)
+
+
+def _lg(y):
+    return log_gamma(y, _REF_CFG).value
+
+
+def _pg(m, y):
+    return psi(y, _REF_CFG).value if m == 0 else psi_n(m, y, _REF_CFG).value
+
+
+def _thm21_ladder(alpha, k, x):
+    """Terms of the hand-expanded thm2.1 derivatives h^(k), k = 0..4, kept as the reference."""
+    return {
+        0: (alpha * np.log(x), _lg(x), x, -x * np.log(x)),
+        1: (alpha / x, _pg(0, x), -np.log(x)),
+        2: (-alpha / x ** 2, _pg(1, x), -1.0 / x),
+        3: (2.0 * alpha / x ** 3, _pg(2, x), 1.0 / x ** 2),
+        4: (-6.0 * alpha / x ** 4, _pg(3, x), -2.0 / x ** 3),
+    }[k]
+
+
+def _cor36_ladder(alpha, s, k, x):
+    """Terms of the hand-expanded cor3.6 derivatives, k = 0..4, kept as the reference."""
+    u, v = x + 1.0, x + s
+    lead = {
+        0: ((x + 0.5) * np.log(u), -(x + s - 0.5) * np.log(v), _lg(v), -_lg(u), s - 1.0),
+        1: (np.log(u), -np.log(v), -0.5 / u, 0.5 / v, _pg(0, v), -_pg(0, u)),
+        2: (1.0 / u, -1.0 / v, 0.5 / u ** 2, -0.5 / v ** 2, _pg(1, v), -_pg(1, u)),
+        3: (-1.0 / u ** 2, 1.0 / v ** 2, -1.0 / u ** 3, 1.0 / v ** 3, _pg(2, v), -_pg(2, u)),
+        4: (2.0 / u ** 3, -2.0 / v ** 3, 3.0 / u ** 4, -3.0 / v ** 4, _pg(3, v), -_pg(3, u)),
+    }[k]
+    return lead + (_pg(k + 1, u + alpha) / 12.0, -_pg(k + 1, v + alpha) / 12.0)
+
+
+def _assert_matches_terms(got, terms, label):
+    """got equals the sum of ``terms`` up to 16 units of 2^-53 of their magnitude.
+
+    Both sides add the same terms in a different order, so they differ by a
+    few roundings of the largest partial sum; where the terms cancel (order
+    4 near x = 0.01 sums +-5e8 to 1e6) that is many ulps of the value itself.
+    """
+    want = sum(terms)
+    scale = np.maximum(1.0, sum(np.abs(t) for t in terms))
+    err = np.abs(got - want) / scale
+    assert err.max() <= 16 * 2.0 ** -53, (label, float(err.max()) / 2.0 ** -53)
+
+
+@pytest.mark.parametrize("alpha", [-2.0, 0.5, 0.75, 1.0])
+def test_thm21_is_the_q1_member_of_thm22(alpha):
+    for cid in ("thm2.1", "cor2.4"):
+        case = T.make_case(cid, alpha=alpha)
+        for k in range(5):
+            ref = _thm21_ladder(alpha, k, X_DENSE)
+            if cid == "cor2.4":
+                ref = ref + tuple(-t for t in _thm21_ladder(alpha, k, X_DENSE + 1.0))
+            _assert_matches_terms(case.deriv(k, X_DENSE), ref, (cid, k))
+
+
+@pytest.mark.parametrize("alpha,s", [(0.75, 0.1), (0.0, 0.1), (0.25, 0.1), (0.25, 0.9), (-0.05, 0.5)])
+def test_cor36_is_the_q1_member_of_cor35(alpha, s):
+    deriv = T.make_case("cor3.6", alpha=alpha, s=s).deriv
+    for k in range(5):
+        _assert_matches_terms(deriv(k, X_DENSE), _cor36_ladder(alpha, s, k, X_DENSE), k)
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 0.9, 0.99])
+def test_q_family_order_zero_and_one_are_the_old_groupings(q):
+    # h = x log(1-q) - alpha (-log(1-q^x)) + log Gamma_q + F(q^x)/log q and
+    # h' = log(1-q) + alpha m(x) + psi_q(x) + (-log(1-q^x)), as the families
+    # were first written; the regrouping must not shift either by a constant
+    lq, l1q, x = math.log(q), math.log1p(-q), X_DENSE
+    mt = measure_moment_over_t(x, q)
+    lgq = log_gamma_q(x, q, _REF_CFG).value
+    stir = (x * l1q, dilog_F(np.exp(x * lq), _REF_CFG).value / lq)
+    psq = psi_q(x, q, _REF_CFG).value
+    for alpha in (0.5, 1.0):
+        deriv = T.make_case("thm2.2", alpha=alpha, q=q).deriv
+        _assert_matches_terms(deriv(0, x), stir + (-alpha * mt, lgq), (alpha, 0))
+        _assert_matches_terms(deriv(1, x), (l1q, alpha * measure_moment(x, q), psq, mt), (alpha, 1))
+    alpha = 0.5
+    corr = (-psi_q_n(1, x + alpha, q, _REF_CFG).value / 12.0,
+            -psi_q_n(2, x + alpha, q, _REF_CFG).value / 12.0)
+    deriv = T.make_case("thm3.4", alpha=alpha, q=q).deriv
+    _assert_matches_terms(deriv(0, x), stir + (-0.5 * mt, lgq, corr[0]), "thm3.4 0")
+    _assert_matches_terms(deriv(1, x), (l1q, 0.5 * measure_moment(x, q), psq, mt, corr[1]), "thm3.4 1")
+
+
+@pytest.mark.parametrize("cid", ["thm2.2", "thm2.3", "thm2.6", "thm3.1", "thm3.4", "cor3.5"])
+def test_q_only_cases_reject_q1(cid):
+    with pytest.raises(DomainError, match="requires q < 1"):
+        T.make_case(cid, q=1.0)
