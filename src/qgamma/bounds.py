@@ -158,15 +158,11 @@ def q_sandwich(x, s, q, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundTriple:
     scalar = np.ndim(x) == 0 and np.ndim(s) == 0
     q = q if isinstance(q, QValue) else QValue(float(q))
     x, s = _real_args("q_sandwich", x, s, x_ok=lambda x, s: x > -s / 2.0, x_rule="x > -s/2")
-    if q.is_classical:
-        lower = (x + s / 2.0) ** (1.0 - s)
-        value = _gamma_ratio(x, s, cfg)
-        upper = np.exp((1.0 - s) * psi(x + (s + 1.0) / 2.0, cfg).value)
-    else:
-        lq = math.log(q.q)
-        lower = (-np.expm1((x + s / 2.0) * lq) / (1.0 - q.q)) ** (1.0 - s)
-        value = np.exp(log_gamma_q(x + 1.0, q, cfg).value - log_gamma_q(x + s, q, cfg).value)
-        upper = np.exp((1.0 - s) * psi_q(x + (s + 1.0) / 2.0, q, cfg).value)
+    y = x + s / 2.0
+    base = y if q.is_classical else -np.expm1(y * math.log(q.q)) / (1.0 - q.q)
+    lower = base ** (1.0 - s)
+    value = np.exp(log_gamma_q(x + 1.0, q, cfg).value - log_gamma_q(x + s, q, cfg).value)
+    upper = np.exp((1.0 - s) * psi_q(x + (s + 1.0) / 2.0, q, cfg).value)
     return _triple("q_sandwich", lower, value, upper, scalar)
 
 

@@ -130,7 +130,7 @@ def _emit(lines: list[str], output: str | None):
 
 
 def _eval_cfg(args, config) -> EvalConfig:
-    return EvalConfig(rel_tol=_pick(args.rel_tol, config, "rel_tol", 1e-12))
+    return EvalConfig(rel_tol=_pick(args.rel_tol, config, "rel_tol", EvalConfig.rel_tol))
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +246,13 @@ def _cmd_verify(args, config) -> int:
 
 def _cmd_scan_kernel(args, config) -> int:
     params = _case_overrides(args)
-    t_min = _pick(args.t_min, config, "t_min", 1e-4)
-    t_max = _pick(args.t_max, config, "t_max", 50.0)
-    t_points = _pick(args.t_points, config, "t_points", 2000)
-    grid = kernels.default_t_grid(t_min, t_max, t_points)
+    # a bound left unset by flag and config keeps default_t_grid's own default
+    picked = {
+        "t_min": _pick(args.t_min, config, "t_min", None),
+        "t_max": _pick(args.t_max, config, "t_max", None),
+        "points": _pick(args.t_points, config, "t_points", None),
+    }
+    grid = kernels.default_t_grid(**{k: v for k, v in picked.items() if v is not None})
     t, w, report = kernels.scan_kernel(args.kernel, params or None, grid)
     lines = ["row_type,key,value"]
     for ti, wi in zip(t, w):

@@ -330,51 +330,83 @@ def gamma(z, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
 def psi(x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     """Digamma at real x > 0: recurrence up by 10 then the Bernoulli asymptotic series."""
     xs = _checked("psi", x)
-    value = _psi_core(xs)
-    bound = _PSI_NEXT * (xs + _SHIFT) ** -18 + 1e-15 * np.maximum(1.0, np.abs(value))
+    value, ulps = _psi_core(xs)
+    bound = _PSI_NEXT * (xs + _SHIFT) ** -18 + ulps * _U
     return _result("psi", value, bound, _SHIFT + len(_PSI_COEF), cfg, np.shape(x))
 
 
-def _psi_core(x: np.ndarray) -> np.ndarray:
+_PSI_COEF_ABS = sum(abs(c) for c in _PSI_COEF)
+
+
+def _psi_core(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(psi(x), rounding budget in units of u): _TERM_ULPS per |term|, plus each partial sum."""
     w = x + _SHIFT
     rw = 1.0 / w
     rw2 = rw * rw  # not 1/(w*w), which overflows for |w| > 1.3e154
-    s = np.log(w) - 0.5 / w
+    log_w, half = np.log(w), 0.5 / w
+    s = log_w - half
     p = rw2
     for c in _PSI_COEF:
         s = s - c * p
         p = p * rw2
+    asymptotic = s
     for j in range(_SHIFT):
         s = s - 1.0 / (x + j)
-    return s
+    # |c_i| w^{-2i} <= |c_i| / w^2, and the positive recurrence terms add up to
+    # asymptotic - s.  The first 9 partial sums lie within |log w - 1/(2w)| +
+    # sum |c_i| / w^2 of 0; the last 10 fall monotonically from asymptotic to s.
+    tail = _PSI_COEF_ABS * rw2
+    terms = log_w + half + tail + (asymptotic - s)
+    partials = 9.0 * (np.abs(log_w - half) + tail)
+    partials = partials + _SHIFT * np.maximum(np.abs(asymptotic), np.abs(s))
+    return s, _TERM_ULPS * terms + partials
 
 
 _ZETA_DIRECT = 14
 _ZETA_OFFSETS = np.arange(_ZETA_DIRECT, dtype=float)[:, None]
 
 
-def _hurwitz_zeta_int(s: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """zeta(s, a) for integer s >= 2 by Euler-Maclaurin; returns (value, error bound).
+@functools.cache
+def _zeta_coefs(s: int) -> tuple[tuple[float, ...], float]:
+    """The correction coefficients B_2j/(2j)! (s)_{2j-1}, j = 1..M+1, and their size scale.
+
+    Each coefficient is rounded as its running product gives it.  Since
+    w >= 14, the scale sum_{j<=M} |coef_j| / 14^{2j-2} times w^{-s-1} bounds
+    the summed size of the M corrections.
+    """
+    coefs, rising, fact = [], float(s), 2.0  # (s)_{2j-1} rising factorial, (2j)!
+    for j, b in enumerate(_BERNOULLI, start=1):
+        coefs.append(b / fact * rising)
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+        fact *= (2 * j + 1) * (2 * j + 2)
+    scale = sum(abs(c) / _ZETA_DIRECT ** (2.0 * j - 2.0) for j, c in enumerate(coefs[:-1], start=1))
+    return tuple(coefs), scale
+
+
+def _hurwitz_zeta_int(s: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """zeta(s, a) for integer s >= 2 by Euler-Maclaurin: value, error bound, rounding ulps.
 
     The tail past K direct terms is the integral int_K (t+a)^{-s} dt refined by
     Bernoulli corrections; the remainder is below the first omitted correction.
+    Every term is a power of a rounded shift of a, so it carries _TERM_ULPS + s
+    ulps, a correction up to 4 more per factor 1/w^2 (32 in all).
     """
     w = _ZETA_DIRECT + a
     total = 0.0
     for p in (a + _ZETA_OFFSETS) ** -s:  # (k + a)^{-s}, added in order of k
         total = total + p
     total = total + (w ** (1 - s) / (s - 1) + 0.5 * w ** -s)
-    rising = float(s)  # (s)_{2j-1} rising factorial
-    fact = 2.0  # (2j)!
+    positive = total  # the sum of every term so far, all positive
+    (*coefs, last), scale = _zeta_coefs(s)
     wpow = w ** (-s - 1)
+    corr_size = scale * wpow  # the j-th correction has 1/w^{2j-2} <= 1/14^{2j-2}
     rw2 = 1.0 / (w * w)
-    for j, b in enumerate(_BERNOULLI[:-1], start=1):
-        total = total + b / fact * rising * wpow
-        rising *= (s + 2 * j - 1) * (s + 2 * j)
-        fact *= (2 * j + 1) * (2 * j + 2)
+    for c in coefs:
+        total = total + c * wpow
         wpow = wpow * rw2
-    bound = np.abs(_BERNOULLI[-1] / fact * rising * wpow)
-    return total, bound
+    # each of the 23 partial sums lies within positive + corr_size of 0
+    ulps = (_TERM_ULPS + s + 23) * positive + (_TERM_ULPS + s + 32 + 23) * corr_size
+    return total, np.abs(last * wpow), ulps
 
 
 @_quiet
@@ -387,11 +419,12 @@ def psi_n(n: int, x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     """
     n = _checked_order("psi_n", n)
     xs = _checked("psi_n", x)
-    zeta, zbound = _blocked(lambda b: _hurwitz_zeta_int(n + 1, b), xs)
+    zeta, zbound, ulps = _blocked(lambda b: _hurwitz_zeta_int(n + 1, b), xs)
     nf = math.factorial(n)
     sign = 1.0 if n % 2 == 1 else -1.0
     value = sign * nf * zeta
-    bound = nf * zbound + 1e-15 * np.maximum(1.0, np.abs(value))
+    # the scaling by n! adds one rounding; tiny powers may be subnormal
+    bound = nf * (zbound + ulps * _U + _UNDERFLOW_ERR) + np.abs(value) * _U
     return _result("psi_n", value, bound, _ZETA_DIRECT + len(_BERNOULLI), cfg, np.shape(x))
 
 
@@ -446,9 +479,8 @@ def _eulerian(k: int) -> tuple[float, ...]:
 def _one_minus_q_pow(e):
     """1 - q^t = -expm1(e) for e = t log q, without cancellation."""
     w = -np.expm1(e)
-    under = w == 0.0  # t log q underflowed: the q-series term is beyond float64
-    if np.any(under):
-        raise OverflowError(f"q-series term at t log q = {_first(e, under)} exceeds the float64 range")
+    if not w.all():  # some t log q underflowed: the q-series term is beyond float64
+        raise OverflowError(f"q-series term at t log q = {_first(e, w == 0.0)} exceeds the float64 range")
     return w
 
 
@@ -470,6 +502,8 @@ def _lambert(k: int, t, lq: float):
     e = t * lq
     w = _one_minus_q_pow(e)
     z = np.exp(e)
+    if k == 0:  # A_0 = 1 and rho^0 = 1: the same bits, without the Horner pass
+        return z / w
     return z * _horner(_eulerian(k), z) * (lq / w) ** k / w
 
 
@@ -526,11 +560,8 @@ def _q_polygamma(n: int, x: np.ndarray, lq: float):
     -log(1-q^T)/|log q|, which is merged with -log(1-q) into
     log((1-q^T)/(1-q)) so the two large logarithms near q = 1 do not cancel.
     """
-    t = x + _EM_OFFSETS  # row i holds x + i; inlined _lambert, all terms of one sign
-    e = t * lq
-    w = -np.expm1(e)
-    z = np.exp(e)
-    v = z * _horner(_eulerian(n), z) * (lq / w) ** n / w if n else z / w
+    t = x + _EM_OFFSETS  # row i holds x + i; all terms of one sign
+    v = _lambert(n, t, lq)
     # running sums in term order (accumulate never regroups, whatever the shape)
     running = np.add.accumulate(v, axis=0)
     direct = running[-1]
@@ -758,10 +789,10 @@ def log_gamma_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     the first omitted correction.  The bound adds a rounding term of a few u
     per |term| (see _TERM_ULPS), so it covers the whole error.
     """
-    xs = _checked("log_gamma_q", x)
     q = _coerce_q(q)
     if q.is_classical:
         return log_gamma(x, cfg)
+    xs = _checked("log_gamma_q", x)
     lq = _q_series_log_q(xs, q, cfg)
     value, trunc, ulps = _blocked(lambda b: _log_gamma_q_series(b, lq), xs)
     return _series_result("log_gamma_q", value, trunc, ulps, _EM_TERMS, cfg, np.shape(x))
@@ -791,10 +822,10 @@ def psi_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     omitted one.  The bound is that term plus a rounding term of a few u per
     |term| (see _TERM_ULPS), the merged prefix log((1-q^T)/(1-q)) included.
     """
-    xs = _checked("psi_q", x)
     q = _coerce_q(q)
     if q.is_classical:
         return psi(x, cfg)
+    xs = _checked("psi_q", x)
     lq = _q_series_log_q(xs, q, cfg)
     value, trunc, ulps = _blocked(lambda b: _q_polygamma(0, b, lq), xs)
     return _series_result("psi_q", value, trunc, ulps, _EM_TERMS, cfg, np.shape(x))
@@ -809,11 +840,11 @@ def psi_q_n(n: int, x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     tail integral -g^(n-1)(T); the bound is the first omitted Euler-Maclaurin
     correction plus a rounding term of a few u per |term|.
     """
-    n = _checked_order("psi_q_n", n)
-    xs = _checked("psi_q_n", x)
     q = _coerce_q(q)
     if q.is_classical:
         return psi_n(n, x, cfg)
+    n = _checked_order("psi_q_n", n)
+    xs = _checked("psi_q_n", x)
     lq = _q_series_log_q(xs, q, cfg)
     value, trunc, ulps = _blocked(lambda b: _q_polygamma(n, b, lq), xs)
     return _series_result("psi_q_n", value, trunc, ulps, _EM_TERMS, cfg, np.shape(x))

@@ -10,9 +10,12 @@ and the valid x-interval.  Case ids are stable strings used by the CLI and
 CSV reports; suffixes ``-pos`` / ``-neg`` / ``-low`` / ``-neither`` name the
 parameter branches of a theorem.
 
-Expected verdicts.  Each kernel-bearing case has a representation
-f' = orientation * int e^{-xt} w(t) d gamma_q(t) (f itself for thm3.1).  Its
-verdict is therefore read off the kernel's sign regime,
+One builder.  Each kernel-bearing case has a representation
+f' = orientation * int e^{-xt} w(t) d gamma_q(t) (f itself for thm3.1, whose
+claim includes order 0).  Its factory states the parameters, the derivative
+closure, the kernel id and the orientation once, in one ``_case`` call, with
+the weight of the mass sum and the x-interval rule; ``_case`` derives the
+rest.  The verdict is the kernel's sign regime,
 ``KERNELS[kernel_id].expected_sign`` (the table ``scan-kernel`` reports),
 times the orientation:
 
@@ -20,16 +23,9 @@ times the orientation:
     sign(w) * orientation < 0   ->  -f' CM
     w has one sign change       ->  neither
 
-    orientation  cases
-    -1           thm2.1, thm2.2, thm2.3, cor2.4, thm2.5, thm3.2, thm3.4,
-                 cor3.5, cor3.6
-    +1           thm2.6, thm3.1, thm4.1-mean, thm4.1-split
-
-The orientation is also the scale of the case's mass-sum representation.
-The ``thm3.4`` family (with ``cor3.5`` / ``cor3.6``) carries the algebraic
-factor (1-q^x)^{1/2}; with it (log g)' = -sum e^{-xt} p_alpha d gamma_q,
-verified numerically to high precision.  ``psi-prime`` has no kernel and
-states its verdict.
+The representation is the mass sum of the weight scaled by the orientation,
+at q < 1 only; the grid follows from the start of the x-interval.
+``psi-prime`` has no kernel and states its verdict.
 
 Families.  Each theorem has one derivative closure, written in the q-pieces
 of ``_Q`` (log Gamma_q, psi_q and its derivatives, the first moment, log(1-q^x),
@@ -42,20 +38,14 @@ log g(x+s) - log g(x+1).  The q-only factories reject q = 1 themselves.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .cmcheck import (
-    CMReport,
-    DEFAULT_TOL_ABS,
-    DEFAULT_TOL_REL,
-    GridSpec,
-    VIOLATES,
-    check_cm,
-)
+from .cmcheck import CMReport, DEFAULT_TOL_ABS, DEFAULT_TOL_REL, GridSpec, VIOLATES, check_cm
 from .kernels import (
     KERNELS,
     NEGATIVE,
@@ -113,19 +103,14 @@ class TheoremCase:
     """One registered branch of a monotonicity theorem."""
 
     id: str
-    theorem: str
     params: dict
-    param_domain: str
     interval: str
     x_start: float
     expected: str
     deriv: Callable[[int, np.ndarray], np.ndarray]  # k-th derivative of f, any k >= 0, elementwise
     grid: GridSpec
     kernel_id: str = ""
-    representation: Callable[[float], float] | None = None
-    rep_target: str = "fprime"  # which object the representation reproduces
-    include_order_zero: bool = False
-    notes: str = ""
+    representation: Callable[[float], float] | None = None  # f' (f for "f CM") by the kernel
 
     def directions(self) -> list[tuple[str, int, int]]:
         """(label, sign, base-derivative-order) of each direction to test."""
@@ -185,7 +170,7 @@ def verify_case(
             tol_abs=tol_abs,
             tol_rel=tol_rel,
             derivs=derivs,
-            include_order_zero=case.include_order_zero,
+            include_order_zero=case.expected == F_CM,
             case_id=f"{case.id}[{label}]",
         )
     if case.expected == NEITHER:
@@ -254,14 +239,8 @@ class _Q:
 _MASS_SUM_CAP = 400_000
 
 
-def _mass_sum(
-    x: float,
-    q: float,
-    w: Callable[[np.ndarray], np.ndarray],
-    sigma: float = 0.0,
-    rho: bool = False,
-    scale: float = 1.0,
-) -> float:
+def _mass_sum(x: float, q: float, w: Callable[[np.ndarray], np.ndarray], sigma: float = 0.0,
+              rho: bool = False, scale: float = 1.0) -> float:
     """scale * sum_k (-log q) e^{-(x+sigma) t_k} [rho(t_k)] w(t_k), t_k = -k log q.
 
     The independent route for checking a case's analytic derivative against its
@@ -301,34 +280,63 @@ def _default_grid(x_start: float) -> GridSpec:
     return GridSpec(lo, lo + 15.0, 21, "linear")
 
 
+def _kernel_sign(kernel_id: str, params: dict) -> str:
+    """The kernel's sign regime at the case parameters it takes, as ``scan-kernel`` reports it."""
+    kern = KERNELS[kernel_id]
+    return kern.expected_sign(**{k: params[k] for k in kern.defaults})
+
+
 # (sign of w times orientation, object the representation gives) -> verdict
 _VERDICTS = {(1, "fprime"): F_PRIME_CM, (-1, "fprime"): NEG_F_PRIME_CM, (1, "f"): F_CM}
 
 
 def _regime_verdict(kernel_id: str, params: dict, orientation: int, target: str = "fprime") -> str:
     """The verdict implied by the kernel's sign regime and the case's orientation."""
-    kern = KERNELS[kernel_id]
-    sign = kern.expected_sign(**{k: params[k] for k in kern.defaults})
+    sign = _kernel_sign(kernel_id, params)
     if sign == ONE_SIGN_CHANGE:
         return NEITHER
     return _VERDICTS[({POSITIVE: 1, NEGATIVE: -1}[sign] * orientation, target)]
 
 
-def _case_thm21(case_id: str, alpha: float = 0.5) -> TheoremCase:
-    params = {"alpha": alpha}
+def _case(case_id: str, params: dict, deriv, kernel_id: str, orientation: int,
+          weight: Callable[[np.ndarray], np.ndarray] | None = None, sigma: float = 0.0,
+          rho: bool = False, x_start: float = 0.0, interval: str = "(0, inf)",
+          grid: GridSpec | None = None, target: str = "fprime") -> TheoremCase:
+    """A kernel-bearing case: its ``target``, f' or f, is orientation * int e^{-xt} w(t) d gamma_q.
+
+    The expected verdict is the kernel's sign regime times the orientation;
+    the representation is the mass sum of ``weight`` (w times any factor of
+    the composition) scaled by the orientation at the case's q, None at q = 1
+    or without a weight; the grid defaults to the one for ``x_start``.
+    """
+    q = float(params.get("q", 1.0))
+    rep = None
+    if weight is not None and q < 1.0:
+        rep = lambda x: _mass_sum(x, q, weight, sigma, rho, scale=orientation)
     return TheoremCase(
         id=case_id,
-        theorem="thm2.1",
         params=params,
-        param_domain="alpha real; -h' CM for alpha <= 1/2, h' CM for alpha >= 1, neither between",
-        interval="(0, inf)",
-        x_start=0.0,
-        expected=_regime_verdict("thm2.1", params, -1),
-        deriv=_thm22_family(alpha, 1.0),
-        grid=_default_grid(0.0),
-        kernel_id="thm2.1",
-        notes="h(x) = log[x^alpha Gamma(x) (e/x)^x]; classical q = 1",
+        interval=interval,
+        x_start=x_start,
+        expected=_regime_verdict(kernel_id, params, orientation, target),
+        deriv=deriv,
+        grid=grid or _default_grid(x_start),
+        kernel_id=kernel_id,
+        representation=rep,
     )
+
+
+def _q_only(theorem: str, q: float) -> _Q:
+    """The primitives at q for a theorem stated for 0 < q < 1 only."""
+    P = _Q(q)
+    if P.classical:
+        raise DomainError(f"{theorem} requires q < 1")
+    return P
+
+
+def _difference(deriv, a: float, b: float):
+    """Derivatives of the difference composition h(x + a) - h(x + b) of a family h."""
+    return lambda k, x: deriv(k, x + a) - deriv(k, x + b)
 
 
 def _thm22_family(alpha: float, q: float):
@@ -348,69 +356,26 @@ def _thm22_family(alpha: float, q: float):
     return deriv
 
 
+def _case_thm21(case_id: str, alpha: float = 0.5) -> TheoremCase:
+    return _case(case_id, {"alpha": alpha}, _thm22_family(alpha, 1.0), "thm2.1", -1)
+
+
 def _case_thm22(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase:
-    P = _Q(q)
-    if P.classical:
-        raise DomainError("thm2.2 requires q < 1")
-    params, orientation = {"alpha": alpha, "q": q}, -1
-    rep = lambda x: _mass_sum(x, P.q, lambda t: kernel_thm21(alpha, t), scale=orientation)
-    return TheoremCase(
-        id=case_id,
-        theorem="thm2.2",
-        params=params,
-        param_domain="0 < q < 1; -h' CM for alpha <= 1/2, h' CM for alpha >= 1",
-        interval="(0, inf)",
-        x_start=0.0,
-        expected=_regime_verdict("thm2.1", params, orientation),
-        deriv=_thm22_family(alpha, q),
-        grid=_default_grid(0.0),
-        kernel_id="thm2.1",
-        representation=rep,
-        notes="q-analogue of thm2.1 with the dilogarithm-series factor",
-    )
+    _q_only("thm2.2", q)
+    return _case(case_id, {"alpha": alpha, "q": q}, _thm22_family(alpha, q), "thm2.1", -1,
+                 weight=lambda t: kernel_thm21(alpha, t))
 
 
 def _case_thm23(case_id: str, alpha: float = 0.5, a: float = 1.0, q: float = 0.5) -> TheoremCase:
-    P = _Q(q)
-    if P.classical:
-        raise DomainError("thm2.3 requires q < 1")
-    base_d = _thm22_family(alpha, q)
-    params, orientation = {"alpha": alpha, "a": a, "q": q}, -1
-    rep = lambda x: _mass_sum(
-        x, P.q, lambda t: (-np.expm1(-a * t)) * kernel_thm21(alpha, t), scale=orientation
-    )
-    return TheoremCase(
-        id=case_id,
-        theorem="thm2.3",
-        params=params,
-        param_domain="0 < q < 1, a > 0; -H' CM for alpha <= 1/2, H' CM for alpha >= 1",
-        interval="(0, inf)",
-        x_start=0.0,
-        expected=_regime_verdict("thm2.1", params, orientation),
-        deriv=lambda k, x: base_d(k, x) - base_d(k, x + a),
-        grid=_default_grid(0.0),
-        kernel_id="thm2.1",
-        representation=rep,
-        notes="difference composition H(x) = h(x) - h(x+a) of the thm2.2 family",
-    )
+    _q_only("thm2.3", q)
+    return _case(case_id, {"alpha": alpha, "a": a, "q": q},
+                 _difference(_thm22_family(alpha, q), 0.0, a), "thm2.1", -1,
+                 weight=lambda t: (-np.expm1(-a * t)) * kernel_thm21(alpha, t))
 
 
 def _case_cor24(case_id: str, alpha: float = 0.75, a: float = 1.0) -> TheoremCase:
-    base_d = _thm22_family(alpha, 1.0)
-    params = {"alpha": alpha, "a": a}
-    return TheoremCase(
-        id=case_id,
-        theorem="cor2.4",
-        params=params,
-        param_domain="a > 0; -H' CM for alpha <= 1/2, H' CM for alpha >= 1, neither between",
-        interval="(0, inf)",
-        x_start=0.0,
-        expected=_regime_verdict("thm2.1", params, -1),
-        deriv=lambda k, x: base_d(k, x) - base_d(k, x + a),
-        grid=_default_grid(0.0),
-        kernel_id="thm2.1",
-        notes="classical difference composition of thm2.1; neither branch at alpha = 0.75",
-    )
+    return _case(case_id, {"alpha": alpha, "a": a},
+                 _difference(_thm22_family(alpha, 1.0), 0.0, a), "thm2.1", -1)
 
 
 def _case_thm25(
@@ -425,104 +390,57 @@ def _case_thm25(
             return (a - b) * P.log_scale(x + c) + P.lg(x + b) - P.lg(x + a)
         return (a - b) * P.mom(k - 1, x + c) + P.ps(k - 1, x + b) - P.ps(k - 1, x + a)
 
-    params, orientation = {"a": a, "b": b, "c": c, "q": q}, -1
-    expected = _regime_verdict("thm2.5", params, orientation)
-    x_start, interval = {
-        NEG_F_PRIME_CM: (-c, "(-c, inf)"),
-        F_PRIME_CM: (-a, "(-a, inf)"),
-        NEITHER: (-min(a, c), "(-min(a,c), inf)"),
-    }[expected]
-    rep = None
-    if not P.classical:
-        rep = lambda x: _mass_sum(x, P.q, lambda t: kernel_thm25(a, b, c, t), scale=orientation)
-    return TheoremCase(
-        id=case_id,
-        theorem="thm2.5",
-        params=params,
-        param_domain="a < b <= a+1; -(log g)' CM on (-c, inf) for 0 <= c <= (a+b-1)/2, "
-        "(log g)' CM on (-a, inf) for c >= a >= 0",
-        interval=interval,
-        x_start=x_start,
-        expected=expected,
-        deriv=deriv,
-        grid=_default_grid(x_start),
-        kernel_id="thm2.5",
-        representation=rep,
-    )
+    params = {"a": a, "b": b, "c": c, "q": q}
+    x_start, interval = {  # -(log g)' CM on (-c, inf), (log g)' CM on (-a, inf)
+        POSITIVE: (-c, "(-c, inf)"),
+        NEGATIVE: (-a, "(-a, inf)"),
+        ONE_SIGN_CHANGE: (-min(a, c), "(-min(a,c), inf)"),
+    }[_kernel_sign("thm2.5", params)]
+    return _case(case_id, params, deriv, "thm2.5", -1, weight=lambda t: kernel_thm25(a, b, c, t),
+                 x_start=x_start, interval=interval)
 
 
 def _case_thm26(case_id: str, a: float = 1.5, q: float = 0.5) -> TheoremCase:
     if a < 1.0:
         raise DomainError(f"thm2.6 requires a >= 1, got {a!r}")
-    P = _Q(q)
-    if P.classical:
-        raise DomainError("thm2.6 requires q < 1")
+    P = _q_only("thm2.6", q)
 
     def deriv(k, x):
         if k == 0:
             return a * P.log_scale(x) + P.lg(x) - P.lg(x + a)
         return a * P.mom(k - 1, x) + P.ps(k - 1, x) - P.ps(k - 1, x + a)
 
-    params, orientation = {"a": a, "q": q}, 1
-    rep = lambda x: _mass_sum(
-        x, P.q, lambda t: kernel_thm26(a, t), sigma=(a - 1.0) / 2.0, scale=orientation
-    )
-    return TheoremCase(
-        id=case_id,
-        theorem="thm2.6",
-        params=params,
-        param_domain="0 < q < 1; h' CM on (0, inf) for a >= 1",
-        interval="(0, inf)",
-        x_start=0.0,
-        expected=_regime_verdict("thm2.6", params, orientation),
-        deriv=deriv,
-        grid=_default_grid(0.0),
-        kernel_id="thm2.6",
-        representation=rep,
-    )
+    return _case(case_id, {"a": a, "q": q}, deriv, "thm2.6", 1,
+                 weight=lambda t: kernel_thm26(a, t), sigma=(a - 1.0) / 2.0)
 
 
 def _case_thm31(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase:
+    """f(x) = psi_q(x) - psi_{q^{1/alpha}}(alpha x), claimed CM including order 0.
+
+    Its representation gives f itself, not f'.  The two -log(1-.) constants
+    of the psi_q series do not cancel: the integral of the bracket reproduces
+    f only up to the positive constant log((1-q^{1/alpha})/(1-q)), which
+    leaves every monotonicity conclusion (order 0 included) intact.
+    """
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"thm3.1 requires 0 < alpha < 1, got {alpha!r}")
-    P = _Q(q)
-    if P.classical:
-        raise DomainError("thm3.1 requires q < 1")
+    P = _q_only("thm3.1", q)
     P2 = _Q(P.q ** (1.0 / alpha))
 
     def deriv(k, x):
         return P.ps(k, x) - alpha ** k * P2.ps(k, alpha * x)
 
-    # The two -log(1-.) constants of the psi_q series do not cancel: the
-    # integral of the bracket reproduces f only up to the positive constant
-    # log((1-q^{1/alpha})/(1-q)), which leaves every monotonicity conclusion
-    # (order 0 included) intact.
+    case = _case(case_id, {"alpha": alpha, "q": q}, deriv, "thm3.1", 1,
+                 weight=lambda t: kernel_thm31(alpha, t) / alpha, target="f")
     const = math.log(-math.expm1(math.log(P.q) / alpha)) - math.log1p(-P.q)
-    params, orientation = {"alpha": alpha, "q": q}, 1
-    rep = lambda x: const + _mass_sum(
-        x, P.q, lambda t: kernel_thm31(alpha, t), scale=orientation / alpha
-    )
-    return TheoremCase(
-        id=case_id,
-        theorem="thm3.1",
-        params=params,
-        param_domain="0 < alpha < 1, 0 < q < 1",
-        interval="(0, inf)",
-        x_start=0.0,
-        expected=_regime_verdict("thm3.1", params, orientation, target="f"),
-        deriv=deriv,
-        grid=_default_grid(0.0),
-        kernel_id="thm3.1",
-        representation=rep,
-        rep_target="f",
-        include_order_zero=True,
-        notes="f(x) = psi_q(x) - psi_{q^{1/alpha}}(alpha x); CM including order 0",
-    )
+    rep = case.representation
+    return dataclasses.replace(case, representation=lambda x: const + rep(x))
 
 
 def _case_thm32(
     case_id: str, a: float = 0.5, b: float = 1.0, c: float = 0.75, q: float = 0.5
 ) -> TheoremCase:
+    """h = log of Gamma_q(x+a)/Gamma_q(x+b) exp[(b-a) psi_q(x+c)]."""
     if not (0.0 < a < b):
         raise DomainError(f"thm3.2 requires 0 < a < b, got a={a}, b={b}")
     P = _Q(q)
@@ -532,41 +450,23 @@ def _case_thm32(
             return P.lg(x + a) - P.lg(x + b) + (b - a) * P.ps(0, x + c)
         return P.ps(k - 1, x + a) - P.ps(k - 1, x + b) + (b - a) * P.ps(k, x + c)
 
-    params, orientation = {"a": a, "b": b, "c": c, "q": q}, -1
-    expected = _regime_verdict("thm3.2", params, orientation)
-    x_start, interval = (-c, "(-c, inf)") if expected == F_PRIME_CM else (-a, "(-a, inf)")
-    rep = None
-    if not P.classical:
-        rep = lambda x: _mass_sum(
-            x,
-            P.q,
-            lambda t: kernel_thm32(a, b, c, t),
-            sigma=(a + b) / 2.0,
-            rho=True,
-            scale=orientation,
-        )
-    return TheoremCase(
-        id=case_id,
-        theorem="thm3.2",
-        params=params,
-        param_domain="0 < a < b, 0 < q <= 1; -h' CM on (-a, inf) for c >= (a+b)/2, "
-        "h' CM on (-c, inf) for c <= a, neither for a < c < (a+b)/2",
-        interval=interval,
-        x_start=x_start,
-        expected=expected,
-        deriv=deriv,
-        grid=_default_grid(x_start),
-        kernel_id="thm3.2",
-        representation=rep,
-        notes="h = log of Gamma_q(x+a)/Gamma_q(x+b) exp[(b-a) psi_q(x+c)]",
+    params = {"a": a, "b": b, "c": c, "q": q}
+    # h' CM on (-c, inf); -h' CM and neither on (-a, inf)
+    x_start, interval = (
+        (-c, "(-c, inf)") if _kernel_sign("thm3.2", params) == NEGATIVE else (-a, "(-a, inf)")
     )
+    return _case(case_id, params, deriv, "thm3.2", -1, weight=lambda t: kernel_thm32(a, b, c, t),
+                 sigma=(a + b) / 2.0, rho=True, x_start=x_start, interval=interval)
 
 
 def _thm34_family(alpha: float, q: float):
     """log g(x) = x log(1-q) + log(1-q^x)/2 + log Gamma_q(x) + F(q^x)/log q - psi_q'(x+alpha)/12.
 
-    At q = 1 this is x - x log x + log(x)/2 + log Gamma(x) - psi'(x+alpha)/12,
-    the function whose differences cor3.6 tests.
+    The (1-q^x)^{1/2} factor and the orientation follow the kernel
+    representation (log g)' = -sum e^{-xt} p_alpha d gamma_q, verified
+    numerically to high precision.  At q = 1 this is
+    x - x log x + log(x)/2 + log Gamma(x) - psi'(x+alpha)/12, the function
+    whose differences cor3.6 tests.
     """
     P = _Q(q)
 
@@ -586,156 +486,74 @@ def _thm34_family(alpha: float, q: float):
 
 
 def _case_thm34(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase:
-    P = _Q(q)
-    if P.classical:
-        raise DomainError("thm3.4 requires q < 1")
-    x_start = max(0.0, -alpha)
-    params, orientation = {"alpha": alpha, "q": q}, -1
-    rep = lambda x: _mass_sum(x, P.q, lambda t: kernel_thm34(alpha, t), scale=orientation)
-    return TheoremCase(
-        id=case_id,
-        theorem="thm3.4",
-        params=params,
-        param_domain="0 < q < 1; -(log g)' CM for alpha >= 1/2, (log g)' CM for alpha <= 0",
-        interval="(max(0,-alpha), inf)",
-        x_start=x_start,
-        expected=_regime_verdict("thm3.4", params, orientation),
-        deriv=_thm34_family(alpha, q),
-        grid=_default_grid(x_start),
-        kernel_id="thm3.4",
-        representation=rep,
-        notes="g(x) = (1-q)^x (1-q^x)^{1/2} Gamma_q(x) exp[F(q^x)/log q - psi_q'(x+alpha)/12]; "
-        "the (1-q^x)^{1/2} factor and the CM orientation follow the kernel "
-        "representation (log g)' = -sum e^{-xt} p_alpha d gamma_q",
-    )
+    _q_only("thm3.4", q)
+    return _case(case_id, {"alpha": alpha, "q": q}, _thm34_family(alpha, q), "thm3.4", -1,
+                 weight=lambda t: kernel_thm34(alpha, t), x_start=max(0.0, -alpha),
+                 interval="(max(0,-alpha), inf)")
 
 
-def _case_cor35(
-    case_id: str, alpha: float = 0.75, s: float = 0.1, q: float = 0.5
-) -> TheoremCase:
+def _case_thm34_ratio(case_id: str, theorem: str, params: dict) -> TheoremCase:
+    """log f for f = g_alpha(x+s)/g_alpha(x+1), the difference composition of thm3.4's log g.
+
+    cor3.5 takes g with Gamma_q; cor3.6, its classical limit, takes it with
+    the gamma function and has no q.
+    """
+    alpha, s = params["alpha"], params["s"]
     if not (0.0 < s < 1.0):
-        raise DomainError(f"cor3.5 requires 0 < s < 1, got {s!r}")
-    P = _Q(q)
-    if P.classical:
-        raise DomainError("cor3.5 requires q < 1")
-    base_d = _thm34_family(alpha, q)
+        raise DomainError(f"{theorem} requires 0 < s < 1, got {s!r}")
+    q = _q_only(theorem, params["q"]).q if "q" in params else 1.0
     x_start = max(0.0, -alpha - s)
-    params, orientation = {"alpha": alpha, "s": s, "q": q}, -1
-    rep = lambda x: _mass_sum(
-        x,
-        P.q,
-        lambda t: (np.exp(-s * t) - np.exp(-t)) * kernel_thm34(alpha, t),
-        scale=orientation,
-    )
     grid = GridSpec(max(x_start + 0.05, 0.05), 15.0, 21, "geometric", (0.125, 0.5, 1.0, 2.0), 8)
-    return TheoremCase(
-        id=case_id,
-        theorem="cor3.5",
-        params=params,
-        param_domain="0 < q < 1, 0 < s < 1; -(log f)' CM for alpha >= 1/2, "
-        "(log f)' CM for alpha <= 0, neither for 0 < alpha < 1/2",
-        interval="(max(0,-alpha-s), inf)",
-        x_start=x_start,
-        expected=_regime_verdict("thm3.4", params, orientation),
-        deriv=lambda k, x: base_d(k, x + s) - base_d(k, x + 1.0),
-        grid=grid,
-        kernel_id="thm3.4",
-        representation=rep,
-        notes="f = g_alpha(x+s)/g_alpha(x+1), difference composition of thm3.4",
-    )
+    return _case(case_id, params, _difference(_thm34_family(alpha, q), s, 1.0), "thm3.4", -1,
+                 weight=lambda t: (np.exp(-s * t) - np.exp(-t)) * kernel_thm34(alpha, t),
+                 x_start=x_start, interval="(max(0,-alpha-s), inf)", grid=grid)
+
+
+def _case_cor35(case_id: str, alpha: float = 0.75, s: float = 0.1, q: float = 0.5) -> TheoremCase:
+    return _case_thm34_ratio(case_id, "cor3.5", {"alpha": alpha, "s": s, "q": q})
 
 
 def _case_cor36(case_id: str, alpha: float = 0.75, s: float = 0.1) -> TheoremCase:
-    if not (0.0 < s < 1.0):
-        raise DomainError(f"cor3.6 requires 0 < s < 1, got {s!r}")
-    base_d = _thm34_family(alpha, 1.0)
-    x_start = max(0.0, -alpha - s)
-    params = {"alpha": alpha, "s": s}
-    grid = GridSpec(max(x_start + 0.05, 0.05), 15.0, 21, "geometric", (0.125, 0.5, 1.0, 2.0), 8)
-    return TheoremCase(
-        id=case_id,
-        theorem="cor3.6",
-        params=params,
-        param_domain="0 < s < 1; -(log f)' CM for alpha >= 1/2, (log f)' CM for "
-        "alpha <= 0, neither for 0 < alpha < 1/2",
-        interval="(max(0,-alpha-s), inf)",
-        x_start=x_start,
-        expected=_regime_verdict("thm3.4", params, -1),
-        deriv=lambda k, x: base_d(k, x + s) - base_d(k, x + 1.0),
-        grid=grid,
-        kernel_id="thm3.4",
-        notes="classical limit of cor3.5 with the gamma function (not Gamma_q) in the ratio",
-    )
+    return _case_thm34_ratio(case_id, "cor3.6", {"alpha": alpha, "s": s})
 
 
-def _case_thm41(case_id: str, variant: str, a_list=(0.5, 1.5), q: float = 0.5) -> TheoremCase:
+def _case_thm41(case_id: str, kernel_id: str, a_list=(0.5, 1.5), q: float = 0.5) -> TheoremCase:
+    """log of prod Gamma_q(x+a_i) / Gamma_q(x+abar)^n (mean) or, for split,
+    log of prod Gamma_q(x+a_i) / (Gamma_q(x)^{n-1} Gamma_q(x+sum a_i))."""
     a = tuple(float(v) for v in a_list)
     if not a or any(v <= 0.0 for v in a):
         raise DomainError(f"thm4.1 requires positive a_list, got {a_list!r}")
     P = _Q(q)
     n = len(a)
-    abar = sum(a) / n
-    total = sum(a)
+    kernel, denominator = {  # (power, shift) of each Gamma_q(x + shift) below the ratio
+        "thm4.1-mean": (kernel_thm41_mean, ((n, sum(a) / n),)),
+        "thm4.1-split": (kernel_thm41_split, ((n - 1, 0.0), (1, sum(a)))),
+    }[kernel_id]
 
-    if variant == "mean":
-        def deriv(k, x):
-            if k == 0:
-                return sum(P.lg(x + ai) for ai in a) - n * P.lg(x + abar)
-            return sum(P.ps(k - 1, x + ai) for ai in a) - n * P.ps(k - 1, x + abar)
+    def deriv(k, x):
+        f = P.lg if k == 0 else lambda y: P.ps(k - 1, y)
+        out = sum(f(x + ai) for ai in a)
+        for power, shift in denominator:
+            out = out - power * f(x + shift)
+        return out
 
-        kernel_fn = lambda t: kernel_thm41_mean(a, t)
-        notes = "ratio prod Gamma_q(x+a_i) / Gamma_q(x+abar)^n"
-    elif variant == "split":
-        def deriv(k, x):
-            if k == 0:
-                return sum(P.lg(x + ai) for ai in a) - (n - 1) * P.lg(x) - P.lg(x + total)
-            return (
-                sum(P.ps(k - 1, x + ai) for ai in a)
-                - (n - 1) * P.ps(k - 1, x)
-                - P.ps(k - 1, x + total)
-            )
-
-        kernel_fn = lambda t: kernel_thm41_split(a, t)
-        notes = "ratio prod Gamma_q(x+a_i) / (Gamma_q(x)^{n-1} Gamma_q(x+sum a_i))"
-    else:
-        raise DomainError(f"unknown thm4.1 variant {variant!r}")
-
-    params, orientation = {"a_list": a, "q": q}, 1
-    kernel_id = f"thm4.1-{variant}"
-    rep = None
-    if not P.classical:
-        rep = lambda x: _mass_sum(x, P.q, kernel_fn, rho=True, scale=orientation)
-    return TheoremCase(
-        id=case_id,
-        theorem="thm4.1",
-        params=params,
-        param_domain="a_i > 0, 0 < q <= 1; both log-derivative directions CM on (0, inf)",
-        interval="(0, inf)",
-        x_start=0.0,
-        expected=_regime_verdict(kernel_id, params, orientation),
-        deriv=deriv,
-        grid=_default_grid(0.0),
-        kernel_id=kernel_id,
-        representation=rep,
-        notes=notes,
-    )
+    return _case(case_id, {"a_list": a, "q": q}, deriv, kernel_id, 1,
+                 weight=lambda t: kernel(a, t), rho=True)
 
 
 def _case_psi_prime(case_id: str = "psi-prime") -> TheoremCase:
+    """psi'(x) = sum_k (k+x)^{-2} is completely monotonic; with no kernel, the verdict is stated."""
     def deriv(k, x):
         return psi(x, _CASE_CONFIG).value if k == 0 else psi_n(k, x, _CASE_CONFIG).value
 
     return TheoremCase(
         id=case_id,
-        theorem="psi-prime",
         params={},
-        param_domain="none",
         interval="(0, inf)",
         x_start=0.0,
         expected=F_PRIME_CM,
         deriv=deriv,
         grid=GridSpec(0.1, 20.0, 25, "geometric"),
-        notes="psi'(x) = sum_k (k+x)^{-2} is completely monotonic",
     )
 
 
@@ -769,11 +587,11 @@ _FACTORIES: dict[str, tuple[Callable[..., TheoremCase], dict]] = {
     "cor3.6-low": (_case_cor36, {"alpha": 0.0, "s": 0.1}),
     "cor3.6-neither": (_case_cor36, {"alpha": 0.25, "s": 0.1}),
     "thm4.1-mean": (
-        lambda case_id, **kw: _case_thm41(case_id, "mean", **kw),
+        lambda case_id, **kw: _case_thm41(case_id, "thm4.1-mean", **kw),
         {"a_list": (0.5, 1.5), "q": 0.5},
     ),
     "thm4.1-split": (
-        lambda case_id, **kw: _case_thm41(case_id, "split", **kw),
+        lambda case_id, **kw: _case_thm41(case_id, "thm4.1-split", **kw),
         {"a_list": (0.5, 1.5), "q": 0.5},
     ),
     "psi-prime": (lambda case_id, **kw: _case_psi_prime(case_id), {}),

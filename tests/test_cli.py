@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import os
+import shlex
 import warnings
 
 import pytest
@@ -355,3 +356,40 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("nonsense=1\n")
     assert run(capsys, "--config", str(cfg), "eval", "psi", "--x", "1")[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# the README's examples are the contract
+# ---------------------------------------------------------------------------
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+
+
+def _readme_block(heading, lang):
+    """The first ```lang block after the README line ``heading``."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    after = text[text.index(heading + "\n"):]
+    start = after.index(f"```{lang}\n") + len(lang) + 4
+    return after[start:after.index("```", start)]
+
+
+def _readme_commands():
+    lines = _readme_block("## Command line", "sh").splitlines()
+    return [shlex.split(line.split("#")[0]) for line in lines if line.strip()]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: " ".join(argv[1:3]))
+def test_readme_command_line_examples_run(capsys, tmp_path, argv):
+    assert argv[0] == "qgamma"
+    argv = argv[1:]
+    if "--output" in argv:
+        del argv[argv.index("--output"):argv.index("--output") + 2]
+    code = main(argv + ["--output", str(tmp_path / "report.csv")])
+    capsys.readouterr()
+    assert code == 0, argv
+    assert (tmp_path / "report.csv").stat().st_size > 0
+
+
+def test_readme_library_quick_reference_runs():
+    exec(compile(_readme_block("## Library quick reference", "python"), README, "exec"), {})

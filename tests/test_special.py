@@ -541,6 +541,19 @@ def test_log_gamma_within_bounds_against_oracle():
             assert err <= res.abs_error_bound, (z, float(err), res.abs_error_bound)
 
 
+def test_psi_within_bounds_against_oracle():
+    # psi at 2.4966... and psi_n(3, 0.00388735) exceeded the fixed rounding
+    # term 1e-15 max(1, |value|) the bound once had
+    xs = list(np.linspace(0.0, 5.0, 37)[1:]) + list(np.geomspace(1e-3, 170.0, 40))
+    xs += [2.496636486606825, 0.00388735]
+    with mp.workdps(40):
+        for x in xs:
+            _assert_within_bound(sp.psi(float(x)), mp.psi(0, mp.mpf(float(x))), ("psi", x))
+            for n in range(1, 6):
+                res = sp.psi_n(n, float(x))
+                _assert_within_bound(res, mp.psi(n, mp.mpf(float(x))), ("psi_n", n, x))
+
+
 def test_q_series_cost_does_not_depend_on_q():
     near_one = 1.0 - 1e-6
     for x in (0.05, 1.3, 30.0):

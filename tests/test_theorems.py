@@ -55,7 +55,8 @@ def test_registry_documented_branches():
     assert thm25.expected == T.NEG_F_PRIME_CM
     cor24 = by_id["cor2.4"]
     assert cor24.expected == T.NEITHER and cor24.params["alpha"] == 0.75
-    assert by_id["thm3.1"].include_order_zero
+    assert by_id["thm3.1"].expected == T.F_CM
+    assert 0 in T.verify_case(by_id["thm3.1"]).reports["f"].per_order_worst
     assert by_id["thm3.2-neither"].expected == T.NEITHER
     assert by_id["thm4.1-mean"].expected == T.NEG_F_PRIME_CM
     assert by_id["thm4.1-split"].expected == T.F_PRIME_CM
@@ -88,7 +89,7 @@ def test_case_default_params_exposed():
 )
 def test_mass_sum_matches_analytic_derivative(cid):
     case = T.make_case(cid)
-    order = 0 if case.rep_target == "f" else 1
+    order = 0 if case.expected == T.F_CM else 1
     for x in X_PROBE:
         want = case.deriv(order, x)
         got = case.representation(x)
