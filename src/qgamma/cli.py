@@ -184,6 +184,11 @@ def _case_overrides(args) -> dict:
     return out
 
 
+def _flags(keys) -> str:
+    """Parameter names as the flags that set them: a_list -> --a-list."""
+    return ", ".join("--" + k.replace("_", "-") for k in keys)
+
+
 def _grid_override(args, base: GridSpec) -> GridSpec:
     fields = {}
     if args.x_min is not None:
@@ -213,14 +218,22 @@ def _cmd_verify(args, config) -> int:
         if not selected:
             raise DomainError(f"selector {selector!r} matches no registered case")
     overrides = _case_overrides(args)
+    accepted = {cid: theorems.case_default_params(cid) for cid in selected}
+    # a flag applies to the selected cases that take it; one that none takes is an error
+    taken = dict.fromkeys(k for params in accepted.values() for k in params)
+    foreign = [k for k in overrides if k not in taken]
+    if foreign:
+        raise DomainError(
+            f"no case selected by {selector!r} takes {_flags(foreign)}; "
+            f"the selection accepts {_flags(taken) or 'no parameter flag'}"
+        )
     tol_abs = _pick(args.tol_abs, config, "tol_abs", DEFAULT_TOL_ABS)
     tol_rel = _pick(args.tol_rel, config, "tol_rel", DEFAULT_TOL_REL)
 
     rows = []
     all_match = True
     for cid in selected:
-        accepted = set(theorems.case_default_params(cid))
-        case = theorems.make_case(cid, **{k: v for k, v in overrides.items() if k in accepted})
+        case = theorems.make_case(cid, **{k: v for k, v in overrides.items() if k in accepted[cid]})
         grid = _grid_override(args, case.grid)
         ver = theorems.verify_case(case, grid=grid, tol_abs=tol_abs, tol_rel=tol_rel)
         all_match = all_match and ver.matches

@@ -4,9 +4,14 @@ Each completely-monotonicity claim in the corpus reduces to the sign of a
 bracketed integrand w(t) inside int e^{-xt} w(t) d gamma_q(t).  This module
 evaluates those brackets stably (removable t -> 0 singularities are handled
 by truncated Taylor expansions below ``SMALL_T``), scans their sign on a
-geometric grid, and exposes the kernel table used by the CLI.
+geometric grid, and exposes the kernel table used by the CLI and the corpus.
 
-All kernel functions accept a scalar or ndarray ``t`` and are pure.
+All kernel functions accept a scalar or ndarray ``t >= 0`` and are pure; at
+t = 0 each returns its t -> 0 limit.  ``KERNELS`` holds the functions
+themselves, so a kernel's formula, domain check and limit each have one
+source: ``scan_kernel`` reports ``fn(t=0)`` as ``t0_limit``, and the corpus
+builds its mass sums from ``fn`` and lets ``fn``'s DomainError reject
+out-of-domain case parameters.
 """
 
 from __future__ import annotations
@@ -60,26 +65,29 @@ def _rho(t):
 
 
 def sinh_ratio(alpha: float, t):
-    """sinh(alpha t) / sinh(t), stable for large t via the exponential rewrite.
+    """sinh(alpha t) / sinh(t) for t >= 0, stable for large t via the exponential rewrite.
 
-    Equality with both sandwich members holds at alpha = 1.  Arguments with
-    (alpha - 1) t beyond the float exponent range overflow to inf rather than
-    raising; the scan grids stay far below that.
+    Its t -> 0 limit alpha is returned at t = 0.  Equality with both sandwich
+    members holds at alpha = 1.  Arguments with (alpha - 1) t beyond the float
+    exponent range overflow to inf rather than raising; the scan grids stay
+    far below that.
     """
     alpha = float(alpha)
     t = np.asarray(t, dtype=float)
     if alpha <= 0.0:
         raise DomainError(f"sinh_ratio requires alpha > 0, got {alpha!r}")
-    if np.any(t <= 0.0):
-        raise DomainError("sinh_ratio requires t > 0")
+    if np.any(t < 0.0):
+        raise DomainError("sinh_ratio requires t >= 0")
     if alpha == 1.0:
         out = np.ones_like(t)
         return _unwrap(out)
+    zero = t == 0.0
+    t_pos = np.where(zero, 1.0, t)
     # sinh(at)/sinh(t) = e^{(a-1)t} (1 - e^{-2at}) / (1 - e^{-2t})
-    log_ratio = (alpha - 1.0) * t + np.log(-np.expm1(-2.0 * alpha * t)) - np.log(
-        -np.expm1(-2.0 * t)
+    log_ratio = (alpha - 1.0) * t_pos + np.log(-np.expm1(-2.0 * alpha * t_pos)) - np.log(
+        -np.expm1(-2.0 * t_pos)
     )
-    out = np.exp(log_ratio)
+    out = np.where(zero, alpha, np.exp(log_ratio))
     return _unwrap(out)
 
 
@@ -150,17 +158,23 @@ def kernel_thm26(a: float, t):
 
 
 def kernel_thm31(alpha: float, t):
-    """-alpha/(1 - e^{-t}) + 1/(1 - e^{-t/alpha}) for 0 < alpha < 1; limit (1-alpha)/2."""
+    """-alpha/(1 - e^{-t}) + 1/(1 - e^{-t/alpha}) for 0 < alpha < 1; limit (1-alpha)/2.
+
+    Below alpha = 2^-340 the series coefficient 1/alpha^3 leaves the float
+    range, so the domain starts there; the series is formed at t <= SMALL_T
+    only, where its terms stay finite.
+    """
     alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"kernel_thm31 requires 0 < alpha < 1, got {alpha!r}")
+    if not (2.0 ** -340 <= alpha < 1.0):
+        raise DomainError(f"kernel_thm31 requires 2^-340 <= alpha < 1, got {alpha!r}")
     t = np.asarray(t, dtype=float)
     t_safe = np.maximum(t, SMALL_T)
+    t_small = np.minimum(t, SMALL_T)
     direct = -alpha * _rho(t_safe) + _rho(t_safe / alpha)
     series = (
         (1.0 - alpha) / 2.0
-        + (1.0 / alpha - alpha) * t / 12.0
-        - (1.0 / alpha ** 3 - alpha) * t ** 3 / 720.0
+        + (1.0 / alpha - alpha) * t_small / 12.0
+        - (1.0 / alpha ** 3 - alpha) * t_small ** 3 / 720.0
     )
     out = np.where(t < SMALL_T, series, direct)
     return _unwrap(out)
@@ -262,11 +276,14 @@ def identity_47(z_list) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Kernel:
-    """A scannable kernel: callable, t -> 0 limit, and its predicted sign regime."""
+    """A scannable kernel: its public function, called as ``fn(t=t, **params)``, and its sign regime.
+
+    The t -> 0 limit is ``fn(t=0.0, **params)``: every kernel takes t = 0,
+    through its small-t series where the direct form is singular.
+    """
 
     id: str
     fn: Callable[..., np.ndarray]
-    limit: Callable[..., float]
     expected_sign: Callable[..., str]
     defaults: dict = field(default_factory=dict)
 
@@ -317,69 +334,15 @@ def _sign_lemma12(alpha):
 KERNELS: dict[str, Kernel] = {
     k.id: k
     for k in (
-        Kernel(
-            "lemma1.2",
-            lambda t, alpha: kernel_lemma12_margin(alpha, t),
-            lambda alpha: 0.0,
-            _sign_lemma12,
-            {"alpha": 0.5},
-        ),
-        Kernel(
-            "thm2.1",
-            lambda t, alpha: kernel_thm21(alpha, t),
-            lambda alpha: 0.5 - alpha,
-            _sign21,
-            {"alpha": 0.5},
-        ),
-        Kernel(
-            "thm2.5",
-            lambda t, a, b, c: kernel_thm25(a, b, c, t),
-            lambda a, b, c: 0.0,
-            _sign25,
-            {"a": 0.2, "b": 1.0, "c": 0.1},
-        ),
-        Kernel(
-            "thm2.6",
-            lambda t, a: kernel_thm26(a, t),
-            lambda a: 0.0,
-            lambda a: POSITIVE,
-            {"a": 1.5},
-        ),
-        Kernel(
-            "thm3.1",
-            lambda t, alpha: kernel_thm31(alpha, t),
-            lambda alpha: (1.0 - alpha) / 2.0,
-            lambda alpha: POSITIVE,
-            {"alpha": 0.5},
-        ),
-        Kernel(
-            "thm3.2",
-            lambda t, a, b, c: kernel_thm32(a, b, c, t),
-            lambda a, b, c: 0.0,
-            _sign32,
-            {"a": 0.5, "b": 1.0, "c": 0.75},
-        ),
-        Kernel(
-            "thm3.4",
-            lambda t, alpha: kernel_thm34(alpha, t),
-            lambda alpha: 0.0,
-            _sign34,
-            {"alpha": 0.5},
-        ),
-        Kernel(
-            "thm4.1-mean",
-            lambda t, a_list: kernel_thm41_mean(a_list, t),
-            lambda a_list: 0.0,
-            lambda a_list: NEGATIVE,
-            {"a_list": (0.5, 1.5)},
-        ),
-        Kernel(
-            "thm4.1-split",
-            lambda t, a_list: kernel_thm41_split(a_list, t),
-            lambda a_list: 0.0,
-            lambda a_list: POSITIVE,
-            {"a_list": (0.5, 1.5)},
-        ),
+        Kernel("lemma1.2", kernel_lemma12_margin, _sign_lemma12, {"alpha": 0.5}),
+        Kernel("thm2.1", kernel_thm21, _sign21, {"alpha": 0.5}),
+        Kernel("thm2.5", kernel_thm25, _sign25, {"a": 0.2, "b": 1.0, "c": 0.1}),
+        Kernel("thm2.6", kernel_thm26, lambda a: POSITIVE, {"a": 1.5}),
+        Kernel("thm3.1", kernel_thm31, lambda alpha: POSITIVE, {"alpha": 0.5}),
+        Kernel("thm3.2", kernel_thm32, _sign32, {"a": 0.5, "b": 1.0, "c": 0.75}),
+        Kernel("thm3.4", kernel_thm34, _sign34, {"alpha": 0.5}),
+        Kernel("thm4.1-mean", kernel_thm41_mean, lambda a_list: NEGATIVE, {"a_list": (0.5, 1.5)}),
+        Kernel("thm4.1-split", kernel_thm41_split, lambda a_list: POSITIVE, {"a_list": (0.5, 1.5)}),
     )
 }
 
@@ -438,8 +401,8 @@ def scan_kernel(kernel_id: str, params: dict | None = None, t_grid=None):
     if params:
         p.update(params)
     t = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
-    w = np.asarray(kern.fn(t, **p), dtype=float)
-    limit = float(kern.limit(**p))
+    w = np.asarray(kern.fn(t=t, **p), dtype=float)
+    limit = float(kern.fn(t=0.0, **p)) + 0.0  # + 0.0: a series summing signed zeros prints 0, not -0
     expected = kern.expected_sign(**p)
 
     zero_tol = SIGN_ZERO_TOL * (1.0 + max(float(np.max(np.abs(w))), abs(limit)))

@@ -29,6 +29,7 @@ __all__ = [
     "ConvergenceError",
     "QValue",
     "EvalConfig",
+    "Q_SERIES_MAX",
     "SeriesResult",
     "DEFAULT_CONFIG",
     "log_gamma",
@@ -85,25 +86,22 @@ class QValue:
         return self.q == 1.0
 
 
+#: The largest q the q-series accept; q = 1 routes to the classical evaluators.
+Q_SERIES_MAX = 1.0 - 1e-6
+
+
 @dataclass(frozen=True)
 class EvalConfig:
-    """Truncation tolerance and q range shared by all series evaluators.
+    """Truncation tolerance shared by all series evaluators.
 
-    ``q_series_max`` is the largest q the q-series accept; callers wanting the
-    classical limit pass q = 1, which routes to the classical evaluators.
     Every series sums a fixed number of terms, so there is no term cap.
     """
 
     rel_tol: float = 1e-12
-    q_series_max: float = 1.0 - 1e-6
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
             raise DomainError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
-        if not (0.0 < self.q_series_max < 1.0):
-            raise DomainError(
-                f"q_series_max must lie in (0, 1), got {self.q_series_max!r}"
-            )
 
 
 DEFAULT_CONFIG = EvalConfig()
@@ -477,11 +475,21 @@ def _eulerian(k: int) -> tuple[float, ...]:
 
 
 def _one_minus_q_pow(e):
-    """1 - q^t = -expm1(e) for e = t log q, without cancellation."""
+    """1 - q^t = -expm1(e) for e = t log q, checked to be nonzero.
+
+    Each q-series checks its smallest abscissa once, here; its other
+    abscissae lie further out, where 1 - q^t is larger.
+    """
     w = -np.expm1(e)
     if not w.all():  # some t log q underflowed: the q-series term is beyond float64
         raise OverflowError(f"q-series term at t log q = {_first(e, w == 0.0)} exceeds the float64 range")
     return w
+
+
+def _q_pow(t, lq: float):
+    """(e, z, w) = (t log q, q^t, 1 - q^t), with 1 - q^t = -expm1(e) free of cancellation."""
+    e = t * lq
+    return e, np.exp(e), -np.expm1(e)
 
 
 def _horner(coef, z):
@@ -492,16 +500,13 @@ def _horner(coef, z):
     return poly
 
 
-def _lambert(k: int, t, lq: float):
+def _lambert(k: int, z, w, lq: float):
     """g^(k)(t) for g(t) = q^t/(1-q^t) = sum_{j>=1} q^{jt}, completely monotonic in t.
 
-    g^(k)(t) = (log q)^k Li_{-k}(q^t) = z A_k(z) rho^k / (1-z) with z = q^t and
-    rho = log q / (1-z), which stays near -1/t as q -> 1.  Its relative
-    rounding error is within _TERM_ULPS + 3k + 3|t log q| ulps.
+    g^(k)(t) = (log q)^k Li_{-k}(q^t) = z A_k(z) rho^k / (1-z) with z = q^t,
+    w = 1 - z (see _q_pow) and rho = log q / w, which stays near -1/t as
+    q -> 1.  Its relative rounding error is within _TERM_ULPS + 3k + 3|t log q| ulps.
     """
-    e = t * lq
-    w = _one_minus_q_pow(e)
-    z = np.exp(e)
     if k == 0:  # A_0 = 1 and rho^0 = 1: the same bits, without the Horner pass
         return z / w
     return z * _horner(_eulerian(k), z) * (lq / w) ** k / w
@@ -524,17 +529,14 @@ def _em_rows(k0: int) -> tuple[np.ndarray, np.ndarray]:
     return coefs, table
 
 
-def _em_corrections(k0: int, t, lq: float, scale: float):
+def _em_corrections(k0: int, e, z, w, lq: float, scale: float):
     """-sum_{j=1..M} B_2j/(2j)! f^(2j-1)(t) for f^(m)(t) = scale * g^(k0+m)(t).
 
-    All orders share z = q^t and rho, so one Horner pass over a table serves
+    (e, z, w) is _q_pow(t, lq).  All orders share z = q^t and rho, so one Horner pass over a table serves
     them.  Returns (correction, remainder bound |B_2M+2/(2M+2)! f^(2M+1)(t)|,
     rounding budget in ulps: each term within its order's budget, plus M
     additions).
     """
-    e = t * lq
-    w = _one_minus_q_pow(e)
-    z = np.exp(e)
     rho = lq / w
     rr = rho * rho
     fac = scale * z / w * rho ** (k0 + 1)  # scale z rho^k / (1-z) at k = k0 + 1
@@ -549,7 +551,8 @@ def _em_corrections(k0: int, t, lq: float, scale: float):
     return corr, np.abs(terms[-1]), mag * ulps
 
 
-_EM_OFFSETS = np.arange(_EM_DIRECT, dtype=float)[:, None]
+# offsets 0..N-1 of the direct terms, then N of the tail's start T = x + N
+_EM_ROWS = np.arange(_EM_DIRECT + 1, dtype=float)[:, None]
 
 
 def _q_polygamma(n: int, x: np.ndarray, lq: float):
@@ -560,24 +563,26 @@ def _q_polygamma(n: int, x: np.ndarray, lq: float):
     -log(1-q^T)/|log q|, which is merged with -log(1-q) into
     log((1-q^T)/(1-q)) so the two large logarithms near q = 1 do not cancel.
     """
-    t = x + _EM_OFFSETS  # row i holds x + i; all terms of one sign
-    v = _lambert(n, t, lq)
+    t = x + _EM_ROWS  # row i < N holds x + i, row N holds T; all terms of one sign
+    e, z, w = _q_pow(t, lq)
+    g = _lambert(n, z, w, lq)
+    v = g[:-1]
     # running sums in term order (accumulate never regroups, whatever the shape)
     running = np.add.accumulate(v, axis=0)
     direct = running[-1]
-    weighted = np.add.accumulate(v * t, axis=0)[-1]
+    weighted = np.add.accumulate(v * t[:-1], axis=0)[-1]
     partial = np.add.accumulate(running, axis=0)[-1]
     err = np.abs(direct) * (_TERM_ULPS + 3.0 * n) + np.abs(3.0 * lq * weighted) + np.abs(partial)
-    t = x + _EM_DIRECT
-    ulps = _TERM_ULPS + 3.0 * (n + np.minimum(-t * lq, _EXP_ARG_MAX))
+    e, z, w = e[-1], z[-1], w[-1]  # at T, shared by the head, the half term and the corrections
+    ulps = _TERM_ULPS + 3.0 * (n + np.minimum(-e, _EXP_ARG_MAX))
     if n == 0:
-        head = np.log(np.expm1(t * lq) / math.expm1(lq))
+        head = np.log(-w / math.expm1(lq))
         head_err = _TERM_ULPS + np.abs(head)  # the ratio's relative error, now absolute
     else:
-        head = -lq * _lambert(n - 1, t, lq)
+        head = -lq * _lambert(n - 1, z, w, lq)
         head_err = np.abs(head) * ulps
-    half = 0.5 * _lambert(n, t, lq)
-    corr, rem, corr_err = _em_corrections(n, t, lq, 1.0)
+    half = 0.5 * g[-1]
+    corr, rem, corr_err = _em_corrections(n, e, z, w, lq, 1.0)
     inner = direct + half + corr
     err = err + (np.abs(half) * ulps + corr_err + 2.0 * np.abs(inner))
     value = head + lq * inner
@@ -652,9 +657,6 @@ def _li2(z, log_z, one_minus_z):
     return _branch(z <= 0.5, series, reflected)
 
 
-_PHI_N = np.arange(_EM_DIRECT + 1, dtype=float)[:, None]  # phi(0..N-1), then phi(N)
-
-
 def _log_gamma_q_series(x: np.ndarray, lq: float):
     """log Gamma_q(x) = (1-x) log(1-q) + sum_{n>=0} phi(n), phi(n) = log((1-q^{n+1})/(1-q^{n+x})).
 
@@ -676,16 +678,16 @@ def _log_gamma_q_series(x: np.ndarray, lq: float):
     d = -np.expm1(np.abs(x - 1.0) * lq)  # 1 - q^{|x-1|}
     # row n: phi(n); r = phi's ratio minus 1 = (q^{n+x} - q^{n+1}) / (1 - q^{n+x}),
     # free of cancellation, goes through log1p unless r <= -1/2
-    e = (_PHI_N + x) * lq
+    e = (_EM_ROWS + x) * lq  # phi(0..N-1), then phi(N)
     w = -np.expm1(e)
-    r = np.where(x < 1.0, np.exp(e), -np.exp((_PHI_N + 1.0) * lq)) * d / w
+    r = np.where(x < 1.0, np.exp(e), -np.exp((_EM_ROWS + 1.0) * lq)) * d / w
 
     def near():
         v = np.log1p(r)
         return v, np.abs(v) * (2.0 * _TERM_ULPS + 3.0 * np.minimum(-e, _EXP_ARG_MAX))
 
     def ratio():
-        v = np.log(-np.expm1((_PHI_N + 1.0) * lq) / w)
+        v = np.log(-np.expm1((_EM_ROWS + 1.0) * lq) / w)
         return v, _TERM_ULPS + np.abs(v)
 
     v, v_err = _branch(r > -0.5, near, ratio)
@@ -695,8 +697,8 @@ def _log_gamma_q_series(x: np.ndarray, lq: float):
     phi_n, phi_err = v[-1], v_err[-1]  # phi(N), for the tail
     a, b = _EM_DIRECT + x, _EM_DIRECT + 1.0
     # phi^(m)(N) = log q [g^(m-1)(a) - g^(m-1)(b)]
-    corr_a, rem_a, err_a = _em_corrections(-1, a, lq, lq)
-    corr_b, rem_b, err_b = _em_corrections(-1, b, lq, -lq)
+    corr_a, rem_a, err_a = _em_corrections(-1, *_q_pow(a, lq), lq, lq)
+    corr_b, rem_b, err_b = _em_corrections(-1, *_q_pow(b, lq), lq, -lq)
     alpha, beta = -a * lq, -b * lq
 
     def close(parts, brem, part_err):
@@ -742,12 +744,15 @@ def _log_gamma_q_series(x: np.ndarray, lq: float):
     return _branch(np.maximum(alpha, beta) <= _LOG2, reflected, direct_li2)
 
 
-def _q_series_log_q(x: np.ndarray, q: QValue, cfg: EvalConfig) -> float:
-    """log q, once q is within q_series_max and 1 - q^x is nonzero at every x
-    (the series' other q-powers lie further out)."""
-    if q.q > cfg.q_series_max:
+def _q_series_log_q(x: np.ndarray, q: QValue) -> float:
+    """log q, once q is within Q_SERIES_MAX and 1 - q^x is nonzero at every x.
+
+    This is the series' one underflow check: every later abscissa is >= x or
+    >= 1, and |log q| >= 1e-6.
+    """
+    if q.q > Q_SERIES_MAX:
         raise DomainError(
-            f"q={q.q!r} exceeds q_series_max={cfg.q_series_max!r}; "
+            f"q={q.q!r} exceeds Q_SERIES_MAX={Q_SERIES_MAX!r}; "
             "pass q=1 explicitly for the classical limit"
         )
     lq = math.log(q.q)
@@ -793,7 +798,7 @@ def log_gamma_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     if q.is_classical:
         return log_gamma(x, cfg)
     xs = _checked("log_gamma_q", x)
-    lq = _q_series_log_q(xs, q, cfg)
+    lq = _q_series_log_q(xs, q)
     value, trunc, ulps = _blocked(lambda b: _log_gamma_q_series(b, lq), xs)
     return _series_result("log_gamma_q", value, trunc, ulps, _EM_TERMS, cfg, np.shape(x))
 
@@ -826,7 +831,7 @@ def psi_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     if q.is_classical:
         return psi(x, cfg)
     xs = _checked("psi_q", x)
-    lq = _q_series_log_q(xs, q, cfg)
+    lq = _q_series_log_q(xs, q)
     value, trunc, ulps = _blocked(lambda b: _q_polygamma(0, b, lq), xs)
     return _series_result("psi_q", value, trunc, ulps, _EM_TERMS, cfg, np.shape(x))
 
@@ -845,7 +850,7 @@ def psi_q_n(n: int, x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
         return psi_n(n, x, cfg)
     n = _checked_order("psi_q_n", n)
     xs = _checked("psi_q_n", x)
-    lq = _q_series_log_q(xs, q, cfg)
+    lq = _q_series_log_q(xs, q)
     value, trunc, ulps = _blocked(lambda b: _q_polygamma(n, b, lq), xs)
     return _series_result("psi_q_n", value, trunc, ulps, _EM_TERMS, cfg, np.shape(x))
 
@@ -883,7 +888,8 @@ def _moment(k: int, x, lq: float):
     naming it.  The result is an array of x's shape.
     """
     xs = _checked("measure_moment", x)
-    v = -lq * _lambert(k, xs, lq)
+    e = xs * lq
+    v = -lq * _lambert(k, np.exp(e), _one_minus_q_pow(e), lq)
     bad = ~np.isfinite(v)
     if bad.any():
         raise OverflowError(

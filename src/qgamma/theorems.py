@@ -14,18 +14,21 @@ One builder.  Each kernel-bearing case has a representation
 f' = orientation * int e^{-xt} w(t) d gamma_q(t) (f itself for thm3.1, whose
 claim includes order 0).  Its factory states the parameters, the derivative
 closure, the kernel id and the orientation once, in one ``_case`` call, with
-the weight of the mass sum and the x-interval rule; ``_case`` derives the
-rest.  The verdict is the kernel's sign regime,
-``KERNELS[kernel_id].expected_sign`` (the table ``scan-kernel`` reports),
-times the orientation:
+any composition factor and the x-interval rule; ``_case`` derives the rest
+from ``KERNELS[kernel_id]``, the table ``scan-kernel`` reports.  The
+kernel's own function rejects parameters outside its domain (``_case``
+evaluates it at t = 0, and the factories call ``_case`` before any
+arithmetic that such values would break), and the verdict is the kernel's sign regime ``expected_sign`` times the orientation:
 
     sign(w) * orientation > 0   ->  f' CM  (f CM for thm3.1)
     sign(w) * orientation < 0   ->  -f' CM
     w has one sign change       ->  neither
 
-The representation is the mass sum of the weight scaled by the orientation,
-at q < 1 only; the grid follows from the start of the x-interval.
-``psi-prime`` has no kernel and states its verdict.
+The representation is the mass sum of the kernel function, times the
+composition factor (1 - e^{-at} for thm2.3, e^{-st} - e^{-t} for the
+cor3.5/3.6 ratio, 1/alpha for thm3.1), scaled by the orientation, at q < 1
+only; the grid follows from the start of the x-interval.  ``psi-prime`` has
+no kernel and states its verdict.
 
 Families.  Each theorem has one derivative closure, written in the q-pieces
 of ``_Q`` (log Gamma_q, psi_q and its derivatives, the first moment, log(1-q^x),
@@ -46,20 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .cmcheck import CMReport, DEFAULT_TOL_ABS, DEFAULT_TOL_REL, GridSpec, VIOLATES, check_cm
-from .kernels import (
-    KERNELS,
-    NEGATIVE,
-    ONE_SIGN_CHANGE,
-    POSITIVE,
-    kernel_thm21,
-    kernel_thm25,
-    kernel_thm26,
-    kernel_thm31,
-    kernel_thm32,
-    kernel_thm34,
-    kernel_thm41_mean,
-    kernel_thm41_split,
-)
+from .kernels import KERNELS, NEGATIVE, ONE_SIGN_CHANGE, POSITIVE
 from .special import (
     ConvergenceError,
     DomainError,
@@ -280,10 +270,16 @@ def _default_grid(x_start: float) -> GridSpec:
     return GridSpec(lo, lo + 15.0, 21, "linear")
 
 
+def _kernel_args(kernel_id: str, params: dict) -> tuple:
+    """The kernel table entry and the case parameters that kernel takes."""
+    kern = KERNELS[kernel_id]
+    return kern, {k: params[k] for k in kern.defaults}
+
+
 def _kernel_sign(kernel_id: str, params: dict) -> str:
     """The kernel's sign regime at the case parameters it takes, as ``scan-kernel`` reports it."""
-    kern = KERNELS[kernel_id]
-    return kern.expected_sign(**{k: params[k] for k in kern.defaults})
+    kern, args = _kernel_args(kernel_id, params)
+    return kern.expected_sign(**args)
 
 
 # (sign of w times orientation, object the representation gives) -> verdict
@@ -299,19 +295,29 @@ def _regime_verdict(kernel_id: str, params: dict, orientation: int, target: str 
 
 
 def _case(case_id: str, params: dict, deriv, kernel_id: str, orientation: int,
-          weight: Callable[[np.ndarray], np.ndarray] | None = None, sigma: float = 0.0,
+          factor: Callable[[np.ndarray], np.ndarray] | None = None, sigma: float = 0.0,
           rho: bool = False, x_start: float = 0.0, interval: str = "(0, inf)",
           grid: GridSpec | None = None, target: str = "fprime") -> TheoremCase:
     """A kernel-bearing case: its ``target``, f' or f, is orientation * int e^{-xt} w(t) d gamma_q.
 
-    The expected verdict is the kernel's sign regime times the orientation;
-    the representation is the mass sum of ``weight`` (w times any factor of
-    the composition) scaled by the orientation at the case's q, None at q = 1
-    or without a weight; the grid defaults to the one for ``x_start``.
+    The kernel w is ``KERNELS[kernel_id].fn`` at the case parameters it
+    takes; it is evaluated once at t = 0 first, so its own DomainError
+    rejects parameters outside its domain.  The expected verdict is the
+    kernel's sign regime times the orientation; the representation is the
+    mass sum of w, times the composition's ``factor`` if it has one, scaled by
+    the orientation at the case's q, None at q = 1; the grid defaults to the
+    one for ``x_start``.
     """
+    kern, args = _kernel_args(kernel_id, params)
+    kern.fn(t=0.0, **args)
+
+    def weight(t):
+        w = kern.fn(t=t, **args)
+        return w if factor is None else factor(t) * w
+
     q = float(params.get("q", 1.0))
     rep = None
-    if weight is not None and q < 1.0:
+    if q < 1.0:
         rep = lambda x: _mass_sum(x, q, weight, sigma, rho, scale=orientation)
     return TheoremCase(
         id=case_id,
@@ -362,15 +368,14 @@ def _case_thm21(case_id: str, alpha: float = 0.5) -> TheoremCase:
 
 def _case_thm22(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase:
     _q_only("thm2.2", q)
-    return _case(case_id, {"alpha": alpha, "q": q}, _thm22_family(alpha, q), "thm2.1", -1,
-                 weight=lambda t: kernel_thm21(alpha, t))
+    return _case(case_id, {"alpha": alpha, "q": q}, _thm22_family(alpha, q), "thm2.1", -1)
 
 
 def _case_thm23(case_id: str, alpha: float = 0.5, a: float = 1.0, q: float = 0.5) -> TheoremCase:
     _q_only("thm2.3", q)
     return _case(case_id, {"alpha": alpha, "a": a, "q": q},
                  _difference(_thm22_family(alpha, q), 0.0, a), "thm2.1", -1,
-                 weight=lambda t: (-np.expm1(-a * t)) * kernel_thm21(alpha, t))
+                 factor=lambda t: -np.expm1(-a * t))
 
 
 def _case_cor24(case_id: str, alpha: float = 0.75, a: float = 1.0) -> TheoremCase:
@@ -381,8 +386,6 @@ def _case_cor24(case_id: str, alpha: float = 0.75, a: float = 1.0) -> TheoremCas
 def _case_thm25(
     case_id: str, a: float = 0.2, b: float = 1.0, c: float = 0.1, q: float = 0.5
 ) -> TheoremCase:
-    if not (a < b <= a + 1.0):
-        raise DomainError(f"thm2.5 requires a < b <= a + 1, got a={a}, b={b}")
     P = _Q(q)
 
     def deriv(k, x):
@@ -396,13 +399,10 @@ def _case_thm25(
         NEGATIVE: (-a, "(-a, inf)"),
         ONE_SIGN_CHANGE: (-min(a, c), "(-min(a,c), inf)"),
     }[_kernel_sign("thm2.5", params)]
-    return _case(case_id, params, deriv, "thm2.5", -1, weight=lambda t: kernel_thm25(a, b, c, t),
-                 x_start=x_start, interval=interval)
+    return _case(case_id, params, deriv, "thm2.5", -1, x_start=x_start, interval=interval)
 
 
 def _case_thm26(case_id: str, a: float = 1.5, q: float = 0.5) -> TheoremCase:
-    if a < 1.0:
-        raise DomainError(f"thm2.6 requires a >= 1, got {a!r}")
     P = _q_only("thm2.6", q)
 
     def deriv(k, x):
@@ -410,8 +410,7 @@ def _case_thm26(case_id: str, a: float = 1.5, q: float = 0.5) -> TheoremCase:
             return a * P.log_scale(x) + P.lg(x) - P.lg(x + a)
         return a * P.mom(k - 1, x) + P.ps(k - 1, x) - P.ps(k - 1, x + a)
 
-    return _case(case_id, {"a": a, "q": q}, deriv, "thm2.6", 1,
-                 weight=lambda t: kernel_thm26(a, t), sigma=(a - 1.0) / 2.0)
+    return _case(case_id, {"a": a, "q": q}, deriv, "thm2.6", 1, sigma=(a - 1.0) / 2.0)
 
 
 def _case_thm31(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase:
@@ -422,16 +421,15 @@ def _case_thm31(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase
     f only up to the positive constant log((1-q^{1/alpha})/(1-q)), which
     leaves every monotonicity conclusion (order 0 included) intact.
     """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"thm3.1 requires 0 < alpha < 1, got {alpha!r}")
     P = _q_only("thm3.1", q)
-    P2 = _Q(P.q ** (1.0 / alpha))
 
     def deriv(k, x):
         return P.ps(k, x) - alpha ** k * P2.ps(k, alpha * x)
 
+    # _case rejects an alpha outside the kernel's domain before anything divides by it
     case = _case(case_id, {"alpha": alpha, "q": q}, deriv, "thm3.1", 1,
-                 weight=lambda t: kernel_thm31(alpha, t) / alpha, target="f")
+                 factor=lambda t: 1.0 / alpha, target="f")
+    P2 = _Q(P.q ** (1.0 / alpha))
     const = math.log(-math.expm1(math.log(P.q) / alpha)) - math.log1p(-P.q)
     rep = case.representation
     return dataclasses.replace(case, representation=lambda x: const + rep(x))
@@ -441,8 +439,6 @@ def _case_thm32(
     case_id: str, a: float = 0.5, b: float = 1.0, c: float = 0.75, q: float = 0.5
 ) -> TheoremCase:
     """h = log of Gamma_q(x+a)/Gamma_q(x+b) exp[(b-a) psi_q(x+c)]."""
-    if not (0.0 < a < b):
-        raise DomainError(f"thm3.2 requires 0 < a < b, got a={a}, b={b}")
     P = _Q(q)
 
     def deriv(k, x):
@@ -455,8 +451,8 @@ def _case_thm32(
     x_start, interval = (
         (-c, "(-c, inf)") if _kernel_sign("thm3.2", params) == NEGATIVE else (-a, "(-a, inf)")
     )
-    return _case(case_id, params, deriv, "thm3.2", -1, weight=lambda t: kernel_thm32(a, b, c, t),
-                 sigma=(a + b) / 2.0, rho=True, x_start=x_start, interval=interval)
+    return _case(case_id, params, deriv, "thm3.2", -1, sigma=(a + b) / 2.0, rho=True,
+                 x_start=x_start, interval=interval)
 
 
 def _thm34_family(alpha: float, q: float):
@@ -488,8 +484,7 @@ def _thm34_family(alpha: float, q: float):
 def _case_thm34(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase:
     _q_only("thm3.4", q)
     return _case(case_id, {"alpha": alpha, "q": q}, _thm34_family(alpha, q), "thm3.4", -1,
-                 weight=lambda t: kernel_thm34(alpha, t), x_start=max(0.0, -alpha),
-                 interval="(max(0,-alpha), inf)")
+                 x_start=max(0.0, -alpha), interval="(max(0,-alpha), inf)")
 
 
 def _case_thm34_ratio(case_id: str, theorem: str, params: dict) -> TheoremCase:
@@ -505,7 +500,7 @@ def _case_thm34_ratio(case_id: str, theorem: str, params: dict) -> TheoremCase:
     x_start = max(0.0, -alpha - s)
     grid = GridSpec(max(x_start + 0.05, 0.05), 15.0, 21, "geometric", (0.125, 0.5, 1.0, 2.0), 8)
     return _case(case_id, params, _difference(_thm34_family(alpha, q), s, 1.0), "thm3.4", -1,
-                 weight=lambda t: (np.exp(-s * t) - np.exp(-t)) * kernel_thm34(alpha, t),
+                 factor=lambda t: np.exp(-s * t) - np.exp(-t),
                  x_start=x_start, interval="(max(0,-alpha-s), inf)", grid=grid)
 
 
@@ -521,14 +516,7 @@ def _case_thm41(case_id: str, kernel_id: str, a_list=(0.5, 1.5), q: float = 0.5)
     """log of prod Gamma_q(x+a_i) / Gamma_q(x+abar)^n (mean) or, for split,
     log of prod Gamma_q(x+a_i) / (Gamma_q(x)^{n-1} Gamma_q(x+sum a_i))."""
     a = tuple(float(v) for v in a_list)
-    if not a or any(v <= 0.0 for v in a):
-        raise DomainError(f"thm4.1 requires positive a_list, got {a_list!r}")
     P = _Q(q)
-    n = len(a)
-    kernel, denominator = {  # (power, shift) of each Gamma_q(x + shift) below the ratio
-        "thm4.1-mean": (kernel_thm41_mean, ((n, sum(a) / n),)),
-        "thm4.1-split": (kernel_thm41_split, ((n - 1, 0.0), (1, sum(a)))),
-    }[kernel_id]
 
     def deriv(k, x):
         f = P.lg if k == 0 else lambda y: P.ps(k - 1, y)
@@ -537,8 +525,14 @@ def _case_thm41(case_id: str, kernel_id: str, a_list=(0.5, 1.5), q: float = 0.5)
             out = out - power * f(x + shift)
         return out
 
-    return _case(case_id, {"a_list": a, "q": q}, deriv, kernel_id, 1,
-                 weight=lambda t: kernel(a, t), rho=True)
+    # _case checks that a_list is nonempty and positive before anything divides by its length
+    case = _case(case_id, {"a_list": a, "q": q}, deriv, kernel_id, 1, rho=True)
+    n = len(a)
+    denominator = {  # (power, shift) of each Gamma_q(x + shift) below the ratio
+        "thm4.1-mean": ((n, sum(a) / n),),
+        "thm4.1-split": ((n - 1, 0.0), (1, sum(a))),
+    }[kernel_id]
+    return case
 
 
 def _case_psi_prime(case_id: str = "psi-prime") -> TheoremCase:

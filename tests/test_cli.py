@@ -156,6 +156,64 @@ def test_verify_verdict_next_to_regime_boundary(capsys, case_id, alpha, verdict)
     assert [r[-2:] for r in rows] == [[verdict, "match"]]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("thm2.5", "--a", "1", "--b", "0.5"),
+        ("thm2.5", "--b", "1.5"),
+        ("thm2.6", "--a", "0.5"),
+        ("thm3.1", "--alpha", "0"),
+        ("thm3.1", "--alpha", "1"),
+        ("thm3.1", "--alpha", "1.5"),
+        ("thm3.1", "--alpha", "1e-300"),
+        ("thm3.2", "--a", "1", "--b", "0.5"),
+        ("thm3.2", "--a", "0"),
+        ("thm4.1-mean", "--a-list="),
+        ("thm4.1-split", "--a-list="),
+        ("thm4.1-split", "--a-list", "1,-1"),
+        ("thm4.1", "--a-list", "0,1"),
+    ],
+)
+def test_verify_outside_the_kernel_domain_exits_two(capsys, argv):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,flags,accepted",
+    [
+        (("cor2.4", "--q", "0.5"), "--q", "--alpha, --a"),
+        (("psi-prime", "--alpha", "3"), "--alpha", "no parameter flag"),
+        (("psi-prime", "--alpha", "3", "--c", "9"), "--alpha, --c", "no parameter flag"),
+        (("thm2.1-pos", "--s", "0.5"), "--s", "--alpha"),
+        (("thm4.1", "--q", "0.9", "--c", "0.1"), "--c", "--a-list, --q"),
+    ],
+)
+def test_verify_rejects_a_flag_no_selected_case_takes(capsys, argv, flags, accepted):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert f"takes {flags}; the selection accepts {accepted}" in captured.err
+
+
+def test_verify_flag_applies_to_the_selected_cases_that_take_it(capsys):
+    code, out = run(capsys, "verify", "all", "--q", "0.9")
+    assert code == 0
+    params = {}
+    for ln in out.splitlines():
+        if ",expected-verdict," in ln:
+            cid, p, _, _, verdict = ln.split(",")
+            params[cid] = p
+            assert verdict == "match", ln
+    assert len(params) == 28
+    assert params["thm2.2"] == "alpha=0.5;q=0.90000000000000002"
+    assert params["cor2.4"] == "a=1;alpha=0.75" and params["psi-prime"] == ""
+    code, out = run(capsys, "verify", "thm4.1", "--q", "0.9")
+    assert code == 0 and out.count(";q=0.90000000000000002,expected-verdict,") == 2
+
+
 def test_verify_all_deterministic(capsys, tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(capsys, "verify", "thm2.2", "--output", str(p1))[0] == 0

@@ -269,3 +269,92 @@ def test_scan_kernel_rejects_foreign_parameters(kid, params):
     accepted = ", ".join(K.KERNELS[kid].defaults)
     with pytest.raises(DomainError, match=f"accepts {accepted}$"):
         K.scan_kernel(kid, params)
+
+
+# ---------------------------------------------------------------------------
+# one kernel source: the t -> 0 limit is the kernel's own value at t = 0
+# ---------------------------------------------------------------------------
+
+# The hand-written limits the kernel table used to carry, kept as the reference.
+OLD_LIMITS = {
+    "lemma1.2": lambda alpha: 0.0,
+    "thm2.1": lambda alpha: 0.5 - alpha,
+    "thm2.5": lambda a, b, c: 0.0,
+    "thm2.6": lambda a: 0.0,
+    "thm3.1": lambda alpha: (1.0 - alpha) / 2.0,
+    "thm3.2": lambda a, b, c: 0.0,
+    "thm3.4": lambda alpha: 0.0,
+    "thm4.1-mean": lambda a_list: 0.0,
+    "thm4.1-split": lambda a_list: 0.0,
+}
+
+
+def _limit_samples(kid, rng, n=300):
+    """Parameters inside each kernel's domain: random draws plus its regime boundaries."""
+    if kid in ("lemma1.2", "thm2.1", "thm3.4"):
+        lo = 1e-3 if kid == "lemma1.2" else -2.0
+        draws = [{"alpha": v} for v in rng.uniform(lo, 3.0, n)]
+        return draws + [{"alpha": v} for v in (0.0, 0.25, 0.5, 0.75, 1.0, 2.0) if v > lo]
+    if kid == "thm2.5":
+        a = rng.uniform(-1.0, 3.0, n)
+        b = a + rng.uniform(1e-6, 1.0, n)
+        draws = [{"a": x, "b": y, "c": z} for x, y, z in zip(a, b, rng.uniform(-2.0, 5.0, n))]
+        edges = [(0.2, 1.0, 0.1), (0.2, 1.0, 0.2), (0.2, 1.0, 0.0), (0.0, 1.0, 0.0), (0.5, 1.5, 0.5)]
+        return draws + [{"a": x, "b": y, "c": z} for x, y, z in edges]
+    if kid == "thm2.6":
+        return [{"a": v} for v in rng.uniform(1.0, 5.0, n)] + [{"a": 1.0}, {"a": 1.0 + 1e-13}]
+    if kid == "thm3.1":
+        return [{"alpha": v} for v in rng.uniform(1e-6, 1.0, n)] + [
+            {"alpha": v} for v in (2.0 ** -340, 1e-100, 0.5, 1.0 - 1e-16)]
+    if kid == "thm3.2":
+        a = rng.uniform(1e-6, 3.0, n)
+        b = a + rng.uniform(1e-6, 3.0, n)
+        draws = [{"a": x, "b": y, "c": z} for x, y, z in zip(a, b, rng.uniform(-2.0, 5.0, n))]
+        return draws + [{"a": 0.5, "b": 1.0, "c": v} for v in (0.5, 0.6, 0.75)]
+    lists = [tuple(rng.uniform(1e-3, 5.0, rng.integers(1, 6))) for _ in range(n)]
+    return [{"a_list": v} for v in lists + [(0.5, 1.5), (1.0, 1.0), (0.4,)]]
+
+
+@pytest.mark.parametrize("kid", sorted(OLD_LIMITS))
+def test_t0_limit_is_the_kernel_at_zero_bit_for_bit(kid):
+    assert set(K.KERNELS) == set(OLD_LIMITS)
+    rng = np.random.default_rng(8)
+    for p in _limit_samples(kid, rng):
+        got = float(K.KERNELS[kid].fn(t=0.0, **p)) + 0.0
+        want = OLD_LIMITS[kid](**p)
+        assert got.hex() == want.hex(), (kid, p, got, want)
+        _, _, rep = K.scan_kernel(kid, p, K.default_t_grid(points=5))
+        assert rep.t0_limit.hex() == want.hex(), (kid, p)
+
+
+def test_kernel_thm31_rejects_alpha_whose_series_overflows():
+    for alpha in (2.0 ** -341, 1e-300, 0.0):
+        with pytest.raises(DomainError, match="2\\^-340 <= alpha < 1"):
+            K.kernel_thm31(alpha, 0.0)
+    assert np.isfinite(K.kernel_thm31(2.0 ** -340, np.array([0.0, 1e-4, 1.0]))).all()
+
+
+def test_sinh_ratio_at_zero_is_its_limit():
+    for alpha in (1e-3, 0.5, 1.0, 2.0, 7.5):
+        assert K.sinh_ratio(alpha, 0.0) == alpha
+    out = K.sinh_ratio(0.5, np.array([0.0, 1.0]))
+    assert out[0] == 0.5 and out[1] == K.sinh_ratio(0.5, 1.0)
+    for t in (-1e-300, -1.0, np.array([1.0, -0.5])):
+        with pytest.raises(DomainError, match="t >= 0"):
+            K.sinh_ratio(0.5, t)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("thm2.5", "--a", "-1", "--b", "-0.5", "--c", "0"), ("thm3.4", "--alpha", "-1")],
+)
+def test_t0_limit_prints_zero_not_negative_zero(capsys, argv):
+    from qgamma.cli import main
+
+    kid, flags = argv[0], argv[1:]
+    params = {k.lstrip("-"): float(v) for k, v in zip(flags[::2], flags[1::2])}
+    # the small-t series sums signed zeros to -0.0 at these parameters
+    assert math.copysign(1.0, K.KERNELS[kid].fn(t=0.0, **params)) == -1.0
+    main(["scan-kernel", *argv, "--t-points", "5"])
+    rows = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("summary,t0_limit,")]
+    assert rows == ["summary,t0_limit,0"]

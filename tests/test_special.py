@@ -35,11 +35,15 @@ def test_qvalue_range():
 
 
 def test_eval_config_validation():
-    sp.EvalConfig(rel_tol=1e-10, q_series_max=0.9)
+    sp.EvalConfig(rel_tol=1e-10)
     with pytest.raises(sp.DomainError):
         sp.EvalConfig(rel_tol=0.0)
-    with pytest.raises(sp.DomainError):
-        sp.EvalConfig(q_series_max=1.0)
+    # the q range is a module constant, not a setting
+    with pytest.raises(TypeError):
+        sp.EvalConfig(q_series_max=0.9)
+    assert sp.psi_q(1.0, sp.Q_SERIES_MAX).converged
+    with pytest.raises(sp.DomainError, match="Q_SERIES_MAX"):
+        sp.psi_q(1.0, math.nextafter(sp.Q_SERIES_MAX, 1.0))
 
 
 def test_euler_gamma_partial_sum_oracle():
@@ -186,7 +190,7 @@ def test_log_gamma_q_routes_and_domain():
     with pytest.raises(sp.DomainError):
         sp.log_gamma_q(-1.0, 0.5)
     with pytest.raises(sp.DomainError):
-        sp.log_gamma_q(1.0, 0.9999999)  # above q_series_max
+        sp.log_gamma_q(1.0, 0.9999999)  # above Q_SERIES_MAX
 
 
 def test_gamma_q_overflow():
@@ -348,6 +352,9 @@ def test_measure_moment_at_subnormal_x(x, q):
     # even where x log q is subnormal or underflows to zero
     with pytest.raises(OverflowError):
         sp.measure_moment(x, q)
+    if x * math.log(q) == 0.0:  # 1 - q^x is 0: the moment's own underflow check names it
+        with pytest.raises(OverflowError, match="q-series term at t log q"):
+            sp.measure_moment(x, q)
     with mp.workdps(40):
         want = -mp.log(-mp.expm1(mp.mpf(x) * mp.log(mp.mpf(q))))
     got = sp.measure_moment_over_t(x, q)

@@ -364,3 +364,36 @@ def test_q_family_order_zero_and_one_are_the_old_groupings(q):
 def test_q_only_cases_reject_q1(cid):
     with pytest.raises(DomainError, match="requires q < 1"):
         T.make_case(cid, q=1.0)
+
+
+# ---------------------------------------------------------------------------
+# one kernel source: the kernel's own DomainError rejects out-of-domain cases
+# ---------------------------------------------------------------------------
+
+# (case id, overrides, the message of the kernel function that rejects them)
+KERNEL_DOMAIN_ERRORS = [
+    ("thm2.5", {"a": 1.0, "b": 0.5}, "kernel_thm25 requires a < b <= a \\+ 1"),  # b <= a
+    ("thm2.5", {"a": 0.5, "b": 0.5}, "kernel_thm25 requires a < b <= a \\+ 1"),
+    ("thm2.5", {"a": 0.2, "b": 1.5}, "kernel_thm25 requires a < b <= a \\+ 1"),  # b > a + 1
+    ("thm2.6", {"a": 0.5}, "kernel_thm26 requires a >= 1"),
+    ("thm3.1", {"alpha": 0.0}, "kernel_thm31 requires"),
+    ("thm3.1", {"alpha": 1.0}, "kernel_thm31 requires"),
+    ("thm3.1", {"alpha": 1.5}, "kernel_thm31 requires"),
+    ("thm3.1", {"alpha": 1e-300}, "kernel_thm31 requires"),  # 1/alpha^3 overflows
+    ("thm3.2", {"a": 1.0, "b": 0.5}, "kernel_thm32 requires 0 < a < b"),  # a >= b
+    ("thm3.2", {"a": 1.0, "b": 1.0}, "kernel_thm32 requires 0 < a < b"),
+    ("thm3.2", {"a": 0.0}, "kernel_thm32 requires 0 < a < b"),  # a <= 0
+    ("thm3.2", {"a": -0.5}, "kernel_thm32 requires 0 < a < b"),
+    ("thm4.1-mean", {"a_list": ()}, "a_list entries must be positive"),
+    ("thm4.1-split", {"a_list": ()}, "a_list entries must be positive"),
+    ("thm4.1-mean", {"a_list": (1.0, 0.0)}, "a_list entries must be positive"),
+    ("thm4.1-split", {"a_list": (1.0, -1.0)}, "a_list entries must be positive"),
+]
+
+
+@pytest.mark.parametrize("cid,override,message", KERNEL_DOMAIN_ERRORS)
+def test_kernel_domain_rejects_case_parameters(cid, override, message):
+    # before any factory arithmetic on them: thm3.1 computes q^{1/alpha} and
+    # thm4.1-mean divides by the length of a_list
+    with pytest.raises(DomainError, match=message):
+        T.make_case(cid, **override)
