@@ -80,7 +80,7 @@ class GridSpec:
 class CMReport:
     """Outcome of a CM scan; ``verdict`` is violates-CM iff some signed value
     falls below -(tol_abs + tol_rel * scale) at its own stencil scale.
-    ``evaluations`` counts the points passed to the tested function."""
+    ``evaluations`` counts the distinct stencil nodes passed to the tested function."""
 
     case_id: str
     grid: GridSpec
@@ -126,8 +126,11 @@ def check_cm(
 ) -> CMReport:
     """Scan (-1)^n Delta_h^n fn(x) over the grid, plus analytic derivative signs.
 
-    ``fn`` must map an ndarray of x elementwise: it is called once, on every
-    stencil node x + j h of the grid (j = 0..max_order).  ``derivs(k, xs)``,
+    ``fn`` must map an ndarray of x elementwise: it is called once, on the
+    distinct stencil nodes x + j h of the grid (j = 0..max_order) in order of
+    first occurrence, and its values are scattered back over the lattice, so
+    a node shared by several (x, h, j) is evaluated once and an error names
+    the first bad node of the lattice.  ``derivs(k, xs)``,
     when given, must return the k-th derivative of ``fn`` at the grid points
     xs; orders 1..3 are checked directly as (-1)^k fn^(k)(x) >= 0.  The
     violation threshold at each stencil is tol_abs + tol_rel * max |fn| over
@@ -137,8 +140,13 @@ def check_cm(
     xs = grid.xs()
     steps = np.arange(grid.max_order + 1) * np.asarray(grid.h_set, dtype=float)[:, None, None]
     nodes = xs[None, :, None] + steps  # (h, x, j): x + j h
-    vals = np.asarray(fn(nodes.ravel()), dtype=float)
-    vals = np.broadcast_to(vals, (nodes.size,)).reshape(nodes.shape)
+    flat = nodes.ravel()
+    # each distinct bit pattern once (0.0 and -0.0 stay apart), in order of first occurrence
+    _, first, inverse = np.unique(flat.view(np.int64), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    distinct = flat[first[order]]
+    vals = np.broadcast_to(np.asarray(fn(distinct), dtype=float), distinct.shape)
+    vals = vals[np.argsort(order)[inverse]].reshape(nodes.shape)
     f0 = vals[0, :, 0]  # fn at the grid points
     d_rows = [] if derivs is None else [
         np.broadcast_to(np.asarray(derivs(k, xs), dtype=float), xs.shape) for k in range(1, 4)
@@ -183,7 +191,7 @@ def check_cm(
         worst_threshold=worst_threshold,
         witness=witness,
         verdict=VIOLATES if violated else CONSISTENT,
-        evaluations=nodes.size,
+        evaluations=distinct.size,
     )
 
 

@@ -7,11 +7,16 @@ by truncated Taylor expansions below ``SMALL_T``), scans their sign on a
 geometric grid, and exposes the kernel table used by the CLI and the corpus.
 
 All kernel functions accept a scalar or ndarray ``t >= 0`` and are pure; at
-t = 0 each returns its t -> 0 limit.  ``KERNELS`` holds the functions
-themselves, so a kernel's formula, domain check and limit each have one
-source: ``scan_kernel`` reports ``fn(t=0)`` as ``t0_limit``, and the corpus
-builds its mass sums from ``fn`` and lets ``fn``'s DomainError reject
-out-of-domain case parameters.
+t = 0 each returns its t -> 0 limit.  They raise no numpy warnings: each
+small-t series is formed on min(t, SMALL_T), a direct form whose
+intermediate overflows (e^{ct}, t^2) is redone with that factor taken out
+through its logarithm, and a value beyond float64 comes back as +-inf,
+which ``scan_kernel`` reports as an OverflowError.
+
+``KERNELS`` holds the functions themselves, so a kernel's formula, domain
+check and limit each have one source: ``scan_kernel`` reports ``fn(t=0)`` as
+``t0_limit``, and the corpus builds its mass sums from ``fn`` and lets
+``fn``'s DomainError reject out-of-domain case parameters.
 """
 
 from __future__ import annotations
@@ -59,9 +64,32 @@ def _unwrap(out):
     return out[()] if out.ndim == 0 else out
 
 
+_quiet = np.errstate(all="ignore")
+
+
 def _rho(t):
     """1 / (1 - e^{-t}), computed through expm1."""
     return 1.0 / -np.expm1(-t)
+
+
+def _exp_times(log_scale, bracket):
+    """bracket * e^log_scale, +-inf only where the product itself leaves float64."""
+    return np.sign(bracket) * np.exp(log_scale + np.log(np.abs(bracket)))
+
+
+def _sinh_quotient(alpha: float, t):
+    """(1 - e^{-2 alpha t}) / (1 - e^{-2t}) for t > 0: sinh(alpha t)/sinh(t) is e^{(alpha-1)t} times it."""
+    return np.expm1(-2.0 * alpha * t) / np.expm1(-2.0 * t)
+
+
+def _redo_overflow(out, exact):
+    """``out``, with ``exact()`` where it is not finite.
+
+    There an intermediate such as e^{ct} overflowed; ``exact`` forms the
+    value with that factor taken out (see _exp_times).
+    """
+    big = ~np.isfinite(out)
+    return np.where(big, exact(), out) if big.any() else out
 
 
 def sinh_ratio(alpha: float, t):
@@ -100,24 +128,34 @@ def sinh_ratio_bounds(alpha: float, t):
     return _unwrap(lower), _unwrap(upper)
 
 
+@_quiet
 def kernel_lemma12_margin(alpha: float, t):
     """Smaller of the two sandwich margins; > 0 for 0 < alpha < 1, < 0 for alpha > 1."""
     r = sinh_ratio(alpha, t)
     lower, upper = sinh_ratio_bounds(alpha, t)
-    return np.minimum(r - lower, upper - r)
+
+    def exact():  # r = e^{(alpha-1)t} s, lower = alpha e^{(alpha-1)t}, upper = alpha
+        tt = np.asarray(t, dtype=float)
+        log_e, quot = (alpha - 1.0) * tt, _sinh_quotient(alpha, tt)
+        return np.minimum(_exp_times(log_e, quot - alpha), alpha - _exp_times(log_e, quot))
+
+    return _unwrap(_redo_overflow(np.minimum(r - lower, upper - r), exact))
 
 
+@_quiet
 def kernel_thm21(alpha: float, t):
     """1/(1 - e^{-t}) - 1/t - alpha, with t -> 0 limit 1/2 - alpha."""
     alpha = float(alpha)
     t = np.asarray(t, dtype=float)
     t_safe = np.maximum(t, SMALL_T)
+    t_small = np.minimum(t, SMALL_T)
     direct = _rho(t_safe) - 1.0 / t_safe - alpha
-    series = 0.5 + t / 12.0 - t ** 3 / 720.0 + t ** 5 / 30240.0 - alpha
+    series = 0.5 + t_small / 12.0 - t_small ** 3 / 720.0 + t_small ** 5 / 30240.0 - alpha
     out = np.where(t < SMALL_T, series, direct)
     return _unwrap(out)
 
 
+@_quiet
 def kernel_thm25(a: float, b: float, c: float, t):
     """(e^{-bt} - e^{-at})/(1 - e^{-t}) + (b - a) e^{-ct} for a < b <= a + 1."""
     a, b, c = float(a), float(b), float(c)
@@ -125,9 +163,19 @@ def kernel_thm25(a: float, b: float, c: float, t):
         raise DomainError(f"kernel_thm25 requires a < b <= a + 1, got a={a}, b={b}")
     t = np.asarray(t, dtype=float)
     t_safe = np.maximum(t, SMALL_T)
+    t_small = np.minimum(t, SMALL_T)
     direct = (np.exp(-b * t_safe) - np.exp(-a * t_safe)) * _rho(t_safe) + (
         b - a
     ) * np.exp(-c * t_safe)
+
+    def exact():  # e^{mt} times the bracket with e^{mt} taken out, m = max(-a, -c) >= -b
+        m = max(-a, -c)
+        bracket = (np.exp((-b - m) * t_safe) - np.exp((-a - m) * t_safe)) * _rho(t_safe) + (
+            b - a
+        ) * np.exp((-c - m) * t_safe)
+        return _exp_times(m * t_safe, bracket)
+
+    direct = _redo_overflow(direct, exact)
     # power sums S_k = (b^k - a^k)/(b - a) feed the small-t expansion of the quotient
     s2 = a + b
     s3 = a * a + a * b + b * b
@@ -138,15 +186,16 @@ def kernel_thm25(a: float, b: float, c: float, t):
     g3 = -s2 / 24.0 + s3 / 12.0 - s4 / 24.0
     g4 = -1.0 / 720.0 + s3 / 72.0 - s4 / 48.0 + s5 / 120.0
     series = (b - a) * (
-        (-c - g1) * t
-        + (c * c / 2.0 - g2) * t ** 2
-        + (-(c ** 3) / 6.0 - g3) * t ** 3
-        + (c ** 4 / 24.0 - g4) * t ** 4
+        (-c - g1) * t_small
+        + (c * c / 2.0 - g2) * t_small ** 2
+        + (-(c ** 3) / 6.0 - g3) * t_small ** 3
+        + (c ** 4 / 24.0 - g4) * t_small ** 4
     )
     out = np.where(t < SMALL_T, series, direct)
     return _unwrap(out)
 
 
+@_quiet
 def kernel_thm26(a: float, t):
     """a e^{(a-1)t/2} - sinh(at/2)/sinh(t/2); identically 0 at a = 1."""
     a = float(a)
@@ -154,32 +203,27 @@ def kernel_thm26(a: float, t):
         raise DomainError(f"kernel_thm26 requires a >= 1, got {a!r}")
     t = np.asarray(t, dtype=float)
     out = a * np.exp((a - 1.0) * t / 2.0) - sinh_ratio(a, t / 2.0)
+    out = _redo_overflow(out, lambda: _exp_times((a - 1.0) * t / 2.0, a - _sinh_quotient(a, t / 2.0)))
     return _unwrap(out)
 
 
+@_quiet
 def kernel_thm31(alpha: float, t):
-    """-alpha/(1 - e^{-t}) + 1/(1 - e^{-t/alpha}) for 0 < alpha < 1; limit (1-alpha)/2.
+    """-alpha/(1 - e^{-t}) + 1/(1 - e^{-t/alpha}) for 2^-340 <= alpha < 1; limit (1-alpha)/2.
 
-    Below alpha = 2^-340 the series coefficient 1/alpha^3 leaves the float
-    range, so the domain starts there; the series is formed at t <= SMALL_T
-    only, where its terms stay finite.
+    Formed as -alpha h(t) + h(t/alpha) with h(v) = 1/(1 - e^{-v}) - 1/v, which
+    is ``kernel_thm21(0, v)`` with its own small-v series: the 1/t poles
+    cancel exactly, and no series term grows like (t/alpha)^k at small alpha.
     """
     alpha = float(alpha)
     if not (2.0 ** -340 <= alpha < 1.0):
         raise DomainError(f"kernel_thm31 requires 2^-340 <= alpha < 1, got {alpha!r}")
     t = np.asarray(t, dtype=float)
-    t_safe = np.maximum(t, SMALL_T)
-    t_small = np.minimum(t, SMALL_T)
-    direct = -alpha * _rho(t_safe) + _rho(t_safe / alpha)
-    series = (
-        (1.0 - alpha) / 2.0
-        + (1.0 / alpha - alpha) * t_small / 12.0
-        - (1.0 / alpha ** 3 - alpha) * t_small ** 3 / 720.0
-    )
-    out = np.where(t < SMALL_T, series, direct)
+    out = -alpha * kernel_thm21(0.0, t) + kernel_thm21(0.0, t / alpha)  # h(inf) = 1
     return _unwrap(out)
 
 
+@_quiet
 def kernel_thm32(a: float, b: float, c: float, t):
     """2 sinh((b-a)t/2) - (b-a) t e^{((a+b)/2 - c)t} for 0 < a < b."""
     a, b, c = float(a), float(b), float(c)
@@ -189,9 +233,18 @@ def kernel_thm32(a: float, b: float, c: float, t):
     out = 2.0 * np.sinh(0.5 * (b - a) * t) - (b - a) * t * np.exp(
         (0.5 * (a + b) - c) * t
     )
+
+    def exact():  # 2 sinh(ut) = e^{ut} (1 - e^{-2ut}), u = (b-a)/2; e^{mt} taken out, m = max(u, v)
+        u, v = 0.5 * (b - a), 0.5 * (a + b) - c
+        m = max(u, v)
+        bracket = -np.expm1(-(b - a) * t) * np.exp((u - m) * t) - (b - a) * t * np.exp((v - m) * t)
+        return _exp_times(m * t, bracket)
+
+    out = _redo_overflow(out, exact)
     return _unwrap(out)
 
 
+@_quiet
 def kernel_thm34(alpha: float, t):
     """p_alpha(t) = (12 - t^2 e^{-alpha t}) / (12 (1 - e^{-t})) - 1/2 - 1/t.
 
@@ -202,11 +255,18 @@ def kernel_thm34(alpha: float, t):
     alpha = float(alpha)
     t = np.asarray(t, dtype=float)
     t_safe = np.maximum(t, SMALL_T)
+    t_small = np.minimum(t, SMALL_T)
     direct = (
         (12.0 - t_safe ** 2 * np.exp(-alpha * t_safe)) / 12.0 * _rho(t_safe)
         - 0.5
         - 1.0 / t_safe
     )
+    # t^2 e^{-alpha t} is inf * 0 at large t for alpha > 0, and may overflow where its twelfth does not
+    direct = _redo_overflow(direct, lambda: (
+        (1.0 - np.exp(2.0 * np.log(t_safe) - alpha * t_safe - math.log(12.0))) * _rho(t_safe)
+        - 0.5
+        - 1.0 / t_safe
+    ))
     c2 = alpha / 12.0 - 1.0 / 24.0
     c3 = alpha / 24.0 - alpha ** 2 / 24.0 - 1.0 / 120.0
     c4 = alpha / 144.0 - alpha ** 2 / 48.0 + alpha ** 3 / 72.0
@@ -217,7 +277,7 @@ def kernel_thm34(alpha: float, t):
         + alpha ** 3 / 144.0
         - alpha ** 4 / 288.0
     )
-    series = c2 * t ** 2 + c3 * t ** 3 + c4 * t ** 4 + c5 * t ** 5
+    series = c2 * t_small ** 2 + c3 * t_small ** 3 + c4 * t_small ** 4 + c5 * t_small ** 5
     out = np.where(t < SMALL_T, series, direct)
     return _unwrap(out)
 
@@ -366,8 +426,8 @@ class SignScanReport:
 
 def default_t_grid(t_min: float = 1e-4, t_max: float = 50.0, points: int = 2000):
     """Geometric scan grid; kernels vary on both log and linear scales."""
-    if not (0.0 < t_min < t_max) or points < 2:
-        raise DomainError("t grid requires 0 < t_min < t_max and points >= 2")
+    if not (0.0 < t_min < t_max < math.inf) or points < 2:
+        raise DomainError("t grid requires 0 < t_min < t_max < inf and points >= 2")
     return np.geomspace(t_min, t_max, points)
 
 
@@ -384,6 +444,7 @@ def _count_sign_changes(values: np.ndarray, zero_tol: float) -> int:
 def scan_kernel(kernel_id: str, params: dict | None = None, t_grid=None):
     """Evaluate a registered kernel on a grid and compare with its sign regime.
 
+    A kernel value beyond float64 is an OverflowError naming the first such t.
     Returns (t, w, report).  min/max are taken over the real grid points; the
     t -> 0 limit participates only in sign-change counting, where near-zero
     values (removable singularities, equality cases) are interpolated away.
@@ -402,6 +463,12 @@ def scan_kernel(kernel_id: str, params: dict | None = None, t_grid=None):
         p.update(params)
     t = default_t_grid() if t_grid is None else np.asarray(t_grid, dtype=float)
     w = np.asarray(kern.fn(t=t, **p), dtype=float)
+    beyond = ~np.isfinite(w)
+    if beyond.any():
+        raise OverflowError(
+            f"kernel {kernel_id!r} at t={t.item(int(np.flatnonzero(beyond)[0]))!r} "
+            "exceeds the float64 range"
+        )
     limit = float(kern.fn(t=0.0, **p)) + 0.0  # + 0.0: a series summing signed zeros prints 0, not -0
     expected = kern.expected_sign(**p)
 

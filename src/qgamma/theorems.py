@@ -3,8 +3,8 @@
 Each :class:`TheoremCase` bundles a function family f, analytic derivatives of
 f built from the q-special primitives (never from the kernel representation,
 so the two stay independently checkable; ``deriv(k, x)`` takes a float or an
-ndarray x and maps it elementwise, so ``check_cm`` evaluates a whole stencil
-lattice in one call), the proof kernel it corresponds to,
+ndarray x and maps it elementwise, so ``check_cm`` evaluates the distinct
+nodes of a whole stencil lattice in one call), the proof kernel it corresponds to,
 the documented sample parameters, the expected complete-monotonicity verdict
 and the valid x-interval.  Case ids are stable strings used by the CLI and
 CSV reports; suffixes ``-pos`` / ``-neg`` / ``-low`` / ``-neither`` name the
@@ -37,6 +37,16 @@ classical form at q = 1.  The classical cases are the q = 1 members of their
 families: ``thm2.1`` of ``thm2.2``'s h, ``cor2.4`` of ``thm2.3``'s
 difference h(x) - h(x+a), and ``cor3.6`` of ``cor3.5``'s difference
 log g(x+s) - log g(x+1).  The q-only factories reject q = 1 themselves.
+
+Sharing.  Each evaluation is made once.  ``verify_case`` evaluates
+``deriv`` once per (order, abscissae) for all of a case's directions, so a
+"neither" case's -f' check reads its f' values negated.  Where a closure
+needs one primitive at one order on several shifts of x (the difference
+compositions, thm2.5, thm2.6, thm3.2, thm4.1), ``_Q.stacked`` evaluates it
+in one call on the concatenated abscissae; each closure keeps the order in
+which it calls its primitives, so an x outside the interval is named as
+separate calls would name it.  Every evaluator's array call equals its scalar calls element
+for element, so sharing changes no value.
 """
 
 from __future__ import annotations
@@ -114,23 +124,6 @@ class TheoremCase:
             return [("f", +1, 0)]
         raise DomainError(f"unknown expected verdict {self.expected!r}")
 
-    def tested(self, sign: int, base: int):
-        """``fn`` and ``derivs`` for check_cm, with numpy's flags quiet over the whole lattice.
-
-        An x outside the case's interval still raises DomainError from the
-        evaluators it reaches; the closures' own arithmetic at such an x
-        (1/0, the log of a negative) must not warn first.
-        """
-        @np.errstate(all="ignore")
-        def fn(x):
-            return sign * self.deriv(base, x)
-
-        @np.errstate(all="ignore")
-        def derivs(k, x):
-            return sign * self.deriv(base + k, x)
-
-        return fn, derivs
-
 
 @dataclass(frozen=True)
 class CaseVerification:
@@ -147,19 +140,35 @@ def verify_case(
 ) -> CaseVerification:
     """Run the CM check on every direction the case claims and compare verdicts.
 
+    ``case.deriv`` is evaluated once per (order, abscissae) for all the
+    case's directions, so the -f' check of a "neither" case reads the f'
+    values negated, which is exact.  The values are kept for this call only.
+    An x outside the case's interval still raises DomainError from the
+    evaluators it reaches; the closures' own arithmetic at such an x (1/0,
+    the log of a negative) must not warn first, so numpy's flags are quiet
+    over the whole lattice.
+
     A "neither" case matches only when both directions produce an explicit
     violation witness; CM cases match when their direction stays consistent.
     """
     g = grid or case.grid
+    values: dict[tuple[int, bytes], np.ndarray] = {}
+
+    @np.errstate(all="ignore")
+    def deriv(k, x):
+        key = (k, x.tobytes())
+        if key not in values:
+            values[key] = np.asarray(case.deriv(k, x), dtype=float)
+        return values[key]
+
     reports: dict[str, CMReport] = {}
     for label, sign, base in case.directions():
-        fn, derivs = case.tested(sign, base)
         reports[label] = check_cm(
-            fn,
+            lambda x: sign * deriv(base, x),
             g,
             tol_abs=tol_abs,
             tol_rel=tol_rel,
-            derivs=derivs,
+            derivs=lambda k, x: sign * deriv(base + k, x),
             include_order_zero=case.expected == F_CM,
             case_id=f"{case.id}[{label}]",
         )
@@ -189,33 +198,48 @@ class _Q:
         self.classical = self.qv.is_classical
         self.lq = 0.0 if self.classical else math.log(self.q)
 
-    def lg(self, y: float) -> float:
+    @staticmethod
+    def stacked(piece: Callable[[np.ndarray], np.ndarray], *ys) -> np.ndarray:
+        """piece(y) for each abscissa array y (one shape), as the rows of one call on the concatenated ys.
+
+        ``piece`` maps an ndarray elementwise, so each row equals its own call
+        piece(y) bit for bit, and an error names the first bad element in the
+        order of ``ys``.
+        """
+        flat = np.concatenate([np.reshape(y, -1) for y in ys])
+        return np.reshape(piece(flat), (len(ys), *np.shape(ys[0])))
+
+    def lg(self, y: float | np.ndarray) -> float | np.ndarray:
         return log_gamma_q(y, self.qv, _CASE_CONFIG).value
 
-    def ps(self, k: int, y: float) -> float:
+    def ps(self, k: int, y: float | np.ndarray) -> float | np.ndarray:
         if k == 0:
             return psi_q(y, self.qv, _CASE_CONFIG).value
         return psi_q_n(k, y, self.qv, _CASE_CONFIG).value
 
-    def mom(self, k: int, y: float) -> float:
+    def dlg(self, k: int) -> Callable[[np.ndarray], np.ndarray]:
+        """The k-th derivative of log Gamma_q as a function of y: lg at k = 0, psi_q^(k-1) above."""
+        return self.lg if k == 0 else lambda y: self.ps(k - 1, y)
+
+    def mom(self, k: int, y: float | np.ndarray) -> float | np.ndarray:
         """k-th derivative of the first moment -q^y log q / (1 - q^y); 1/y classically."""
         if self.classical:
             return (-1.0) ** k * math.factorial(k) * y ** (-k - 1)
         return _moment(k, y, self.lq)
 
-    def log1m(self, y: float) -> float:
+    def log1m(self, y: float | np.ndarray) -> float | np.ndarray:
         """log(1 - q^y) for q < 1, log(y) classically."""
         if self.classical:
             return np.log(y)
         return -_moment_over_t(y, self.lq)
 
-    def log_scale(self, y: float) -> float:
+    def log_scale(self, y: float | np.ndarray) -> float | np.ndarray:
         """log((1-q^y)/(1-q)) for q < 1, log(y) classically."""
         if self.classical:
             return np.log(y)
         return np.log(-np.expm1(y * self.lq)) - math.log1p(-self.q)
 
-    def stirling(self, y: float) -> float:
+    def stirling(self, y: float | np.ndarray) -> float | np.ndarray:
         """The q-Stirling term y log(1-q) + F(q^y)/log q; y - y log y classically.
 
         Its derivative is -log_scale(y); y - y log y is its q -> 1 limit up to
@@ -341,8 +365,16 @@ def _q_only(theorem: str, q: float) -> _Q:
 
 
 def _difference(deriv, a: float, b: float):
-    """Derivatives of the difference composition h(x + a) - h(x + b) of a family h."""
-    return lambda k, x: deriv(k, x + a) - deriv(k, x + b)
+    """Derivatives of the difference composition h(x + a) - h(x + b) of a family h.
+
+    Both shifts go through one call of the family's closure, so each of its
+    primitives is evaluated once per order.
+    """
+    def diff(k, x):
+        at_a, at_b = _Q.stacked(lambda y: deriv(k, y), x + a, x + b)
+        return at_a - at_b
+
+    return diff
 
 
 def _thm22_family(alpha: float, q: float):
@@ -389,9 +421,9 @@ def _case_thm25(
     P = _Q(q)
 
     def deriv(k, x):
-        if k == 0:
-            return (a - b) * P.log_scale(x + c) + P.lg(x + b) - P.lg(x + a)
-        return (a - b) * P.mom(k - 1, x + c) + P.ps(k - 1, x + b) - P.ps(k - 1, x + a)
+        scale = P.log_scale(x + c) if k == 0 else P.mom(k - 1, x + c)
+        at_b, at_a = P.stacked(P.dlg(k), x + b, x + a)
+        return (a - b) * scale + at_b - at_a
 
     params = {"a": a, "b": b, "c": c, "q": q}
     x_start, interval = {  # -(log g)' CM on (-c, inf), (log g)' CM on (-a, inf)
@@ -406,9 +438,9 @@ def _case_thm26(case_id: str, a: float = 1.5, q: float = 0.5) -> TheoremCase:
     P = _q_only("thm2.6", q)
 
     def deriv(k, x):
-        if k == 0:
-            return a * P.log_scale(x) + P.lg(x) - P.lg(x + a)
-        return a * P.mom(k - 1, x) + P.ps(k - 1, x) - P.ps(k - 1, x + a)
+        scale = P.log_scale(x) if k == 0 else P.mom(k - 1, x)
+        at_0, at_a = P.stacked(P.dlg(k), x, x + a)
+        return a * scale + at_0 - at_a
 
     return _case(case_id, {"a": a, "q": q}, deriv, "thm2.6", 1, sigma=(a - 1.0) / 2.0)
 
@@ -442,9 +474,8 @@ def _case_thm32(
     P = _Q(q)
 
     def deriv(k, x):
-        if k == 0:
-            return P.lg(x + a) - P.lg(x + b) + (b - a) * P.ps(0, x + c)
-        return P.ps(k - 1, x + a) - P.ps(k - 1, x + b) + (b - a) * P.ps(k, x + c)
+        at_a, at_b = P.stacked(P.dlg(k), x + a, x + b)
+        return at_a - at_b + (b - a) * P.ps(k, x + c)
 
     params = {"a": a, "b": b, "c": c, "q": q}
     # h' CM on (-c, inf); -h' CM and neither on (-a, inf)
@@ -519,10 +550,10 @@ def _case_thm41(case_id: str, kernel_id: str, a_list=(0.5, 1.5), q: float = 0.5)
     P = _Q(q)
 
     def deriv(k, x):
-        f = P.lg if k == 0 else lambda y: P.ps(k - 1, y)
-        out = sum(f(x + ai) for ai in a)
-        for power, shift in denominator:
-            out = out - power * f(x + shift)
+        vals = P.stacked(P.dlg(k), *(x + ai for ai in a), *(x + shift for _, shift in denominator))
+        out = sum(vals[:len(a)])
+        for (power, _), v in zip(denominator, vals[len(a):]):
+            out = out - power * v
         return out
 
     # _case checks that a_list is nonempty and positive before anything divides by its length

@@ -252,8 +252,13 @@ def _assert_matches_reference(fn, grid, derivs=None, include_order_zero=True, to
     assert (rep.worst_violation, rep.worst_threshold) == (signed, thresh)
     assert rep.witness == witness
     assert rep.verdict == (cm.VIOLATES if violated else cm.CONSISTENT)
-    assert rep.evaluations == len(grid.h_set) * grid.points * (grid.max_order + 1)
+    assert rep.evaluations == len(_distinct_nodes(grid))
     return rep
+
+
+def _distinct_nodes(grid):
+    """The distinct stencil nodes x + j h of a grid, as the scalar scan keys them."""
+    return {float(x) + j * h for h in grid.h_set for x in grid.xs() for j in range(grid.max_order + 1)}
 
 
 _grids = st.builds(
@@ -305,6 +310,34 @@ def test_check_cm_nan_values_are_no_evidence(grid, cut, zero):
     assert rep.witness[2] == -1 and rep.verdict == cm.CONSISTENT
 
 
+# steps that are exact multiples of each other: many stencil nodes coincide
+_multiple_grids = st.builds(
+    cm.GridSpec,
+    x_min=st.floats(0.05, 2.0),
+    x_max=st.floats(2.5, 25.0),
+    points=st.integers(2, 12),
+    spacing=st.sampled_from(("linear", "geometric")),
+    h_set=st.lists(st.sampled_from((0.125, 0.25, 0.5, 1.0, 2.0)), min_size=1, max_size=5,
+                   unique=True).map(tuple),
+    max_order=st.integers(1, 9),
+)
+
+
+@given(_multiple_grids, st.floats(-3.0, 3.0), st.floats(0.0, 3.0), st.booleans())
+def test_check_cm_evaluates_each_distinct_node_once(grid, a, b, zero):
+    calls = []
+
+    def fn(x):
+        if np.ndim(x):  # check_cm's call, not the scalar scan's
+            calls.append(np.array(x))
+        return a * np.exp(-b * x) + 1.0 / x
+
+    rep = _assert_matches_reference(fn, grid, include_order_zero=zero)
+    (nodes,) = calls
+    assert rep.evaluations == nodes.size == np.unique(nodes).size == len(_distinct_nodes(grid))
+    assert nodes[0] == grid.xs()[0]  # first occurrence order: the lattice starts at x_min
+
+
 def test_check_cm_calls_fn_once_on_the_whole_lattice():
     calls = []
 
@@ -313,7 +346,8 @@ def test_check_cm_calls_fn_once_on_the_whole_lattice():
         return np.exp(-x)
 
     rep = cm.check_cm(fn, cm.GridSpec(0.1, 5.0, 7), derivs=lambda k, x: (-1) ** k * np.exp(-x))
-    assert calls == [(3 * 7 * 9,)] and rep.evaluations == 3 * 7 * 9
+    # 3 * 7 * 9 = 189 stencil nodes, of which 133 are distinct
+    assert calls == [(133,)] and rep.evaluations == 133
 
 
 # the first argument outside (0, inf) each closure meets on a lattice from x = -0.5:

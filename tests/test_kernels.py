@@ -1,6 +1,7 @@
 """Kernel value oracles, sandwich sweeps, and sign-scan behavior."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -358,3 +359,124 @@ def test_t0_limit_prints_zero_not_negative_zero(capsys, argv):
     main(["scan-kernel", *argv, "--t-points", "5"])
     rows = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("summary,t0_limit,")]
     assert rows == ["summary,t0_limit,0"]
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.1, 0.5, 0.9])
+def test_kernel_thm31_matches_high_precision_at_small_alpha(alpha):
+    # -alpha h(t) + h(t/alpha): no series term grows like (t/alpha)^k
+    t = np.geomspace(1e-6, 50.0, 4000)
+    w = K.kernel_thm31(alpha, t)
+    a = mp.mpf(alpha)
+    want = [-a / (1 - mp.e ** -mp.mpf(v)) + 1 / (1 - mp.e ** (-mp.mpf(v) / a)) for v in t]
+    assert max(abs(float(wi - wv)) for wi, wv in zip(w, want)) <= 5e-13
+
+
+# (kernel, flags, first t whose value is beyond float64, or None) on the grid
+# geomspace(1e-4, 1e300, 7) = 1e-4, 4.6e46, 2.2e97, 1e148, 4.6e198, ...
+_T_1E300 = np.geomspace(1e-4, 1e300, 7)
+LARGE_T_SCANS = [
+    ("lemma1.2", (), None),
+    ("lemma1.2", ("--alpha", "1.5"), _T_1E300[1]),
+    ("thm2.1", (), None),
+    ("thm2.1", ("--alpha", "2"), None),
+    ("thm2.5", (), None),
+    ("thm2.5", ("--a", "-0.5", "--b", "0.2", "--c", "-0.3"), _T_1E300[1]),
+    ("thm2.6", (), _T_1E300[1]),
+    ("thm2.6", ("--a", "1"), None),
+    ("thm3.1", (), None),
+    ("thm3.1", ("--alpha", "0.01"), None),
+    ("thm3.2", (), _T_1E300[1]),
+    ("thm3.2", ("--c", "0.5"), _T_1E300[1]),
+    ("thm3.4", (), None),
+    ("thm3.4", ("--alpha", "-0.5"), _T_1E300[1]),
+    ("thm3.4", ("--alpha", "0"), _T_1E300[4]),  # t^2/12 leaves float64 past t = 4.6e154
+    ("thm4.1-mean", (), None),
+    ("thm4.1-split", (), None),
+]
+
+
+@pytest.mark.parametrize("kid,flags,beyond", LARGE_T_SCANS)
+def test_scan_to_large_t_is_finite_or_an_overflow_error(capsys, kid, flags, beyond):
+    from qgamma.cli import main
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["scan-kernel", kid, *flags, "--t-max", "1e300", "--t-points", "7"])
+    out, err = capsys.readouterr()
+    if beyond is None:
+        assert code in (0, 1) and err == ""
+        values = [float(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]
+                  if line.split(",")[1] in ("min", "max", "t0_limit") or line.startswith("point,")]
+        assert len(values) == 10 and all(math.isfinite(v) for v in values)
+    else:
+        assert code == 2 and out == ""
+        assert err == f"error: kernel {kid!r} at t={float(beyond)!r} exceeds the float64 range\n"
+
+
+def test_scan_to_infinite_t_is_a_domain_error(capsys):
+    from qgamma.cli import main
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["scan-kernel", "thm2.1", "--t-max", "inf", "--t-points", "4"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "t_max < inf" in err
+
+
+def test_every_kernel_has_a_large_t_scan():
+    assert {kid for kid, *_ in LARGE_T_SCANS} == set(K.KERNELS)
+
+
+# kernels whose direct form overflows in an intermediate (e^{ct}, t^2) while
+# the value itself may still be a float64, with their 40-digit references
+def _ref_lemma12(t, alpha):
+    r = mp.sinh(alpha * t) / mp.sinh(t)
+    return min(r - alpha * mp.e ** ((alpha - 1) * t), alpha - r)
+
+
+def _ref_thm25(t, a, b, c):
+    return (mp.e ** (-b * t) - mp.e ** (-a * t)) / (1 - mp.e ** -t) + (b - a) * mp.e ** (-c * t)
+
+
+def _ref_thm26(t, a):
+    return a * mp.e ** ((a - 1) * t / 2) - mp.sinh(a * t / 2) / mp.sinh(t / 2)
+
+
+def _ref_thm32(t, a, b, c):
+    return 2 * mp.sinh((b - a) * t / 2) - (b - a) * t * mp.e ** (((a + b) / 2 - c) * t)
+
+
+def _ref_thm34(t, alpha):
+    return (12 - t ** 2 * mp.e ** (-alpha * t)) / (12 * (1 - mp.e ** -t)) - mp.mpf(1) / 2 - 1 / t
+
+
+_LARGE_T_REFERENCES = [
+    ("lemma1.2", {"alpha": 1.5}, _ref_lemma12),
+    ("lemma1.2", {"alpha": 1.001}, _ref_lemma12),
+    ("thm2.5", {"a": -0.5, "b": 0.2, "c": -0.3}, _ref_thm25),
+    ("thm2.6", {"a": 1.5}, _ref_thm26),
+    ("thm2.6", {"a": 4.0}, _ref_thm26),
+    ("thm3.2", {"a": 0.5, "b": 1.0, "c": 0.75}, _ref_thm32),
+    ("thm3.2", {"a": 0.5, "b": 1.0, "c": 0.5}, _ref_thm32),
+    ("thm3.4", {"alpha": -0.5}, _ref_thm34),
+    ("thm3.4", {"alpha": 0.0}, _ref_thm34),
+    ("thm3.4", {"alpha": 0.5}, _ref_thm34),
+]
+
+
+@pytest.mark.parametrize("kid,params,ref", _LARGE_T_REFERENCES)
+def test_large_t_values_are_finite_exactly_where_the_true_value_is(kid, params, ref):
+    # through the overflow thresholds of e^{ct} and t^2, up to t = 1e160; the
+    # dense stretches cover the bands where an intermediate overflows first
+    t = np.concatenate([np.geomspace(1e-3, 1e4, 150), np.linspace(1380.0, 3000.0, 163),
+                        np.geomspace(6e5, 1e6, 101), np.geomspace(1e4, 1e160, 60)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = K.KERNELS[kid].fn(t=t, **params)
+    top = mp.mpf(np.finfo(float).max)
+    for ti, wi in zip(t, w):
+        want = ref(mp.mpf(ti), *(mp.mpf(v) for v in params.values()))
+        if abs(want) > top * (1 + mp.mpf(1e-12)):
+            assert wi == (math.inf if want > 0 else -math.inf), (ti, wi)
+        elif abs(want) < top * (1 - mp.mpf(1e-12)):
+            assert abs(wi - want) <= 1e-12 * max(1, abs(want)), (ti, wi, want)

@@ -7,6 +7,7 @@ mass sum of its proof kernel (q < 1), or against Lebesgue quadrature of the
 same integrand (q = 1).  Agreement validates both sides independently.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,8 +16,9 @@ from scipy.integrate import quad
 
 from qgamma import kernels as K
 from qgamma import theorems as T
-from qgamma.cmcheck import CONSISTENT, VIOLATES
+from qgamma.cmcheck import CONSISTENT, VIOLATES, check_cm
 from qgamma.special import (
+    Q_SERIES_MAX,
     ConvergenceError,
     DomainError,
     EvalConfig,
@@ -379,7 +381,7 @@ KERNEL_DOMAIN_ERRORS = [
     ("thm3.1", {"alpha": 0.0}, "kernel_thm31 requires"),
     ("thm3.1", {"alpha": 1.0}, "kernel_thm31 requires"),
     ("thm3.1", {"alpha": 1.5}, "kernel_thm31 requires"),
-    ("thm3.1", {"alpha": 1e-300}, "kernel_thm31 requires"),  # 1/alpha^3 overflows
+    ("thm3.1", {"alpha": 1e-300}, "kernel_thm31 requires"),  # below the 2^-340 edge
     ("thm3.2", {"a": 1.0, "b": 0.5}, "kernel_thm32 requires 0 < a < b"),  # a >= b
     ("thm3.2", {"a": 1.0, "b": 1.0}, "kernel_thm32 requires 0 < a < b"),
     ("thm3.2", {"a": 0.0}, "kernel_thm32 requires 0 < a < b"),  # a <= 0
@@ -397,3 +399,98 @@ def test_kernel_domain_rejects_case_parameters(cid, override, message):
     # thm4.1-mean divides by the length of a_list
     with pytest.raises(DomainError, match=message):
         T.make_case(cid, **override)
+
+
+# ---------------------------------------------------------------------------
+# each evaluation once: shared directions, stacked shifts
+# ---------------------------------------------------------------------------
+
+# the evaluators a closure reaches through the theorems module, and where each takes its order and q
+_EVALUATORS = {
+    "log_gamma_q": (None, 1), "psi_q": (None, 1), "psi_q_n": (0, 2), "psi": (None, None),
+    "psi_n": (0, None), "_moment": (0, 2), "_moment_over_t": (None, 1), "dilog_F": (None, None),
+}
+
+
+@pytest.fixture
+def evaluator_calls(monkeypatch):
+    """Every evaluator call made through the theorems module, as (name, order, q)."""
+    calls = []
+    for name, (order_at, q_at) in _EVALUATORS.items():
+        original = getattr(T, name)
+
+        def counted(*args, _f=original, _name=name, _o=order_at, _q=q_at, **kwargs):
+            q = None if _q is None else args[_q]
+            calls.append((_name, None if _o is None else args[_o], getattr(q, "q", q)))
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(T, name, counted)
+    return calls
+
+
+def _unshared_reports(case):
+    """The reports of verify_case from one check_cm per direction, each evaluating case.deriv itself."""
+    reports = {}
+    for label, sign, base in case.directions():
+        with np.errstate(all="ignore"):
+            reports[label] = check_cm(
+                lambda x: sign * case.deriv(base, x),
+                case.grid,
+                derivs=lambda k, x: sign * case.deriv(base + k, x),
+                include_order_zero=case.expected == T.F_CM,
+                case_id=f"{case.id}[{label}]",
+            )
+    return reports
+
+
+def test_neither_case_evaluates_as_often_as_its_f_prime_direction(evaluator_calls):
+    case = T.make_case("cor3.5-neither")
+    assert [label for label, *_ in case.directions()] == ["f'", "-f'"]
+    ver = T.verify_case(case)
+    shared = list(evaluator_calls)
+    evaluator_calls.clear()
+    check_cm(lambda x: case.deriv(1, x), case.grid, derivs=lambda k, x: case.deriv(1 + k, x),
+             include_order_zero=False)
+    assert shared == evaluator_calls and len(shared) > 0
+    assert set(ver.reports) == {"f'", "-f'"}
+
+
+@pytest.mark.parametrize("cid", ["thm2.3", "cor2.4", "cor3.5", "cor3.6", "thm2.5", "thm2.6",
+                                 "thm3.2", "thm4.1-mean", "thm4.1-split"])
+def test_shifted_closures_call_each_primitive_once_per_order(evaluator_calls, cid):
+    case = T.make_case(cid)
+    x = case.grid.xs()
+    for k in range(5):
+        evaluator_calls.clear()
+        case.deriv(k, x)
+        assert evaluator_calls and len(set(evaluator_calls)) == len(evaluator_calls), (k, evaluator_calls)
+
+
+def _report_fields(rep):
+    return {f.name: repr(getattr(rep, f.name)) for f in dataclasses.fields(rep)}
+
+
+@pytest.mark.parametrize("cid", T.registry_ids())
+def test_shared_verification_equals_one_check_per_direction(cid):
+    case = T.make_case(cid)
+    got = T.verify_case(case).reports
+    want = _unshared_reports(case)
+    assert list(got) == list(want)
+    for label in want:
+        assert _report_fields(got[label]) == _report_fields(want[label]), label
+
+
+@pytest.mark.parametrize("q", [1.0, 0.5, Q_SERIES_MAX])
+def test_stacked_shifts_equal_separate_calls_bit_for_bit(q):
+    P = T._Q(q)
+    x = np.concatenate([np.geomspace(0.05, 30.0, 17), [0.5, 1.0, 2.0]])
+    pieces = [P.lg, P.log1m, P.log_scale, P.stirling] + [
+        (lambda y, k=k: P.ps(k, y)) for k in (0, 1, 3)] + [(lambda y, k=k: P.mom(k, y)) for k in (0, 2)]
+    for piece in pieces:
+        ys = (x + 0.5, x, x + 2.0)
+        rows = T._Q.stacked(piece, *ys)
+        assert rows.shape == (3, x.size)
+        for row, y in zip(rows, ys):
+            assert row.tobytes() == np.asarray(piece(y), dtype=float).tobytes()
+        # a scalar abscissa gives one value per shift
+        assert [float(v) for v in T._Q.stacked(piece, 0.75, 1.5)] == [piece(0.75), piece(1.5)]
