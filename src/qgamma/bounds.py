@@ -159,7 +159,8 @@ def q_sandwich(x, s, q, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundTriple:
     q = q if isinstance(q, QValue) else QValue(float(q))
     x, s = _real_args("q_sandwich", x, s, x_ok=lambda x, s: x > -s / 2.0, x_rule="x > -s/2")
     y = x + s / 2.0
-    base = y if q.is_classical else -np.expm1(y * math.log(q.q)) / (1.0 - q.q)
+    lq = math.log(q.q)
+    base = y if q.is_classical else -np.expm1(y * lq) / -math.expm1(lq)
     lower = base ** (1.0 - s)
     value = np.exp(log_gamma_q(x + 1.0, q, cfg).value - log_gamma_q(x + s, q, cfg).value)
     upper = np.exp((1.0 - s) * psi_q(x + (s + 1.0) / 2.0, q, cfg).value)

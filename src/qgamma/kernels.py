@@ -7,11 +7,11 @@ by truncated Taylor expansions below ``SMALL_T``), scans their sign on a
 geometric grid, and exposes the kernel table used by the CLI and the corpus.
 
 All kernel functions accept a scalar or ndarray ``t >= 0`` and are pure; at
-t = 0 each returns its t -> 0 limit.  They raise no numpy warnings: each
-small-t series is formed on min(t, SMALL_T), a direct form whose
-intermediate overflows (e^{ct}, t^2) is redone with that factor taken out
-through its logarithm, and a value beyond float64 comes back as +-inf,
-which ``scan_kernel`` reports as an OverflowError.
+t = 0 each returns its t -> 0 limit, and none raises a numpy warning.  Past
+its small-t series (formed on min(t, SMALL_T)) each kernel has one formula:
+its growing factor e^{mt} (t^2 e^{-alpha t} for thm3.4) is taken out of the
+bracket and put back by ``_exp_times``, so no intermediate overflows, and a
+value beyond float64 is +-inf, which ``scan_kernel`` reports as an OverflowError.
 
 ``KERNELS`` holds the functions themselves, so a kernel's formula, domain
 check and limit each have one source: ``scan_kernel`` reports ``fn(t=0)`` as
@@ -72,51 +72,49 @@ def _rho(t):
     return 1.0 / -np.expm1(-t)
 
 
+# ln 2 = _LN2_HI + _LN2_LO, with _LN2_HI's low 21 bits zero: k * _LN2_HI is exact for |k| < 2^21
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+
+@_quiet
 def _exp_times(log_scale, bracket):
-    """bracket * e^log_scale, +-inf only where the product itself leaves float64."""
-    return np.sign(bracket) * np.exp(log_scale + np.log(np.abs(bracket)))
+    """bracket * e^log_scale: bracket itself at log_scale = 0, +-inf only where the product leaves float64.
+
+    e^log_scale = 2^k e^r with k = ceil(log_scale / ln 2), so r lies in
+    (-ln 2, 0] and bracket * e^r cannot overflow; ``np.ldexp`` applies 2^k
+    with one rounding.  |k| is capped at 2200, past which every float64
+    product is 0 or +-inf anyway.
+    """
+    k = np.clip(np.ceil(log_scale / _LN2_HI), -2200.0, 2200.0).astype(int)
+    return np.ldexp(bracket * np.exp(log_scale - k * _LN2_HI - k * _LN2_LO), k)
 
 
 def _sinh_quotient(alpha: float, t):
-    """(1 - e^{-2 alpha t}) / (1 - e^{-2t}) for t > 0: sinh(alpha t)/sinh(t) is e^{(alpha-1)t} times it."""
-    return np.expm1(-2.0 * alpha * t) / np.expm1(-2.0 * t)
+    """(1 - e^{-2 alpha t}) / (1 - e^{-2t}), alpha at t = 0: sinh(alpha t)/sinh(t) is e^{(alpha-1)t} times it."""
+    return np.where(t == 0.0, alpha, np.expm1(-2.0 * alpha * t) / np.expm1(-2.0 * t))
 
 
-def _redo_overflow(out, exact):
-    """``out``, with ``exact()`` where it is not finite.
-
-    There an intermediate such as e^{ct} overflowed; ``exact`` forms the
-    value with that factor taken out (see _exp_times).
-    """
-    big = ~np.isfinite(out)
-    return np.where(big, exact(), out) if big.any() else out
-
-
-def sinh_ratio(alpha: float, t):
-    """sinh(alpha t) / sinh(t) for t >= 0, stable for large t via the exponential rewrite.
-
-    Its t -> 0 limit alpha is returned at t = 0.  Equality with both sandwich
-    members holds at alpha = 1.  Arguments with (alpha - 1) t beyond the float
-    exponent range overflow to inf rather than raising; the scan grids stay
-    far below that.
-    """
+def _sinh_parts(alpha: float, t) -> tuple[float, np.ndarray, np.ndarray]:
+    """(alpha, (alpha-1) t, s) with sinh(alpha t)/sinh(t) = e^{(alpha-1)t} s, once alpha > 0 and t >= 0."""
     alpha = float(alpha)
     t = np.asarray(t, dtype=float)
     if alpha <= 0.0:
         raise DomainError(f"sinh_ratio requires alpha > 0, got {alpha!r}")
     if np.any(t < 0.0):
         raise DomainError("sinh_ratio requires t >= 0")
-    if alpha == 1.0:
-        out = np.ones_like(t)
-        return _unwrap(out)
-    zero = t == 0.0
-    t_pos = np.where(zero, 1.0, t)
-    # sinh(at)/sinh(t) = e^{(a-1)t} (1 - e^{-2at}) / (1 - e^{-2t})
-    log_ratio = (alpha - 1.0) * t_pos + np.log(-np.expm1(-2.0 * alpha * t_pos)) - np.log(
-        -np.expm1(-2.0 * t_pos)
-    )
-    out = np.where(zero, alpha, np.exp(log_ratio))
-    return _unwrap(out)
+    return alpha, (alpha - 1.0) * t, _sinh_quotient(alpha, t)
+
+
+@_quiet
+def sinh_ratio(alpha: float, t):
+    """sinh(alpha t) / sinh(t) for t >= 0, as e^{(alpha-1)t} (1 - e^{-2 alpha t}) / (1 - e^{-2t}).
+
+    Its t -> 0 limit alpha is returned at t = 0, and it is exactly 1 at
+    alpha = 1, where it equals both sandwich members.  A value beyond float64
+    comes back as inf.
+    """
+    _, log_e, quot = _sinh_parts(alpha, t)
+    return _unwrap(_exp_times(log_e, quot))
 
 
 def sinh_ratio_bounds(alpha: float, t):
@@ -130,16 +128,13 @@ def sinh_ratio_bounds(alpha: float, t):
 
 @_quiet
 def kernel_lemma12_margin(alpha: float, t):
-    """Smaller of the two sandwich margins; > 0 for 0 < alpha < 1, < 0 for alpha > 1."""
-    r = sinh_ratio(alpha, t)
-    lower, upper = sinh_ratio_bounds(alpha, t)
+    """Smaller of the two sandwich margins; > 0 for 0 < alpha < 1, < 0 for alpha > 1.
 
-    def exact():  # r = e^{(alpha-1)t} s, lower = alpha e^{(alpha-1)t}, upper = alpha
-        tt = np.asarray(t, dtype=float)
-        log_e, quot = (alpha - 1.0) * tt, _sinh_quotient(alpha, tt)
-        return np.minimum(_exp_times(log_e, quot - alpha), alpha - _exp_times(log_e, quot))
-
-    return _unwrap(_redo_overflow(np.minimum(r - lower, upper - r), exact))
+    With sinh_ratio = e^{(alpha-1)t} s, the margins are e^{(alpha-1)t} (s - alpha)
+    and alpha - e^{(alpha-1)t} s.
+    """
+    alpha, log_e, quot = _sinh_parts(alpha, t)
+    return _unwrap(np.minimum(_exp_times(log_e, quot - alpha), alpha - _exp_times(log_e, quot)))
 
 
 @_quiet
@@ -164,18 +159,11 @@ def kernel_thm25(a: float, b: float, c: float, t):
     t = np.asarray(t, dtype=float)
     t_safe = np.maximum(t, SMALL_T)
     t_small = np.minimum(t, SMALL_T)
-    direct = (np.exp(-b * t_safe) - np.exp(-a * t_safe)) * _rho(t_safe) + (
+    m = max(-a, -c)  # e^{mt} taken out: every exponent left in the bracket is <= 0
+    bracket = (np.exp((-b - m) * t_safe) - np.exp((-a - m) * t_safe)) * _rho(t_safe) + (
         b - a
-    ) * np.exp(-c * t_safe)
-
-    def exact():  # e^{mt} times the bracket with e^{mt} taken out, m = max(-a, -c) >= -b
-        m = max(-a, -c)
-        bracket = (np.exp((-b - m) * t_safe) - np.exp((-a - m) * t_safe)) * _rho(t_safe) + (
-            b - a
-        ) * np.exp((-c - m) * t_safe)
-        return _exp_times(m * t_safe, bracket)
-
-    direct = _redo_overflow(direct, exact)
+    ) * np.exp((-c - m) * t_safe)
+    direct = _exp_times(m * t_safe, bracket)
     # power sums S_k = (b^k - a^k)/(b - a) feed the small-t expansion of the quotient
     s2 = a + b
     s3 = a * a + a * b + b * b
@@ -202,9 +190,7 @@ def kernel_thm26(a: float, t):
     if a < 1.0:
         raise DomainError(f"kernel_thm26 requires a >= 1, got {a!r}")
     t = np.asarray(t, dtype=float)
-    out = a * np.exp((a - 1.0) * t / 2.0) - sinh_ratio(a, t / 2.0)
-    out = _redo_overflow(out, lambda: _exp_times((a - 1.0) * t / 2.0, a - _sinh_quotient(a, t / 2.0)))
-    return _unwrap(out)
+    return _unwrap(_exp_times((a - 1.0) * t / 2.0, a - _sinh_quotient(a, t / 2.0)))
 
 
 @_quiet
@@ -230,18 +216,11 @@ def kernel_thm32(a: float, b: float, c: float, t):
     if not (0.0 < a < b):
         raise DomainError(f"kernel_thm32 requires 0 < a < b, got a={a}, b={b}")
     t = np.asarray(t, dtype=float)
-    out = 2.0 * np.sinh(0.5 * (b - a) * t) - (b - a) * t * np.exp(
-        (0.5 * (a + b) - c) * t
-    )
-
-    def exact():  # 2 sinh(ut) = e^{ut} (1 - e^{-2ut}), u = (b-a)/2; e^{mt} taken out, m = max(u, v)
-        u, v = 0.5 * (b - a), 0.5 * (a + b) - c
-        m = max(u, v)
-        bracket = -np.expm1(-(b - a) * t) * np.exp((u - m) * t) - (b - a) * t * np.exp((v - m) * t)
-        return _exp_times(m * t, bracket)
-
-    out = _redo_overflow(out, exact)
-    return _unwrap(out)
+    # 2 sinh(ut) = e^{ut} (1 - e^{-2ut}), u = (b-a)/2, and (a+b)/2 - c = u + d, d = a - c: taking out
+    # e^{mt}, m = u + max(d, 0), leaves the exponents min(-d, 0) and min(d, 0), each one rounding of d
+    d = a - c
+    bracket = -np.expm1(-(b - a) * t) * np.exp(min(-d, 0.0) * t) - (b - a) * t * np.exp(min(d, 0.0) * t)
+    return _unwrap(_exp_times((0.5 * (b - a) + max(d, 0.0)) * t, bracket))
 
 
 @_quiet
@@ -256,17 +235,9 @@ def kernel_thm34(alpha: float, t):
     t = np.asarray(t, dtype=float)
     t_safe = np.maximum(t, SMALL_T)
     t_small = np.minimum(t, SMALL_T)
-    direct = (
-        (12.0 - t_safe ** 2 * np.exp(-alpha * t_safe)) / 12.0 * _rho(t_safe)
-        - 0.5
-        - 1.0 / t_safe
-    )
-    # t^2 e^{-alpha t} is inf * 0 at large t for alpha > 0, and may overflow where its twelfth does not
-    direct = _redo_overflow(direct, lambda: (
-        (1.0 - np.exp(2.0 * np.log(t_safe) - alpha * t_safe - math.log(12.0))) * _rho(t_safe)
-        - 0.5
-        - 1.0 / t_safe
-    ))
+    # t^2 e^{-alpha t} / 12 through its logarithm: t^2 alone would overflow where the product need not
+    growth = _exp_times(2.0 * np.log(t_safe) - alpha * t_safe, 1.0 / 12.0)
+    direct = (1.0 - growth) * _rho(t_safe) - 0.5 - 1.0 / t_safe
     c2 = alpha / 12.0 - 1.0 / 24.0
     c3 = alpha / 24.0 - alpha ** 2 / 24.0 - 1.0 / 120.0
     c4 = alpha / 144.0 - alpha ** 2 / 48.0 + alpha ** 3 / 72.0
@@ -362,9 +333,11 @@ def _sign21(alpha):
 
 
 def _sign25(a, b, c):
-    if -_BOUNDARY_EPS <= c <= (a + b - 1.0) / 2.0 + _BOUNDARY_EPS:
+    # w = e^{-ct} [D - e^{-(a-c)t} G(t)] with D = b - a in (0, 1] and G = (1 - e^{-Dt})/(1 - e^{-t}),
+    # G(0) = D; the log-derivative of e^{-(a-c)t} G is -(a-c) + (log G)', and (log G)' falls from (1-D)/2 to 0
+    if c <= (a + b - 1.0) / 2.0 + _BOUNDARY_EPS:
         return POSITIVE
-    if c >= a - _BOUNDARY_EPS >= -_BOUNDARY_EPS:
+    if c >= a - _BOUNDARY_EPS:
         return NEGATIVE
     return ONE_SIGN_CHANGE
 

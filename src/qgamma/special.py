@@ -492,6 +492,25 @@ def _q_pow(t, lq: float):
     return e, np.exp(e), -np.expm1(e)
 
 
+def _log_one_minus_q(lq: float) -> tuple[float, float]:
+    """log(1-q) for lq = log q, and its rounding budget (absolute, in units of u)."""
+    if lq < -_LOG2:  # from q itself: accurate relative to a small q
+        v = math.log1p(-math.exp(lq))
+        return v, abs(v) * (_TERM_ULPS + 3.0 * -lq)
+    v = math.log(-math.expm1(lq))  # from 1 - q = -expm1(log q): consistent with every other q-power
+    return v, _TERM_ULPS + abs(v)
+
+
+def _log_q_number(w, lq: float):
+    """log((1-q^y)/(1-q)), the log of the q-number [y]_q, for w = 1 - q^y and lq = log q.
+
+    One logarithm of the ratio, with 1 - q = -expm1(lq) formed as every
+    1 - q^y is: the two large logarithms near q = 1 never cancel, and y = 1
+    gives 0 exactly.
+    """
+    return np.log(w / -math.expm1(lq))
+
+
 def _horner(coef, z):
     """sum_m coef[m] z^(len-1-m) by Horner's rule, from 0.0, coefficients in order."""
     poly = 0.0
@@ -576,7 +595,7 @@ def _q_polygamma(n: int, x: np.ndarray, lq: float):
     e, z, w = e[-1], z[-1], w[-1]  # at T, shared by the head, the half term and the corrections
     ulps = _TERM_ULPS + 3.0 * (n + np.minimum(-e, _EXP_ARG_MAX))
     if n == 0:
-        head = np.log(-w / math.expm1(lq))
+        head = _log_q_number(w, lq)
         head_err = _TERM_ULPS + np.abs(head)  # the ratio's relative error, now absolute
     else:
         head = -lq * _lambert(n - 1, z, w, lq)
@@ -710,7 +729,7 @@ def _log_gamma_q_series(x: np.ndarray, lq: float):
         return value, rem_a + rem_b + brem, total
 
     def reflected():  # q^a, q^b >= 1/2
-        log_b1 = math.log(math.expm1(b * lq) / math.expm1(lq))
+        log_b1 = _log_q_number(-math.expm1(b * lq), lq)
         bdiff, brem, berr = _li2_series_diff(alpha, beta, x - 1.0)
         parts = (-a * phi_n, (x - 1.0) * log_b1, -bdiff)
         part_err = (a * (phi_err + np.abs(phi_n))
@@ -718,12 +737,7 @@ def _log_gamma_q_series(x: np.ndarray, lq: float):
         return close(parts, brem, part_err)
 
     def direct_li2():
-        if lq < -_LOG2:  # log(1-q) from q itself: accurate relative to a small q
-            log_1 = math.log1p(-math.exp(lq))
-            log_1_err = abs(log_1) * (_TERM_ULPS + 3.0 * -lq)
-        else:  # from 1 - q = -expm1(log q): consistent with every other q-power
-            log_1 = math.log(-math.expm1(lq))
-            log_1_err = _TERM_ULPS + abs(log_1)
+        log_1, log_1_err = _log_one_minus_q(lq)
         za, zb = np.exp(a * lq), math.exp(b * lq)
 
         def series():  # q^a, q^b <= 1/2

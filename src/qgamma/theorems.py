@@ -65,6 +65,8 @@ from .special import (
     DomainError,
     EvalConfig,
     QValue,
+    _log_one_minus_q,
+    _log_q_number,
     _moment,
     _moment_over_t,
     dilog_F,
@@ -237,7 +239,7 @@ class _Q:
         """log((1-q^y)/(1-q)) for q < 1, log(y) classically."""
         if self.classical:
             return np.log(y)
-        return np.log(-np.expm1(y * self.lq)) - math.log1p(-self.q)
+        return _log_q_number(-np.expm1(y * self.lq), self.lq)
 
     def stirling(self, y: float | np.ndarray) -> float | np.ndarray:
         """The q-Stirling term y log(1-q) + F(q^y)/log q; y - y log y classically.
@@ -247,7 +249,7 @@ class _Q:
         """
         if self.classical:
             return y - y * np.log(y)
-        return y * math.log1p(-self.q) + dilog_F(np.exp(y * self.lq), _CASE_CONFIG).value / self.lq
+        return y * _log_one_minus_q(self.lq)[0] + dilog_F(np.exp(y * self.lq), _CASE_CONFIG).value / self.lq
 
 
 _MASS_SUM_CAP = 400_000
@@ -462,7 +464,7 @@ def _case_thm31(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase
     case = _case(case_id, {"alpha": alpha, "q": q}, deriv, "thm3.1", 1,
                  factor=lambda t: 1.0 / alpha, target="f")
     P2 = _Q(P.q ** (1.0 / alpha))
-    const = math.log(-math.expm1(math.log(P.q) / alpha)) - math.log1p(-P.q)
+    const = _log_q_number(-math.expm1(P.lq / alpha), P.lq)
     rep = case.representation
     return dataclasses.replace(case, representation=lambda x: const + rep(x))
 

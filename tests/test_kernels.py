@@ -32,6 +32,9 @@ def test_sinh_ratio_values():
 def test_sinh_ratio_equality_at_one():
     t = np.geomspace(1e-3, 50.0, 20)
     assert np.all(K.sinh_ratio(1.0, t) == 1.0)
+    # exactly, with no special case: e^{0 t} scales the quotient 1 by nothing
+    t = np.array([0.0, 5e-324, 1e-300, 1e4, 1e300])
+    assert np.all(K.sinh_ratio(1.0, t) == 1.0)
 
 
 def test_sinh_ratio_large_t_stability():
@@ -211,6 +214,10 @@ def test_default_t_grid():
         ("lemma1.2", {"alpha": 0.5}, "positive", 0),
         ("lemma1.2", {"alpha": 2.0}, "negative", 0),
         ("lemma1.2", {"alpha": 1.0}, "unspecified", 0),
+        # a or c below 0: c >= a is negative, c <= (a+b-1)/2 positive, whatever their signs
+        ("thm2.5", {"a": -0.5, "b": 0.3, "c": 0.2}, "negative", 0),
+        ("thm2.5", {"a": 0.2, "b": 1.0, "c": -0.1}, "positive", 0),
+        ("thm2.5", {"a": -0.5, "b": 0.5, "c": -0.5}, "positive", 0),  # b = a + 1, c = a: w = 0
     ],
 )
 def test_scan_kernel_regimes(kid, params, expected, changes):
@@ -336,7 +343,7 @@ def test_kernel_thm31_rejects_alpha_whose_series_overflows():
 
 
 def test_sinh_ratio_at_zero_is_its_limit():
-    for alpha in (1e-3, 0.5, 1.0, 2.0, 7.5):
+    for alpha in (1e-300, 1e-3, 0.1, 0.5, 1.0, 2.0, 7.5, 1e300):
         assert K.sinh_ratio(alpha, 0.0) == alpha
     out = K.sinh_ratio(0.5, np.array([0.0, 1.0]))
     assert out[0] == 0.5 and out[1] == K.sinh_ratio(0.5, 1.0)
@@ -480,3 +487,48 @@ def test_large_t_values_are_finite_exactly_where_the_true_value_is(kid, params, 
             assert wi == (math.inf if want > 0 else -math.inf), (ti, wi)
         elif abs(want) < top * (1 - mp.mpf(1e-12)):
             assert abs(wi - want) <= 1e-12 * max(1, abs(want)), (ti, wi, want)
+
+
+_DEFAULT_RANGE_REFERENCES = [
+    ("lemma1.2", {"alpha": 0.01}, _ref_lemma12),
+    ("lemma1.2", {"alpha": 0.9}, _ref_lemma12),
+    ("lemma1.2", {"alpha": 3.0}, _ref_lemma12),
+    ("thm2.5", {"a": 0.2, "b": 1.0, "c": 0.1}, _ref_thm25),
+    ("thm2.5", {"a": -0.5, "b": 0.3, "c": 0.2}, _ref_thm25),
+    ("thm2.5", {"a": 0.2, "b": 1.0, "c": -0.1}, _ref_thm25),
+    ("thm2.6", {"a": 1.0001}, _ref_thm26),
+    ("thm2.6", {"a": 4.0}, _ref_thm26),
+    ("thm3.2", {"a": 0.5, "b": 1.0, "c": 0.6}, _ref_thm32),
+    ("thm3.2", {"a": 0.1, "b": 2.0, "c": 0.3}, _ref_thm32),
+    ("thm3.4", {"alpha": -0.5}, _ref_thm34),
+    ("thm3.4", {"alpha": 2.0}, _ref_thm34),
+]
+
+
+@pytest.mark.parametrize("kid,params,ref", _DEFAULT_RANGE_REFERENCES)
+def test_factored_kernels_match_high_precision_on_the_default_grid(kid, params, ref):
+    # the five kernels written with their growing factor taken out, against 40 digits on [1e-4, 50]
+    t = K.default_t_grid()
+    w = K.KERNELS[kid].fn(t=t, **params)
+    for ti, wi in zip(t, w):
+        want = ref(mp.mpf(ti), *(mp.mpf(v) for v in params.values()))
+        assert abs(wi - want) <= 3e-13 * max(1, abs(want)), (ti, wi, want)
+
+
+def test_exp_times_scales_without_overflow():
+    rng = np.random.default_rng(3)
+    bracket = rng.uniform(-2.0, 2.0, 2000) * 10.0 ** rng.uniform(-300, 300, 2000)
+    assert np.array_equal(K._exp_times(0.0, bracket), bracket)
+    scale = rng.uniform(-1400.0, 1400.0, 2000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = K._exp_times(scale, bracket)
+    top = mp.mpf(np.finfo(float).max)
+    for s, b, g in zip(scale, bracket, got):
+        want = mp.mpf(b) * mp.e ** mp.mpf(s)
+        if abs(want) > top * (1 + mp.mpf(1e-15)):
+            assert g == (math.inf if want > 0 else -math.inf), (s, b, g)
+        elif abs(want) >= mp.mpf(np.finfo(float).tiny):
+            assert abs(g - want) <= 4e-16 * abs(want), (s, b, g, want)
+    # an intermediate e^s or bracket * e^s would overflow; the product does not
+    assert math.isfinite(K._exp_times(1400.0, 1e-300)) and K._exp_times(-0.5, 1.5e308) < 1.5e308

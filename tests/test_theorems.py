@@ -10,6 +10,7 @@ same integrand (q = 1).  Agreement validates both sides independently.
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -176,6 +177,13 @@ def test_registry_case_reproduces_expected_verdict(cid):
     else:
         for rep in ver.reports.values():
             assert rep.verdict == CONSISTENT
+
+
+@pytest.mark.parametrize("a,b,c", [(-0.5, 0.3, 0.2), (-0.5, 0.5, -0.5), (0.2, 1.0, -0.1)])
+def test_thm25_verdict_holds_with_a_or_c_below_zero(a, b, c):
+    # c >= a: f' CM; c <= (a+b-1)/2: -f' CM; on b = a + 1, c = a the kernel is 0 and both hold
+    ver = T.verify_case(T.make_case("thm2.5", a=a, b=b, c=c))
+    assert ver.matches, {label: rep.verdict for label, rep in ver.reports.items()}
 
 
 def test_verify_case_deterministic():
@@ -494,3 +502,16 @@ def test_stacked_shifts_equal_separate_calls_bit_for_bit(q):
             assert row.tobytes() == np.asarray(piece(y), dtype=float).tobytes()
         # a scalar abscissa gives one value per shift
         assert [float(v) for v in T._Q.stacked(piece, 0.75, 1.5)] == [piece(0.75), piece(1.5)]
+
+
+@pytest.mark.parametrize("q", [0.01, 0.5, 0.9, 0.99, 0.999, Q_SERIES_MAX])
+def test_log_scale_is_within_4u_of_high_precision(q):
+    # one logarithm of (1-q^y)/(1-q): near q = 1 two large logarithms no longer cancel
+    y = np.concatenate([np.geomspace(1e-3, 1e3, 301), [0.5, 1.0, 2.0]])
+    got = T._Q(q).log_scale(y)
+    with mp.workdps(40):
+        qq = mp.mpf(q)
+        for yi, gi in zip(y, got):
+            want = mp.log((1 - qq ** mp.mpf(yi)) / (1 - qq))
+            assert abs(gi - want) <= 4 * 2.0 ** -53 * max(1, abs(want)), (yi, gi, want)
+    assert T._Q(q).log_scale(1.0) == 0.0
