@@ -11,6 +11,10 @@ write error exits 2.
 
 An optional ``--config`` file supplies ``key=value`` defaults (keys: rel_tol,
 tol_abs, tol_rel, t_min, t_max, t_points); explicit flags always override it.
+
+Each target (eval function, bound, verify case, kernel) declares once which
+parameter flags it reads; the parser and one check derive from that, and a
+flag the selected target does not read, or a missing required one, exits 2.
 """
 
 from __future__ import annotations
@@ -18,9 +22,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import functools
 import os
 import sys
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -134,76 +139,137 @@ def _eval_cfg(args, config) -> EvalConfig:
 
 
 # ---------------------------------------------------------------------------
+# the flags each target reads
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Target:
+    """An eval function or a bound: its library call and the flags it reads.
+
+    The call takes the ``axes`` values, the ``params`` in order, then an
+    EvalConfig from --rel-tol when ``rel_tol``.  Of each (scalar, grid) axis
+    pair exactly one flag must be set; a param without a default is required.
+    """
+
+    call: Callable
+    params: tuple[str, ...] = ()
+    axes: tuple[tuple[str, str], ...] = ()
+    defaults: dict = field(default_factory=dict)
+    rel_tol: bool = True
+
+    @property
+    def reads(self) -> tuple[str, ...]:
+        axes = (flag for axis in self.axes for flag in axis)
+        return (*axes, *self.params, *(("rel_tol",) if self.rel_tol else ()))
+
+    @property
+    def required(self) -> tuple[str, ...]:
+        return tuple(k for k in self.params if k not in self.defaults)
+
+
+_EVAL = {
+    "gamma": _Target(special.gamma, ("x",)),
+    "log-gamma": _Target(special.log_gamma, ("x",)),
+    "psi": _Target(special.psi, ("x",)),
+    "psi-n": _Target(special.psi_n, ("n", "x")),
+    "gamma-q": _Target(special.gamma_q, ("x", "q")),
+    "psi-q": _Target(special.psi_q, ("x", "q")),
+    "psi-q-n": _Target(special.psi_q_n, ("n", "x", "q")),
+    "dilog-F": _Target(special.dilog_F, ("x",)),
+}
+
+# the first axis is the row axis, so rows run x-major (sigma-major), s-minor (tau-minor)
+_REAL_AXES = (("x", "x_grid"), ("s", "s_grid"))
+_COMPLEX_AXES = (("sigma", "sigma_grid"), ("tau", "tau_grid"))
+_BOUNDS = {
+    "gautschi": _Target(bnd.gautschi_bounds, axes=(("n", "x_grid"), ("s", "s_grid"))),
+    "kershaw-psi": _Target(bnd.kershaw_psi_bounds, axes=_REAL_AXES),
+    "kershaw-power": _Target(bnd.kershaw_power_bounds, axes=_REAL_AXES),
+    "q-sandwich": _Target(bnd.q_sandwich, ("q",), _REAL_AXES, defaults={"q": 1.0}),
+    # the complex bounds have a fixed cost: no tolerance to set
+    "rademacher": _Target(bnd.rademacher_ratio_bound, ("c",), _COMPLEX_AXES, rel_tol=False),
+    "beta-complex": _Target(bnd.beta_ratio_modulus, ("a", "b"), _COMPLEX_AXES, rel_tol=False),
+}
+
+
+def _union(groups) -> tuple[str, ...]:
+    return tuple(dict.fromkeys(key for group in groups for key in group))
+
+
+# the parameter flags of each command: what at least one of its targets reads
+_EVAL_FLAGS = _union(t.reads for t in _EVAL.values())
+_BOUND_FLAGS = _union(t.reads for t in _BOUNDS.values())
+_CASE_FLAGS = _union(theorems.case_default_params(cid) for cid in theorems.registry_ids())
+_KERNEL_FLAGS = _union(k.defaults for k in kernels.KERNELS.values())
+
+
+def _flag(key: str) -> str:
+    """A parameter name as the flag that sets it: a_list -> --a-list."""
+    return "--" + key.replace("_", "-")
+
+
+def _flags(keys) -> str:
+    return ", ".join(map(_flag, keys))
+
+
+def _flag_type(key: str):
+    """n is an order; a list or a lo:hi:count grid is parsed where it is read; the rest are floats."""
+    if key == "n":
+        return int
+    return str if key == "a_list" or key.endswith("_grid") else float
+
+
+def _select(table: dict, name: str, kind: str):
+    if name not in table:
+        raise DomainError(f"unknown {kind} {name!r}; choose from {', '.join(table)}")
+    return table[name]
+
+
+def _check_flags(args, kind: str, name: str, flags, reads, required=(), axes=()) -> None:
+    """Raise DomainError (exit 2) unless the flags set among ``flags`` suit the target ``name``.
+
+    Every set flag must be one the target ``reads``, every ``required`` flag
+    must be set, and of each (scalar, grid) pair in ``axes`` exactly one.
+    """
+    foreign = [k for k in flags if k not in reads and getattr(args, k) is not None]
+    if foreign:
+        raise DomainError(
+            f"no {kind} selected by {name!r} takes {_flags(foreign)}; "
+            f"the selection accepts {_flags(reads) or 'no parameter flag'}"
+        )
+    missing = [_flag(k) for k in required if getattr(args, k) is None]
+    for scalar, grid in axes:
+        given = [k for k in (scalar, grid) if getattr(args, k) is not None]
+        if len(given) == 2:
+            raise DomainError(f"{args.command} {name} takes {_flag(scalar)} or {_flag(grid)}, not both")
+        if not given:
+            missing.append(f"{_flag(scalar)} (or {_flag(grid)})")
+    if missing:
+        raise DomainError(f"{args.command} {name} requires {' and '.join(missing)}")
+
+
+def _params(args, keys) -> dict:
+    """The flags among ``keys`` that are set, by name; a list (--a-list, --h-set) as a tuple of floats."""
+    out = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+    for k in ("a_list", "h_set"):
+        if k in out:
+            out[k] = tuple(_floats_csv(out[k]))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def _cmd_eval(args, config) -> int:
-    cfg = _eval_cfg(args, config)
-    fn = args.fn
-    x = args.x
-    if x is None:
-        raise DomainError("eval requires --x")
-
-    def need_q():
-        if args.q is None:
-            raise DomainError(f"eval {fn} requires --q")
-        return args.q
-
-    def need_n():
-        if args.n is None:
-            raise DomainError(f"eval {fn} requires --n")
-        return args.n
-
-    table = {
-        "gamma": lambda: special.gamma(x, cfg),
-        "log-gamma": lambda: special.log_gamma(x, cfg),
-        "psi": lambda: special.psi(x, cfg),
-        "psi-n": lambda: special.psi_n(need_n(), x, cfg),
-        "gamma-q": lambda: special.gamma_q(x, need_q(), cfg),
-        "psi-q": lambda: special.psi_q(x, need_q(), cfg),
-        "psi-q-n": lambda: special.psi_q_n(need_n(), x, need_q(), cfg),
-        "dilog-F": lambda: special.dilog_F(x, cfg),
-    }
-    if fn not in table:
-        raise DomainError(f"unknown function {fn!r}; choose from {sorted(table)}")
-    res = table[fn]()
+    target = _select(_EVAL, args.fn, "function")
+    _check_flags(args, "function", args.fn, _EVAL_FLAGS, target.reads, target.required)
+    res = target.call(*(getattr(args, k) for k in target.params), _eval_cfg(args, config))
     lines = [f"value {_fmt(res.value)}", f"abs_error_bound {_fmt(res.abs_error_bound)}"]
     _emit(lines, args.output)
     return 0
-
-
-def _case_overrides(args) -> dict:
-    out = {}
-    for key in ("alpha", "a", "b", "c", "s", "q"):
-        val = getattr(args, key, None)
-        if val is not None:
-            out[key] = val
-    if getattr(args, "a_list", None) is not None:
-        out["a_list"] = tuple(_floats_csv(args.a_list))
-    return out
-
-
-def _flags(keys) -> str:
-    """Parameter names as the flags that set them: a_list -> --a-list."""
-    return ", ".join("--" + k.replace("_", "-") for k in keys)
-
-
-def _grid_override(args, base: GridSpec) -> GridSpec:
-    fields = {}
-    if args.x_min is not None:
-        fields["x_min"] = args.x_min
-    if args.x_max is not None:
-        fields["x_max"] = args.x_max
-    if args.points is not None:
-        fields["points"] = args.points
-    if args.spacing is not None:
-        fields["spacing"] = args.spacing
-    if args.h_set is not None:
-        fields["h_set"] = tuple(_floats_csv(args.h_set))
-    if args.max_order is not None:
-        fields["max_order"] = args.max_order
-    return dataclasses.replace(base, **fields) if fields else base
 
 
 def _cmd_verify(args, config) -> int:
@@ -217,16 +283,11 @@ def _cmd_verify(args, config) -> int:
         selected = [cid for cid in ids if cid.startswith(selector + "-")]
         if not selected:
             raise DomainError(f"selector {selector!r} matches no registered case")
-    overrides = _case_overrides(args)
     accepted = {cid: theorems.case_default_params(cid) for cid in selected}
     # a flag applies to the selected cases that take it; one that none takes is an error
-    taken = dict.fromkeys(k for params in accepted.values() for k in params)
-    foreign = [k for k in overrides if k not in taken]
-    if foreign:
-        raise DomainError(
-            f"no case selected by {selector!r} takes {_flags(foreign)}; "
-            f"the selection accepts {_flags(taken) or 'no parameter flag'}"
-        )
+    _check_flags(args, "case", selector, _CASE_FLAGS, _union(accepted.values()))
+    overrides = _params(args, _CASE_FLAGS)
+    grid_fields = _params(args, (f.name for f in dataclasses.fields(GridSpec)))
     tol_abs = _pick(args.tol_abs, config, "tol_abs", DEFAULT_TOL_ABS)
     tol_rel = _pick(args.tol_rel, config, "tol_rel", DEFAULT_TOL_REL)
 
@@ -234,21 +295,12 @@ def _cmd_verify(args, config) -> int:
     all_match = True
     for cid in selected:
         case = theorems.make_case(cid, **{k: v for k, v in overrides.items() if k in accepted[cid]})
-        grid = _grid_override(args, case.grid)
+        grid = dataclasses.replace(case.grid, **grid_fields)
         ver = theorems.verify_case(case, grid=grid, tol_abs=tol_abs, tol_rel=tol_rel)
         all_match = all_match and ver.matches
         params = _fmt_params(case.params)
-        for label in sorted(ver.reports):
-            rep = ver.reports[label]
-            rows.append(
-                (
-                    case.id,
-                    params,
-                    f"worst-violation[{label}]",
-                    _fmt(rep.worst_violation),
-                    rep.verdict,
-                )
-            )
+        for label, rep in sorted(ver.reports.items()):
+            rows.append((case.id, params, f"worst-violation[{label}]", _fmt(rep.worst_violation), rep.verdict))
         rows.append((case.id, params, "expected-verdict", case.expected, "match" if ver.matches else "mismatch"))
     rows.sort(key=lambda r: (r[0], r[2]))
     lines = ["case,params,metric,value,verdict"]
@@ -258,7 +310,9 @@ def _cmd_verify(args, config) -> int:
 
 
 def _cmd_scan_kernel(args, config) -> int:
-    params = _case_overrides(args)
+    kern = _select(kernels.KERNELS, args.kernel, "kernel")
+    _check_flags(args, "kernel", args.kernel, _KERNEL_FLAGS, tuple(kern.defaults))
+    params = _params(args, _KERNEL_FLAGS)
     # a bound left unset by flag and config keeps default_t_grid's own default
     picked = {
         "t_min": _pick(args.t_min, config, "t_min", None),
@@ -280,78 +334,46 @@ def _cmd_scan_kernel(args, config) -> int:
     return 0 if report.verdict == "match" else 1
 
 
+def _axis(args, scalar: str, grid: str) -> np.ndarray:
+    text = getattr(args, grid)
+    return _grid_triplet(text) if text is not None else np.array([getattr(args, scalar)], dtype=float)
+
+
 def _cmd_bounds(args, config) -> int:
     name = args.bound
-    lines: list[str]
-    ok = True
-    if name in ("gautschi", "kershaw-psi", "kershaw-power", "q-sandwich"):
-        cfg = _eval_cfg(args, config)
-        if name == "gautschi":
-            xs = _grid_triplet(args.x_grid) if args.x_grid else [args.n if args.n is not None else args.x]
-        else:
-            xs = _grid_triplet(args.x_grid) if args.x_grid else [args.x]
-        ss = _grid_triplet(args.s_grid) if args.s_grid else [args.s]
-        if any(v is None for v in xs) or any(v is None for v in ss):
-            flag = "--n" if name == "gautschi" else "--x"
-            raise DomainError(f"bounds {name} requires {flag} and --s (or grids)")
-        # x is the row axis, so row order is x-major, s-minor
-        x, s = np.meshgrid(np.asarray(xs, dtype=float), np.asarray(ss, dtype=float), indexing="ij")
-        extra = {}
-        if name == "gautschi":
-            x = np.rint(x)  # round half to even, as round() does
-            t = bnd.gautschi_bounds(x, s, cfg)
-        elif name == "kershaw-psi":
-            t = bnd.kershaw_psi_bounds(x, s, cfg)
-        elif name == "kershaw-power":
-            t = bnd.kershaw_power_bounds(x, s, cfg)
-        else:
-            q = args.q if args.q is not None else 1.0
-            extra = {"q": float(q)}
-            t = bnd.q_sandwich(x, s, q, cfg)
-        lower_margin, upper_margin = t.lower_margin, t.upper_margin
-        # margins within bounds.EQUALITY_TOL of zero are already clamped to 0
-        ok = bool((lower_margin >= 0.0).all() and (upper_margin >= 0.0).all())
-        key = "n" if name == "gautschi" else "x"
-        lines = ["bound,params,lower,value,upper,lower_margin,upper_margin"]
-        columns = (x, s, t.lower, t.value, t.upper, lower_margin, upper_margin)
-        for xv, sv, *vals in zip(*(c.ravel().tolist() for c in columns)):
-            params = _fmt_params({key: xv, "s": sv, **extra})
-            lines.append(f"{name},{params}," + ",".join(_fmt(v) for v in vals))
-    elif name in ("rademacher", "beta-complex"):
-        if args.rel_tol is not None:
-            raise DomainError(f"bounds {name} takes no --rel-tol; its cost is fixed")
-        sigmas = _grid_triplet(args.sigma_grid) if args.sigma_grid else [args.sigma]
-        taus = _grid_triplet(args.tau_grid) if args.tau_grid else [args.tau]
-        if any(v is None for v in sigmas) or any(v is None for v in taus):
-            raise DomainError(f"bounds {name} requires --sigma/--tau (or grids)")
-        sigmas = np.asarray(sigmas, dtype=float)
-        taus = np.asarray(taus, dtype=float)
-        # sigma is the row axis, so row order is sigma-major, tau-minor
-        s = np.empty((sigmas.size, taus.size), dtype=complex)
-        s.real = sigmas[:, None]
-        s.imag = taus[None, :]
-        if name == "rademacher":
-            if args.c is None:
-                raise DomainError("bounds rademacher requires --c")
-            params = {"c": float(args.c)}
-            modulus, bound = bnd.rademacher_ratio_bound(s, args.c)
-        else:
-            if args.a is None or args.b is None:
-                raise DomainError("bounds beta-complex requires --a and --b")
-            params = {"a": float(args.a), "b": float(args.b)}
-            modulus, bound = bnd.beta_ratio_modulus(s, args.a, args.b)
+    target = _select(_BOUNDS, name, "bound")
+    _check_flags(args, "bound", name, _BOUND_FLAGS, target.reads, target.required, target.axes)
+    (row_key, _), _ = target.axes
+    rows, cols = (_axis(args, *axis) for axis in target.axes)
+    params = {k: float(_pick(getattr(args, k), target.defaults, k, None)) for k in target.params}
+    if target.axes == _COMPLEX_AXES:
+        s = np.empty((rows.size, cols.size), dtype=complex)
+        s.real = rows[:, None]
+        s.imag = cols[None, :]
+        modulus, bound = target.call(s, *params.values())
         margin = bnd._clamp(bound - modulus)
         ok = bool((margin >= 0.0).all())
         prefix = f"{name},{_fmt_params(params)},"
         lines = ["bound,params,s_re,s_im,modulus,bound_value,margin"]
         for sigma, mod_row, bound_row, margin_row in zip(
-            sigmas.tolist(), modulus.tolist(), bound.tolist(), margin.tolist()
+            rows.tolist(), modulus.tolist(), bound.tolist(), margin.tolist()
         ):
             head = prefix + _fmt(sigma) + ","
-            for tau, m, bv, mg in zip(taus.tolist(), mod_row, bound_row, margin_row):
+            for tau, m, bv, mg in zip(cols.tolist(), mod_row, bound_row, margin_row):
                 lines.append(f"{head}{_fmt(tau)},{_fmt(m)},{_fmt(bv)},{_fmt(mg)}")
     else:
-        raise DomainError(f"unknown bound name {name!r}")
+        x, s = np.meshgrid(rows, cols, indexing="ij")
+        if row_key == "n":
+            x = np.rint(x)  # an order: round half to even, as round() does
+        t = target.call(x, s, *params.values(), _eval_cfg(args, config))
+        lower_margin, upper_margin = t.lower_margin, t.upper_margin
+        # margins within bounds.EQUALITY_TOL of zero are already clamped to 0
+        ok = bool((lower_margin >= 0.0).all() and (upper_margin >= 0.0).all())
+        lines = ["bound,params,lower,value,upper,lower_margin,upper_margin"]
+        columns = (x, s, t.lower, t.value, t.upper, lower_margin, upper_margin)
+        for xv, sv, *vals in zip(*(c.ravel().tolist() for c in columns)):
+            row_params = _fmt_params({row_key: xv, "s": sv, **params})
+            lines.append(f"{name},{row_params}," + ",".join(_fmt(v) for v in vals))
     _emit(lines, args.output)
     return 0 if ok else 1
 
@@ -362,8 +384,8 @@ def _cmd_q_limit_table(args, config) -> int:
     qs = _floats_csv(args.q)
     if not xs or not qs:
         raise DomainError("q-limit-table requires nonempty --x and --q lists")
-    if sorted(qs) != qs:
-        raise DomainError("--q list must be increasing toward 1")
+    if any(q1 <= q0 for q0, q1 in zip(qs, qs[1:])):
+        raise DomainError("--q list must be strictly increasing toward 1")
     lines = ["x,q,gamma_q,gamma,abs_error"]
     ok = True
     x = np.asarray(xs, dtype=float)
@@ -395,20 +417,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="key=value defaults file", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
-    # full flag names only: an abbreviation must not silently select a longer flag
-    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p_eval = add("eval", help="evaluate one function with an error bound")
-    p_eval.add_argument("fn")
-    p_eval.add_argument("--x", type=float)
-    p_eval.add_argument("--q", type=float)
-    p_eval.add_argument("--n", type=int)
+    def add(name: str, help: str, target: str | None, flags) -> argparse.ArgumentParser:
+        # full flag names only: an abbreviation must not silently select a longer flag
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        if target:
+            p.add_argument(target)
+        for key in flags:
+            p.add_argument(_flag(key), type=_flag_type(key))
+        p.add_argument("--output", "--csv", dest="output", default=None)
+        return p
 
-    p_verify = add("verify", help="run CM verification on registered cases")
-    p_verify.add_argument("selector")
-    for flag in ("--alpha", "--a", "--b", "--c", "--s", "--q"):
-        p_verify.add_argument(flag, type=float)
-    p_verify.add_argument("--a-list")
+    add("eval", "evaluate one function with an error bound", "fn", _EVAL_FLAGS)
+
+    p_verify = add("verify", "run CM verification on registered cases", "selector", _CASE_FLAGS)
     p_verify.add_argument("--x-min", type=float)
     p_verify.add_argument("--x-max", type=float)
     p_verify.add_argument("--points", type=int)
@@ -418,40 +440,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--tol-abs", type=float)
     p_verify.add_argument("--tol-rel", type=float)
 
-    p_scan = add("scan-kernel", help="scan a proof kernel's sign on a t grid")
-    p_scan.add_argument("kernel")
-    for flag in ("--alpha", "--a", "--b", "--c"):
-        p_scan.add_argument(flag, type=float)
-    p_scan.add_argument("--a-list")
+    p_scan = add("scan-kernel", "scan a proof kernel's sign on a t grid", "kernel", _KERNEL_FLAGS)
     p_scan.add_argument("--t-min", type=float)
     p_scan.add_argument("--t-max", type=float)
     p_scan.add_argument("--t-points", type=int)
 
-    p_bounds = add("bounds", help="evaluate two-sided ratio bounds")
-    p_bounds.add_argument("bound")
-    p_bounds.add_argument("--x", type=float)
-    p_bounds.add_argument("--s", type=float)
-    p_bounds.add_argument("--q", type=float)
-    p_bounds.add_argument("--n", type=int)
-    p_bounds.add_argument("--c", type=float)
-    p_bounds.add_argument("--a", type=float)
-    p_bounds.add_argument("--b", type=float)
-    p_bounds.add_argument("--x-grid")
-    p_bounds.add_argument("--s-grid")
-    p_bounds.add_argument("--sigma", type=float)
-    p_bounds.add_argument("--tau", type=float)
-    p_bounds.add_argument("--sigma-grid")
-    p_bounds.add_argument("--tau-grid")
+    add("bounds", "evaluate two-sided ratio bounds", "bound", _BOUND_FLAGS)
 
-    p_qlim = add("q-limit-table", help="|Gamma_q - Gamma| as q increases to 1")
+    p_qlim = add("q-limit-table", "|Gamma_q - Gamma| as q increases to 1", None, ("rel_tol",))
     p_qlim.add_argument("--x", required=True)
     p_qlim.add_argument("--q", required=True)
-
-    for p in (p_eval, p_verify, p_scan, p_bounds, p_qlim):
-        p.add_argument("--output", "--csv", dest="output", default=None)
-    # only these commands evaluate series whose tolerance can be set
-    for p in (p_eval, p_bounds, p_qlim):
-        p.add_argument("--rel-tol", type=float, default=None)
     return parser
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -207,46 +208,31 @@ def _blocked(core, x: np.ndarray) -> tuple:
 # classical gamma / psi / polygamma
 # ---------------------------------------------------------------------------
 
-# Stirling series coefficients B_{2n} / (2n (2n-1)), exact rationals for the
-# Bernoulli numbers B_2..B_18 (Abramowitz & Stegun 6.1.40 / 23.1).
-_STIRLING_COEF = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-    43867.0 / 244188.0,
+# The Bernoulli numbers B_2..B_20, exact (Abramowitz & Stegun 23.1); every
+# coefficient below is the float of an exact quotient of these.
+_BERNOULLI_EXACT = tuple(
+    Fraction(num, den)
+    for num, den in (
+        (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+        (43867, 798), (-174611, 330),
+    )
 )
-_STIRLING_NEXT = 174611.0 / 125400.0  # |B_20 / (20*19)|, first omitted term
 
-# Digamma asymptotic coefficients B_{2n} / (2n) for B_2..B_16.
-_PSI_COEF = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-    -3617.0 / 8160.0,
+# Stirling series coefficients B_2n / (2n (2n-1)) for B_2..B_18, and the
+# first omitted term |B_20 / (20*19)|.
+_STIRLING_COEF = tuple(
+    float(b / (2 * n * (2 * n - 1))) for n, b in enumerate(_BERNOULLI_EXACT[:9], start=1)
 )
-_PSI_NEXT = 43867.0 / 798.0 / 18.0  # |B_18 / 18|
+_STIRLING_NEXT = float(abs(_BERNOULLI_EXACT[9]) / (20 * 19))
 
-# Raw Bernoulli numbers B_2..B_18 for the Euler-Maclaurin polygamma tail.
-_BERNOULLI = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-    7.0 / 6.0,
-    -3617.0 / 510.0,
-    43867.0 / 798.0,
-)
+# Digamma asymptotic coefficients B_2n / (2n) for B_2..B_16, and |B_18 / 18|.
+_PSI_COEF = tuple(float(b / (2 * n)) for n, b in enumerate(_BERNOULLI_EXACT[:8], start=1))
+_PSI_NEXT = float(abs(_BERNOULLI_EXACT[8]) / 18)
+
+# The rounded Bernoulli numbers B_2..B_18 for the Euler-Maclaurin polygamma
+# tail.  _zeta_coefs, _EM_COEF and _LI2_COEF divide these floats: dividing the
+# exact values instead would move some of their coefficients by one ulp.
+_BERNOULLI = tuple(float(b) for b in _BERNOULLI_EXACT[:9])
 
 _SHIFT = 10  # arguments are recurred up by this much before the asymptotic series
 

@@ -284,7 +284,10 @@ def test_check_cm_matches_scalar_scan_on_exp_plus_pole(grid, a, b, c, zero, with
     fn = lambda x: a * np.exp(-b * x) + c / x
     derivs = None
     if with_derivs:
-        derivs = lambda k, x: a * (-b) ** k * np.exp(-b * x) + c * (-1) ** k * math.factorial(k) / x ** (k + 1)
+        # np.asarray: numpy's ** on an array multiplies out small integer powers, while a
+        # float's ** calls pow, so x ** 3 of a float may differ from it in the last bit
+        derivs = lambda k, x: (a * (-b) ** k * np.exp(-b * x)
+                               + c * (-1) ** k * math.factorial(k) / np.asarray(x) ** (k + 1))
     _assert_matches_reference(fn, grid, derivs, zero)
 
 

@@ -54,12 +54,16 @@ def test_eval_usage_errors(capsys):
     assert run(capsys, "eval", "gamma-q", "--x", "2")[0] == 2  # missing --q
 
 
-EVAL_FNS = ("gamma", "log-gamma", "psi", "psi-n", "gamma-q", "psi-q", "psi-q-n", "dilog-F")
+# the flags each eval function reads besides --x and --rel-tol
+EVAL_READS = {
+    "gamma": (), "log-gamma": (), "psi": (), "psi-n": ("--n",), "gamma-q": ("--q",),
+    "psi-q": ("--q",), "psi-q-n": ("--n", "--q"), "dilog-F": (),
+}
 
 
-@settings(max_examples=200)  # covers all 160 combinations
+@settings(max_examples=200)  # covers all 90 combinations
 @given(
-    fn=st.sampled_from(EVAL_FNS),
+    fn=st.sampled_from(sorted(EVAL_READS)),
     x=st.sampled_from(("1e-300", "1e300", "inf", "-inf", "nan")),
     q=st.sampled_from(("0.5", repr(1.0 - 1e-6))),
     n=st.sampled_from(("1", "3")),
@@ -68,11 +72,14 @@ def test_eval_extreme_inputs_exit_cleanly(fn, x, q, n):
     # extreme or non-finite input is a value or a typed error (exit 2); never a
     # traceback (exit 1) or a NaN / infinity printed with exit 0
     # and no numpy RuntimeWarning (overflow, invalid) along the way
+    # each function gets only the flags it reads, so no run stops at the flag check
+    argv = ["eval", fn, "--x", x]
+    argv += [tok for flag in EVAL_READS[fn] for tok in (flag, {"--q": q, "--n": n}[flag])]
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["eval", fn, "--x", x, "--q", q, "--n", n])
+            code = main(argv)
     runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not runtime, (fn, x, q, n, runtime)
     assert code in (0, 2), (fn, x, q, n, err.getvalue())
@@ -81,6 +88,7 @@ def test_eval_extreme_inputs_exit_cleanly(fn, x, q, n):
         assert err.getvalue() == "", (fn, x, err.getvalue())
     else:
         assert err.getvalue().startswith("error: ")
+        assert "selected by" not in err.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +371,94 @@ def test_bounds_usage_and_no_partial_file(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# one flag contract: a flag the selected target does not read exits 2
+# ---------------------------------------------------------------------------
+
+# a value for each parameter flag of eval and bounds
+FLAG_VALUES = {
+    "--x": "1", "--n": "3", "--q": "0.5", "--s": "0.5", "--c": "1", "--a": "0.5", "--b": "0.5",
+    "--sigma": "1", "--tau": "3", "--rel-tol": "1e-10", "--x-grid": "1:2:3", "--s-grid": "0.2:0.8:4",
+    "--sigma-grid": "1:2:3", "--tau-grid": "-1:1:3",
+}
+EVAL_FLAGS = ("--x", "--n", "--q", "--rel-tol")
+BOUND_FLAGS = tuple(FLAG_VALUES)
+_REAL = ("--x", "--x-grid", "--s", "--s-grid", "--rel-tol")
+_COMPLEX = ("--sigma", "--sigma-grid", "--tau", "--tau-grid")
+# the flags each bound reads, as the README's table states them
+BOUND_READS = {
+    "gautschi": ("--n", "--x-grid", "--s", "--s-grid", "--rel-tol"),
+    "kershaw-psi": _REAL,
+    "kershaw-power": _REAL,
+    "q-sandwich": (*_REAL, "--q"),
+    "rademacher": (*_COMPLEX, "--c"),
+    "beta-complex": (*_COMPLEX, "--a", "--b"),
+}
+# a valid invocation of each target
+VALID = {
+    **{("eval", fn): ("--x", "0.5", *(tok for f in reads for tok in (f, FLAG_VALUES[f])))
+       for fn, reads in EVAL_READS.items()},
+    ("bounds", "gautschi"): ("--n", "3", "--s", "0.5"),
+    ("bounds", "kershaw-psi"): ("--x", "1", "--s", "0.5"),
+    ("bounds", "kershaw-power"): ("--x", "1", "--s", "0.5"),
+    ("bounds", "q-sandwich"): ("--x", "1", "--s", "0.5"),
+    ("bounds", "rademacher"): ("--c", "1", "--sigma", "1", "--tau", "3"),
+    ("bounds", "beta-complex"): ("--a", "0.5", "--b", "0.5", "--sigma", "1", "--tau", "3"),
+}
+FOREIGN = [("eval", fn, flag) for fn, reads in EVAL_READS.items()
+           for flag in EVAL_FLAGS if flag not in ("--x", "--rel-tol", *reads)]
+FOREIGN += [("bounds", name, flag) for name, reads in BOUND_READS.items()
+            for flag in BOUND_FLAGS if flag not in reads]
+
+
+@pytest.mark.parametrize("command,target", sorted(VALID))
+def test_every_target_runs_on_the_flags_it_reads(capsys, command, target):
+    code, out = run(capsys, command, target, *VALID[command, target])
+    assert code == 0 and out
+
+
+@pytest.mark.parametrize("command,target,flag", FOREIGN)
+def test_a_flag_the_target_does_not_read_exits_two(capsys, command, target, flag):
+    code = main([command, target, *VALID[command, target], flag, FLAG_VALUES[flag]])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert f"takes {flag}; " in captured.err  # the message names the flag
+
+
+@pytest.mark.parametrize(
+    "argv,missing",
+    [
+        (("eval", "psi"), "--x"),
+        (("eval", "psi-q-n", "--x", "2", "--q", "0.5"), "--n"),
+        (("eval", "gamma-q", "--x", "2"), "--q"),
+        (("bounds", "gautschi", "--s", "0.5"), "--n (or --x-grid)"),
+        (("bounds", "kershaw-power", "--x", "1"), "--s (or --s-grid)"),
+        (("bounds", "rademacher", "--sigma", "1", "--tau", "3"), "--c"),
+        (("bounds", "beta-complex", "--a", "1", "--sigma", "1", "--tau", "3"), "--b"),
+    ],
+)
+def test_a_missing_required_flag_exits_two(capsys, argv, missing):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert f"requires {missing}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kershaw-psi", "--x", "1", "--x-grid", "1:2:2", "--s", "0.5"),
+        ("gautschi", "--n", "3", "--s", "0.5", "--s-grid", "0.2:0.8:4"),
+        ("rademacher", "--c", "1", "--sigma", "1", "--sigma-grid", "1:2:3", "--tau", "3"),
+    ],
+)
+def test_a_scalar_flag_with_its_grid_flag_exits_two(capsys, argv):
+    code = main(["bounds", *argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "not both" in captured.err
+
+
+# ---------------------------------------------------------------------------
 # q-limit-table
 # ---------------------------------------------------------------------------
 
@@ -390,6 +486,7 @@ def test_q_limit_table_near_q_one(capsys):
 
 def test_q_limit_table_usage(capsys):
     assert run(capsys, "q-limit-table", "--x", "1", "--q", "0.999,0.9")[0] == 2
+    assert run(capsys, "q-limit-table", "--x", "3", "--q", "0.5,0.5") == (2, "")  # not increasing
     assert run(capsys, "q-limit-table", "--x", "1,zz", "--q", "0.9")[0] == 2
 
 

@@ -60,6 +60,29 @@ def test_euler_gamma_partial_sum_oracle():
 # ---------------------------------------------------------------------------
 
 
+def test_bernoulli_coefficients_are_the_literal_quotients():
+    # each table is the float of an exact quotient of one Bernoulli source;
+    # these are the hand-typed literals it replaced, equal bit for bit
+    assert sp._STIRLING_COEF == (
+        1.0 / 12.0, -1.0 / 360.0, 1.0 / 1260.0, -1.0 / 1680.0, 1.0 / 1188.0,
+        -691.0 / 360360.0, 1.0 / 156.0, -3617.0 / 122400.0, 43867.0 / 244188.0,
+    )
+    assert sp._STIRLING_NEXT == 174611.0 / 125400.0
+    assert sp._PSI_COEF == (
+        1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0,
+        -691.0 / 32760.0, 1.0 / 12.0, -3617.0 / 8160.0,
+    )
+    assert sp._PSI_NEXT == 43867.0 / 798.0 / 18.0
+    bernoulli = (
+        1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
+        -691.0 / 2730.0, 7.0 / 6.0, -3617.0 / 510.0, 43867.0 / 798.0,
+    )
+    assert sp._BERNOULLI == bernoulli
+    # the Euler-Maclaurin and dilogarithm coefficients divide the rounded B_2j
+    assert sp._EM_COEF == tuple(b / math.factorial(2 * j) for j, b in enumerate(bernoulli, start=1))
+    assert sp._LI2_COEF == tuple(b / math.factorial(2 * k + 1) for k, b in enumerate(bernoulli, start=1))
+
+
 def test_log_gamma_trivial_and_frozen():
     assert abs(sp.log_gamma(1.0).value) <= 1e-13
     assert abs(sp.log_gamma(2.0).value) <= 1e-13
