@@ -15,6 +15,9 @@ tol_abs, tol_rel, t_min, t_max, t_points); explicit flags always override it.
 Each target (eval function, bound, verify case, kernel) declares once which
 parameter flags it reads; the parser and one check derive from that, and a
 flag the selected target does not read, or a missing required one, exits 2.
+
+``main(argv)`` may be called any number of times in one process: the parser
+is built on the first call, never at import, and every later call reuses it.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -345,6 +349,13 @@ def _cmd_bounds(args, config) -> int:
     _check_flags(args, "bound", name, _BOUND_FLAGS, target.reads, target.required, target.axes)
     (row_key, _), _ = target.axes
     rows, cols = (_axis(args, *axis) for axis in target.axes)
+    if row_key == "n":  # orders: --n parses as an int, a grid's nodes must be integers
+        fractional = rows[rows != np.rint(rows)]
+        if fractional.size:
+            node = _fmt(fractional[0].item())
+            raise DomainError(
+                f"{args.command} {name} takes integer orders; --x-grid node {node} is not an integer"
+            )
     params = {k: float(_pick(getattr(args, k), target.defaults, k, None)) for k in target.params}
     if target.axes == _COMPLEX_AXES:
         s = np.empty((rows.size, cols.size), dtype=complex)
@@ -363,8 +374,6 @@ def _cmd_bounds(args, config) -> int:
                 lines.append(f"{head}{_fmt(tau)},{_fmt(m)},{_fmt(bv)},{_fmt(mg)}")
     else:
         x, s = np.meshgrid(rows, cols, indexing="ij")
-        if row_key == "n":
-            x = np.rint(x)  # an order: round half to even, as round() does
         t = target.call(x, s, *params.values(), _eval_cfg(args, config))
         lower_margin, upper_margin = t.lower_margin, t.upper_margin
         # margins within bounds.EQUALITY_TOL of zero are already clamped to 0
@@ -408,7 +417,9 @@ def _cmd_q_limit_table(args, config) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="qgamma",
         description="Evaluate gamma/q-gamma functions and verify monotonicity "
@@ -462,20 +473,21 @@ _DISPATCH = {
 }
 
 
-def _value_flags(parser: argparse.ArgumentParser) -> set[str]:
+@functools.cache
+def _value_flags() -> frozenset[str]:
     """Every option string of the parser and its subcommands that takes a value."""
     flags: set[str] = set()
-    parsers = [parser]
+    parsers = [_build_parser()]
     while parsers:
         for action in parsers.pop()._actions:
             if isinstance(action, argparse._SubParsersAction):
                 parsers.extend(action.choices.values())
             elif action.option_strings and action.nargs != 0:
                 flags.update(action.option_strings)
-    return flags
+    return frozenset(flags)
 
 
-def _join_negative_values(argv: list[str], value_flags: set[str]) -> list[str]:
+def _join_negative_values(argv: list[str], value_flags: frozenset[str]) -> list[str]:
     """Join "--flag -value" into "--flag=-value" for every value-taking flag.
 
     Values may begin with "-" (negative grid endpoints, shifted intervals,
@@ -496,11 +508,10 @@ def _join_negative_values(argv: list[str], value_flags: set[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_join_negative_values(list(argv), _value_flags(parser)))
+        args = _build_parser().parse_args(_join_negative_values(list(argv), _value_flags()))
     except SystemExit as e:
         return 0 if e.code == 0 else 2
     try:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -191,6 +190,19 @@ def _result(fn: str, value, bound, terms, cfg: EvalConfig, shape: tuple) -> Seri
     return SeriesResult(_shaped(value, shape), _shaped(bound, shape), int(terms), conv)
 
 
+def _check_truncation(fn, value, trunc, cfg: EvalConfig) -> None:
+    """Raise ConvergenceError where the truncation bound exceeds rel_tol * max(1, |value|)."""
+    value, trunc = np.broadcast_arrays(value, trunc)
+    miss = trunc > cfg.rel_tol * np.maximum(1.0, np.abs(value))  # a NaN value is _result's to report
+    if miss.any():
+        i = int(np.flatnonzero(miss)[0])
+        where = "" if value.size == 1 else f" (element {i})"
+        raise ConvergenceError(
+            f"{fn} truncation bound {trunc.item(i):.3g} misses rel_tol={cfg.rel_tol} "
+            f"at value {value.item(i)!r}{where}"
+        )
+
+
 # The series cores hold a dozen (term, element) scratch arrays; blocks of this
 # many elements keep that scratch near 1 MiB for an argument of any size.
 _BLOCK = 1024
@@ -208,31 +220,29 @@ def _blocked(core, x: np.ndarray) -> tuple:
 # classical gamma / psi / polygamma
 # ---------------------------------------------------------------------------
 
-# The Bernoulli numbers B_2..B_20, exact (Abramowitz & Stegun 23.1); every
-# coefficient below is the float of an exact quotient of these.
-_BERNOULLI_EXACT = tuple(
-    Fraction(num, den)
-    for num, den in (
-        (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
-        (43867, 798), (-174611, 330),
-    )
+# The Bernoulli numbers B_2..B_20, exact, as (numerator, denominator) pairs
+# (Abramowitz & Stegun 23.1); every coefficient below is the float of an exact
+# quotient of these, one int/int true division, which Python rounds correctly.
+_BERNOULLI_EXACT = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+    (43867, 798), (-174611, 330),
 )
 
 # Stirling series coefficients B_2n / (2n (2n-1)) for B_2..B_18, and the
 # first omitted term |B_20 / (20*19)|.
 _STIRLING_COEF = tuple(
-    float(b / (2 * n * (2 * n - 1))) for n, b in enumerate(_BERNOULLI_EXACT[:9], start=1)
+    num / (den * 2 * n * (2 * n - 1)) for n, (num, den) in enumerate(_BERNOULLI_EXACT[:9], start=1)
 )
-_STIRLING_NEXT = float(abs(_BERNOULLI_EXACT[9]) / (20 * 19))
+_STIRLING_NEXT = abs(_BERNOULLI_EXACT[9][0]) / (_BERNOULLI_EXACT[9][1] * 20 * 19)
 
 # Digamma asymptotic coefficients B_2n / (2n) for B_2..B_16, and |B_18 / 18|.
-_PSI_COEF = tuple(float(b / (2 * n)) for n, b in enumerate(_BERNOULLI_EXACT[:8], start=1))
-_PSI_NEXT = float(abs(_BERNOULLI_EXACT[8]) / 18)
+_PSI_COEF = tuple(num / (den * 2 * n) for n, (num, den) in enumerate(_BERNOULLI_EXACT[:8], start=1))
+_PSI_NEXT = abs(_BERNOULLI_EXACT[8][0]) / (_BERNOULLI_EXACT[8][1] * 18)
 
 # The rounded Bernoulli numbers B_2..B_18 for the Euler-Maclaurin polygamma
 # tail.  _zeta_coefs, _EM_COEF and _LI2_COEF divide these floats: dividing the
 # exact values instead would move some of their coefficients by one ulp.
-_BERNOULLI = tuple(float(b) for b in _BERNOULLI_EXACT[:9])
+_BERNOULLI = tuple(num / den for num, den in _BERNOULLI_EXACT[:9])
 
 _SHIFT = 10  # arguments are recurred up by this much before the asymptotic series
 
@@ -255,8 +265,8 @@ def _lgamma_core(z: np.ndarray) -> np.ndarray:
     return s
 
 
-def _lgamma_bound(z: np.ndarray) -> np.ndarray:
-    """Truncation of the shifted Stirling series plus rounding.
+def _lgamma_bound(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(truncation, rounding) bounds of the shifted Stirling series.
 
     The rounding term scales with what the sum adds up, not with the result:
     |(w - 1/2) log w|, |w| and log sqrt(2 pi) from the Stirling part, and the
@@ -274,7 +284,7 @@ def _lgamma_bound(z: np.ndarray) -> np.ndarray:
     log_w = np.hypot(np.log(w), arg)
     recur = np.maximum(np.abs(np.log(z.real)), np.log(np.abs(z) + _SHIFT)) + arg_room
     mag = np.abs(wc - 0.5) * log_w + w + _HALF_LOG_2PI + _SHIFT * recur
-    return trunc + _TERM_ULPS * _U * mag
+    return trunc, _TERM_ULPS * _U * mag
 
 
 @_quiet
@@ -293,13 +303,18 @@ def log_gamma(z, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
         _checked("log_gamma", zc.imag, -math.inf, what="Im z")
     else:
         zc = _checked("log_gamma", zs, what="Re z")
-    terms = _SHIFT + len(_STIRLING_COEF)
-    return _result("log_gamma", _lgamma_core(zc), _lgamma_bound(zc), terms, cfg, zs.shape)
+    value = _lgamma_core(zc)
+    trunc, rounding = _lgamma_bound(zc)
+    _check_truncation("log_gamma", value, trunc, cfg)
+    return _result("log_gamma", value, trunc + rounding, _SHIFT + len(_STIRLING_COEF), cfg, zs.shape)
 
 
 @_quiet
 def gamma(z, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
-    """Gamma(z) = exp(log_gamma(z)); overflows past z ~ 171.6 on the real axis."""
+    """Gamma(z) = exp(log_gamma(z)); overflows past z ~ 171.6 on the real axis.
+
+    The truncation check against ``cfg.rel_tol`` is log_gamma's.
+    """
     lg = log_gamma(z, cfg)
     lv = _flat(lg.value)
     over = lv.real > _LOG_MAX_FLOAT
@@ -315,8 +330,9 @@ def psi(x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     """Digamma at real x > 0: recurrence up by 10 then the Bernoulli asymptotic series."""
     xs = _checked("psi", x)
     value, ulps = _psi_core(xs)
-    bound = _PSI_NEXT * (xs + _SHIFT) ** -18 + ulps * _U
-    return _result("psi", value, bound, _SHIFT + len(_PSI_COEF), cfg, np.shape(x))
+    trunc = _PSI_NEXT * (xs + _SHIFT) ** -18
+    _check_truncation("psi", value, trunc, cfg)
+    return _result("psi", value, trunc + ulps * _U, _SHIFT + len(_PSI_COEF), cfg, np.shape(x))
 
 
 _PSI_COEF_ABS = sum(abs(c) for c in _PSI_COEF)
@@ -407,6 +423,7 @@ def psi_n(n: int, x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     nf = math.factorial(n)
     sign = 1.0 if n % 2 == 1 else -1.0
     value = sign * nf * zeta
+    _check_truncation("psi_n", value, nf * zbound, cfg)
     # the scaling by n! adds one rounding; tiny powers may be subnormal
     bound = nf * (zbound + ulps * _U + _UNDERFLOW_ERR) + np.abs(value) * _U
     return _result("psi_n", value, bound, _ZETA_DIRECT + len(_BERNOULLI), cfg, np.shape(x))
@@ -767,15 +784,7 @@ _UNDERFLOW_ERR = 500 * 2.0 ** -1074
 
 def _series_bound(fn, value, trunc, ulps, cfg: EvalConfig):
     """Bound = truncation bound + ulps * u; the truncation alone must meet rel_tol at every element."""
-    value, trunc = np.broadcast_arrays(value, trunc)
-    miss = trunc > cfg.rel_tol * np.maximum(1.0, np.abs(value))  # a NaN value is _result's to report
-    if miss.any():
-        i = int(np.flatnonzero(miss)[0])
-        where = "" if value.size == 1 else f" (element {i})"
-        raise ConvergenceError(
-            f"{fn} truncation bound {trunc.item(i):.3g} misses rel_tol={cfg.rel_tol} "
-            f"at value {value.item(i)!r}{where}"
-        )
+    _check_truncation(fn, value, trunc, cfg)
     return trunc + ulps * _U + _UNDERFLOW_ERR
 
 

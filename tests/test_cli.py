@@ -5,12 +5,16 @@ import io
 import math
 import os
 import shlex
+import subprocess
+import sys
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qgamma
+from qgamma import cli
 from qgamma.cli import main
 
 
@@ -456,6 +460,87 @@ def test_a_scalar_flag_with_its_grid_flag_exits_two(capsys, argv):
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
     assert "not both" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "gamma", "--x", "2"),
+        ("eval", "log-gamma", "--x", "2"),
+        ("eval", "psi", "--x", "2"),
+        ("eval", "psi-n", "--n", "3", "--x", "2"),
+        ("bounds", "gautschi", "--n", "3", "--s", "0.5"),
+        ("bounds", "kershaw-psi", "--x", "1", "--s", "0.5"),
+        ("bounds", "kershaw-power", "--x", "1", "--s", "0.5"),
+    ],
+)
+def test_classical_targets_exit_two_when_a_series_misses_rel_tol(capsys, argv):
+    code = main([*argv, "--rel-tol", "1e-300"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "misses rel_tol=1e-300" in captured.err
+
+
+def test_gautschi_grid_nodes_must_be_integer_orders(capsys):
+    code = main(["bounds", "gautschi", "--x-grid", "1:3:5", "--s", "0.5"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "--x-grid node 1.5 is not an integer" in captured.err
+    code, out = run(capsys, "bounds", "gautschi", "--x-grid", "1:3:3", "--s", "0.5")
+    assert code == 0
+    assert [row.split(",")[1] for row in out.splitlines()[1:]] == ["n=1;s=0.5", "n=2;s=0.5", "n=3;s=0.5"]
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+
+def _clear_parser_cache():
+    cli._build_parser.cache_clear()
+    cli._value_flags.cache_clear()
+
+
+def test_repeated_main_calls_share_one_parser_and_leak_no_state(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal width
+    sequence = [
+        ("verify", "thm3.1", "--q", "0.5", "--alpha", "0.5"),
+        ("eval", "psi-q", "--x", "2", "--q", "0.9"),
+        ("bounds", "beta-complex", "--a", "0.5", "--b", "0.5", "--sigma", "1", "--tau-grid", "-2:2:3"),
+        ("scan-kernel", "thm2.6", "--a", "1.5", "--t-points", "20"),
+        ("eval", "psi", "--x", "1", "--q", "0.5"),  # a flag the target does not read
+        ("eval", "psi-q-n", "--x", "2", "--q", "0.5"),  # a missing flag
+        ("eval", "psi", "--x", "1", "--bogus", "3"),  # a flag no command has
+        ("--help",),
+        ("verify", "--help"),
+        ("verify", "thm3.1", "--q", "0.5", "--alpha", "0.5"),
+    ]
+
+    def outcome(argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    _clear_parser_cache()
+    shared = [outcome(argv) for argv in sequence]
+    assert cli._build_parser.cache_info().misses == 1
+    assert cli._value_flags.cache_info().misses == 1
+    assert shared[-1] == shared[0]
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 2, 2, 2, 0, 0, 0]
+    for argv, got in zip(sequence, shared):
+        _clear_parser_cache()
+        assert outcome(argv) == got, argv
+
+
+def test_importing_the_cli_builds_no_parser_and_imports_no_fractions():
+    probe = (
+        "import sys, qgamma.cli as cli; "
+        "print(cli._build_parser.cache_info().currsize, cli._value_flags.cache_info().currsize, "
+        "'fractions' in sys.modules, 'decimal' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qgamma.__file__)))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0", "0", "False", "False"]
 
 
 # ---------------------------------------------------------------------------

@@ -599,6 +599,26 @@ def test_q_series_cap_and_tolerance_raise():
         sp.psi_q(1.0, 0.999, sp.EvalConfig(rel_tol=1e-30))
 
 
+@pytest.mark.parametrize(
+    "fn,call",
+    [
+        ("log_gamma", lambda cfg: sp.log_gamma(2.0, cfg)),
+        ("log_gamma", lambda cfg: sp.log_gamma(2.0 + 3.0j, cfg)),
+        ("log_gamma", lambda cfg: sp.gamma(2.0, cfg)),
+        ("psi", lambda cfg: sp.psi(np.array([1e300, 2.0]), cfg)),
+        ("psi_n", lambda cfg: sp.psi_n(3, 2.0, cfg)),
+    ],
+)
+def test_classical_evaluators_raise_when_truncation_misses_rel_tol(fn, call):
+    # the same check as the q-series: truncation bound <= rel_tol * max(1, |value|)
+    with pytest.raises(sp.ConvergenceError, match=f"^{fn} truncation bound .* misses rel_tol=1e-300"):
+        call(sp.EvalConfig(rel_tol=1e-300))
+    # a looser tolerance is met, and the returned bound does not depend on rel_tol
+    loose = call(sp.EvalConfig(rel_tol=1e-6))
+    assert loose.converged
+    assert np.array_equal(loose.abs_error_bound, call(sp.DEFAULT_CONFIG).abs_error_bound)
+
+
 def test_non_finite_arguments_are_domain_errors():
     calls = [
         lambda v: sp.log_gamma(v), lambda v: sp.gamma(v), lambda v: sp.psi(v),
