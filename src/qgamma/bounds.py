@@ -18,7 +18,7 @@ from .special import (
     DEFAULT_CONFIG,
     DomainError,
     EvalConfig,
-    QValue,
+    _coerce_q,
     _lgamma_core,
     log_gamma,
     log_gamma_q,
@@ -156,7 +156,7 @@ def q_sandwich(x, s, q, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundTriple:
     ndarrays; they broadcast.
     """
     scalar = np.ndim(x) == 0 and np.ndim(s) == 0
-    q = q if isinstance(q, QValue) else QValue(float(q))
+    q = _coerce_q(q)
     x, s = _real_args("q_sandwich", x, s, x_ok=lambda x, s: x > -s / 2.0, x_rule="x > -s/2")
     y = x + s / 2.0
     lq = math.log(q.q)

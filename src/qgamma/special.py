@@ -2,10 +2,11 @@
 
 Every series evaluator returns a :class:`SeriesResult` carrying the value, a
 bound on its error (the discarded tail plus rounding), the number of terms
-used and a convergence flag.  The q-series cost a fixed number of terms at
-every q: direct terms closed by an Euler-Maclaurin tail.  Ratios of gamma
-values should always be formed from log-gamma differences, never from
-quotients of direct values.
+used and a convergence flag.  Every series costs a fixed number of terms:
+direct terms closed by an Euler-Maclaurin tail.  psi and its derivatives are
+one series indexed by the order n >= 0, and so are psi_q and its derivatives.
+Ratios of gamma values should always be formed from log-gamma differences,
+never from quotients of direct values.
 
 Every public evaluator takes a float or an ndarray x and runs one numpy path
 for both.  A scalar argument gives Python numbers; an array gives ``value``
@@ -235,10 +236,6 @@ _STIRLING_COEF = tuple(
 )
 _STIRLING_NEXT = abs(_BERNOULLI_EXACT[9][0]) / (_BERNOULLI_EXACT[9][1] * 20 * 19)
 
-# Digamma asymptotic coefficients B_2n / (2n) for B_2..B_16, and |B_18 / 18|.
-_PSI_COEF = tuple(num / (den * 2 * n) for n, (num, den) in enumerate(_BERNOULLI_EXACT[:8], start=1))
-_PSI_NEXT = abs(_BERNOULLI_EXACT[8][0]) / (_BERNOULLI_EXACT[8][1] * 18)
-
 # The rounded Bernoulli numbers B_2..B_18 for the Euler-Maclaurin polygamma
 # tail.  _zeta_coefs, _EM_COEF and _LI2_COEF divide these floats: dividing the
 # exact values instead would move some of their coefficients by one ulp.
@@ -315,51 +312,21 @@ def gamma(z, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
 
     The truncation check against ``cfg.rel_tol`` is log_gamma's.
     """
-    lg = log_gamma(z, cfg)
+    return _exp_log("gamma", log_gamma(z, cfg), z, "Gamma({})", cfg)
+
+
+def _exp_log(fn: str, lg: SeriesResult, x, name: str, cfg: EvalConfig) -> SeriesResult:
+    """exp of a log-gamma result at x, its bound scaled by the value: the body of gamma and gamma_q.
+
+    ``name`` is the function as an overflow message writes it, with {} for x.
+    """
     lv = _flat(lg.value)
     over = lv.real > _LOG_MAX_FLOAT
     if over.any():
-        raise OverflowError(f"Gamma({_first(z, over)}) exceeds the float64 range")
+        raise OverflowError(f"{name.format(_first(x, over))} exceeds the float64 range")
     value = np.exp(lv)
     bound = np.abs(value) * (np.expm1(np.minimum(_flat(lg.abs_error_bound), 1.0)) + 2.0 * _U)
-    return _result("gamma", value, bound, lg.terms_used, cfg, np.shape(z))
-
-
-@_quiet
-def psi(x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
-    """Digamma at real x > 0: recurrence up by 10 then the Bernoulli asymptotic series."""
-    xs = _checked("psi", x)
-    value, ulps = _psi_core(xs)
-    trunc = _PSI_NEXT * (xs + _SHIFT) ** -18
-    _check_truncation("psi", value, trunc, cfg)
-    return _result("psi", value, trunc + ulps * _U, _SHIFT + len(_PSI_COEF), cfg, np.shape(x))
-
-
-_PSI_COEF_ABS = sum(abs(c) for c in _PSI_COEF)
-
-
-def _psi_core(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(psi(x), rounding budget in units of u): _TERM_ULPS per |term|, plus each partial sum."""
-    w = x + _SHIFT
-    rw = 1.0 / w
-    rw2 = rw * rw  # not 1/(w*w), which overflows for |w| > 1.3e154
-    log_w, half = np.log(w), 0.5 / w
-    s = log_w - half
-    p = rw2
-    for c in _PSI_COEF:
-        s = s - c * p
-        p = p * rw2
-    asymptotic = s
-    for j in range(_SHIFT):
-        s = s - 1.0 / (x + j)
-    # |c_i| w^{-2i} <= |c_i| / w^2, and the positive recurrence terms add up to
-    # asymptotic - s.  The first 9 partial sums lie within |log w - 1/(2w)| +
-    # sum |c_i| / w^2 of 0; the last 10 fall monotonically from asymptotic to s.
-    tail = _PSI_COEF_ABS * rw2
-    terms = log_w + half + tail + (asymptotic - s)
-    partials = 9.0 * (np.abs(log_w - half) + tail)
-    partials = partials + _SHIFT * np.maximum(np.abs(asymptotic), np.abs(s))
-    return s, _TERM_ULPS * terms + partials
+    return _result(fn, value, bound, lg.terms_used, cfg, np.shape(x))
 
 
 _ZETA_DIRECT = 14
@@ -384,49 +351,45 @@ def _zeta_coefs(s: int) -> tuple[tuple[float, ...], float]:
 
 
 def _hurwitz_zeta_int(s: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """zeta(s, a) for integer s >= 2 by Euler-Maclaurin: value, error bound, rounding ulps.
+    """zeta(s, a) for an integer s >= 1 by Euler-Maclaurin: value, error bound, rounding ulps.
 
-    The tail past K direct terms is the integral int_K (t+a)^{-s} dt refined by
-    Bernoulli corrections; the remainder is below the first omitted correction.
-    Every term is a power of a rounded shift of a, so it carries _TERM_ULPS + s
-    ulps, a correction up to 4 more per factor 1/w^2 (32 in all).
+    Past K direct terms the tail sum_{k>=K} (k+a)^{-s} is the integral
+    w^{1-s}/(s-1), w = K + a, plus w^{-s}/2 and Bernoulli corrections; the
+    remainder is below the first omitted correction.  At s = 1, where the sum
+    diverges, -log w takes the integral's place and the result is -psi(a), the
+    constant term of zeta(s, a) at its pole (w^{1-s}/(s-1) - 1/(s-1) -> -log w).
+    Every term is a power of a rounded shift of a (at s = 1 the tail is the
+    logarithm of such a shift), so it carries _TERM_ULPS + s ulps, a
+    correction up to 4 more per factor 1/w^2 (32 in all).
     """
     w = _ZETA_DIRECT + a
-    total = 0.0
-    for p in (a + _ZETA_OFFSETS) ** -s:  # (k + a)^{-s}, added in order of k
-        total = total + p
-    total = total + (w ** (1 - s) / (s - 1) + 0.5 * w ** -s)
-    positive = total  # the sum of every term so far, all positive
     (*coefs, last), scale = _zeta_coefs(s)
+    tail = -np.log(w) if s == 1 else w ** (1 - s) / (s - 1)
+    half = 0.5 * w ** -s
     wpow = w ** (-s - 1)
     corr_size = scale * wpow  # the j-th correction has 1/w^{2j-2} <= 1/14^{2j-2}
     rw2 = 1.0 / (w * w)
+    # At s = 1 the tail is negative and, for small a, term 0 (1/a) dwarfs the
+    # others.  It is added last, so only that addition rounds at |value|.
+    direct = (a + _ZETA_OFFSETS) ** -s  # (k + a)^{-s}, added in order of k
+    total = 0.0
+    for p in direct[1:] if s == 1 else direct:
+        total = total + p
+    head = total  # positive, like every partial sum before it
+    total = total + (tail + half)
+    after_tail = total
     for c in coefs:
         total = total + c * wpow
         wpow = wpow * rw2
-    # each of the 23 partial sums lies within positive + corr_size of 0
-    ulps = (_TERM_ULPS + s + 23) * positive + (_TERM_ULPS + s + 32 + 23) * corr_size
-    return total, np.abs(last * wpow), ulps
-
-
-@_quiet
-def psi_n(n: int, x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
-    """n-th derivative of psi via the termwise-differentiated series.
-
-    psi^(n)(x) = (-1)^(n+1) n! sum_k (k+x)^(-n-1); the tail is controlled by
-    integral comparison with Euler-Maclaurin corrections, which is what makes
-    1e-12 reachable without ~1/tol direct terms.
-    """
-    n = _checked_order("psi_n", n)
-    xs = _checked("psi_n", x)
-    zeta, zbound, ulps = _blocked(lambda b: _hurwitz_zeta_int(n + 1, b), xs)
-    nf = math.factorial(n)
-    sign = 1.0 if n % 2 == 1 else -1.0
-    value = sign * nf * zeta
-    _check_truncation("psi_n", value, nf * zbound, cfg)
-    # the scaling by n! adds one rounding; tiny powers may be subnormal
-    bound = nf * (zbound + ulps * _U + _UNDERFLOW_ERR) + np.abs(value) * _U
-    return _result("psi_n", value, bound, _ZETA_DIRECT + len(_BERNOULLI), cfg, np.shape(x))
+    trunc = np.abs(last * wpow)
+    if s > 1:  # every term is positive: each partial sum lies within after_tail + corr_size of 0
+        return total, trunc, (_TERM_ULPS + s + 23) * after_tail + (_TERM_ULPS + s + 32 + 23) * corr_size
+    # 12 additions up to head, the rounding of tail + half, 9 sums within
+    # corr_size of after_tail, and the last addition, of term 0
+    value = total + direct[0]
+    ulps = (_TERM_ULPS + 1) * (direct[0] + head + np.abs(tail) + half) + (_TERM_ULPS + 1 + 32) * corr_size
+    ulps = ulps + 12.0 * head + np.abs(tail + half) + 9.0 * (np.abs(after_tail) + corr_size)
+    return value, trunc, ulps + np.abs(value)
 
 
 # ---------------------------------------------------------------------------
@@ -814,19 +777,58 @@ def log_gamma_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
 
 @_quiet
 def gamma_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
-    """Gamma_q(x) = exp(log_gamma_q(x)) with the error bound scaled by the value."""
+    """Gamma_q(x) = exp(log_gamma_q(x)) with the error bound scaled by the value; q = 1 routes to gamma."""
     q = _coerce_q(q)
-    lg = log_gamma_q(x, q, cfg)
-    lv = _flat(lg.value)
-    over = lv > _LOG_MAX_FLOAT
-    if over.any():
-        raise OverflowError(f"Gamma_q({_first(x, over)}, q={q.q!r}) exceeds the float64 range")
-    value = np.exp(lv)
-    bound = value * (np.expm1(np.minimum(_flat(lg.abs_error_bound), 1.0)) + 2.0 * _U)
-    return _result("gamma_q", value, bound, lg.terms_used, cfg, np.shape(x))
+    if q.is_classical:
+        return gamma(x, cfg)
+    return _exp_log("gamma_q", log_gamma_q(x, q, cfg), x, f"Gamma_q({{}}, q={q.q!r})", cfg)
 
 
 @_quiet
+def _polygamma(n: int, x, q: QValue, cfg: EvalConfig) -> SeriesResult:
+    """psi^(n)(x) at q = 1, psi_q^(n)(x) at q < 1, for every order n >= 0: psi, psi_n, psi_q, psi_q_n.
+
+    Classically psi^(n)(x) = (-1)^(n+1) n! zeta(n+1, x) (DLMF 5.15.1), with
+    -psi(x) for zeta(1, x).  Errors name the public function of (n, q).
+    """
+    fn = ("psi" if q.is_classical else "psi_q") + ("_n" if n else "")
+    xs = _checked(fn, x)
+    if not q.is_classical:
+        lq = _q_series_log_q(xs, q)
+        value, trunc, ulps = _blocked(lambda b: _q_polygamma(n, b, lq), xs)
+        return _series_result(fn, value, trunc, ulps, _EM_TERMS, cfg, np.shape(x))
+    zeta, zbound, ulps = _blocked(lambda b: _hurwitz_zeta_int(n + 1, b), xs)
+    nf = math.factorial(n)
+    sign = 1.0 if n % 2 == 1 else -1.0
+    value = sign * nf * zeta
+    _check_truncation(fn, value, nf * zbound, cfg)
+    # the scaling by n! adds one rounding; tiny powers may be subnormal
+    bound = nf * (zbound + ulps * _U + _UNDERFLOW_ERR) + np.abs(value) * _U
+    return _result(fn, value, bound, _ZETA_DIRECT + len(_BERNOULLI), cfg, np.shape(x))
+
+
+_CLASSICAL = QValue(1.0)
+
+
+def psi(x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
+    """Digamma at real x > 0: order 0 of psi_n's series, with log(x + 14) for its tail integral.
+
+    The bound adds _TERM_ULPS + 1 ulps per term and the rounding of the
+    additions, summed as _hurwitz_zeta_int explains.
+    """
+    return _polygamma(0, x, _CLASSICAL, cfg)
+
+
+def psi_n(n: int, x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
+    """n-th derivative of psi for n >= 1 via the termwise-differentiated series.
+
+    psi^(n)(x) = (-1)^(n+1) n! sum_k (k+x)^(-n-1): 14 direct terms, then the
+    tail's integral with 8 Euler-Maclaurin corrections, which is what makes
+    1e-12 reachable without ~1/tol direct terms.
+    """
+    return _polygamma(_checked_order("psi_n", n), x, _CLASSICAL, cfg)
+
+
 def psi_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     """q-digamma: -log(1-q) + log q * sum_{i>=0} g(x+i), g(t) = q^t/(1-q^t); q = 1 routes to psi.
 
@@ -835,19 +837,16 @@ def psi_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     Euler-Maclaurin corrections, with a remainder between 0 and the first
     omitted one.  The bound is that term plus a rounding term of a few u per
     |term| (see _TERM_ULPS), the merged prefix log((1-q^T)/(1-q)) included.
+    Order 0 of psi_q_n's series.
     """
     q = _coerce_q(q)
     if q.is_classical:
         return psi(x, cfg)
-    xs = _checked("psi_q", x)
-    lq = _q_series_log_q(xs, q)
-    value, trunc, ulps = _blocked(lambda b: _q_polygamma(0, b, lq), xs)
-    return _series_result("psi_q", value, trunc, ulps, _EM_TERMS, cfg, np.shape(x))
+    return _polygamma(0, x, q, cfg)
 
 
-@_quiet
 def psi_q_n(n: int, x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
-    """n-th derivative of psi_q: log q * sum_{i>=0} g^(n)(x+i); q = 1 routes to psi_n.
+    """n-th derivative of psi_q for n >= 1: log q * sum_{i>=0} g^(n)(x+i); q = 1 routes to psi_n.
 
     g^(n)(t) = (log q)^n Li_{-n}(q^t) comes from the Eulerian polynomials.  The
     same scheme as psi_q applies to the completely monotonic |g^(n)|, with the
@@ -857,11 +856,7 @@ def psi_q_n(n: int, x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     q = _coerce_q(q)
     if q.is_classical:
         return psi_n(n, x, cfg)
-    n = _checked_order("psi_q_n", n)
-    xs = _checked("psi_q_n", x)
-    lq = _q_series_log_q(xs, q)
-    value, trunc, ulps = _blocked(lambda b: _q_polygamma(n, b, lq), xs)
-    return _series_result("psi_q_n", value, trunc, ulps, _EM_TERMS, cfg, np.shape(x))
+    return _polygamma(_checked_order("psi_q_n", n), x, q, cfg)
 
 
 @_quiet

@@ -65,6 +65,9 @@ def test_classical_evaluators_array_equals_scalar():
     _check(sp.psi, xs)
     for n in range(1, 6):
         _check(lambda v: sp.psi_n(n, v), xs[xs > 1e-100])  # psi^(n)(1e-300) overflows
+    # psi's bound sums the rounding error of each addition: in the same order
+    # for a lone element as for a column of a block
+    _check(sp.psi, np.concatenate([np.geomspace(1e-6, 1e8, 1500), 1.4616 + np.linspace(-0.3, 0.3, 1500)]))
 
 
 def test_complex_log_gamma_array_equals_scalar():

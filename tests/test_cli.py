@@ -210,6 +210,28 @@ def test_verify_rejects_a_flag_no_selected_case_takes(capsys, argv, flags, accep
     assert f"takes {flags}; the selection accepts {accepted}" in captured.err
 
 
+def test_verify_grid_flags_are_the_grid_spec_fields(capsys):
+    # _build_parser lists them by hand, with --spacing's choices; _cmd_verify reads the fields
+    import dataclasses
+
+    from qgamma.cmcheck import GridSpec
+
+    verify = next(a for a in cli._build_parser()._actions if a.dest == "command").choices["verify"]
+    flags = [a.option_strings[0] for a in verify._actions if a.option_strings]
+    grid = [cli._flag(f.name) for f in dataclasses.fields(GridSpec)]
+    assert [f for f in flags if f in grid] == grid
+    code, out = run(capsys, "verify", "psi-prime", "--points", "3", "--max-order", "2", "--h-set", "0.5,1",
+                    "--spacing", "linear", "--x-min", "1", "--x-max", "2")
+    assert code == 0 and out.count("match") == 1
+    # a bad value still exits 2 with nothing on stdout
+    for argv in (("--spacing", "cubic"), ("--points", "2.5"), ("--x-min", "one"), ("--h-set", "0.5,x")):
+        code = main(["verify", "psi-prime", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, ""), argv
+    main(["verify", "psi-prime", "--spacing", "cubic"])
+    assert "invalid choice: 'cubic'" in capsys.readouterr().err
+
+
 def test_verify_flag_applies_to_the_selected_cases_that_take_it(capsys):
     code, out = run(capsys, "verify", "all", "--q", "0.9")
     assert code == 0

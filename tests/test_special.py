@@ -68,11 +68,11 @@ def test_bernoulli_coefficients_are_the_literal_quotients():
         -691.0 / 360360.0, 1.0 / 156.0, -3617.0 / 122400.0, 43867.0 / 244188.0,
     )
     assert sp._STIRLING_NEXT == 174611.0 / 125400.0
-    assert sp._PSI_COEF == (
-        1.0 / 12.0, -1.0 / 120.0, 1.0 / 252.0, -1.0 / 240.0, 1.0 / 132.0,
-        -691.0 / 32760.0, 1.0 / 12.0, -3617.0 / 8160.0,
-    )
-    assert sp._PSI_NEXT == 43867.0 / 798.0 / 18.0
+    # psi's asymptotic coefficients are the s = 1 member of the polygamma
+    # corrections, each within 1 ulp of the exact B_2j / (2j), j = 1..9
+    psi_coefs, _ = sp._zeta_coefs(1)
+    for j, (c, (num, den)) in enumerate(zip(psi_coefs, sp._BERNOULLI_EXACT), start=1):
+        assert abs(c - num / (den * 2 * j)) <= math.ulp(c), j
     bernoulli = (
         1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0,
         -691.0 / 2730.0, 7.0 / 6.0, -3617.0 / 510.0, 43867.0 / 798.0,
@@ -302,6 +302,34 @@ def test_psi_q_n_first_derivative_positive():
 
 def test_psi_q_n_classical_route():
     assert sp.psi_q_n(1, 1.0, 1.0).value == sp.psi_n(1, 1.0).value
+
+
+def test_gamma_q_routes_to_gamma_at_q_one():
+    x = np.concatenate([np.geomspace(1e-3, 170.0, 60), [0.5, 1.0, 2.0]])
+    for arg in (x, 3.7, x - 2j):
+        got, want = sp.gamma_q(arg, 1.0), sp.gamma(arg)
+        assert np.asarray(got.value).tobytes() == np.asarray(want.value).tobytes()
+        assert np.asarray(got.abs_error_bound).tobytes() == np.asarray(want.abs_error_bound).tobytes()
+    with pytest.raises(OverflowError, match=r"^Gamma\(300\.0\) exceeds"):
+        sp.gamma_q(300.0, 1.0)
+    with pytest.raises(OverflowError, match=r"^Gamma_q\(3000\.0, q=0\.99\) exceeds"):
+        sp.gamma_q(3000.0, 0.99)
+
+
+def test_every_polygamma_order_keeps_its_public_name_in_errors():
+    # one path serves every order; each public function still validates as its own
+    for call, message in [
+        (lambda: sp.psi(-1.0), r"^psi requires finite x"),
+        (lambda: sp.psi_n(0, 1.0), r"^psi_n requires order n >= 1, got 0"),
+        (lambda: sp.psi_n(2, 0.0), r"^psi_n requires finite x"),
+        (lambda: sp.psi_q(-1.0, 1.0), r"^psi requires finite x"),
+        (lambda: sp.psi_q(-1.0, 0.5), r"^psi_q requires finite x"),
+        (lambda: sp.psi_q_n(0, 1.0, 1.0), r"^psi_n requires order n >= 1, got 0"),
+        (lambda: sp.psi_q_n(0, 1.0, 0.5), r"^psi_q_n requires order n >= 1, got 0"),
+        (lambda: sp.psi_q_n(1, -1.0, 0.5), r"^psi_q_n requires finite x"),
+    ]:
+        with pytest.raises(sp.DomainError, match=message):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +599,9 @@ def test_log_gamma_within_bounds_against_oracle():
             assert err <= res.abs_error_bound, (z, float(err), res.abs_error_bound)
 
 
+PSI_ROOT = 1.4616321449683622  # the positive zero of psi
+
+
 def test_psi_within_bounds_against_oracle():
     # psi at 2.4966... and psi_n(3, 0.00388735) exceeded the fixed rounding
     # term 1e-15 max(1, |value|) the bound once had
@@ -582,6 +613,15 @@ def test_psi_within_bounds_against_oracle():
             for n in range(1, 6):
                 res = sp.psi_n(n, float(x))
                 _assert_within_bound(res, mp.psi(n, mp.mpf(float(x))), ("psi_n", n, x))
+    # psi's terms change sign: tiny x, where every partial sum is near 1/x, far x,
+    # and around the root, where the result is far below its partial sums
+    far = np.concatenate([np.geomspace(1e-6, 1e8, 400), PSI_ROOT + np.linspace(-0.2, 0.2, 401),
+                          PSI_ROOT + np.arange(-20, 21) * 2.0 ** -52])
+    res = sp.psi(far)
+    with mp.workdps(40):
+        for x, v, b in zip(far, res.value, res.abs_error_bound):
+            err = abs(mp.mpf(float(v)) - mp.digamma(mp.mpf(float(x))))
+            assert err <= b, ("psi", float(x), float(err), float(b))
 
 
 def test_q_series_cost_does_not_depend_on_q():

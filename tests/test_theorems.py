@@ -504,6 +504,21 @@ def test_stacked_shifts_equal_separate_calls_bit_for_bit(q):
         assert [float(v) for v in T._Q.stacked(piece, 0.75, 1.5)] == [piece(0.75), piece(1.5)]
 
 
+def test_classical_polygamma_is_one_path_for_every_order():
+    # psi, psi_q at q = 1 and the closures' pieces of every order reach one classical path
+    x = np.concatenate([np.geomspace(1e-6, 1e8, 301), 1.4616321449683622 + np.linspace(-0.1, 0.1, 41)])
+    P = T._Q(1.0)
+    for got in (psi_q(x, 1.0), P.ps(0, x)):
+        assert np.asarray(getattr(got, "value", got)).tobytes() == psi(x).value.tobytes()
+    assert psi_q(x, 1.0).abs_error_bound.tobytes() == psi(x).abs_error_bound.tobytes()
+    for k in (1, 2, 5):
+        assert P.ps(k, x).tobytes() == psi_n(k, x).value.tobytes() == psi_q_n(k, x, 1.0).value.tobytes()
+    # and so does psi-prime's closure
+    case = T.make_case("psi-prime")
+    for k in (0, 1, 3):
+        assert case.deriv(k, x).tobytes() == P.ps(k, x).tobytes()
+
+
 @pytest.mark.parametrize("q", [0.01, 0.5, 0.9, 0.99, 0.999, Q_SERIES_MAX])
 def test_log_scale_is_within_4u_of_high_precision(q):
     # one logarithm of (1-q^y)/(1-q): near q = 1 two large logarithms no longer cancel
