@@ -6,9 +6,13 @@ evaluates those brackets stably (removable t -> 0 singularities are handled
 by truncated Taylor expansions below ``SMALL_T``), scans their sign on a
 geometric grid, and exposes the kernel table used by the CLI and the corpus.
 
-All kernel functions accept a scalar or ndarray ``t >= 0`` and are pure; at
-t = 0 each returns its t -> 0 limit, and none raises a numpy warning.  Past
-its small-t series (formed on min(t, SMALL_T)) each kernel has one formula:
+All kernel functions accept a scalar or ndarray t and are pure.  Each checks
+its t once, through ``special``'s array contract: every element must be
+finite and >= 0, and a NaN, an infinity or a negative t is a DomainError
+naming the first such element (with its index for an array).  A scalar t
+gives a Python float, an array t an array of its shape.  At t = 0 each
+returns its t -> 0 limit, and none raises a numpy warning.  Past its small-t
+series (formed on min(t, SMALL_T)) each kernel has one formula:
 its growing factor e^{mt} (t^2 e^{-alpha t} for thm3.4) is taken out of the
 bracket and put back by ``_exp_times``, so no intermediate overflows, and a
 value beyond float64 is +-inf, which ``scan_kernel`` reports as an OverflowError.
@@ -27,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .special import DomainError
+from .special import DomainError, _checked, _quiet, _shaped
 
 __all__ = [
     "SMALL_T",
@@ -58,18 +62,19 @@ ONE_SIGN_CHANGE = "one-sign-change"
 UNSPECIFIED = "unspecified"
 
 
-def _unwrap(out):
-    """A 0-d result as a numpy scalar; an array of any other shape as it is."""
-    out = np.asarray(out)
-    return out[()] if out.ndim == 0 else out
-
-
-_quiet = np.errstate(all="ignore")
-
-
 def _rho(t):
     """1 / (1 - e^{-t}), computed through expm1."""
     return 1.0 / -np.expm1(-t)
+
+
+def _checked_t(fn: str, t) -> np.ndarray:
+    """t as a flat float array, every element finite and >= 0: each kernel function's one t check."""
+    return _checked(fn, t, 0.0, math.inf, "[)", "t")
+
+
+def _small_t(t, series, direct):
+    """series(min(t, SMALL_T)) below SMALL_T, direct(max(t, SMALL_T)) above: one small-t switch."""
+    return np.where(t < SMALL_T, series(np.minimum(t, SMALL_T)), direct(np.maximum(t, SMALL_T)))
 
 
 # ln 2 = _LN2_HI + _LN2_LO, with _LN2_HI's low 21 bits zero: k * _LN2_HI is exact for |k| < 2^21
@@ -94,14 +99,12 @@ def _sinh_quotient(alpha: float, t):
     return np.where(t == 0.0, alpha, np.expm1(-2.0 * alpha * t) / np.expm1(-2.0 * t))
 
 
-def _sinh_parts(alpha: float, t) -> tuple[float, np.ndarray, np.ndarray]:
-    """(alpha, (alpha-1) t, s) with sinh(alpha t)/sinh(t) = e^{(alpha-1)t} s, once alpha > 0 and t >= 0."""
+def _sinh_parts(fn: str, alpha: float, t) -> tuple[float, np.ndarray, np.ndarray]:
+    """(alpha, (alpha-1) t, s) with sinh(alpha t)/sinh(t) = e^{(alpha-1)t} s, alpha and t checked."""
     alpha = float(alpha)
-    t = np.asarray(t, dtype=float)
     if alpha <= 0.0:
         raise DomainError(f"sinh_ratio requires alpha > 0, got {alpha!r}")
-    if np.any(t < 0.0):
-        raise DomainError("sinh_ratio requires t >= 0")
+    t = _checked_t(fn, t)
     return alpha, (alpha - 1.0) * t, _sinh_quotient(alpha, t)
 
 
@@ -113,17 +116,18 @@ def sinh_ratio(alpha: float, t):
     alpha = 1, where it equals both sandwich members.  A value beyond float64
     comes back as inf.
     """
-    _, log_e, quot = _sinh_parts(alpha, t)
-    return _unwrap(_exp_times(log_e, quot))
+    _, log_e, quot = _sinh_parts("sinh_ratio", alpha, t)
+    return _shaped(_exp_times(log_e, quot), np.shape(t))
 
 
+@_quiet
 def sinh_ratio_bounds(alpha: float, t):
-    """The sandwich members (alpha e^{(alpha-1)t}, alpha) enclosing sinh_ratio."""
+    """The sandwich members (alpha e^{(alpha-1)t}, alpha) enclosing sinh_ratio; the first may be inf."""
     alpha = float(alpha)
-    t = np.asarray(t, dtype=float)
-    lower = alpha * np.exp((alpha - 1.0) * t)
+    ts = _checked_t("sinh_ratio_bounds", t)
+    lower = alpha * np.exp((alpha - 1.0) * ts)
     upper = np.full_like(lower, alpha)
-    return _unwrap(lower), _unwrap(upper)
+    return _shaped(lower, np.shape(t)), _shaped(upper, np.shape(t))
 
 
 @_quiet
@@ -133,21 +137,24 @@ def kernel_lemma12_margin(alpha: float, t):
     With sinh_ratio = e^{(alpha-1)t} s, the margins are e^{(alpha-1)t} (s - alpha)
     and alpha - e^{(alpha-1)t} s.
     """
-    alpha, log_e, quot = _sinh_parts(alpha, t)
-    return _unwrap(np.minimum(_exp_times(log_e, quot - alpha), alpha - _exp_times(log_e, quot)))
+    alpha, log_e, quot = _sinh_parts("kernel_lemma12_margin", alpha, t)
+    out = np.minimum(_exp_times(log_e, quot - alpha), alpha - _exp_times(log_e, quot))
+    return _shaped(out, np.shape(t))
+
+
+def _thm21(alpha: float, t: np.ndarray) -> np.ndarray:
+    """kernel_thm21 on a flat array, unchecked: t = inf gives its limit 1 - alpha."""
+    return _small_t(
+        t,
+        lambda t_small: 0.5 + t_small / 12.0 - t_small ** 3 / 720.0 + t_small ** 5 / 30240.0 - alpha,
+        lambda t_safe: _rho(t_safe) - 1.0 / t_safe - alpha,
+    )
 
 
 @_quiet
 def kernel_thm21(alpha: float, t):
     """1/(1 - e^{-t}) - 1/t - alpha, with t -> 0 limit 1/2 - alpha."""
-    alpha = float(alpha)
-    t = np.asarray(t, dtype=float)
-    t_safe = np.maximum(t, SMALL_T)
-    t_small = np.minimum(t, SMALL_T)
-    direct = _rho(t_safe) - 1.0 / t_safe - alpha
-    series = 0.5 + t_small / 12.0 - t_small ** 3 / 720.0 + t_small ** 5 / 30240.0 - alpha
-    out = np.where(t < SMALL_T, series, direct)
-    return _unwrap(out)
+    return _shaped(_thm21(float(alpha), _checked_t("kernel_thm21", t)), np.shape(t))
 
 
 @_quiet
@@ -156,14 +163,13 @@ def kernel_thm25(a: float, b: float, c: float, t):
     a, b, c = float(a), float(b), float(c)
     if not (a < b <= a + 1.0):
         raise DomainError(f"kernel_thm25 requires a < b <= a + 1, got a={a}, b={b}")
-    t = np.asarray(t, dtype=float)
-    t_safe = np.maximum(t, SMALL_T)
-    t_small = np.minimum(t, SMALL_T)
+    ts = _checked_t("kernel_thm25", t)
     m = max(-a, -c)  # e^{mt} taken out: every exponent left in the bracket is <= 0
-    bracket = (np.exp((-b - m) * t_safe) - np.exp((-a - m) * t_safe)) * _rho(t_safe) + (
-        b - a
-    ) * np.exp((-c - m) * t_safe)
-    direct = _exp_times(m * t_safe, bracket)
+
+    def direct(t_safe):
+        bracket = (np.exp((-b - m) * t_safe) - np.exp((-a - m) * t_safe)) * _rho(t_safe)
+        return _exp_times(m * t_safe, bracket + (b - a) * np.exp((-c - m) * t_safe))
+
     # power sums S_k = (b^k - a^k)/(b - a) feed the small-t expansion of the quotient
     s2 = a + b
     s3 = a * a + a * b + b * b
@@ -173,14 +179,16 @@ def kernel_thm25(a: float, b: float, c: float, t):
     g2 = 1.0 / 12.0 - s2 / 4.0 + s3 / 6.0
     g3 = -s2 / 24.0 + s3 / 12.0 - s4 / 24.0
     g4 = -1.0 / 720.0 + s3 / 72.0 - s4 / 48.0 + s5 / 120.0
-    series = (b - a) * (
-        (-c - g1) * t_small
-        + (c * c / 2.0 - g2) * t_small ** 2
-        + (-(c ** 3) / 6.0 - g3) * t_small ** 3
-        + (c ** 4 / 24.0 - g4) * t_small ** 4
-    )
-    out = np.where(t < SMALL_T, series, direct)
-    return _unwrap(out)
+
+    def series(t_small):
+        return (b - a) * (
+            (-c - g1) * t_small
+            + (c * c / 2.0 - g2) * t_small ** 2
+            + (-(c ** 3) / 6.0 - g3) * t_small ** 3
+            + (c ** 4 / 24.0 - g4) * t_small ** 4
+        )
+
+    return _shaped(_small_t(ts, series, direct), np.shape(t))
 
 
 @_quiet
@@ -189,8 +197,8 @@ def kernel_thm26(a: float, t):
     a = float(a)
     if a < 1.0:
         raise DomainError(f"kernel_thm26 requires a >= 1, got {a!r}")
-    t = np.asarray(t, dtype=float)
-    return _unwrap(_exp_times((a - 1.0) * t / 2.0, a - _sinh_quotient(a, t / 2.0)))
+    ts = _checked_t("kernel_thm26", t)
+    return _shaped(_exp_times((a - 1.0) * ts / 2.0, a - _sinh_quotient(a, ts / 2.0)), np.shape(t))
 
 
 @_quiet
@@ -204,9 +212,9 @@ def kernel_thm31(alpha: float, t):
     alpha = float(alpha)
     if not (2.0 ** -340 <= alpha < 1.0):
         raise DomainError(f"kernel_thm31 requires 2^-340 <= alpha < 1, got {alpha!r}")
-    t = np.asarray(t, dtype=float)
-    out = -alpha * kernel_thm21(0.0, t) + kernel_thm21(0.0, t / alpha)  # h(inf) = 1
-    return _unwrap(out)
+    ts = _checked_t("kernel_thm31", t)
+    out = -alpha * _thm21(0.0, ts) + _thm21(0.0, ts / alpha)  # t/alpha may be inf, where h is 1
+    return _shaped(out, np.shape(t))
 
 
 @_quiet
@@ -215,12 +223,12 @@ def kernel_thm32(a: float, b: float, c: float, t):
     a, b, c = float(a), float(b), float(c)
     if not (0.0 < a < b):
         raise DomainError(f"kernel_thm32 requires 0 < a < b, got a={a}, b={b}")
-    t = np.asarray(t, dtype=float)
+    ts = _checked_t("kernel_thm32", t)
     # 2 sinh(ut) = e^{ut} (1 - e^{-2ut}), u = (b-a)/2, and (a+b)/2 - c = u + d, d = a - c: taking out
     # e^{mt}, m = u + max(d, 0), leaves the exponents min(-d, 0) and min(d, 0), each one rounding of d
     d = a - c
-    bracket = -np.expm1(-(b - a) * t) * np.exp(min(-d, 0.0) * t) - (b - a) * t * np.exp(min(d, 0.0) * t)
-    return _unwrap(_exp_times((0.5 * (b - a) + max(d, 0.0)) * t, bracket))
+    bracket = -np.expm1(-(b - a) * ts) * np.exp(min(-d, 0.0) * ts) - (b - a) * ts * np.exp(min(d, 0.0) * ts)
+    return _shaped(_exp_times((0.5 * (b - a) + max(d, 0.0)) * ts, bracket), np.shape(t))
 
 
 @_quiet
@@ -232,25 +240,22 @@ def kernel_thm34(alpha: float, t):
     a degree-5 expansion is used instead.
     """
     alpha = float(alpha)
-    t = np.asarray(t, dtype=float)
-    t_safe = np.maximum(t, SMALL_T)
-    t_small = np.minimum(t, SMALL_T)
-    # t^2 e^{-alpha t} / 12 through its logarithm: t^2 alone would overflow where the product need not
-    growth = _exp_times(2.0 * np.log(t_safe) - alpha * t_safe, 1.0 / 12.0)
-    direct = (1.0 - growth) * _rho(t_safe) - 0.5 - 1.0 / t_safe
+    ts = _checked_t("kernel_thm34", t)
+
+    def direct(t_safe):
+        # t^2 e^{-alpha t} / 12 through its logarithm: t^2 alone would overflow where the product need not
+        growth = _exp_times(2.0 * np.log(t_safe) - alpha * t_safe, 1.0 / 12.0)
+        return (1.0 - growth) * _rho(t_safe) - 0.5 - 1.0 / t_safe
+
     c2 = alpha / 12.0 - 1.0 / 24.0
     c3 = alpha / 24.0 - alpha ** 2 / 24.0 - 1.0 / 120.0
     c4 = alpha / 144.0 - alpha ** 2 / 48.0 + alpha ** 3 / 72.0
-    c5 = (
-        1.0 / 30240.0
-        + 1.0 / 8640.0
-        - alpha ** 2 / 288.0
-        + alpha ** 3 / 144.0
-        - alpha ** 4 / 288.0
-    )
-    series = c2 * t_small ** 2 + c3 * t_small ** 3 + c4 * t_small ** 4 + c5 * t_small ** 5
-    out = np.where(t < SMALL_T, series, direct)
-    return _unwrap(out)
+    c5 = 1.0 / 30240.0 + 1.0 / 8640.0 - alpha ** 2 / 288.0 + alpha ** 3 / 144.0 - alpha ** 4 / 288.0
+
+    def series(t_small):
+        return c2 * t_small ** 2 + c3 * t_small ** 3 + c4 * t_small ** 4 + c5 * t_small ** 5
+
+    return _shaped(_small_t(ts, series, direct), np.shape(t))
 
 
 def _check_a_list(a_list) -> np.ndarray:
@@ -260,6 +265,7 @@ def _check_a_list(a_list) -> np.ndarray:
     return a
 
 
+@_quiet
 def kernel_thm41_mean(a_list, t):
     """n e^{-abar t} - sum_i e^{-a_i t} with abar the arithmetic mean.
 
@@ -268,18 +274,18 @@ def kernel_thm41_mean(a_list, t):
     feeds is checked on the function itself, not inferred from the bracket.
     """
     a = _check_a_list(a_list)
-    t = np.asarray(t, dtype=float)
-    abar = a.mean()
-    out = a.size * np.exp(-abar * t) - sum(np.exp(-ai * t) for ai in a)
-    return _unwrap(out)
+    ts = _checked_t("kernel_thm41_mean", t)
+    out = a.size * np.exp(-a.mean() * ts) - sum(np.exp(-ai * ts) for ai in a)
+    return _shaped(out, np.shape(t))
 
 
+@_quiet
 def kernel_thm41_split(a_list, t):
     """n - 1 + e^{-(a_1+...+a_n)t} - sum_i e^{-a_i t}; provably >= 0."""
     a = _check_a_list(a_list)
-    t = np.asarray(t, dtype=float)
-    out = (a.size - 1.0) + np.exp(-a.sum() * t) - sum(np.exp(-ai * t) for ai in a)
-    return _unwrap(out)
+    ts = _checked_t("kernel_thm41_split", t)
+    out = (a.size - 1.0) + np.exp(-a.sum() * ts) - sum(np.exp(-ai * ts) for ai in a)
+    return _shaped(out, np.shape(t))
 
 
 def identity_47(z_list) -> tuple[float, float]:

@@ -147,30 +147,39 @@ def _flat(v) -> np.ndarray:
     return np.asarray(v).reshape(-1)
 
 
-def _shaped(v: np.ndarray, shape: tuple):
-    """A flat result in the argument's shape; a Python number for a scalar argument."""
+def _shaped(v, shape: tuple):
+    """A result in the argument's shape; a Python number for a scalar argument."""
     return v.item(0) if shape == () else v.reshape(shape)
 
 
-def _checked(fn: str, x, lo: float = 0.0, hi: float = math.inf, closed: bool = False,
+def _checked(fn: str, x, lo: float = 0.0, hi: float = math.inf, ends: str = "()",
              what: str = "x") -> np.ndarray:
-    """x as a flat float array, every element finite and inside (lo, hi), or [lo, hi] when ``closed``.
+    """x as a flat float array, every element finite and in the interval lo, hi with ``ends`` as brackets.
 
-    Every public evaluator validates its arguments here, so NaN, infinities
-    and complex values become a DomainError naming the first offending
-    element instead of a NaN value or an arithmetic exception.
+    Every public evaluator, kernel function and bound validates its arguments
+    here, so NaN, infinities and complex values become a DomainError naming the
+    first offending element instead of a NaN value or an arithmetic exception.
     """
     arr = np.asarray(x)
     if arr.dtype.kind == "c":
         raise DomainError(f"{fn} requires real {what}, got a complex argument")
     arr = arr.astype(float, copy=False).reshape(-1)
-    ok = (lo <= arr) & (arr <= hi) if closed else (lo < arr) & (arr < hi)  # NaN fails either
+    left, right = ends
+    # NaN fails every comparison
+    ok = ((lo <= arr) if left == "[" else (lo < arr)) & ((arr <= hi) if right == "]" else (arr < hi))
     if not ok.all():
-        left, right = "[]" if closed else "()"
         raise DomainError(
             f"{fn} requires finite {what} in {left}{lo:g}, {hi:g}{right}, got {_first(arr, ~ok)}"
         )
     return arr
+
+
+def _checked_complex(fn: str, z, lo: float = -math.inf, what: str = "z") -> np.ndarray:
+    """z as a flat complex array, Re z finite in (lo, inf) and Im z finite, checked as _checked does."""
+    zc = np.asarray(z).astype(complex).reshape(-1)
+    _checked(fn, zc.real, lo, what=f"Re {what}")
+    _checked(fn, zc.imag, -math.inf, what=f"Im {what}")
+    return zc
 
 
 def _checked_order(fn: str, n) -> int:
@@ -180,12 +189,19 @@ def _checked_order(fn: str, n) -> int:
     return n
 
 
+def _finite(fn: str, *values) -> None:
+    """OverflowError at the first element (row order) where one of ``values`` is not finite."""
+    ok = np.isfinite(np.abs(values[0]))
+    for v in values[1:]:
+        ok = ok & np.isfinite(np.abs(v))
+    if not ok.all():
+        where = "" if ok.size == 1 else f" at element {int(np.flatnonzero(~ok)[0])}"
+        raise OverflowError(f"{fn} result exceeds the float64 range{where}")
+
+
 def _result(fn: str, value, bound, terms, cfg: EvalConfig, shape: tuple) -> SeriesResult:
     """Package flat value and bound arrays for an argument of ``shape``."""
-    bad = ~np.isfinite(np.abs(value))
-    if bad.any():
-        where = "" if value.size == 1 else f" at element {int(np.flatnonzero(bad)[0])}"
-        raise OverflowError(f"{fn} result exceeds the float64 range{where}")
+    _finite(fn, value)
     bound = np.broadcast_to(bound, value.shape).astype(float)
     conv = bool((bound <= cfg.rel_tol * np.maximum(1.0, np.abs(value))).all())
     return SeriesResult(_shaped(value, shape), _shaped(bound, shape), int(terms), conv)
@@ -294,12 +310,7 @@ def log_gamma(z, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     complex argument gives a complex value even on the real axis.
     """
     zs = np.asarray(z)
-    if zs.dtype.kind == "c":
-        zc = zs.astype(complex).reshape(-1)
-        _checked("log_gamma", zc.real, what="Re z")
-        _checked("log_gamma", zc.imag, -math.inf, what="Im z")
-    else:
-        zc = _checked("log_gamma", zs, what="Re z")
+    zc = _checked_complex("log_gamma", zs, 0.0) if zs.dtype.kind == "c" else _checked("log_gamma", zs, what="Re z")
     value = _lgamma_core(zc)
     trunc, rounding = _lgamma_bound(zc)
     _check_truncation("log_gamma", value, trunc, cfg)
@@ -351,7 +362,7 @@ def _zeta_coefs(s: int) -> tuple[tuple[float, ...], float]:
 
 
 def _hurwitz_zeta_int(s: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """zeta(s, a) for an integer s >= 1 by Euler-Maclaurin: value, error bound, rounding ulps.
+    """zeta(s, a) for an integer s >= 1 by Euler-Maclaurin: value, error bound, rounding error bound.
 
     Past K direct terms the tail sum_{k>=K} (k+a)^{-s} is the integral
     w^{1-s}/(s-1), w = K + a, plus w^{-s}/2 and Bernoulli corrections; the
@@ -360,7 +371,9 @@ def _hurwitz_zeta_int(s: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     constant term of zeta(s, a) at its pole (w^{1-s}/(s-1) - 1/(s-1) -> -log w).
     Every term is a power of a rounded shift of a (at s = 1 the tail is the
     logarithm of such a shift), so it carries _TERM_ULPS + s ulps, a
-    correction up to 4 more per factor 1/w^2 (32 in all).
+    correction up to 4 more per factor 1/w^2 (32 in all).  Each piece of the
+    rounding bound is scaled by u before it is added, so the bound stays finite
+    wherever the value does.
     """
     w = _ZETA_DIRECT + a
     (*coefs, last), scale = _zeta_coefs(s)
@@ -383,13 +396,15 @@ def _hurwitz_zeta_int(s: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
         wpow = wpow * rw2
     trunc = np.abs(last * wpow)
     if s > 1:  # every term is positive: each partial sum lies within after_tail + corr_size of 0
-        return total, trunc, (_TERM_ULPS + s + 23) * after_tail + (_TERM_ULPS + s + 32 + 23) * corr_size
+        err = (_TERM_ULPS + s + 23) * _U * after_tail
+        return total, trunc, err + (_TERM_ULPS + s + 32 + 23) * _U * corr_size
     # 12 additions up to head, the rounding of tail + half, 9 sums within
     # corr_size of after_tail, and the last addition, of term 0
     value = total + direct[0]
-    ulps = (_TERM_ULPS + 1) * (direct[0] + head + np.abs(tail) + half) + (_TERM_ULPS + 1 + 32) * corr_size
-    ulps = ulps + 12.0 * head + np.abs(tail + half) + 9.0 * (np.abs(after_tail) + corr_size)
-    return value, trunc, ulps + np.abs(value)
+    err = (_TERM_ULPS + 1) * _U * (direct[0] + head + np.abs(tail) + half)
+    err = err + (_TERM_ULPS + 1 + 32) * _U * corr_size
+    err = err + 12.0 * _U * head + np.abs(tail + half) * _U + 9.0 * _U * (np.abs(after_tail) + corr_size)
+    return value, trunc, err + np.abs(value) * _U
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +558,10 @@ _EM_ROWS = np.arange(_EM_DIRECT + 1, dtype=float)[:, None]
 def _q_polygamma(n: int, x: np.ndarray, lq: float):
     """psi_q^(n)(x) = [n=0] (-log(1-q)) + log q * sum_{i>=0} g^(n)(x+i).
 
-    Returns (value, truncation bound, rounding budget in ulps).  The tail
-    integral is int_T^inf g^(n) = -g^(n-1)(T), and for n = 0 it is
-    -log(1-q^T)/|log q|, which is merged with -log(1-q) into
+    Returns (value, truncation bound, rounding error bound); each piece of
+    the last is scaled by u before it is added, so it stays finite wherever
+    the value does.  The tail integral is int_T^inf g^(n) = -g^(n-1)(T), and
+    for n = 0 it is -log(1-q^T)/|log q|, which is merged with -log(1-q) into
     log((1-q^T)/(1-q)) so the two large logarithms near q = 1 do not cancel.
     """
     t = x + _EM_ROWS  # row i < N holds x + i, row N holds T; all terms of one sign
@@ -556,22 +572,22 @@ def _q_polygamma(n: int, x: np.ndarray, lq: float):
     running = np.add.accumulate(v, axis=0)
     direct = running[-1]
     weighted = np.add.accumulate(v * t[:-1], axis=0)[-1]
-    partial = np.add.accumulate(running, axis=0)[-1]
-    err = np.abs(direct) * (_TERM_ULPS + 3.0 * n) + np.abs(3.0 * lq * weighted) + np.abs(partial)
+    partial = np.add.accumulate(running * _U, axis=0)[-1]
+    err = np.abs(direct) * ((_TERM_ULPS + 3.0 * n) * _U) + np.abs(3.0 * lq * weighted) * _U + np.abs(partial)
     e, z, w = e[-1], z[-1], w[-1]  # at T, shared by the head, the half term and the corrections
     ulps = _TERM_ULPS + 3.0 * (n + np.minimum(-e, _EXP_ARG_MAX))
     if n == 0:
         head = _log_q_number(w, lq)
-        head_err = _TERM_ULPS + np.abs(head)  # the ratio's relative error, now absolute
+        head_err = (_TERM_ULPS + np.abs(head)) * _U  # the ratio's relative error, now absolute
     else:
         head = -lq * _lambert(n - 1, z, w, lq)
-        head_err = np.abs(head) * ulps
+        head_err = np.abs(head) * ulps * _U
     half = 0.5 * g[-1]
     corr, rem, corr_err = _em_corrections(n, e, z, w, lq, 1.0)
     inner = direct + half + corr
-    err = err + (np.abs(half) * ulps + corr_err + 2.0 * np.abs(inner))
+    err = err + (np.abs(half) * ulps * _U + corr_err * _U + 2.0 * _U * np.abs(inner))
     value = head + lq * inner
-    err = head_err + abs(lq) * (err + np.abs(inner)) + np.abs(value)
+    err = head_err + abs(lq) * (err + np.abs(inner) * _U) + np.abs(value) * _U
     return value, abs(lq) * rem, err
 
 
@@ -745,14 +761,14 @@ def _q_series_log_q(x: np.ndarray, q: QValue) -> float:
 _UNDERFLOW_ERR = 500 * 2.0 ** -1074
 
 
-def _series_bound(fn, value, trunc, ulps, cfg: EvalConfig):
-    """Bound = truncation bound + ulps * u; the truncation alone must meet rel_tol at every element."""
+def _series_bound(fn, value, trunc, rounding, cfg: EvalConfig):
+    """Truncation bound + rounding error bound; the truncation alone must meet rel_tol at every element."""
     _check_truncation(fn, value, trunc, cfg)
-    return trunc + ulps * _U + _UNDERFLOW_ERR
+    return trunc + rounding + _UNDERFLOW_ERR
 
 
-def _series_result(fn, value, trunc, ulps, terms, cfg: EvalConfig, shape: tuple) -> SeriesResult:
-    return _result(fn, value, _series_bound(fn, value, trunc, ulps, cfg), terms, cfg, shape)
+def _series_result(fn, value, trunc, rounding, terms, cfg: EvalConfig, shape: tuple) -> SeriesResult:
+    return _result(fn, value, _series_bound(fn, value, trunc, rounding, cfg), terms, cfg, shape)
 
 
 @_quiet
@@ -772,7 +788,7 @@ def log_gamma_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     xs = _checked("log_gamma_q", x)
     lq = _q_series_log_q(xs, q)
     value, trunc, ulps = _blocked(lambda b: _log_gamma_q_series(b, lq), xs)
-    return _series_result("log_gamma_q", value, trunc, ulps, _EM_TERMS, cfg, np.shape(x))
+    return _series_result("log_gamma_q", value, trunc, ulps * _U, _EM_TERMS, cfg, np.shape(x))
 
 
 @_quiet
@@ -795,15 +811,15 @@ def _polygamma(n: int, x, q: QValue, cfg: EvalConfig) -> SeriesResult:
     xs = _checked(fn, x)
     if not q.is_classical:
         lq = _q_series_log_q(xs, q)
-        value, trunc, ulps = _blocked(lambda b: _q_polygamma(n, b, lq), xs)
-        return _series_result(fn, value, trunc, ulps, _EM_TERMS, cfg, np.shape(x))
-    zeta, zbound, ulps = _blocked(lambda b: _hurwitz_zeta_int(n + 1, b), xs)
+        value, trunc, rounding = _blocked(lambda b: _q_polygamma(n, b, lq), xs)
+        return _series_result(fn, value, trunc, rounding, _EM_TERMS, cfg, np.shape(x))
+    zeta, zbound, rounding = _blocked(lambda b: _hurwitz_zeta_int(n + 1, b), xs)
     nf = math.factorial(n)
     sign = 1.0 if n % 2 == 1 else -1.0
     value = sign * nf * zeta
     _check_truncation(fn, value, nf * zbound, cfg)
     # the scaling by n! adds one rounding; tiny powers may be subnormal
-    bound = nf * (zbound + ulps * _U + _UNDERFLOW_ERR) + np.abs(value) * _U
+    bound = nf * (zbound + rounding + _UNDERFLOW_ERR) + np.abs(value) * _U
     return _result(fn, value, bound, _ZETA_DIRECT + len(_BERNOULLI), cfg, np.shape(x))
 
 
@@ -869,7 +885,7 @@ def dilog_F(x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     the bound adds a rounding term of a few u per |term|.  F(0) = 0 exactly
     and F(1) = pi^2/6 within rounding, at no terms.
     """
-    xs = _checked("dilog_F", x, 0.0, 1.0, closed=True)
+    xs = _checked("dilog_F", x, 0.0, 1.0, "[]")
     zero = xs == 0.0
     inside = ~zero & (xs < 1.0)
     value = np.where(zero, 0.0, _PI2_OVER_6)
@@ -880,7 +896,7 @@ def dilog_F(x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
         trunc = np.where(inside, li2_trunc, 0.0)
         ulps = np.where(inside, li2_ulps, 1.0)
         terms = _LI2_TERMS
-    bound = np.where(zero, 0.0, _series_bound("dilog_F", value, trunc, ulps, cfg))
+    bound = np.where(zero, 0.0, _series_bound("dilog_F", value, trunc, ulps * _U, cfg))
     return _result("dilog_F", value, bound, terms, cfg, np.shape(x))
 
 

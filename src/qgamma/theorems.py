@@ -69,6 +69,7 @@ from .special import (
     _log_q_number,
     _moment,
     _moment_over_t,
+    _quiet,
     dilog_F,
     log_gamma_q,
     psi,
@@ -156,7 +157,7 @@ def verify_case(
     g = grid or case.grid
     values: dict[tuple[int, bytes], np.ndarray] = {}
 
-    @np.errstate(all="ignore")
+    @_quiet
     def deriv(k, x):
         key = (k, x.tobytes())
         if key not in values:

@@ -2,8 +2,10 @@
 bit equal to its scalar calls; bad elements are named; check_cm evaluates a
 whole stencil lattice in one call and reports what the per-node scan did."""
 
+import inspect
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from qgamma import bounds as bnd
 from qgamma import cmcheck as cm
+from qgamma import kernels as K
 from qgamma import special as sp
 from qgamma import theorems as T
 from qgamma.cli import main
@@ -193,6 +196,96 @@ def test_array_calls_raise_no_numpy_warnings():
             sp.psi_q_n(3, x, 0.5)
         with pytest.raises(OverflowError):  # x log q underflows to 0
             sp.psi_q(np.array([1.0, 5e-324]), 0.999)
+
+
+# ---------------------------------------------------------------------------
+# one array contract for every public numeric entry point
+# ---------------------------------------------------------------------------
+
+_X = (0.3, 1.7, 12.0, 1e-3, 25.0, 4.5)
+# 5.73e-4 is in the small-t series band, where a float's ** once differed from an array's
+_T = (0.0, 5.732475161969985e-4, 2e-3, 0.9, 7.0, 45.0)
+_KERNEL_BAD = (math.nan, -1.0, math.inf, -math.inf)
+
+# (public name, call on the one argument that varies, valid elements, bad elements)
+_CONTRACT = [
+    ("log_gamma", lambda v: sp.log_gamma(v), _X, (math.nan,)),
+    ("log_gamma complex", lambda v: sp.log_gamma(v + 0.5j), _X, (math.nan,)),
+    ("gamma", lambda v: sp.gamma(v), _X, (math.nan,)),
+    ("log_gamma_q", lambda v: sp.log_gamma_q(v, 0.7), _X, (math.nan,)),
+    ("gamma_q", lambda v: sp.gamma_q(v, 0.7), _X, (math.nan,)),
+    ("psi", lambda v: sp.psi(v), _X, (math.nan,)),
+    ("psi_n", lambda v: sp.psi_n(2, v), _X, (math.nan,)),
+    ("psi_q", lambda v: sp.psi_q(v, 0.7), _X, (math.nan,)),
+    ("psi_q_n", lambda v: sp.psi_q_n(2, v, 0.7), _X, (math.nan,)),
+    ("dilog_F", lambda v: sp.dilog_F(v), (0.0, 0.2, 0.5, 0.75, 1.0, 0.999), (math.nan,)),
+    ("measure_moment", lambda v: sp.measure_moment(v, 0.5), _X, (math.nan,)),
+    ("measure_moment_over_t", lambda v: sp.measure_moment_over_t(v, 0.5), _X, (math.nan,)),
+    ("sinh_ratio", lambda v: K.sinh_ratio(0.5, v), _T, _KERNEL_BAD),
+    # the lower member is beyond float64 at t = 1000: inf, without a warning
+    ("sinh_ratio_bounds", lambda v: K.sinh_ratio_bounds(3.0, v), _T[:5] + (1000.0,), _KERNEL_BAD),
+    ("kernel_lemma12_margin", lambda v: K.kernel_lemma12_margin(0.5, v), _T, _KERNEL_BAD),
+    ("kernel_thm21", lambda v: K.kernel_thm21(0.75, v), _T, _KERNEL_BAD),
+    ("kernel_thm25", lambda v: K.kernel_thm25(0.2, 1.0, 0.1, v), _T, _KERNEL_BAD),
+    ("kernel_thm26", lambda v: K.kernel_thm26(1.5, v), _T, _KERNEL_BAD),
+    ("kernel_thm31", lambda v: K.kernel_thm31(0.5, v), _T, _KERNEL_BAD),
+    ("kernel_thm32", lambda v: K.kernel_thm32(0.5, 1.0, 0.6, v), _T, _KERNEL_BAD),
+    ("kernel_thm34", lambda v: K.kernel_thm34(0.5, v), _T, _KERNEL_BAD),
+    ("kernel_thm41_mean", lambda v: K.kernel_thm41_mean((0.5, 1.5), v), _T, _KERNEL_BAD),
+    ("kernel_thm41_split", lambda v: K.kernel_thm41_split((0.5, 1.5), v), _T, _KERNEL_BAD),
+    ("gautschi_bounds", lambda v: bnd.gautschi_bounds(v, 0.5), (1.0, 2.0, 5.0, 30.0, 400.0, 7.0), (math.nan,)),
+    ("kershaw_psi_bounds", lambda v: bnd.kershaw_psi_bounds(v, 0.5), _X, (math.nan,)),
+    ("kershaw_power_bounds", lambda v: bnd.kershaw_power_bounds(v, 0.3), _X, (math.nan,)),
+    ("q_sandwich", lambda v: bnd.q_sandwich(v, 0.5, 0.7), _X, (math.nan,)),
+    ("rademacher_ratio_bound", lambda v: bnd.rademacher_ratio_bound(v + (0.5 + 1j), 0.5), _X, (math.nan,)),
+    ("beta_ratio_modulus", lambda v: bnd.beta_ratio_modulus(v - 2j, 0.5, 0.5), _X, (math.nan,)),
+]
+
+
+def _leaves(result) -> tuple:
+    """The numbers a result carries: a SeriesResult's value and bound, a BoundTriple's five, a tuple's members."""
+    if isinstance(result, sp.SeriesResult):
+        return result.value, result.abs_error_bound
+    if isinstance(result, bnd.BoundTriple):
+        return result.lower, result.value, result.upper, result.lower_margin, result.upper_margin
+    return result if isinstance(result, tuple) else (result,)
+
+
+def test_contract_table_names_every_public_numeric_entry_point():
+    # identity_47 takes a list of z, default_t_grid and scan_kernel build and scan grids: none maps elements
+    public = {n for mod in (sp, K, bnd) for n in mod.__all__ if inspect.isfunction(getattr(mod, n))}
+    assert {name.split()[0] for name, *_ in _CONTRACT} == public - {"identity_47", "default_t_grid", "scan_kernel"}
+
+
+@pytest.mark.parametrize("name, call, good, bad", _CONTRACT, ids=[row[0] for row in _CONTRACT])
+def test_one_array_contract(name, call, good, bad):
+    arr = np.array(good).reshape(2, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalars = [_leaves(call(v)) for v in good]
+        for leaves in scalars:
+            assert all(type(leaf) in (float, complex) for leaf in leaves), (name, leaves)
+        for k, leaf in enumerate(_leaves(call(arr))):
+            assert type(leaf) is np.ndarray and leaf.shape == arr.shape, (name, k)
+            want = np.array([leaves[k] for leaves in scalars], dtype=leaf.dtype).reshape(arr.shape)
+            assert leaf.tobytes() == want.tobytes(), (name, k, leaf, want)  # bit for bit
+        for b in bad:
+            text = re.escape(repr(b))
+            with pytest.raises(sp.DomainError, match=rf"got (\w+=)?{text}(, .*)?$"):
+                call(b)
+            flat = np.array(good)
+            flat[2] = b
+            with pytest.raises(sp.DomainError, match=rf"got (\w+=)?{text}(, .*)? \(element 2\)$"):
+                call(flat)
+
+
+def test_kernel_contract_edges():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(sp.DomainError, match=r"got -1000\.0$"):
+            K.kernel_thm41_mean((0.5, 1.5), -1000.0)
+        # the inner h(t/alpha) meets t/alpha = inf, where h is 1
+        assert K.kernel_thm31(2.0 ** -340, 1e300) == 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -348,7 +348,7 @@ def test_sinh_ratio_at_zero_is_its_limit():
     out = K.sinh_ratio(0.5, np.array([0.0, 1.0]))
     assert out[0] == 0.5 and out[1] == K.sinh_ratio(0.5, 1.0)
     for t in (-1e-300, -1.0, np.array([1.0, -0.5])):
-        with pytest.raises(DomainError, match="t >= 0"):
+        with pytest.raises(DomainError, match=r"^sinh_ratio requires finite t in \[0, inf\), got -"):
             K.sinh_ratio(0.5, t)
 
 

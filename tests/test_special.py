@@ -624,6 +624,24 @@ def test_psi_within_bounds_against_oracle():
             assert err <= b, ("psi", float(x), float(err), float(b))
 
 
+def test_tiny_arguments_keep_finite_bounds_against_oracle():
+    # the first term, ~1/x or ~1/x^2, is near the top of float64: its rounding
+    # budget in ulps would overflow, the budget scaled by u does not
+    with mp.workdps(40):
+        lq = mp.log(mp.mpf(0.5))
+        for n, x in ((0, 1e-308), (1, 1.2e-154)):
+            classical = sp.psi(x) if n == 0 else sp.psi_n(n, x)
+            deformed = sp.psi_q(x, 0.5) if n == 0 else sp.psi_q_n(n, x, 0.5)
+            # psi_q^(n)(x) = psi_q^(n)(x + 1) + log q g^(n)(x), g(t) = q^t/(1-q^t); x + 1 is taken
+            # as 1, which moves the reference by about x, far below the bound
+            e = mp.mpf(x) * lq
+            g = mp.exp(e) / -mp.expm1(e) if n == 0 else lq * mp.exp(e) / mp.expm1(e) ** 2
+            for res, ref in ((classical, mp.psi(n, mp.mpf(x))),
+                             (deformed, _psi_q_n_reference(n, 1.0, 0.5) + lq * g)):
+                assert math.isfinite(res.value) and math.isfinite(res.abs_error_bound), (n, x, res)
+                _assert_within_bound(res, ref, (n, x))
+
+
 def test_q_series_cost_does_not_depend_on_q():
     near_one = 1.0 - 1e-6
     for x in (0.05, 1.3, 30.0):
