@@ -40,6 +40,9 @@ DEFAULT_TOL_REL = 1e-9
 CONSISTENT = "consistent-with-CM"
 VIOLATES = "violates-CM"
 
+# the orders k whose analytic derivatives check_cm reads through derivs(k, xs)
+_DERIV_ORDERS = (1, 2, 3)
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -152,7 +155,7 @@ def check_cm(
     vals = vals[np.argsort(order)[inverse]].reshape(nodes.shape)
     f0 = vals[0, :, 0]  # fn at the grid points
     d_rows = [] if derivs is None else [
-        np.broadcast_to(np.asarray(derivs(k, xs), dtype=float), xs.shape) for k in range(1, 4)
+        (k, np.broadcast_to(np.asarray(derivs(k, xs), dtype=float), xs.shape)) for k in _DERIV_ORDERS
     ]
 
     rows: list[tuple[int, float, np.ndarray, np.ndarray]] = []  # (n, h, signed, threshold)
@@ -164,7 +167,7 @@ def check_cm(
         signed = delta if n % 2 == 0 else -delta
         thresh = tol_abs + tol_rel * scale[..., n]
         rows += [(n, h, signed[k], thresh[k]) for k, h in enumerate(grid.h_set)]
-    for k, d in enumerate(d_rows, start=1):
+    for k, d in d_rows:
         signed = d if k % 2 == 0 else -d
         rows.append((k, 0.0, signed, tol_abs + tol_rel * np.maximum(np.abs(f0), np.abs(d))))
     signed = np.stack([r[2] for r in rows])

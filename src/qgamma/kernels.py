@@ -99,12 +99,17 @@ def _sinh_quotient(alpha: float, t):
     return np.where(t == 0.0, alpha, np.expm1(-2.0 * alpha * t) / np.expm1(-2.0 * t))
 
 
-def _sinh_parts(fn: str, alpha: float, t) -> tuple[float, np.ndarray, np.ndarray]:
-    """(alpha, (alpha-1) t, s) with sinh(alpha t)/sinh(t) = e^{(alpha-1)t} s, alpha and t checked."""
+def _sinh_args(fn: str, alpha: float, t) -> tuple[float, np.ndarray]:
+    """alpha and t checked for the sinh ratio, its sandwich and lemma 1.2's margin; errors name ``fn``."""
     alpha = float(alpha)
     if alpha <= 0.0:
-        raise DomainError(f"sinh_ratio requires alpha > 0, got {alpha!r}")
-    t = _checked_t(fn, t)
+        raise DomainError(f"{fn} requires alpha > 0, got {alpha!r}")
+    return alpha, _checked_t(fn, t)
+
+
+def _sinh_parts(fn: str, alpha: float, t) -> tuple[float, np.ndarray, np.ndarray]:
+    """(alpha, (alpha-1) t, s) with sinh(alpha t)/sinh(t) = e^{(alpha-1)t} s, alpha and t checked."""
+    alpha, t = _sinh_args(fn, alpha, t)
     return alpha, (alpha - 1.0) * t, _sinh_quotient(alpha, t)
 
 
@@ -122,9 +127,8 @@ def sinh_ratio(alpha: float, t):
 
 @_quiet
 def sinh_ratio_bounds(alpha: float, t):
-    """The sandwich members (alpha e^{(alpha-1)t}, alpha) enclosing sinh_ratio; the first may be inf."""
-    alpha = float(alpha)
-    ts = _checked_t("sinh_ratio_bounds", t)
+    """The sandwich members (alpha e^{(alpha-1)t}, alpha) enclosing sinh_ratio (alpha > 0); the first may be inf."""
+    alpha, ts = _sinh_args("sinh_ratio_bounds", alpha, t)
     lower = alpha * np.exp((alpha - 1.0) * ts)
     upper = np.full_like(lower, alpha)
     return _shaped(lower, np.shape(t)), _shaped(upper, np.shape(t))

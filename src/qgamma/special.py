@@ -13,7 +13,10 @@ for both.  A scalar argument gives Python numbers; an array gives ``value``
 and ``abs_error_bound`` arrays of its shape, each element equal bit for bit
 to the scalar call at that element, with ``converged`` true when every
 element converged.  Where a formula branches on the argument, each element
-takes the branch its scalar call takes.
+takes the branch its scalar call takes.  The derivative orders of psi_n,
+psi_q_n and the moments may likewise be an integer array that broadcasts
+with x: one pass of the series serves every order, and each element equals
+the scalar-order call at that element bit for bit.
 """
 
 from __future__ import annotations
@@ -182,11 +185,30 @@ def _checked_complex(fn: str, z, lo: float = -math.inf, what: str = "z") -> np.n
     return zc
 
 
-def _checked_order(fn: str, n) -> int:
-    n = int(n)
-    if n < 1:
-        raise DomainError(f"{fn} requires order n >= 1, got {n!r}")
-    return n
+def _checked_order(fn: str, n, lowest: int = 1):
+    """n as an int >= lowest, or, for an array n, as an int64 order array with every element >= lowest."""
+    if isinstance(n, int) or np.ndim(n) == 0:
+        n = int(n)
+        if n < lowest:
+            raise DomainError(f"{fn} requires order n >= {lowest}, got {n!r}")
+        return n
+    arr = np.asarray(n)
+    if arr.dtype.kind not in "iu":
+        raise DomainError(f"{fn} requires integer orders, got an array of dtype {arr.dtype}")
+    if (arr < lowest).any():
+        raise DomainError(f"{fn} requires order n >= {lowest}, got {_first(arr, arr < lowest)}")
+    return arr.astype(np.int64, copy=False)
+
+
+def _with_orders(n, xs: np.ndarray, shape: tuple) -> tuple:
+    """(n, xs, shape) for checked flat xs of ``shape``; an order array n and xs are broadcast together and flattened."""
+    if not isinstance(n, np.ndarray):
+        return n, xs, shape
+    x = xs.reshape(shape)
+    full = np.broadcast(n, x).shape
+    ns, xs = np.empty(full, dtype=n.dtype), np.empty(full)
+    ns[...], xs[...] = n, x
+    return ns.reshape(-1), xs.reshape(-1), full
 
 
 def _finite(fn: str, *values) -> None:
@@ -225,12 +247,83 @@ def _check_truncation(fn, value, trunc, cfg: EvalConfig) -> None:
 _BLOCK = 1024
 
 
-def _blocked(core, x: np.ndarray) -> tuple:
-    """core(x) for a core returning a tuple of arrays shaped like x, run over blocks of x."""
+def _blocked(core, x: np.ndarray, n=None) -> tuple:
+    """core(x) for a core returning a tuple of arrays shaped like x, run over blocks of x.
+
+    Given n, core(x, n); an order array n, flat like x, is cut into the same blocks.
+    """
+    args = (x,) if n is None else (x, n)
     if x.size <= _BLOCK:
-        return core(x)
-    blocks = [core(x[i:i + _BLOCK]) for i in range(0, x.size, _BLOCK)]
+        return core(*args)
+    cut = lambda a, i: a[i:i + _BLOCK] if isinstance(a, np.ndarray) else a
+    blocks = [core(*(cut(a, i) for a in args)) for i in range(0, x.size, _BLOCK)]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
+# An order n is an int or, once _checked_order has made it one, an int64
+# ndarray that broadcasts with the abscissae.  Each element of an order array
+# gets the bits of its scalar-order call.
+
+# what numpy makes of base ** k for a scalar k in -1..2: pow gives other bits at 2 and -1
+_SCALAR_POWERS = {-1: np.reciprocal, 0: np.ones_like, 1: np.positive, 2: np.square}
+
+
+def _pow(base, n):
+    """base ** n; for an order array n, each element as base ** int(n) at that element gives it.
+
+    numpy takes an array to a scalar power 2 as its square and to -1 as its
+    reciprocal, and pow, which an array of exponents calls, can differ from
+    both in the last bit; at every other integer exponent it gives the bits
+    of a scalar exponent.  So an order array runs pow only where its orders
+    lie outside -1..2 (pow of a negative base is slow as well), and the
+    scalar forms of those four orders elsewhere.  A base that is not an
+    ndarray (a Python float) keeps Python's ``**``, order by order.
+    """
+    if not isinstance(n, np.ndarray):
+        return base ** n
+    if not isinstance(base, np.ndarray):
+        return np.array([base ** k for k in n.ravel().tolist()]).reshape(n.shape)
+    lo, hi = int(n.min()), int(n.max())
+    if lo > 2 or hi < -1:
+        return np.power(base, n)
+    out = np.power(base, n, out=None, where=(n > 2) | (n < -1))  # the rest is set below
+    for k in range(max(lo, -1), min(hi, 2) + 1):
+        np.copyto(out, _SCALAR_POWERS[k](base), where=n == k)
+    return out
+
+
+@functools.cache
+def _order_columns(table, top: int) -> np.ndarray:
+    """table(k) for the orders k = 0..top side by side on a last axis, indexed by k.
+
+    Each table(k) is an array whose first axis is a Horner pass; shorter ones
+    are padded with leading zeros.  Horner's partial value stays exactly 0.0
+    through the padding, so one pass over the columns an order array picks
+    gives each element its own order's polynomial, bit for bit.
+    """
+    parts = [np.asarray(table(k), dtype=float) for k in range(top + 1)]
+    length = max(len(p) for p in parts)
+    out = np.stack([np.concatenate([np.zeros((length - len(p), *p.shape[1:])), p]) for p in parts], axis=-1)
+    out.flags.writeable = False
+    return out
+
+
+def _per_order(table, n):
+    """table(n) for an order n; for an order array, its Horner steps with each element's column.
+
+    The steps are gathered as they are read, so a pass holds one step's
+    coefficients at a time, not the whole table for every element.
+    """
+    if not isinstance(n, np.ndarray):
+        return table(n)
+    return (step.take(n, axis=-1) for step in _order_columns(table, int(n.max())))
+
+
+def _factorial(n):
+    """n! for an order n; per element, as the float a float product makes of it, for an order array."""
+    if not isinstance(n, np.ndarray):
+        return math.factorial(n)
+    return np.array([float(math.factorial(k)) for k in range(int(n.max()) + 1)])[n]
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +454,15 @@ def _zeta_coefs(s: int) -> tuple[tuple[float, ...], float]:
     return tuple(coefs), scale
 
 
-def _hurwitz_zeta_int(s: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """zeta(s, a) for an integer s >= 1 by Euler-Maclaurin: value, error bound, rounding error bound.
+@functools.cache
+def _zeta_column(s: int) -> tuple[float, ...]:
+    """_zeta_coefs(s) as one column: the M+1 coefficients, then the scale."""
+    coefs, scale = _zeta_coefs(s)
+    return (*coefs, scale)
+
+
+def _hurwitz_zeta_int(s, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """zeta(s, a) for an integer s >= 1, or an order array of s >= 2, by Euler-Maclaurin: value, error bound, rounding error bound.
 
     Past K direct terms the tail sum_{k>=K} (k+a)^{-s} is the integral
     w^{1-s}/(s-1), w = K + a, plus w^{-s}/2 and Bernoulli corrections; the
@@ -376,17 +476,18 @@ def _hurwitz_zeta_int(s: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     wherever the value does.
     """
     w = _ZETA_DIRECT + a
-    (*coefs, last), scale = _zeta_coefs(s)
-    tail = -np.log(w) if s == 1 else w ** (1 - s) / (s - 1)
-    half = 0.5 * w ** -s
-    wpow = w ** (-s - 1)
+    *coefs, last, scale = _per_order(_zeta_column, s)
+    pole = not isinstance(s, np.ndarray) and s == 1
+    tail = -np.log(w) if pole else _pow(w, 1 - s) / (s - 1)
+    half = 0.5 * _pow(w, -s)
+    wpow = _pow(w, -s - 1)
     corr_size = scale * wpow  # the j-th correction has 1/w^{2j-2} <= 1/14^{2j-2}
     rw2 = 1.0 / (w * w)
     # At s = 1 the tail is negative and, for small a, term 0 (1/a) dwarfs the
     # others.  It is added last, so only that addition rounds at |value|.
-    direct = (a + _ZETA_OFFSETS) ** -s  # (k + a)^{-s}, added in order of k
+    direct = _pow(a + _ZETA_OFFSETS, -s)  # (k + a)^{-s}, added in order of k
     total = 0.0
-    for p in direct[1:] if s == 1 else direct:
+    for p in direct[1:] if pole else direct:
         total = total + p
     head = total  # positive, like every partial sum before it
     total = total + (tail + half)
@@ -395,7 +496,7 @@ def _hurwitz_zeta_int(s: int, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
         total = total + c * wpow
         wpow = wpow * rw2
     trunc = np.abs(last * wpow)
-    if s > 1:  # every term is positive: each partial sum lies within after_tail + corr_size of 0
+    if not pole:  # every term is positive: each partial sum lies within after_tail + corr_size of 0
         err = (_TERM_ULPS + s + 23) * _U * after_tail
         return total, trunc, err + (_TERM_ULPS + s + 32 + 23) * _U * corr_size
     # 12 additions up to head, the rounding of tail + half, 9 sums within
@@ -500,16 +601,17 @@ def _horner(coef, z):
     return poly
 
 
-def _lambert(k: int, z, w, lq: float):
+def _lambert(k, z, w, lq: float):
     """g^(k)(t) for g(t) = q^t/(1-q^t) = sum_{j>=1} q^{jt}, completely monotonic in t.
 
     g^(k)(t) = (log q)^k Li_{-k}(q^t) = z A_k(z) rho^k / (1-z) with z = q^t,
     w = 1 - z (see _q_pow) and rho = log q / w, which stays near -1/t as
     q -> 1.  Its relative rounding error is within _TERM_ULPS + 3k + 3|t log q| ulps.
+    k may be an order array; an element of order 0 gets z / w exactly as well.
     """
-    if k == 0:  # A_0 = 1 and rho^0 = 1: the same bits, without the Horner pass
+    if not isinstance(k, np.ndarray) and k == 0:  # A_0 = 1 and rho^0 = 1: the same bits, without the Horner pass
         return z / w
-    return z * _horner(_eulerian(k), z) * (lq / w) ** k / w
+    return z * _horner(_per_order(_eulerian, k), z) * _pow(lq / w, k) / w
 
 
 @functools.cache
@@ -529,19 +631,28 @@ def _em_rows(k0: int) -> tuple[np.ndarray, np.ndarray]:
     return coefs, table
 
 
-def _em_corrections(k0: int, e, z, w, lq: float, scale: float):
+def _em_table(k0: int) -> np.ndarray:
+    """The Horner table of _em_rows(k0), shape (length, M+1)."""
+    return _em_rows(k0)[1][..., 0]
+
+
+def _em_corrections(k0, e, z, w, lq: float, scale: float):
     """-sum_{j=1..M} B_2j/(2j)! f^(2j-1)(t) for f^(m)(t) = scale * g^(k0+m)(t).
 
     (e, z, w) is _q_pow(t, lq).  All orders share z = q^t and rho, so one Horner pass over a table serves
-    them.  Returns (correction, remainder bound |B_2M+2/(2M+2)! f^(2M+1)(t)|,
+    them; for an order array k0 (one element per t) the table holds each
+    element's column.  Returns (correction, remainder bound |B_2M+2/(2M+2)! f^(2M+1)(t)|,
     rounding budget in ulps: each term within its order's budget, plus M
     additions).
     """
     rho = lq / w
     rr = rho * rho
-    fac = scale * z / w * rho ** (k0 + 1)  # scale z rho^k / (1-z) at k = k0 + 1
+    fac = scale * z / w * _pow(rho, k0 + 1)  # scale z rho^k / (1-z) at k = k0 + 1
     fac, rr = np.atleast_1d(fac, rr)
-    coefs, table = _em_rows(k0)
+    if isinstance(k0, np.ndarray):
+        coefs, table = _em_rows(0)[0], _per_order(_em_table, k0)
+    else:
+        coefs, table = _em_rows(k0)
     # row j: B_2j/(2j)! (fac rr^j) A_k(z); running sums are added in order of j
     terms = coefs * np.multiply.accumulate(np.stack([fac] + [rr] * _EM_ORDER), axis=0) * _horner(table, z)
     kept = terms[:-1]  # the last term is left out: it bounds the remainder
@@ -555,8 +666,8 @@ def _em_corrections(k0: int, e, z, w, lq: float, scale: float):
 _EM_ROWS = np.arange(_EM_DIRECT + 1, dtype=float)[:, None]
 
 
-def _q_polygamma(n: int, x: np.ndarray, lq: float):
-    """psi_q^(n)(x) = [n=0] (-log(1-q)) + log q * sum_{i>=0} g^(n)(x+i).
+def _q_polygamma(n, x: np.ndarray, lq: float):
+    """psi_q^(n)(x) = [n=0] (-log(1-q)) + log q * sum_{i>=0} g^(n)(x+i), n an order or an order array (>= 1) like x.
 
     Returns (value, truncation bound, rounding error bound); each piece of
     the last is scaled by u before it is added, so it stays finite wherever
@@ -576,7 +687,7 @@ def _q_polygamma(n: int, x: np.ndarray, lq: float):
     err = np.abs(direct) * ((_TERM_ULPS + 3.0 * n) * _U) + np.abs(3.0 * lq * weighted) * _U + np.abs(partial)
     e, z, w = e[-1], z[-1], w[-1]  # at T, shared by the head, the half term and the corrections
     ulps = _TERM_ULPS + 3.0 * (n + np.minimum(-e, _EXP_ARG_MAX))
-    if n == 0:
+    if not isinstance(n, np.ndarray) and n == 0:
         head = _log_q_number(w, lq)
         head_err = (_TERM_ULPS + np.abs(head)) * _U  # the ratio's relative error, now absolute
     else:
@@ -801,26 +912,29 @@ def gamma_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
 
 
 @_quiet
-def _polygamma(n: int, x, q: QValue, cfg: EvalConfig) -> SeriesResult:
+def _polygamma(n, x, q: QValue, cfg: EvalConfig) -> SeriesResult:
     """psi^(n)(x) at q = 1, psi_q^(n)(x) at q < 1, for every order n >= 0: psi, psi_n, psi_q, psi_q_n.
 
     Classically psi^(n)(x) = (-1)^(n+1) n! zeta(n+1, x) (DLMF 5.15.1), with
-    -psi(x) for zeta(1, x).  Errors name the public function of (n, q).
+    -psi(x) for zeta(1, x).  n may be a checked order array (orders >= 1),
+    which broadcasts with x.  Errors name the public function of (n, q).
     """
-    fn = ("psi" if q.is_classical else "psi_q") + ("_n" if n else "")
+    fn = ("psi" if q.is_classical else "psi_q") + ("_n" if isinstance(n, np.ndarray) or n else "")
     xs = _checked(fn, x)
     if not q.is_classical:
         lq = _q_series_log_q(xs, q)
-        value, trunc, rounding = _blocked(lambda b: _q_polygamma(n, b, lq), xs)
-        return _series_result(fn, value, trunc, rounding, _EM_TERMS, cfg, np.shape(x))
-    zeta, zbound, rounding = _blocked(lambda b: _hurwitz_zeta_int(n + 1, b), xs)
-    nf = math.factorial(n)
-    sign = 1.0 if n % 2 == 1 else -1.0
+        n, xs, shape = _with_orders(n, xs, np.shape(x))
+        value, trunc, rounding = _blocked(lambda b, k: _q_polygamma(k, b, lq), xs, n)
+        return _series_result(fn, value, trunc, rounding, _EM_TERMS, cfg, shape)
+    n, xs, shape = _with_orders(n, xs, np.shape(x))
+    zeta, zbound, rounding = _blocked(lambda b, k: _hurwitz_zeta_int(k + 1, b), xs, n)
+    nf = _factorial(n)
+    sign = 2.0 * (n % 2) - 1.0  # (-1)^(n+1)
     value = sign * nf * zeta
     _check_truncation(fn, value, nf * zbound, cfg)
     # the scaling by n! adds one rounding; tiny powers may be subnormal
     bound = nf * (zbound + rounding + _UNDERFLOW_ERR) + np.abs(value) * _U
-    return _result(fn, value, bound, _ZETA_DIRECT + len(_BERNOULLI), cfg, np.shape(x))
+    return _result(fn, value, bound, _ZETA_DIRECT + len(_BERNOULLI), cfg, shape)
 
 
 _CLASSICAL = QValue(1.0)
@@ -835,12 +949,15 @@ def psi(x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     return _polygamma(0, x, _CLASSICAL, cfg)
 
 
-def psi_n(n: int, x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
+def psi_n(n, x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     """n-th derivative of psi for n >= 1 via the termwise-differentiated series.
 
     psi^(n)(x) = (-1)^(n+1) n! sum_k (k+x)^(-n-1): 14 direct terms, then the
     tail's integral with 8 Euler-Maclaurin corrections, which is what makes
-    1e-12 reachable without ~1/tol direct terms.
+    1e-12 reachable without ~1/tol direct terms.  n may be an integer array
+    of orders >= 1 that broadcasts with x (an order column against a grid
+    gives one row per order): one pass of the series serves every order, and
+    each element equals the call with its own scalar order bit for bit.
     """
     return _polygamma(_checked_order("psi_n", n), x, _CLASSICAL, cfg)
 
@@ -861,13 +978,15 @@ def psi_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     return _polygamma(0, x, q, cfg)
 
 
-def psi_q_n(n: int, x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
+def psi_q_n(n, x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     """n-th derivative of psi_q for n >= 1: log q * sum_{i>=0} g^(n)(x+i); q = 1 routes to psi_n.
 
     g^(n)(t) = (log q)^n Li_{-n}(q^t) comes from the Eulerian polynomials.  The
     same scheme as psi_q applies to the completely monotonic |g^(n)|, with the
     tail integral -g^(n-1)(T); the bound is the first omitted Euler-Maclaurin
-    correction plus a rounding term of a few u per |term|.
+    correction plus a rounding term of a few u per |term|.  As for psi_n, n
+    may be an integer array of orders >= 1 that broadcasts with x, evaluated
+    in one pass and equal element by element to the scalar-order calls.
     """
     q = _coerce_q(q)
     if q.is_classical:
@@ -901,21 +1020,25 @@ def dilog_F(x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
 
 
 @_quiet
-def _moment(k: int, x, lq: float):
+def _moment(k, x, lq: float):
     """k-th x-derivative of int e^{-xt} d gamma_q(t) = -log q * q^x/(1-q^x), for lq = log q.
 
     x is a float or an ndarray; an element outside (0, inf) is a DomainError
-    naming it.  The result is an array of x's shape.
+    naming it.  k is an order >= 0 or an integer order array that broadcasts
+    with x, each element equal to its scalar-order call bit for bit.  The
+    result is an array of the broadcast shape.
     """
     xs = _checked("measure_moment", x)
+    k, xs, shape = _with_orders(_checked_order("measure_moment", k, 0), xs, np.shape(x))
     e = xs * lq
     v = -lq * _lambert(k, np.exp(e), _one_minus_q_pow(e), lq)
     bad = ~np.isfinite(v)
     if bad.any():
+        order = k[bad][0] if isinstance(k, np.ndarray) else k
         raise OverflowError(
-            f"moment derivative of order {k} at x={_first(xs, bad)} exceeds the float64 range"
+            f"moment derivative of order {order} at x={_first(xs, bad)} exceeds the float64 range"
         )
-    return v.reshape(np.shape(x))
+    return v.reshape(shape)
 
 
 @_quiet

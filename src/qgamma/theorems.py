@@ -40,13 +40,17 @@ log g(x+s) - log g(x+1).  The q-only factories reject q = 1 themselves.
 
 Sharing.  Each evaluation is made once.  ``verify_case`` evaluates
 ``deriv`` once per (order, abscissae) for all of a case's directions, so a
-"neither" case's -f' check reads its f' values negated.  Where a closure
-needs one primitive at one order on several shifts of x (the difference
-compositions, thm2.5, thm2.6, thm3.2, thm4.1), ``_Q.stacked`` evaluates it
-in one call on the concatenated abscissae; each closure keeps the order in
-which it calls its primitives, so an x outside the interval is named as
-separate calls would name it.  Every evaluator's array call equals its scalar calls element
-for element, so sharing changes no value.
+"neither" case's -f' check reads its f' values negated.  Its three
+derivative rows come from one ``deriv`` call with an order column: every
+primitive takes an integer order array that broadcasts with its abscissae
+and evaluates all the orders in one call, each element equal to its
+scalar-order call bit for bit.  Where a closure needs one primitive on
+several shifts of x (the difference compositions, thm2.5, thm2.6, thm3.2,
+thm4.1), ``_Q.stacked`` evaluates it in one call on the concatenated
+abscissae; each closure keeps the order in which it calls its primitives,
+so an x outside the interval is named as separate calls would name it.
+Every evaluator's array call equals its scalar calls element for element,
+so sharing changes no value.
 """
 
 from __future__ import annotations
@@ -58,17 +62,19 @@ from typing import Callable
 
 import numpy as np
 
-from .cmcheck import CMReport, DEFAULT_TOL_ABS, DEFAULT_TOL_REL, GridSpec, VIOLATES, check_cm
+from .cmcheck import _DERIV_ORDERS, CMReport, DEFAULT_TOL_ABS, DEFAULT_TOL_REL, GridSpec, VIOLATES, check_cm
 from .kernels import KERNELS, NEGATIVE, ONE_SIGN_CHANGE, POSITIVE
 from .special import (
     ConvergenceError,
     DomainError,
     EvalConfig,
     QValue,
+    _factorial,
     _log_one_minus_q,
     _log_q_number,
     _moment,
     _moment_over_t,
+    _pow,
     _quiet,
     dilog_F,
     log_gamma_q,
@@ -110,7 +116,12 @@ class TheoremCase:
     interval: str
     x_start: float
     expected: str
-    deriv: Callable[[int, np.ndarray], np.ndarray]  # k-th derivative of f, any k >= 0, elementwise
+    # k-th derivative of f at x for any k >= 0, elementwise in x.  k may also be
+    # an integer array of orders above the case's base order (1; 0 for "f CM"),
+    # as for the derivative rows verify_case asks for, broadcasting with x (an
+    # order column gives one row per order); each element equals its
+    # scalar-order call bit for bit
+    deriv: Callable[[int | np.ndarray, np.ndarray], np.ndarray]
     grid: GridSpec
     kernel_id: str = ""
     representation: Callable[[float], float] | None = None  # f' (f for "f CM") by the kernel
@@ -145,7 +156,11 @@ def verify_case(
 
     ``case.deriv`` is evaluated once per (order, abscissae) for all the
     case's directions, so the -f' check of a "neither" case reads the f'
-    values negated, which is exact.  The values are kept for this call only.
+    values negated, which is exact.  The first derivative row check_cm asks
+    for brings all of them: orders base + 1..3 on the grid points, in one
+    ``case.deriv`` call with an order column.  The node values (order base
+    on the distinct stencil nodes, every grid point among them) come first,
+    in a call of their own.  The values are kept for this call only.
     An x outside the case's interval still raises DomainError from the
     evaluators it reaches; the closures' own arithmetic at such an x (1/0,
     the log of a negative) must not warn first, so numpy's flags are quiet
@@ -158,20 +173,26 @@ def verify_case(
     values: dict[tuple[int, bytes], np.ndarray] = {}
 
     @_quiet
-    def deriv(k, x):
-        key = (k, x.tobytes())
-        if key not in values:
-            values[key] = np.asarray(case.deriv(k, x), dtype=float)
-        return values[key]
+    def deriv(k: int, x: np.ndarray, rows: tuple[int, ...] = ()) -> np.ndarray:
+        """case.deriv(k, x) from the cache; a miss given ``rows`` (k among them) evaluates every row."""
+        at = x.tobytes()
+        if (k, at) not in values:
+            if rows:
+                vals = np.broadcast_to(case.deriv(np.array(rows)[:, None], x), (len(rows), *x.shape))
+                values.update(((r, at), np.asarray(v, dtype=float)) for r, v in zip(rows, vals))
+            else:
+                values[(k, at)] = np.asarray(case.deriv(k, x), dtype=float)
+        return values[(k, at)]
 
     reports: dict[str, CMReport] = {}
     for label, sign, base in case.directions():
+        rows = tuple(base + k for k in _DERIV_ORDERS)
         reports[label] = check_cm(
             lambda x: sign * deriv(base, x),
             g,
             tol_abs=tol_abs,
             tol_rel=tol_rel,
-            derivs=lambda k, x: sign * deriv(base + k, x),
+            derivs=lambda k, x: sign * deriv(base + k, x, rows),
             include_order_zero=case.expected == F_CM,
             case_id=f"{case.id}[{label}]",
         )
@@ -185,6 +206,11 @@ def verify_case(
 # ---------------------------------------------------------------------------
 # primitive providers
 # ---------------------------------------------------------------------------
+
+
+def _is_order(k, n: int) -> bool:
+    """k is the single order n; an order array (see TheoremCase.deriv) never takes a low-order branch."""
+    return not isinstance(k, np.ndarray) and k == n
 
 
 class _Q:
@@ -207,27 +233,30 @@ class _Q:
 
         ``piece`` maps an ndarray elementwise, so each row equals its own call
         piece(y) bit for bit, and an error names the first bad element in the
-        order of ``ys``.
+        order of ``ys``.  An order column that ``piece`` carries leads its
+        result; each row keeps it, shaped (*orders, *y.shape).
         """
         flat = np.concatenate([np.reshape(y, -1) for y in ys])
-        return np.reshape(piece(flat), (len(ys), *np.shape(ys[0])))
+        out = piece(flat)
+        lead = np.shape(out)[:-1]
+        return np.moveaxis(np.reshape(out, (*lead, len(ys), *np.shape(ys[0]))), len(lead), 0)
 
     def lg(self, y: float | np.ndarray) -> float | np.ndarray:
         return log_gamma_q(y, self.qv, _CASE_CONFIG).value
 
-    def ps(self, k: int, y: float | np.ndarray) -> float | np.ndarray:
-        if k == 0:
+    def ps(self, k, y: float | np.ndarray) -> float | np.ndarray:
+        if _is_order(k, 0):
             return psi_q(y, self.qv, _CASE_CONFIG).value
         return psi_q_n(k, y, self.qv, _CASE_CONFIG).value
 
-    def dlg(self, k: int) -> Callable[[np.ndarray], np.ndarray]:
+    def dlg(self, k) -> Callable[[np.ndarray], np.ndarray]:
         """The k-th derivative of log Gamma_q as a function of y: lg at k = 0, psi_q^(k-1) above."""
-        return self.lg if k == 0 else lambda y: self.ps(k - 1, y)
+        return self.lg if _is_order(k, 0) else lambda y: self.ps(k - 1, y)
 
-    def mom(self, k: int, y: float | np.ndarray) -> float | np.ndarray:
-        """k-th derivative of the first moment -q^y log q / (1 - q^y); 1/y classically."""
+    def mom(self, k, y: float | np.ndarray) -> float | np.ndarray:
+        """k-th derivative of the first moment -q^y log q / (1 - q^y); (-1)^k k! / y^(k+1) classically."""
         if self.classical:
-            return (-1.0) ** k * math.factorial(k) * y ** (-k - 1)
+            return (1 - 2 * (k % 2)) * _factorial(k) * _pow(y, -k - 1)
         return _moment(k, y, self.lq)
 
     def log1m(self, y: float | np.ndarray) -> float | np.ndarray:
@@ -388,9 +417,9 @@ def _thm22_family(alpha: float, q: float):
     P = _Q(q)
 
     def deriv(k, x):
-        if k == 0:
+        if _is_order(k, 0):
             return P.stirling(x) + alpha * P.log1m(x) + P.lg(x)
-        if k == 1:
+        if _is_order(k, 1):
             return alpha * P.mom(0, x) + P.ps(0, x) - P.log_scale(x)
         return alpha * P.mom(k - 1, x) + P.ps(k - 1, x) - P.mom(k - 2, x)
 
@@ -424,7 +453,7 @@ def _case_thm25(
     P = _Q(q)
 
     def deriv(k, x):
-        scale = P.log_scale(x + c) if k == 0 else P.mom(k - 1, x + c)
+        scale = P.log_scale(x + c) if _is_order(k, 0) else P.mom(k - 1, x + c)
         at_b, at_a = P.stacked(P.dlg(k), x + b, x + a)
         return (a - b) * scale + at_b - at_a
 
@@ -441,7 +470,7 @@ def _case_thm26(case_id: str, a: float = 1.5, q: float = 0.5) -> TheoremCase:
     P = _q_only("thm2.6", q)
 
     def deriv(k, x):
-        scale = P.log_scale(x) if k == 0 else P.mom(k - 1, x)
+        scale = P.log_scale(x) if _is_order(k, 0) else P.mom(k - 1, x)
         at_0, at_a = P.stacked(P.dlg(k), x, x + a)
         return a * scale + at_0 - at_a
 
@@ -459,7 +488,7 @@ def _case_thm31(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase
     P = _q_only("thm3.1", q)
 
     def deriv(k, x):
-        return P.ps(k, x) - alpha ** k * P2.ps(k, alpha * x)
+        return P.ps(k, x) - _pow(alpha, k) * P2.ps(k, alpha * x)
 
     # _case rejects an alpha outside the kernel's domain before anything divides by it
     case = _case(case_id, {"alpha": alpha, "q": q}, deriv, "thm3.1", 1,
@@ -501,9 +530,9 @@ def _thm34_family(alpha: float, q: float):
     P = _Q(q)
 
     def deriv(k, x):
-        if k == 0:
+        if _is_order(k, 0):
             return P.stirling(x) + 0.5 * P.log1m(x) + P.lg(x) - P.ps(1, x + alpha) / 12.0
-        if k == 1:
+        if _is_order(k, 1):
             return 0.5 * P.mom(0, x) + P.ps(0, x) - P.log_scale(x) - P.ps(2, x + alpha) / 12.0
         return (
             0.5 * P.mom(k - 1, x)
@@ -572,7 +601,7 @@ def _case_thm41(case_id: str, kernel_id: str, a_list=(0.5, 1.5), q: float = 0.5)
 def _case_psi_prime(case_id: str = "psi-prime") -> TheoremCase:
     """psi'(x) = sum_k (k+x)^{-2} is completely monotonic; with no kernel, the verdict is stated."""
     def deriv(k, x):
-        return psi(x, _CASE_CONFIG).value if k == 0 else psi_n(k, x, _CASE_CONFIG).value
+        return psi(x, _CASE_CONFIG).value if _is_order(k, 0) else psi_n(k, x, _CASE_CONFIG).value
 
     return TheoremCase(
         id=case_id,

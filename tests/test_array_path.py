@@ -149,6 +149,112 @@ def test_case_derivatives_map_elementwise():
 
 
 # ---------------------------------------------------------------------------
+# order arrays: one pass for every order, each element its scalar-order call
+# ---------------------------------------------------------------------------
+
+ORDER_QS = (0.1, 0.5, 0.9, 0.99, 0.999, sp.Q_SERIES_MAX, 1.0)
+_GRID = np.geomspace(0.15, 20.0, 21)
+
+
+def _order_xs() -> np.ndarray:
+    xs = _xs(7)
+    return xs[xs >= 1e-3]  # order 8 at 1e-300 overflows
+
+
+def _polygammas(q):
+    """(name, f(n, x)) of each evaluator an order array reaches at q."""
+    if q == 1.0:
+        return [("psi_n", sp.psi_n), ("psi_q_n", lambda n, x: sp.psi_q_n(n, x, 1.0))]
+    return [("psi_q_n", lambda n, x: sp.psi_q_n(n, x, q))]
+
+
+def _same_rows(res, rows):
+    """An order-column SeriesResult equals the list of scalar-order results, row for row."""
+    assert res.value.shape == (len(rows), *np.shape(rows[0].value))
+    for value, bound, one in zip(res.value, res.abs_error_bound, rows):
+        assert value.tobytes() == one.value.tobytes() and bound.tobytes() == one.abs_error_bound.tobytes()
+    assert res.terms_used == rows[0].terms_used
+    assert res.converged is all(r.converged for r in rows)
+
+
+@pytest.mark.parametrize("q", ORDER_QS)
+def test_order_arrays_equal_scalar_orders(q):
+    # orders 1 and 2 reach the exponents -1 (zeta's w^(1-s)) and 2 (rho^k, rho^(k0+1)),
+    # where numpy's scalar power is not pow
+    xs = _order_xs()
+    orders = np.random.default_rng(8).integers(1, 9, xs.size)
+    assert set(orders.tolist()) == set(range(1, 9))
+    for name, f in _polygammas(q):
+        _same(f(orders, xs), [f(int(k), float(x)) for k, x in zip(orders, xs)])
+        _same_rows(f(np.array([[1], [2], [3]]), _GRID), [f(k, _GRID) for k in (1, 2, 3)])
+        # a 0-d order array is a scalar order
+        _same(f(np.array([2] * 3), _GRID[:3]), [f(2, float(x)) for x in _GRID[:3]])
+        assert f(np.int64(3), 1.3) == f(3, 1.3)
+
+
+@pytest.mark.parametrize("q", ORDER_QS[:-1])
+def test_moment_order_arrays_equal_scalar_orders(q):
+    lq = math.log(q)
+    xs = _order_xs()
+    orders = np.random.default_rng(9).integers(0, 9, xs.size)
+    got = sp._moment(orders, xs, lq)
+    assert got.tobytes() == np.array([sp._moment(int(k), float(x), lq) for k, x in zip(orders, xs)]).tobytes()
+    rows = sp._moment(np.arange(9)[:, None], _GRID, lq)
+    assert rows.shape == (9, _GRID.size)
+    for k, row in enumerate(rows):
+        assert row.tobytes() == sp._moment(k, _GRID, lq).tobytes()
+
+
+def test_order_arrays_run_over_blocks():
+    big = np.linspace(0.05, 40.0, sp._BLOCK + 37)
+    orders = np.arange(big.size) % 4 + 1
+    res = sp.psi_q_n(orders, big, 0.9)
+    for i in (0, 1, sp._BLOCK - 1, sp._BLOCK, big.size - 1):
+        one = sp.psi_q_n(int(orders[i]), float(big[i]), 0.9)
+        assert res.value[i] == one.value and res.abs_error_bound[i] == one.abs_error_bound
+
+
+def test_pow_keeps_the_bits_of_a_scalar_exponent():
+    rng = np.random.default_rng(10)
+    base = np.concatenate([rng.uniform(-30.0, 30.0, 4000), rng.uniform(-1e-2, 1e-2, 200), [0.5, -2.0]])
+    n = rng.integers(-6, 9, base.size)
+    got = sp._pow(base, n)
+    for k in range(-6, 9):
+        at = n == k
+        assert got[at].tobytes() == (base[at] ** k).tobytes(), k
+    # a Python float keeps Python's **, order by order
+    col = np.array([[0], [1], [2], [3], [-1]])
+    assert sp._pow(0.7, col).ravel().tolist() == [0.7 ** k for k in (0, 1, 2, 3, -1)]
+
+
+def test_order_arrays_are_checked():
+    with pytest.raises(sp.DomainError, match=r"^psi_q_n requires order n >= 1, got 0 \(element 2\)$"):
+        sp.psi_q_n(np.array([1, 2, 0]), 1.0, 0.5)
+    with pytest.raises(sp.DomainError, match="^psi_n requires integer orders"):
+        sp.psi_n(np.array([1.0, 2.0]), 1.0)
+    with pytest.raises(sp.DomainError, match=r"^measure_moment requires order n >= 0, got -1"):
+        sp._moment(np.array([[1], [-1]]), 1.0, math.log(0.5))
+    # x is checked in its own shape, before it broadcasts with the orders
+    with pytest.raises(sp.DomainError, match=r"got -1.0 \(element 1\)$"):
+        sp.psi_q_n(np.array([[1], [2]]), np.array([1.0, -1.0]), 0.5)
+
+
+@given(
+    st.lists(st.tuples(st.floats(1e-2, 1e3), st.integers(1, 8)), min_size=1, max_size=16),
+    st.one_of(st.sampled_from(ORDER_QS), st.floats(0.01, 0.999)),
+)
+def test_order_arrays_equal_scalar_orders_on_random_draws(pairs, q):
+    xs = np.array([x for x, _ in pairs])
+    orders = np.array([k for _, k in pairs])
+    for _, f in _polygammas(q):
+        _same(f(orders, xs), [f(k, x) for x, k in pairs])
+    if q < 1.0:
+        lq = math.log(q)
+        got = sp._moment(orders - 1, xs, lq)
+        assert got.tobytes() == np.array([sp._moment(k - 1, x, lq) for x, k in pairs]).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # validation names the offending element
 # ---------------------------------------------------------------------------
 

@@ -37,6 +37,16 @@ def test_sinh_ratio_equality_at_one():
     assert np.all(K.sinh_ratio(1.0, t) == 1.0)
 
 
+@pytest.mark.parametrize("fn", ["sinh_ratio", "sinh_ratio_bounds", "kernel_lemma12_margin"])
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, -0.0])
+def test_sinh_ratio_family_rejects_alpha_at_most_zero_by_name(fn, alpha):
+    # lemma 1.2's sandwich is stated for alpha > 0; the message names the function called
+    with pytest.raises(DomainError, match=rf"^{fn} requires alpha > 0, got {alpha!r}$"):
+        getattr(K, fn)(alpha, 1.0)
+    with pytest.raises(DomainError, match=rf"^{fn} requires alpha > 0"):
+        getattr(K, fn)(alpha, np.array([0.0, 1.0, 2.0]))
+
+
 def test_sinh_ratio_large_t_stability():
     # naive sinh quotient would overflow near t ~ 700
     val = K.sinh_ratio(0.5, 600.0)

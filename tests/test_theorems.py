@@ -422,14 +422,17 @@ _EVALUATORS = {
 
 @pytest.fixture
 def evaluator_calls(monkeypatch):
-    """Every evaluator call made through the theorems module, as (name, order, q)."""
+    """Every evaluator call made through the theorems module, as (name, order, q); an order array as a tuple."""
     calls = []
     for name, (order_at, q_at) in _EVALUATORS.items():
         original = getattr(T, name)
 
         def counted(*args, _f=original, _name=name, _o=order_at, _q=q_at, **kwargs):
             q = None if _q is None else args[_q]
-            calls.append((_name, None if _o is None else args[_o], getattr(q, "q", q)))
+            order = None if _o is None else args[_o]
+            if isinstance(order, np.ndarray):
+                order = tuple(order.ravel().tolist())
+            calls.append((_name, order, getattr(q, "q", q)))
             return _f(*args, **kwargs)
 
         monkeypatch.setattr(T, name, counted)
@@ -457,8 +460,14 @@ def test_neither_case_evaluates_as_often_as_its_f_prime_direction(evaluator_call
     ver = T.verify_case(case)
     shared = list(evaluator_calls)
     evaluator_calls.clear()
-    check_cm(lambda x: case.deriv(1, x), case.grid, derivs=lambda k, x: case.deriv(1 + k, x),
-             include_order_zero=False)
+    rows = {}
+
+    def derivs(k, x):  # the three derivative rows in one call, as verify_case evaluates them
+        if not rows:
+            rows.update(zip((2, 3, 4), case.deriv(np.array([[2], [3], [4]]), x)))
+        return rows[1 + k]
+
+    check_cm(lambda x: case.deriv(1, x), case.grid, derivs=derivs, include_order_zero=False)
     assert shared == evaluator_calls and len(shared) > 0
     assert set(ver.reports) == {"f'", "-f'"}
 
@@ -486,6 +495,70 @@ def test_shared_verification_equals_one_check_per_direction(cid):
     assert list(got) == list(want)
     for label in want:
         assert _report_fields(got[label]) == _report_fields(want[label]), label
+
+
+_Q_CASES = [cid for cid in T.registry_ids() if "q" in T.case_default_params(cid)]
+
+
+@pytest.mark.parametrize("q", [0.9, 0.99])
+@pytest.mark.parametrize("cid", _Q_CASES)
+def test_shared_verification_equals_one_check_per_direction_near_q1(cid, q):
+    # the three derivative rows come from one order-column call; the reference asks per scalar order
+    case = T.make_case(cid, q=q)
+    got = T.verify_case(case).reports
+    want = _unshared_reports(case)
+    assert list(got) == list(want)
+    for label in want:
+        assert _report_fields(got[label]) == _report_fields(want[label]), label
+
+
+@pytest.mark.parametrize("cid, q", [(cid, None) for cid in T.registry_ids()]
+                         + [(cid, q) for cid in _Q_CASES for q in (0.9, 0.99)])
+def test_case_derivative_rows_in_one_call_equal_scalar_orders(cid, q):
+    case = T.make_case(cid) if q is None else T.make_case(cid, q=q)
+    base = case.directions()[0][2]
+    x = case.grid.xs()
+    rows = case.deriv(base + np.array([[1], [2], [3]]), x)
+    assert rows.shape == (3, x.size)
+    for k, row in zip((1, 2, 3), rows):
+        assert row.tobytes() == np.asarray(case.deriv(base + k, x), dtype=float).tobytes(), k
+
+
+def test_verify_makes_one_rows_call_per_primitive(evaluator_calls):
+    T.verify_case(T.make_case("thm2.2"))
+    names = [name for name, *_ in evaluator_calls]
+    assert (names.count("psi_q"), names.count("psi_q_n"), names.count("_moment")) == (1, 1, 3)
+    # order 1 on the nodes is psi_q; orders 2..4 of f' need psi_q^(1..3), in one call
+    assert ("psi_q_n", (1, 2, 3), 0.5) in evaluator_calls
+
+
+def test_verify_all_makes_one_node_and_one_rows_call_per_case(evaluator_calls):
+    orders = []
+    for case in T.theorem_registry():
+        def deriv(k, x, _deriv=case.deriv):
+            orders.append(np.shape(k))
+            return _deriv(k, x)
+
+        T.verify_case(dataclasses.replace(case, deriv=deriv))
+        assert orders == [(), (3, 1)], case.id
+        orders.clear()
+    names = [name for name, *_ in evaluator_calls]
+    assert sum(names.count(n) for n in ("psi_q", "psi_q_n", "psi_n")) <= 80
+    assert names.count("_moment") <= 35
+
+
+@pytest.mark.parametrize("q", [1.0, 0.5, Q_SERIES_MAX])
+def test_stacked_order_column_equals_scalar_orders(q):
+    P = T._Q(q)
+    x = np.concatenate([np.geomspace(0.05, 30.0, 17), [0.5, 1.0, 2.0]])
+    ys = (x + 0.5, x, x + 2.0)
+    # mom at order 0 reaches the classical exponent -1, ps at order 2 the exponent 2
+    for piece, ks in ((P.ps, (1, 2, 3)), (P.mom, (0, 1, 2)), (lambda k, y: P.dlg(k)(y), (2, 3, 4))):
+        rows = T._Q.stacked(lambda y: piece(np.array(ks)[:, None], y), *ys)
+        assert rows.shape == (len(ys), len(ks), x.size)
+        for per_shift, y in zip(rows, ys):
+            for k, row in zip(ks, per_shift):
+                assert row.tobytes() == np.asarray(piece(k, y), dtype=float).tobytes(), k
 
 
 @pytest.mark.parametrize("q", [1.0, 0.5, Q_SERIES_MAX])
