@@ -5,6 +5,10 @@ Exit codes: 0 = all expectations met, 1 = a mathematical expectation was
 violated, 2 = usage or domain error.  CSV output uses a header row, comma
 separators, LF line endings and 17 significant digits; rows are emitted in
 deterministic sorted order, so identical invocations produce identical bytes.
+Every number is ``_fmt``'s ``%.17g`` text.  The bulk rows of ``scan-kernel``
+and ``bounds`` come from ``_csv_rows``, which formats whole float columns with
+array operations (``qgamma._csvrows``) and gives the same bytes, passing to
+``_fmt`` only what it cannot settle exactly.
 Output is built in memory and written only on success, never partially: a
 file goes through a temporary file in its directory and ``os.replace``, and a
 write error exits 2.
@@ -56,15 +60,34 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _fmt_params(params: dict) -> str:
-    parts = []
+def _param_pieces(params: dict) -> list:
+    """``params`` as ``k=v`` pieces joined by ``;`` in key order; a float column stays a column for _csv_rows."""
+    pieces = []
     for k in sorted(params):
         v = params[k]
-        if isinstance(v, (tuple, list)):
-            parts.append(f"{k}=" + "|".join(_fmt(float(x)) for x in v))
+        if isinstance(v, np.ndarray):
+            pieces += [f"{k}=", v]
+        elif isinstance(v, (tuple, list)):
+            pieces.append(f"{k}=" + "|".join(_fmt(float(x)) for x in v))
         else:
-            parts.append(f"{k}={_fmt(v)}")
-    return ";".join(parts)
+            pieces.append(f"{k}={_fmt(v)}")
+        pieces.append(";")
+    return pieces[:-1]
+
+
+def _fmt_params(params: dict) -> str:
+    return "".join(_param_pieces(params))
+
+
+def _csv_rows(pieces) -> list[str]:
+    """Rows whose text joins ``pieces``, every number as _fmt gives it: see ``qgamma._csvrows``.
+
+    The formatter is imported on first use, so ``import qgamma.cli`` does not
+    load it.
+    """
+    from . import _csvrows
+
+    return _csvrows.csv_rows(pieces, _fmt)
 
 
 def _floats_csv(text: str) -> list[float]:
@@ -118,11 +141,12 @@ def _pick(flag_value, config: dict, key: str, fallback):
 def _emit(lines: list[str], output: str | None):
     """Write the report to stdout, or to ``output`` through a temporary file and os.replace.
 
-    The target is either left as it was or replaced whole, also if the
-    process dies mid-write; a failed write removes the temporary file and
-    raises OSError.
+    Each of ``lines`` is one line or, from _csv_rows, a chunk of them; the
+    report's text is built once, each line ended by a newline.  The target is
+    either left as it was or replaced whole, also if the process dies
+    mid-write; a failed write removes the temporary file and raises OSError.
     """
-    text = "\n".join(lines) + "\n"
+    text = "\n".join([*lines, ""])  # joining a trailing "" ends the last line without another copy
     if not output:
         sys.stdout.write(text)
         return
@@ -325,9 +349,7 @@ def _cmd_scan_kernel(args, config) -> int:
     }
     grid = kernels.default_t_grid(**{k: v for k, v in picked.items() if v is not None})
     t, w, report = kernels.scan_kernel(args.kernel, params or None, grid)
-    lines = ["row_type,key,value"]
-    for ti, wi in zip(t, w):
-        lines.append(f"point,{_fmt(float(ti))},{_fmt(float(wi))}")
+    lines = ["row_type,key,value", *_csv_rows(["point,", t, ",", w])]
     lines.append(f"summary,t0_limit,{_fmt(report.t0_limit)}")
     lines.append(f"summary,min,{_fmt(report.min_value)}")
     lines.append(f"summary,max,{_fmt(report.max_value)}")
@@ -364,26 +386,19 @@ def _cmd_bounds(args, config) -> int:
         modulus, bound = target.call(s, *params.values())
         margin = bnd._clamp(bound - modulus)
         ok = bool((margin >= 0.0).all())
-        prefix = f"{name},{_fmt_params(params)},"
-        lines = ["bound,params,s_re,s_im,modulus,bound_value,margin"]
-        for sigma, mod_row, bound_row, margin_row in zip(
-            rows.tolist(), modulus.tolist(), bound.tolist(), margin.tolist()
-        ):
-            head = prefix + _fmt(sigma) + ","
-            for tau, m, bv, mg in zip(cols.tolist(), mod_row, bound_row, margin_row):
-                lines.append(f"{head}{_fmt(tau)},{_fmt(m)},{_fmt(bv)},{_fmt(mg)}")
+        header = "bound,params,s_re,s_im,modulus,bound_value,margin"
+        head = [f"{name},{_fmt_params(params)},", rows[:, None], ",", cols]
+        columns = (modulus, bound, margin)
     else:
         x, s = np.meshgrid(rows, cols, indexing="ij")
         t = target.call(x, s, *params.values(), _eval_cfg(args, config))
         lower_margin, upper_margin = t.lower_margin, t.upper_margin
         # margins within bounds.EQUALITY_TOL of zero are already clamped to 0
         ok = bool((lower_margin >= 0.0).all() and (upper_margin >= 0.0).all())
-        lines = ["bound,params,lower,value,upper,lower_margin,upper_margin"]
-        columns = (x, s, t.lower, t.value, t.upper, lower_margin, upper_margin)
-        for xv, sv, *vals in zip(*(c.ravel().tolist() for c in columns)):
-            row_params = _fmt_params({row_key: xv, "s": sv, **params})
-            lines.append(f"{name},{row_params}," + ",".join(_fmt(v) for v in vals))
-    _emit(lines, args.output)
+        header = "bound,params,lower,value,upper,lower_margin,upper_margin"
+        head = [f"{name},", *_param_pieces({row_key: x, "s": s, **params})]
+        columns = (t.lower, t.value, t.upper, lower_margin, upper_margin)
+    _emit([header, *_csv_rows([*head, *(p for c in columns for p in (",", c))])], args.output)
     return 0 if ok else 1
 
 

@@ -49,8 +49,10 @@ several shifts of x (the difference compositions, thm2.5, thm2.6, thm3.2,
 thm4.1), ``_Q.stacked`` evaluates it in one call on the concatenated
 abscissae; each closure keeps the order in which it calls its primitives,
 so an x outside the interval is named as separate calls would name it.
-Every evaluator's array call equals its scalar calls element for element,
-so sharing changes no value.
+Where a closure needs one primitive at two orders (the moments of orders
+k - 1 and k - 2 in thm2.1's and thm3.4's families), ``_Q.mom_pair`` stacks
+the orders into one call.  Every evaluator's array call equals its scalar
+calls element for element, so sharing changes no value.
 """
 
 from __future__ import annotations
@@ -259,6 +261,12 @@ class _Q:
             return (1 - 2 * (k % 2)) * _factorial(k) * _pow(y, -k - 1)
         return _moment(k, y, self.lq)
 
+    def mom_pair(self, k, y: float | np.ndarray) -> np.ndarray:
+        """(mom(k - 1, y), mom(k - 2, y)) from one call, the two orders stacked on a new leading axis."""
+        orders = np.stack(np.broadcast_arrays(k - 1, k - 2))
+        # a scalar order gains y's axes, as an order column carries them already
+        return self.mom(orders.reshape(orders.shape + (1,) * (np.ndim(y) - np.ndim(k))), y)
+
     def log1m(self, y: float | np.ndarray) -> float | np.ndarray:
         """log(1 - q^y) for q < 1, log(y) classically."""
         if self.classical:
@@ -421,7 +429,8 @@ def _thm22_family(alpha: float, q: float):
             return P.stirling(x) + alpha * P.log1m(x) + P.lg(x)
         if _is_order(k, 1):
             return alpha * P.mom(0, x) + P.ps(0, x) - P.log_scale(x)
-        return alpha * P.mom(k - 1, x) + P.ps(k - 1, x) - P.mom(k - 2, x)
+        m1, m2 = P.mom_pair(k, x)
+        return alpha * m1 + P.ps(k - 1, x) - m2
 
     return deriv
 
@@ -534,12 +543,8 @@ def _thm34_family(alpha: float, q: float):
             return P.stirling(x) + 0.5 * P.log1m(x) + P.lg(x) - P.ps(1, x + alpha) / 12.0
         if _is_order(k, 1):
             return 0.5 * P.mom(0, x) + P.ps(0, x) - P.log_scale(x) - P.ps(2, x + alpha) / 12.0
-        return (
-            0.5 * P.mom(k - 1, x)
-            + P.ps(k - 1, x)
-            - P.mom(k - 2, x)
-            - P.ps(k + 1, x + alpha) / 12.0
-        )
+        m1, m2 = P.mom_pair(k, x)
+        return 0.5 * m1 + P.ps(k - 1, x) - m2 - P.ps(k + 1, x + alpha) / 12.0
 
     return deriv
 

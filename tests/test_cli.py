@@ -1,6 +1,7 @@
 """CLI contract: exit codes, CSV shape and determinism, flag validation."""
 
 import contextlib
+import hashlib
 import io
 import math
 import os
@@ -555,14 +556,54 @@ def test_repeated_main_calls_share_one_parser_and_leak_no_state(capsys, monkeypa
 
 
 def test_importing_the_cli_builds_no_parser_and_imports_no_fractions():
+    # nor the bulk-row formatter, which the first bulk rows import
     probe = (
         "import sys, qgamma.cli as cli; "
         "print(cli._build_parser.cache_info().currsize, cli._value_flags.cache_info().currsize, "
-        "'fractions' in sys.modules, 'decimal' in sys.modules)"
+        "'fractions' in sys.modules, 'decimal' in sys.modules, 'qgamma._csvrows' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qgamma.__file__)))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["0", "0", "False", "False"]
+    assert out.split() == ["0", "0", "False", "False", "False"]
+
+
+# ---------------------------------------------------------------------------
+# bulk rows: the bytes of value-by-value formatting
+# ---------------------------------------------------------------------------
+
+# stdout md5s recorded when every bulk row was formatted value by value with _fmt:
+# each kernel's default scan and one grid of each bound form, a margin of 0
+# (a = 0) and t below the array formatter's range (t-min 1e-300) included
+_PINNED_STDOUT_MD5 = [
+    ("scan-kernel lemma1.2", "45e50b0e108c9e59e84da73195199aaf"),
+    ("scan-kernel thm2.1", "28fdab18546ff348750c78f3709da86f"),
+    ("scan-kernel thm2.5", "17a28232fa2cf69d6d45eaf3e6fdb407"),
+    ("scan-kernel thm2.6", "d1fcda0dd451db838ee8f43b2584d2c2"),
+    ("scan-kernel thm3.1", "ca59514354ad924dc0b4e2cce704cd67"),
+    ("scan-kernel thm3.2", "e070e39aa51686228015636097a132ae"),
+    ("scan-kernel thm3.4", "557f5022c98b0f3dbb1951c5b7a703da"),
+    ("scan-kernel thm4.1-mean", "fcb67b736348aaa39dff414998338988"),
+    ("scan-kernel thm4.1-split", "681d8fc7a06937c9264f3f25caa30051"),
+    ("bounds beta-complex --a 0.5 --b 0.5 --sigma-grid 0.01:5:20 --tau-grid -20:20:20", "273e13a639894ac889286cfa5b607b81"),
+    ("bounds rademacher --c 1 --sigma-grid 0.5:4:15 --tau-grid -10:10:21", "5e83f9f13d7f8163efc34bdfb5adc44b"),
+    ("bounds q-sandwich --q 0.5 --x-grid 0.5:20:30 --s-grid 0.05:0.95:10", "bf8d6608fa781c5840b504cc0fc72fee"),
+    ("bounds kershaw-psi --x-grid 0.001:50:200 --s-grid 0.05:0.95:10", "e127854c455999d09957e001c16e9eb0"),
+    ("bounds kershaw-power --x-grid 0.001:50:50 --s-grid 0.05:0.95:10", "3e028bc8e26f448f24dde5dadb47f2dd"),
+    ("bounds gautschi --x-grid 1:200:200 --s-grid 0.05:0.95:10", "72568fe9e9589b33026f397298e896e4"),
+    ("bounds beta-complex --a 0 --b 0.5 --sigma-grid 0.3:5:20 --tau-grid -2:2:21", "710cacf32c8364de090ab0cfa002c659"),
+    ("scan-kernel thm2.6 --a 1.5 --t-min 1e-300 --t-max 700 --t-points 5000", "9e04c9f049b260b02582392130f02da9"),
+]
+
+
+@pytest.mark.parametrize("argv, md5", _PINNED_STDOUT_MD5)
+def test_bulk_rows_keep_the_bytes_of_value_by_value_formatting(capsys, tmp_path, argv, md5):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == md5
+    path = tmp_path / "report.csv"
+    assert main([*argv.split(), "--output", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_bytes() == out.encode()
 
 
 # ---------------------------------------------------------------------------

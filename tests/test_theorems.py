@@ -527,7 +527,7 @@ def test_case_derivative_rows_in_one_call_equal_scalar_orders(cid, q):
 def test_verify_makes_one_rows_call_per_primitive(evaluator_calls):
     T.verify_case(T.make_case("thm2.2"))
     names = [name for name, *_ in evaluator_calls]
-    assert (names.count("psi_q"), names.count("psi_q_n"), names.count("_moment")) == (1, 1, 3)
+    assert (names.count("psi_q"), names.count("psi_q_n"), names.count("_moment")) == (1, 1, 2)
     # order 1 on the nodes is psi_q; orders 2..4 of f' need psi_q^(1..3), in one call
     assert ("psi_q_n", (1, 2, 3), 0.5) in evaluator_calls
 
@@ -544,7 +544,7 @@ def test_verify_all_makes_one_node_and_one_rows_call_per_case(evaluator_calls):
         orders.clear()
     names = [name for name, *_ in evaluator_calls]
     assert sum(names.count(n) for n in ("psi_q", "psi_q_n", "psi_n")) <= 80
-    assert names.count("_moment") <= 35
+    assert names.count("_moment") <= 24
 
 
 @pytest.mark.parametrize("q", [1.0, 0.5, Q_SERIES_MAX])
@@ -559,6 +559,18 @@ def test_stacked_order_column_equals_scalar_orders(q):
         for per_shift, y in zip(rows, ys):
             for k, row in zip(ks, per_shift):
                 assert row.tobytes() == np.asarray(piece(k, y), dtype=float).tobytes(), k
+
+
+@pytest.mark.parametrize("q", [1.0, 0.5, Q_SERIES_MAX])
+def test_moment_pair_equals_two_scalar_order_calls(q):
+    P = T._Q(q)
+    x = np.concatenate([np.geomspace(0.05, 30.0, 17), [0.5, 1.0, 2.0]])
+    for k in (2, 3, 5, np.array([[2], [3], [4]])):
+        pair = P.mom_pair(k, x)
+        assert pair.shape == (2, *np.broadcast_shapes(np.shape(k), x.shape))
+        for got, order in zip(pair, (k - 1, k - 2)):
+            assert got.tobytes() == np.asarray(P.mom(order, x), dtype=float).tobytes(), order
+    assert P.mom_pair(2, 1.5).tobytes() == np.array([P.mom(1, 1.5), P.mom(0, 1.5)]).tobytes()
 
 
 @pytest.mark.parametrize("q", [1.0, 0.5, Q_SERIES_MAX])
