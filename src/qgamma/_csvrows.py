@@ -129,12 +129,21 @@ def _scaled(ax: np.ndarray, e: np.ndarray):
 
     hi's rounding error is exact by Dekker's two-product; lo is exact where
     10**(16 - e) is a double, and within 2**-47 of the true remainder elsewhere.
+    Where instead 10**(e - 16) is a double and ax an integer multiple of it
+    (as 1e17 ... 1e22 are), hi = ax / 10**(e - 16) exactly and lo = 0.
     """
-    t_hi, t_hh, t_hl, t_lo = (t[16 - e + _SPAN] for t in _pow10_table())
+    table = _pow10_table()
+    t_hi, t_hh, t_hl, t_lo = (t[16 - e + _SPAN] for t in table)
     hi = ax * t_hi
     a_h, a_l = _split(ax)
     err = ((a_h * t_hh - hi) + a_h * t_hl + a_l * t_hh) + a_l * t_hl
-    return hi, err + ax * t_lo, t_lo == 0.0
+    lo, exact = err + ax * t_lo, t_lo == 0.0
+    up = np.flatnonzero(e > 16)
+    step, rest = (table[j][e[up] - 16 + _SPAN] for j in (0, 3))  # 10**(e - 16) rounded, and what that left
+    whole = (rest == 0.0) & (np.fmod(ax[up], step) == 0.0)  # fmod is exact
+    up = up[whole]
+    hi[up], lo[up], exact[up] = ax[up] / step[whole], 0.0, True
+    return hi, lo, exact
 
 
 def _edges(hi: np.ndarray, lo: np.ndarray):

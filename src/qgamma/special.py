@@ -13,10 +13,11 @@ for both.  A scalar argument gives Python numbers; an array gives ``value``
 and ``abs_error_bound`` arrays of its shape, each element equal bit for bit
 to the scalar call at that element, with ``converged`` true when every
 element converged.  Where a formula branches on the argument, each element
-takes the branch its scalar call takes.  The derivative orders of psi_n,
-psi_q_n and the moments may likewise be an integer array that broadcasts
-with x: one pass of the series serves every order, and each element equals
-the scalar-order call at that element bit for bit.
+takes the branch its scalar call takes.  The derivative order of psi_n,
+psi_q_n and the moments is an int or an integer array that broadcasts with
+x; inside this module every order is int64 and runs one path, a single
+order without being expanded.  One pass of the series serves every order,
+and each element equals the single-order call at that element bit for bit.
 """
 
 from __future__ import annotations
@@ -185,30 +186,26 @@ def _checked_complex(fn: str, z, lo: float = -math.inf, what: str = "z") -> np.n
     return zc
 
 
-def _checked_order(fn: str, n, lowest: int = 1):
-    """n as an int >= lowest, or, for an array n, as an int64 order array with every element >= lowest."""
-    if isinstance(n, int) or np.ndim(n) == 0:
-        n = int(n)
-        if n < lowest:
-            raise DomainError(f"{fn} requires order n >= {lowest}, got {n!r}")
-        return n
+def _checked_order(fn: str, n, lowest: int = 1) -> np.ndarray:
+    """n, an int or an integer array, as an int64 order array with every element >= lowest."""
     arr = np.asarray(n)
     if arr.dtype.kind not in "iu":
-        raise DomainError(f"{fn} requires integer orders, got an array of dtype {arr.dtype}")
-    if (arr < lowest).any():
+        raise DomainError(f"{fn} requires integer orders, got dtype {arr.dtype}")
+    if arr.min(initial=lowest) < lowest:
         raise DomainError(f"{fn} requires order n >= {lowest}, got {_first(arr, arr < lowest)}")
     return arr.astype(np.int64, copy=False)
 
 
-def _with_orders(n, xs: np.ndarray, shape: tuple) -> tuple:
-    """(n, xs, shape) for checked flat xs of ``shape``; an order array n and xs are broadcast together and flattened."""
-    if not isinstance(n, np.ndarray):
-        return n, xs, shape
-    x = xs.reshape(shape)
-    full = np.broadcast(n, x).shape
-    ns, xs = np.empty(full, dtype=n.dtype), np.empty(full)
-    ns[...], xs[...] = n, x
-    return ns.reshape(-1), xs.reshape(-1), full
+def _with_orders(n: np.ndarray, xs: np.ndarray, shape: tuple) -> tuple:
+    """(n, xs, shape) for an order array n and checked flat xs of ``shape``, in their broadcast shape.
+
+    A single order becomes one int64, which broadcasts with xs; otherwise n
+    and xs are broadcast together and flattened.
+    """
+    if n.size == 1:
+        return n.reshape(-1)[0], xs, (1,) * (n.ndim - len(shape)) + shape
+    ns, xb = np.broadcast_arrays(n, xs.reshape(shape))
+    return ns.reshape(-1), xb.reshape(-1), ns.shape
 
 
 def _finite(fn: str, *values) -> None:
@@ -224,16 +221,16 @@ def _finite(fn: str, *values) -> None:
 def _result(fn: str, value, bound, terms, cfg: EvalConfig, shape: tuple) -> SeriesResult:
     """Package flat value and bound arrays for an argument of ``shape``."""
     _finite(fn, value)
-    bound = np.broadcast_to(bound, value.shape).astype(float)
-    conv = bool((bound <= cfg.rel_tol * np.maximum(1.0, np.abs(value))).all())
-    return SeriesResult(_shaped(value, shape), _shaped(bound, shape), int(terms), conv)
+    full = np.full(value.shape, bound, dtype=float)  # a scalar bound too
+    conv = bool((full <= cfg.rel_tol * np.maximum(1.0, np.abs(value))).all())
+    return SeriesResult(_shaped(value, shape), _shaped(full, shape), int(terms), conv)
 
 
 def _check_truncation(fn, value, trunc, cfg: EvalConfig) -> None:
     """Raise ConvergenceError where the truncation bound exceeds rel_tol * max(1, |value|)."""
-    value, trunc = np.broadcast_arrays(value, trunc)
     miss = trunc > cfg.rel_tol * np.maximum(1.0, np.abs(value))  # a NaN value is _result's to report
     if miss.any():
+        value, trunc = np.broadcast_arrays(value, trunc)
         i = int(np.flatnonzero(miss)[0])
         where = "" if value.size == 1 else f" (element {i})"
         raise ConvergenceError(
@@ -255,32 +252,34 @@ def _blocked(core, x: np.ndarray, n=None) -> tuple:
     args = (x,) if n is None else (x, n)
     if x.size <= _BLOCK:
         return core(*args)
-    cut = lambda a, i: a[i:i + _BLOCK] if isinstance(a, np.ndarray) else a
+    cut = lambda a, i: a[i:i + _BLOCK] if a.size > 1 else a
     blocks = [core(*(cut(a, i) for a in args)) for i in range(0, x.size, _BLOCK)]
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
-# An order n is an int or, once _checked_order has made it one, an int64
-# ndarray that broadcasts with the abscissae.  Each element of an order array
-# gets the bits of its scalar-order call.
+# An order n is int64: one for a single order, or an array with one per abscissa
+# (see _with_orders).  The helpers below take a single order's cheapest form and
+# give each element of an order array the bits of its single-order call.
 
 # what numpy makes of base ** k for a scalar k in -1..2: pow gives other bits at 2 and -1
 _SCALAR_POWERS = {-1: np.reciprocal, 0: np.ones_like, 1: np.positive, 2: np.square}
 
 
 def _pow(base, n):
-    """base ** n; for an order array n, each element as base ** int(n) at that element gives it.
+    """base ** n for an order n, or an int; each element as base ** int(n) at that element gives it.
 
-    numpy takes an array to a scalar power 2 as its square and to -1 as its
-    reciprocal, and pow, which an array of exponents calls, can differ from
-    both in the last bit; at every other integer exponent it gives the bits
-    of a scalar exponent.  So an order array runs pow only where its orders
-    lie outside -1..2 (pow of a negative base is slow as well), and the
-    scalar forms of those four orders elsewhere.  A base that is not an
-    ndarray (a Python float) keeps Python's ``**``, order by order.
+    A single order k is base ** k itself.  numpy takes an array to a scalar
+    power 2 as its square and to -1 as its reciprocal, and pow, which an
+    array of exponents calls, can differ from both in the last bit; at every
+    other integer exponent it gives the bits of a scalar exponent.  So an
+    order array runs pow only where its orders lie outside -1..2 (pow of a
+    negative base is slow as well), and the scalar forms of those four orders
+    elsewhere.  A base that is not an ndarray (a Python float) keeps Python's
+    ``**``, order by order.
     """
-    if not isinstance(n, np.ndarray):
-        return base ** n
+    n = np.asarray(n)
+    if n.size == 1:
+        return base ** n.item()
     if not isinstance(base, np.ndarray):
         return np.array([base ** k for k in n.ravel().tolist()]).reshape(n.shape)
     lo, hi = int(n.min()), int(n.max())
@@ -308,21 +307,22 @@ def _order_columns(table, top: int) -> np.ndarray:
     return out
 
 
-def _per_order(table, n):
-    """table(n) for an order n; for an order array, its Horner steps with each element's column.
+def _per_order(table, n: np.ndarray):
+    """table(k) for a single order k; for an order array, its Horner steps with each element's column.
 
     The steps are gathered as they are read, so a pass holds one step's
     coefficients at a time, not the whole table for every element.
     """
-    if not isinstance(n, np.ndarray):
-        return table(n)
+    if n.size == 1:
+        return table(n.item())
     return (step.take(n, axis=-1) for step in _order_columns(table, int(n.max())))
 
 
 def _factorial(n):
-    """n! for an order n; per element, as the float a float product makes of it, for an order array."""
-    if not isinstance(n, np.ndarray):
-        return math.factorial(n)
+    """n! for an order n, or an int, per element as the float a float product makes of it."""
+    n = np.asarray(n)
+    if n.size == 1:
+        return float(math.factorial(n.item()))
     return np.array([float(math.factorial(k)) for k in range(int(n.max()) + 1)])[n]
 
 
@@ -438,8 +438,8 @@ _ZETA_OFFSETS = np.arange(_ZETA_DIRECT, dtype=float)[:, None]
 
 
 @functools.cache
-def _zeta_coefs(s: int) -> tuple[tuple[float, ...], float]:
-    """The correction coefficients B_2j/(2j)! (s)_{2j-1}, j = 1..M+1, and their size scale.
+def _zeta_coefs(s: int) -> tuple[float, ...]:
+    """The correction coefficients B_2j/(2j)! (s)_{2j-1}, j = 1..M+1, then their size scale, as one column.
 
     Each coefficient is rounded as its running product gives it.  Since
     w >= 14, the scale sum_{j<=M} |coef_j| / 14^{2j-2} times w^{-s-1} bounds
@@ -451,18 +451,11 @@ def _zeta_coefs(s: int) -> tuple[tuple[float, ...], float]:
         rising *= (s + 2 * j - 1) * (s + 2 * j)
         fact *= (2 * j + 1) * (2 * j + 2)
     scale = sum(abs(c) / _ZETA_DIRECT ** (2.0 * j - 2.0) for j, c in enumerate(coefs[:-1], start=1))
-    return tuple(coefs), scale
-
-
-@functools.cache
-def _zeta_column(s: int) -> tuple[float, ...]:
-    """_zeta_coefs(s) as one column: the M+1 coefficients, then the scale."""
-    coefs, scale = _zeta_coefs(s)
     return (*coefs, scale)
 
 
 def _hurwitz_zeta_int(s, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """zeta(s, a) for an integer s >= 1, or an order array of s >= 2, by Euler-Maclaurin: value, error bound, rounding error bound.
+    """zeta(s, a) for an order array s >= 1 by Euler-Maclaurin: value, error bound, rounding error bound.
 
     Past K direct terms the tail sum_{k>=K} (k+a)^{-s} is the integral
     w^{1-s}/(s-1), w = K + a, plus w^{-s}/2 and Bernoulli corrections; the
@@ -476,36 +469,41 @@ def _hurwitz_zeta_int(s, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     wherever the value does.
     """
     w = _ZETA_DIRECT + a
-    *coefs, last, scale = _per_order(_zeta_column, s)
-    pole = not isinstance(s, np.ndarray) and s == 1
-    tail = -np.log(w) if pole else _pow(w, 1 - s) / (s - 1)
+    *coefs, last, scale = _per_order(_zeta_coefs, s)
     half = 0.5 * _pow(w, -s)
     wpow = _pow(w, -s - 1)
     corr_size = scale * wpow  # the j-th correction has 1/w^{2j-2} <= 1/14^{2j-2}
-    rw2 = 1.0 / (w * w)
-    # At s = 1 the tail is negative and, for small a, term 0 (1/a) dwarfs the
-    # others.  It is added last, so only that addition rounds at |value|.
+    # w^{-s-1-2j} for j = 0..M as running products, and the M corrections
+    steps = np.empty((len(coefs) + 1, w.size))
+    steps[0], steps[1:] = wpow, 1.0 / (w * w)
+    wpows = np.multiply.accumulate(steps, axis=0)
+    corr = np.array(coefs).reshape(len(coefs), -1) * wpows[:-1]
+    trunc = np.abs(last * wpows[-1])
     direct = _pow(a + _ZETA_OFFSETS, -s)  # (k + a)^{-s}, added in order of k
-    total = 0.0
-    for p in direct[1:] if pole else direct:
-        total = total + p
-    head = total  # positive, like every partial sum before it
-    total = total + (tail + half)
-    after_tail = total
-    for c in coefs:
-        total = total + c * wpow
-        wpow = wpow * rw2
-    trunc = np.abs(last * wpow)
-    if not pole:  # every term is positive: each partial sum lies within after_tail + corr_size of 0
-        err = (_TERM_ULPS + s + 23) * _U * after_tail
-        return total, trunc, err + (_TERM_ULPS + s + 32 + 23) * _U * corr_size
-    # 12 additions up to head, the rounding of tail + half, 9 sums within
-    # corr_size of after_tail, and the last addition, of term 0
-    value = total + direct[0]
-    err = (_TERM_ULPS + 1) * _U * (direct[0] + head + np.abs(tail) + half)
-    err = err + (_TERM_ULPS + 1 + 32) * _U * corr_size
-    err = err + 12.0 * _U * head + np.abs(tail + half) * _U + 9.0 * _U * (np.abs(after_tail) + corr_size)
-    return value, trunc, err + np.abs(value) * _U
+
+    def corrected(after_tail):  # the running sums go on through the corrections
+        return np.add.accumulate(np.concatenate([after_tail[None], corr]), axis=0)[-1]
+
+    def regular():  # every term is positive: each partial sum lies within after_tail + corr_size of 0
+        after_tail = np.add.accumulate(direct, axis=0)[-1] + (_pow(w, 1 - s) / (s - 1) + half)
+        ulps = _TERM_ULPS + s + 23
+        return corrected(after_tail), trunc, ulps * _U * after_tail + (ulps + 32) * _U * corr_size
+
+    def pole():
+        # At s = 1 the tail is negative and, for small a, term 0 (1/a) dwarfs the
+        # others.  It is added last, so only that addition rounds at |value|.
+        tail = -np.log(w)
+        head = np.add.accumulate(direct[1:], axis=0)[-1]  # positive, like every partial sum before it
+        after_tail = head + (tail + half)
+        # 12 additions up to head, the rounding of tail + half, 9 sums within
+        # corr_size of after_tail, and the last addition, of term 0
+        value = corrected(after_tail) + direct[0]
+        err = (_TERM_ULPS + 1) * _U * (direct[0] + head + np.abs(tail) + half)
+        err = err + (_TERM_ULPS + 1 + 32) * _U * corr_size
+        err = err + 12.0 * _U * head + np.abs(tail + half) * _U + 9.0 * _U * (np.abs(after_tail) + corr_size)
+        return value, trunc, err + np.abs(value) * _U
+
+    return _branch(s > 1, regular, pole)
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +524,7 @@ _EM_ORDER = 8  # M
 _EM_TERMS = _EM_DIRECT + _EM_ORDER
 # B_2j / (2j)! for j = 1..M+1; the last one bounds the remainder
 _EM_COEF = tuple(b / math.factorial(2 * j) for j, b in enumerate(_BERNOULLI, start=1))
+_EM_COLUMN = np.array(_EM_COEF)[:, None]  # row j broadcasts over t
 
 # Rounding budget of the q-series, in units of u.  A quantity built from
 # q^t = exp(t log q) and 1 - q^t = -expm1(t log q) carries a relative error of
@@ -594,9 +593,10 @@ def _log_q_number(w, lq: float):
 
 
 def _horner(coef, z):
-    """sum_m coef[m] z^(len-1-m) by Horner's rule, from 0.0, coefficients in order."""
-    poly = 0.0
-    for c in coef:
+    """sum_m coef[m] z^(len-1-m) by Horner's rule, from coef[0] = 0.0 * z + coef[0] at the q-series' z >= 0."""
+    steps = iter(coef)
+    poly = next(steps)
+    for c in steps:
         poly = poly * z + c
     return poly
 
@@ -607,54 +607,39 @@ def _lambert(k, z, w, lq: float):
     g^(k)(t) = (log q)^k Li_{-k}(q^t) = z A_k(z) rho^k / (1-z) with z = q^t,
     w = 1 - z (see _q_pow) and rho = log q / w, which stays near -1/t as
     q -> 1.  Its relative rounding error is within _TERM_ULPS + 3k + 3|t log q| ulps.
-    k may be an order array; an element of order 0 gets z / w exactly as well.
+    k is an order array; order 0 gives z / w exactly, as A_0 = 1 and rho^0 = 1.
     """
-    if not isinstance(k, np.ndarray) and k == 0:  # A_0 = 1 and rho^0 = 1: the same bits, without the Horner pass
-        return z / w
     return z * _horner(_per_order(_eulerian, k), z) * _pow(lq / w, k) / w
 
 
 @functools.cache
-def _em_rows(k0: int) -> tuple[np.ndarray, np.ndarray]:
-    """(B_2j/(2j)! as a column, Horner table of A_k) for the orders k = k0 + 2j - 1, j = 1..M+1.
-
-    Column j of the table holds A_k padded with leading zeros to a common
-    length; Horner's partial value stays exactly 0.0 through the padding, so
-    one pass over the table gives every order's polynomial, each equal to its
-    own Horner sum.  Shape (length, M+1, 1): each row broadcasts over t.
-    """
-    rows = [_eulerian(k0 + 2 * j - 1) for j in range(1, len(_EM_COEF) + 1)]
-    width = max(len(r) for r in rows)
-    table = np.array([(0.0,) * (width - len(r)) + r for r in rows]).T[:, :, None]
-    coefs = np.array(_EM_COEF)[:, None]
-    table.flags.writeable = coefs.flags.writeable = False
-    return coefs, table
-
-
 def _em_table(k0: int) -> np.ndarray:
-    """The Horner table of _em_rows(k0), shape (length, M+1)."""
-    return _em_rows(k0)[1][..., 0]
+    """Horner table of A_k for the orders k = k0 + 2j - 1, j = 1..M+1, shape (length, M+1, 1).
+
+    Column j is order k's column of _order_columns(_eulerian, .), so one pass
+    over the table gives every order's polynomial, each equal to its own
+    Horner sum.  Each row broadcasts over t, as _EM_COLUMN does.
+    """
+    return _order_columns(_eulerian, k0 + 2 * len(_EM_COEF) - 1)[:, k0 + 1::2, None]
 
 
 def _em_corrections(k0, e, z, w, lq: float, scale: float):
-    """-sum_{j=1..M} B_2j/(2j)! f^(2j-1)(t) for f^(m)(t) = scale * g^(k0+m)(t).
+    """-sum_{j=1..M} B_2j/(2j)! f^(2j-1)(t) for f^(m)(t) = scale * g^(k0+m)(t), k0 an order array.
 
-    (e, z, w) is _q_pow(t, lq).  All orders share z = q^t and rho, so one Horner pass over a table serves
-    them; for an order array k0 (one element per t) the table holds each
-    element's column.  Returns (correction, remainder bound |B_2M+2/(2M+2)! f^(2M+1)(t)|,
-    rounding budget in ulps: each term within its order's budget, plus M
-    additions).
+    (e, z, w) is _q_pow(t, lq).  All orders share z = q^t and rho, so one
+    Horner pass over _em_table(k0) serves them; an order array k0 (one
+    element per t) gathers each element's column.  Returns (correction,
+    remainder bound |B_2M+2/(2M+2)! f^(2M+1)(t)|, rounding budget in ulps:
+    each term within its order's budget, plus M additions).
     """
     rho = lq / w
-    rr = rho * rho
-    fac = scale * z / w * _pow(rho, k0 + 1)  # scale z rho^k / (1-z) at k = k0 + 1
-    fac, rr = np.atleast_1d(fac, rr)
-    if isinstance(k0, np.ndarray):
-        coefs, table = _em_rows(0)[0], _per_order(_em_table, k0)
-    else:
-        coefs, table = _em_rows(k0)
+    steps = np.empty((len(_EM_COEF), np.size(z)))  # fac, then rr = rho^2 M times
+    steps[0] = scale * z / w * _pow(rho, k0 + 1)  # fac = scale z rho^k / (1-z) at k = k0 + 1
+    steps[1:] = rho * rho
+    # row j of A_k(z); an order array's gathered steps put its elements after the 1 that broadcasts over t
+    poly = _horner(_per_order(_em_table, k0), z).reshape(len(_EM_COEF), -1)
     # row j: B_2j/(2j)! (fac rr^j) A_k(z); running sums are added in order of j
-    terms = coefs * np.multiply.accumulate(np.stack([fac] + [rr] * _EM_ORDER), axis=0) * _horner(table, z)
+    terms = _EM_COLUMN * np.multiply.accumulate(steps, axis=0) * poly
     kept = terms[:-1]  # the last term is left out: it bounds the remainder
     corr = -np.add.accumulate(kept, axis=0)[-1]
     mag = np.add.accumulate(np.abs(kept), axis=0)[-1]
@@ -667,7 +652,7 @@ _EM_ROWS = np.arange(_EM_DIRECT + 1, dtype=float)[:, None]
 
 
 def _q_polygamma(n, x: np.ndarray, lq: float):
-    """psi_q^(n)(x) = [n=0] (-log(1-q)) + log q * sum_{i>=0} g^(n)(x+i), n an order or an order array (>= 1) like x.
+    """psi_q^(n)(x) = [n=0] (-log(1-q)) + log q * sum_{i>=0} g^(n)(x+i), for an order array n >= 0.
 
     Returns (value, truncation bound, rounding error bound); each piece of
     the last is scaled by u before it is added, so it stays finite wherever
@@ -687,12 +672,16 @@ def _q_polygamma(n, x: np.ndarray, lq: float):
     err = np.abs(direct) * ((_TERM_ULPS + 3.0 * n) * _U) + np.abs(3.0 * lq * weighted) * _U + np.abs(partial)
     e, z, w = e[-1], z[-1], w[-1]  # at T, shared by the head, the half term and the corrections
     ulps = _TERM_ULPS + 3.0 * (n + np.minimum(-e, _EXP_ARG_MAX))
-    if not isinstance(n, np.ndarray) and n == 0:
+
+    def q_number():  # n = 0
         head = _log_q_number(w, lq)
-        head_err = (_TERM_ULPS + np.abs(head)) * _U  # the ratio's relative error, now absolute
-    else:
-        head = -lq * _lambert(n - 1, z, w, lq)
-        head_err = np.abs(head) * ulps * _U
+        return head, (_TERM_ULPS + np.abs(head)) * _U  # the ratio's relative error, now absolute
+
+    def lambert():  # n >= 1; |n - 1| keeps order-0 elements, which q_number serves, off order -1 (take would wrap it)
+        head = -lq * _lambert(abs(n - 1), z, w, lq)
+        return head, np.abs(head) * ulps * _U
+
+    head, head_err = _branch(n > 0, lambert, q_number)
     half = 0.5 * g[-1]
     corr, rem, corr_err = _em_corrections(n, e, z, w, lq, 1.0)
     inner = direct + half + corr
@@ -808,9 +797,9 @@ def _log_gamma_q_series(x: np.ndarray, lq: float):
     err = np.add.accumulate(v_err[:-1] + np.abs(running), axis=0)[-1]
     phi_n, phi_err = v[-1], v_err[-1]  # phi(N), for the tail
     a, b = _EM_DIRECT + x, _EM_DIRECT + 1.0
-    # phi^(m)(N) = log q [g^(m-1)(a) - g^(m-1)(b)]
-    corr_a, rem_a, err_a = _em_corrections(-1, *_q_pow(a, lq), lq, lq)
-    corr_b, rem_b, err_b = _em_corrections(-1, *_q_pow(b, lq), lq, -lq)
+    # phi^(m)(N) = log q [g^(m-1)(a) - g^(m-1)(b)]: log Gamma_q is order -1 of psi_q's series
+    corr_a, rem_a, err_a = _em_corrections(np.int64(-1), *_q_pow(a, lq), lq, lq)
+    corr_b, rem_b, err_b = _em_corrections(np.int64(-1), *_q_pow(b, lq), lq, -lq)
     alpha, beta = -a * lq, -b * lq
 
     def close(parts, brem, part_err):
@@ -912,21 +901,19 @@ def gamma_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
 
 
 @_quiet
-def _polygamma(n, x, q: QValue, cfg: EvalConfig) -> SeriesResult:
-    """psi^(n)(x) at q = 1, psi_q^(n)(x) at q < 1, for every order n >= 0: psi, psi_n, psi_q, psi_q_n.
+def _polygamma(fn: str, n: np.ndarray, x, q: QValue, cfg: EvalConfig) -> SeriesResult:
+    """psi^(n)(x) at q = 1, psi_q^(n)(x) at q < 1, for a checked order array n >= 0 that broadcasts with x.
 
-    Classically psi^(n)(x) = (-1)^(n+1) n! zeta(n+1, x) (DLMF 5.15.1), with
-    -psi(x) for zeta(1, x).  n may be a checked order array (orders >= 1),
-    which broadcasts with x.  Errors name the public function of (n, q).
+    The body of psi, psi_n, psi_q and psi_q_n; errors name ``fn``, the one
+    called.  Classically psi^(n)(x) = (-1)^(n+1) n! zeta(n+1, x) (DLMF
+    5.15.1), with -psi(x) for zeta(1, x).
     """
-    fn = ("psi" if q.is_classical else "psi_q") + ("_n" if isinstance(n, np.ndarray) or n else "")
     xs = _checked(fn, x)
-    if not q.is_classical:
-        lq = _q_series_log_q(xs, q)
-        n, xs, shape = _with_orders(n, xs, np.shape(x))
+    lq = None if q.is_classical else _q_series_log_q(xs, q)
+    n, xs, shape = _with_orders(n, xs, np.shape(x))
+    if lq is not None:
         value, trunc, rounding = _blocked(lambda b, k: _q_polygamma(k, b, lq), xs, n)
         return _series_result(fn, value, trunc, rounding, _EM_TERMS, cfg, shape)
-    n, xs, shape = _with_orders(n, xs, np.shape(x))
     zeta, zbound, rounding = _blocked(lambda b, k: _hurwitz_zeta_int(k + 1, b), xs, n)
     nf = _factorial(n)
     sign = 2.0 * (n % 2) - 1.0  # (-1)^(n+1)
@@ -946,7 +933,7 @@ def psi(x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     The bound adds _TERM_ULPS + 1 ulps per term and the rounding of the
     additions, summed as _hurwitz_zeta_int explains.
     """
-    return _polygamma(0, x, _CLASSICAL, cfg)
+    return _polygamma("psi", np.int64(0), x, _CLASSICAL, cfg)
 
 
 def psi_n(n, x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
@@ -959,7 +946,7 @@ def psi_n(n, x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     gives one row per order): one pass of the series serves every order, and
     each element equals the call with its own scalar order bit for bit.
     """
-    return _polygamma(_checked_order("psi_n", n), x, _CLASSICAL, cfg)
+    return _polygamma("psi_n", _checked_order("psi_n", n), x, _CLASSICAL, cfg)
 
 
 def psi_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
@@ -975,7 +962,7 @@ def psi_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     q = _coerce_q(q)
     if q.is_classical:
         return psi(x, cfg)
-    return _polygamma(0, x, q, cfg)
+    return _polygamma("psi_q", np.int64(0), x, q, cfg)
 
 
 def psi_q_n(n, x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
@@ -991,7 +978,7 @@ def psi_q_n(n, x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     q = _coerce_q(q)
     if q.is_classical:
         return psi_n(n, x, cfg)
-    return _polygamma(_checked_order("psi_q_n", n), x, q, cfg)
+    return _polygamma("psi_q_n", _checked_order("psi_q_n", n), x, q, cfg)
 
 
 @_quiet
@@ -1032,9 +1019,10 @@ def _moment(k, x, lq: float):
     k, xs, shape = _with_orders(_checked_order("measure_moment", k, 0), xs, np.shape(x))
     e = xs * lq
     v = -lq * _lambert(k, np.exp(e), _one_minus_q_pow(e), lq)
-    bad = ~np.isfinite(v)
-    if bad.any():
-        order = k[bad][0] if isinstance(k, np.ndarray) else k
+    ok = np.isfinite(v)
+    if not ok.all():
+        bad = ~ok
+        order = np.broadcast_to(k, bad.shape)[bad][0]
         raise OverflowError(
             f"moment derivative of order {order} at x={_first(xs, bad)} exceeds the float64 range"
         )

@@ -2,6 +2,7 @@
 bit equal to its scalar calls; bad elements are named; check_cm evaluates a
 whole stencil lattice in one call and reports what the per-node scan did."""
 
+import hashlib
 import inspect
 import math
 import os
@@ -168,6 +169,24 @@ def _polygammas(q):
     return [("psi_q_n", lambda n, x: sp.psi_q_n(n, x, q))]
 
 
+# md5 of psi_q(_GRID, q)'s value and bound bytes (psi's at q = 1): order 0 of
+# the polygamma series, pinned so that its bits do not move
+_ORDER_0_MD5 = {
+    0.1: "2d57874ddc8d8ffcf21c0080d2240e1c",
+    0.5: "9e7629242ab98d1e5361f7fcbd64cf18",
+    0.9: "3dc8ba1d3403d43a6fc607f41fd0beed",
+    0.99: "8348600dc466c58e037062184db3fea3",
+    0.999: "a3ea9a92ecd1df958ca32624a4e3384f",
+    sp.Q_SERIES_MAX: "9e73f57c1a881fb7653e95f673e226c6",
+    1.0: "a5b48d0e0ef09ef5eb0304041142c3c0",
+}
+
+
+def _order_forms(k: int) -> list:
+    """The forms one order k takes: an int, np.int64, a 0-d array, a shape-(1,) array and a full grid array."""
+    return [k, np.int64(k), np.array(k), np.array([k]), np.full(_GRID.size, k)]
+
+
 def _same_rows(res, rows):
     """An order-column SeriesResult equals the list of scalar-order results, row for row."""
     assert res.value.shape == (len(rows), *np.shape(rows[0].value))
@@ -189,7 +208,19 @@ def test_order_arrays_equal_scalar_orders(q):
         _same_rows(f(np.array([[1], [2], [3]]), _GRID), [f(k, _GRID) for k in (1, 2, 3)])
         # a 0-d order array is a scalar order
         _same(f(np.array([2] * 3), _GRID[:3]), [f(2, float(x)) for x in _GRID[:3]])
-        assert f(np.int64(3), 1.3) == f(3, 1.3)
+        assert f(np.int64(3), 1.3) == f(3, 1.3) == f(np.array(3), 1.3)
+        # every form of one order against the grid has the bits of the scalar calls
+        for k in (1, 2, 5):
+            scalars = [f(k, float(x)) for x in _GRID]
+            for form in _order_forms(k):
+                got = f(form, _GRID)
+                _same(got, scalars)
+                assert got.value.tobytes() == np.array([r.value for r in scalars]).tobytes()
+                assert got.abs_error_bound.tobytes() == np.array([r.abs_error_bound for r in scalars]).tobytes()
+    # order 0, through psi and psi_q, keeps its bits
+    zero = sp.psi(_GRID) if q == 1.0 else sp.psi_q(_GRID, q)
+    assert hashlib.md5(zero.value.tobytes() + zero.abs_error_bound.tobytes()).hexdigest() == _ORDER_0_MD5[q]
+    _same(zero, [sp.psi_q(float(x), q) for x in _GRID])
 
 
 @pytest.mark.parametrize("q", ORDER_QS[:-1])
@@ -203,6 +234,10 @@ def test_moment_order_arrays_equal_scalar_orders(q):
     assert rows.shape == (9, _GRID.size)
     for k, row in enumerate(rows):
         assert row.tobytes() == sp._moment(k, _GRID, lq).tobytes()
+        # every form of one order, order 0 included, has the bits of the scalar calls
+        scalars = np.array([sp._moment(k, float(x), lq) for x in _GRID])
+        for form in _order_forms(k):
+            assert sp._moment(form, _GRID, lq).tobytes() == scalars.tobytes()
 
 
 def test_order_arrays_run_over_blocks():

@@ -59,6 +59,8 @@ def test_special_values_and_powers_of_ten(fallbacks):
     assert _formatted(values) == _reference(values)
     # where log10 rounds across the decade, the exponent is corrected, not left to _fmt
     assert not set(_in_range(fallbacks).tolist()) & set(np.abs(neighbours).tolist())
+    # and no power of ten falls back: from 1e17 on, each is an exact multiple of 10**(E - 16)
+    assert not set(_in_range(fallbacks).tolist()) & set(powers.tolist())
 
 
 def _near_ties(k: int) -> list[float]:

@@ -70,7 +70,7 @@ def test_bernoulli_coefficients_are_the_literal_quotients():
     assert sp._STIRLING_NEXT == 174611.0 / 125400.0
     # psi's asymptotic coefficients are the s = 1 member of the polygamma
     # corrections, each within 1 ulp of the exact B_2j / (2j), j = 1..9
-    psi_coefs, _ = sp._zeta_coefs(1)
+    *psi_coefs, _ = sp._zeta_coefs(1)
     for j, (c, (num, den)) in enumerate(zip(psi_coefs, sp._BERNOULLI_EXACT), start=1):
         assert abs(c - num / (den * 2 * j)) <= math.ulp(c), j
     bernoulli = (
