@@ -2,9 +2,10 @@
 
 Every series evaluator returns a :class:`SeriesResult` carrying the value, a
 bound on its error (the discarded tail plus rounding), the number of terms
-used and a convergence flag.  Every series costs a fixed number of terms:
-direct terms closed by an Euler-Maclaurin tail.  psi and its derivatives are
-one series indexed by the order n >= 0, and so are psi_q and its derivatives.
+used and a convergence flag.  Every series costs a fixed number of terms, at
+every q in (0, 1) (q = 1 routes to the classical evaluators): direct terms
+closed by an Euler-Maclaurin tail.  psi and its derivatives are one series
+indexed by the order n >= 0, and so are psi_q and its derivatives.
 Ratios of gamma values should always be formed from log-gamma differences,
 never from quotients of direct values.
 
@@ -13,11 +14,13 @@ for both.  A scalar argument gives Python numbers; an array gives ``value``
 and ``abs_error_bound`` arrays of its shape, each element equal bit for bit
 to the scalar call at that element, with ``converged`` true when every
 element converged.  Where a formula branches on the argument, each element
-takes the branch its scalar call takes.  The derivative order of psi_n,
-psi_q_n and the moments is an int or an integer array that broadcasts with
-x; inside this module every order is int64 and runs one path, a single
-order without being expanded.  One pass of the series serves every order,
-and each element equals the single-order call at that element bit for bit.
+takes the branch its scalar call takes.  The derivative order n >= 0 of
+psi_n, psi_q_n and the moments is an int or an integer array that
+broadcasts with x (order 0 is psi or psi_q); inside this module every order
+is int64 and runs one path, a single order without being expanded.  One
+pass of the series serves every order, and each element equals the
+single-order call at that element bit for bit; an empty order array gives
+an empty result.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ __all__ = [
     "ConvergenceError",
     "QValue",
     "EvalConfig",
-    "Q_SERIES_MAX",
     "SeriesResult",
     "DEFAULT_CONFIG",
     "log_gamma",
@@ -76,7 +78,7 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QValue:
-    """Deformation parameter q restricted to (0, 1]; q = 1 is the classical limit."""
+    """Deformation parameter q in (0, 1], all of it open to every q-evaluator; q = 1 is the classical limit."""
 
     q: float
 
@@ -89,10 +91,6 @@ class QValue:
     @property
     def is_classical(self) -> bool:
         return self.q == 1.0
-
-
-#: The largest q the q-series accept; q = 1 routes to the classical evaluators.
-Q_SERIES_MAX = 1.0 - 1e-6
 
 
 @dataclass(frozen=True)
@@ -186,25 +184,29 @@ def _checked_complex(fn: str, z, lo: float = -math.inf, what: str = "z") -> np.n
     return zc
 
 
-def _checked_order(fn: str, n, lowest: int = 1) -> np.ndarray:
-    """n, an int or an integer array, as an int64 order array with every element >= lowest."""
+def _checked_order(fn: str, n) -> np.ndarray:
+    """n, an int or an integer array, as an int64 order array with every element >= 0."""
     arr = np.asarray(n)
     if arr.dtype.kind not in "iu":
         raise DomainError(f"{fn} requires integer orders, got dtype {arr.dtype}")
-    if arr.min(initial=lowest) < lowest:
-        raise DomainError(f"{fn} requires order n >= {lowest}, got {_first(arr, arr < lowest)}")
+    if arr.min(initial=0) < 0:
+        raise DomainError(f"{fn} requires order n >= 0, got {_first(arr, arr < 0)}")
     return arr.astype(np.int64, copy=False)
 
 
-def _with_orders(n: np.ndarray, xs: np.ndarray, shape: tuple) -> tuple:
+def _with_orders(fn: str, n: np.ndarray, xs: np.ndarray, shape: tuple) -> tuple:
     """(n, xs, shape) for an order array n and checked flat xs of ``shape``, in their broadcast shape.
 
     A single order becomes one int64, which broadcasts with xs; otherwise n
-    and xs are broadcast together and flattened.
+    and xs are broadcast together and flattened.  Shapes that do not
+    broadcast are a DomainError naming both.
     """
     if n.size == 1:
         return n.reshape(-1)[0], xs, (1,) * (n.ndim - len(shape)) + shape
-    ns, xb = np.broadcast_arrays(n, xs.reshape(shape))
+    try:
+        ns, xb = np.broadcast_arrays(n, xs.reshape(shape))
+    except ValueError:
+        raise DomainError(f"{fn} order array of shape {n.shape} does not broadcast with x of shape {shape}") from None
     return ns.reshape(-1), xb.reshape(-1), ns.shape
 
 
@@ -282,7 +284,7 @@ def _pow(base, n):
         return base ** n.item()
     if not isinstance(base, np.ndarray):
         return np.array([base ** k for k in n.ravel().tolist()]).reshape(n.shape)
-    lo, hi = int(n.min()), int(n.max())
+    lo, hi = int(n.min(initial=0)), int(n.max(initial=0))  # an empty n has no element to set
     if lo > 2 or hi < -1:
         return np.power(base, n)
     out = np.power(base, n, out=None, where=(n > 2) | (n < -1))  # the rest is set below
@@ -315,7 +317,7 @@ def _per_order(table, n: np.ndarray):
     """
     if n.size == 1:
         return table(n.item())
-    return (step.take(n, axis=-1) for step in _order_columns(table, int(n.max())))
+    return (step.take(n, axis=-1) for step in _order_columns(table, int(n.max(initial=0))))
 
 
 def _factorial(n):
@@ -323,7 +325,7 @@ def _factorial(n):
     n = np.asarray(n)
     if n.size == 1:
         return float(math.factorial(n.item()))
-    return np.array([float(math.factorial(k)) for k in range(int(n.max()) + 1)])[n]
+    return np.array([float(math.factorial(k)) for k in range(int(n.max(initial=0)) + 1)])[n]
 
 
 # ---------------------------------------------------------------------------
@@ -792,6 +794,8 @@ def _log_gamma_q_series(x: np.ndarray, lq: float):
         return v, _TERM_ULPS + np.abs(v)
 
     v, v_err = _branch(r > -0.5, near, ratio)
+    # a subnormal x log q (row 0 only) is off by up to a whole subnormal ulp, 2^-1074 / |x log q| relative
+    v_err = v_err + np.where(e > -_TINY, 2.0 ** -1074 / _U / -e, 0.0)
     running = np.add.accumulate(v[:-1], axis=0)  # the direct terms, in order
     direct = running[-1]
     err = np.add.accumulate(v_err[:-1] + np.abs(running), axis=0)[-1]
@@ -841,16 +845,14 @@ def _log_gamma_q_series(x: np.ndarray, lq: float):
 
 
 def _q_series_log_q(x: np.ndarray, q: QValue) -> float:
-    """log q, once q is within Q_SERIES_MAX and 1 - q^x is nonzero at every x.
+    """log q for q in (0, 1), once 1 - q^x is nonzero at every x.
 
-    This is the series' one underflow check: every later abscissa is >= x or
-    >= 1, and |log q| >= 1e-6.
+    This is the series' one underflow check.  Every later abscissa t is >= x
+    or >= 1, and for t >= 1, |t log q| >= |log nextafter(1, 0)| ~ 1.1e-16 is
+    a normal float: only term 0, at t = x, can have a subnormal exponent.
+    log_gamma_q's budget counts its rounding; psi_q is finite only where
+    |x log q| > 5.6e-309, and there that rounding is within _TERM_ULPS.
     """
-    if q.q > Q_SERIES_MAX:
-        raise DomainError(
-            f"q={q.q!r} exceeds Q_SERIES_MAX={Q_SERIES_MAX!r}; "
-            "pass q=1 explicitly for the classical limit"
-        )
     lq = math.log(q.q)
     _one_minus_q_pow(x * lq)
     return lq
@@ -910,7 +912,7 @@ def _polygamma(fn: str, n: np.ndarray, x, q: QValue, cfg: EvalConfig) -> SeriesR
     """
     xs = _checked(fn, x)
     lq = None if q.is_classical else _q_series_log_q(xs, q)
-    n, xs, shape = _with_orders(n, xs, np.shape(x))
+    n, xs, shape = _with_orders(fn, n, xs, np.shape(x))
     if lq is not None:
         value, trunc, rounding = _blocked(lambda b, k: _q_polygamma(k, b, lq), xs, n)
         return _series_result(fn, value, trunc, rounding, _EM_TERMS, cfg, shape)
@@ -937,12 +939,12 @@ def psi(x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
 
 
 def psi_n(n, x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
-    """n-th derivative of psi for n >= 1 via the termwise-differentiated series.
+    """n-th derivative of psi for n >= 0 via the termwise-differentiated series; order 0 is psi, bit for bit.
 
     psi^(n)(x) = (-1)^(n+1) n! sum_k (k+x)^(-n-1): 14 direct terms, then the
     tail's integral with 8 Euler-Maclaurin corrections, which is what makes
     1e-12 reachable without ~1/tol direct terms.  n may be an integer array
-    of orders >= 1 that broadcasts with x (an order column against a grid
+    of orders >= 0 that broadcasts with x (an order column against a grid
     gives one row per order): one pass of the series serves every order, and
     each element equals the call with its own scalar order bit for bit.
     """
@@ -966,14 +968,15 @@ def psi_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
 
 
 def psi_q_n(n, x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
-    """n-th derivative of psi_q for n >= 1: log q * sum_{i>=0} g^(n)(x+i); q = 1 routes to psi_n.
+    """n-th derivative of psi_q for n >= 0: log q * sum_{i>=0} g^(n)(x+i); q = 1 routes to psi_n.
 
     g^(n)(t) = (log q)^n Li_{-n}(q^t) comes from the Eulerian polynomials.  The
     same scheme as psi_q applies to the completely monotonic |g^(n)|, with the
     tail integral -g^(n-1)(T); the bound is the first omitted Euler-Maclaurin
-    correction plus a rounding term of a few u per |term|.  As for psi_n, n
-    may be an integer array of orders >= 1 that broadcasts with x, evaluated
-    in one pass and equal element by element to the scalar-order calls.
+    correction plus a rounding term of a few u per |term|.  Order 0 is psi_q,
+    bit for bit.  As for psi_n, n may be an integer array of orders >= 0 that
+    broadcasts with x, evaluated in one pass and equal element by element to
+    the scalar-order calls.
     """
     q = _coerce_q(q)
     if q.is_classical:
@@ -1016,7 +1019,7 @@ def _moment(k, x, lq: float):
     result is an array of the broadcast shape.
     """
     xs = _checked("measure_moment", x)
-    k, xs, shape = _with_orders(_checked_order("measure_moment", k, 0), xs, np.shape(x))
+    k, xs, shape = _with_orders("measure_moment", _checked_order("measure_moment", k), xs, np.shape(x))
     e = xs * lq
     v = -lq * _lambert(k, np.exp(e), _one_minus_q_pow(e), lq)
     ok = np.isfinite(v)

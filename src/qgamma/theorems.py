@@ -80,9 +80,7 @@ from .special import (
     _quiet,
     dilog_F,
     log_gamma_q,
-    psi,
     psi_n,
-    psi_q,
     psi_q_n,
 )
 
@@ -247,8 +245,6 @@ class _Q:
         return log_gamma_q(y, self.qv, _CASE_CONFIG).value
 
     def ps(self, k, y: float | np.ndarray) -> float | np.ndarray:
-        if _is_order(k, 0):
-            return psi_q(y, self.qv, _CASE_CONFIG).value
         return psi_q_n(k, y, self.qv, _CASE_CONFIG).value
 
     def dlg(self, k) -> Callable[[np.ndarray], np.ndarray]:
@@ -606,7 +602,7 @@ def _case_thm41(case_id: str, kernel_id: str, a_list=(0.5, 1.5), q: float = 0.5)
 def _case_psi_prime(case_id: str = "psi-prime") -> TheoremCase:
     """psi'(x) = sum_k (k+x)^{-2} is completely monotonic; with no kernel, the verdict is stated."""
     def deriv(k, x):
-        return psi(x, _CASE_CONFIG).value if _is_order(k, 0) else psi_n(k, x, _CASE_CONFIG).value
+        return psi_n(k, x, _CASE_CONFIG).value
 
     return TheoremCase(
         id=case_id,

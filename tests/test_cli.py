@@ -44,6 +44,14 @@ def test_eval_psi_at_one(capsys):
     assert float(out.splitlines()[0].split()[1]) == pytest.approx(-0.5772156649015329, abs=1e-13)
 
 
+def test_eval_order_0_is_psi_and_psi_q(capsys):
+    # order 0 of psi-n and psi-q-n prints the bytes of psi and psi-q
+    assert run(capsys, "eval", "psi-n", "--n", "0", "--x", "1.3") == run(capsys, "eval", "psi", "--x", "1.3")
+    assert (run(capsys, "eval", "psi-q-n", "--n", "0", "--x", "1.3", "--q", "0.5")
+            == run(capsys, "eval", "psi-q", "--x", "1.3", "--q", "0.5"))
+    assert run(capsys, "eval", "psi-n", "--n", "-1", "--x", "1.3")[0] == 2
+
+
 def test_eval_dilog_zero(capsys):
     code, out = run(capsys, "eval", "dilog-F", "--x", "0")
     assert code == 0
@@ -647,6 +655,17 @@ def test_q_limit_table_near_q_one(capsys):
     code, out = run(capsys, "q-limit-table", "--x", "0.5,1.5,4", "--q", ",".join(map(str, qs)))
     assert code == 0  # |Gamma_q - Gamma| falls monotonically along every row
     assert len(out.splitlines()) == 1 + 3 * len(qs)
+
+
+def test_q_limit_table_falls_like_one_minus_q(capsys):
+    # |Gamma_q(x) - Gamma(x)| = (1-q) Gamma(x) |(x-1)(x-2)|/4 + O((1-q)^2), down to 1 - q = 1e-12
+    qs = (0.999999, 0.999999999, 0.999999999999)
+    code, out = run(capsys, "q-limit-table", "--x", "0.5,2.5", "--q", ",".join(map(str, qs)))
+    assert code == 0
+    for line in out.splitlines()[1:]:
+        x, q, _, gamma, abs_error = map(float, line.split(","))
+        rate = gamma * abs((x - 1.0) * (x - 2.0)) / 4.0
+        assert abs_error / (1.0 - q) == pytest.approx(rate, rel=0.05), line
 
 
 def test_q_limit_table_usage(capsys):

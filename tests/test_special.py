@@ -38,12 +38,12 @@ def test_eval_config_validation():
     sp.EvalConfig(rel_tol=1e-10)
     with pytest.raises(sp.DomainError):
         sp.EvalConfig(rel_tol=0.0)
-    # the q range is a module constant, not a setting
+    # the q range is all of (0, 1]: no cap, as a setting or as a module constant
     with pytest.raises(TypeError):
         sp.EvalConfig(q_series_max=0.9)
-    assert sp.psi_q(1.0, sp.Q_SERIES_MAX).converged
-    with pytest.raises(sp.DomainError, match="Q_SERIES_MAX"):
-        sp.psi_q(1.0, math.nextafter(sp.Q_SERIES_MAX, 1.0))
+    assert not hasattr(sp, "Q_SERIES_MAX")
+    for q in (1.0 - 1e-6, math.nextafter(1.0 - 1e-6, 1.0), 1.0 - 1e-12, math.nextafter(1.0, 0.0)):
+        assert sp.psi_q(1.0, q).converged
 
 
 def test_euler_gamma_partial_sum_oracle():
@@ -144,7 +144,7 @@ def test_psi_n_frozen_values():
         want = float(mp.polygamma(n, mp.mpf(x)))
         assert abs(sp.psi_n(n, x).value - want) <= 1e-12 * max(1.0, abs(want))
     with pytest.raises(sp.DomainError):
-        sp.psi_n(0, 1.0)
+        sp.psi_n(-1, 1.0)
     with pytest.raises(sp.DomainError):
         sp.psi_n(1, -1.0)
 
@@ -213,7 +213,10 @@ def test_log_gamma_q_routes_and_domain():
     with pytest.raises(sp.DomainError):
         sp.log_gamma_q(-1.0, 0.5)
     with pytest.raises(sp.DomainError):
-        sp.log_gamma_q(1.0, 0.9999999)  # above Q_SERIES_MAX
+        sp.log_gamma_q(1.0, 1.0000001)
+    # every q below 1 takes the q-series: log Gamma_q(1) = 0
+    res = sp.log_gamma_q(1.0, 0.9999999)
+    assert abs(res.value) <= res.abs_error_bound
 
 
 def test_gamma_q_overflow():
@@ -320,12 +323,12 @@ def test_every_polygamma_order_keeps_its_public_name_in_errors():
     # one path serves every order; each public function still validates as its own
     for call, message in [
         (lambda: sp.psi(-1.0), r"^psi requires finite x"),
-        (lambda: sp.psi_n(0, 1.0), r"^psi_n requires order n >= 1, got 0"),
+        (lambda: sp.psi_n(-1, 1.0), r"^psi_n requires order n >= 0, got -1"),
         (lambda: sp.psi_n(2, 0.0), r"^psi_n requires finite x"),
         (lambda: sp.psi_q(-1.0, 1.0), r"^psi requires finite x"),
         (lambda: sp.psi_q(-1.0, 0.5), r"^psi_q requires finite x"),
-        (lambda: sp.psi_q_n(0, 1.0, 1.0), r"^psi_n requires order n >= 1, got 0"),
-        (lambda: sp.psi_q_n(0, 1.0, 0.5), r"^psi_q_n requires order n >= 1, got 0"),
+        (lambda: sp.psi_q_n(-1, 1.0, 1.0), r"^psi_n requires order n >= 0, got -1"),
+        (lambda: sp.psi_q_n(-1, 1.0, 0.5), r"^psi_q_n requires order n >= 0, got -1"),
         (lambda: sp.psi_q_n(1, -1.0, 0.5), r"^psi_q_n requires finite x"),
     ]:
         with pytest.raises(sp.DomainError, match=message):
@@ -480,7 +483,10 @@ def test_gamma_ratio_asymptotic_sanity():
 # are affordable.
 
 ORACLE_XS = (0.05, 0.37, 1.0, 1.4616321449683622, 2.9, 9.5, 30.0)
-ORACLE_QS = (0.1, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-6)
+# x log q is subnormal here for q near 1; only term 0 can be
+TINY_XS = (1e-300, 1e-305, 5e-308, 1e-308)
+ORACLE_QS = (0.1, 0.5, 0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-6,
+             1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 2.0 ** -52, math.nextafter(1.0, 0.0))
 
 
 def _em_reference(deriv, x, direct=30, order=12):
@@ -494,9 +500,12 @@ def _em_reference(deriv, x, direct=30, order=12):
         return total
 
 
-def _li_neg(m, z):
-    """Li_{-m}(z) = sum_j j! S(m+1, j+1) (z/(1-z))^{j+1}, S the Stirling numbers of the second kind."""
-    u = z / (1 - z)
+def _li_neg(m, e):
+    """Li_{-m}(z) at z = exp(e) = sum_j j! S(m+1, j+1) (z/(1-z))^{j+1}, S the Stirling numbers of the second kind.
+
+    1 - z is -expm1(e): at a tiny e, 1 - exp(e) would round to 0 even at 40 digits.
+    """
+    u = mp.exp(e) / -mp.expm1(e)
     return mp.fsum(mp.factorial(j) * mp.stirling2(m + 1, j + 1) * u ** (j + 1) for j in range(m + 1))
 
 
@@ -510,7 +519,7 @@ def _psi_q_n_reference(n, x, q):
             m = n + k
             if m == -1:
                 return mp.log(-mp.expm1(t * lq)) / lq
-            val = lq ** m * _li_neg(m, mp.exp(t * lq))
+            val = lq ** m * _li_neg(m, t * lq)
             return -val if k == -1 else val
 
         base = -mp.log1p(-q) if n == 0 else 0
@@ -528,7 +537,7 @@ def _log_gamma_q_reference(x, q):
                 return mp.polylog(2, mp.exp(s * lq)) / -lq
             if k == 0:
                 return -mp.log(-mp.expm1(s * lq))
-            return lq ** k * _li_neg(k - 1, mp.exp(s * lq))
+            return lq ** k * _li_neg(k - 1, s * lq)
 
         phi = lambda k, t: ell(k, t + x) - ell(k, t + 1)
         return (1 - x) * mp.log1p(-q) + _em_reference(phi, mp.mpf(0))
@@ -557,14 +566,35 @@ def test_em_references_match_direct_sums():
 
 @pytest.mark.parametrize("q", ORACLE_QS)
 def test_q_series_within_bounds_against_oracle(q):
-    for x in ORACLE_XS:
-        _assert_within_bound(sp.psi_q(x, q), _psi_q_n_reference(0, x, q), ("psi_q", x, q))
-        for n in range(1, 6):
-            res = sp.psi_q_n(n, x, q)
-            _assert_within_bound(res, _psi_q_n_reference(n, x, q), ("psi_q_n", n, x, q))
+    for x in ORACLE_XS + TINY_XS:
         lg_ref = _log_gamma_q_reference(x, q)
-        _assert_within_bound(sp.log_gamma_q(x, q), lg_ref, ("log_gamma_q", x, q))
-        _assert_within_bound(sp.gamma_q(x, q), mp.exp(lg_ref), ("gamma_q", x, q))
+        checks = [(lambda n=n: sp.psi_q_n(n, x, q), lambda n=n: _psi_q_n_reference(n, x, q), ("psi_q_n", n))
+                  for n in range(6)]
+        checks += [(lambda: sp.psi_q(x, q), lambda: _psi_q_n_reference(0, x, q), ("psi_q",)),
+                   (lambda: sp.log_gamma_q(x, q), lambda: lg_ref, ("log_gamma_q",)),
+                   (lambda: sp.gamma_q(x, q), lambda: mp.exp(lg_ref), ("gamma_q",))]
+        for call, ref, label in checks:
+            try:
+                res = call()
+            except OverflowError:  # a tiny x: the value, or x log q, leaves the float64 range
+                assert x in TINY_XS, (label, x, q)
+                continue
+            _assert_within_bound(res, ref(), (*label, x, q))
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-10, 1e-11, 1e-12])
+def test_q_to_one_follows_the_first_order_expansion(eps):
+    # log Gamma_q(x) = log Gamma(x) - eps (x-1)(x-2)/4 + O(eps^2), eps = 1 - q (Moak 1984),
+    # so psi_q(x) = psi(x) + eps (3/2 - x)/2 + O(eps^2): the rates hold to within the two
+    # bounds over eps and an eps^2 term of degree 4 in x
+    q = 1.0 - eps
+    eps = 1.0 - q  # exact
+    for x in (0.05, 0.5, 1.3, 2.9, 7.0):
+        room = eps * (1.0 + x) ** 4
+        for got, classical, rate in [(sp.psi_q(x, q), sp.psi(x), (1.5 - x) / 2.0),
+                                     (sp.log_gamma_q(x, q), sp.log_gamma(x), -(x - 1.0) * (x - 2.0) / 4.0)]:
+            slack = (got.abs_error_bound + classical.abs_error_bound) / eps + room
+            assert abs((got.value - classical.value) / eps - rate) <= slack, (x, eps, rate)
 
 
 def test_q_series_far_range_within_bounds_against_oracle():
