@@ -105,10 +105,10 @@ def _gamma_ratio(x, s, cfg: EvalConfig):
 def gautschi_bounds(n, s, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundTriple:
     """n^{1-s} < Gamma(n+1)/Gamma(n+s) < exp[(1-s) psi(n+1)] for integer n >= 1.
 
-    n (truncated to an integer) and s may be ndarrays; they broadcast.
+    n and s may be ndarrays; they broadcast.  A non-integer n is a DomainError naming it.
     """
-    n, s, shape = _real_args("gautschi_bounds", np.trunc(np.asarray(n, dtype=float)), s, "n",
-                             lambda n, s: n >= 1.0, "n >= 1")
+    n, s, shape = _real_args("gautschi_bounds", n, s, "n",
+                             lambda n, s: (n >= 1.0) & (n == np.trunc(n)), "integer n >= 1")
     upper = np.exp((1.0 - s) * psi(n + 1.0, cfg).value)
     return _triple("gautschi_bounds", shape, n ** (1.0 - s), _gamma_ratio(n, s, cfg), upper)
 

@@ -371,13 +371,6 @@ def _cmd_bounds(args, config) -> int:
     _check_flags(args, "bound", name, _BOUND_FLAGS, target.reads, target.required, target.axes)
     (row_key, _), _ = target.axes
     rows, cols = (_axis(args, *axis) for axis in target.axes)
-    if row_key == "n":  # orders: --n parses as an int, a grid's nodes must be integers
-        fractional = rows[rows != np.rint(rows)]
-        if fractional.size:
-            node = _fmt(fractional[0].item())
-            raise DomainError(
-                f"{args.command} {name} takes integer orders; --x-grid node {node} is not an integer"
-            )
     params = {k: float(_pick(getattr(args, k), target.defaults, k, None)) for k in target.params}
     if target.axes == _COMPLEX_AXES:
         s = np.empty((rows.size, cols.size), dtype=complex)

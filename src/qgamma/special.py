@@ -274,10 +274,10 @@ def _pow(base, n):
     power 2 as its square and to -1 as its reciprocal, and pow, which an
     array of exponents calls, can differ from both in the last bit; at every
     other integer exponent it gives the bits of a scalar exponent.  So an
-    order array runs pow only where its orders lie outside -1..2 (pow of a
-    negative base is slow as well), and the scalar forms of those four orders
-    elsewhere.  A base that is not an ndarray (a Python float) keeps Python's
-    ``**``, order by order.
+    order array runs pow only where its orders lie outside -1..2, and the
+    scalar forms of those four orders elsewhere.  Every base this module
+    passes is positive.  A base that is not an ndarray (a Python float) keeps
+    Python's ``**``, order by order.
     """
     n = np.asarray(n)
     if n.size == 1:
@@ -533,7 +533,7 @@ _EM_COLUMN = np.array(_EM_COEF)[:, None]  # row j broadcasts over t
 # about _TERM_ULPS + 3 |t log q| ulps: the exponent's own rounding is
 # magnified by |t log q|.  Past |t log q| = _EXP_ARG_MAX, q^t is 0 in float64
 # and nothing is magnified, which also keeps the budget finite when t log q
-# overflows.  Each derivative order adds 3 ulps (rho^k and the Eulerian
+# overflows.  Each derivative order adds 3 ulps (r^(k+1) and the Eulerian
 # polynomial), and each addition adds the size of its partial sum.
 _EXP_ARG_MAX = 746.0
 
@@ -604,14 +604,14 @@ def _horner(coef, z):
 
 
 def _lambert(k, z, w, lq: float):
-    """g^(k)(t) for g(t) = q^t/(1-q^t) = sum_{j>=1} q^{jt}, completely monotonic in t.
+    """|log q g^(k)(t)| for g(t) = q^t/(1-q^t) = sum_{j>=1} q^{jt}, completely monotonic in t; k an order array.
 
-    g^(k)(t) = (log q)^k Li_{-k}(q^t) = z A_k(z) rho^k / (1-z) with z = q^t,
-    w = 1 - z (see _q_pow) and rho = log q / w, which stays near -1/t as
-    q -> 1.  Its relative rounding error is within _TERM_ULPS + 3k + 3|t log q| ulps.
-    k is an order array; order 0 gives z / w exactly, as A_0 = 1 and rho^0 = 1.
+    log q g^(k)(t) = (log q)^(k+1) Li_{-k}(z) = (-1)^(k+1) z A_k(z) r^(k+1) with z = q^t,
+    w = 1 - z (see _q_pow) and r = -log q / w > 0, near 1/t as q -> 1.  Every factor is
+    positive, and g, beyond float64 where t log q is subnormal, is never formed.  The
+    relative rounding error is within _TERM_ULPS + 3k + 3|t log q| ulps.
     """
-    return z * _horner(_per_order(_eulerian, k), z) * _pow(lq / w, k) / w
+    return z * _horner(_per_order(_eulerian, k), z) * _pow(-lq / w, k + 1)
 
 
 @functools.cache
@@ -625,28 +625,29 @@ def _em_table(k0: int) -> np.ndarray:
     return _order_columns(_eulerian, k0 + 2 * len(_EM_COEF) - 1)[:, k0 + 1::2, None]
 
 
-def _em_corrections(k0, e, z, w, lq: float, scale: float):
-    """-sum_{j=1..M} B_2j/(2j)! f^(2j-1)(t) for f^(m)(t) = scale * g^(k0+m)(t), k0 an order array.
+def _em_corrections(k0, e, z, w, lq: float):
+    """-sum_{j=1..M} B_2j/(2j)! f^(2j-1)(t) for f = |log q g^(k0)| (see _lambert), k0 an order array.
 
-    (e, z, w) is _q_pow(t, lq).  All orders share z = q^t and rho, so one
+    f^(m) = (-1)^m |log q g^(k0+m)|: this is sum_j B_2j/(2j)! z A_k(z) r^(k+1), k = k0 + 2j - 1.
+    (e, z, w) is _q_pow(t, lq).  All orders share z = q^t and r, so one
     Horner pass over _em_table(k0) serves them; an order array k0 (one
     element per t) gathers each element's column.  Returns (correction,
-    remainder bound |B_2M+2/(2M+2)! f^(2M+1)(t)|, rounding budget in ulps:
+    remainder bound B_2M+2/(2M+2)! |f^(2M+1)(t)|, rounding budget in ulps:
     each term within its order's budget, plus M additions).
     """
-    rho = lq / w
-    steps = np.empty((len(_EM_COEF), np.size(z)))  # fac, then rr = rho^2 M times
-    steps[0] = scale * z / w * _pow(rho, k0 + 1)  # fac = scale z rho^k / (1-z) at k = k0 + 1
-    steps[1:] = rho * rho
+    r = -lq / w
+    steps = np.empty((len(_EM_COEF), np.size(z)))  # fac, then r^2 M times
+    steps[0] = z * _pow(r, k0 + 2)  # fac = z r^(k+1) at k = k0 + 1
+    steps[1:] = r * r
     # row j of A_k(z); an order array's gathered steps put its elements after the 1 that broadcasts over t
     poly = _horner(_per_order(_em_table, k0), z).reshape(len(_EM_COEF), -1)
-    # row j: B_2j/(2j)! (fac rr^j) A_k(z); running sums are added in order of j
+    # row j: B_2j/(2j)! (fac r^2j) A_k(z); running sums are added in order of j
     terms = _EM_COLUMN * np.multiply.accumulate(steps, axis=0) * poly
     kept = terms[:-1]  # the last term is left out: it bounds the remainder
-    corr = -np.add.accumulate(kept, axis=0)[-1]
+    corr = np.add.accumulate(kept, axis=0)[-1]
     mag = np.add.accumulate(np.abs(kept), axis=0)[-1]
     ulps = _TERM_ULPS + 3.0 * (np.minimum(-e, _EXP_ARG_MAX) + k0 + 2 * _EM_ORDER) + _EM_ORDER
-    return corr, np.abs(terms[-1]), mag * ulps
+    return corr, terms[-1], mag * ulps
 
 
 # offsets 0..N-1 of the direct terms, then N of the tail's start T = x + N
@@ -654,43 +655,45 @@ _EM_ROWS = np.arange(_EM_DIRECT + 1, dtype=float)[:, None]
 
 
 def _q_polygamma(n, x: np.ndarray, lq: float):
-    """psi_q^(n)(x) = [n=0] (-log(1-q)) + log q * sum_{i>=0} g^(n)(x+i), for an order array n >= 0.
+    """(-1)^(n+1) psi_q^(n)(x) = [n=0] log(1-q) + sum_{i>=0} f(x+i), f = |log q g^(n)| > 0 (see _lambert).
 
-    Returns (value, truncation bound, rounding error bound); each piece of
-    the last is scaled by u before it is added, so it stays finite wherever
-    the value does.  The tail integral is int_T^inf g^(n) = -g^(n-1)(T), and
-    for n = 0 it is -log(1-q^T)/|log q|, which is merged with -log(1-q) into
-    log((1-q^T)/(1-q)) so the two large logarithms near q = 1 do not cancel.
+    n is an order array >= 0; _polygamma applies the sign.  Returns (value,
+    truncation bound, rounding error bound); each piece of the last is
+    scaled by u before it is added, so it stays finite wherever the value
+    does.  The tail integral is int_T^inf f = |log q g^(n-1)(T)|, and for n = 0
+    it is -log(1-q^T), merged with log(1-q) into log((1-q)/(1-q^T)) so the
+    two large logarithms near q = 1 do not cancel.
     """
-    t = x + _EM_ROWS  # row i < N holds x + i, row N holds T; all terms of one sign
+    t = x + _EM_ROWS  # row i < N holds x + i, row N holds T
     e, z, w = _q_pow(t, lq)
-    g = _lambert(n, z, w, lq)
-    v = g[:-1]
+    f = _lambert(n, z, w, lq)
+    v = f[:-1]
     # running sums in term order (accumulate never regroups, whatever the shape)
     running = np.add.accumulate(v, axis=0)
     direct = running[-1]
     weighted = np.add.accumulate(v * t[:-1], axis=0)[-1]
     partial = np.add.accumulate(running * _U, axis=0)[-1]
-    err = np.abs(direct) * ((_TERM_ULPS + 3.0 * n) * _U) + np.abs(3.0 * lq * weighted) * _U + np.abs(partial)
+    # a subnormal x log q (row 0 only) is off by up to 2^-1074 / |x log q| relative, n + 1 times in r^(n+1)
+    subnormal = np.where(e[0] > -_TINY, 2.0 ** -1074 / -e[0], 0.0) * (n + 1) * v[0]
+    err = direct * ((_TERM_ULPS + 3.0 * n) * _U) - 3.0 * lq * weighted * _U + partial + subnormal
     e, z, w = e[-1], z[-1], w[-1]  # at T, shared by the head, the half term and the corrections
     ulps = _TERM_ULPS + 3.0 * (n + np.minimum(-e, _EXP_ARG_MAX))
 
     def q_number():  # n = 0
-        head = _log_q_number(w, lq)
+        head = -_log_q_number(w, lq)
         return head, (_TERM_ULPS + np.abs(head)) * _U  # the ratio's relative error, now absolute
 
     def lambert():  # n >= 1; |n - 1| keeps order-0 elements, which q_number serves, off order -1 (take would wrap it)
-        head = -lq * _lambert(abs(n - 1), z, w, lq)
-        return head, np.abs(head) * ulps * _U
+        head = _lambert(abs(n - 1), z, w, lq)
+        return head, head * ulps * _U
 
     head, head_err = _branch(n > 0, lambert, q_number)
-    half = 0.5 * g[-1]
-    corr, rem, corr_err = _em_corrections(n, e, z, w, lq, 1.0)
+    half = 0.5 * f[-1]
+    corr, rem, corr_err = _em_corrections(n, e, z, w, lq)
     inner = direct + half + corr
-    err = err + (np.abs(half) * ulps * _U + corr_err * _U + 2.0 * _U * np.abs(inner))
-    value = head + lq * inner
-    err = head_err + abs(lq) * (err + np.abs(inner) * _U) + np.abs(value) * _U
-    return value, abs(lq) * rem, err
+    value = head + inner
+    err = err + half * ulps * _U + corr_err * _U + 2.0 * _U * np.abs(inner) + head_err + np.abs(value) * _U
+    return value, rem, err
 
 
 def _branch(cond, when_true, when_false):
@@ -801,14 +804,14 @@ def _log_gamma_q_series(x: np.ndarray, lq: float):
     err = np.add.accumulate(v_err[:-1] + np.abs(running), axis=0)[-1]
     phi_n, phi_err = v[-1], v_err[-1]  # phi(N), for the tail
     a, b = _EM_DIRECT + x, _EM_DIRECT + 1.0
-    # phi^(m)(N) = log q [g^(m-1)(a) - g^(m-1)(b)]: log Gamma_q is order -1 of psi_q's series
-    corr_a, rem_a, err_a = _em_corrections(np.int64(-1), *_q_pow(a, lq), lq, lq)
-    corr_b, rem_b, err_b = _em_corrections(np.int64(-1), *_q_pow(b, lq), lq, -lq)
+    # phi^(m)(N) = f^(m-1)(b) - f^(m-1)(a), f = |log q g| (see _lambert): order -1 of psi_q's series
+    corr_a, rem_a, err_a = _em_corrections(np.int64(-1), *_q_pow(a, lq), lq)
+    corr_b, rem_b, err_b = _em_corrections(np.int64(-1), *_q_pow(b, lq), lq)
     alpha, beta = -a * lq, -b * lq
 
     def close(parts, brem, part_err):
         value, total = direct, err + part_err
-        for p in (*parts, 0.5 * phi_n, corr_a, corr_b):
+        for p in (*parts, 0.5 * phi_n, corr_a, -corr_b):
             value = value + p
             total = total + np.abs(value)
         total = total + (0.5 * phi_err + err_a + err_b)
@@ -850,8 +853,7 @@ def _q_series_log_q(x: np.ndarray, q: QValue) -> float:
     This is the series' one underflow check.  Every later abscissa t is >= x
     or >= 1, and for t >= 1, |t log q| >= |log nextafter(1, 0)| ~ 1.1e-16 is
     a normal float: only term 0, at t = x, can have a subnormal exponent.
-    log_gamma_q's budget counts its rounding; psi_q is finite only where
-    |x log q| > 5.6e-309, and there that rounding is within _TERM_ULPS.
+    Both series' budgets count its rounding, psi_q's n + 1 times in r^(n+1).
     """
     lq = math.log(q.q)
     _one_minus_q_pow(x * lq)
@@ -913,12 +915,12 @@ def _polygamma(fn: str, n: np.ndarray, x, q: QValue, cfg: EvalConfig) -> SeriesR
     xs = _checked(fn, x)
     lq = None if q.is_classical else _q_series_log_q(xs, q)
     n, xs, shape = _with_orders(fn, n, xs, np.shape(x))
+    sign = 2.0 * (n % 2) - 1.0  # (-1)^(n+1), applied once to either series' sum
     if lq is not None:
         value, trunc, rounding = _blocked(lambda b, k: _q_polygamma(k, b, lq), xs, n)
-        return _series_result(fn, value, trunc, rounding, _EM_TERMS, cfg, shape)
+        return _series_result(fn, sign * value, trunc, rounding, _EM_TERMS, cfg, shape)
     zeta, zbound, rounding = _blocked(lambda b, k: _hurwitz_zeta_int(k + 1, b), xs, n)
     nf = _factorial(n)
-    sign = 2.0 * (n % 2) - 1.0  # (-1)^(n+1)
     value = sign * nf * zeta
     _check_truncation(fn, value, nf * zbound, cfg)
     # the scaling by n! adds one rounding; tiny powers may be subnormal
@@ -1021,14 +1023,11 @@ def _moment(k, x, lq: float):
     xs = _checked("measure_moment", x)
     k, xs, shape = _with_orders("measure_moment", _checked_order("measure_moment", k), xs, np.shape(x))
     e = xs * lq
-    v = -lq * _lambert(k, np.exp(e), _one_minus_q_pow(e), lq)
-    ok = np.isfinite(v)
-    if not ok.all():
-        bad = ~ok
+    v = (1.0 - 2.0 * (k % 2)) * _lambert(k, np.exp(e), _one_minus_q_pow(e), lq)  # (-1)^k |log q g^(k)|
+    bad = ~np.isfinite(v)
+    if bad.any():
         order = np.broadcast_to(k, bad.shape)[bad][0]
-        raise OverflowError(
-            f"moment derivative of order {order} at x={_first(xs, bad)} exceeds the float64 range"
-        )
+        raise OverflowError(f"moment derivative of order {order} at x={_first(xs, bad)} exceeds the float64 range")
     return v.reshape(shape)
 
 

@@ -498,7 +498,10 @@ def _case_thm31(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase
     # _case rejects an alpha outside the kernel's domain before anything divides by it
     case = _case(case_id, {"alpha": alpha, "q": q}, deriv, "thm3.1", 1,
                  factor=lambda t: 1.0 / alpha, target="f")
-    P2 = _Q(P.q ** (1.0 / alpha))
+    q2 = P.q ** (1.0 / alpha)
+    if q2 == 0.0:  # else _Q would name a q the caller never gave
+        raise DomainError(f"thm3.1 requires q^(1/alpha) > 0 in float64, got q={P.q!r}, alpha={alpha!r}")
+    P2 = _Q(q2)
     const = _log_q_number(-math.expm1(P.lq / alpha), P.lq)
     rep = case.representation
     return dataclasses.replace(case, representation=lambda x: const + rep(x))

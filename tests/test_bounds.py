@@ -33,6 +33,9 @@ def test_gautschi_domain():
         B.gautschi_bounds(0, 0.5)
     with pytest.raises(DomainError):
         B.gautschi_bounds(2, 1.0)
+    # n is an integer order: 2.5 is named, not truncated to 2
+    with pytest.raises(DomainError, match=r"^gautschi_bounds requires integer n >= 1, got n=2\.5, s=0\.5$"):
+        B.gautschi_bounds(2.5, 0.5)
 
 
 def test_kershaw_psi_worked_triple():

@@ -52,6 +52,13 @@ def test_eval_order_0_is_psi_and_psi_q(capsys):
     assert run(capsys, "eval", "psi-n", "--n", "-1", "--x", "1.3")[0] == 2
 
 
+def test_eval_psi_q_where_x_log_q_is_subnormal(capsys):
+    # psi_q(5e-308, 0.9) ~ -1/x lies in float64, although q^x/(1-q^x) does not
+    code, out = run(capsys, "eval", "psi-q", "--x", "5e-308", "--q", "0.9")
+    assert code == 0
+    assert float(out.splitlines()[0].split()[1]) == pytest.approx(-2e307, rel=1e-12)
+
+
 def test_eval_dilog_zero(capsys):
     code, out = run(capsys, "eval", "dilog-F", "--x", "0")
     assert code == 0
@@ -202,6 +209,14 @@ def test_verify_outside_the_kernel_domain_exits_two(capsys, argv):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+def test_verify_thm31_names_the_q_whose_root_underflows(capsys):
+    # q^(1/alpha) = 1e-400 underflows to 0: the error names thm3.1's own q and alpha
+    code = main(["verify", "thm3.1", "--q", "1e-200"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert "thm3.1 requires q^(1/alpha) > 0 in float64, got q=1e-200, alpha=0.5" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv,flags,accepted",
     [
@@ -260,10 +275,10 @@ def test_verify_flag_applies_to_the_selected_cases_that_take_it(capsys):
 # stdout of `verify all` at each q the CI checks: a refactor of the numeric
 # core (such as special's one path for derivative orders) keeps every byte
 _VERIFY_ALL_MD5 = [
-    ("verify all", "6e4008a8c18884a7b37a64322e7cd5c4"),
-    ("verify all --q 0.9", "73c8f4c83827685687a162aff9b8629c"),
-    ("verify all --q 0.99", "cdab17760d26a897c862974d3ef17897"),
-    ("verify all --q 0.999", "e24c6cfa7f708eea97a398af47ec588e"),
+    ("verify all", "c67684f355478fca57e99b55e462502e"),
+    ("verify all --q 0.9", "19406708afc60a3aadc766f6f97f57e2"),
+    ("verify all --q 0.99", "9d19be82be32afe0042c0b4762d17654"),
+    ("verify all --q 0.999", "d2e6d444273a8ab9e48d113aa0167829"),
 ]
 
 
@@ -533,7 +548,7 @@ def test_gautschi_grid_nodes_must_be_integer_orders(capsys):
     code = main(["bounds", "gautschi", "--x-grid", "1:3:5", "--s", "0.5"])
     captured = capsys.readouterr()
     assert (code, captured.out) == (2, "")
-    assert "--x-grid node 1.5 is not an integer" in captured.err
+    assert "gautschi_bounds requires integer n >= 1, got n=1.5" in captured.err
     code, out = run(capsys, "bounds", "gautschi", "--x-grid", "1:3:3", "--s", "0.5")
     assert code == 0
     assert [row.split(",")[1] for row in out.splitlines()[1:]] == ["n=1;s=0.5", "n=2;s=0.5", "n=3;s=0.5"]
@@ -611,7 +626,7 @@ _PINNED_STDOUT_MD5 = [
     ("scan-kernel thm4.1-split", "681d8fc7a06937c9264f3f25caa30051"),
     ("bounds beta-complex --a 0.5 --b 0.5 --sigma-grid 0.01:5:20 --tau-grid -20:20:20", "273e13a639894ac889286cfa5b607b81"),
     ("bounds rademacher --c 1 --sigma-grid 0.5:4:15 --tau-grid -10:10:21", "5e83f9f13d7f8163efc34bdfb5adc44b"),
-    ("bounds q-sandwich --q 0.5 --x-grid 0.5:20:30 --s-grid 0.05:0.95:10", "bf8d6608fa781c5840b504cc0fc72fee"),
+    ("bounds q-sandwich --q 0.5 --x-grid 0.5:20:30 --s-grid 0.05:0.95:10", "1169d2fe06231134789acac0cf4a4dd6"),
     ("bounds kershaw-psi --x-grid 0.001:50:200 --s-grid 0.05:0.95:10", "e127854c455999d09957e001c16e9eb0"),
     ("bounds kershaw-power --x-grid 0.001:50:50 --s-grid 0.05:0.95:10", "3e028bc8e26f448f24dde5dadb47f2dd"),
     ("bounds gautschi --x-grid 1:200:200 --s-grid 0.05:0.95:10", "72568fe9e9589b33026f397298e896e4"),

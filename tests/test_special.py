@@ -6,6 +6,7 @@ sums, quadrature, finite differences) evaluated inside the tests.
 """
 
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -576,10 +577,18 @@ def test_q_series_within_bounds_against_oracle(q):
         for call, ref, label in checks:
             try:
                 res = call()
-            except OverflowError:  # a tiny x: the value, or x log q, leaves the float64 range
-                assert x in TINY_XS, (label, x, q)
+            except OverflowError:  # only where the value leaves the float64 range, or x log q rounds to 0
+                assert abs(ref()) > sys.float_info.max or x * math.log(q) == 0.0, (label, x, q)
                 continue
             _assert_within_bound(res, ref(), (*label, x, q))
+
+
+@pytest.mark.parametrize("x, q", [(5e-308, 0.9), (1e-300, 1.0 - 1e-9)])
+def test_psi_q_is_finite_where_x_log_q_is_subnormal(x, q):
+    # g(x) = q^x/(1-q^x) alone is beyond float64 here; psi_q(x) ~ -1/x is not
+    res = sp.psi_q(x, q)
+    assert math.isfinite(res.value) and math.isfinite(res.abs_error_bound), res
+    _assert_within_bound(res, _psi_q_n_reference(0, x, q), ("psi_q", x, q))
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-10, 1e-11, 1e-12])

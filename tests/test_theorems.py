@@ -9,6 +9,7 @@ same integrand (q = 1).  Agreement validates both sides independently.
 
 import dataclasses
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -406,6 +407,14 @@ def test_kernel_domain_rejects_case_parameters(cid, override, message):
     # thm4.1-mean divides by the length of a_list
     with pytest.raises(DomainError, match=message):
         T.make_case(cid, **override)
+
+
+def test_thm31_rejects_a_q_whose_root_underflows():
+    # q^(1/alpha) rounds to 0 here, outside (0, 1]; the message names the q and alpha given
+    message = "thm3.1 requires q^(1/alpha) > 0 in float64, got q=1e-200, alpha=0.5"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        T.make_case("thm3.1", q=1e-200)
+    assert T.make_case("thm3.1", q=1e-100).params["q"] == 1e-100
 
 
 # ---------------------------------------------------------------------------
