@@ -2,9 +2,12 @@
 
 Every ratio of gamma values here is computed as exp of log-gamma differences,
 never as a quotient of direct values, so moderate-to-large arguments neither
-overflow nor cancel.  Margins within ``EQUALITY_TOL`` of zero are reported as
-exactly zero: the analytic equality cases (s -> 1, q = 1 reductions, c in
-{0, 1}, a = 0) would otherwise show as spurious hair-thin violations.
+overflow nor cancel.  The complex bounds need only moduli, so they take
+log|Gamma| in real arithmetic: per argument, a real logarithm and an arctan2
+for the Stirling series and one real logarithm for its ten-step shift.
+Margins within ``EQUALITY_TOL`` of zero are reported as exactly zero: the
+analytic equality cases (s -> 1, q = 1 reductions, c in {0, 1}, a = 0) would
+otherwise show as spurious hair-thin violations.
 """
 
 from __future__ import annotations
@@ -16,15 +19,16 @@ import numpy as np
 
 from .special import (
     DEFAULT_CONFIG,
+    _SHIFT,
     DomainError,
     EvalConfig,
     _checked_complex,
     _coerce_q,
     _finite,
     _first,
-    _lgamma_core,
     _quiet,
     _shaped,
+    _stirling,
     log_gamma,
     log_gamma_q,
     psi,
@@ -43,7 +47,7 @@ __all__ = [
 ]
 
 EQUALITY_TOL = 1e-12
-# Deepest recurrence _lgamma_shifted takes to reach Re z >= 1/2; each step adds
+# Deepest recurrence _log_abs_gamma takes to reach Re z >= 1/2; each step adds
 # one logarithm's rounding to the result.
 _MAX_RECURRENCE = 1000
 
@@ -156,12 +160,16 @@ def q_sandwich(x, s, q, cfg: EvalConfig = DEFAULT_CONFIG) -> BoundTriple:
     return _triple("q_sandwich", shape, lower, value, upper)
 
 
-def _lgamma_shifted(z: np.ndarray) -> np.ndarray:
-    """Complex log-gamma on an array, continued to Re z <= 0 by the recurrence.
+def _log_abs_gamma(z: np.ndarray) -> np.ndarray:
+    """log|Gamma(z)| on a complex array in real arithmetic, continued to Re z <= 0 by the recurrence.
 
     Each element is shifted by k = max(0, ceil(1/2 - Re z)) so that one
-    Stirling pass on z + k serves the whole array; log Gamma(z) is then
-    log Gamma(z + k) minus the logarithms of z + j for j < k.  Poles
+    Stirling pass on u = z + k serves the whole array; log|Gamma(z)| is then
+    log|Gamma(u)| minus log|z + j| for j < k.  The Stirling series at
+    w = u + 10 takes log w as log|w| + i arg w, a real logarithm and an
+    arctan2; its ten-step shift sum_{j<10} log|u + j| is 10 log|w| plus one
+    real logarithm of prod_j |(u + j)/w|^2, whose factors lie in [1/441, 1]
+    for Re u >= 1/2, so the product neither overflows nor underflows.  Poles
     (z + j = 0), non-finite z and shifts deeper than ``_MAX_RECURRENCE`` raise
     DomainError; a result beyond float64 raises OverflowError.  Each message
     names the first such argument in row order, without an index: the stacked
@@ -180,10 +188,24 @@ def _lgamma_shifted(z: np.ndarray) -> np.ndarray:
             f"log-gamma at {z[k == depth].item(0)!r} needs {depth} recurrence steps, "
             f"more than {_MAX_RECURRENCE}"
         )
-    out = _lgamma_core(z + k)
+    u = z + k
+    w = u + _SHIFT
+    abs_w = np.abs(w)
+    # a real log and an arctan2 cost a quarter of np.log on complex w
+    log_w = np.empty_like(w)
+    log_w.real = np.log(abs_w)
+    log_w.imag = np.arctan2(w.imag, w.real)
+    r = 1.0 / abs_w
+    re = np.ascontiguousarray(u.real)
+    y2 = np.square(u.imag * r)
+    prod = 1.0
+    for j in range(_SHIFT):
+        x = (re + j) * r
+        prod = prod * (x * x + y2)
+    out = _stirling(w, log_w).real - (_SHIFT * log_w.real + 0.5 * np.log(prod))
     for j in range(depth):
         m = k > j
-        out[m] -= np.log(z[m] + j)
+        out[m] -= np.log(np.abs(z[m] + j))
     bad = ~np.isfinite(out)
     if bad.any():
         raise OverflowError(f"log-gamma at {z[bad].item(0)!r} exceeds the float64 range")
@@ -208,7 +230,9 @@ def rademacher_ratio_bound(s, c: float):
     pair of arrays of its shape; a hypothesis violation names the first
     offending s in row order.  c = 1 is the recurrence equality
     |Gamma(s+1)/Gamma(s)| = |s| and is handled exactly; c = 0 degenerates to
-    (1, 1).  The Stirling pass has a fixed cost, so there is no tolerance to set.
+    (1, 1).  Otherwise the modulus is exp of a difference of two log|Gamma|
+    values from one real-arithmetic pass (``_log_abs_gamma``).  The Stirling
+    pass has a fixed cost, so there is no tolerance to set.
     """
     c = float(c)
     if not (0.0 <= c <= 1.0):
@@ -227,8 +251,8 @@ def rademacher_ratio_bound(s, c: float):
     elif c == 1.0:
         modulus = abs_s
     else:
-        lg = _lgamma_shifted(np.stack([s + c, s]))
-        modulus = np.exp((lg[0] - lg[1]).real)
+        lg = _log_abs_gamma(np.stack([s + c, s]))
+        modulus = np.exp(lg[0] - lg[1])
     return _ratio_result("rademacher_ratio_bound", s, shape, modulus, bound)
 
 
@@ -238,9 +262,10 @@ def beta_ratio_modulus(s, a: float, b: float):
 
     ``s`` is a complex scalar, giving a pair of floats, or an array, giving a
     pair of arrays of its shape; a hypothesis violation names the first
-    offending s in row order.  Arguments left of the imaginary axis (possible
-    when a + b > 1) are reached through the recurrence, not reflection, so
-    gamma poles raise cleanly.
+    offending s in row order.  The modulus is exp of a sum of four log|Gamma|
+    values from one real-arithmetic pass (``_log_abs_gamma``).  Arguments left
+    of the imaginary axis (possible when a + b > 1) are reached through the
+    recurrence, not reflection, so gamma poles raise cleanly.
     """
     a = float(a)
     b = float(b)
@@ -258,6 +283,6 @@ def beta_ratio_modulus(s, a: float, b: float):
     if a == 0.0:
         modulus = 1.0
     else:
-        lg = _lgamma_shifted(np.stack([s + a, s + b, s, s + a + b]))
-        modulus = np.exp((lg[0] + lg[1] - lg[2] - lg[3]).real)
+        lg = _log_abs_gamma(np.stack([s + a, s + b, s, s + a + b]))
+        modulus = np.exp(lg[0] + lg[1] - lg[2] - lg[3])
     return _ratio_result("beta_ratio_modulus", s, shape, modulus, 1.0)

@@ -355,6 +355,17 @@ _BERNOULLI = tuple(num / den for num, den in _BERNOULLI_EXACT[:9])
 _SHIFT = 10  # arguments are recurred up by this much before the asymptotic series
 
 
+def _stirling(w: np.ndarray, log_w: np.ndarray) -> np.ndarray:
+    """The Stirling series for log Gamma(w), given log w, through the B_18 term."""
+    s = (w - 0.5) * log_w - w + _HALF_LOG_2PI
+    p = 1.0 / w
+    rw2 = p * p  # not 1/(w*w), which overflows for |w| > 1.3e154
+    for c in _STIRLING_COEF:
+        s = s + c * p
+        p = p * rw2
+    return s
+
+
 def _lgamma_core(z: np.ndarray) -> np.ndarray:
     """Stirling series with upward recurrence on a float or complex array.
 
@@ -362,12 +373,7 @@ def _lgamma_core(z: np.ndarray) -> np.ndarray:
     Re w >= 10 where the first omitted term is below 2e-19.
     """
     w = z + _SHIFT
-    s = (w - 0.5) * np.log(w) - w + _HALF_LOG_2PI
-    p = 1.0 / w
-    rw2 = p * p  # not 1/(w*w), which overflows for |w| > 1.3e154
-    for c in _STIRLING_COEF:
-        s = s + c * p
-        p = p * rw2
+    s = _stirling(w, np.log(w))
     for j in range(_SHIFT):
         s = s - np.log(z + j)
     return s

@@ -319,6 +319,69 @@ def test_pole_in_grid_raises():
         B.beta_ratio_modulus(-1e200 + 1j, 1.0, 1e300)  # admissible, but 1e200 steps down
 
 
+_EPS = 2.0 ** -52
+
+
+def _far_grid(rng, n=60) -> np.ndarray:
+    # Re s from -1.7 (shift depths k = 1..3 for s, s + 1) out to |s| ~ 1e6, |tau| up to 1e3
+    re = np.concatenate([rng.uniform(-1.7, 0.5, n), rng.uniform(0.5, 50.0, n), 10.0 ** rng.uniform(2.0, 6.0, n)])
+    im = rng.uniform(-1e3, 1e3, 3 * n) * rng.choice([1e-3, 1.0], 3 * n)
+    return re + 1j * im
+
+
+def test_log_abs_gamma_matches_mpmath():
+    # log|Gamma| sums terms up to |z| log|z| in size, so its error is measured against that scale
+    z = _far_grid(np.random.default_rng(20))
+    lg = B._log_abs_gamma(z)
+    assert lg.dtype == float
+    with mp.workdps(40):
+        for zz, v in zip(z.tolist(), lg.tolist()):
+            ref = mp.re(mp.loggamma(mp.mpc(zz)))
+            assert abs(v - ref) <= 32 * _EPS * (1.0 + abs(zz) * math.log(abs(zz) + 11.0)), (zz, v, ref)
+
+
+def test_beta_modulus_far_out_matches_mpmath():
+    # a = 1, b = 3.5: the modulus is |s/(s+3.5)|.  It is exp of a sum of four log|Gamma| values,
+    # so beyond 1e-12 relative its error is counted in ulps of the largest of them (ROADMAP item 10)
+    a, b = 1.0, 3.5
+    s = _far_grid(np.random.default_rng(21))
+    modulus, _ = B.beta_ratio_modulus(s, a, b)
+    with mp.workdps(40):
+        for z, m in zip(s.tolist(), modulus.tolist()):
+            zz = mp.mpc(z)
+            ref = abs(zz / (zz + b))
+            largest = max(abs(mp.re(mp.loggamma(zz + d))) for d in (0.0, a, b, a + b))
+            assert abs(m - ref) <= max(1e-12, 16 * _EPS * largest) * ref, (z, m, ref)
+    near = s[np.abs(s) <= 30.0]
+    modulus, _ = B.beta_ratio_modulus(near, a, b)
+    np.testing.assert_allclose(modulus, np.abs(near / (near + b)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("s", [1e300 + 1j, 1e-300 + 1e300j, 1e200 - 1e200j, 1e16 + 1e16j])
+def test_huge_s_gives_finite_moduli(s):
+    # the shift's product of ten |u + j|^2 would overflow from |s| ~ 1e15; normalised by |w| it cannot
+    for a, b in ((0.5, 0.5), (1.0, 3.5)):
+        modulus, _ = B.beta_ratio_modulus(s, a, b)
+        assert abs(modulus - 1.0) <= 1e-12, (s, a, b, modulus)
+    if s.real >= 0.25:
+        modulus, _ = B.rademacher_ratio_bound(s, 0.5)
+        assert math.isfinite(modulus)
+
+
+def test_beta_complex_at_sigma_1e300_exits_0(capsys):
+    code = main(["bounds", "beta-complex", "--a", "0.5", "--b", "0.5", "--sigma", "1e300", "--tau", "1"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.splitlines()[1] == "beta-complex,a=0.5;b=0.5,1.0000000000000001e+300,1,1,1,0"
+
+
+@pytest.mark.xfail(strict=True, reason="two log-gamma values near 3.6e17 cancel (ROADMAP item 10)")
+def test_rademacher_ratio_without_cancellation_at_1e16():
+    modulus, bound = B.rademacher_ratio_bound(1e16 + 0j, 0.5)
+    assert bound == 1e8
+    assert modulus == pytest.approx(1e8, rel=1e-8)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

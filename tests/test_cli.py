@@ -624,7 +624,7 @@ _PINNED_STDOUT_MD5 = [
     ("scan-kernel thm3.4", "557f5022c98b0f3dbb1951c5b7a703da"),
     ("scan-kernel thm4.1-mean", "fcb67b736348aaa39dff414998338988"),
     ("scan-kernel thm4.1-split", "681d8fc7a06937c9264f3f25caa30051"),
-    ("bounds beta-complex --a 0.5 --b 0.5 --sigma-grid 0.01:5:20 --tau-grid -20:20:20", "273e13a639894ac889286cfa5b607b81"),
+    ("bounds beta-complex --a 0.5 --b 0.5 --sigma-grid 0.01:5:20 --tau-grid -20:20:20", "e487d8af9dc38b501ab3b4e486bbefea"),
     ("bounds rademacher --c 1 --sigma-grid 0.5:4:15 --tau-grid -10:10:21", "5e83f9f13d7f8163efc34bdfb5adc44b"),
     ("bounds q-sandwich --q 0.5 --x-grid 0.5:20:30 --s-grid 0.05:0.95:10", "1169d2fe06231134789acac0cf4a4dd6"),
     ("bounds kershaw-psi --x-grid 0.001:50:200 --s-grid 0.05:0.95:10", "e127854c455999d09957e001c16e9eb0"),
