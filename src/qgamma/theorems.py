@@ -12,13 +12,16 @@ parameter branches of a theorem.
 
 One builder.  Each kernel-bearing case has a representation
 f' = orientation * int e^{-xt} w(t) d gamma_q(t) (f itself for thm3.1, whose
-claim includes order 0).  Its factory states the parameters, the derivative
-closure, the kernel id and the orientation once, in one ``_case`` call, with
-any composition factor and the x-interval rule; ``_case`` derives the rest
+claim includes order 0).  Its sample parameters live in the registry
+``_FACTORIES`` alone: ``make_case`` passes the factory every registered key,
+overridden or not, and rejects an override of any other.  The factory states
+the derivative closure, the kernel id and the orientation once, in one
+``_case`` call, with any composition factor and the x-interval rule; ``_case`` derives the rest
 from ``KERNELS[kernel_id]``, the table ``scan-kernel`` reports.  The
 kernel's own function rejects parameters outside its domain (``_case``
 evaluates it at t = 0, and the factories call ``_case`` before any
-arithmetic that such values would break), and the verdict is the kernel's sign regime ``expected_sign`` times the orientation:
+arithmetic that such values would break), and the verdict is the kernel's
+sign regime ``expected_sign`` times the orientation:
 
     sign(w) * orientation > 0   ->  f' CM  (f CM for thm3.1)
     sign(w) * orientation < 0   ->  -f' CM
@@ -34,9 +37,15 @@ Families.  Each theorem has one derivative closure, written in the q-pieces
 of ``_Q`` (log Gamma_q, psi_q and its derivatives, the first moment, log(1-q^x),
 the scale log((1-q^x)/(1-q)) and the q-Stirling term); each piece takes its
 classical form at q = 1.  The classical cases are the q = 1 members of their
-families: ``thm2.1`` of ``thm2.2``'s h, ``cor2.4`` of ``thm2.3``'s
-difference h(x) - h(x+a), and ``cor3.6`` of ``cor3.5``'s difference
-log g(x+s) - log g(x+1).  The q-only factories reject q = 1 themselves.
+families and share their factories, registered without q: ``thm2.1`` of
+``thm2.2``'s h, ``cor2.4`` of ``thm2.3``'s difference h(x) - h(x+a), and
+``cor3.6`` of ``cor3.5``'s difference log g(x+s) - log g(x+1).  A shared
+factory reads the theorem's name for its messages from the case id, and
+thm4.1's reads its kernel id the same way.  Theorems share families too:
+thm3.4's log g is thm2.2's h at alpha = 1/2 minus psi_q'(x+alpha)/12, and
+thm2.6's function is thm2.5's at b = c = 0.  The q-only factories reject
+q = 1 themselves.  The primitives call the evaluators at their default
+configuration, at which every result ``verify`` reaches has converged.
 
 Sharing.  Each evaluation is made once.  ``verify_case`` evaluates
 ``deriv`` once per (order, abscissae) for all of a case's directions, so a
@@ -69,7 +78,6 @@ from .kernels import KERNELS, NEGATIVE, ONE_SIGN_CHANGE, POSITIVE
 from .special import (
     ConvergenceError,
     DomainError,
-    EvalConfig,
     QValue,
     _factorial,
     _log_one_minus_q,
@@ -101,11 +109,6 @@ F_PRIME_CM = "f' CM"
 NEG_F_PRIME_CM = "-f' CM"
 NEITHER = "neither"
 F_CM = "f CM"
-
-# Tighter than the public default: order-8 differences amplify the series
-# truncation error by ~2^8, and the violation threshold is 1e-9.
-_CASE_CONFIG = EvalConfig(rel_tol=1e-14)
-
 
 @dataclass(frozen=True)
 class TheoremCase:
@@ -242,10 +245,10 @@ class _Q:
         return np.moveaxis(np.reshape(out, (*lead, len(ys), *np.shape(ys[0]))), len(lead), 0)
 
     def lg(self, y: float | np.ndarray) -> float | np.ndarray:
-        return log_gamma_q(y, self.qv, _CASE_CONFIG).value
+        return log_gamma_q(y, self.qv).value
 
     def ps(self, k, y: float | np.ndarray) -> float | np.ndarray:
-        return psi_q_n(k, y, self.qv, _CASE_CONFIG).value
+        return psi_q_n(k, y, self.qv).value
 
     def dlg(self, k) -> Callable[[np.ndarray], np.ndarray]:
         """The k-th derivative of log Gamma_q as a function of y: lg at k = 0, psi_q^(k-1) above."""
@@ -283,7 +286,7 @@ class _Q:
         """
         if self.classical:
             return y - y * np.log(y)
-        return y * _log_one_minus_q(self.lq)[0] + dilog_F(np.exp(y * self.lq), _CASE_CONFIG).value / self.lq
+        return y * _log_one_minus_q(self.lq)[0] + dilog_F(np.exp(y * self.lq)).value / self.lq
 
 
 _MASS_SUM_CAP = 400_000
@@ -392,11 +395,11 @@ def _case(case_id: str, params: dict, deriv, kernel_id: str, orientation: int,
     )
 
 
-def _q_only(theorem: str, q: float) -> _Q:
-    """The primitives at q for a theorem stated for 0 < q < 1 only."""
-    P = _Q(q)
-    if P.classical:
-        raise DomainError(f"{theorem} requires q < 1")
+def _q_only(case_id: str, params: dict) -> _Q:
+    """The primitives at the case's q for a q-only theorem; its q = 1 member is registered without q."""
+    P = _Q(params.get("q", 1.0))
+    if P.classical and "q" in params:  # the theorem's name is the case id without its branch suffix
+        raise DomainError(f"{case_id.split('-')[0]} requires q < 1")
     return P
 
 
@@ -413,13 +416,11 @@ def _difference(deriv, a: float, b: float):
     return diff
 
 
-def _thm22_family(alpha: float, q: float):
+def _thm22_family(alpha: float, P: _Q):
     """h(x) = x log(1-q) + alpha log(1-q^x) + log Gamma_q(x) + F(q^x)/log q and its derivatives.
 
     At q = 1 this is thm2.1's h(x) = alpha log x + log Gamma(x) + x - x log x.
     """
-    P = _Q(q)
-
     def deriv(k, x):
         if _is_order(k, 0):
             return P.stirling(x) + alpha * P.log1m(x) + P.lg(x)
@@ -431,58 +432,48 @@ def _thm22_family(alpha: float, q: float):
     return deriv
 
 
-def _case_thm21(case_id: str, alpha: float = 0.5) -> TheoremCase:
-    return _case(case_id, {"alpha": alpha}, _thm22_family(alpha, 1.0), "thm2.1", -1)
+def _case_thm22(case_id: str, params: dict) -> TheoremCase:
+    """thm2.2's h; thm2.1's at q = 1."""
+    P = _q_only(case_id, params)
+    return _case(case_id, params, _thm22_family(params["alpha"], P), "thm2.1", -1)
 
 
-def _case_thm22(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase:
-    _q_only("thm2.2", q)
-    return _case(case_id, {"alpha": alpha, "q": q}, _thm22_family(alpha, q), "thm2.1", -1)
-
-
-def _case_thm23(case_id: str, alpha: float = 0.5, a: float = 1.0, q: float = 0.5) -> TheoremCase:
-    _q_only("thm2.3", q)
-    return _case(case_id, {"alpha": alpha, "a": a, "q": q},
-                 _difference(_thm22_family(alpha, q), 0.0, a), "thm2.1", -1,
+def _case_thm23(case_id: str, params: dict) -> TheoremCase:
+    """The difference h(x) - h(x+a) of thm2.2's h; cor2.4's at q = 1."""
+    P = _q_only(case_id, params)
+    a = params["a"]
+    return _case(case_id, params, _difference(_thm22_family(params["alpha"], P), 0.0, a), "thm2.1", -1,
                  factor=lambda t: -np.expm1(-a * t))
 
 
-def _case_cor24(case_id: str, alpha: float = 0.75, a: float = 1.0) -> TheoremCase:
-    return _case(case_id, {"alpha": alpha, "a": a},
-                 _difference(_thm22_family(alpha, 1.0), 0.0, a), "thm2.1", -1)
-
-
-def _case_thm25(
-    case_id: str, a: float = 0.2, b: float = 1.0, c: float = 0.1, q: float = 0.5
-) -> TheoremCase:
-    P = _Q(q)
-
+def _thm25_family(a: float, b: float, c: float, P: _Q):
+    """log of Gamma_q(x+b)/Gamma_q(x+a) ((1-q^{x+c})/(1-q))^{a-b} and its derivatives; thm2.6's at b = c = 0."""
     def deriv(k, x):
         scale = P.log_scale(x + c) if _is_order(k, 0) else P.mom(k - 1, x + c)
         at_b, at_a = P.stacked(P.dlg(k), x + b, x + a)
         return (a - b) * scale + at_b - at_a
 
-    params = {"a": a, "b": b, "c": c, "q": q}
+    return deriv
+
+
+def _case_thm25(case_id: str, params: dict) -> TheoremCase:
+    a, b, c = params["a"], params["b"], params["c"]
+    P = _Q(params["q"])
     x_start, interval = {  # -(log g)' CM on (-c, inf), (log g)' CM on (-a, inf)
         POSITIVE: (-c, "(-c, inf)"),
         NEGATIVE: (-a, "(-a, inf)"),
         ONE_SIGN_CHANGE: (-min(a, c), "(-min(a,c), inf)"),
     }[_kernel_sign("thm2.5", params)]
-    return _case(case_id, params, deriv, "thm2.5", -1, x_start=x_start, interval=interval)
+    return _case(case_id, params, _thm25_family(a, b, c, P), "thm2.5", -1, x_start=x_start, interval=interval)
 
 
-def _case_thm26(case_id: str, a: float = 1.5, q: float = 0.5) -> TheoremCase:
-    P = _q_only("thm2.6", q)
-
-    def deriv(k, x):
-        scale = P.log_scale(x) if _is_order(k, 0) else P.mom(k - 1, x)
-        at_0, at_a = P.stacked(P.dlg(k), x, x + a)
-        return a * scale + at_0 - at_a
-
-    return _case(case_id, {"a": a, "q": q}, deriv, "thm2.6", 1, sigma=(a - 1.0) / 2.0)
+def _case_thm26(case_id: str, params: dict) -> TheoremCase:
+    P = _q_only(case_id, params)
+    a = params["a"]
+    return _case(case_id, params, _thm25_family(a, 0.0, 0.0, P), "thm2.6", 1, sigma=(a - 1.0) / 2.0)
 
 
-def _case_thm31(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase:
+def _case_thm31(case_id: str, params: dict) -> TheoremCase:
     """f(x) = psi_q(x) - psi_{q^{1/alpha}}(alpha x), claimed CM including order 0.
 
     Its representation gives f itself, not f'.  The two -log(1-.) constants
@@ -490,14 +481,14 @@ def _case_thm31(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase
     f only up to the positive constant log((1-q^{1/alpha})/(1-q)), which
     leaves every monotonicity conclusion (order 0 included) intact.
     """
-    P = _q_only("thm3.1", q)
+    P = _q_only(case_id, params)
+    alpha = params["alpha"]
 
     def deriv(k, x):
         return P.ps(k, x) - _pow(alpha, k) * P2.ps(k, alpha * x)
 
     # _case rejects an alpha outside the kernel's domain before anything divides by it
-    case = _case(case_id, {"alpha": alpha, "q": q}, deriv, "thm3.1", 1,
-                 factor=lambda t: 1.0 / alpha, target="f")
+    case = _case(case_id, params, deriv, "thm3.1", 1, factor=lambda t: 1.0 / alpha, target="f")
     q2 = P.q ** (1.0 / alpha)
     if q2 == 0.0:  # else _Q would name a q the caller never gave
         raise DomainError(f"thm3.1 requires q^(1/alpha) > 0 in float64, got q={P.q!r}, alpha={alpha!r}")
@@ -507,17 +498,15 @@ def _case_thm31(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase
     return dataclasses.replace(case, representation=lambda x: const + rep(x))
 
 
-def _case_thm32(
-    case_id: str, a: float = 0.5, b: float = 1.0, c: float = 0.75, q: float = 0.5
-) -> TheoremCase:
+def _case_thm32(case_id: str, params: dict) -> TheoremCase:
     """h = log of Gamma_q(x+a)/Gamma_q(x+b) exp[(b-a) psi_q(x+c)]."""
-    P = _Q(q)
+    a, b, c = params["a"], params["b"], params["c"]
+    P = _Q(params["q"])
 
     def deriv(k, x):
         at_a, at_b = P.stacked(P.dlg(k), x + a, x + b)
         return at_a - at_b + (b - a) * P.ps(k, x + c)
 
-    params = {"a": a, "b": b, "c": c, "q": q}
     # h' CM on (-c, inf); -h' CM and neither on (-a, inf)
     x_start, interval = (
         (-c, "(-c, inf)") if _kernel_sign("thm3.2", params) == NEGATIVE else (-a, "(-a, inf)")
@@ -526,8 +515,8 @@ def _case_thm32(
                  x_start=x_start, interval=interval)
 
 
-def _thm34_family(alpha: float, q: float):
-    """log g(x) = x log(1-q) + log(1-q^x)/2 + log Gamma_q(x) + F(q^x)/log q - psi_q'(x+alpha)/12.
+def _thm34_family(alpha: float, P: _Q):
+    """log g(x) = thm2.2's h at alpha = 1/2, minus psi_q'(x+alpha)/12, and its derivatives.
 
     The (1-q^x)^{1/2} factor and the orientation follow the kernel
     representation (log g)' = -sum e^{-xt} p_alpha d gamma_q, verified
@@ -535,55 +524,42 @@ def _thm34_family(alpha: float, q: float):
     x - x log x + log(x)/2 + log Gamma(x) - psi'(x+alpha)/12, the function
     whose differences cor3.6 tests.
     """
-    P = _Q(q)
+    h = _thm22_family(0.5, P)
 
     def deriv(k, x):
-        if _is_order(k, 0):
-            return P.stirling(x) + 0.5 * P.log1m(x) + P.lg(x) - P.ps(1, x + alpha) / 12.0
-        if _is_order(k, 1):
-            return 0.5 * P.mom(0, x) + P.ps(0, x) - P.log_scale(x) - P.ps(2, x + alpha) / 12.0
-        m1, m2 = P.mom_pair(k, x)
-        return 0.5 * m1 + P.ps(k - 1, x) - m2 - P.ps(k + 1, x + alpha) / 12.0
+        return h(k, x) - P.ps(k + 1, x + alpha) / 12.0
 
     return deriv
 
 
-def _case_thm34(case_id: str, alpha: float = 0.5, q: float = 0.5) -> TheoremCase:
-    _q_only("thm3.4", q)
-    return _case(case_id, {"alpha": alpha, "q": q}, _thm34_family(alpha, q), "thm3.4", -1,
+def _case_thm34(case_id: str, params: dict) -> TheoremCase:
+    alpha = params["alpha"]
+    return _case(case_id, params, _thm34_family(alpha, _q_only(case_id, params)), "thm3.4", -1,
                  x_start=max(0.0, -alpha), interval="(max(0,-alpha), inf)")
 
 
-def _case_thm34_ratio(case_id: str, theorem: str, params: dict) -> TheoremCase:
+def _case_cor35(case_id: str, params: dict) -> TheoremCase:
     """log f for f = g_alpha(x+s)/g_alpha(x+1), the difference composition of thm3.4's log g.
 
-    cor3.5 takes g with Gamma_q; cor3.6, its classical limit, takes it with
-    the gamma function and has no q.
+    cor3.5 takes g with Gamma_q; cor3.6, its classical member, takes it with
+    the gamma function.
     """
     alpha, s = params["alpha"], params["s"]
     if not (0.0 < s < 1.0):
-        raise DomainError(f"{theorem} requires 0 < s < 1, got {s!r}")
-    q = _q_only(theorem, params["q"]).q if "q" in params else 1.0
+        raise DomainError(f"{case_id.split('-')[0]} requires 0 < s < 1, got {s!r}")
+    P = _q_only(case_id, params)
     x_start = max(0.0, -alpha - s)
     grid = GridSpec(max(x_start + 0.05, 0.05), 15.0, 21, "geometric", (0.125, 0.5, 1.0, 2.0), 8)
-    return _case(case_id, params, _difference(_thm34_family(alpha, q), s, 1.0), "thm3.4", -1,
+    return _case(case_id, params, _difference(_thm34_family(alpha, P), s, 1.0), "thm3.4", -1,
                  factor=lambda t: np.exp(-s * t) - np.exp(-t),
                  x_start=x_start, interval="(max(0,-alpha-s), inf)", grid=grid)
 
 
-def _case_cor35(case_id: str, alpha: float = 0.75, s: float = 0.1, q: float = 0.5) -> TheoremCase:
-    return _case_thm34_ratio(case_id, "cor3.5", {"alpha": alpha, "s": s, "q": q})
-
-
-def _case_cor36(case_id: str, alpha: float = 0.75, s: float = 0.1) -> TheoremCase:
-    return _case_thm34_ratio(case_id, "cor3.6", {"alpha": alpha, "s": s})
-
-
-def _case_thm41(case_id: str, kernel_id: str, a_list=(0.5, 1.5), q: float = 0.5) -> TheoremCase:
+def _case_thm41(case_id: str, params: dict) -> TheoremCase:
     """log of prod Gamma_q(x+a_i) / Gamma_q(x+abar)^n (mean) or, for split,
-    log of prod Gamma_q(x+a_i) / (Gamma_q(x)^{n-1} Gamma_q(x+sum a_i))."""
-    a = tuple(float(v) for v in a_list)
-    P = _Q(q)
+    log of prod Gamma_q(x+a_i) / (Gamma_q(x)^{n-1} Gamma_q(x+sum a_i)); the case id is the kernel id."""
+    a = tuple(float(v) for v in params["a_list"])
+    P = _Q(params["q"])
 
     def deriv(k, x):
         vals = P.stacked(P.dlg(k), *(x + ai for ai in a), *(x + shift for _, shift in denominator))
@@ -593,23 +569,23 @@ def _case_thm41(case_id: str, kernel_id: str, a_list=(0.5, 1.5), q: float = 0.5)
         return out
 
     # _case checks that a_list is nonempty and positive before anything divides by its length
-    case = _case(case_id, {"a_list": a, "q": q}, deriv, kernel_id, 1, rho=True)
+    case = _case(case_id, {**params, "a_list": a}, deriv, case_id, 1, rho=True)
     n = len(a)
     denominator = {  # (power, shift) of each Gamma_q(x + shift) below the ratio
         "thm4.1-mean": ((n, sum(a) / n),),
         "thm4.1-split": ((n - 1, 0.0), (1, sum(a))),
-    }[kernel_id]
+    }[case_id]
     return case
 
 
-def _case_psi_prime(case_id: str = "psi-prime") -> TheoremCase:
+def _case_psi_prime(case_id: str, params: dict) -> TheoremCase:
     """psi'(x) = sum_k (k+x)^{-2} is completely monotonic; with no kernel, the verdict is stated."""
     def deriv(k, x):
-        return psi_n(k, x, _CASE_CONFIG).value
+        return psi_n(k, x).value
 
     return TheoremCase(
         id=case_id,
-        params={},
+        params=params,
         interval="(0, inf)",
         x_start=0.0,
         expected=F_PRIME_CM,
@@ -618,20 +594,21 @@ def _case_psi_prime(case_id: str = "psi-prime") -> TheoremCase:
     )
 
 
-# (factory, default overrides) per stable case id; bare ids carry the branch
-# highlighted first in each statement, except cor2.4 whose bare id is the
-# "neither" branch.
-_FACTORIES: dict[str, tuple[Callable[..., TheoremCase], dict]] = {
-    "thm2.1": (_case_thm21, {"alpha": 0.5}),
-    "thm2.1-pos": (_case_thm21, {"alpha": 1.0}),
-    "thm2.1-neither": (_case_thm21, {"alpha": 0.75}),
+# (factory, sample parameters) per stable case id; the classical member of a
+# q-theorem shares its factory and is registered without q.  Bare ids carry
+# the branch highlighted first in each statement, except cor2.4 whose bare id
+# is the "neither" branch.
+_FACTORIES: dict[str, tuple[Callable[[str, dict], TheoremCase], dict]] = {
+    "thm2.1": (_case_thm22, {"alpha": 0.5}),
+    "thm2.1-pos": (_case_thm22, {"alpha": 1.0}),
+    "thm2.1-neither": (_case_thm22, {"alpha": 0.75}),
     "thm2.2": (_case_thm22, {"alpha": 0.5, "q": 0.5}),
     "thm2.2-pos": (_case_thm22, {"alpha": 1.0, "q": 0.5}),
     "thm2.3": (_case_thm23, {"alpha": 0.5, "a": 1.0, "q": 0.5}),
     "thm2.3-pos": (_case_thm23, {"alpha": 1.0, "a": 1.0, "q": 0.5}),
-    "cor2.4": (_case_cor24, {"alpha": 0.75, "a": 1.0}),
-    "cor2.4-neg": (_case_cor24, {"alpha": 0.5, "a": 1.0}),
-    "cor2.4-pos": (_case_cor24, {"alpha": 1.0, "a": 1.0}),
+    "cor2.4": (_case_thm23, {"alpha": 0.75, "a": 1.0}),
+    "cor2.4-neg": (_case_thm23, {"alpha": 0.5, "a": 1.0}),
+    "cor2.4-pos": (_case_thm23, {"alpha": 1.0, "a": 1.0}),
     "thm2.5": (_case_thm25, {"a": 0.2, "b": 1.0, "c": 0.1, "q": 0.5}),
     "thm2.5-pos": (_case_thm25, {"a": 0.2, "b": 1.0, "c": 0.5, "q": 0.5}),
     "thm2.6": (_case_thm26, {"a": 1.5, "q": 0.5}),
@@ -644,18 +621,12 @@ _FACTORIES: dict[str, tuple[Callable[..., TheoremCase], dict]] = {
     "cor3.5": (_case_cor35, {"alpha": 0.75, "s": 0.1, "q": 0.5}),
     "cor3.5-low": (_case_cor35, {"alpha": 0.0, "s": 0.1, "q": 0.5}),
     "cor3.5-neither": (_case_cor35, {"alpha": 0.25, "s": 0.1, "q": 0.5}),
-    "cor3.6": (_case_cor36, {"alpha": 0.75, "s": 0.1}),
-    "cor3.6-low": (_case_cor36, {"alpha": 0.0, "s": 0.1}),
-    "cor3.6-neither": (_case_cor36, {"alpha": 0.25, "s": 0.1}),
-    "thm4.1-mean": (
-        lambda case_id, **kw: _case_thm41(case_id, "thm4.1-mean", **kw),
-        {"a_list": (0.5, 1.5), "q": 0.5},
-    ),
-    "thm4.1-split": (
-        lambda case_id, **kw: _case_thm41(case_id, "thm4.1-split", **kw),
-        {"a_list": (0.5, 1.5), "q": 0.5},
-    ),
-    "psi-prime": (lambda case_id, **kw: _case_psi_prime(case_id), {}),
+    "cor3.6": (_case_cor35, {"alpha": 0.75, "s": 0.1}),
+    "cor3.6-low": (_case_cor35, {"alpha": 0.0, "s": 0.1}),
+    "cor3.6-neither": (_case_cor35, {"alpha": 0.25, "s": 0.1}),
+    "thm4.1-mean": (_case_thm41, {"a_list": (0.5, 1.5), "q": 0.5}),
+    "thm4.1-split": (_case_thm41, {"a_list": (0.5, 1.5), "q": 0.5}),
+    "psi-prime": (_case_psi_prime, {}),
 }
 
 
@@ -673,17 +644,18 @@ def case_default_params(case_id: str) -> dict:
 def make_case(case_id: str, **overrides) -> TheoremCase:
     """Build one registered case, optionally overriding its sample parameters.
 
-    The expected verdict is re-derived from the final parameters, so e.g.
-    overriding cor2.4 with alpha = 0.75 yields the "neither" expectation.
+    A case takes exactly the parameters it is registered with; an override of
+    any other is a DomainError, so e.g. thm2.1 takes no q.  The expected
+    verdict is re-derived from the final parameters, so e.g. overriding
+    cor2.4 with alpha = 0.75 yields the "neither" expectation.
     """
-    if case_id not in _FACTORIES:
-        raise DomainError(f"unknown case id {case_id!r}")
-    factory, defaults = _FACTORIES[case_id]
-    params = dict(defaults)
+    params = case_default_params(case_id)
     for key, val in overrides.items():
+        if key not in params:
+            raise DomainError(f"case {case_id!r} takes no parameter {key!r}; it takes {', '.join(params) or 'none'}")
         if val is not None:
             params[key] = val
-    return factory(case_id, **params)
+    return _FACTORIES[case_id][0](case_id, params)
 
 
 def theorem_registry() -> list[TheoremCase]:

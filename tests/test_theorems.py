@@ -8,6 +8,7 @@ same integrand (q = 1).  Agreement validates both sides independently.
 """
 
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -18,6 +19,7 @@ from scipy.integrate import quad
 
 from qgamma import kernels as K
 from qgamma import theorems as T
+from qgamma.cli import main
 from qgamma.cmcheck import CONSISTENT, VIOLATES, check_cm
 from qgamma.special import (
     ConvergenceError,
@@ -74,6 +76,17 @@ def test_make_case_overrides_rederive_verdict():
         T.make_case("no-such-case")
     with pytest.raises(DomainError):
         T.make_case("thm3.1", alpha=1.5)
+
+
+@pytest.mark.parametrize("cid, key, accepted", [
+    ("thm2.1", "q", "alpha"), ("cor2.4-neg", "q", "alpha, a"), ("cor3.6-low", "q", "alpha, s"),
+    ("thm2.5", "alpha", "a, b, c, q"), ("psi-prime", "q", "none"),
+])
+def test_make_case_rejects_a_parameter_the_case_is_not_registered_with(cid, key, accepted):
+    # a classical member shares its q-theorem's factory, so this check is what keeps q from it
+    message = f"case {cid!r} takes no parameter {key!r}; it takes {accepted}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        T.make_case(cid, **{key: 0.5})
 
 
 def test_case_default_params_exposed():
@@ -624,3 +637,68 @@ def test_log_scale_is_within_4u_of_high_precision(q):
             want = mp.log((1 - qq ** mp.mpf(yi)) / (1 - qq))
             assert abs(gi - want) <= 4 * 2.0 ** -53 * max(1, abs(want)), (yi, gi, want)
     assert T._Q(q).log_scale(1.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# one source per fact: the evaluators' default tolerance, every value pinned
+# ---------------------------------------------------------------------------
+
+
+def test_verify_all_evaluator_results_converge(monkeypatch, capsys):
+    # the closures call the evaluators at their default configuration, whose
+    # truncation bound every node of the corpus meets
+    results = []
+    for name in ("log_gamma_q", "psi_q_n", "psi_n", "dilog_F"):
+        def recorded(*args, _f=getattr(T, name), _name=name, **kwargs):
+            res = _f(*args, **kwargs)
+            results.append((_name, args[0] if _name.startswith("psi") else None, res.converged))
+            return res
+
+        monkeypatch.setattr(T, name, recorded)
+    for extra in ([], ["--q", "0.9"], ["--q", "0.99"]):
+        assert main(["verify", "all", *extra]) == 0
+        capsys.readouterr()
+    assert results and [r for r in results if not r[2]] == []
+
+
+# md5 over every registered case's deriv (orders 0-5 on a scalar and on a
+# grid from x_start, the order column base+1..base+3), its representation at
+# 1.3 and its error text outside the interval, at the registered q and at
+# q = 0.3, 0.9, 0.99, pinned so that no refactor of the factories moves a bit
+_CORPUS_MD5 = "33c9695c806406445afcec2112bd449d"
+
+
+def _outcome(fn) -> bytes:
+    """The bytes of fn()'s value, or the error it raises: the library's with its text, Python's by type."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(fn(), dtype=float).tobytes()
+    except (ConvergenceError, DomainError) as exc:
+        return f"{type(exc).__name__}: {exc}".encode()
+    except ArithmeticError as exc:  # a ZeroDivisionError's text is the interpreter's
+        return type(exc).__name__.encode()
+
+
+def _case_fingerprint(case) -> list[bytes]:
+    base = case.directions()[0][2]
+    xs = case.x_start + np.geomspace(0.01, 30.0, 40)
+    fields = (case.id, case.params, case.interval, case.x_start, case.expected, case.grid, case.kernel_id)
+    parts = [repr(fields).encode()]
+    for k in range(6):
+        parts += [_outcome(lambda: case.deriv(k, 1.3)), _outcome(lambda: case.deriv(k, xs))]
+    parts.append(_outcome(lambda: case.deriv(base + np.array([[1], [2], [3]]), xs)))
+    if case.representation is not None:
+        parts.append(_outcome(lambda: case.representation(1.3)))
+    for x in (-0.5, 0.0, float("nan")):
+        parts.append(_outcome(lambda: case.deriv(base, x)))
+    return parts
+
+
+def test_corpus_values_and_errors_keep_their_bits():
+    md5 = hashlib.md5()
+    for cid in T.registry_ids():
+        qs = (None, 0.3, 0.9, 0.99) if "q" in T.case_default_params(cid) else (None,)
+        for q in qs:
+            for part in _case_fingerprint(T.make_case(cid) if q is None else T.make_case(cid, q=q)):
+                md5.update(part)
+    assert md5.hexdigest() == _CORPUS_MD5
