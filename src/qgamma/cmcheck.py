@@ -13,13 +13,14 @@ statement asserts it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .special import DomainError, _quiet, log_gamma
+from .special import DomainError, _quiet, _running, log_gamma
 
 __all__ = [
     "GridSpec",
@@ -109,6 +110,76 @@ def _alternating_sum(value_at: Callable[[int], float], n: int):
     return total
 
 
+@functools.cache
+def _signed_binomials(n_max: int) -> np.ndarray:
+    """(-1)^j C(n, j) as floats at [j, n] for j, n = 0..n_max, shaped to broadcast over (n, h, x)."""
+    out = np.array([[float((-1) ** j * math.comb(n, j)) for n in range(n_max + 1)] for j in range(n_max + 1)])
+    out = out[:, :, None, None]
+    out.flags.writeable = False
+    return out
+
+
+def _differences(vals: np.ndarray, out: np.ndarray) -> None:
+    """(-1)^n Delta_h^n at orders n = 1..max_order into ``out`` (n - 1, h, x), from vals (j, h, x) = fn(x + j h).
+
+    Step j adds term j of every order n >= j, so each order's sum is
+    _alternating_sum's, 0.0 + term 0 + term 1 + ..., in its order, with
+    infinities and NaN where it has them: max_order + 1 passes over arrays
+    in place of a pass per order.
+    """
+    n_max = len(out)
+    coef = _signed_binomials(n_max)
+    term = np.empty_like(out)
+    out.fill(0.0)
+    for j in range(n_max + 1):
+        lo = max(j, 1)  # the orders n = lo..n_max have a term j: C(n, j) f(x + (n - j) h)
+        part, acc = term[:n_max - lo + 1], out[lo - 1:]
+        np.multiply(coef[j, lo:], vals[lo - j:n_max - j + 1], out=part)
+        acc += part
+    np.negative(out[0::2], out=out[0::2])  # odd orders: (-1)^n Delta_h^n = -Delta_h^n
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What check_cm reads of a grid, whatever the function: each array read-only."""
+
+    xs: np.ndarray  # the grid points
+    nodes: np.ndarray  # the distinct stencil nodes x + j h, in order of first occurrence over (h, x, j)
+    gather: np.ndarray  # the index into nodes of each lattice node, laid out (j, h, x)
+
+
+def _plan(grid: GridSpec) -> _Plan:
+    xs = grid.xs()
+    steps = np.arange(grid.max_order + 1) * np.asarray(grid.h_set, dtype=float)[:, None, None]
+    lattice = (xs[None, :, None] + steps).ravel()  # (h, x, j): x + j h
+    # each distinct bit pattern once (0.0 and -0.0 stay apart), in order of first occurrence
+    _, first, inverse = np.unique(lattice.view(np.int64), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    nodes = lattice[first[order]]
+    gather = np.argsort(order)[inverse].reshape(len(grid.h_set), xs.size, -1).transpose(2, 0, 1).copy()
+    for a in (xs, nodes, gather):
+        a.flags.writeable = False
+    return _Plan(xs, nodes, gather)
+
+
+# plans by the exact bits of their grid's fields: GridSpec(-0.0, ...) == GridSpec(0.0, ...)
+# as dataclasses, but their grids hold other nodes
+_PLANS: dict[tuple, _Plan] = {}
+_PLANS_KEPT = 32
+
+
+def _grid_plan(grid: GridSpec) -> _Plan:
+    """The plan of ``grid``, built once for every grid of the same bits (the oldest of _PLANS_KEPT goes first)."""
+    key = (float(grid.x_min).hex(), float(grid.x_max).hex(), grid.points, grid.spacing,
+           tuple(float(h).hex() for h in grid.h_set), grid.max_order)
+    plan = _PLANS.get(key)
+    if plan is None:
+        if len(_PLANS) >= _PLANS_KEPT:
+            del _PLANS[next(iter(_PLANS))]
+        plan = _PLANS[key] = _plan(grid)
+    return plan
+
+
 def forward_difference(f: Callable[[float], float], x: float, h: float, n: int) -> float:
     """Delta_h^n f(x) = sum_j (-1)^j C(n, j) f(x + (n-j) h)."""
     if h <= 0.0:
@@ -143,47 +214,44 @@ def check_cm(
     scan runs with numpy's flags quiet: a stencil whose arithmetic overflows
     to inf or NaN is read as no evidence, never reported as a RuntimeWarning.
     """
-    xs = grid.xs()
-    steps = np.arange(grid.max_order + 1) * np.asarray(grid.h_set, dtype=float)[:, None, None]
-    nodes = xs[None, :, None] + steps  # (h, x, j): x + j h
-    flat = nodes.ravel()
-    # each distinct bit pattern once (0.0 and -0.0 stay apart), in order of first occurrence
-    _, first, inverse = np.unique(flat.view(np.int64), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    distinct = flat[first[order]]
-    vals = np.broadcast_to(np.asarray(fn(distinct), dtype=float), distinct.shape)
-    vals = vals[np.argsort(order)[inverse]].reshape(nodes.shape)
-    f0 = vals[0, :, 0]  # fn at the grid points
+    plan = _grid_plan(grid)
+    xs, n_max, n_h = plan.xs, grid.max_order, len(grid.h_set)
+    # fn(x + j h) on the lattice, laid out (j, h, x)
+    vals = np.broadcast_to(np.asarray(fn(plan.nodes.copy()), dtype=float), plan.nodes.shape)[plan.gather]
+    f0 = vals[0, 0]  # fn at the grid points
     d_rows = [] if derivs is None else [
-        (k, np.broadcast_to(np.asarray(derivs(k, xs), dtype=float), xs.shape)) for k in _DERIV_ORDERS
+        (k, np.broadcast_to(np.asarray(derivs(k, xs.copy()), dtype=float), xs.shape)) for k in _DERIV_ORDERS
     ]
 
-    rows: list[tuple[int, float, np.ndarray, np.ndarray]] = []  # (n, h, signed, threshold)
+    # one row per (n, h) in scan order: order 0, then n, h (x along each row), then the derivative rows
+    top = int(include_order_zero)
+    labels = [(0, 0.0)] * top + [(n, h) for n in range(1, n_max + 1) for h in grid.h_set]
+    labels += [(k, 0.0) for k, _ in d_rows]
+    signed = np.empty((len(labels), xs.size))
+    thresh = np.empty_like(signed)
     if include_order_zero:
-        rows.append((0, 0.0, f0, tol_abs + tol_rel * np.abs(f0)))
-    scale = np.maximum.accumulate(np.abs(vals), axis=-1)  # max |fn| over x + (0..n) h
-    for n in range(1, grid.max_order + 1):
-        delta = _alternating_sum(lambda i: vals[..., i], n)
-        signed = delta if n % 2 == 0 else -delta
-        thresh = tol_abs + tol_rel * scale[..., n]
-        rows += [(n, h, signed[k], thresh[k]) for k, h in enumerate(grid.h_set)]
-    for k, d in d_rows:
-        signed = d if k % 2 == 0 else -d
-        rows.append((k, 0.0, signed, tol_abs + tol_rel * np.maximum(np.abs(f0), np.abs(d))))
-    signed = np.stack([r[2] for r in rows])
-    thresh = np.stack([r[3] for r in rows])
+        signed[0] = f0
+        thresh[0] = tol_abs + tol_rel * np.abs(f0)
+    block = slice(top, top + n_max * n_h)
+    _differences(vals, signed[block].reshape(n_max, n_h, -1))
+    limit = thresh[block].reshape(n_max, n_h, -1)  # tol_abs + tol_rel * max |fn| over x + (0..n) h
+    np.multiply(_running(np.maximum, np.abs(vals))[1:], tol_rel, out=limit)
+    np.add(limit, tol_abs, out=limit)
+    for row, (k, d) in enumerate(d_rows, start=block.stop):
+        signed[row] = d if k % 2 == 0 else -d
+        thresh[row] = tol_abs + tol_rel * np.maximum(np.abs(f0), np.abs(d))
     margin = signed + thresh
     margin[np.isnan(margin)] = math.inf  # a NaN row is no evidence either way
     violated = bool((signed < -thresh).any())
     row_min = np.where(np.isnan(signed), math.inf, signed).min(axis=1)
 
     per_order: dict[int, float] = {}
-    for (n, *_), worst in zip(rows, row_min.tolist()):
+    for (n, _), worst in zip(labels, row_min.tolist()):
         per_order[n] = min(per_order.get(n, math.inf), worst)
     worst_violation, worst_threshold, witness = math.inf, 0.0, (math.nan, math.nan, -1)
     i, p = divmod(int(margin.argmin()), xs.size)
     if margin[i, p] < math.inf:
-        n, h = rows[i][:2]
+        n, h = labels[i]
         worst_violation, worst_threshold = float(signed[i, p]), float(thresh[i, p])
         witness = (float(xs[p]), h, n)
     return CMReport(
@@ -196,7 +264,7 @@ def check_cm(
         worst_threshold=worst_threshold,
         witness=witness,
         verdict=VIOLATES if violated else CONSISTENT,
-        evaluations=distinct.size,
+        evaluations=plan.nodes.size,
     )
 
 

@@ -259,6 +259,36 @@ def _blocked(core, x: np.ndarray, n=None) -> tuple:
     return tuple(np.concatenate(parts) for parts in zip(*blocks))
 
 
+# Every series adds its terms in term order, row after row of a (term, element)
+# array: row i of a running sum is row i - 1 plus term i, whatever the shape.
+# ufunc.accumulate along axis 0 and a loop of one ufunc call per row both do
+# exactly that, so they give the same bits.  The loop costs about 0.5 us a row,
+# accumulate about 0.05 us an element: from this many elements a row on, the
+# loop is the cheaper.
+_ROW_LOOP = 128
+
+
+def _running(ufunc, rows: np.ndarray) -> np.ndarray:
+    """ufunc.accumulate(rows, axis=0): partial i is ufunc(partial i - 1, row i).  rows may be overwritten."""
+    if rows.size < _ROW_LOOP * len(rows):
+        return ufunc.accumulate(rows, axis=0)
+    prev = rows[0]
+    for row in rows[1:]:
+        ufunc(prev, row, out=row)
+        prev = row
+    return rows
+
+
+def _total(rows: np.ndarray) -> np.ndarray:
+    """The last row of np.add.accumulate(rows, axis=0), in a new array: the rows added in order."""
+    if len(rows) == 1 or rows.size < _ROW_LOOP * len(rows):
+        return np.add.accumulate(rows, axis=0)[-1]
+    s = rows[0] + rows[1]
+    for r in rows[2:]:
+        s += r
+    return s
+
+
 # An order n is int64: one for a single order, or an array with one per abscissa
 # (see _with_orders).  The helpers below take a single order's cheapest form and
 # give each element of an order array the bits of its single-order call.
@@ -484,16 +514,16 @@ def _hurwitz_zeta_int(s, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     # w^{-s-1-2j} for j = 0..M as running products, and the M corrections
     steps = np.empty((len(coefs) + 1, w.size))
     steps[0], steps[1:] = wpow, 1.0 / (w * w)
-    wpows = np.multiply.accumulate(steps, axis=0)
+    wpows = _running(np.multiply, steps)
     corr = np.array(coefs).reshape(len(coefs), -1) * wpows[:-1]
     trunc = np.abs(last * wpows[-1])
     direct = _pow(a + _ZETA_OFFSETS, -s)  # (k + a)^{-s}, added in order of k
 
     def corrected(after_tail):  # the running sums go on through the corrections
-        return np.add.accumulate(np.concatenate([after_tail[None], corr]), axis=0)[-1]
+        return _total(np.concatenate([after_tail[None], corr]))
 
     def regular():  # every term is positive: each partial sum lies within after_tail + corr_size of 0
-        after_tail = np.add.accumulate(direct, axis=0)[-1] + (_pow(w, 1 - s) / (s - 1) + half)
+        after_tail = _total(direct) + (_pow(w, 1 - s) / (s - 1) + half)
         ulps = _TERM_ULPS + s + 23
         return corrected(after_tail), trunc, ulps * _U * after_tail + (ulps + 32) * _U * corr_size
 
@@ -501,7 +531,7 @@ def _hurwitz_zeta_int(s, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
         # At s = 1 the tail is negative and, for small a, term 0 (1/a) dwarfs the
         # others.  It is added last, so only that addition rounds at |value|.
         tail = -np.log(w)
-        head = np.add.accumulate(direct[1:], axis=0)[-1]  # positive, like every partial sum before it
+        head = _total(direct[1:])  # positive, like every partial sum before it
         after_tail = head + (tail + half)
         # 12 additions up to head, the rounding of tail + half, 9 sums within
         # corr_size of after_tail, and the last addition, of term 0
@@ -616,7 +646,10 @@ def _lambert(k, z, w, lq: float):
     w = 1 - z (see _q_pow) and r = -log q / w > 0, near 1/t as q -> 1.  Every factor is
     positive, and g, beyond float64 where t log q is subnormal, is never formed.  The
     relative rounding error is within _TERM_ULPS + 3k + 3|t log q| ulps.
+    A single order 0 is z r itself: its A_0 = 1 and r ** 1 leave the bits alone.
     """
+    if np.size(k) == 1 and k == 0:
+        return z * (-lq / w)
     return z * _horner(_per_order(_eulerian, k), z) * _pow(-lq / w, k + 1)
 
 
@@ -631,12 +664,45 @@ def _em_table(k0: int) -> np.ndarray:
     return _order_columns(_eulerian, k0 + 2 * len(_EM_COEF) - 1)[:, k0 + 1::2, None]
 
 
+@functools.cache
+def _em_plan(k0: int, columns: bool) -> tuple[tuple[int, np.ndarray], ...]:
+    """The Horner steps of _em_table(k0), or with ``columns`` of the orders 0..k0 side by side, cut for _em_polys.
+
+    Step s becomes (lo, its rows from lo on), lo the first row of the table
+    that is nonzero for some column at step s or at an earlier one.  lo is
+    read off the table, which knows each order's length (A_0 and A_1 both
+    have one coefficient).
+    """
+    table = _order_columns(_em_table, k0)[:, :, 0] if columns else _em_table(k0)
+    begun = np.logical_or.accumulate((table != 0).reshape(*table.shape[:2], -1).any(axis=-1), axis=0)
+    starts = (int(b.argmax()) if b.any() else b.size for b in begun)
+    return tuple((lo, step[lo:]) for lo, step in zip(starts, table))
+
+
+def _em_polys(k0, z) -> np.ndarray:
+    """The rows A_k(z), k = k0 + 2j - 1 for j = 1..M+1, over the elements of z: _horner over _per_order(_em_table, k0).
+
+    The table pads each row with leading zeros, through which Horner's partial
+    value is 0.0 * z + 0.0 = 0.0, and then 0.0 * z + c = c.  So each step runs
+    in place on the rows from its start (_em_plan) on, and the rows above keep
+    the 0.0 they would reach: the same bits at about half the multiply-adds.
+    An order array k0 gathers each element's column of the rows it runs.
+    """
+    single = np.size(k0) == 1
+    poly = np.zeros((len(_EM_COEF), np.size(z)))
+    for lo, rows in _em_plan(k0.item() if single else int(k0.max(initial=0)), not single):
+        part = poly[lo:]
+        part *= z
+        part += rows if single else rows.take(k0, axis=-1)
+    return poly
+
+
 def _em_corrections(k0, e, z, w, lq: float):
     """-sum_{j=1..M} B_2j/(2j)! f^(2j-1)(t) for f = |log q g^(k0)| (see _lambert), k0 an order array.
 
     f^(m) = (-1)^m |log q g^(k0+m)|: this is sum_j B_2j/(2j)! z A_k(z) r^(k+1), k = k0 + 2j - 1.
     (e, z, w) is _q_pow(t, lq).  All orders share z = q^t and r, so one
-    Horner pass over _em_table(k0) serves them; an order array k0 (one
+    Horner pass (_em_polys) serves them; an order array k0 (one
     element per t) gathers each element's column.  Returns (correction,
     remainder bound B_2M+2/(2M+2)! |f^(2M+1)(t)|, rounding budget in ulps:
     each term within its order's budget, plus M additions).
@@ -645,13 +711,11 @@ def _em_corrections(k0, e, z, w, lq: float):
     steps = np.empty((len(_EM_COEF), np.size(z)))  # fac, then r^2 M times
     steps[0] = z * _pow(r, k0 + 2)  # fac = z r^(k+1) at k = k0 + 1
     steps[1:] = r * r
-    # row j of A_k(z); an order array's gathered steps put its elements after the 1 that broadcasts over t
-    poly = _horner(_per_order(_em_table, k0), z).reshape(len(_EM_COEF), -1)
-    # row j: B_2j/(2j)! (fac r^2j) A_k(z); running sums are added in order of j
-    terms = _EM_COLUMN * np.multiply.accumulate(steps, axis=0) * poly
+    # row j: B_2j/(2j)! (fac r^2j) A_k(z); sums are added in order of j
+    terms = _EM_COLUMN * _running(np.multiply, steps) * _em_polys(k0, z)
     kept = terms[:-1]  # the last term is left out: it bounds the remainder
-    corr = np.add.accumulate(kept, axis=0)[-1]
-    mag = np.add.accumulate(np.abs(kept), axis=0)[-1]
+    corr = _total(kept)
+    mag = _total(np.abs(kept))
     ulps = _TERM_ULPS + 3.0 * (np.minimum(-e, _EXP_ARG_MAX) + k0 + 2 * _EM_ORDER) + _EM_ORDER
     return corr, terms[-1], mag * ulps
 
@@ -674,13 +738,12 @@ def _q_polygamma(n, x: np.ndarray, lq: float):
     e, z, w = _q_pow(t, lq)
     f = _lambert(n, z, w, lq)
     v = f[:-1]
-    # running sums in term order (accumulate never regroups, whatever the shape)
-    running = np.add.accumulate(v, axis=0)
-    direct = running[-1]
-    weighted = np.add.accumulate(v * t[:-1], axis=0)[-1]
-    partial = np.add.accumulate(running * _U, axis=0)[-1]
+    weighted = _total(v * t[:-1])
     # a subnormal x log q (row 0 only) is off by up to 2^-1074 / |x log q| relative, n + 1 times in r^(n+1)
     subnormal = np.where(e[0] > -_TINY, 2.0 ** -1074 / -e[0], 0.0) * (n + 1) * v[0]
+    running = _running(np.add, v)  # may overwrite v, whose terms are read above
+    direct = running[-1]
+    partial = _total(running * _U)
     err = direct * ((_TERM_ULPS + 3.0 * n) * _U) - 3.0 * lq * weighted * _U + partial + subnormal
     e, z, w = e[-1], z[-1], w[-1]  # at T, shared by the head, the half term and the corrections
     ulps = _TERM_ULPS + 3.0 * (n + np.minimum(-e, _EXP_ARG_MAX))
@@ -805,9 +868,9 @@ def _log_gamma_q_series(x: np.ndarray, lq: float):
     v, v_err = _branch(r > -0.5, near, ratio)
     # a subnormal x log q (row 0 only) is off by up to a whole subnormal ulp, 2^-1074 / |x log q| relative
     v_err = v_err + np.where(e > -_TINY, 2.0 ** -1074 / _U / -e, 0.0)
-    running = np.add.accumulate(v[:-1], axis=0)  # the direct terms, in order
+    running = _running(np.add, v[:-1])  # the direct terms, in order; v's last row, phi(N), stays
     direct = running[-1]
-    err = np.add.accumulate(v_err[:-1] + np.abs(running), axis=0)[-1]
+    err = _total(v_err[:-1] + np.abs(running))
     phi_n, phi_err = v[-1], v_err[-1]  # phi(N), for the tail
     a, b = _EM_DIRECT + x, _EM_DIRECT + 1.0
     # phi^(m)(N) = f^(m-1)(b) - f^(m-1)(a), f = |log q g| (see _lambert): order -1 of psi_q's series

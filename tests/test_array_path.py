@@ -295,6 +295,81 @@ def test_pow_keeps_the_bits_of_a_scalar_exponent():
     assert sp._pow(0.7, col).ravel().tolist() == [0.7 ** k for k in (0, 1, 2, 3, -1)]
 
 
+def _with_edge_values(shape, seed: int) -> np.ndarray:
+    """Values of every magnitude, with infinities, NaN, signed zeros and subnormals sprinkled in."""
+    rng = np.random.default_rng(seed)
+    out = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    edges = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -2.5e-310, 1e308, -1.7e308]
+    flat = out.reshape(-1)
+    at = rng.choice(flat.size, size=min(flat.size, 2 * len(edges)), replace=False)
+    flat[at] = (edges * 2)[:at.size]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (9, 1), (10, 63), (10, 1500)])
+@pytest.mark.parametrize("row_loop", [0, sp._ROW_LOOP])
+def test_row_loops_keep_the_bits_of_accumulate(monkeypatch, shape, row_loop):
+    monkeypatch.setattr(sp, "_ROW_LOOP", row_loop)  # 0: the row loop at every width
+    for seed in range(3):
+        rows = _with_edge_values(shape, seed)
+        with np.errstate(all="ignore"):  # inf - inf and overflow, as the quiet evaluators meet them
+            for ufunc in (np.add, np.multiply):
+                want = ufunc.accumulate(rows, axis=0)
+                got = sp._running(ufunc, rows.copy())
+                assert got.tobytes() == want.tobytes(), (ufunc, seed)
+            total = sp._total(rows)
+            assert total.tobytes() == np.add.accumulate(rows, axis=0)[-1].tobytes(), seed
+        assert not np.shares_memory(total, rows)
+
+
+def _em_z() -> np.ndarray:
+    """q-powers z = q^t in [0, 1], the ends and an underflowed one included."""
+    rng = np.random.default_rng(11)
+    return np.concatenate([[0.0, 5e-324, 1e-300, 0.5, np.nextafter(1.0, 0.0), 1.0], rng.uniform(0.0, 1.0, 40)])
+
+
+def _padded_em(k0, z) -> np.ndarray:
+    """The Horner pass over every step of the padded table, rows (M+1, size of z)."""
+    rows = len(sp._EM_COEF)
+    return np.broadcast_to(sp._horner(sp._per_order(sp._em_table, k0), z).reshape(rows, -1), (rows, np.size(z)))
+
+
+@pytest.mark.parametrize("k0", range(-1, 21))
+def test_trimmed_em_pass_equals_the_padded_horner(k0):
+    z = _em_z()
+    got = sp._em_polys(np.int64(k0), z)
+    assert got.tobytes() == _padded_em(np.int64(k0), z).tobytes()
+    # a Python float z, as log_gamma_q's tail at b = N + 1 passes it
+    assert sp._em_polys(np.int64(k0), 0.3).tobytes() == _padded_em(np.int64(k0), 0.3).tobytes()
+
+
+def test_trimmed_em_pass_equals_the_padded_horner_for_order_arrays():
+    z = _em_z()
+    rng = np.random.default_rng(12)
+    mixed, uniform, low, high = (rng.integers(0, 21, z.size), np.full(z.size, 7), np.arange(z.size) % 3,
+                                 rng.integers(15, 21, z.size))
+    for orders in (mixed, uniform, low, high):
+        got = sp._em_polys(orders, z)
+        assert got.tobytes() == _padded_em(orders, z).tobytes()
+        for i in range(0, z.size, 7):  # each element as its single order gives it
+            assert got[:, i].tobytes() == sp._em_polys(orders[i], z[i:i + 1])[:, 0].tobytes()
+    assert sp._em_polys(np.zeros(0, dtype=np.int64), np.zeros(0)).shape == (len(sp._EM_COEF), 0)
+
+
+@pytest.mark.parametrize("q", QS)
+def test_lambert_order_0_keeps_the_bits_of_an_order_array(q):
+    lq = math.log(q)
+    t = _xs(13)
+    _, z, w = sp._q_pow(t, lq)
+    orders = np.arange(t.size) % 4  # order 0 among others
+    with np.errstate(all="ignore"):  # high orders at t = 1e-300 overflow, as the evaluators' own calls may
+        single = sp._lambert(np.int64(0), z, w, lq)
+        general = z * sp._horner(sp._per_order(sp._eulerian, np.int64(0)), z) * sp._pow(-lq / w, np.int64(1))
+        mixed = sp._lambert(orders, z, w, lq)
+    assert single.tobytes() == general.tobytes()
+    assert single[orders == 0].tobytes() == mixed[orders == 0].tobytes()
+
+
 def test_order_arrays_are_checked():
     with pytest.raises(sp.DomainError, match=r"^psi_q_n requires order n >= 0, got -1 \(element 2\)$"):
         sp.psi_q_n(np.array([1, 2, -1]), 1.0, 0.5)
@@ -621,6 +696,20 @@ def test_check_cm_calls_fn_once_on_the_whole_lattice():
     rep = cm.check_cm(fn, cm.GridSpec(0.1, 5.0, 7), derivs=lambda k, x: (-1) ** k * np.exp(-x))
     # 3 * 7 * 9 = 189 stencil nodes, of which 133 are distinct
     assert calls == [(133,)] and rep.evaluations == 133
+
+
+@pytest.mark.parametrize("max_order", [1, 2, 5, 12, 20, 40])
+def test_check_cm_differences_equal_the_alternating_sum_order_by_order(max_order):
+    # (j, h, x) stencil values of every magnitude, infinities and NaN among them
+    rng = np.random.default_rng(max_order)
+    vals = rng.standard_normal((max_order + 1, 3, 17)) * 10.0 ** rng.integers(-8, 8, (max_order + 1, 3, 17))
+    vals.reshape(-1)[rng.choice(vals.size, 12, replace=False)] = [np.inf, -np.inf, np.nan, -0.0] * 3
+    out = np.empty((max_order, 3, 17))
+    with np.errstate(all="ignore"):  # inf - inf, as check_cm's quiet scan meets it
+        cm._differences(vals, out)
+        for n in range(1, max_order + 1):
+            delta = cm._alternating_sum(lambda i: vals[i], n)
+            assert out[n - 1].tobytes() == (delta if n % 2 == 0 else -delta).tobytes(), n
 
 
 # the first argument outside (0, inf) each closure meets on a lattice from x = -0.5:

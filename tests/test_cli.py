@@ -289,6 +289,22 @@ def test_verify_all_keeps_its_bytes(capsys, argv, md5):
     assert hashlib.md5(out.encode()).hexdigest() == md5
 
 
+# stdout of dense verifies: evaluator calls over several blocks of elements and
+# differences up to order 20, where term order decides the last bits
+_DENSE_VERIFY_MD5 = [
+    ("verify thm3.2 --q 0.99 --points 400 --max-order 20", "3b0eee8f7dc8b48b11b8ce087b72222b"),
+    ("verify thm2.2 --points 400 --max-order 20", "8484d9056410041ffb7a8059e7b70b5f"),
+    ("verify cor3.5 --q 0.9 --points 400 --max-order 20", "8a2c62cc082a51fcedd51efb705f75b2"),
+]
+
+
+@pytest.mark.parametrize("argv, md5", _DENSE_VERIFY_MD5)
+def test_dense_verify_keeps_its_bytes(capsys, argv, md5):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
 def test_verify_all_deterministic(capsys, tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(capsys, "verify", "thm2.2", "--output", str(p1))[0] == 0

@@ -103,6 +103,85 @@ def test_check_cm_report_fields_and_determinism():
     assert (rep1.verdict == cm.VIOLATES) == (rep1.worst_violation < -rep1.worst_threshold)
 
 
+# ---------------------------------------------------------------------------
+# one plan per grid
+# ---------------------------------------------------------------------------
+
+
+def _count_plans(monkeypatch) -> tuple[list, list]:
+    """(grids check_cm is asked for, plans built), counted from an empty plan cache."""
+    asked, built = [], []
+    grid_plan, plan = cm._grid_plan, cm._plan
+    monkeypatch.setattr(cm, "_PLANS", {})
+    monkeypatch.setattr(cm, "_grid_plan", lambda grid: asked.append(grid) or grid_plan(grid))
+    monkeypatch.setattr(cm, "_plan", lambda grid: built.append(grid) or plan(grid))
+    return asked, built
+
+
+def test_verify_all_plans_each_grid_once(monkeypatch, capsys):
+    from qgamma.cli import main
+
+    asked, built = _count_plans(monkeypatch)
+    assert main(["verify", "all"]) == 0
+    capsys.readouterr()
+    assert (len(asked), len(built)) == (33, 6)
+    assert len(set(built)) == 6
+
+
+def _lattice(grid) -> np.ndarray:
+    """The distinct stencil nodes of a grid, in order of first occurrence, from its own points."""
+    nodes = [float(x) + j * h for h in grid.h_set for x in grid.xs() for j in range(grid.max_order + 1)]
+    seen = {}
+    for v in nodes:
+        seen.setdefault(np.float64(v).tobytes(), v)
+    return np.array(list(seen.values()))
+
+
+def test_plans_keep_the_bits_of_their_grid(monkeypatch):
+    _, built = _count_plans(monkeypatch)
+    for ends in (((-0.0, 5.0), (0.0, 5.0)), ((-1.0, -0.0), (-1.0, 0.0))):
+        grids = [cm.GridSpec(lo, hi, 21, "linear") for lo, hi in ends]
+        assert grids[0] == grids[1]  # equal as dataclasses, not in their bits
+        for grid in grids:
+            nodes, points = [], []
+
+            def fn(x):
+                nodes.append(x.copy())
+                return np.exp(-x) - 2.0  # negative: the witness is the last grid point, at order 0
+
+            def derivs(k, x):
+                points.append(x.copy())
+                return np.zeros_like(x)
+
+            rep = cm.check_cm(fn, grid, derivs=derivs)
+            assert nodes[0].tobytes() == _lattice(grid).tobytes()
+            assert all(p.tobytes() == grid.xs().tobytes() for p in points)
+            assert np.float64(rep.witness[0]).tobytes() == grid.xs()[-1].tobytes()
+    assert len(built) == 4
+    # the grid ending at -0.0 has -0.0 for its last point, and names it so in its witness
+    assert np.signbit(cm.GridSpec(-1.0, -0.0, 21, "linear").xs()[-1])
+
+
+def test_functions_writing_their_argument_leave_the_plan_alone():
+    grid = cm.GridSpec(0.1, 5.0, 7, "linear")
+
+    def fn(x):
+        out = np.exp(-x)
+        x[:] = 99.0
+        return out
+
+    def derivs(k, x):
+        out = (-1.0) ** k * np.exp(-x)
+        x[:] = -1.0
+        return out
+
+    first = cm.check_cm(fn, grid, derivs=derivs)
+    again = cm.check_cm(fn, grid, derivs=derivs)
+    clean = cm.check_cm(lambda x: np.exp(-x), grid, derivs=lambda k, x: (-1.0) ** k * np.exp(-x))
+    assert first == again == clean
+    assert grid.xs()[0] == 0.1
+
+
 def test_grid_spec_validation():
     with pytest.raises(DomainError):
         cm.GridSpec(2.0, 1.0)
