@@ -26,6 +26,7 @@ an empty result.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -327,27 +328,17 @@ def _pow(base, n):
 def _order_columns(table, top: int) -> np.ndarray:
     """table(k) for the orders k = 0..top side by side on a last axis, indexed by k.
 
-    Each table(k) is an array whose first axis is a Horner pass; shorter ones
-    are padded with leading zeros.  Horner's partial value stays exactly 0.0
-    through the padding, so one pass over the columns an order array picks
-    gives each element its own order's polynomial, bit for bit.
+    Each table(k) is a sequence of coefficients in the order a pass reads
+    them; shorter ones are padded with leading zeros.  Horner's partial value
+    stays exactly 0.0 through the padding, so one pass over the columns an
+    order array picks gives each element its own order's polynomial, bit for
+    bit (see _eulerian_poly).
     """
     parts = [np.asarray(table(k), dtype=float) for k in range(top + 1)]
     length = max(len(p) for p in parts)
     out = np.stack([np.concatenate([np.zeros((length - len(p), *p.shape[1:])), p]) for p in parts], axis=-1)
     out.flags.writeable = False
     return out
-
-
-def _per_order(table, n: np.ndarray):
-    """table(k) for a single order k; for an order array, its Horner steps with each element's column.
-
-    The steps are gathered as they are read, so a pass holds one step's
-    coefficients at a time, not the whole table for every element.
-    """
-    if n.size == 1:
-        return table(n.item())
-    return (step.take(n, axis=-1) for step in _order_columns(table, int(n.max(initial=0))))
 
 
 def _factorial(n):
@@ -504,10 +495,11 @@ def _hurwitz_zeta_int(s, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     logarithm of such a shift), so it carries _TERM_ULPS + s ulps, a
     correction up to 4 more per factor 1/w^2 (32 in all).  Each piece of the
     rounding bound is scaled by u before it is added, so the bound stays finite
-    wherever the value does.
+    wherever the value does.  The coefficients of each element's order are its
+    column of _order_columns(_zeta_coefs, top), read by indexing.
     """
     w = _ZETA_DIRECT + a
-    *coefs, last, scale = _per_order(_zeta_coefs, s)
+    *coefs, last, scale = _order_columns(_zeta_coefs, int(s.max(initial=0)))[:, s]
     half = 0.5 * _pow(w, -s)
     wpow = _pow(w, -s - 1)
     corr_size = scale * wpow  # the j-th correction has 1/w^{2j-2} <= 1/14^{2j-2}
@@ -563,6 +555,7 @@ _EM_TERMS = _EM_DIRECT + _EM_ORDER
 # B_2j / (2j)! for j = 1..M+1; the last one bounds the remainder
 _EM_COEF = tuple(b / math.factorial(2 * j) for j, b in enumerate(_BERNOULLI, start=1))
 _EM_COLUMN = np.array(_EM_COEF)[:, None]  # row j broadcasts over t
+_EM_ODD = np.arange(1, 2 * len(_EM_COEF), 2)[:, None]  # 2j - 1, so k0 + _EM_ODD is each row's order
 
 # Rounding budget of the q-series, in units of u.  A quantity built from
 # q^t = exp(t log q) and 1 - q^t = -expm1(t log q) carries a relative error of
@@ -591,6 +584,54 @@ def _eulerian(k: int) -> tuple[float, ...]:
             for j in range(m)
         ]
     return tuple(float(c) for c in row)
+
+
+@functools.cache
+def _eulerian_plan(orders: tuple[int, ...]) -> tuple[tuple[int, np.ndarray], ...]:
+    """The Horner steps of A_k for a column of orders, one a row, as _eulerian_poly runs them.
+
+    The steps are the rows of _order_columns(_eulerian, top), top the highest
+    order, so step 0 is A_top's first.  Step s is (lo, the column's
+    coefficients from row lo on), lo the first row begun at step s or before.
+    Every Eulerian number is positive, so an order has begun once its
+    coefficient is nonzero (A_0 and A_1 both have one coefficient, 1).
+    """
+    column = _order_columns(_eulerian, max(orders))[:, list(orders)]
+    starts = (int(b.argmax()) for b in np.logical_or.accumulate(column != 0, axis=0))
+    return tuple((lo, col[lo:, None]) for lo, col in zip(starts, column))
+
+
+def _eulerian_poly(k, z) -> np.ndarray:
+    """A_k(z) for an order array k that broadcasts with z >= 0, by one in-place Horner pass.
+
+    The pass runs over the padded table _order_columns(_eulerian, top) from
+    the highest order's first step.  Through an order's leading zeros the
+    partial value is 0.0 * z + 0.0 = 0.0, and then 0.0 * z + c = c, so each
+    element gets its own order's Horner sum bit for bit.  Where k has a row
+    axis that z lacks (the Euler-Maclaurin orders k0 + 2j - 1, one row per
+    j), a step runs only on the rows from the first one begun (see
+    _eulerian_plan): the rows above keep the 0.0 they would reach.  A single
+    order, or one order a row, takes each step's coefficients as a cached
+    plan holds them; any other order array gathers its own at each step.
+    """
+    k = np.asarray(k)
+    if k.size == 1:
+        plan = zip(itertools.repeat(0), _eulerian(k.item()))
+    elif k.ndim > np.ndim(z) and k.shape[1:] == (1,):
+        plan = iter(_eulerian_plan(tuple(k.ravel().tolist())))
+    else:  # a row has begun once its highest order has
+        by_row = k.ndim > np.ndim(z)
+        heads = k.max(axis=tuple(range(1, k.ndim)), initial=0).tolist() if by_row else [int(k.max(initial=0))]
+        table = _order_columns(_eulerian, max(heads))
+        plan = ((lo, row.take(k[lo:])) for (lo, _), row in zip(_eulerian_plan(tuple(heads)), table))
+    lo, c = next(plan)  # the first step, 0.0 * z + c, leaves c
+    poly = np.zeros(np.broadcast(k, z).shape)
+    poly[lo:] = c
+    for lo, c in plan:
+        part = poly[lo:] if lo else poly
+        part *= z
+        part += c
+    return poly
 
 
 def _one_minus_q_pow(e):
@@ -630,71 +671,20 @@ def _log_q_number(w, lq: float):
     return np.log(w / -math.expm1(lq))
 
 
-def _horner(coef, z):
-    """sum_m coef[m] z^(len-1-m) by Horner's rule, from coef[0] = 0.0 * z + coef[0] at the q-series' z >= 0."""
-    steps = iter(coef)
-    poly = next(steps)
-    for c in steps:
-        poly = poly * z + c
-    return poly
-
-
 def _lambert(k, z, w, lq: float):
     """|log q g^(k)(t)| for g(t) = q^t/(1-q^t) = sum_{j>=1} q^{jt}, completely monotonic in t; k an order array.
 
     log q g^(k)(t) = (log q)^(k+1) Li_{-k}(z) = (-1)^(k+1) z A_k(z) r^(k+1) with z = q^t,
     w = 1 - z (see _q_pow) and r = -log q / w > 0, near 1/t as q -> 1.  Every factor is
     positive, and g, beyond float64 where t log q is subnormal, is never formed.  The
-    relative rounding error is within _TERM_ULPS + 3k + 3|t log q| ulps.
-    A single order 0 is z r itself: its A_0 = 1 and r ** 1 leave the bits alone.
+    relative rounding error is within _TERM_ULPS + 3k + 3|t log q| ulps.  A_k(z) comes
+    from _eulerian_poly, the one Horner pass over Eulerian polynomials in this module.
+    A single order 0 or 1 skips the pass: A_0 = A_1 = 1, and a factor 1.0 leaves the
+    bits alone; order 0 is z r itself, since r ** 1 is r.
     """
-    if np.size(k) == 1 and k == 0:
-        return z * (-lq / w)
-    return z * _horner(_per_order(_eulerian, k), z) * _pow(-lq / w, k + 1)
-
-
-@functools.cache
-def _em_table(k0: int) -> np.ndarray:
-    """Horner table of A_k for the orders k = k0 + 2j - 1, j = 1..M+1, shape (length, M+1, 1).
-
-    Column j is order k's column of _order_columns(_eulerian, .), so one pass
-    over the table gives every order's polynomial, each equal to its own
-    Horner sum.  Each row broadcasts over t, as _EM_COLUMN does.
-    """
-    return _order_columns(_eulerian, k0 + 2 * len(_EM_COEF) - 1)[:, k0 + 1::2, None]
-
-
-@functools.cache
-def _em_plan(k0: int, columns: bool) -> tuple[tuple[int, np.ndarray], ...]:
-    """The Horner steps of _em_table(k0), or with ``columns`` of the orders 0..k0 side by side, cut for _em_polys.
-
-    Step s becomes (lo, its rows from lo on), lo the first row of the table
-    that is nonzero for some column at step s or at an earlier one.  lo is
-    read off the table, which knows each order's length (A_0 and A_1 both
-    have one coefficient).
-    """
-    table = _order_columns(_em_table, k0)[:, :, 0] if columns else _em_table(k0)
-    begun = np.logical_or.accumulate((table != 0).reshape(*table.shape[:2], -1).any(axis=-1), axis=0)
-    starts = (int(b.argmax()) if b.any() else b.size for b in begun)
-    return tuple((lo, step[lo:]) for lo, step in zip(starts, table))
-
-
-def _em_polys(k0, z) -> np.ndarray:
-    """The rows A_k(z), k = k0 + 2j - 1 for j = 1..M+1, over the elements of z: _horner over _per_order(_em_table, k0).
-
-    The table pads each row with leading zeros, through which Horner's partial
-    value is 0.0 * z + 0.0 = 0.0, and then 0.0 * z + c = c.  So each step runs
-    in place on the rows from its start (_em_plan) on, and the rows above keep
-    the 0.0 they would reach: the same bits at about half the multiply-adds.
-    An order array k0 gathers each element's column of the rows it runs.
-    """
-    single = np.size(k0) == 1
-    poly = np.zeros((len(_EM_COEF), np.size(z)))
-    for lo, rows in _em_plan(k0.item() if single else int(k0.max(initial=0)), not single):
-        part = poly[lo:]
-        part *= z
-        part += rows if single else rows.take(k0, axis=-1)
-    return poly
+    if np.size(k) == 1 and k <= 1:
+        return z * (-lq / w) if k == 0 else z * _pow(-lq / w, k + 1)
+    return z * _eulerian_poly(k, z) * _pow(-lq / w, k + 1)
 
 
 def _em_corrections(k0, e, z, w, lq: float):
@@ -702,8 +692,9 @@ def _em_corrections(k0, e, z, w, lq: float):
 
     f^(m) = (-1)^m |log q g^(k0+m)|: this is sum_j B_2j/(2j)! z A_k(z) r^(k+1), k = k0 + 2j - 1.
     (e, z, w) is _q_pow(t, lq).  All orders share z = q^t and r, so one
-    Horner pass (_em_polys) serves them; an order array k0 (one
-    element per t) gathers each element's column.  Returns (correction,
+    _eulerian_poly pass over the order column k0 + 2j - 1 serves them, each
+    row joining at its own order's first step; an order array k0 (one
+    element per t) makes that an order array of M+1 rows.  Returns (correction,
     remainder bound B_2M+2/(2M+2)! |f^(2M+1)(t)|, rounding budget in ulps:
     each term within its order's budget, plus M additions).
     """
@@ -712,7 +703,8 @@ def _em_corrections(k0, e, z, w, lq: float):
     steps[0] = z * _pow(r, k0 + 2)  # fac = z r^(k+1) at k = k0 + 1
     steps[1:] = r * r
     # row j: B_2j/(2j)! (fac r^2j) A_k(z); sums are added in order of j
-    terms = _EM_COLUMN * _running(np.multiply, steps) * _em_polys(k0, z)
+    terms = _EM_COLUMN * _running(np.multiply, steps)
+    terms *= _eulerian_poly(k0 + _EM_ODD, z)
     kept = terms[:-1]  # the last term is left out: it bounds the remainder
     corr = _total(kept)
     mag = _total(np.abs(kept))

@@ -123,7 +123,8 @@ class TheoremCase:
     # an integer array of orders above the case's base order (1; 0 for "f CM"),
     # as for the derivative rows verify_case asks for, broadcasting with x (an
     # order column gives one row per order); each element equals its
-    # scalar-order call bit for bit
+    # scalar-order call bit for bit.  An x outside the interval raises
+    # DomainError, a scalar x as an array element does, with no numpy warning
     deriv: Callable[[int | np.ndarray, np.ndarray], np.ndarray]
     grid: GridSpec
     kernel_id: str = ""
@@ -165,9 +166,9 @@ def verify_case(
     on the distinct stencil nodes, every grid point among them) come first,
     in a call of their own.  The values are kept for this call only.
     An x outside the case's interval still raises DomainError from the
-    evaluators it reaches; the closures' own arithmetic at such an x (1/0,
-    the log of a negative) must not warn first, so numpy's flags are quiet
-    over the whole lattice.
+    evaluators it reaches; ``case.deriv`` keeps numpy's flags quiet itself,
+    so the closures' own arithmetic at such an x (1/0, the log of a
+    negative) does not warn first.
 
     A "neither" case matches only when both directions produce an explicit
     violation witness; CM cases match when their direction stays consistent.
@@ -175,7 +176,6 @@ def verify_case(
     g = grid or case.grid
     values: dict[tuple[int, bytes], np.ndarray] = {}
 
-    @_quiet
     def deriv(k: int, x: np.ndarray, rows: tuple[int, ...] = ()) -> np.ndarray:
         """case.deriv(k, x) from the cache; a miss given ``rows`` (k among them) evaluates every row."""
         at = x.tobytes()
@@ -256,7 +256,8 @@ class _Q:
 
     def mom(self, k, y: float | np.ndarray) -> float | np.ndarray:
         """k-th derivative of the first moment -q^y log q / (1 - q^y); (-1)^k k! / y^(k+1) classically."""
-        if self.classical:
+        if self.classical:  # a float y as np.float64, so 1/0 is inf, as in an array, not ZeroDivisionError
+            y = y if isinstance(y, np.ndarray) else np.float64(y)
             return (1 - 2 * (k % 2)) * _factorial(k) * _pow(y, -k - 1)
         return _moment(k, y, self.lq)
 
@@ -388,7 +389,7 @@ def _case(case_id: str, params: dict, deriv, kernel_id: str, orientation: int,
         interval=interval,
         x_start=x_start,
         expected=_regime_verdict(kernel_id, params, orientation, target),
-        deriv=deriv,
+        deriv=_quiet(deriv),
         grid=grid or _default_grid(x_start),
         kernel_id=kernel_id,
         representation=rep,
@@ -580,6 +581,7 @@ def _case_thm41(case_id: str, params: dict) -> TheoremCase:
 
 def _case_psi_prime(case_id: str, params: dict) -> TheoremCase:
     """psi'(x) = sum_k (k+x)^{-2} is completely monotonic; with no kernel, the verdict is stated."""
+    @_quiet
     def deriv(k, x):
         return psi_n(k, x).value
 

@@ -328,19 +328,31 @@ def _em_z() -> np.ndarray:
     return np.concatenate([[0.0, 5e-324, 1e-300, 0.5, np.nextafter(1.0, 0.0), 1.0], rng.uniform(0.0, 1.0, 40)])
 
 
-def _padded_em(k0, z) -> np.ndarray:
-    """The Horner pass over every step of the padded table, rows (M+1, size of z)."""
-    rows = len(sp._EM_COEF)
-    return np.broadcast_to(sp._horner(sp._per_order(sp._em_table, k0), z).reshape(rows, -1), (rows, np.size(z)))
+def _reference_poly(k, z) -> np.ndarray:
+    """A_k(z) element by element, by Horner's rule in Python floats over sp._eulerian(k), in the broadcast shape."""
+    ks, zs = np.broadcast_arrays(np.asarray(k), np.asarray(z, dtype=float))
+    out = np.empty(ks.shape)
+    for i in np.ndindex(ks.shape):
+        poly, t = 0.0, float(zs[i])
+        for c in sp._eulerian(int(ks[i])):
+            poly = poly * t + c
+        out[i] = poly
+    return out
+
+
+def _same_poly(k, z):
+    got = sp._eulerian_poly(k, z)
+    want = _reference_poly(k, z)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("k0", range(-1, 21))
 def test_trimmed_em_pass_equals_the_padded_horner(k0):
-    z = _em_z()
-    got = sp._em_polys(np.int64(k0), z)
-    assert got.tobytes() == _padded_em(np.int64(k0), z).tobytes()
-    # a Python float z, as log_gamma_q's tail at b = N + 1 passes it
-    assert sp._em_polys(np.int64(k0), 0.3).tobytes() == _padded_em(np.int64(k0), 0.3).tobytes()
+    column = np.int64(k0) + sp._EM_ODD  # the Euler-Maclaurin orders k0 + 2j - 1, one a row
+    _same_poly(column, _em_z())
+    _same_poly(column, 0.3)  # a Python float z, as log_gamma_q's tail at b = N + 1 passes it
+    _same_poly(column[::-1], _em_z())  # rows that do not ascend are not trimmed past their start
 
 
 def test_trimmed_em_pass_equals_the_padded_horner_for_order_arrays():
@@ -349,11 +361,22 @@ def test_trimmed_em_pass_equals_the_padded_horner_for_order_arrays():
     mixed, uniform, low, high = (rng.integers(0, 21, z.size), np.full(z.size, 7), np.arange(z.size) % 3,
                                  rng.integers(15, 21, z.size))
     for orders in (mixed, uniform, low, high):
-        got = sp._em_polys(orders, z)
-        assert got.tobytes() == _padded_em(orders, z).tobytes()
-        for i in range(0, z.size, 7):  # each element as its single order gives it
-            assert got[:, i].tobytes() == sp._em_polys(orders[i], z[i:i + 1])[:, 0].tobytes()
-    assert sp._em_polys(np.zeros(0, dtype=np.int64), np.zeros(0)).shape == (len(sp._EM_COEF), 0)
+        _same_poly(orders + sp._EM_ODD, z)  # an order array with a row axis z lacks
+        _same_poly(orders, z ** (1.0 + sp._EM_ROWS))  # _lambert's form: one order per column of an (N+1, m) z
+        _same_poly(orders, 0.3)
+        _same_poly(orders[:, None] + sp._EM_ODD.T, z[:, None])  # z has every axis of k: no row is trimmed
+    for k in (*range(21), 170):  # a single order on an (N+1, m) z, up to the table's top
+        _same_poly(np.int64(k), z ** (1.0 + sp._EM_ROWS))
+    _same_poly(np.zeros(0, dtype=np.int64) + sp._EM_ODD, np.zeros(0))
+    assert sp._eulerian_poly(np.zeros(0, dtype=np.int64) + sp._EM_ODD, np.zeros(0)).shape == (len(sp._EM_COEF), 0)
+    assert sp._eulerian_poly(np.zeros(0, dtype=np.int64), np.zeros((_N + 1, 0))).shape == (_N + 1, 0)
+
+
+def test_zeta_coefficients_are_read_by_order():
+    s = np.random.default_rng(13).integers(1, 41, 60)
+    got = sp._order_columns(sp._zeta_coefs, int(s.max()))[:, s]
+    for i, order in enumerate(s.tolist()):
+        assert got[:, i].tolist() == list(sp._zeta_coefs(order))
 
 
 @pytest.mark.parametrize("q", QS)
@@ -364,10 +387,15 @@ def test_lambert_order_0_keeps_the_bits_of_an_order_array(q):
     orders = np.arange(t.size) % 4  # order 0 among others
     with np.errstate(all="ignore"):  # high orders at t = 1e-300 overflow, as the evaluators' own calls may
         single = sp._lambert(np.int64(0), z, w, lq)
-        general = z * sp._horner(sp._per_order(sp._eulerian, np.int64(0)), z) * sp._pow(-lq / w, np.int64(1))
         mixed = sp._lambert(orders, z, w, lq)
-    assert single.tobytes() == general.tobytes()
+    assert single.tobytes() == (z * (-lq / w)).tobytes()
     assert single[orders == 0].tobytes() == mixed[orders == 0].tobytes()
+    # order 1 skips the pass too: A_1 = 1
+    with np.errstate(all="ignore"):
+        first = sp._lambert(np.int64(1), z, w, lq)
+        passed = z * sp._eulerian_poly(np.int64(1), z) * sp._pow(-lq / w, np.int64(2))
+    assert first.tobytes() == passed.tobytes()
+    assert first[orders == 1].tobytes() == mixed[orders == 1].tobytes()
 
 
 def test_order_arrays_are_checked():

@@ -305,6 +305,24 @@ def test_dense_verify_keeps_its_bytes(capsys, argv, md5):
     assert hashlib.md5(out.encode()).hexdigest() == md5
 
 
+# stdout of high-order evals, whose Euler-Maclaurin orders n + 17 reach the
+# Eulerian table's top (170) at n = 153; these pin the current bits, and a fix
+# of psi_n's high-order bound (ROADMAP item 12) may re-pin them, saying why
+_HIGH_ORDER_MD5 = [
+    ("eval psi-q-n --n 40 --x 2 --q 0.9", "e74e438bfe911df4bce3e70f8567179d"),
+    ("eval psi-q-n --n 150 --x 2 --q 0.5", "5462027f352f6427136120a839f824db"),
+    ("eval psi-q-n --n 153 --x 2 --q 0.9", "f9b6294398285f4b01fa702b4475a736"),
+    ("eval psi-q-n --n 12 --x 0.001 --q 0.999", "43467236dd47607e936775487e090b13"),
+]
+
+
+@pytest.mark.parametrize("argv, md5", _HIGH_ORDER_MD5)
+def test_high_order_eval_keeps_its_bytes(capsys, argv, md5):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
 def test_verify_all_deterministic(capsys, tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(capsys, "verify", "thm2.2", "--output", str(p1))[0] == 0
