@@ -5,12 +5,27 @@ CLI's ``_fmt``, ``f"{v:.17g}"``) would give.  For each value it forms
 D = round-half-even(|v| * 10**(16 - E)), E = floor(log10 |v|), from a
 double-double product: Dekker's error-free two-product ("A floating-point
 technique for extending the available precision", 1971) with a hi + lo
-table of 10**p built from exact integers.  The digits come from integer
-arithmetic and a table of 4-digit groups, and each value is laid out on a
-fixed template whose unused bytes are NUL, deleted at the end.  A value the
-product cannot settle exactly (non-finite, outside [1e-280, 1e280], or
-within rounding error of a 17th-digit tie or a decade edge) is formatted by
-``fmt`` instead; zeros stay on the array path.
+table of 10**p built from exact integers.  One quick test settles almost
+every value: the product lies strictly inside [10**16, 10**17) and further
+from a 17th-digit tie than its error.  A chunk in which it leaves any value
+in doubt is settled exactly as a whole (``_settled``: a decade edge where
+log10 rounded across it, an exact tie, a carry to 10**17).  The digits come
+from integer floor division and a table of 4-digit groups, the trailing
+zeros from the last group (and from the groups before it only in a chunk
+where some last group is 0).  Each value is laid out on four words of a row
+template that is filled once per call; its unused bytes are NUL, deleted
+chunk by chunk.  A value the product cannot settle exactly (non-finite,
+outside [1e-280, 1e280], or within rounding error of a tie or a decade
+edge) is formatted by ``fmt`` instead; zeros stay on the array path.
+
+Every array a chunk allocates, but for the values left to ``fmt``, has the
+chunk's length: a rarely needed pass runs over the whole chunk, under a
+mask, and is skipped where the mask is empty, rather than over the few
+values that need it.  Arrays sized by the data would be small and of ever
+new sizes, and numpy and malloc keep such blocks for reuse once freed; one
+kept high in the heap while a long report is built stops malloc from
+returning the heap's top after it, so a process's peak RSS would hinge on
+where those blocks happened to land.
 
 The CLI imports this module on first use, and its tables are built then.
 """
@@ -27,9 +42,11 @@ __all__ = ["csv_rows"]
 _ROWS_PER_CHUNK = 4096  # keeps a chunk's buffers near a few MiB
 # A value's text is laid out on four little-endian 8-byte words, NUL where
 # unused; bytes.translate deletes the NULs.  Word 0: the sign, the "0.000" of
-# 0.000ddd and the first digit; words 1 and 2: the other 16 digits, those after
-# the point shifted up a byte to make room for it; word 3: the digit shifted out
-# of word 2, then "e", the exponent's sign and its digits.
+# 0.000ddd, the first digit and a point after it; words 1 and 2: the other 16
+# digits, those after a later point shifted up a byte to make room for it;
+# word 3: the digit that point shifts out of word 2, or "e", the exponent's
+# sign and its digits.  (Three words would hold the longest text, 24 bytes,
+# but every value would then need its digits shifted into place.)
 _WORDS = 4
 _LE_U64 = np.dtype("<u8")
 # Outside [1e-280, 1e280], 10**(16 - E) or Dekker's splits would leave the
@@ -84,11 +101,11 @@ def _text_tables() -> tuple[np.ndarray, ...]:
     """The lookup tables of _fmt_words.
 
     quads[g]: g's four digits; zeros[g]: g's trailing zeros as a 4-digit
-    group.  By the decimal exponent x, at x + _SPAN: heads, the "0." and zeros
-    of 0.000ddd from byte 1, and exponents, the e+XX of the exponent form from
-    byte 1.  By x and the count s of significant digits, at (x + _SPAN) * 18 + s:
-    shown, the digits printed, and point, the digit the point precedes (0:
-    none).  By shown: masks, the bytes of words 1 and 2 kept.  By point:
+    group.  By the layout (x + _SPAN) * 18 + s of a value with decimal exponent
+    x and s significant digits: leads, word 0 but for the sign and the first
+    digit (its point included); masks, the bytes of words 1 and 2 kept;
+    tails, word 3 (the e+XX of the exponent form); points, the digit a later
+    point precedes, counting the first digit as 0 (else 0).  By that point:
     keeps, the bytes of words 1 and 2 that stay below the point, and dots, the
     point itself.
     """
@@ -99,7 +116,7 @@ def _text_tables() -> tuple[np.ndarray, ...]:
     for x in range(-_SPAN, _SPAN + 1):
         fixed = -4 <= x <= 16
         heads.append("\0" + "0." + "0" * (-x - 1) if fixed and x < 0 else "")
-        exponents.append("" if fixed else f"\0e{x:+03d}")
+        exponents.append("" if fixed else f"e{x:+03d}")
         for s in range(18):
             if fixed and x >= 0:  # every integer digit, then the point
                 n, i = max(s, x + 1), x + 1
@@ -109,10 +126,13 @@ def _text_tables() -> tuple[np.ndarray, ...]:
                 n, i = s, 1
             shown.append(n)
             point.append(i if s > i else 0)
+    point = np.array(point)
 
     def low(nbytes):
         return (1 << 8 * min(max(nbytes, 0), 8)) - 1
 
+    u = _LE_U64.type
+    leads = np.repeat(_words(heads, 8), 18) | np.where(point == 1, u(ord(".") << 56), u(0))
     # digit j >= 1 sits at byte j - 1 of words 1-2
     masks = np.array([[low(n - 1) for n in range(18)], [low(n - 9) for n in range(18)]], dtype=_LE_U64)
     keeps = np.array([[low(8)] + [low(i - 1) for i in range(1, 9)] + [low(8)] * 8,
@@ -120,29 +140,42 @@ def _text_tables() -> tuple[np.ndarray, ...]:
     dots = np.zeros((2, 17), dtype=_LE_U64)
     for i in range(1, 17):
         dots[(i - 1) // 8, i] = ord(".") << 8 * ((i - 1) % 8)
-    return (quads, zeros, _words(heads, 8), _words(exponents, 8),
-            np.array(shown), np.array(point), masks, keeps, dots)
+    return (quads, zeros, leads, masks[:, shown], np.repeat(_words(exponents, 8), 18),
+            np.where(point > 1, point, 0), keeps, dots)
 
 
 def _scaled(ax: np.ndarray, e: np.ndarray):
-    """(hi, lo, exact): ax * 10**(16 - e) = hi + lo as a double-double.
+    """(hi, lo): ax * 10**(16 - e) = hi + lo as a double-double.
 
     hi's rounding error is exact by Dekker's two-product; lo is exact where
     10**(16 - e) is a double, and within 2**-47 of the true remainder elsewhere.
-    Where instead 10**(e - 16) is a double and ax an integer multiple of it
-    (as 1e17 ... 1e22 are), hi = ax / 10**(e - 16) exactly and lo = 0.
     """
-    table = _pow10_table()
-    t_hi, t_hh, t_hl, t_lo = (t[16 - e + _SPAN] for t in table)
+    i = 16 + _SPAN - e
+    t_hi, t_hh, t_hl, t_lo = (t.take(i) for t in _pow10_table())
     hi = ax * t_hi
     a_h, a_l = _split(ax)
-    err = ((a_h * t_hh - hi) + a_h * t_hl + a_l * t_hh) + a_l * t_hl
-    lo, exact = err + ax * t_lo, t_lo == 0.0
-    up = np.flatnonzero(e > 16)
-    step, rest = (table[j][e[up] - 16 + _SPAN] for j in (0, 3))  # 10**(e - 16) rounded, and what that left
-    whole = (rest == 0.0) & (np.fmod(ax[up], step) == 0.0)  # fmod is exact
-    up = up[whole]
-    hi[up], lo[up], exact[up] = ax[up] / step[whole], 0.0, True
+    lo = ((a_h * t_hh - hi) + a_h * t_hl + a_l * t_hh) + a_l * t_hl
+    lo += ax * t_lo
+    return hi, lo
+
+
+def _exact_scaled(ax: np.ndarray, e: np.ndarray):
+    """(hi, lo, exact): _scaled's double-double, and where it is exact.
+
+    Where 10**(16 - e) is not a double but 10**(e - 16) is, and ax an integer
+    multiple of it (as 1e17 ... 1e22 are), hi = ax / 10**(e - 16) exactly and
+    lo = 0.
+    """
+    table = _pow10_table()
+    hi, lo = _scaled(ax, e)
+    exact = table[3].take(16 + _SPAN - e) == 0.0
+    up = e > 16
+    if up.any():
+        step, rest = (table[j].take(e - 16 + _SPAN) for j in (0, 3))  # 10**(e - 16) rounded, and what that left
+        whole = up & (rest == 0.0) & (np.fmod(ax, step) == 0.0)  # fmod is exact
+        np.divide(ax, step, out=hi, where=whole)
+        np.copyto(lo, 0.0, where=whole)
+        exact |= whole
     return hi, lo, exact
 
 
@@ -151,6 +184,36 @@ def _edges(hi: np.ndarray, lo: np.ndarray):
     low = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
     high = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
     return low, high
+
+
+def _settled(ax: np.ndarray, e: np.ndarray):
+    """(d, e, ok) for a chunk in which the quick test of _fmt_words leaves a value in doubt.
+
+    d = round-half-even(ax * 10**(16 - e)) in [10**16, 10**17), with e moved
+    by one where log10 rounded across a decade edge, or where d carried to
+    10**17.  ok is False where the double-double cannot settle d: within its
+    rounding error of a tie or a decade edge, and not exact.
+    """
+    hi, lo, exact = _exact_scaled(ax, e)
+    low, high = _edges(hi, lo)
+    if (low | high).any():  # log10 rounded across a decade edge
+        e += high.astype(np.int64) - low
+        hi, lo, exact = _exact_scaled(ax, e)
+        low, high = _edges(hi, lo)
+    frac = lo - np.floor(lo)
+    unsure = (np.abs(frac - 0.5) < _TIE_TOL) | (((hi == 1e16) | (hi == 1e17)) & (np.abs(lo) < _TIE_TOL))
+    ok = ~(unsure & ~exact | low | high)
+    # hi >= 1e16 > 2**53 is an even integer, so lo rounded half-even rounds hi + lo so
+    d = np.where(ok, hi, 0.0).astype(np.int64) + np.where(ok, np.rint(lo), 0.0).astype(np.int64)
+    carry = d == 10**17
+    d[carry] = 10**16
+    return d, e + carry, ok
+
+
+def _divmod(n: np.ndarray, unit: int):
+    """np.divmod(n, unit) for n >= 0: one floor division and a multiply-subtract."""
+    q = n // unit
+    return q, n - q * unit
 
 
 def _fmt_words(v: np.ndarray, fmt) -> np.ndarray:
@@ -163,47 +226,63 @@ def _fmt_words(v: np.ndarray, fmt) -> np.ndarray:
     """
     u = np.uint64
     ax = np.abs(v)
-    fast = (ax >= _FAST_RANGE[0]) & (ax <= _FAST_RANGE[1])  # NaN compares false
-    ax = np.where(fast, ax, 1.0)
-    e = np.floor(np.log10(ax)).astype(np.int64)
-    hi, lo, exact = _scaled(ax, e)
-    low, high = _edges(hi, lo)
-    off = np.flatnonzero(low | high)
-    if off.size:  # log10 rounded across a decade edge
-        e[off] += high[off].astype(np.int64) - low[off]
-        hi[off], lo[off], exact[off] = _scaled(ax[off], e[off])
-        low, high = _edges(hi, lo)
-    frac = lo - np.floor(lo)
-    unsure = (np.abs(frac - 0.5) < _TIE_TOL) | (((hi == 1e16) | (hi == 1e17)) & (np.abs(lo) < _TIE_TOL))
-    fast &= ~(unsure & ~exact | low | high)
-    # hi >= 1e16 > 2**53 is an even integer, so lo rounded half-even rounds hi + lo so
-    d = np.where(fast, hi, 0.0).astype(np.int64) + np.where(fast, np.rint(lo), 0.0).astype(np.int64)
-    carry = d == 10**17
-    d[carry] = 10**16
-    x = np.where(fast, e + carry, 0)  # a zero prints as 0 in fixed form
+    off = ~((ax >= _FAST_RANGE[0]) & (ax <= _FAST_RANGE[1]))  # NaN compares false
+    odd = off.any()
+    if odd:
+        np.copyto(ax, 1.5, where=off)  # a stand-in the quick test settles, with E = 0; D = 0 below prints a zero as 0
+    e = np.log10(ax)
+    e = np.floor(e, out=e).astype(np.int64)
+    hi, lo = _scaled(ax, e)
+    r = np.rint(lo)
+    # the quick test: D = hi + r where hi + lo lies strictly inside the decade
+    # and further than its error from a tie; where it leaves any value in
+    # doubt, _settled decides the whole chunk
+    slow = off & (v != 0.0) if odd else None
+    if ((hi <= 1e16) | (hi >= 1e17) | (np.abs(lo - r) > 0.5 - _TIE_TOL)).any():
+        d, e, ok = _settled(ax, e)
+        slow = ~ok if slow is None else slow | ~ok
+    else:
+        d = hi.astype(np.int64)
+        d += r.astype(np.int64)  # rounds hi + lo half-even, as in _settled
+    if odd:
+        np.copyto(d, 0, where=off)
 
-    quads, zeros, heads, exponents, shown, point, masks, keeps, dots = _text_tables()
-    first, rest = np.divmod(d, 10**16)
-    top, bottom = np.divmod(rest, 10**8)
-    groups = (*np.divmod(top, 10**4), *np.divmod(bottom, 10**4))
-    trailing = zeros[groups[0]]  # zeros[0] = 4: a zero group adds 4 to the count of the ones before it
-    for g in groups[1:]:
-        trailing = zeros[g] + (g == 0) * trailing
-    xi = x + _SPAN
-    layout = xi * 18 + 17 - trailing
-    shown, point = shown[layout], point[layout]
+    quads, zeros, leads, masks, tails, points, keeps, dots = _text_tables()
+    first, rest = _divmod(d, 10**16)
+    top, bottom = _divmod(rest, 10**8)
+    groups = (*_divmod(top, 10**4), *_divmod(bottom, 10**4))
+    trailing = zeros.take(groups[3])
+    zero = groups[3] == 0
+    if zero.any():  # zeros[0] = 4: a zero group adds 4 to the count of the ones before it
+        count = zeros.take(groups[0])
+        for g in groups[1:3]:
+            count = zeros.take(g) + (g == 0) * count
+        trailing += zero * count
+    layout = e * 18
+    layout += _SPAN * 18 + 17
+    layout -= trailing
 
     out = np.empty((_WORDS, v.size), dtype=_LE_U64)
-    out[0] = heads[xi] | np.signbit(v) * u(ord("-")) | (first.astype(_LE_U64) + u(48)) << u(48)
-    moved = u(0)  # the byte the point pushes out of the word before
+    np.bitwise_or(leads.take(layout), (v.view(_LE_U64) >> u(63)) * u(ord("-")), out=out[0])
+    out[0] |= ((first + 48) << 48).view(_LE_U64)
     for k in (0, 1):
-        word = (quads[groups[2 * k]] | quads[groups[2 * k + 1]] << u(32)) & masks[k][shown]
-        keep = keeps[k][point]
-        out[1 + k] = word & keep | dots[k][point] | (word & ~keep) << u(8) | moved
-        moved = (word & ~keep) >> u(56)
-    out[3] = moved | exponents[xi]
-    slow = np.flatnonzero(~fast & (v != 0.0))
-    if slow.size:
+        np.bitwise_or(quads.take(groups[2 * k]), quads.take(groups[2 * k + 1]) << u(32), out=out[1 + k])
+        out[1 + k] &= masks[k].take(layout)
+    tails.take(layout, out=out[3])
+    point = points.take(layout)
+    if point.any():  # a point after the second digit or later: the digits from it on move up a byte
+        moved = u(0)  # the byte the point pushes out of the word before
+        for k in (0, 1):
+            word, keep = out[1 + k], keeps[k].take(point)
+            spill = word & ~keep
+            word &= keep
+            word |= dots[k].take(point)
+            word |= spill << u(8)
+            word |= moved
+            moved = spill >> u(56)
+        out[3] |= moved
+    if slow is not None and slow.any():
+        slow = np.flatnonzero(slow)
         out[:, slow] = _words(map(fmt, v[slow].tolist()), 8 * _WORDS).reshape(-1, _WORDS).T
     return out
 
@@ -228,17 +307,19 @@ def csv_rows(pieces, fmt) -> list[str]:
             offsets.append(len(template))
             template += bytes(8 * _WORDS)
     template = np.frombuffer(bytes(template + b"\n"), dtype=np.uint8)
+    # filled once: each chunk writes over its values' slots and leaves the literal text
+    buf = np.empty((min(columns[0].size, _ROWS_PER_CHUNK), template.size), dtype=np.uint8)
+    buf[:] = template
+    slots = [buf[:, off:off + 8 * _WORDS].view(_LE_U64) for off in offsets]
     chunks = []
     for start in range(0, columns[0].size, _ROWS_PER_CHUNK):
         values = np.concatenate([c[start:start + _ROWS_PER_CHUNK] for c in columns])
         rows = values.size // len(columns)
         text = _fmt_words(values, fmt).reshape(_WORDS, len(columns), rows)
-        buf = np.empty((rows, template.size), dtype=np.uint8)
-        buf[:] = template
-        for j, off in enumerate(offsets):
-            slot = buf[:, off:off + 8 * _WORDS].view(_LE_U64)
-            for w in range(_WORDS):
-                slot[:, w] = text[w, j]
-        buf[-1, -1] = 0  # the chunk's last newline: chunks are joined with one
-        chunks.append(buf.tobytes().translate(None, b"\0").decode("ascii"))
+        for j, slot in enumerate(slots):
+            slot[:rows] = text[:, j].T
+        # the chunk's last newline, as chunks are joined with one; no later chunk
+        # is longer, so this row is its last row too or lies beyond it
+        buf[rows - 1, -1] = 0
+        chunks.append(buf[:rows].tobytes().translate(None, b"\0").decode("ascii"))
     return chunks

@@ -2,9 +2,10 @@
 scan kernels, check ratio bounds, and emit CSV reports.
 
 Exit codes: 0 = all expectations met, 1 = a mathematical expectation was
-violated, 2 = usage or domain error.  CSV output uses a header row, comma
-separators, LF line endings and 17 significant digits; rows are emitted in
-deterministic sorted order, so identical invocations produce identical bytes.
+violated, 2 = usage or domain error (an input too large to allocate
+included).  CSV output uses a header row, comma separators, LF line endings
+and 17 significant digits; rows are emitted in deterministic sorted order, so
+identical invocations produce identical bytes.
 Every number is ``_fmt``'s ``%.17g`` text.  The bulk rows of ``scan-kernel``
 and ``bounds`` come from ``_csv_rows``, which formats whole float columns with
 array operations (``qgamma._csvrows``) and gives the same bytes, passing to
@@ -527,6 +528,9 @@ def main(argv=None) -> int:
         return _DISPATCH[args.command](args, config)
     except (DomainError, ConvergenceError, OverflowError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # an input too large for this host, such as a scan of 1e10 points
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
 
 

@@ -375,6 +375,18 @@ def test_scan_kernel_usage(capsys):
     assert run(capsys, "scan-kernel", "thm2.5", "--a", "1", "--b", "0.5", "--c", "0")[0] == 2
 
 
+def test_scan_too_large_to_allocate_is_a_usage_error(capsys, monkeypatch):
+    # 1e10 points would need about 80 GB for t: numpy refuses with MemoryError, which exits 2 (not 1)
+    def refuse(**grid):
+        raise MemoryError(f"Unable to allocate 74.5 GiB for {grid['points']} points")
+
+    monkeypatch.setattr(cli.kernels, "default_t_grid", refuse)
+    code = main(["scan-kernel", "thm2.1", "--t-points", "10000000000"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: out of memory: Unable to allocate")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qgamma import _csvrows, cli
+from qgamma import _csvrows, cli, kernels
 
 FAST_LO, FAST_HI = _csvrows._FAST_RANGE
 
@@ -129,3 +129,47 @@ def test_rows_join_literals_and_broadcast_columns_across_chunks():
             for a, row_z in zip(x, z) for b, c in zip(y, row_z)]
     assert "\n".join(chunks).split("\n") == want
 
+
+def _check_chunks(chunks, rows: int, want: list[str]):
+    """Whole rows per chunk, no chunk ending in a newline, and the rows of value-by-value formatting."""
+    size = _csvrows._ROWS_PER_CHUNK
+    assert [chunk.count("\n") + 1 for chunk in chunks] == [min(size, rows - i) for i in range(0, rows, size)]
+    assert all(chunk and not chunk.endswith("\n") for chunk in chunks)
+    assert "\n".join(chunks).split("\n") == want
+
+
+def _mixed(rows: int, seed: int) -> np.ndarray:
+    """Values of every print form, short decimals, zeros, and values the array path leaves to _fmt."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)
+    values[1::3] = rng.integers(-10**6, 10**6, values[1::3].size) / 10.0 ** rng.integers(0, 12, values[1::3].size)
+    values[2::97] = rng.choice([0.0, -0.0, math.nan, -math.inf, 1e-300, 2.0**-25], values[2::97].size)
+    return values
+
+
+@pytest.mark.parametrize("chunks, extra", [(0, 1), (1, 0), (2, 0), (2, 1)])
+def test_rows_at_chunk_edges(chunks, extra):
+    rows = chunks * _csvrows._ROWS_PER_CHUNK + extra
+    x = _mixed(rows, rows)
+    _check_chunks(cli._csv_rows(["x=", x, ";"]), rows, [f"x={cli._fmt(float(a))};" for a in x])
+
+
+def test_successive_calls_use_their_own_templates():
+    rows = _csvrows._ROWS_PER_CHUNK + 3
+    x, y = _mixed(rows, 1), _mixed(rows, 2)
+    want = [f"point,{cli._fmt(float(a))},{cli._fmt(float(b))}" for a, b in zip(x, y)]
+    _check_chunks(cli._csv_rows(["point,", x, ",", y]), rows, want)
+    z = _mixed(5, 3)
+    _check_chunks(cli._csv_rows([z]), 5, [cli._fmt(float(c)) for c in z])
+    _check_chunks(cli._csv_rows(["point,", x, ",", y]), rows, want)
+
+
+def test_a_many_chunk_scan_matches_percent_17g(capsys, fallbacks):
+    # 200k points: 49 chunks of rows, as CI and the benchmark scan them
+    t, w, _ = kernels.scan_kernel("thm3.4", None, kernels.default_t_grid(points=200_000))
+    assert cli.main(["scan-kernel", "thm3.4", "--t-points", "200000"]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert lines[1:200_001] == ["point,%.17g,%.17g" % (a, b) for a, b in zip(t.tolist(), w.tolist())]
+    assert lines[200_001].startswith("summary,")
+    in_range = _in_range(np.concatenate([t, w])).size
+    assert _in_range(fallbacks).size <= 1e-5 * in_range
