@@ -40,7 +40,7 @@ import numpy as np
 
 from . import bounds as bnd
 from . import kernels, special, theorems
-from .cmcheck import DEFAULT_TOL_ABS, DEFAULT_TOL_REL, GridSpec
+from .cmcheck import DEFAULT_TOL_ABS, DEFAULT_TOL_REL
 from .special import ConvergenceError, DomainError, EvalConfig
 
 __all__ = ["main", "entry"]
@@ -279,11 +279,10 @@ def _check_flags(args, kind: str, name: str, flags, reads, required=(), axes=())
 
 
 def _params(args, keys) -> dict:
-    """The flags among ``keys`` that are set, by name; a list (--a-list, --h-set) as a tuple of floats."""
+    """The flags among ``keys`` that are set, by name; --a-list as a tuple of floats."""
     out = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
-    for k in ("a_list", "h_set"):
-        if k in out:
-            out[k] = tuple(_floats_csv(out[k]))
+    if "a_list" in out:
+        out["a_list"] = tuple(_floats_csv(out["a_list"]))
     return out
 
 
@@ -301,6 +300,10 @@ def _cmd_eval(args, config) -> int:
     return 0
 
 
+# the GridSpec fields verify reads: its analytic rows use no difference steps h
+_VERIFY_GRID = ("x_min", "x_max", "points", "spacing", "max_order")
+
+
 def _cmd_verify(args, config) -> int:
     selector = args.selector
     ids = theorems.registry_ids()
@@ -316,7 +319,7 @@ def _cmd_verify(args, config) -> int:
     # a flag applies to the selected cases that take it; one that none takes is an error
     _check_flags(args, "case", selector, _CASE_FLAGS, _union(accepted.values()))
     overrides = _params(args, _CASE_FLAGS)
-    grid_fields = _params(args, (f.name for f in dataclasses.fields(GridSpec)))
+    grid_fields = _params(args, _VERIFY_GRID)
     tol_abs = _pick(args.tol_abs, config, "tol_abs", DEFAULT_TOL_ABS)
     tol_rel = _pick(args.tol_rel, config, "tol_rel", DEFAULT_TOL_REL)
 
@@ -329,7 +332,10 @@ def _cmd_verify(args, config) -> int:
         all_match = all_match and ver.matches
         params = _fmt_params(case.params)
         for label, rep in sorted(ver.reports.items()):
+            x, _, n = rep.witness
             rows.append((case.id, params, f"worst-violation[{label}]", _fmt(rep.worst_violation), rep.verdict))
+            rows.append((case.id, params, f"threshold[{label}]", _fmt(rep.worst_threshold), rep.verdict))
+            rows.append((case.id, params, f"witness[{label}]", f"{_fmt(x)}|{n}", rep.verdict))
         rows.append((case.id, params, "expected-verdict", case.expected, "match" if ver.matches else "mismatch"))
     rows.sort(key=lambda r: (r[0], r[2]))
     lines = ["case,params,metric,value,verdict"]
@@ -455,7 +461,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--x-max", type=float)
     p_verify.add_argument("--points", type=int)
     p_verify.add_argument("--spacing", choices=("linear", "geometric"))
-    p_verify.add_argument("--h-set")
     p_verify.add_argument("--max-order", type=int)
     p_verify.add_argument("--tol-abs", type=float)
     p_verify.add_argument("--tol-rel", type=float)

@@ -1,14 +1,22 @@
-"""Numerical complete-monotonicity testing via alternating forward differences.
+"""Numerical complete-monotonicity testing: analytic derivative rows, or alternating forward differences.
 
-A function f is completely monotonic when (-1)^n f^(n)(x) >= 0 for all orders;
-the finite analogue tested here is (-1)^n Delta_h^n f(x) >= 0 over a grid of
-(x, h, n).  The test is one-sided: "consistent-with-CM" is necessary-condition
-evidence, never a proof, while "violates-CM" comes with a concrete witness
-(x, h, n).  Witnesses with h = 0 denote analytic-derivative checks.
+A function f is completely monotonic when (-1)^n f^(n)(x) >= 0 for all
+orders (Bernstein; Widder, *The Laplace Transform*, ch. IV).  ``check_cm``
+tests it two ways:
 
-Order 0 (f >= 0 pointwise) is included by default for bare function handles
-and excluded for difference checks; theorem cases opt in only when their
-statement asserts it.
+- From analytic rows (``fn`` None): the values f^(n) at the grid points for
+  n = 0..max_order, each with a radius bounding its error.  A row value
+  (-1)^n f^(n)(x) below -(radius + tol_abs + tol_rel * max(|f|, |f^(n)|))
+  proves that f is not CM, with the witness (x, 0, n).  The theorem corpus
+  is verified this way.
+- From a function handle: (-1)^n Delta_h^n f(x) >= 0 over a grid of
+  (x, h, n), the finite analogue, each against tol_abs + tol_rel times the
+  stencil's largest |f|.  A violation comes with the witness (x, h, n).
+
+Either test is one-sided: "consistent-with-CM" is necessary-condition
+evidence on the grid, never a proof.  Order 0 (f >= 0 pointwise) is included
+by default for bare function handles and excluded for difference checks;
+theorem cases opt in only when their statement asserts it.
 """
 
 from __future__ import annotations
@@ -41,16 +49,14 @@ DEFAULT_TOL_REL = 1e-9
 CONSISTENT = "consistent-with-CM"
 VIOLATES = "violates-CM"
 
-# the orders k whose analytic derivatives check_cm reads through derivs(k, xs)
-_DERIV_ORDERS = (1, 2, 3)
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Sampling plan for a CM check.
 
-    ``x_max + max_order * max(h_set)`` must stay inside the tested function's
-    valid interval; geometric spacing requires x_min > 0.
+    The analytic rows read the grid points and orders 0..max_order; a stencil
+    also reads the steps ``h_set``, and ``x_max + max_order * max(h_set)``
+    must then stay inside the tested function's valid interval.  Geometric
+    spacing requires x_min > 0.
     """
 
     x_min: float
@@ -75,16 +81,25 @@ class GridSpec:
             raise DomainError("geometric spacing requires x_min > 0")
 
     def xs(self) -> np.ndarray:
-        if self.spacing == "geometric":
-            return np.geomspace(self.x_min, self.x_max, self.points)
-        return np.linspace(self.x_min, self.x_max, self.points)
+        """The grid points, read-only, computed on the first call and kept with the grid."""
+        xs = self.__dict__.get("_xs")
+        if xs is None:
+            if self.spacing == "geometric":
+                xs = np.geomspace(self.x_min, self.x_max, self.points)
+            else:
+                xs = np.linspace(self.x_min, self.x_max, self.points)
+            xs.flags.writeable = False
+            object.__setattr__(self, "_xs", xs)  # not a field: eq, hash, repr and replace ignore it
+        return xs
 
 
 @dataclass(frozen=True)
 class CMReport:
     """Outcome of a CM scan; ``verdict`` is violates-CM iff some signed value
-    falls below -(tol_abs + tol_rel * scale) at its own stencil scale.
-    ``evaluations`` counts the distinct stencil nodes passed to the tested function."""
+    falls below its own threshold, ``worst_threshold`` at the witness: the
+    radius plus tol_abs + tol_rel * scale for a row, tol_abs + tol_rel * scale
+    for a stencil.  ``evaluations`` counts the row values read, or the
+    distinct stencil nodes passed to the tested function."""
 
     case_id: str
     grid: GridSpec
@@ -191,55 +206,70 @@ def forward_difference(f: Callable[[float], float], x: float, h: float, n: int) 
 
 @_quiet
 def check_cm(
-    fn: Callable[[np.ndarray], np.ndarray],
+    fn: Callable[[np.ndarray], np.ndarray] | None,
     grid: GridSpec,
     tol_abs: float = DEFAULT_TOL_ABS,
     tol_rel: float = DEFAULT_TOL_REL,
-    derivs: Callable[[int, np.ndarray], np.ndarray] | None = None,
+    rows: tuple[np.ndarray, np.ndarray] | None = None,
     include_order_zero: bool = True,
     case_id: str = "",
 ) -> CMReport:
-    """Scan (-1)^n Delta_h^n fn(x) over the grid, plus analytic derivative signs.
+    """Scan (-1)^n Delta_h^n fn(x) over the grid, or, with fn None, the analytic rows (-1)^n f^(n)(x).
 
-    ``fn`` must map an ndarray of x elementwise: it is called once, on the
-    distinct stencil nodes x + j h of the grid (j = 0..max_order) in order of
-    first occurrence, and its values are scattered back over the lattice, so
-    a node shared by several (x, h, j) is evaluated once and an error names
-    the first bad node of the lattice.  ``derivs(k, xs)``,
-    when given, must return the k-th derivative of ``fn`` at the grid points
-    xs; orders 1..3 are checked directly as (-1)^k fn^(k)(x) >= 0.  The
+    The stencil path: ``fn`` must map an ndarray of x elementwise: it is
+    called once, on the distinct stencil nodes x + j h of the grid
+    (j = 0..max_order) in order of first occurrence, and its values are
+    scattered back over the lattice, so a node shared by several (x, h, j) is
+    evaluated once and an error names the first bad node of the lattice.  The
     violation threshold at each stencil is tol_abs + tol_rel * max |fn| over
-    the stencil.  The witness is the first worst margin (signed + threshold)
-    in scan order: order 0, then n, h and x, then the derivative rows.  The
-    scan runs with numpy's flags quiet: a stencil whose arithmetic overflows
+    the stencil.
+
+    The analytic path: ``rows`` is (values, radius), each broadcasting to
+    (max_order + 1, points): f^(n) at the grid points in row n, and a bound on
+    each value's error.  Orders 1..max_order are checked as
+    (-1)^n f^(n)(x) >= 0, each against radius + tol_abs + tol_rel *
+    max(|f|, |f^(n)|), so a violation beyond the radius proves that f is not
+    completely monotonic.  The witness of a row has h = 0.
+
+    Order 0 (f >= 0) comes first when ``include_order_zero``.  The witness is
+    the first worst margin (signed + threshold) in scan order: n, then h,
+    then x.  The scan runs with numpy's flags quiet: a value that overflows
     to inf or NaN is read as no evidence, never reported as a RuntimeWarning.
     """
+    if (fn is None) == (rows is None):
+        raise DomainError("check_cm takes a function or analytic rows, exactly one of them")
+    top = int(include_order_zero)
+    if fn is None:
+        xs = grid.xs()
+        values, radius = (np.broadcast_to(np.asarray(a, dtype=float), (grid.max_order + 1, xs.size)) for a in rows)
+        lo = 1 - top  # the first order checked
+        signed = values[lo:].copy()
+        np.negative(signed[top::2], out=signed[top::2])  # the odd orders
+        thresh = radius[lo:] + tol_abs + tol_rel * np.maximum(np.abs(values[0]), np.abs(values[lo:]))
+        labels = [(n, 0.0) for n in range(lo, grid.max_order + 1)]
+        return _report(case_id, grid, tol_abs, tol_rel, labels, signed, thresh, xs, values.size)
     plan = _grid_plan(grid)
     xs, n_max, n_h = plan.xs, grid.max_order, len(grid.h_set)
     # fn(x + j h) on the lattice, laid out (j, h, x)
     vals = np.broadcast_to(np.asarray(fn(plan.nodes.copy()), dtype=float), plan.nodes.shape)[plan.gather]
     f0 = vals[0, 0]  # fn at the grid points
-    d_rows = [] if derivs is None else [
-        (k, np.broadcast_to(np.asarray(derivs(k, xs.copy()), dtype=float), xs.shape)) for k in _DERIV_ORDERS
-    ]
 
-    # one row per (n, h) in scan order: order 0, then n, h (x along each row), then the derivative rows
-    top = int(include_order_zero)
+    # one row per (n, h) in scan order: order 0, then n, h (x along each row)
     labels = [(0, 0.0)] * top + [(n, h) for n in range(1, n_max + 1) for h in grid.h_set]
-    labels += [(k, 0.0) for k, _ in d_rows]
     signed = np.empty((len(labels), xs.size))
     thresh = np.empty_like(signed)
     if include_order_zero:
         signed[0] = f0
         thresh[0] = tol_abs + tol_rel * np.abs(f0)
-    block = slice(top, top + n_max * n_h)
-    _differences(vals, signed[block].reshape(n_max, n_h, -1))
-    limit = thresh[block].reshape(n_max, n_h, -1)  # tol_abs + tol_rel * max |fn| over x + (0..n) h
+    _differences(vals, signed[top:].reshape(n_max, n_h, -1))
+    limit = thresh[top:].reshape(n_max, n_h, -1)  # tol_abs + tol_rel * max |fn| over x + (0..n) h
     np.multiply(_running(np.maximum, np.abs(vals))[1:], tol_rel, out=limit)
     np.add(limit, tol_abs, out=limit)
-    for row, (k, d) in enumerate(d_rows, start=block.stop):
-        signed[row] = d if k % 2 == 0 else -d
-        thresh[row] = tol_abs + tol_rel * np.maximum(np.abs(f0), np.abs(d))
+    return _report(case_id, grid, tol_abs, tol_rel, labels, signed, thresh, xs, plan.nodes.size)
+
+
+def _report(case_id, grid, tol_abs, tol_rel, labels, signed, thresh, xs, evaluations) -> CMReport:
+    """The report of a scan: row i of ``signed`` and ``thresh`` is labels[i] = (n, h), x along it."""
     margin = signed + thresh
     margin[np.isnan(margin)] = math.inf  # a NaN row is no evidence either way
     violated = bool((signed < -thresh).any())
@@ -264,7 +294,7 @@ def check_cm(
         worst_threshold=worst_threshold,
         witness=witness,
         verdict=VIOLATES if violated else CONSISTENT,
-        evaluations=plan.nodes.size,
+        evaluations=evaluations,
     )
 
 

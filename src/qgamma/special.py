@@ -115,9 +115,12 @@ DEFAULT_CONFIG = EvalConfig()
 class SeriesResult:
     """A numeric value plus a bound on its error, truncation and rounding.
 
-    ``converged`` is true exactly when ``abs_error_bound`` meets the relative
-    tolerance the evaluation was asked for, i.e.
-    ``abs_error_bound <= rel_tol * max(1, |value|)``, at every element.
+    ``converged`` is true exactly when the truncation bound meets the
+    relative tolerance the evaluation was asked for, i.e.
+    ``truncation <= rel_tol * max(1, |value|)``, at every element; the
+    rounding part of ``abs_error_bound`` does not enter.  A truncation that
+    misses raises ConvergenceError instead, so every result returned has
+    converged.
     ``value`` and ``abs_error_bound`` are floats (``value`` complex for a
     complex log_gamma argument) or, for an ndarray argument, arrays of its
     shape; ``terms_used`` is the fixed term count of the evaluator.
@@ -198,12 +201,18 @@ def _checked_order(fn: str, n) -> np.ndarray:
 def _with_orders(fn: str, n: np.ndarray, xs: np.ndarray, shape: tuple) -> tuple:
     """(n, xs, shape) for an order array n and checked flat xs of ``shape``, in their broadcast shape.
 
-    A single order becomes one int64, which broadcasts with xs; otherwise n
-    and xs are broadcast together and flattened.  Shapes that do not
-    broadcast are a DomainError naming both.
+    A single order becomes one int64, which broadcasts with xs.  An order
+    column (m, 1) against a 1-d x keeps its axis: n stays (m, 1) and xs
+    becomes (1, N), so a series core evaluates what depends on x alone once
+    per abscissa, and each Horner step's coefficients once per order.
+    Otherwise n and xs are broadcast together and flattened.  Elementwise,
+    every layout runs the same operations.  Shapes that do not broadcast are
+    a DomainError naming both.
     """
     if n.size == 1:
         return n.reshape(-1)[0], xs, (1,) * (n.ndim - len(shape)) + shape
+    if n.ndim == 2 and n.shape[1] == 1 and len(shape) == 1:
+        return n, xs.reshape(1, -1), (n.shape[0], xs.size)
     try:
         ns, xb = np.broadcast_arrays(n, xs.reshape(shape))
     except ValueError:
@@ -221,12 +230,11 @@ def _finite(fn: str, *values) -> None:
         raise OverflowError(f"{fn} result exceeds the float64 range{where}")
 
 
-def _result(fn: str, value, bound, terms, cfg: EvalConfig, shape: tuple) -> SeriesResult:
-    """Package flat value and bound arrays for an argument of ``shape``."""
+def _result(fn: str, value, bound, terms, shape: tuple) -> SeriesResult:
+    """Package flat value and bound arrays for an argument of ``shape``, once the truncation has met rel_tol."""
     _finite(fn, value)
     full = np.full(value.shape, bound, dtype=float)  # a scalar bound too
-    conv = bool((full <= cfg.rel_tol * np.maximum(1.0, np.abs(value))).all())
-    return SeriesResult(_shaped(value, shape), _shaped(full, shape), int(terms), conv)
+    return SeriesResult(_shaped(value, shape), _shaped(full, shape), int(terms), True)
 
 
 def _check_truncation(fn, value, trunc, cfg: EvalConfig) -> None:
@@ -248,16 +256,20 @@ _BLOCK = 1024
 
 
 def _blocked(core, x: np.ndarray, n=None) -> tuple:
-    """core(x) for a core returning a tuple of arrays shaped like x, run over blocks of x.
+    """core(x) for a core returning a tuple of arrays shaped like x, run over blocks of x's last axis.
 
-    Given n, core(x, n); an order array n, flat like x, is cut into the same blocks.
+    Given n, core(x, n); an order array n, flat like x, is cut into the same
+    blocks.  Against an order column (see _with_orders) a block holds
+    _BLOCK elements over all its orders.
     """
     args = (x,) if n is None else (x, n)
-    if x.size <= _BLOCK:
+    width = x.shape[-1]
+    block = _BLOCK if x.ndim == 1 else max(1, _BLOCK // n.size)
+    if width <= block:
         return core(*args)
-    cut = lambda a, i: a[i:i + _BLOCK] if a.size > 1 else a
-    blocks = [core(*(cut(a, i) for a in args)) for i in range(0, x.size, _BLOCK)]
-    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+    cut = lambda a, i: a[..., i:i + block] if np.shape(a)[-1:] == (width,) else a
+    blocks = [core(*(cut(a, i) for a in args)) for i in range(0, width, block)]
+    return tuple(np.concatenate(parts, axis=-1) for parts in zip(*blocks))
 
 
 # Every series adds its terms in term order, row after row of a (term, element)
@@ -288,6 +300,11 @@ def _total(rows: np.ndarray) -> np.ndarray:
     for r in rows[2:]:
         s += r
     return s
+
+
+def _rows(column: np.ndarray, a) -> np.ndarray:
+    """A column of one value a row (a series' terms), shaped to lead the axes of ``a``: (rows, 1) for a 0-d or 1-d a."""
+    return column.reshape(-1, *(1,) * max(np.ndim(a), 1))
 
 
 # An order n is int64: one for a single order, or an array with one per abscissa
@@ -436,7 +453,7 @@ def log_gamma(z, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     value = _lgamma_core(zc)
     trunc, rounding = _lgamma_bound(zc)
     _check_truncation("log_gamma", value, trunc, cfg)
-    return _result("log_gamma", value, trunc + rounding, _SHIFT + len(_STIRLING_COEF), cfg, zs.shape)
+    return _result("log_gamma", value, trunc + rounding, _SHIFT + len(_STIRLING_COEF), zs.shape)
 
 
 @_quiet
@@ -445,10 +462,10 @@ def gamma(z, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
 
     The truncation check against ``cfg.rel_tol`` is log_gamma's.
     """
-    return _exp_log("gamma", log_gamma(z, cfg), z, "Gamma({})", cfg)
+    return _exp_log("gamma", log_gamma(z, cfg), z, "Gamma({})")
 
 
-def _exp_log(fn: str, lg: SeriesResult, x, name: str, cfg: EvalConfig) -> SeriesResult:
+def _exp_log(fn: str, lg: SeriesResult, x, name: str) -> SeriesResult:
     """exp of a log-gamma result at x, its bound scaled by the value: the body of gamma and gamma_q.
 
     ``name`` is the function as an overflow message writes it, with {} for x.
@@ -459,7 +476,7 @@ def _exp_log(fn: str, lg: SeriesResult, x, name: str, cfg: EvalConfig) -> Series
         raise OverflowError(f"{name.format(_first(x, over))} exceeds the float64 range")
     value = np.exp(lv)
     bound = np.abs(value) * (np.expm1(np.minimum(_flat(lg.abs_error_bound), 1.0)) + 2.0 * _U)
-    return _result(fn, value, bound, lg.terms_used, cfg, np.shape(x))
+    return _result(fn, value, bound, lg.terms_used, np.shape(x))
 
 
 _ZETA_DIRECT = 14
@@ -504,12 +521,12 @@ def _hurwitz_zeta_int(s, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     wpow = _pow(w, -s - 1)
     corr_size = scale * wpow  # the j-th correction has 1/w^{2j-2} <= 1/14^{2j-2}
     # w^{-s-1-2j} for j = 0..M as running products, and the M corrections
-    steps = np.empty((len(coefs) + 1, w.size))
+    steps = np.empty((len(coefs) + 1, *np.shape(wpow)))
     steps[0], steps[1:] = wpow, 1.0 / (w * w)
     wpows = _running(np.multiply, steps)
-    corr = np.array(coefs).reshape(len(coefs), -1) * wpows[:-1]
+    corr = np.array(coefs).reshape(len(coefs), *wpows.shape[1:-1], -1) * wpows[:-1]
     trunc = np.abs(last * wpows[-1])
-    direct = _pow(a + _ZETA_OFFSETS, -s)  # (k + a)^{-s}, added in order of k
+    direct = _pow(a + _rows(_ZETA_OFFSETS, a), -s)  # (k + a)^{-s}, added in order of k
 
     def corrected(after_tail):  # the running sums go on through the corrections
         return _total(np.concatenate([after_tail[None], corr]))
@@ -615,6 +632,10 @@ def _eulerian_poly(k, z) -> np.ndarray:
     plan holds them; any other order array gathers its own at each step.
     """
     k = np.asarray(k)
+    if k.ndim == 2 and k.shape[1] == 1 and np.ndim(z) >= 2 and np.shape(z)[-2] == 1:
+        # an order column against abscissae that do not depend on the order (see _with_orders): one order a row
+        flat = _eulerian_poly(k, np.reshape(z, -1))
+        return np.moveaxis(flat.reshape(len(k), *np.shape(z)[:-2], np.shape(z)[-1]), 0, -2)
     if k.size == 1:
         plan = zip(itertools.repeat(0), _eulerian(k.item()))
     elif k.ndim > np.ndim(z) and k.shape[1:] == (1,):
@@ -699,12 +720,18 @@ def _em_corrections(k0, e, z, w, lq: float):
     each term within its order's budget, plus M additions).
     """
     r = -lq / w
-    steps = np.empty((len(_EM_COEF), np.size(z)))  # fac, then r^2 M times
-    steps[0] = z * _pow(r, k0 + 2)  # fac = z r^(k+1) at k = k0 + 1
+    fac = z * _pow(r, k0 + 2)  # fac = z r^(k+1) at k = k0 + 1
+    steps = np.empty((len(_EM_COEF), *(np.shape(fac) or (1,))))  # fac, then r^2 M times
+    steps[0] = fac
     steps[1:] = r * r
     # row j: B_2j/(2j)! (fac r^2j) A_k(z); sums are added in order of j
-    terms = _EM_COLUMN * _running(np.multiply, steps)
-    terms *= _eulerian_poly(k0 + _EM_ODD, z)
+    terms = _rows(_EM_COLUMN, steps[0]) * _running(np.multiply, steps)
+    orders = k0 + _rows(_EM_ODD, k0)
+    if np.ndim(k0) == 2:  # an order column (see _with_orders): z is one row, so each Eulerian order runs once
+        distinct, index = np.unique(orders, return_inverse=True)
+        terms *= _eulerian_poly(distinct[:, None], z.reshape(-1))[index.reshape(orders.shape[:-1])]
+    else:
+        terms *= _eulerian_poly(orders, z)
     kept = terms[:-1]  # the last term is left out: it bounds the remainder
     corr = _total(kept)
     mag = _total(np.abs(kept))
@@ -726,7 +753,7 @@ def _q_polygamma(n, x: np.ndarray, lq: float):
     it is -log(1-q^T), merged with log(1-q) into log((1-q)/(1-q^T)) so the
     two large logarithms near q = 1 do not cancel.
     """
-    t = x + _EM_ROWS  # row i < N holds x + i, row N holds T
+    t = x + _rows(_EM_ROWS, x)  # row i < N holds x + i, row N holds T
     e, z, w = _q_pow(t, lq)
     f = _lambert(n, z, w, lq)
     v = f[:-1]
@@ -933,7 +960,7 @@ def _series_bound(fn, value, trunc, rounding, cfg: EvalConfig):
 
 
 def _series_result(fn, value, trunc, rounding, terms, cfg: EvalConfig, shape: tuple) -> SeriesResult:
-    return _result(fn, value, _series_bound(fn, value, trunc, rounding, cfg), terms, cfg, shape)
+    return _result(fn, value, _series_bound(fn, value, trunc, rounding, cfg), terms, shape)
 
 
 @_quiet
@@ -962,7 +989,7 @@ def gamma_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     q = _coerce_q(q)
     if q.is_classical:
         return gamma(x, cfg)
-    return _exp_log("gamma_q", log_gamma_q(x, q, cfg), x, f"Gamma_q({{}}, q={q.q!r})", cfg)
+    return _exp_log("gamma_q", log_gamma_q(x, q, cfg), x, f"Gamma_q({{}}, q={q.q!r})")
 
 
 @_quiet
@@ -986,7 +1013,7 @@ def _polygamma(fn: str, n: np.ndarray, x, q: QValue, cfg: EvalConfig) -> SeriesR
     _check_truncation(fn, value, nf * zbound, cfg)
     # the scaling by n! adds one rounding; tiny powers may be subnormal
     bound = nf * (zbound + rounding + _UNDERFLOW_ERR) + np.abs(value) * _U
-    return _result(fn, value, bound, _ZETA_DIRECT + len(_BERNOULLI), cfg, shape)
+    return _result(fn, value, bound, _ZETA_DIRECT + len(_BERNOULLI), shape)
 
 
 _CLASSICAL = QValue(1.0)
@@ -1069,7 +1096,7 @@ def dilog_F(x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
         ulps = np.where(inside, li2_ulps, 1.0)
         terms = _LI2_TERMS
     bound = np.where(zero, 0.0, _series_bound("dilog_F", value, trunc, ulps * _U, cfg))
-    return _result("dilog_F", value, bound, terms, cfg, np.shape(x))
+    return _result("dilog_F", value, bound, terms, np.shape(x))
 
 
 @_quiet
@@ -1088,7 +1115,8 @@ def _moment(k, x, lq: float):
     bad = ~np.isfinite(v)
     if bad.any():
         order = np.broadcast_to(k, bad.shape)[bad][0]
-        raise OverflowError(f"moment derivative of order {order} at x={_first(xs, bad)} exceeds the float64 range")
+        at = _first(np.broadcast_to(xs, bad.shape), bad)
+        raise OverflowError(f"moment derivative of order {order} at x={at} exceeds the float64 range")
     return v.reshape(shape)
 
 

@@ -3,8 +3,8 @@
 Each :class:`TheoremCase` bundles a function family f, analytic derivatives of
 f built from the q-special primitives (never from the kernel representation,
 so the two stay independently checkable; ``deriv(k, x)`` takes a float or an
-ndarray x and maps it elementwise, so ``check_cm`` evaluates the distinct
-nodes of a whole stencil lattice in one call), the proof kernel it corresponds to,
+ndarray x and maps it elementwise, and an order column gives every
+derivative row in one call), the proof kernel it corresponds to,
 the documented sample parameters, the expected complete-monotonicity verdict
 and the valid x-interval.  Case ids are stable strings used by the CLI and
 CSV reports; suffixes ``-pos`` / ``-neg`` / ``-low`` / ``-neither`` name the
@@ -47,21 +47,29 @@ thm2.6's function is thm2.5's at b = c = 0.  The q-only factories reject
 q = 1 themselves.  The primitives call the evaluators at their default
 configuration, at which every result ``verify`` reaches has converged.
 
-Sharing.  Each evaluation is made once.  ``verify_case`` evaluates
-``deriv`` once per (order, abscissae) for all of a case's directions, so a
-"neither" case's -f' check reads its f' values negated.  Its three
-derivative rows come from one ``deriv`` call with an order column: every
-primitive takes an integer order array that broadcasts with its abscissae
-and evaluates all the orders in one call, each element equal to its
-scalar-order call bit for bit.  Where a closure needs one primitive on
-several shifts of x (the difference compositions, thm2.5, thm2.6, thm3.2,
-thm4.1), ``_Q.stacked`` evaluates it in one call on the concatenated
-abscissae; each closure keeps the order in which it calls its primitives,
-so an x outside the interval is named as separate calls would name it.
-Where a closure needs one primitive at two orders (the moments of orders
-k - 1 and k - 2 in thm2.1's and thm3.4's families), ``_Q.mom_pair`` stacks
-the orders into one call.  Every evaluator's array call equals its scalar
-calls element for element, so sharing changes no value.
+Verification.  ``verify_case`` checks the case's claim from its analytic
+derivatives, as Bernstein's definition states it: (-1)^n (target)^(n) >= 0,
+n = 1..max_order (and n = 0 for "f CM"), at the grid points.  One
+``case.deriv`` call with the order column base..base + max_order gives every
+row, with a radius: each value of a closure is a ``_Ball``, which carries an
+error radius through the closure's sums and scalings from the evaluators'
+``abs_error_bound`` and the closed forms' ulp models (see ``_Q``).  A row
+value below -(radius + tol_abs + tol_rel * max(|f|, |row|)) proves that the
+target is not completely monotonic; a "neither" case's -f' check reads the
+f' rows negated.
+
+Sharing.  Each evaluation is made once.  Every primitive takes an integer
+order array that broadcasts with its abscissae and evaluates all the orders
+in one call, each element equal to its scalar-order call bit for bit.  Where
+a closure needs one primitive on several shifts of x (the difference
+compositions, thm2.5, thm2.6, thm3.2, thm4.1), ``_Q.stacked`` evaluates it
+in one call on the concatenated abscissae; each closure keeps the order in
+which it calls its primitives, so an x outside the interval is named as
+separate calls would name it.  Where a closure needs one primitive at two
+orders (the moments of orders k - 1 and k - 2 in thm2.1's and thm3.4's
+families, log_scale at order -1), ``_Q.mom_pair`` evaluates their distinct
+orders in one call.  Every evaluator's array call equals its scalar calls
+element for element, so sharing changes no value.
 """
 
 from __future__ import annotations
@@ -73,9 +81,13 @@ from typing import Callable
 
 import numpy as np
 
-from .cmcheck import _DERIV_ORDERS, CMReport, DEFAULT_TOL_ABS, DEFAULT_TOL_REL, GridSpec, VIOLATES, check_cm
+from .cmcheck import CMReport, DEFAULT_TOL_ABS, DEFAULT_TOL_REL, GridSpec, VIOLATES, check_cm
 from .kernels import KERNELS, NEGATIVE, ONE_SIGN_CHANGE, POSITIVE
 from .special import (
+    _EXP_ARG_MAX,
+    _TERM_ULPS,
+    _U,
+    _UNDERFLOW_ERR,
     ConvergenceError,
     DomainError,
     QValue,
@@ -88,7 +100,6 @@ from .special import (
     _quiet,
     dilog_F,
     log_gamma_q,
-    psi_n,
     psi_q_n,
 )
 
@@ -120,12 +131,15 @@ class TheoremCase:
     x_start: float
     expected: str
     # k-th derivative of f at x for any k >= 0, elementwise in x.  k may also be
-    # an integer array of orders above the case's base order (1; 0 for "f CM"),
-    # as for the derivative rows verify_case asks for, broadcasting with x (an
+    # an integer array of orders at or above the case's base order (1; 0 for
+    # "f CM"), as for the rows verify_case asks for, broadcasting with x (an
     # order column gives one row per order); each element equals its
-    # scalar-order call bit for bit.  An x outside the interval raises
-    # DomainError, a scalar x as an array element does, with no numpy warning
-    deriv: Callable[[int | np.ndarray, np.ndarray], np.ndarray]
+    # scalar-order call bit for bit.  Given radius=True it returns (value,
+    # radius), the radius a bound on each value's error at every order from
+    # the base order on (inf below it; see _Q).  An x outside the interval
+    # raises DomainError, a scalar x as an array element does, with no numpy
+    # warning
+    deriv: Callable[..., np.ndarray | tuple[np.ndarray, np.ndarray]]
     grid: GridSpec
     kernel_id: str = ""
     representation: Callable[[float], float] | None = None  # f' (f for "f CM") by the kernel
@@ -158,47 +172,36 @@ def verify_case(
 ) -> CaseVerification:
     """Run the CM check on every direction the case claims and compare verdicts.
 
-    ``case.deriv`` is evaluated once per (order, abscissae) for all the
-    case's directions, so the -f' check of a "neither" case reads the f'
-    values negated, which is exact.  The first derivative row check_cm asks
-    for brings all of them: orders base + 1..3 on the grid points, in one
-    ``case.deriv`` call with an order column.  The node values (order base
-    on the distinct stencil nodes, every grid point among them) come first,
-    in a call of their own.  The values are kept for this call only.
-    An x outside the case's interval still raises DomainError from the
-    evaluators it reaches; ``case.deriv`` keeps numpy's flags quiet itself,
-    so the closures' own arithmetic at such an x (1/0, the log of a
-    negative) does not warn first.
+    One ``case.deriv`` call gives every row: the order column base..base +
+    max_order on the grid points, with the radius of each value.  check_cm
+    reads them as (-1)^n (target)^(n), each against its radius plus the
+    tolerances; the -f' check of a "neither" case reads the f' rows negated,
+    which is exact.  An x outside the case's interval still raises
+    DomainError from the evaluators it reaches; ``case.deriv`` keeps numpy's
+    flags quiet itself, so the closures' own arithmetic at such an x (1/0,
+    the log of a negative) does not warn first.
 
     A "neither" case matches only when both directions produce an explicit
     violation witness; CM cases match when their direction stays consistent.
     """
     g = grid or case.grid
-    values: dict[tuple[int, bytes], np.ndarray] = {}
-
-    def deriv(k: int, x: np.ndarray, rows: tuple[int, ...] = ()) -> np.ndarray:
-        """case.deriv(k, x) from the cache; a miss given ``rows`` (k among them) evaluates every row."""
-        at = x.tobytes()
-        if (k, at) not in values:
-            if rows:
-                vals = np.broadcast_to(case.deriv(np.array(rows)[:, None], x), (len(rows), *x.shape))
-                values.update(((r, at), np.asarray(v, dtype=float)) for r, v in zip(rows, vals))
-            else:
-                values[(k, at)] = np.asarray(case.deriv(k, x), dtype=float)
-        return values[(k, at)]
-
-    reports: dict[str, CMReport] = {}
-    for label, sign, base in case.directions():
-        rows = tuple(base + k for k in _DERIV_ORDERS)
-        reports[label] = check_cm(
-            lambda x: sign * deriv(base, x),
+    directions = case.directions()
+    xs = g.xs()
+    shape = (g.max_order + 1, xs.size)
+    values, radius = case.deriv(directions[0][2] + np.arange(g.max_order + 1)[:, None], xs, radius=True)
+    values, radius = np.broadcast_to(values, shape), np.broadcast_to(radius, shape)
+    reports = {
+        label: check_cm(
+            None,
             g,
             tol_abs=tol_abs,
             tol_rel=tol_rel,
-            derivs=lambda k, x: sign * deriv(base + k, x, rows),
+            rows=(sign * values, radius),
             include_order_zero=case.expected == F_CM,
             case_id=f"{case.id}[{label}]",
         )
+        for label, sign, _ in directions
+    }
     if case.expected == NEITHER:
         matches = all(r.verdict == VIOLATES for r in reports.values())
     else:
@@ -216,12 +219,109 @@ def _is_order(k, n: int) -> bool:
     return not isinstance(k, np.ndarray) and k == n
 
 
+class _Ball:
+    """A value and a radius that bounds its error: midpoint-radius arithmetic (Johansson, "Arb", 2017).
+
+    ``v`` and ``r`` are floats or arrays of one shape, or ``r`` a scalar that
+    broadcasts.  +, - and * give ``v`` the bits numpy gives the bare values,
+    and ``r`` the radii carried through the operation plus u times the
+    rounded result; an operand that is no _Ball (a parameter, an integer
+    power) is exact.  numpy defers its operators to this class.  Radii are
+    rounded to nearest as they are added up; a case's deriv widens the final
+    one by _RADIUS_ROUNDING for that.
+    """
+
+    __array_ufunc__ = None
+    __slots__ = ("v", "r")
+
+    def __init__(self, v, r):
+        self.v, self.r = v, r
+
+    @staticmethod
+    def of(other) -> "_Ball":
+        return other if isinstance(other, _Ball) else _Ball(other, 0.0)
+
+    def __add__(self, other):
+        o = _Ball.of(other)
+        v = self.v + o.v
+        return _Ball(v, self.r + o.r + _U * np.abs(v))
+
+    __radd__ = __add__  # IEEE addition commutes, bit for bit
+
+    def __sub__(self, other):
+        o = _Ball.of(other)
+        v = self.v - o.v
+        return _Ball(v, self.r + o.r + _U * np.abs(v))
+
+    def __neg__(self):
+        return _Ball(-self.v, self.r)
+
+    def __mul__(self, other):
+        o = _Ball.of(other)
+        v = self.v * o.v
+        r = np.abs(o.v) * self.r + _U * np.abs(v)
+        if isinstance(other, _Ball):  # a number is exact and adds nothing of its own (nor 0 * inf)
+            r = r + (np.abs(self.v) + self.r) * o.r
+        return _Ball(v, r)
+
+    __rmul__ = __mul__  # so does multiplication
+
+    def __truediv__(self, d: float):
+        """Division by an exact nonzero number."""
+        v = self.v / d
+        return _Ball(v, self.r / abs(d) + _U * np.abs(v))
+
+    def radius(self) -> np.ndarray:
+        """The radius in the value's shape."""
+        shape = np.shape(self.v)
+        return self.r if np.shape(self.r) == shape else np.broadcast_to(self.r, shape)
+
+    def map(self, f) -> "_Ball":
+        """f applied to the value and to the radius in the value's shape: a reshape or a move of axes."""
+        return _Ball(f(self.v), f(self.radius()))
+
+    def __getitem__(self, i) -> "_Ball":
+        return self.map(lambda a: a[i])
+
+    def __iter__(self):
+        return (_Ball(v, r) for v, r in zip(self.v, self.radius()))
+
+
+def _rounded(c, ulps: float = 1.0) -> _Ball:
+    """A coefficient within ``ulps`` units of roundoff of the exact one: a - b is within one, a pow within two."""
+    return _Ball(c, ulps * _U * np.abs(c))
+
+
+# relative widening of a final radius for the roundings of its own sum (a few dozen terms)
+_RADIUS_ROUNDING = 1.0 + 2.0 ** -40
+
+# The radius model of each closed form, in units of u times |value|.  The
+# classical moment (-1)^k k! / y^(k+1): a factorial exact or rounded once, a
+# pow within one ulp, one product.
+_CLASSICAL_MOMENT_ULPS = 4.0
+
+
 class _Q:
     """Primitives bound to one deformation parameter (q = 1 means classical).
 
     Each primitive is the q-analogue of a classical piece and takes the
     classical form at q = 1, so one family closure serves a theorem and its
     q = 1 member.
+
+    Each primitive takes its abscissa y as a _Ball, whose radius bounds how
+    far the float y (a shift x + a the closure rounded, say) lies from the
+    exact one, and returns a _Ball.  Its radius is the evaluator's
+    ``abs_error_bound`` or the closed form's ulp model, plus twice y's radius
+    times a bound on the primitive's slope at y.  With r = |log q|/(1 - q^y)
+    <= 1/y + |log q| (1/y at q = 1) and A_(k+1) <= (k+1) A_k on [0, 1] for
+    the Eulerian polynomials, the slopes are:
+    - psi_q^(k), k >= 1, and the moments of order k >= 0: (k+1) r |value|,
+      since each is a sum of terms of one sign (see special._lambert);
+    - psi_q: r (1 + r), the first term of psi_q' plus the integral of the rest;
+    - log((1-q^y)/(1-q)): r, since its slope is the first moment.
+    The pieces of the order-0 value of the f' families (log Gamma_q,
+    log(1 - q^y), the q-Stirling term) have no radius model: their radius is
+    inf, and no verified row reads them.
     """
 
     def __init__(self, q: float):
@@ -231,63 +331,94 @@ class _Q:
         self.lq = 0.0 if self.classical else math.log(self.q)
 
     @staticmethod
-    def stacked(piece: Callable[[np.ndarray], np.ndarray], *ys) -> np.ndarray:
-        """piece(y) for each abscissa array y (one shape), as the rows of one call on the concatenated ys.
+    def stacked(piece: Callable[[_Ball], _Ball], *ys: _Ball) -> _Ball:
+        """piece(y) for each abscissa ball y (one shape), as the rows of one call on the concatenated ys.
 
         ``piece`` maps an ndarray elementwise, so each row equals its own call
         piece(y) bit for bit, and an error names the first bad element in the
         order of ``ys``.  An order column that ``piece`` carries leads its
         result; each row keeps it, shaped (*orders, *y.shape).
         """
-        flat = np.concatenate([np.reshape(y, -1) for y in ys])
-        out = piece(flat)
-        lead = np.shape(out)[:-1]
-        return np.moveaxis(np.reshape(out, (*lead, len(ys), *np.shape(ys[0]))), len(lead), 0)
+        flat = [y.map(lambda a: np.reshape(a, -1)) for y in ys]
+        out = piece(_Ball(np.concatenate([y.v for y in flat]), np.concatenate([y.r for y in flat])))
+        lead = np.shape(out.v)[:-1]
+        shape = (*lead, len(ys), *np.shape(ys[0].v))
+        return out.map(lambda a: np.moveaxis(np.reshape(a, shape), len(lead), 0))
 
-    def lg(self, y: float | np.ndarray) -> float | np.ndarray:
-        return log_gamma_q(y, self.qv).value
+    def _at(self, v, err, y: _Ball, slope) -> _Ball:
+        """_Ball(v, err) widened by twice y's radius times slope(r), r = 1/y + |log q| (see the class docstring)."""
+        if np.ndim(y.r) == 0 and y.r == 0.0:  # an abscissa the closure did not round
+            return _Ball(v, err)
+        return _Ball(v, err + 2.0 * y.r * slope(1.0 / y.v - self.lq))
 
-    def ps(self, k, y: float | np.ndarray) -> float | np.ndarray:
-        return psi_q_n(k, y, self.qv).value
+    def lg(self, y: _Ball) -> _Ball:
+        return _Ball(log_gamma_q(y.v, self.qv).value, math.inf)
 
-    def dlg(self, k) -> Callable[[np.ndarray], np.ndarray]:
+    def ps(self, k, y: _Ball) -> _Ball:
+        res = psi_q_n(k, y.v, self.qv)
+        v = res.value
+        return self._at(v, res.abs_error_bound, y, lambda r: np.where(k == 0, r * (1.0 + r), (k + 1) * r * np.abs(v)))
+
+    def dlg(self, k) -> Callable[[_Ball], _Ball]:
         """The k-th derivative of log Gamma_q as a function of y: lg at k = 0, psi_q^(k-1) above."""
         return self.lg if _is_order(k, 0) else lambda y: self.ps(k - 1, y)
 
-    def mom(self, k, y: float | np.ndarray) -> float | np.ndarray:
-        """k-th derivative of the first moment -q^y log q / (1 - q^y); (-1)^k k! / y^(k+1) classically."""
+    def mom(self, k, y: _Ball) -> _Ball:
+        """k-th derivative of the first moment -q^y log q / (1 - q^y); (-1)^k k! / y^(k+1) classically.
+
+        The radius model of special._lambert: _TERM_ULPS + 3k + 3|y log q|
+        ulps, plus gradual underflow; classically _CLASSICAL_MOMENT_ULPS.
+        """
         if self.classical:  # a float y as np.float64, so 1/0 is inf, as in an array, not ZeroDivisionError
-            y = y if isinstance(y, np.ndarray) else np.float64(y)
-            return (1 - 2 * (k % 2)) * _factorial(k) * _pow(y, -k - 1)
-        return _moment(k, y, self.lq)
+            yv = y.v if isinstance(y.v, np.ndarray) else np.float64(y.v)
+            v = (1 - 2 * (k % 2)) * _factorial(k) * _pow(yv, -k - 1)
+            err = _CLASSICAL_MOMENT_ULPS * _U * np.abs(v)
+        else:
+            v = _moment(k, y.v, self.lq)
+            ulps = _TERM_ULPS + 3.0 * (k + np.minimum(np.abs(y.v * self.lq), _EXP_ARG_MAX))
+            err = ulps * _U * np.abs(v) + _UNDERFLOW_ERR
+        return self._at(v, err, y, lambda r: (k + 1) * r * np.abs(v))
 
-    def mom_pair(self, k, y: float | np.ndarray) -> np.ndarray:
-        """(mom(k - 1, y), mom(k - 2, y)) from one call, the two orders stacked on a new leading axis."""
+    def mom_pair(self, k, y: _Ball) -> _Ball:
+        """(mom(k - 1, y), mom(k - 2, y)), stacked on a new leading axis, from one call on their distinct orders.
+
+        Order -1 is log_scale(y), whose derivative is mom(0, y): thm2.2's
+        family reads it at k = 1.  An order column k - 1, k - 2 shares all
+        but one order, so the call holds one row per distinct order.
+        """
         orders = np.stack(np.broadcast_arrays(k - 1, k - 2))
+        distinct, index = np.unique(orders, return_inverse=True)
+        moms = self.mom(np.maximum(distinct, 0).reshape(-1, *(1,) * np.ndim(y.v)), y)
+        if distinct[0] < 0:
+            scale = self.log_scale(y)
+            moms = _Ball(np.concatenate([[scale.v], moms.v[1:]]), np.concatenate([[scale.radius()], moms.r[1:]]))
         # a scalar order gains y's axes, as an order column carries them already
-        return self.mom(orders.reshape(orders.shape + (1,) * (np.ndim(y) - np.ndim(k))), y)
+        at = (index.reshape(orders.shape + (1,) * (np.ndim(y.v) - np.ndim(k))), *np.indices(np.shape(y.v), sparse=True))
+        return moms.map(lambda a: a[at])
 
-    def log1m(self, y: float | np.ndarray) -> float | np.ndarray:
+    def log1m(self, y: _Ball) -> _Ball:
         """log(1 - q^y) for q < 1, log(y) classically."""
         if self.classical:
-            return np.log(y)
-        return -_moment_over_t(y, self.lq)
+            return _Ball(np.log(y.v), math.inf)
+        return _Ball(-_moment_over_t(y.v, self.lq), math.inf)
 
-    def log_scale(self, y: float | np.ndarray) -> float | np.ndarray:
-        """log((1-q^y)/(1-q)) for q < 1, log(y) classically."""
+    def log_scale(self, y: _Ball) -> _Ball:
+        """log((1-q^y)/(1-q)) for q < 1, log(y) classically, within (_TERM_ULPS + |value|) u."""
         if self.classical:
-            return np.log(y)
-        return _log_q_number(-np.expm1(y * self.lq), self.lq)
+            v = np.log(y.v)
+        else:
+            v = _log_q_number(-np.expm1(y.v * self.lq), self.lq)
+        return self._at(v, (_TERM_ULPS + np.abs(v)) * _U, y, lambda r: r)
 
-    def stirling(self, y: float | np.ndarray) -> float | np.ndarray:
+    def stirling(self, y: _Ball) -> _Ball:
         """The q-Stirling term y log(1-q) + F(q^y)/log q; y - y log y classically.
 
         Its derivative is -log_scale(y); y - y log y is its q -> 1 limit up to
         a constant.
         """
         if self.classical:
-            return y - y * np.log(y)
-        return y * _log_one_minus_q(self.lq)[0] + dilog_F(np.exp(y * self.lq)).value / self.lq
+            return _Ball(y.v - y.v * np.log(y.v), math.inf)
+        return _Ball(y.v * _log_one_minus_q(self.lq)[0] + dilog_F(np.exp(y.v * self.lq)).value / self.lq, math.inf)
 
 
 _MASS_SUM_CAP = 400_000
@@ -358,6 +489,16 @@ def _regime_verdict(kernel_id: str, params: dict, orientation: int, target: str 
     return _VERDICTS[({POSITIVE: 1, NEGATIVE: -1}[sign] * orientation, target)]
 
 
+def _deriv(closure) -> Callable:
+    """A case's ``deriv`` from its family closure: x enters as an exact ball, under quiet numpy flags."""
+    @_quiet
+    def deriv(k, x, radius: bool = False):
+        out = closure(k, _Ball(x, 0.0))
+        return (out.v, out.r * _RADIUS_ROUNDING) if radius else out.v
+
+    return deriv
+
+
 def _case(case_id: str, params: dict, deriv, kernel_id: str, orientation: int,
           factor: Callable[[np.ndarray], np.ndarray] | None = None, sigma: float = 0.0,
           rho: bool = False, x_start: float = 0.0, interval: str = "(0, inf)",
@@ -389,7 +530,7 @@ def _case(case_id: str, params: dict, deriv, kernel_id: str, orientation: int,
         interval=interval,
         x_start=x_start,
         expected=_regime_verdict(kernel_id, params, orientation, target),
-        deriv=_quiet(deriv),
+        deriv=_deriv(deriv),
         grid=grid or _default_grid(x_start),
         kernel_id=kernel_id,
         representation=rep,
@@ -425,9 +566,7 @@ def _thm22_family(alpha: float, P: _Q):
     def deriv(k, x):
         if _is_order(k, 0):
             return P.stirling(x) + alpha * P.log1m(x) + P.lg(x)
-        if _is_order(k, 1):
-            return alpha * P.mom(0, x) + P.ps(0, x) - P.log_scale(x)
-        m1, m2 = P.mom_pair(k, x)
+        m1, m2 = P.mom_pair(k, x)  # at k = 1, m2 is log_scale(x)
         return alpha * m1 + P.ps(k - 1, x) - m2
 
     return deriv
@@ -452,7 +591,7 @@ def _thm25_family(a: float, b: float, c: float, P: _Q):
     def deriv(k, x):
         scale = P.log_scale(x + c) if _is_order(k, 0) else P.mom(k - 1, x + c)
         at_b, at_a = P.stacked(P.dlg(k), x + b, x + a)
-        return (a - b) * scale + at_b - at_a
+        return _rounded(a - b) * scale + at_b - at_a
 
     return deriv
 
@@ -486,7 +625,7 @@ def _case_thm31(case_id: str, params: dict) -> TheoremCase:
     alpha = params["alpha"]
 
     def deriv(k, x):
-        return P.ps(k, x) - _pow(alpha, k) * P2.ps(k, alpha * x)
+        return P.ps(k, x) - _rounded(_pow(alpha, k), 2.0) * P2.ps(k, alpha * x)
 
     # _case rejects an alpha outside the kernel's domain before anything divides by it
     case = _case(case_id, params, deriv, "thm3.1", 1, factor=lambda t: 1.0 / alpha, target="f")
@@ -506,7 +645,7 @@ def _case_thm32(case_id: str, params: dict) -> TheoremCase:
 
     def deriv(k, x):
         at_a, at_b = P.stacked(P.dlg(k), x + a, x + b)
-        return at_a - at_b + (b - a) * P.ps(k, x + c)
+        return at_a - at_b + _rounded(b - a) * P.ps(k, x + c)
 
     # h' CM on (-c, inf); -h' CM and neither on (-a, inf)
     x_start, interval = (
@@ -572,26 +711,23 @@ def _case_thm41(case_id: str, params: dict) -> TheoremCase:
     # _case checks that a_list is nonempty and positive before anything divides by its length
     case = _case(case_id, {**params, "a_list": a}, deriv, case_id, 1, rho=True)
     n = len(a)
+    total = sum(_Ball(ai, 0.0) for ai in a)  # sum(a), its rounding in the radius
     denominator = {  # (power, shift) of each Gamma_q(x + shift) below the ratio
-        "thm4.1-mean": ((n, sum(a) / n),),
-        "thm4.1-split": ((n - 1, 0.0), (1, sum(a))),
+        "thm4.1-mean": ((n, total / n),),
+        "thm4.1-split": ((n - 1, 0.0), (1, total)),
     }[case_id]
     return case
 
 
 def _case_psi_prime(case_id: str, params: dict) -> TheoremCase:
     """psi'(x) = sum_k (k+x)^{-2} is completely monotonic; with no kernel, the verdict is stated."""
-    @_quiet
-    def deriv(k, x):
-        return psi_n(k, x).value
-
     return TheoremCase(
         id=case_id,
         params=params,
         interval="(0, inf)",
         x_start=0.0,
         expected=F_PRIME_CM,
-        deriv=deriv,
+        deriv=_deriv(_Q(1.0).ps),
         grid=GridSpec(0.1, 20.0, 25, "geometric"),
     )
 

@@ -120,7 +120,7 @@ def test_criterion_06_cm_verdict_sweep(tmp_path):
         assert f"\n{cid}," in text
     for neither_id in ("thm2.1-neither", "cor2.4", "thm3.2-neither", "cor3.5-neither", "cor3.6-neither"):
         rows = [ln for ln in text.splitlines() if ln.startswith(neither_id + ",")]
-        assert sum("violates-CM" in r for r in rows) == 2, neither_id
+        assert sum(",worst-violation[" in r and r.endswith(",violates-CM") for r in rows) == 2, neither_id
     _ok(6, "verify all exits 0; every theorem branch reproduces its expected verdict")
 
 

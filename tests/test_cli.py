@@ -130,7 +130,7 @@ def test_verify_single_case(capsys, tmp_path):
 def test_verify_neither_confirmed(capsys):
     code, out = run(capsys, "verify", "cor2.4", "--alpha", "0.75")
     assert code == 0
-    assert out.count("violates-CM") == 2
+    assert [ln.split(",")[-1] for ln in out.splitlines() if ",worst-violation[" in ln] == ["violates-CM"] * 2
     assert "match" in out
 
 
@@ -146,7 +146,7 @@ def test_verify_mismatch_exits_one(capsys):
     # thm2.1 at alpha=2 expects f' CM and passes, but alpha=0.75 through a
     # tiny max_order grid cannot exhibit both violations
     code, _ = run(capsys, "verify", "thm2.1-neither", "--max-order", "1",
-                  "--h-set", "0.125", "--points", "3", "--x-min", "5", "--x-max", "6")
+                  "--points", "3", "--x-min", "5", "--x-max", "6")
     assert code == 1
 
 
@@ -156,6 +156,29 @@ def test_verify_near_q_one(capsys, case_id):
     assert code == 0
     rows = [ln.split(",") for ln in out.splitlines() if ",expected-verdict," in ln]
     assert len(rows) == 1 and rows[0][-1] == "match"
+
+
+@pytest.mark.parametrize("argv", [("psi-prime", "--max-order", "40"), ("cor3.5-neither", "--s", "0.5")])
+def test_verify_high_order_rows_settle_what_stencils_could_not(capsys, argv):
+    # psi' at order 40: a stencil's roundoff grew like 40!/x^41 past a fixed threshold, an
+    # analytic row carries its own radius; cor3.5-neither at s = 0.5: the positive masses
+    # near t = 15 weigh e^{-15x}, which only high-order rows resolve
+    code, out = run(capsys, "verify", *argv)
+    assert code == 0
+    assert [ln.split(",")[-1] for ln in out.splitlines() if ",expected-verdict," in ln] == ["match"]
+
+
+def test_verify_reports_threshold_and_witness_next_to_each_worst_violation(capsys):
+    code, out = run(capsys, "verify", "thm3.2-neither")
+    assert code == 0
+    rows = {ln.split(",")[2]: ln.split(",") for ln in out.splitlines()[1:]}
+    assert sorted(rows) == ["expected-verdict", "threshold[-f']", "threshold[f']", "witness[-f']",
+                            "witness[f']", "worst-violation[-f']", "worst-violation[f']"]
+    for label in ("f'", "-f'"):
+        worst, threshold = float(rows[f"worst-violation[{label}]"][3]), float(rows[f"threshold[{label}]"][3])
+        x, n = rows[f"witness[{label}]"][3].split("|")
+        assert worst < -threshold < 0.0 and 1 <= int(n) <= 8 and float(x) > -0.5
+        assert {rows[f"{m}[{label}]"][4] for m in ("threshold", "witness", "worst-violation")} == {"violates-CM"}
 
 
 def test_verify_unknown_selector(capsys):
@@ -236,19 +259,21 @@ def test_verify_rejects_a_flag_no_selected_case_takes(capsys, argv, flags, accep
 
 def test_verify_grid_flags_are_the_grid_spec_fields(capsys):
     # _build_parser lists them by hand, with --spacing's choices; _cmd_verify reads the fields
+    # but h_set: the analytic rows take no difference steps, so --h-set is no flag of verify
     import dataclasses
 
     from qgamma.cmcheck import GridSpec
 
     verify = next(a for a in cli._build_parser()._actions if a.dest == "command").choices["verify"]
     flags = [a.option_strings[0] for a in verify._actions if a.option_strings]
-    grid = [cli._flag(f.name) for f in dataclasses.fields(GridSpec)]
-    assert [f for f in flags if f in grid] == grid
-    code, out = run(capsys, "verify", "psi-prime", "--points", "3", "--max-order", "2", "--h-set", "0.5,1",
+    grid = [cli._flag(f.name) for f in dataclasses.fields(GridSpec) if f.name != "h_set"]
+    assert [f for f in flags if f in grid] == grid == [cli._flag(f) for f in cli._VERIFY_GRID]
+    assert "--h-set" not in flags
+    code, out = run(capsys, "verify", "psi-prime", "--points", "3", "--max-order", "2",
                     "--spacing", "linear", "--x-min", "1", "--x-max", "2")
     assert code == 0 and out.count("match") == 1
-    # a bad value still exits 2 with nothing on stdout
-    for argv in (("--spacing", "cubic"), ("--points", "2.5"), ("--x-min", "one"), ("--h-set", "0.5,x")):
+    # a bad value, or the steps of a stencil verify no longer reads, exits 2 with nothing on stdout
+    for argv in (("--spacing", "cubic"), ("--points", "2.5"), ("--x-min", "one"), ("--h-set", "0.5,1")):
         code = main(["verify", "psi-prime", *argv])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, ""), argv
@@ -273,12 +298,14 @@ def test_verify_flag_applies_to_the_selected_cases_that_take_it(capsys):
 
 
 # stdout of `verify all` at each q the CI checks: a refactor of the numeric
-# core (such as special's one path for derivative orders) keeps every byte
+# core (such as special's one path for derivative orders) keeps every byte.
+# Re-pinned when verify moved from difference stencils to analytic derivative
+# rows with radii, and gained threshold and witness rows
 _VERIFY_ALL_MD5 = [
-    ("verify all", "c67684f355478fca57e99b55e462502e"),
-    ("verify all --q 0.9", "19406708afc60a3aadc766f6f97f57e2"),
-    ("verify all --q 0.99", "9d19be82be32afe0042c0b4762d17654"),
-    ("verify all --q 0.999", "d2e6d444273a8ab9e48d113aa0167829"),
+    ("verify all", "9151ae718185dded146d7b6cfc9717da"),
+    ("verify all --q 0.9", "47c4b982b54e5188c05aedd70e5b0d96"),
+    ("verify all --q 0.99", "f7c295d4a181614d470b530b186a1456"),
+    ("verify all --q 0.999", "f02eb4d3a9e918679cbea447d5f55f01"),
 ]
 
 
@@ -290,11 +317,12 @@ def test_verify_all_keeps_its_bytes(capsys, argv, md5):
 
 
 # stdout of dense verifies: evaluator calls over several blocks of elements and
-# differences up to order 20, where term order decides the last bits
+# derivative rows up to order 20, where term order decides the last bits;
+# re-pinned with _VERIFY_ALL_MD5
 _DENSE_VERIFY_MD5 = [
-    ("verify thm3.2 --q 0.99 --points 400 --max-order 20", "3b0eee8f7dc8b48b11b8ce087b72222b"),
-    ("verify thm2.2 --points 400 --max-order 20", "8484d9056410041ffb7a8059e7b70b5f"),
-    ("verify cor3.5 --q 0.9 --points 400 --max-order 20", "8a2c62cc082a51fcedd51efb705f75b2"),
+    ("verify thm3.2 --q 0.99 --points 400 --max-order 20", "07b5fbc4ed672def0646aa14eeac0e50"),
+    ("verify thm2.2 --points 400 --max-order 20", "92fab2e0be9b3118c469e0041d325c38"),
+    ("verify cor3.5 --q 0.9 --points 400 --max-order 20", "9062f2d3f32b4d508223c5ef77b8025d"),
 ]
 
 

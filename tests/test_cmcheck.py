@@ -80,16 +80,42 @@ def test_known_non_cm_functions_fail():
     assert rep.verdict == cm.VIOLATES and rep.witness[2] == 0
 
 
+_ORDERS = np.arange(GRID.max_order + 1)[:, None]
+
+
 def test_check_cm_analytic_derivative_rows():
-    # e^{-x} passes every difference test, so feeding deliberately wrong
-    # derivative values must be caught through the analytic rows (h = 0)
-    rep = cm.check_cm(
-        lambda x: np.exp(-x),
-        GRID,
-        derivs=lambda k, x: np.exp(-x),  # wrong sign at odd orders
-        include_order_zero=True,
-    )
-    assert rep.verdict == cm.VIOLATES and rep.witness[1] == 0.0 and rep.witness[2] == 1
+    # the rows of e^{-x} pass; the same rows with the wrong sign at odd orders are caught at order 1 (h = 0)
+    xs = GRID.xs()
+    rep = cm.check_cm(None, GRID, rows=((-1.0) ** _ORDERS * np.exp(-xs), 0.0))
+    assert rep.verdict == cm.CONSISTENT and set(rep.per_order_worst) == set(range(GRID.max_order + 1))
+    assert rep.evaluations == (GRID.max_order + 1) * GRID.points
+    rep = cm.check_cm(None, GRID, rows=(np.exp(-xs), 0.0))
+    assert rep.verdict == cm.VIOLATES and rep.witness == (float(xs[0]), 0.0, 1)
+    # order 0 only when asked for: -e^{-x} fails there and nowhere else
+    rows = (-((-1.0) ** _ORDERS) * np.exp(-xs), 0.0)
+    assert cm.check_cm(None, GRID, rows=rows, include_order_zero=False).verdict == cm.VIOLATES
+    rep = cm.check_cm(None, GRID, rows=(np.where(_ORDERS == 0, -1.0, 0.0) * np.exp(-xs), 0.0))
+    assert rep.verdict == cm.VIOLATES and rep.witness[2] == 0 and set(rep.per_order_worst) == {*range(9)}
+    with pytest.raises(DomainError):
+        cm.check_cm(lambda x: np.exp(-x), GRID, rows=(np.exp(-xs), 0.0))
+    with pytest.raises(DomainError):
+        cm.check_cm(None, GRID)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_analytic_row_threshold_is_its_radius_plus_the_tolerances(tol):
+    # a row value -d against radius r: violates-CM exactly when d > r + tol_abs + tol_rel * max(|f|, |row|)
+    xs = GRID.xs()
+    f = np.exp(-xs)
+    radius = np.full((GRID.max_order + 1, xs.size), 1e-6)
+    for scale in (0.5, 2.0):
+        values = (-1.0) ** _ORDERS * f
+        values[3, 4] = -(radius[3, 4] + tol + tol * f[4]) * scale  # order 3: its sign is (-1)^3
+        values[3, 4] *= -1.0
+        rep = cm.check_cm(None, GRID, tol, tol, rows=(values, radius), include_order_zero=False)
+        want = radius[3, 4] + tol + tol * max(f[4], abs(values[3, 4]))
+        assert rep.witness == (float(xs[4]), 0.0, 3) and rep.worst_threshold == want
+        assert rep.verdict == (cm.VIOLATES if scale > 1.0 else cm.CONSISTENT)
 
 
 def test_check_cm_report_fields_and_determinism():
@@ -120,11 +146,17 @@ def _count_plans(monkeypatch) -> tuple[list, list]:
 
 def test_verify_all_plans_each_grid_once(monkeypatch, capsys):
     from qgamma.cli import main
+    from qgamma.theorems import theorem_registry
 
+    # verify reads analytic rows at the grid points: it plans no stencil
     asked, built = _count_plans(monkeypatch)
     assert main(["verify", "all"]) == 0
     capsys.readouterr()
-    assert (len(asked), len(built)) == (33, 6)
+    assert (asked, built) == ([], [])
+    # a stencil check plans each of the corpus's 6 grids once
+    for case in theorem_registry():
+        cm.check_cm(lambda x: np.exp(-x), case.grid)
+    assert (len(asked), len(built)) == (28, 6)
     assert len(set(built)) == 6
 
 
@@ -143,19 +175,14 @@ def test_plans_keep_the_bits_of_their_grid(monkeypatch):
         grids = [cm.GridSpec(lo, hi, 21, "linear") for lo, hi in ends]
         assert grids[0] == grids[1]  # equal as dataclasses, not in their bits
         for grid in grids:
-            nodes, points = [], []
+            nodes = []
 
             def fn(x):
                 nodes.append(x.copy())
                 return np.exp(-x) - 2.0  # negative: the witness is the last grid point, at order 0
 
-            def derivs(k, x):
-                points.append(x.copy())
-                return np.zeros_like(x)
-
-            rep = cm.check_cm(fn, grid, derivs=derivs)
+            rep = cm.check_cm(fn, grid)
             assert nodes[0].tobytes() == _lattice(grid).tobytes()
-            assert all(p.tobytes() == grid.xs().tobytes() for p in points)
             assert np.float64(rep.witness[0]).tobytes() == grid.xs()[-1].tobytes()
     assert len(built) == 4
     # the grid ending at -0.0 has -0.0 for its last point, and names it so in its witness
@@ -170,14 +197,9 @@ def test_functions_writing_their_argument_leave_the_plan_alone():
         x[:] = 99.0
         return out
 
-    def derivs(k, x):
-        out = (-1.0) ** k * np.exp(-x)
-        x[:] = -1.0
-        return out
-
-    first = cm.check_cm(fn, grid, derivs=derivs)
-    again = cm.check_cm(fn, grid, derivs=derivs)
-    clean = cm.check_cm(lambda x: np.exp(-x), grid, derivs=lambda k, x: (-1.0) ** k * np.exp(-x))
+    first = cm.check_cm(fn, grid)
+    again = cm.check_cm(fn, grid)
+    clean = cm.check_cm(lambda x: np.exp(-x), grid)
     assert first == again == clean
     assert grid.xs()[0] == 0.1
 

@@ -22,6 +22,8 @@ from qgamma import kernels as K
 from qgamma import theorems as T
 from qgamma.cli import main
 from qgamma.cmcheck import CONSISTENT, VIOLATES, check_cm
+from test_special import _li_neg, _psi_q_n_reference
+
 from qgamma.special import (
     ConvergenceError,
     DomainError,
@@ -200,6 +202,19 @@ def test_thm25_verdict_holds_with_a_or_c_below_zero(a, b, c):
     assert ver.matches, {label: rep.verdict for label, rep in ver.reports.items()}
 
 
+@pytest.mark.parametrize("q", [None, 0.9, 0.99, 0.999])
+def test_every_verdict_holds_on_the_row_radii_alone(q):
+    # with tol_abs = tol_rel = 0 each row is compared with its radius alone: no CM case shows a
+    # violation, and every "neither" case still shows two; thm2.5's zero kernel rows are pure rounding
+    cases = [T.make_case(cid) if q is None or "q" not in T.case_default_params(cid) else T.make_case(cid, q=q)
+             for cid in T.registry_ids()]
+    if q is None:
+        cases.append(T.make_case("thm2.5", a=-0.5, b=0.5, c=-0.5))
+    for case in cases:
+        ver = T.verify_case(case, tol_abs=0.0, tol_rel=0.0)
+        assert ver.matches, (case.id, case.params, {label: rep.verdict for label, rep in ver.reports.items()})
+
+
 def test_verify_case_deterministic():
     case = T.make_case("thm2.2")
     v1 = T.verify_case(case)
@@ -279,6 +294,11 @@ def _mom_closed_form(k, y, lq):
     )[k]
 
 
+def _exact(y) -> T._Ball:
+    """An abscissa as the primitives of _Q take it: a ball of radius 0."""
+    return T._Ball(y, 0.0)
+
+
 def test_moment_derivatives_match_closed_forms():
     # each form rounds on its own; on a dense grid they differ by at most
     # 3.7, 5.4, 7.4 and 8.5 units of 2^-53 for k = 0..3
@@ -288,7 +308,7 @@ def test_moment_derivatives_match_closed_forms():
             for k in range(4):
                 want = _mom_closed_form(k, y, P.lq)
                 tol = (6 + 3 * k) * 2.0 ** -53 * max(1.0, abs(want))
-                assert abs(P.mom(k, y) - want) <= tol, (q, y, k)
+                assert abs(P.mom(k, _exact(y)).v - want) <= tol, (q, y, k)
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +457,8 @@ def test_thm31_rejects_a_q_whose_root_underflows():
 
 # the evaluators a closure reaches through the theorems module, and where each takes its order and q
 _EVALUATORS = {
-    "log_gamma_q": (None, 1), "psi_q_n": (0, 2), "psi_n": (0, None), "_moment": (0, 2),
-    "_moment_over_t": (None, 1), "dilog_F": (None, None),
+    "log_gamma_q": (None, 1), "psi_q_n": (0, 2), "_moment": (0, 2), "_moment_over_t": (None, 1),
+    "dilog_F": (None, None),
 }
 
 
@@ -461,18 +481,25 @@ def evaluator_calls(monkeypatch):
     return calls
 
 
+def _rows(case):
+    """The order column base..base + max_order of the case on its grid points, as verify_case asks for it."""
+    base = case.directions()[0][2]
+    return base + np.arange(case.grid.max_order + 1)[:, None], case.grid.xs()
+
+
 def _unshared_reports(case):
-    """The reports of verify_case from one check_cm per direction, each evaluating case.deriv itself."""
+    """The reports of verify_case from one check_cm per direction, each row from a scalar-order call."""
+    orders, xs = _rows(case)
+    values, radius = map(np.array, zip(*(case.deriv(int(k), xs, radius=True) for k in orders.ravel())))
     reports = {}
-    for label, sign, base in case.directions():
-        with np.errstate(all="ignore"):
-            reports[label] = check_cm(
-                lambda x: sign * case.deriv(base, x),
-                case.grid,
-                derivs=lambda k, x: sign * case.deriv(base + k, x),
-                include_order_zero=case.expected == T.F_CM,
-                case_id=f"{case.id}[{label}]",
-            )
+    for label, sign, _ in case.directions():
+        reports[label] = check_cm(
+            None,
+            case.grid,
+            rows=(sign * values, radius),
+            include_order_zero=case.expected == T.F_CM,
+            case_id=f"{case.id}[{label}]",
+        )
     return reports
 
 
@@ -482,14 +509,7 @@ def test_neither_case_evaluates_as_often_as_its_f_prime_direction(evaluator_call
     ver = T.verify_case(case)
     shared = list(evaluator_calls)
     evaluator_calls.clear()
-    rows = {}
-
-    def derivs(k, x):  # the three derivative rows in one call, as verify_case evaluates them
-        if not rows:
-            rows.update(zip((2, 3, 4), case.deriv(np.array([[2], [3], [4]]), x)))
-        return rows[1 + k]
-
-    check_cm(lambda x: case.deriv(1, x), case.grid, derivs=derivs, include_order_zero=False)
+    case.deriv(*_rows(case), radius=True)  # the rows of f' alone
     assert shared == evaluator_calls and len(shared) > 0
     assert set(ver.reports) == {"f'", "-f'"}
 
@@ -525,7 +545,7 @@ _Q_CASES = [cid for cid in T.registry_ids() if "q" in T.case_default_params(cid)
 @pytest.mark.parametrize("q", [0.9, 0.99])
 @pytest.mark.parametrize("cid", _Q_CASES)
 def test_shared_verification_equals_one_check_per_direction_near_q1(cid, q):
-    # the three derivative rows come from one order-column call; the reference asks per scalar order
+    # the rows come from one order-column call; the reference asks per scalar order
     case = T.make_case(cid, q=q)
     got = T.verify_case(case).reports
     want = _unshared_reports(case)
@@ -538,36 +558,36 @@ def test_shared_verification_equals_one_check_per_direction_near_q1(cid, q):
                          + [(cid, q) for cid in _Q_CASES for q in (0.9, 0.99)])
 def test_case_derivative_rows_in_one_call_equal_scalar_orders(cid, q):
     case = T.make_case(cid) if q is None else T.make_case(cid, q=q)
-    base = case.directions()[0][2]
-    x = case.grid.xs()
-    rows = case.deriv(base + np.array([[1], [2], [3]]), x)
-    assert rows.shape == (3, x.size)
-    for k, row in zip((1, 2, 3), rows):
-        assert row.tobytes() == np.asarray(case.deriv(base + k, x), dtype=float).tobytes(), k
+    orders, x = _rows(case)
+    rows, radius = case.deriv(orders, x, radius=True)
+    assert rows.shape == radius.shape == (orders.size, x.size)
+    for k, row, r in zip(orders.ravel().tolist(), rows, radius):
+        assert row.tobytes() == np.asarray(case.deriv(k, x), dtype=float).tobytes(), k
+        assert r.tobytes() == np.asarray(case.deriv(k, x, radius=True)[1], dtype=float).tobytes(), k
 
 
 def test_verify_makes_one_rows_call_per_primitive(evaluator_calls):
     T.verify_case(T.make_case("thm2.2"))
     names = [name for name, *_ in evaluator_calls]
-    assert (names.count("psi_q_n"), names.count("_moment")) == (2, 2)
-    # order 1 on the nodes is psi_q, order 0 of psi_q_n; orders 2..4 of f' need psi_q^(1..3), in one call
-    assert ("psi_q_n", 0, 0.5) in evaluator_calls
-    assert ("psi_q_n", (1, 2, 3), 0.5) in evaluator_calls
+    assert (names.count("psi_q_n"), names.count("_moment")) == (1, 1)
+    # orders 1..9 of h need psi_q^(0..8), in one call
+    assert ("psi_q_n", tuple(range(9)), 0.5) in evaluator_calls
 
 
 def test_verify_all_makes_one_node_and_one_rows_call_per_case(evaluator_calls):
+    # the node values (the base order) and the derivative rows come from one order-column call
     orders = []
     for case in T.theorem_registry():
-        def deriv(k, x, _deriv=case.deriv):
+        def deriv(k, x, _deriv=case.deriv, **kwargs):
             orders.append(np.shape(k))
-            return _deriv(k, x)
+            return _deriv(k, x, **kwargs)
 
         T.verify_case(dataclasses.replace(case, deriv=deriv))
-        assert orders == [(), (3, 1)], case.id
+        assert orders == [(case.grid.max_order + 1, 1)], case.id
         orders.clear()
     names = [name for name, *_ in evaluator_calls]
-    assert sum(names.count(n) for n in ("psi_q_n", "psi_n")) <= 80
-    assert names.count("_moment") <= 24
+    assert names.count("psi_q_n") <= 40
+    assert names.count("_moment") <= 12
 
 
 @pytest.mark.parametrize("q", [1.0, 0.5, 1.0 - 1e-6])
@@ -577,11 +597,11 @@ def test_stacked_order_column_equals_scalar_orders(q):
     ys = (x + 0.5, x, x + 2.0)
     # mom at order 0 reaches the classical exponent -1, ps at order 2 the exponent 2
     for piece, ks in ((P.ps, (1, 2, 3)), (P.mom, (0, 1, 2)), (lambda k, y: P.dlg(k)(y), (2, 3, 4))):
-        rows = T._Q.stacked(lambda y: piece(np.array(ks)[:, None], y), *ys)
+        rows = T._Q.stacked(lambda y: piece(np.array(ks)[:, None], y), *map(_exact, ys)).v
         assert rows.shape == (len(ys), len(ks), x.size)
         for per_shift, y in zip(rows, ys):
             for k, row in zip(ks, per_shift):
-                assert row.tobytes() == np.asarray(piece(k, y), dtype=float).tobytes(), k
+                assert row.tobytes() == np.asarray(piece(k, _exact(y)).v, dtype=float).tobytes(), k
 
 
 @pytest.mark.parametrize("q", [1.0, 0.5, 1.0 - 1e-6])
@@ -589,11 +609,16 @@ def test_moment_pair_equals_two_scalar_order_calls(q):
     P = T._Q(q)
     x = np.concatenate([np.geomspace(0.05, 30.0, 17), [0.5, 1.0, 2.0]])
     for k in (2, 3, 5, np.array([[2], [3], [4]])):
-        pair = P.mom_pair(k, x)
+        pair = P.mom_pair(k, _exact(x)).v
         assert pair.shape == (2, *np.broadcast_shapes(np.shape(k), x.shape))
         for got, order in zip(pair, (k - 1, k - 2)):
-            assert got.tobytes() == np.asarray(P.mom(order, x), dtype=float).tobytes(), order
-    assert P.mom_pair(2, 1.5).tobytes() == np.array([P.mom(1, 1.5), P.mom(0, 1.5)]).tobytes()
+            assert got.tobytes() == np.asarray(P.mom(order, _exact(x)).v, dtype=float).tobytes(), order
+    pair = P.mom_pair(2, _exact(1.5)).v
+    assert pair.tobytes() == np.array([P.mom(1, _exact(1.5)).v, P.mom(0, _exact(1.5)).v]).tobytes()
+    # order -1 is log_scale: the thm2.2 family's order-1 row reads it from the same call
+    scale = P.log_scale(_exact(x)).v.tobytes()
+    assert P.mom_pair(1, _exact(x)).v[1].tobytes() == scale
+    assert P.mom_pair(np.array([[1], [2], [3]]), _exact(x)).v[1, 0].tobytes() == scale
 
 
 @pytest.mark.parametrize("q", [1.0, 0.5, 1.0 - 1e-6])
@@ -604,40 +629,42 @@ def test_stacked_shifts_equal_separate_calls_bit_for_bit(q):
         (lambda y, k=k: P.ps(k, y)) for k in (0, 1, 3)] + [(lambda y, k=k: P.mom(k, y)) for k in (0, 2)]
     for piece in pieces:
         ys = (x + 0.5, x, x + 2.0)
-        rows = T._Q.stacked(piece, *ys)
+        rows = T._Q.stacked(piece, *map(_exact, ys)).v
         assert rows.shape == (3, x.size)
         for row, y in zip(rows, ys):
-            assert row.tobytes() == np.asarray(piece(y), dtype=float).tobytes()
+            assert row.tobytes() == np.asarray(piece(_exact(y)).v, dtype=float).tobytes()
         # a scalar abscissa gives one value per shift
-        assert [float(v) for v in T._Q.stacked(piece, 0.75, 1.5)] == [piece(0.75), piece(1.5)]
+        got = T._Q.stacked(piece, _exact(0.75), _exact(1.5)).v
+        assert [float(v) for v in got] == [piece(_exact(0.75)).v, piece(_exact(1.5)).v]
 
 
 def test_classical_polygamma_is_one_path_for_every_order():
     # psi, psi_q at q = 1 and the closures' pieces of every order reach one classical path
     x = np.concatenate([np.geomspace(1e-6, 1e8, 301), 1.4616321449683622 + np.linspace(-0.1, 0.1, 41)])
     P = T._Q(1.0)
-    for got in (psi_q(x, 1.0), P.ps(0, x)):
-        assert np.asarray(getattr(got, "value", got)).tobytes() == psi(x).value.tobytes()
+    for got in (psi_q(x, 1.0).value, P.ps(0, _exact(x)).v):
+        assert np.asarray(got).tobytes() == psi(x).value.tobytes()
     assert psi_q(x, 1.0).abs_error_bound.tobytes() == psi(x).abs_error_bound.tobytes()
     for k in (1, 2, 5):
-        assert P.ps(k, x).tobytes() == psi_n(k, x).value.tobytes() == psi_q_n(k, x, 1.0).value.tobytes()
+        got = P.ps(k, _exact(x)).v
+        assert got.tobytes() == psi_n(k, x).value.tobytes() == psi_q_n(k, x, 1.0).value.tobytes()
     # and so does psi-prime's closure
     case = T.make_case("psi-prime")
     for k in (0, 1, 3):
-        assert case.deriv(k, x).tobytes() == P.ps(k, x).tobytes()
+        assert case.deriv(k, x).tobytes() == P.ps(k, _exact(x)).v.tobytes()
 
 
 @pytest.mark.parametrize("q", [0.01, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-6])
 def test_log_scale_is_within_4u_of_high_precision(q):
     # one logarithm of (1-q^y)/(1-q): near q = 1 two large logarithms no longer cancel
     y = np.concatenate([np.geomspace(1e-3, 1e3, 301), [0.5, 1.0, 2.0]])
-    got = T._Q(q).log_scale(y)
+    got = T._Q(q).log_scale(_exact(y)).v
     with mp.workdps(40):
         qq = mp.mpf(q)
         for yi, gi in zip(y, got):
             want = mp.log((1 - qq ** mp.mpf(yi)) / (1 - qq))
             assert abs(gi - want) <= 4 * 2.0 ** -53 * max(1, abs(want)), (yi, gi, want)
-    assert T._Q(q).log_scale(1.0) == 0.0
+    assert T._Q(q).log_scale(_exact(1.0)).v == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +676,7 @@ def test_verify_all_evaluator_results_converge(monkeypatch, capsys):
     # the closures call the evaluators at their default configuration, whose
     # truncation bound every node of the corpus meets
     results = []
-    for name in ("log_gamma_q", "psi_q_n", "psi_n", "dilog_F"):
+    for name in ("log_gamma_q", "psi_q_n", "dilog_F"):
         def recorded(*args, _f=getattr(T, name), _name=name, **kwargs):
             res = _f(*args, **kwargs)
             results.append((_name, args[0] if _name.startswith("psi") else None, res.converged))
@@ -726,3 +753,98 @@ def test_scalar_and_array_x_outside_the_interval_give_one_quiet_outcome(cid):
             assert scalar == _deriv_outcome(case, k, np.array([x])), (x, k)
     if cid.startswith("thm2.1"):
         assert _deriv_outcome(case, 1, 0.0) == "DomainError: psi_n requires finite x in (0, inf), got 0.0"
+
+
+# ---------------------------------------------------------------------------
+# the radius of each derivative row: a true bound, and the verdict's threshold
+# ---------------------------------------------------------------------------
+
+
+def _mp_moment(k, y, q):
+    """The k-th derivative of the first moment -q^y log q / (1 - q^y); order -1 is log((1-q^y)/(1-q)).
+
+    At q = None, the classical (-1)^k k! / y^(k+1), and log y at order -1.
+    """
+    if q is None:
+        return mp.log(y) if k == -1 else (-1) ** k * mp.factorial(k) / y ** (k + 1)
+    lq = mp.log(q)
+    if k == -1:
+        return mp.log(-mp.expm1(y * lq) / -mp.expm1(lq))
+    return -lq ** (k + 1) * _li_neg(k, y * lq)
+
+
+def _mp_psi(k, y, q):
+    return mp.polygamma(k, y) if q is None else _psi_q_n_reference(k, y, q)
+
+
+def _mp_h(k, y, alpha, q):
+    """The k-th derivative (k >= 1) of thm2.2's h; thm2.1's at q = None."""
+    return alpha * _mp_moment(k - 1, y, q) + _mp_psi(k - 1, y, q) - _mp_moment(k - 2, y, q)
+
+
+def _row_reference(case, k, x):
+    """f^(k)(x) of the case at its parameters, to 40 digits, x exact."""
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        p = {key: tuple(map(mp.mpf, v)) if isinstance(v, tuple) else mp.mpf(v) for key, v in case.params.items()}
+        q = p.get("q")
+        if case.id == "psi-prime":
+            return mp.polygamma(k, x)
+        if case.id == "thm2.2":
+            return _mp_h(k, x, p["alpha"], q)
+        if case.id == "thm3.2":
+            a, b, c = p["a"], p["b"], p["c"]
+            return _mp_psi(k - 1, x + a, q) - _mp_psi(k - 1, x + b, q) + (b - a) * _mp_psi(k, x + c, q)
+        if case.id == "thm3.1":
+            alpha = p["alpha"]
+            return _mp_psi(k, x, q) - alpha ** k * _mp_psi(k, alpha * x, q ** (1 / alpha))
+        if case.id == "thm4.1-mean":
+            a = p["a_list"]
+            return mp.fsum(_mp_psi(k - 1, x + ai, q) for ai in a) - len(a) * _mp_psi(k - 1, x + mp.fsum(a) / len(a), q)
+        # cor3.6: the difference at s and 1 of thm2.1's h at alpha = 1/2 minus psi'(y + alpha)/12
+        g = lambda y: _mp_h(k, y, mp.mpf(0.5), None) - _mp_psi(k + 1, y + p["alpha"], None) / 12
+        return g(x + p["s"]) - g(x + 1)
+
+
+# every kind of closure: evaluators at x, at shifts x + a (thm3.2), at a scaled alpha x with a
+# rounded coefficient alpha^k (thm3.1), at a shift by the rounded mean of a_list (thm4.1-mean), and
+# shifts of shifts, x + s + alpha with alpha < 0 (cor3.6); classical moments in thm2.1's family
+_RADIUS_CASES = [("thm2.2", {}), ("thm2.2", {"q": 0.99}), ("thm3.2", {}), ("thm3.2", {"q": 0.99}),
+                 ("psi-prime", {}), ("thm3.1", {}), ("thm4.1-mean", {"a_list": (0.3, 0.7, 2.9)}),
+                 ("cor3.6", {"alpha": -0.04})]
+
+
+@pytest.mark.parametrize("cid, params", _RADIUS_CASES)
+def test_row_radius_covers_the_error_against_40_digits(cid, params):
+    case = T.make_case(cid, **params)
+    xs = case.grid.xs()[[0, 4, 11, 20]]
+    orders = case.directions()[0][2] + np.array([[0], [1], [4], [8]])
+    values, radius = case.deriv(orders, xs, radius=True)
+    for k, row, rad in zip(orders.ravel().tolist(), values, radius):
+        for x, v, r in zip(xs.tolist(), row.tolist(), rad.tolist()):
+            err = abs(mp.mpf(v) - _row_reference(case, k, x))
+            assert err <= r, (k, x, v, r, err)
+            assert r <= 1e-11 * max(1.0, abs(v)), (k, x, v, r)
+
+
+@pytest.mark.parametrize("cid, params", _RADIUS_CASES)
+def test_row_moved_by_twice_its_threshold_violates(cid, params):
+    # a CM case's rows pass; placing one signed row value at twice its threshold below zero is
+    # a certified violation there, at half of it the check stays consistent
+    case = T.make_case(cid, **params)
+    (label, sign, base), = case.directions()
+    orders, xs = _rows(case)
+    values, radius = case.deriv(orders, xs, radius=True)
+    rows = (sign * values, radius)
+    assert check_cm(None, case.grid, rows=rows, include_order_zero=False).verdict == CONSISTENT
+    tol = T.DEFAULT_TOL_ABS
+    for n, p in ((1, 0), (4, 11), (8, 20)):
+        # the threshold at the moved value: |f| outweighs it in tol_rel * max(|f|, |row|), or nearly
+        threshold = radius[n, p] + tol + tol * abs(values[0, p])
+        for scale, verdict in ((2.0, VIOLATES), (0.5, CONSISTENT)):
+            moved = sign * values.copy()
+            moved[n, p] = (-1) ** (n + 1) * scale * threshold  # the signed value (-1)^n row is -scale * threshold
+            rep = check_cm(None, case.grid, rows=(moved, radius), include_order_zero=False)
+            assert rep.verdict == verdict, (n, p, scale)
+            if verdict == VIOLATES:
+                assert rep.witness == (float(xs[p]), 0.0, n)
