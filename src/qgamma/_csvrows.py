@@ -109,9 +109,11 @@ def _text_tables() -> tuple[np.ndarray, ...]:
     keeps, the bytes of words 1 and 2 that stay below the point, and dots, the
     point itself.
     """
-    text = [f"{g:04d}" for g in range(10_000)]
-    quads = _words(text, 8)
-    zeros = np.array([4 - len(q.rstrip("0")) for q in text])
+    g = np.arange(10_000)[:, None]
+    quad = np.zeros((10_000, 8), dtype=np.uint8)  # f"{g:04d}" NUL-padded to a word, as _words lays it out
+    quad[:, :4] = g // (1000, 100, 10, 1) % 10 + ord("0")
+    quads = quad.view(_LE_U64).reshape(-1)
+    zeros = (g % (10, 100, 1000, 10_000) == 0).sum(axis=1)
     heads, exponents, shown, point = [], [], [], []
     for x in range(-_SPAN, _SPAN + 1):
         fixed = -4 <= x <= 16

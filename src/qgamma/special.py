@@ -322,8 +322,9 @@ def _pow(base, n):
     power 2 as its square and to -1 as its reciprocal, and pow, which an
     array of exponents calls, can differ from both in the last bit; at every
     other integer exponent it gives the bits of a scalar exponent.  So an
-    order array runs pow only where its orders lie outside -1..2, and the
-    scalar forms of those four orders elsewhere.  Every base this module
+    order array runs pow, and where its orders lie in -1..2 the scalar forms
+    of those four orders replace pow's values (a pow masked to the other
+    orders costs more than the whole).  Every base this module
     passes is positive.  A base that is not an ndarray (a Python float) keeps
     Python's ``**``, order by order.
     """
@@ -333,9 +334,7 @@ def _pow(base, n):
     if not isinstance(base, np.ndarray):
         return np.array([base ** k for k in n.ravel().tolist()]).reshape(n.shape)
     lo, hi = int(n.min(initial=0)), int(n.max(initial=0))  # an empty n has no element to set
-    if lo > 2 or hi < -1:
-        return np.power(base, n)
-    out = np.power(base, n, out=None, where=(n > 2) | (n < -1))  # the rest is set below
+    out = np.power(base, n)
     for k in range(max(lo, -1), min(hi, 2) + 1):
         np.copyto(out, _SCALAR_POWERS[k](base), where=n == k)
     return out
@@ -708,6 +707,19 @@ def _lambert(k, z, w, lq: float):
     return z * _eulerian_poly(k, z) * _pow(-lq / w, k + 1)
 
 
+@functools.cache
+def _em_order_plan(k0: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct Euler-Maclaurin orders k0 + 2j - 1 of an order column k0, as a column, and each one's index.
+
+    index[j, i] is the row of order k0[i] + 2j + 1 among them (see
+    _em_corrections).  Cached by the column, which verify asks for once per case.
+    """
+    distinct, index = np.unique(np.add.outer(_EM_ODD.ravel(), k0), return_inverse=True)
+    distinct, index = distinct[:, None], index.reshape(len(_EM_ODD), len(k0))
+    distinct.flags.writeable = index.flags.writeable = False
+    return distinct, index
+
+
 def _em_corrections(k0, e, z, w, lq: float):
     """-sum_{j=1..M} B_2j/(2j)! f^(2j-1)(t) for f = |log q g^(k0)| (see _lambert), k0 an order array.
 
@@ -726,12 +738,11 @@ def _em_corrections(k0, e, z, w, lq: float):
     steps[1:] = r * r
     # row j: B_2j/(2j)! (fac r^2j) A_k(z); sums are added in order of j
     terms = _rows(_EM_COLUMN, steps[0]) * _running(np.multiply, steps)
-    orders = k0 + _rows(_EM_ODD, k0)
     if np.ndim(k0) == 2:  # an order column (see _with_orders): z is one row, so each Eulerian order runs once
-        distinct, index = np.unique(orders, return_inverse=True)
-        terms *= _eulerian_poly(distinct[:, None], z.reshape(-1))[index.reshape(orders.shape[:-1])]
+        distinct, index = _em_order_plan(tuple(k0.ravel().tolist()))
+        terms *= _eulerian_poly(distinct, z.reshape(-1))[index]
     else:
-        terms *= _eulerian_poly(orders, z)
+        terms *= _eulerian_poly(k0 + _rows(_EM_ODD, k0), z)
     kept = terms[:-1]  # the last term is left out: it bounds the remainder
     corr = _total(kept)
     mag = _total(np.abs(kept))

@@ -65,11 +65,17 @@ a closure needs one primitive on several shifts of x (the difference
 compositions, thm2.5, thm2.6, thm3.2, thm4.1), ``_Q.stacked`` evaluates it
 in one call on the concatenated abscissae; each closure keeps the order in
 which it calls its primitives, so an x outside the interval is named as
-separate calls would name it.  Where a closure needs one primitive at two
-orders (the moments of orders k - 1 and k - 2 in thm2.1's and thm3.4's
-families, log_scale at order -1), ``_Q.mom_pair`` evaluates their distinct
-orders in one call.  Every evaluator's array call equals its scalar calls
-element for element, so sharing changes no value.
+separate calls would name it.  Where a closure needs psi_q at several
+orders and shifts (thm3.2's psi_q^(k-1) at x + a and x + b and psi_q^(k) at
+x + c; thm3.4's psi_q^(k-1) at x and psi_q^(k+1) at x + alpha, and through
+the difference composition cor3.5's and cor3.6's), ``_Q.ps_rows`` answers
+its requests from one call on the union order column over the stacked
+abscissae, and an error's element index counts in that argument.  Where a
+closure needs one primitive at two orders (the moments of orders k - 1 and
+k - 2 in thm2.1's and thm3.4's families, log_scale at order -1),
+``_Q.mom_pair`` evaluates the orders between in one call.  Every
+evaluator's array call equals its scalar calls element for element, so
+sharing changes no value.
 """
 
 from __future__ import annotations
@@ -354,10 +360,36 @@ class _Q:
     def lg(self, y: _Ball) -> _Ball:
         return _Ball(log_gamma_q(y.v, self.qv).value, math.inf)
 
+    def _psi_at(self, k, v, err, y: _Ball) -> _Ball:
+        """psi_q^(k)(y) = v within err, widened for y's radius by the slope bound of its order."""
+        return self._at(v, err, y, lambda r: np.where(k == 0, r * (1.0 + r), (k + 1) * r * np.abs(v)))
+
     def ps(self, k, y: _Ball) -> _Ball:
         res = psi_q_n(k, y.v, self.qv)
-        v = res.value
-        return self._at(v, res.abs_error_bound, y, lambda r: np.where(k == 0, r * (1.0 + r), (k + 1) * r * np.abs(v)))
+        return self._psi_at(k, res.value, res.abs_error_bound, y)
+
+    def ps_rows(self, *requests: tuple) -> list[_Ball]:
+        """[ps(k, y) for k, y in requests] from one psi_q_n call; each k an order or an order array.
+
+        The call takes the order column lo..hi that the requests span against
+        their abscissae concatenated as ``stacked`` concatenates them, and each
+        request reads its own elements back.  An order array's element equals
+        its scalar-order call and ``_psi_at`` is elementwise, so each ball
+        equals its own ps(k, y) call bit for bit, value and radius.  An error
+        names the first bad abscissa in the order of the requests, its element
+        index counted in the concatenated argument.
+        """
+        lo = min(int(np.min(k)) for k, _ in requests)
+        hi = max(int(np.max(k)) for k, _ in requests)
+        sizes = [np.size(y.v) for _, y in requests]
+        res = psi_q_n(np.arange(lo, hi + 1)[:, None], np.concatenate([np.reshape(y.v, -1) for _, y in requests]),
+                      self.qv)
+        out, start = [], 0
+        for (k, y), size in zip(requests, sizes):
+            at = (k - lo, start + np.arange(size).reshape(np.shape(y.v)))  # broadcasts as k with y
+            out.append(self._psi_at(k, res.value[at], res.abs_error_bound[at], y))
+            start += size
+        return out
 
     def dlg(self, k) -> Callable[[_Ball], _Ball]:
         """The k-th derivative of log Gamma_q as a function of y: lg at k = 0, psi_q^(k-1) above."""
@@ -380,21 +412,24 @@ class _Q:
         return self._at(v, err, y, lambda r: (k + 1) * r * np.abs(v))
 
     def mom_pair(self, k, y: _Ball) -> _Ball:
-        """(mom(k - 1, y), mom(k - 2, y)), stacked on a new leading axis, from one call on their distinct orders.
+        """(mom(k - 1, y), mom(k - 2, y)), stacked on a new leading axis, from one call on the orders between.
 
         Order -1 is log_scale(y), whose derivative is mom(0, y): thm2.2's
-        family reads it at k = 1.  An order column k - 1, k - 2 shares all
-        but one order, so the call holds one row per distinct order.
+        family reads it at k = 1.  The call takes the contiguous column
+        lo - 2..hi - 1 of the orders k spans; for an order column lo..hi the
+        pair is its rows from 1 on and its rows up to the last.
         """
-        orders = np.stack(np.broadcast_arrays(k - 1, k - 2))
-        distinct, index = np.unique(orders, return_inverse=True)
-        moms = self.mom(np.maximum(distinct, 0).reshape(-1, *(1,) * np.ndim(y.v)), y)
-        if distinct[0] < 0:
+        lo, hi = int(np.min(k)), int(np.max(k))
+        moms = self.mom(np.maximum(np.arange(lo - 2, hi), 0).reshape(-1, *(1,) * np.ndim(y.v)), y)
+        v, r = moms.v.reshape(hi - lo + 2, -1), moms.radius().reshape(hi - lo + 2, -1)
+        if lo < 2:  # row 0 is order -1 (or below it, which no closure reads)
             scale = self.log_scale(y)
-            moms = _Ball(np.concatenate([[scale.v], moms.v[1:]]), np.concatenate([[scale.radius()], moms.r[1:]]))
-        # a scalar order gains y's axes, as an order column carries them already
-        at = (index.reshape(orders.shape + (1,) * (np.ndim(y.v) - np.ndim(k))), *np.indices(np.shape(y.v), sparse=True))
-        return moms.map(lambda a: a[at])
+            v, r = v.copy(), r.copy()
+            v[0], r[0] = np.reshape(scale.v, -1), np.reshape(scale.radius(), -1)
+        # row k - lo + 1 is order k - 1, row k - lo order k - 2, at each element of y
+        at = (np.reshape((1, 0), (2, *(1,) * max(np.ndim(k), np.ndim(y.v)))) + (k - lo),
+              np.arange(v.shape[1]).reshape(np.shape(y.v)))
+        return _Ball(v[at], r[at])
 
     def log1m(self, y: _Ball) -> _Ball:
         """log(1 - q^y) for q < 1, log(y) classically."""
@@ -644,8 +679,12 @@ def _case_thm32(case_id: str, params: dict) -> TheoremCase:
     P = _Q(params["q"])
 
     def deriv(k, x):
-        at_a, at_b = P.stacked(P.dlg(k), x + a, x + b)
-        return at_a - at_b + _rounded(b - a) * P.ps(k, x + c)
+        if _is_order(k, 0):
+            at_a, at_b = P.stacked(P.lg, x + a, x + b)
+            at_c = P.ps(0, x + c)
+        else:  # psi_q^(k-1) at x + a and x + b, psi_q^(k) at x + c, from one call
+            at_a, at_b, at_c = P.ps_rows((k - 1, x + a), (k - 1, x + b), (k, x + c))
+        return at_a - at_b + _rounded(b - a) * at_c
 
     # h' CM on (-c, inf); -h' CM and neither on (-a, inf)
     x_start, interval = (
@@ -667,7 +706,13 @@ def _thm34_family(alpha: float, P: _Q):
     h = _thm22_family(0.5, P)
 
     def deriv(k, x):
-        return h(k, x) - P.ps(k + 1, x + alpha) / 12.0
+        if _is_order(k, 0):
+            return h(0, x) - P.ps(1, x + alpha) / 12.0
+        # h(k, x) written out, so that its psi row and psi_q^(k+1)(x + alpha) come from one call; the
+        # moments come first, as in h, so an x outside the interval is named by the same evaluator
+        m1, m2 = P.mom_pair(k, x)
+        at_x, at_alpha = P.ps_rows((k - 1, x), (k + 1, x + alpha))
+        return 0.5 * m1 + at_x - m2 - at_alpha / 12.0
 
     return deriv
 

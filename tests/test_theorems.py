@@ -16,6 +16,8 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qgamma import kernels as K
@@ -586,8 +588,17 @@ def test_verify_all_makes_one_node_and_one_rows_call_per_case(evaluator_calls):
         assert orders == [(case.grid.max_order + 1, 1)], case.id
         orders.clear()
     names = [name for name, *_ in evaluator_calls]
-    assert names.count("psi_q_n") <= 40
+    assert names.count("psi_q_n") <= 29
     assert names.count("_moment") <= 12
+
+
+@pytest.mark.parametrize("cid", T.registry_ids())
+def test_verify_makes_one_psi_call_per_q_and_at_most_one_moment_call(evaluator_calls, cid):
+    # a closure's psi requests at one q share one order-column call; thm3.1 asks at q and at q^(1/alpha)
+    T.verify_case(T.make_case(cid))
+    psi_qs = [q for name, _, q in evaluator_calls if name == "psi_q_n"]
+    assert len(psi_qs) == len(set(psi_qs)) == (2 if cid == "thm3.1" else 1), evaluator_calls
+    assert [name for name, *_ in evaluator_calls].count("_moment") <= 1
 
 
 @pytest.mark.parametrize("q", [1.0, 0.5, 1.0 - 1e-6])
@@ -619,6 +630,50 @@ def test_moment_pair_equals_two_scalar_order_calls(q):
     scale = P.log_scale(_exact(x)).v.tobytes()
     assert P.mom_pair(1, _exact(x)).v[1].tobytes() == scale
     assert P.mom_pair(np.array([[1], [2], [3]]), _exact(x)).v[1, 0].tobytes() == scale
+
+
+@given(
+    st.integers(0, 3),
+    st.integers(1, 12),
+    st.lists(st.tuples(st.integers(0, 2), st.floats(0.0, 3.0)), min_size=1, max_size=4),
+    st.lists(st.floats(0.05, 30.0), min_size=1, max_size=12),
+    st.sampled_from((0.5, 0.99, 1.0)),
+    st.booleans(),
+)
+def test_psi_rows_equal_separate_calls_bit_for_bit(base, length, requests, grid, q, column):
+    # each request (order offset, shift) reads psi_q^(k + offset)(x + shift) from the one union call
+    P = T._Q(q)
+    k = base + np.arange(length)[:, None] if column else base
+    x = _exact(np.array(grid))
+    asked = [(k + offset, x + shift if shift else x) for offset, shift in requests]
+    for got, (order, y) in zip(P.ps_rows(*asked), asked):
+        want = P.ps(order, y)
+        assert got.v.shape == np.shape(want.v) == np.broadcast_shapes(np.shape(order), x.v.shape)
+        assert got.v.tobytes() == want.v.tobytes()
+        assert got.radius().tobytes() == want.radius().tobytes()
+
+
+# (x_min, evaluator, value, element) of the first bad abscissa a verify on 5 points from x_min
+# meets: the element counts in the argument the evaluator receives, the grid with every shift stacked
+_FIRST_BAD_REQUEST = {
+    ("thm3.2", ()): (-0.6, "psi_q_n", -0.6 + 0.5, 0),  # x + a, in the first request
+    ("thm3.2", ("--c", "0.2")): (-0.3, "psi_q_n", -0.3 + 0.2, 10),  # x + c, after x + a and x + b
+    ("thm3.4-low", ()): (-0.3, "measure_moment", -0.3, 0),  # the moments come before the psi rows
+    ("cor3.6", ()): (-0.3, "psi_n", -0.3 + 0.1, 0),  # y = x + s, in the first request
+    ("cor3.6", ("--alpha", "-0.5")): (0.1, "psi_n", 0.1 + 0.1 - 0.5, 10),  # y + alpha, after y = x + s, x + 1
+}
+
+
+@pytest.mark.parametrize("cid, params", list(_FIRST_BAD_REQUEST))
+def test_x_outside_the_interval_names_the_first_bad_request(capsys, cid, params):
+    x_min, evaluator, value, element = _FIRST_BAD_REQUEST[cid, params]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", cid, *params, "--x-min", str(x_min), "--x-max", "3", "--points", "5",
+                     "--spacing", "linear"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {evaluator} requires finite x in (0, inf), got {value!r} (element {element})\n"
 
 
 @pytest.mark.parametrize("q", [1.0, 0.5, 1.0 - 1e-6])
