@@ -114,21 +114,16 @@ def _text_tables() -> tuple[np.ndarray, ...]:
     quad[:, :4] = g // (1000, 100, 10, 1) % 10 + ord("0")
     quads = quad.view(_LE_U64).reshape(-1)
     zeros = (g % (10, 100, 1000, 10_000) == 0).sum(axis=1)
-    heads, exponents, shown, point = [], [], [], []
-    for x in range(-_SPAN, _SPAN + 1):
-        fixed = -4 <= x <= 16
-        heads.append("\0" + "0." + "0" * (-x - 1) if fixed and x < 0 else "")
-        exponents.append("" if fixed else f"e{x:+03d}")
-        for s in range(18):
-            if fixed and x >= 0:  # every integer digit, then the point
-                n, i = max(s, x + 1), x + 1
-            elif fixed:  # the point is in the head
-                n, i = s, 0
-            else:  # d.ddd
-                n, i = s, 1
-            shown.append(n)
-            point.append(i if s > i else 0)
-    point = np.array(point)
+    x = np.arange(-_SPAN, _SPAN + 1)
+    heads = ["\0" + "0." + "0" * (-k - 1) if -4 <= k < 0 else "" for k in x.tolist()]
+    exponents = ["" if -4 <= k <= 16 else f"e{k:+03d}" for k in x.tolist()]
+    # by (exponent, digit count): the digits shown, and the digit the point precedes
+    x, s = x[:, None], np.arange(18)
+    fixed = (-4 <= x) & (x <= 16)
+    integer = fixed & (x >= 0)  # every integer digit, then the point
+    shown = np.where(integer, np.maximum(s, x + 1), s).reshape(-1)
+    i = np.where(integer, x + 1, np.where(fixed, 0, 1))  # else the point is in the head, or d.ddd
+    point = np.where(s > i, i, 0).reshape(-1)
 
     def low(nbytes):
         return (1 << 8 * min(max(nbytes, 0), 8)) - 1

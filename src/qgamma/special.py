@@ -20,7 +20,11 @@ broadcasts with x (order 0 is psi or psi_q); inside this module every order
 is int64 and runs one path, a single order without being expanded.  One
 pass of the series serves every order, and each element equals the
 single-order call at that element bit for bit; an empty order array gives
-an empty result.
+an empty result.  Likewise q, of log_gamma_q, gamma_q, psi_q and psi_q_n, is
+a float, a QValue or an array that broadcasts with x (and the orders): log q
+is an array that broadcasts with x, what depends on q alone is formed once
+per distinct q, and each element equals the call at its own scalar q bit for
+bit; elements with q = 1 take the classical series.
 """
 
 from __future__ import annotations
@@ -136,6 +140,21 @@ def _coerce_q(q) -> QValue:
     return q if isinstance(q, QValue) else QValue(float(q))
 
 
+def _checked_q(q) -> np.ndarray:
+    """q, a float, a QValue or an array, as a float array of its shape with every element in (0, 1].
+
+    A bad element is a DomainError in QValue's words, naming the first one;
+    a QValue was checked when it was made.
+    """
+    if isinstance(q, QValue):
+        return np.asarray(q.q)
+    arr = np.asarray(q, dtype=float)
+    ok = (0.0 < arr) & (arr <= 1.0)  # NaN fails both
+    if not ok.all():
+        raise DomainError(f"q must lie in (0, 1], got {_first(arr, ~ok)}")
+    return arr
+
+
 # Every public evaluator runs under this: numpy's overflow and invalid flags
 # become typed errors through the checks below, never RuntimeWarnings.
 _quiet = np.errstate(all="ignore")
@@ -198,26 +217,28 @@ def _checked_order(fn: str, n) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-def _with_orders(fn: str, n: np.ndarray, xs: np.ndarray, shape: tuple) -> tuple:
-    """(n, xs, shape) for an order array n and checked flat xs of ``shape``, in their broadcast shape.
+def _with_orders(fn: str, n: np.ndarray, xs: np.ndarray, shape: tuple, *along) -> tuple:
+    """(n, xs, *along, shape) for an order array n and checked flat xs of ``shape``, in their broadcast shape.
 
     A single order becomes one int64, which broadcasts with xs.  An order
     column (m, 1) against a 1-d x keeps its axis: n stays (m, 1) and xs
     becomes (1, N), so a series core evaluates what depends on x alone once
     per abscissa, and each Horner step's coefficients once per order.
     Otherwise n and xs are broadcast together and flattened.  Elementwise,
-    every layout runs the same operations.  Shapes that do not broadcast are
-    a DomainError naming both.
+    every layout runs the same operations.  Each of ``along`` is None or a
+    flat array with one element per x (the q index), laid out as xs is.
+    Shapes that do not broadcast are a DomainError naming both.
     """
     if n.size == 1:
-        return n.reshape(-1)[0], xs, (1,) * (n.ndim - len(shape)) + shape
+        return n.reshape(-1)[0], xs, *along, (1,) * (n.ndim - len(shape)) + shape
     if n.ndim == 2 and n.shape[1] == 1 and len(shape) == 1:
-        return n, xs.reshape(1, -1), (n.shape[0], xs.size)
+        return n, *(a if a is None else a.reshape(1, -1) for a in (xs, *along)), (n.shape[0], xs.size)
     try:
-        ns, xb = np.broadcast_arrays(n, xs.reshape(shape))
+        ns, *flat = np.broadcast_arrays(n, *(a.reshape(shape) for a in (xs, *along) if a is not None))
     except ValueError:
         raise DomainError(f"{fn} order array of shape {n.shape} does not broadcast with x of shape {shape}") from None
-    return ns.reshape(-1), xb.reshape(-1), ns.shape
+    flat = iter(a.reshape(-1) for a in flat)
+    return ns.reshape(-1), *(a if a is None else next(flat) for a in (xs, *along)), ns.shape
 
 
 def _finite(fn: str, *values) -> None:
@@ -255,20 +276,26 @@ def _check_truncation(fn, value, trunc, cfg: EvalConfig) -> None:
 _BLOCK = 1024
 
 
-def _blocked(core, x: np.ndarray, n=None) -> tuple:
-    """core(x) for a core returning a tuple of arrays shaped like x, run over blocks of x's last axis.
+def _take(a, width: int, key):
+    """a's elements at ``key`` along its last axis where that axis runs along x (its length ``width``); else a itself, which broadcasts."""
+    if isinstance(a, _LogQ):
+        return a.take(width, key)
+    return a[..., key] if np.shape(a)[-1:] == (width,) else a
 
-    Given n, core(x, n); an order array n, flat like x, is cut into the same
-    blocks.  Against an order column (see _with_orders) a block holds
-    _BLOCK elements over all its orders.
+
+def _blocked(core, x: np.ndarray, *args) -> tuple:
+    """core(x, *args) for a core returning a tuple of arrays shaped like x, run over blocks of x's last axis.
+
+    args[0] is the order n (or None); every argument that runs along x, an
+    order array flat like x or a log q per element, is cut into the same
+    blocks (see _take).  Against an order column (see _with_orders) a block
+    holds _BLOCK elements over all its orders.
     """
-    args = (x,) if n is None else (x, n)
     width = x.shape[-1]
-    block = _BLOCK if x.ndim == 1 else max(1, _BLOCK // n.size)
+    block = _BLOCK if x.ndim == 1 else max(1, _BLOCK // np.size(args[0]))
     if width <= block:
-        return core(*args)
-    cut = lambda a, i: a[..., i:i + block] if np.shape(a)[-1:] == (width,) else a
-    blocks = [core(*(cut(a, i) for a in args)) for i in range(0, width, block)]
+        return core(x, *args)
+    blocks = [core(*(_take(a, width, slice(i, i + block)) for a in (x, *args))) for i in range(0, width, block)]
     return tuple(np.concatenate(parts, axis=-1) for parts in zip(*blocks))
 
 
@@ -438,6 +465,16 @@ def _lgamma_bound(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return trunc, _TERM_ULPS * _U * mag
 
 
+_LOG_GAMMA_TERMS = _SHIFT + len(_STIRLING_COEF)
+
+
+def _log_gamma_parts(z: np.ndarray, n=None) -> tuple:
+    """(value, truncation bound, error bound) of log Gamma(z) by the shifted Stirling series; n is unused (see _q_series)."""
+    value = _lgamma_core(z)
+    trunc, rounding = _lgamma_bound(z)
+    return value, trunc, trunc + rounding
+
+
 @_quiet
 def log_gamma(z, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     """log Gamma(z) for Re z > 0, real or complex.
@@ -449,10 +486,9 @@ def log_gamma(z, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     """
     zs = np.asarray(z)
     zc = _checked_complex("log_gamma", zs, 0.0) if zs.dtype.kind == "c" else _checked("log_gamma", zs, what="Re z")
-    value = _lgamma_core(zc)
-    trunc, rounding = _lgamma_bound(zc)
+    value, trunc, bound = _log_gamma_parts(zc)
     _check_truncation("log_gamma", value, trunc, cfg)
-    return _result("log_gamma", value, trunc + rounding, _SHIFT + len(_STIRLING_COEF), zs.shape)
+    return _result("log_gamma", value, bound, _LOG_GAMMA_TERMS, zs.shape)
 
 
 @_quiet
@@ -461,21 +497,26 @@ def gamma(z, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
 
     The truncation check against ``cfg.rel_tol`` is log_gamma's.
     """
-    return _exp_log("gamma", log_gamma(z, cfg), z, "Gamma({})")
+    return _exp_log("gamma", log_gamma(z, cfg), z, np.float64(1.0))
 
 
-def _exp_log(fn: str, lg: SeriesResult, x, name: str) -> SeriesResult:
-    """exp of a log-gamma result at x, its bound scaled by the value: the body of gamma and gamma_q.
+def _exp_log(fn: str, lg: SeriesResult, x, q: np.ndarray) -> SeriesResult:
+    """exp of a log-gamma result at x and q (broadcast with x), its bound scaled by the value: the body of gamma and gamma_q.
 
-    ``name`` is the function as an overflow message writes it, with {} for x.
+    An overflow names the first element that overflows, as Gamma(x) where
+    its q is 1 and Gamma_q(x, q=...) elsewhere.
     """
+    shape = np.shape(lg.value)
     lv = _flat(lg.value)
     over = lv.real > _LOG_MAX_FLOAT
     if over.any():
-        raise OverflowError(f"{name.format(_first(x, over))} exceeds the float64 range")
+        at = _first(np.broadcast_to(x, shape), over)
+        qi = np.broadcast_to(q, shape).item(int(np.flatnonzero(over)[0]))
+        name = f"Gamma({at})" if qi == 1.0 else f"Gamma_q({at}, q={qi!r})"
+        raise OverflowError(f"{name} exceeds the float64 range")
     value = np.exp(lv)
     bound = np.abs(value) * (np.expm1(np.minimum(_flat(lg.abs_error_bound), 1.0)) + 2.0 * _U)
-    return _result(fn, value, bound, lg.terms_used, np.shape(x))
+    return _result(fn, value, bound, lg.terms_used, shape)
 
 
 _ZETA_DIRECT = 14
@@ -666,10 +707,43 @@ def _one_minus_q_pow(e):
     return w
 
 
-def _q_pow(t, lq: float):
+def _q_pow(t, lq):
     """(e, z, w) = (t log q, q^t, 1 - q^t), with 1 - q^t = -expm1(e) free of cancellation."""
     e = t * lq
     return e, np.exp(e), -np.expm1(e)
+
+
+class _LogQ:
+    """log q at each element of a q-series argument, taken by math.log once per distinct q.
+
+    For a single q, ``distinct`` is its log q, a float, and ``index`` is
+    None: everything of q alone is one float, as in a scalar call.  Else
+    ``distinct`` is the array of the distinct log q and ``index`` each
+    element's place in it, laid out to broadcast with x.  ``lq`` is log q at
+    each element.  What depends on q alone is computed once per distinct q
+    and gathered to the elements: through ``each`` on math, where the scalar
+    series uses math (numpy's exp, log, expm1 and log1p differ from math's in
+    the last bit on a few percent of arguments), and otherwise by numpy on
+    ``distinct``, elementwise, which gives every element the bits of its
+    single-q call.
+    """
+
+    def __init__(self, distinct, index=None):
+        self.distinct, self.index = distinct, index
+        self.lq = self.gather(distinct)
+
+    def gather(self, a):
+        """a, of q alone (over the distinct q on its first axis), at each element."""
+        return a if self.index is None else a[self.index]
+
+    def each(self, f):
+        """f(log q) at each element for a function f on Python floats, called once per distinct q."""
+        if self.index is None:
+            return f(self.distinct)
+        return np.array([f(v) for v in self.distinct.tolist()])[self.index]
+
+    def take(self, width: int, key) -> "_LogQ":
+        return self if self.index is None else _LogQ(self.distinct, _take(self.index, width, key))
 
 
 def _log_one_minus_q(lq: float) -> tuple[float, float]:
@@ -681,17 +755,21 @@ def _log_one_minus_q(lq: float) -> tuple[float, float]:
     return v, _TERM_ULPS + abs(v)
 
 
-def _log_q_number(w, lq: float):
-    """log((1-q^y)/(1-q)), the log of the q-number [y]_q, for w = 1 - q^y and lq = log q.
+def _one_minus_q(lq: float) -> float:
+    """1 - q = -expm1(log q), formed as every 1 - q^y is."""
+    return -math.expm1(lq)
 
-    One logarithm of the ratio, with 1 - q = -expm1(lq) formed as every
-    1 - q^y is: the two large logarithms near q = 1 never cancel, and y = 1
-    gives 0 exactly.
+
+def _log_q_number(w, one_minus_q):
+    """log((1-q^y)/(1-q)), the log of the q-number [y]_q, for w = 1 - q^y and 1 - q (see _one_minus_q).
+
+    One logarithm of the ratio: the two large logarithms near q = 1 never
+    cancel, and y = 1 gives 0 exactly.
     """
-    return np.log(w / -math.expm1(lq))
+    return np.log(w / one_minus_q)
 
 
-def _lambert(k, z, w, lq: float):
+def _lambert(k, z, w, lq):
     """|log q g^(k)(t)| for g(t) = q^t/(1-q^t) = sum_{j>=1} q^{jt}, completely monotonic in t; k an order array.
 
     log q g^(k)(t) = (log q)^(k+1) Li_{-k}(z) = (-1)^(k+1) z A_k(z) r^(k+1) with z = q^t,
@@ -720,7 +798,7 @@ def _em_order_plan(k0: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return distinct, index
 
 
-def _em_corrections(k0, e, z, w, lq: float):
+def _em_corrections(k0, e, z, w, lq):
     """-sum_{j=1..M} B_2j/(2j)! f^(2j-1)(t) for f = |log q g^(k0)| (see _lambert), k0 an order array.
 
     f^(m) = (-1)^m |log q g^(k0+m)|: this is sum_j B_2j/(2j)! z A_k(z) r^(k+1), k = k0 + 2j - 1.
@@ -754,16 +832,17 @@ def _em_corrections(k0, e, z, w, lq: float):
 _EM_ROWS = np.arange(_EM_DIRECT + 1, dtype=float)[:, None]
 
 
-def _q_polygamma(n, x: np.ndarray, lq: float):
-    """(-1)^(n+1) psi_q^(n)(x) = [n=0] log(1-q) + sum_{i>=0} f(x+i), f = |log q g^(n)| > 0 (see _lambert).
+def _q_polygamma(x: np.ndarray, n, logq: _LogQ):
+    """psi_q^(n)(x): (value, truncation bound, error bound), from (-1)^(n+1) psi_q^(n)(x) = [n=0] log(1-q) + sum_{i>=0} f(x+i).
 
-    n is an order array >= 0; _polygamma applies the sign.  Returns (value,
-    truncation bound, rounding error bound); each piece of the last is
+    f = |log q g^(n)| > 0 (see _lambert), and n is an order array >= 0; the
+    sign is applied once to the sum.  Each piece of the rounding bound is
     scaled by u before it is added, so it stays finite wherever the value
-    does.  The tail integral is int_T^inf f = |log q g^(n-1)(T)|, and for n = 0
-    it is -log(1-q^T), merged with log(1-q) into log((1-q)/(1-q^T)) so the
-    two large logarithms near q = 1 do not cancel.
+    does.  The tail integral is int_T^inf f = |log q g^(n-1)(T)|, and for
+    n = 0 it is -log(1-q^T), merged with log(1-q) into log((1-q)/(1-q^T)) so
+    the two large logarithms near q = 1 do not cancel.
     """
+    lq = logq.lq
     t = x + _rows(_EM_ROWS, x)  # row i < N holds x + i, row N holds T
     e, z, w = _q_pow(t, lq)
     f = _lambert(n, z, w, lq)
@@ -779,7 +858,7 @@ def _q_polygamma(n, x: np.ndarray, lq: float):
     ulps = _TERM_ULPS + 3.0 * (n + np.minimum(-e, _EXP_ARG_MAX))
 
     def q_number():  # n = 0
-        head = -_log_q_number(w, lq)
+        head = -_log_q_number(w, logq.each(_one_minus_q))
         return head, (_TERM_ULPS + np.abs(head)) * _U  # the ratio's relative error, now absolute
 
     def lambert():  # n >= 1; |n - 1| keeps order-0 elements, which q_number serves, off order -1 (take would wrap it)
@@ -792,7 +871,7 @@ def _q_polygamma(n, x: np.ndarray, lq: float):
     inner = direct + half + corr
     value = head + inner
     err = err + half * ulps * _U + corr_err * _U + 2.0 * _U * np.abs(inner) + head_err + np.abs(value) * _U
-    return value, rem, err
+    return (2.0 * (n % 2) - 1.0) * value, rem, rem + err + _UNDERFLOW_ERR
 
 
 def _branch(cond, when_true, when_false):
@@ -862,7 +941,7 @@ def _li2(z, log_z, one_minus_z):
     return _branch(z <= 0.5, series, reflected)
 
 
-def _log_gamma_q_series(x: np.ndarray, lq: float):
+def _log_gamma_q_series(x: np.ndarray, n, logq: _LogQ):
     """log Gamma_q(x) = (1-x) log(1-q) + sum_{n>=0} phi(n), phi(n) = log((1-q^{n+1})/(1-q^{n+x})).
 
     phi is completely monotonic for x < 1 and minus one for x > 1.  Its tail
@@ -878,8 +957,11 @@ def _log_gamma_q_series(x: np.ndarray, lq: float):
       and y_a - y_b = phi(N);
     - otherwise the two Li2 values are subtracted, |log q| > log 2 / max(a, b)
       bounds the loss, and the rounding budget counts it.
-    Returns (value, truncation bound, rounding budget in ulps).
+    What depends on q alone (the corrections at b, the powers of q at b and
+    log(1-q)) is formed once per distinct q (see _LogQ).  n is unused (see
+    _q_series).  Returns (value, truncation bound, error bound).
     """
+    lq = logq.lq
     d = -np.expm1(np.abs(x - 1.0) * lq)  # 1 - q^{|x-1|}
     # row n: phi(n); r = phi's ratio minus 1 = (q^{n+x} - q^{n+1}) / (1 - q^{n+x}),
     # free of cancellation, goes through log1p unless r <= -1/2
@@ -905,8 +987,9 @@ def _log_gamma_q_series(x: np.ndarray, lq: float):
     a, b = _EM_DIRECT + x, _EM_DIRECT + 1.0
     # phi^(m)(N) = f^(m-1)(b) - f^(m-1)(a), f = |log q g| (see _lambert): order -1 of psi_q's series
     corr_a, rem_a, err_a = _em_corrections(np.int64(-1), *_q_pow(a, lq), lq)
-    corr_b, rem_b, err_b = _em_corrections(np.int64(-1), *_q_pow(b, lq), lq)
+    corr_b, rem_b, err_b = map(logq.gather, _em_corrections(np.int64(-1), *_q_pow(b, logq.distinct), logq.distinct))
     alpha, beta = -a * lq, -b * lq
+    one_minus_qb = logq.each(lambda l: _one_minus_q(b * l))  # 1 - q^b
 
     def close(parts, brem, part_err):
         value, total = direct, err + part_err
@@ -914,49 +997,38 @@ def _log_gamma_q_series(x: np.ndarray, lq: float):
             value = value + p
             total = total + np.abs(value)
         total = total + (0.5 * phi_err + err_a + err_b)
-        return value, rem_a + rem_b + brem, total
+        trunc = rem_a + rem_b + brem
+        return value, trunc, trunc + total * _U + _UNDERFLOW_ERR
 
     def reflected():  # q^a, q^b >= 1/2
-        log_b1 = _log_q_number(-math.expm1(b * lq), lq)
+        log_b1 = _log_q_number(one_minus_qb, logq.each(_one_minus_q))
         bdiff, brem, berr = _li2_series_diff(alpha, beta, x - 1.0)
         parts = (-a * phi_n, (x - 1.0) * log_b1, -bdiff)
         part_err = (a * (phi_err + np.abs(phi_n))
-                    + np.abs(x - 1.0) * (_TERM_ULPS + 2.0 * abs(log_b1)) + berr)
+                    + np.abs(x - 1.0) * (_TERM_ULPS + 2.0 * np.abs(log_b1)) + berr)
         return close(parts, brem, part_err)
 
     def direct_li2():
-        log_1, log_1_err = _log_one_minus_q(lq)
-        za, zb = np.exp(a * lq), math.exp(b * lq)
+        log_1 = logq.each(lambda l: _log_one_minus_q(l)[0])
+        log_1_err = logq.each(lambda l: _log_one_minus_q(l)[1])
+        za, zb = np.exp(a * lq), logq.each(lambda l: math.exp(b * l))
 
         def series():  # q^a, q^b <= 1/2
-            ya, yb = -np.log1p(-za), -math.log1p(-zb)
+            ya, yb = -np.log1p(-za), logq.each(lambda l: -math.log1p(-math.exp(b * l)))
             tail, brem, terr = _li2_series_diff(ya, yb, phi_n)
             return tail, brem, terr + phi_err  # |B(y_a) - B(y_b)| <= |y_a - y_b| carries phi(N)'s error
 
         def difference():
             la, ra, la_err = _li2(za, a * lq, -np.expm1(a * lq))
-            lb, rb, lb_err = _li2(zb, b * lq, -math.expm1(b * lq))
+            lb, rb, lb_err = _li2(zb, b * lq, one_minus_qb)
             return la - lb, ra + rb, la_err + lb_err + np.abs(la - lb)
 
         tail, brem, terr = _branch(np.maximum(za, zb) <= 0.5, series, difference)
         parts = ((1.0 - x) * log_1, tail / -lq)
-        part_err = np.abs(1.0 - x) * (log_1_err + abs(log_1)) + (terr + np.abs(tail)) / -lq
+        part_err = np.abs(1.0 - x) * (log_1_err + np.abs(log_1)) + (terr + np.abs(tail)) / -lq
         return close(parts, brem / -lq, part_err)
 
     return _branch(np.maximum(alpha, beta) <= _LOG2, reflected, direct_li2)
-
-
-def _q_series_log_q(x: np.ndarray, q: QValue) -> float:
-    """log q for q in (0, 1), once 1 - q^x is nonzero at every x.
-
-    This is the series' one underflow check.  Every later abscissa t is >= x
-    or >= 1, and for t >= 1, |t log q| >= |log nextafter(1, 0)| ~ 1.1e-16 is
-    a normal float: only term 0, at t = x, can have a subnormal exponent.
-    Both series' budgets count its rounding, psi_q's n + 1 times in r^(n+1).
-    """
-    lq = math.log(q.q)
-    _one_minus_q_pow(x * lq)
-    return lq
 
 
 # absolute error left by gradual underflow: a few hundred operations, each off
@@ -970,8 +1042,71 @@ def _series_bound(fn, value, trunc, rounding, cfg: EvalConfig):
     return trunc + rounding + _UNDERFLOW_ERR
 
 
-def _series_result(fn, value, trunc, rounding, terms, cfg: EvalConfig, shape: tuple) -> SeriesResult:
-    return _result(fn, value, _series_bound(fn, value, trunc, rounding, cfg), terms, shape)
+def _q_series(fn: str, n, x, q, cfg: EvalConfig, classical, series) -> SeriesResult:
+    """The body of log_gamma_q, psi_q and psi_q_n: the q-series where q < 1, the classical series where q = 1.
+
+    ``classical`` is (evaluator, core, terms): evaluator(n, x) calls the
+    public classical evaluator, and core(x, n) is its series, with the
+    number of terms it sums; ``series`` is the q-series core, called as
+    series(x, n, logq).  Each core returns (value, truncation bound, error
+    bound) arrays shaped like its arguments' broadcast, and runs over blocks
+    (see _blocked).  q is checked first (see _checked_q), and a call with
+    q = 1 at every element is evaluator(n, x) itself, its messages
+    included.  Otherwise the order n,
+    if there is one, and x, in its own shape, are checked, x and q broadcast
+    together (a single q is not expanded), and 1 - q^x must be nonzero at
+    every element with q < 1: that is the q-series' one underflow check, and
+    it names the element by its index in that broadcast.  Every later
+    abscissa t is >= x or >= 1, and for t >= 1, |t log q| >= |log
+    nextafter(1, 0)| ~ 1.1e-16 is a normal float: only term 0, at t = x, can
+    have a subnormal exponent, and both series' budgets count its rounding.
+    x, n and q then take the orders' layout (see _with_orders).  Where q = 1
+    at some elements only, the classical core takes those, gathered along
+    the last axis, and the q-series the others; their results are scattered
+    back, so a truncation or overflow error names its element by its index
+    in the broadcast.
+    """
+    qa = _checked_q(q)
+    try:
+        shape = np.broadcast_shapes(np.shape(x), qa.shape) if qa.ndim else np.shape(x)
+    except ValueError:
+        raise DomainError(f"{fn} q of shape {qa.shape} does not broadcast with x of shape {np.shape(x)}") from None
+    evaluator, core, core_terms = classical
+    if (qa == 1.0).all():
+        return evaluator(n, x if shape == np.shape(x) else np.broadcast_to(x, shape))
+    if n is not None:
+        n = _checked_order(fn, n)
+    xs = _checked(fn, x)
+    if qa.size > 1:
+        xs = np.broadcast_to(xs.reshape(np.shape(x)), shape).reshape(-1)
+        distinct, index = np.unique(np.broadcast_to(qa, shape).reshape(-1), return_inverse=True)
+        logq = _LogQ(np.array([math.log(v) for v in distinct.tolist()]), index)
+        mixed = distinct[-1] == 1.0  # then q = 1, the largest q, is the last distinct q, with log q = 0
+    else:
+        logq, mixed = _LogQ(math.log(qa.item())), False
+    e = xs * logq.lq
+    under = np.expm1(e) == 0.0  # x log q underflowed: where q < 1, term 0 is beyond float64
+    if under.any() and (under := under & (logq.lq != 0.0)).any():
+        raise OverflowError(f"q-series term at t log q = {_first(e, under)} exceeds the float64 range")
+    if n is not None:
+        n, xs, index, shape = _with_orders(fn, n, xs, shape, logq.index)
+        logq = _LogQ(logq.distinct, index)
+    if not mixed:
+        value, trunc, bound = _blocked(series, xs, n, logq)
+        terms = _EM_TERMS
+    else:
+        width = xs.shape[-1]
+        one = logq.index == logq.distinct.size - 1
+        at_one, at_q = np.flatnonzero(one), np.flatnonzero(~one)
+        at_1 = _blocked(core, *(_take(a, width, at_one) for a in (xs, n)))
+        logq = _LogQ(logq.distinct[:-1], _take(logq.index, width, at_q))  # no element left reads q = 1
+        at_q1 = _blocked(series, *(_take(a, width, at_q) for a in (xs, n)), logq)
+        value, trunc, bound = (np.empty((*np.shape(part)[:-1], width)) for part in at_q1)
+        for full, part_1, part_q in zip((value, trunc, bound), at_1, at_q1):
+            full[..., at_one], full[..., at_q] = part_1, part_q
+        terms = max(core_terms, _EM_TERMS)
+    _check_truncation(fn, value, trunc, cfg)
+    return _result(fn, value, bound, terms, shape)
 
 
 @_quiet
@@ -984,50 +1119,48 @@ def log_gamma_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     summand is completely monotonic up to sign, so the truncation bound is
     the first omitted correction.  The bound adds a rounding term of a few u
     per |term| (see _TERM_ULPS), so it covers the whole error.
+
+    q is a float, a QValue or an array that broadcasts with x: the result
+    takes their broadcast shape, and each element equals the call at its own
+    scalar x and q bit for bit, value and bound.  The elements with q = 1 go
+    to log_gamma, and a call with q = 1 everywhere is log_gamma's, its
+    messages included (see _q_series).
     """
-    q = _coerce_q(q)
-    if q.is_classical:
-        return log_gamma(x, cfg)
-    xs = _checked("log_gamma_q", x)
-    lq = _q_series_log_q(xs, q)
-    value, trunc, ulps = _blocked(lambda b: _log_gamma_q_series(b, lq), xs)
-    return _series_result("log_gamma_q", value, trunc, ulps * _U, _EM_TERMS, cfg, np.shape(x))
+    classical = (lambda n, z: log_gamma(z, cfg), _log_gamma_parts, _LOG_GAMMA_TERMS)
+    return _q_series("log_gamma_q", None, x, q, cfg, classical, _log_gamma_q_series)
 
 
 @_quiet
 def gamma_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
-    """Gamma_q(x) = exp(log_gamma_q(x)) with the error bound scaled by the value; q = 1 routes to gamma."""
-    q = _coerce_q(q)
-    if q.is_classical:
-        return gamma(x, cfg)
-    return _exp_log("gamma_q", log_gamma_q(x, q, cfg), x, f"Gamma_q({{}}, q={q.q!r})")
+    """Gamma_q(x) = exp(log_gamma_q(x)) with the error bound scaled by the value; q = 1 is gamma.
+
+    q broadcasts with x as for log_gamma_q, and an element with q = 1 has the
+    bits of gamma at its x.
+    """
+    qa = _checked_q(q)
+    return _exp_log("gamma" if (qa == 1.0).all() else "gamma_q", _log_gamma_q(x, qa, cfg), x, qa)
+
+
+_ZETA_TERMS = _ZETA_DIRECT + len(_BERNOULLI)
+
+
+def _zeta_polygamma(x: np.ndarray, n) -> tuple:
+    """psi^(n)(x) = (-1)^(n+1) n! zeta(n+1, x) (DLMF 5.15.1), -psi(x) for zeta(1, x): (value, truncation, bound)."""
+    zeta, zbound, rounding = _hurwitz_zeta_int(n + 1, x)
+    nf = _factorial(n)
+    value = (2.0 * (n % 2) - 1.0) * nf * zeta
+    # the scaling by n! adds one rounding; tiny powers may be subnormal
+    return value, nf * zbound, nf * (zbound + rounding + _UNDERFLOW_ERR) + np.abs(value) * _U
 
 
 @_quiet
-def _polygamma(fn: str, n: np.ndarray, x, q: QValue, cfg: EvalConfig) -> SeriesResult:
-    """psi^(n)(x) at q = 1, psi_q^(n)(x) at q < 1, for a checked order array n >= 0 that broadcasts with x.
-
-    The body of psi, psi_n, psi_q and psi_q_n; errors name ``fn``, the one
-    called.  Classically psi^(n)(x) = (-1)^(n+1) n! zeta(n+1, x) (DLMF
-    5.15.1), with -psi(x) for zeta(1, x).
-    """
+def _polygamma(fn: str, n: np.ndarray, x, cfg: EvalConfig) -> SeriesResult:
+    """psi^(n)(x) for a checked order array n >= 0 that broadcasts with x: the body of psi and psi_n; errors name ``fn``."""
     xs = _checked(fn, x)
-    lq = None if q.is_classical else _q_series_log_q(xs, q)
     n, xs, shape = _with_orders(fn, n, xs, np.shape(x))
-    sign = 2.0 * (n % 2) - 1.0  # (-1)^(n+1), applied once to either series' sum
-    if lq is not None:
-        value, trunc, rounding = _blocked(lambda b, k: _q_polygamma(k, b, lq), xs, n)
-        return _series_result(fn, sign * value, trunc, rounding, _EM_TERMS, cfg, shape)
-    zeta, zbound, rounding = _blocked(lambda b, k: _hurwitz_zeta_int(k + 1, b), xs, n)
-    nf = _factorial(n)
-    value = sign * nf * zeta
-    _check_truncation(fn, value, nf * zbound, cfg)
-    # the scaling by n! adds one rounding; tiny powers may be subnormal
-    bound = nf * (zbound + rounding + _UNDERFLOW_ERR) + np.abs(value) * _U
-    return _result(fn, value, bound, _ZETA_DIRECT + len(_BERNOULLI), shape)
-
-
-_CLASSICAL = QValue(1.0)
+    value, trunc, bound = _blocked(_zeta_polygamma, xs, n)
+    _check_truncation(fn, value, trunc, cfg)
+    return _result(fn, value, bound, _ZETA_TERMS, shape)
 
 
 def psi(x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
@@ -1036,7 +1169,7 @@ def psi(x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     The bound adds _TERM_ULPS + 1 ulps per term and the rounding of the
     additions, summed as _hurwitz_zeta_int explains.
     """
-    return _polygamma("psi", np.int64(0), x, _CLASSICAL, cfg)
+    return _polygamma("psi", np.int64(0), x, cfg)
 
 
 def psi_n(n, x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
@@ -1049,9 +1182,10 @@ def psi_n(n, x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     gives one row per order): one pass of the series serves every order, and
     each element equals the call with its own scalar order bit for bit.
     """
-    return _polygamma("psi_n", _checked_order("psi_n", n), x, _CLASSICAL, cfg)
+    return _polygamma("psi_n", _checked_order("psi_n", n), x, cfg)
 
 
+@_quiet
 def psi_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     """q-digamma: -log(1-q) + log q * sum_{i>=0} g(x+i), g(t) = q^t/(1-q^t); q = 1 routes to psi.
 
@@ -1060,14 +1194,13 @@ def psi_q(x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     Euler-Maclaurin corrections, with a remainder between 0 and the first
     omitted one.  The bound is that term plus a rounding term of a few u per
     |term| (see _TERM_ULPS), the merged prefix log((1-q^T)/(1-q)) included.
-    Order 0 of psi_q_n's series.
+    Order 0 of psi_q_n's series.  q broadcasts with x as for log_gamma_q.
     """
-    q = _coerce_q(q)
-    if q.is_classical:
-        return psi(x, cfg)
-    return _polygamma("psi_q", np.int64(0), x, q, cfg)
+    return _q_series("psi_q", np.int64(0), x, q, cfg, (lambda n, y: psi(y, cfg), _zeta_polygamma, _ZETA_TERMS),
+                     _q_polygamma)
 
 
+@_quiet
 def psi_q_n(n, x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     """n-th derivative of psi_q for n >= 0: log q * sum_{i>=0} g^(n)(x+i); q = 1 routes to psi_n.
 
@@ -1075,14 +1208,22 @@ def psi_q_n(n, x, q, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     same scheme as psi_q applies to the completely monotonic |g^(n)|, with the
     tail integral -g^(n-1)(T); the bound is the first omitted Euler-Maclaurin
     correction plus a rounding term of a few u per |term|.  Order 0 is psi_q,
-    bit for bit.  As for psi_n, n may be an integer array of orders >= 0 that
-    broadcasts with x, evaluated in one pass and equal element by element to
-    the scalar-order calls.
+    bit for bit.  As for psi_n, n may be an integer array of orders >= 0, and
+    q an array as for log_gamma_q: n, x and q broadcast together and run in
+    one pass of the series, and each element equals the call at its own
+    scalar order, x and q, bit for bit.  An order column (m, 1) against x and
+    q of one dimension gives one row per order.
     """
-    q = _coerce_q(q)
-    if q.is_classical:
-        return psi_n(n, x, cfg)
-    return _polygamma("psi_q_n", _checked_order("psi_q_n", n), x, q, cfg)
+    return _q_series("psi_q_n", n, x, q, cfg, (lambda k, y: psi_n(k, y, cfg), _zeta_polygamma, _ZETA_TERMS),
+                     _q_polygamma)
+
+
+# qbench's tracer (qbench/spans.py) wraps the public evaluators and files each
+# call under the bucket of its q, read as one number, so a traced call at many
+# q fails before it runs.  The package's own calls at many q (the CLI's q-limit
+# table, thm3.1's two q), and gamma_q's call of log_gamma_q, go through these
+# names, which the tracer leaves alone.
+_log_gamma_q, _gamma_q, _psi_q_n = log_gamma_q, gamma_q, psi_q_n
 
 
 @_quiet

@@ -70,7 +70,11 @@ orders and shifts (thm3.2's psi_q^(k-1) at x + a and x + b and psi_q^(k) at
 x + c; thm3.4's psi_q^(k-1) at x and psi_q^(k+1) at x + alpha, and through
 the difference composition cor3.5's and cor3.6's), ``_Q.ps_rows`` answers
 its requests from one call on the union order column over the stacked
-abscissae, and an error's element index counts in that argument.  Where a
+abscissae, and an error's element index counts in that argument.  A request
+may carry its own ``_Q``: thm3.1's psi_q^(k) at x and psi_{q^(1/alpha)}^(k)
+at alpha x are one call whose q is an array, one q per abscissa, and each
+half keeps its own ``_Q``'s slope; x is checked alone first, so a bad x is
+named as a call of its own names it.  Where a
 closure needs one primitive at two orders (the moments of orders k - 1 and
 k - 2 in thm2.1's and thm3.4's families, log_scale at order -1),
 ``_Q.mom_pair`` evaluates the orders between in one call.  Every
@@ -97,12 +101,15 @@ from .special import (
     ConvergenceError,
     DomainError,
     QValue,
+    _checked,
     _factorial,
     _log_one_minus_q,
     _log_q_number,
     _moment,
     _moment_over_t,
+    _one_minus_q,
     _pow,
+    _psi_q_n,
     _quiet,
     dilog_F,
     log_gamma_q,
@@ -369,25 +376,32 @@ class _Q:
         return self._psi_at(k, res.value, res.abs_error_bound, y)
 
     def ps_rows(self, *requests: tuple) -> list[_Ball]:
-        """[ps(k, y) for k, y in requests] from one psi_q_n call; each k an order or an order array.
+        """[P.ps(k, y) for k, y, P in requests] from one psi_q_n call; each k an order or an order array.
 
+        A request is (k, y) for psi at this q, or (k, y, P) for psi at P's q.
         The call takes the order column lo..hi that the requests span against
-        their abscissae concatenated as ``stacked`` concatenates them, and each
-        request reads its own elements back.  An order array's element equals
-        its scalar-order call and ``_psi_at`` is elementwise, so each ball
-        equals its own ps(k, y) call bit for bit, value and radius.  An error
-        names the first bad abscissa in the order of the requests, its element
-        index counted in the concatenated argument.
+        their abscissae concatenated as ``stacked`` concatenates them, each
+        with its own q, and each request reads its own elements back.  An
+        element of an order or q array equals its scalar call and each
+        request's ``_psi_at`` is elementwise, so each ball equals its own
+        P.ps(k, y) call bit for bit, value and radius.  An error names the
+        first bad abscissa in the order of the requests, its element index
+        counted in the concatenated argument.
         """
-        lo = min(int(np.min(k)) for k, _ in requests)
-        hi = max(int(np.max(k)) for k, _ in requests)
-        sizes = [np.size(y.v) for _, y in requests]
-        res = psi_q_n(np.arange(lo, hi + 1)[:, None], np.concatenate([np.reshape(y.v, -1) for _, y in requests]),
-                      self.qv)
+        requests = [(k, y, *rest) if rest else (k, y, self) for k, y, *rest in requests]
+        lo = min(int(np.min(k)) for k, *_ in requests)
+        hi = max(int(np.max(k)) for k, *_ in requests)
+        sizes = [np.size(y.v) for _, y, _ in requests]
+        orders = np.arange(lo, hi + 1)[:, None]
+        ys = np.concatenate([np.reshape(y.v, -1) for _, y, _ in requests])
+        if all(P is self for *_, P in requests):
+            res = psi_q_n(orders, ys, self.qv)
+        else:  # several q, by the name qbench's tracer leaves alone (see special._psi_q_n)
+            res = _psi_q_n(orders, ys, np.repeat([P.q for *_, P in requests], sizes))
         out, start = [], 0
-        for (k, y), size in zip(requests, sizes):
+        for (k, y, P), size in zip(requests, sizes):
             at = (k - lo, start + np.arange(size).reshape(np.shape(y.v)))  # broadcasts as k with y
-            out.append(self._psi_at(k, res.value[at], res.abs_error_bound[at], y))
+            out.append(P._psi_at(k, res.value[at], res.abs_error_bound[at], y))
             start += size
         return out
 
@@ -442,7 +456,7 @@ class _Q:
         if self.classical:
             v = np.log(y.v)
         else:
-            v = _log_q_number(-np.expm1(y.v * self.lq), self.lq)
+            v = _log_q_number(-np.expm1(y.v * self.lq), _one_minus_q(self.lq))
         return self._at(v, (_TERM_ULPS + np.abs(v)) * _U, y, lambda r: r)
 
     def stirling(self, y: _Ball) -> _Ball:
@@ -660,7 +674,9 @@ def _case_thm31(case_id: str, params: dict) -> TheoremCase:
     alpha = params["alpha"]
 
     def deriv(k, x):
-        return P.ps(k, x) - _rounded(_pow(alpha, k), 2.0) * P2.ps(k, alpha * x)
+        _checked("psi_q_n", x.v)  # x alone first, named as a call of its own names it
+        at_q, at_q2 = P.ps_rows((k, x), (k, alpha * x, P2))
+        return at_q - _rounded(_pow(alpha, k), 2.0) * at_q2
 
     # _case rejects an alpha outside the kernel's domain before anything divides by it
     case = _case(case_id, params, deriv, "thm3.1", 1, factor=lambda t: 1.0 / alpha, target="f")
@@ -668,7 +684,7 @@ def _case_thm31(case_id: str, params: dict) -> TheoremCase:
     if q2 == 0.0:  # else _Q would name a q the caller never gave
         raise DomainError(f"thm3.1 requires q^(1/alpha) > 0 in float64, got q={P.q!r}, alpha={alpha!r}")
     P2 = _Q(q2)
-    const = _log_q_number(-math.expm1(P.lq / alpha), P.lq)
+    const = _log_q_number(-math.expm1(P.lq / alpha), _one_minus_q(P.lq))
     rep = case.representation
     return dataclasses.replace(case, representation=lambda x: const + rep(x))
 

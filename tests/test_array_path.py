@@ -426,6 +426,103 @@ def test_order_arrays_equal_scalar_orders_on_random_draws(pairs, q):
 
 
 # ---------------------------------------------------------------------------
+# q as an array axis: each element equals its scalar-q call
+# ---------------------------------------------------------------------------
+
+# (name, call(x, q)): every q-evaluator, psi_q_n at order 2
+_Q_EVALUATORS = [
+    ("log_gamma_q", sp.log_gamma_q),
+    ("gamma_q", sp.gamma_q),
+    ("psi_q", sp.psi_q),
+    ("psi_q_n", lambda x, q: sp.psi_q_n(2, x, q)),
+]
+# q = 1 and 1 - q = 1e-12 drawn often, to be mixed with each other and with the rest in one array
+_Q_DRAWS = st.one_of(st.sampled_from((1.0, 1.0 - 1e-12, 0.5, 0.99)), st.floats(0.01, 1.0))
+_X_DRAWS = st.floats(1e-3, 60.0)
+
+
+def _bits(res) -> tuple[bytes, bytes]:
+    return np.asarray(res.value, dtype=float).tobytes(), np.asarray(res.abs_error_bound, dtype=float).tobytes()
+
+
+def _scalar_bits(call, xs, qs) -> tuple[bytes, bytes]:
+    """The value and bound bytes of call(x, q) for each pair of Python floats, in order."""
+    results = [call(float(x), float(q)) for x, q in zip(xs, qs)]
+    return (np.array([r.value for r in results]).tobytes(), np.array([r.abs_error_bound for r in results]).tobytes())
+
+
+@given(st.lists(_X_DRAWS, min_size=1, max_size=4), st.lists(_Q_DRAWS, min_size=1, max_size=4),
+       st.lists(st.tuples(_X_DRAWS, _Q_DRAWS), min_size=1, max_size=6))
+def test_q_arrays_equal_scalar_q_calls(xs, qs, pairs):
+    x, q = np.array(xs), np.array(qs)
+    mx, mq = np.meshgrid(x, q, indexing="ij")
+    px, pq = (np.array(col) for col in zip(*pairs))
+    for name, call in _Q_EVALUATORS:
+        mesh = call(x[:, None], q[None, :])  # (m, 1) against (1, k)
+        assert mesh.value.shape == (x.size, q.size), name
+        assert _bits(mesh) == _scalar_bits(call, mx.ravel(), mq.ravel()), name
+        assert _bits(call(px, pq)) == _scalar_bits(call, px, pq), name  # flat, one q per x
+        assert _bits(call(px, np.array(pq[0]))) == _scalar_bits(call, px, [pq[0]] * px.size), name  # 0-d q
+        assert _bits(call(np.array(px[0]), pq)) == _scalar_bits(call, [px[0]] * pq.size, pq), name  # 0-d x
+    # an order column against x and q of one dimension: one row per order
+    rows = sp.psi_q_n(np.array([[0], [1], [3]]), px, pq)
+    assert rows.value.shape == (3, px.size)
+    for k, value, bound in zip((0, 1, 3), rows.value, rows.abs_error_bound):
+        want = _scalar_bits(lambda v, w: sp.psi_q_n(k, v, w), px, pq)
+        assert (value.tobytes(), bound.tobytes()) == want, k
+    # one order, one x and one q per element
+    orders = np.arange(px.size) % 4
+    results = [sp.psi_q_n(int(k), float(v), float(w)) for k, v, w in zip(orders, px, pq)]
+    assert _bits(sp.psi_q_n(orders, px, pq)) == (np.array([r.value for r in results]).tobytes(),
+                                                 np.array([r.abs_error_bound for r in results]).tobytes())
+    # orders, x and q all broadcast: (3, 1, 1) orders against the (m, k) mesh
+    cube = sp.psi_q_n(np.array([1, 2, 4]).reshape(3, 1, 1), x[:, None], q[None, :])
+    for k, value in zip((1, 2, 4), cube.value):
+        want = _scalar_bits(lambda v, w: sp.psi_q_n(k, v, w), mx.ravel(), mq.ravel())[0]
+        assert value.tobytes() == want, k
+
+
+def test_q_arrays_take_a_qvalue_and_keep_the_scalar_result_types():
+    assert sp.psi_q(1.3, sp.QValue(0.9)) == sp.psi_q(1.3, np.float64(0.9)) == sp.psi_q(1.3, np.array(0.9))
+    res = sp.log_gamma_q(2.5, np.array([0.5, 1.0]))
+    assert type(res.value) is np.ndarray and res.terms_used == sp.log_gamma(2.5).terms_used
+    assert sp.log_gamma_q(2.5, np.array([0.5, 0.9])).terms_used == sp.log_gamma_q(2.5, 0.5).terms_used
+
+
+@pytest.mark.parametrize("name, call", _Q_EVALUATORS)
+@pytest.mark.parametrize("bad", [math.nan, 0.0, 1.5])
+def test_a_bad_q_element_is_a_domain_error_naming_it(name, call, bad):
+    text = re.escape(repr(bad))
+    with pytest.raises(sp.DomainError, match=rf"^q must lie in \(0, 1\], got {text}$"):
+        call(1.3, bad)
+    with pytest.raises(sp.DomainError, match=rf"^q must lie in \(0, 1\], got {text} \(element 2\)$"):
+        call(np.array([0.5, 1.3, 2.0, 4.0]), np.array([0.5, 1.0, bad, bad]))
+    # gamma_q's messages are log_gamma_q's, as for x
+    with pytest.raises(sp.DomainError, match=rf"{name} q of shape \(3,\) does not broadcast with x of shape \(2,\)$"):
+        call(np.array([0.5, 1.3]), np.array([0.5, 0.9, 1.0]))
+
+
+@pytest.mark.parametrize("name, call", _Q_EVALUATORS)
+def test_an_underflowing_x_log_q_is_named_by_its_index_in_the_broadcast(name, call):
+    # x log q = -0.0 at x = 1e-308, q = nextafter(1, 0): element 3 of the (2, 2) broadcast
+    near = np.nextafter(1.0, 0.0)
+    with pytest.raises(OverflowError, match=r"^q-series term at t log q = -0\.0 \(element 3\) exceeds"):
+        call(np.array([[0.5], [1e-308]]), np.array([[0.5, near]]))
+    # where q = 1 the classical series takes the element, and nothing underflows
+    with pytest.raises(OverflowError, match=r"^q-series term at t log q = -0\.0 \(element 2\) exceeds"):
+        call(np.array([1e-308, 1e-308, 1e-308]), np.array([1.0, 1.0, near]))
+
+
+def test_a_result_beyond_float64_where_q_is_1_is_named_by_its_index_in_the_broadcast():
+    with pytest.raises(OverflowError, match=r"^psi_q_n result exceeds the float64 range at element 2$"):
+        sp.psi_q_n(3, np.array([1.0, 1.0, 1e-300]), np.array([0.5, 1.0, 1.0]))
+    with pytest.raises(OverflowError, match=r"^Gamma\(300\.0 \(element 1\)\) exceeds the float64 range$"):
+        sp.gamma_q(np.array([3.0, 300.0]), np.array([0.5, 1.0]))
+    with pytest.raises(OverflowError, match=r"^Gamma_q\(3000\.0 \(element 1\), q=0\.99\) exceeds"):
+        sp.gamma_q(np.array([3.0, 3000.0]), np.array([1.0, 0.99]))
+
+
+# ---------------------------------------------------------------------------
 # validation names the offending element
 # ---------------------------------------------------------------------------
 

@@ -757,6 +757,37 @@ def test_q_limit_table_falls_like_one_minus_q(capsys):
         assert abs_error / (1.0 - q) == pytest.approx(rate, rel=0.05), line
 
 
+# (exit code, stdout md5, stderr) of q-limit tables, recorded when the table
+# made one gamma_q call per q: the tables come from one call on the (x, q)
+# mesh, and each element keeps the bits of its own scalar-q call.  q = 1 in the
+# list, 1 - q down to 1e-12, x down to 1e-6, a table whose error grows with q
+# (exit 1) and a bad x (exit 2).
+_Q_LIMIT_MD5 = [
+    ("q-limit-table --x 0.5,1.5,4 --q 0.9,0.999,1", 0, "9034cd6c69dda9c4772066a6c9451c64", ""),
+    ("q-limit-table --x 0.5,2.5,7 --q 0.9,0.999999,0.999999999,0.999999999999", 0,
+     "117b96e8f19a890522d93734707b5ebc", ""),
+    ("q-limit-table --x 1e-06,0.001,0.3,3 --q 0.01,0.5,0.99", 0, "b402c5869d72f903dfdac367e91f5bfd", ""),
+    ("q-limit-table --x 36 --q 0.65,0.75,0.99", 1, "2e1bbd78db1ef7f1a3f785566662ebbb", ""),
+    ("q-limit-table --x 0.5,-1 --q 0.5,0.9", 2, "d41d8cd98f00b204e9800998ecf8427e",
+     "error: log_gamma requires finite Re z in (0, inf), got -1.0 (element 1)\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, md5, err", _Q_LIMIT_MD5)
+def test_q_limit_tables_keep_their_bytes(capsys, argv, code, md5, err):
+    assert main(argv.split()) == code
+    got = capsys.readouterr()
+    assert (hashlib.md5(got.out.encode()).hexdigest(), got.err) == (md5, err)
+
+
+def test_q_limit_table_names_a_bad_q_and_an_underflow_by_element(capsys):
+    # q is checked as one array, and x log q underflows at element 3 of the (x, q) mesh
+    assert main(["q-limit-table", "--x", "1", "--q", "0.9,1.5"]) == 2
+    assert capsys.readouterr() == ("", "error: q must lie in (0, 1], got 1.5 (element 1)\n")
+    assert main(["q-limit-table", "--x", "0.5,1e-308", "--q", "0.5,0.9999999999999999"]) == 2
+    assert capsys.readouterr().err == "error: q-series term at t log q = -0.0 (element 3) exceeds the float64 range\n"
+
+
 def test_q_limit_table_usage(capsys):
     assert run(capsys, "q-limit-table", "--x", "1", "--q", "0.999,0.9")[0] == 2
     assert run(capsys, "q-limit-table", "--x", "3", "--q", "0.5,0.5") == (2, "")  # not increasing

@@ -457,26 +457,33 @@ def test_thm31_rejects_a_q_whose_root_underflows():
 # each evaluation once: shared directions, stacked shifts
 # ---------------------------------------------------------------------------
 
-# the evaluators a closure reaches through the theorems module, and where each takes its order and q
+# the evaluators a closure reaches through the theorems module, and where each takes its order and q;
+# _psi_q_n is psi_q_n by the name its calls at several q take (see special._psi_q_n), and counts as psi_q_n
 _EVALUATORS = {
-    "log_gamma_q": (None, 1), "psi_q_n": (0, 2), "_moment": (0, 2), "_moment_over_t": (None, 1),
-    "dilog_F": (None, None),
+    "log_gamma_q": (None, 1), "psi_q_n": (0, 2), "_psi_q_n": (0, 2), "_moment": (0, 2),
+    "_moment_over_t": (None, 1), "dilog_F": (None, None),
 }
 
 
 @pytest.fixture
 def evaluator_calls(monkeypatch):
-    """Every evaluator call made through the theorems module, as (name, order, q); an order array as a tuple."""
+    """Every evaluator call made through the theorems module, as (name, order, q).
+
+    An order array is recorded as a tuple, and a q array as the tuple of its distinct values.
+    """
     calls = []
     for name, (order_at, q_at) in _EVALUATORS.items():
         original = getattr(T, name)
 
-        def counted(*args, _f=original, _name=name, _o=order_at, _q=q_at, **kwargs):
-            q = None if _q is None else args[_q]
+        def counted(*args, _f=original, _name=name.replace("_psi_q_n", "psi_q_n"), _o=order_at, _q=q_at,
+                    **kwargs):
+            q = None if _q is None else getattr(args[_q], "q", args[_q])
             order = None if _o is None else args[_o]
             if isinstance(order, np.ndarray):
                 order = tuple(order.ravel().tolist())
-            calls.append((_name, order, getattr(q, "q", q)))
+            if isinstance(q, np.ndarray):
+                q = tuple(np.unique(q).tolist())
+            calls.append((_name, order, q))
             return _f(*args, **kwargs)
 
         monkeypatch.setattr(T, name, counted)
@@ -588,16 +595,18 @@ def test_verify_all_makes_one_node_and_one_rows_call_per_case(evaluator_calls):
         assert orders == [(case.grid.max_order + 1, 1)], case.id
         orders.clear()
     names = [name for name, *_ in evaluator_calls]
-    assert names.count("psi_q_n") <= 29
+    assert names.count("psi_q_n") <= 28
     assert names.count("_moment") <= 12
 
 
 @pytest.mark.parametrize("cid", T.registry_ids())
 def test_verify_makes_one_psi_call_per_q_and_at_most_one_moment_call(evaluator_calls, cid):
-    # a closure's psi requests at one q share one order-column call; thm3.1 asks at q and at q^(1/alpha)
+    # a closure's psi requests share one order-column call; thm3.1's, at q and at q^(1/alpha), take a q array
     T.verify_case(T.make_case(cid))
     psi_qs = [q for name, _, q in evaluator_calls if name == "psi_q_n"]
-    assert len(psi_qs) == len(set(psi_qs)) == (2 if cid == "thm3.1" else 1), evaluator_calls
+    assert len(psi_qs) == 1, evaluator_calls
+    if cid == "thm3.1":
+        assert psi_qs == [(0.25, 0.5)]  # q = 0.5 and q^(1/alpha) at alpha = 0.5
     assert [name for name, *_ in evaluator_calls].count("_moment") <= 1
 
 
