@@ -11,8 +11,8 @@ and ``bounds`` come from ``_csv_rows``, which formats whole float columns with
 array operations (``qgamma._csvrows``) and gives the same bytes, passing to
 ``_fmt`` only what it cannot settle exactly.
 Output is built in memory and written only on success, never partially: a
-file goes through a temporary file in its directory and ``os.replace``, and a
-write error exits 2.
+file goes through a temporary file in its directory and ``os.replace`` (a
+device or a FIFO is written in place), and a write error exits 2.
 
 An optional ``--config`` file supplies ``key=value`` defaults (keys: rel_tol,
 tol_abs, tol_rel, t_min, t_max, t_points); explicit flags always override it.
@@ -104,8 +104,8 @@ def _grid_triplet(text: str) -> np.ndarray:
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as e:
         raise DomainError(f"malformed grid {text!r}; expected lo:hi:count") from e
-    if count < 1 or not hi >= lo:
-        raise DomainError(f"bad grid {text!r}")
+    if count < 1 or not (lo <= hi and np.isfinite(hi - lo)):
+        raise DomainError(f"bad grid {text!r}; expected lo <= hi a finite distance apart and count >= 1")
     return np.linspace(lo, hi, count)
 
 
@@ -146,20 +146,25 @@ def _emit(lines: list[str], output: str | None):
     report's text is built once, each line ended by a newline.  The target is
     either left as it was or replaced whole, also if the process dies
     mid-write; a failed write removes the temporary file and raises OSError.
+    A target that exists and is not a regular file (a device, a FIFO) is
+    written in place: replacing it would leave a regular file where it was.
     """
     text = "\n".join([*lines, ""])  # joining a trailing "" ends the last line without another copy
     if not output:
         sys.stdout.write(text)
         return
+    in_place = os.path.exists(output) and not os.path.isfile(output)
     head, tail = os.path.split(os.path.abspath(output))
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    tmp = output if in_place else os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+        with open(tmp, "w" if in_place else "x", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        os.replace(tmp, output)
+        if not in_place:
+            os.replace(tmp, output)
     except OSError as e:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+        if not in_place:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise OSError(e.errno, f"cannot write {output!r}: {e.strerror}") from e
 
 

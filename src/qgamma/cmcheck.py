@@ -11,7 +11,10 @@ tests it two ways:
   is verified this way.
 - From a function handle: (-1)^n Delta_h^n f(x) >= 0 over a grid of
   (x, h, n), the finite analogue, each against tol_abs + tol_rel times the
-  stencil's largest |f|.  A violation comes with the witness (x, h, n).
+  stencil's largest |f|.  A violation comes with the witness (x, h, n).  f is
+  called once, on the distinct nodes x + j h, and one pass of array steps
+  (``_differences``) gives every order; ``forward_difference`` reads its one
+  (x, h, n) from the same pass.
 
 Either test is one-sided: "consistent-with-CM" is necessary-condition
 evidence on the grid, never a proof.  Order 0 (f >= 0 pointwise) is included
@@ -67,14 +70,14 @@ class GridSpec:
     max_order: int = 8
 
     def __post_init__(self):
-        if not self.x_min < self.x_max:
-            raise DomainError(f"grid requires x_min < x_max, got {self}")
+        if not (self.x_min < self.x_max and math.isfinite(self.x_max - self.x_min)):
+            raise DomainError(f"grid requires x_min < x_max a finite distance apart, got {self}")
         if self.points < 2:
             raise DomainError("grid requires points >= 2")
         if self.max_order < 1:
             raise DomainError("grid requires max_order >= 1")
-        if not self.h_set or any(h <= 0.0 for h in self.h_set):
-            raise DomainError("all difference steps h must be positive")
+        if not self.h_set or not all(0.0 < h < math.inf for h in self.h_set):
+            raise DomainError(f"all difference steps h must be positive and finite, got {self.h_set}")
         if self.spacing not in ("linear", "geometric"):
             raise DomainError(f"unknown spacing {self.spacing!r}")
         if self.spacing == "geometric" and self.x_min <= 0.0:
@@ -113,18 +116,6 @@ class CMReport:
     evaluations: int = 0
 
 
-def _alternating_sum(value_at: Callable[[int], float], n: int):
-    """sum_j (-1)^j C(n, j) value_at(n - j), added in order of j: Delta_h^n from its nodes.
-
-    ``value_at(i)`` is f(x + i h); it may be an array over a lattice of (x, h),
-    and each element is then the scalar sum at its own (x, h).
-    """
-    total = 0.0
-    for j in range(n + 1):
-        total = total + (-1) ** j * math.comb(n, j) * value_at(n - j)
-    return total
-
-
 @functools.cache
 def _signed_binomials(n_max: int) -> np.ndarray:
     """(-1)^j C(n, j) as floats at [j, n] for j, n = 0..n_max, shaped to broadcast over (n, h, x)."""
@@ -134,13 +125,14 @@ def _signed_binomials(n_max: int) -> np.ndarray:
     return out
 
 
+@_quiet  # as Python's float arithmetic: inf - inf is NaN, not a warning
 def _differences(vals: np.ndarray, out: np.ndarray) -> None:
     """(-1)^n Delta_h^n at orders n = 1..max_order into ``out`` (n - 1, h, x), from vals (j, h, x) = fn(x + j h).
 
     Step j adds term j of every order n >= j, so each order's sum is
-    _alternating_sum's, 0.0 + term 0 + term 1 + ..., in its order, with
-    infinities and NaN where it has them: max_order + 1 passes over arrays
-    in place of a pass per order.
+    0.0 + term 0 + term 1 + ..., added in order of j, with infinities and NaN
+    where it has them: max_order + 1 passes over arrays in place of a pass per
+    order.
     """
     n_max = len(out)
     coef = _signed_binomials(n_max)
@@ -154,54 +146,21 @@ def _differences(vals: np.ndarray, out: np.ndarray) -> None:
     np.negative(out[0::2], out=out[0::2])  # odd orders: (-1)^n Delta_h^n = -Delta_h^n
 
 
-@dataclass(frozen=True)
-class _Plan:
-    """What check_cm reads of a grid, whatever the function: each array read-only."""
-
-    xs: np.ndarray  # the grid points
-    nodes: np.ndarray  # the distinct stencil nodes x + j h, in order of first occurrence over (h, x, j)
-    gather: np.ndarray  # the index into nodes of each lattice node, laid out (j, h, x)
-
-
-def _plan(grid: GridSpec) -> _Plan:
-    xs = grid.xs()
-    steps = np.arange(grid.max_order + 1) * np.asarray(grid.h_set, dtype=float)[:, None, None]
-    lattice = (xs[None, :, None] + steps).ravel()  # (h, x, j): x + j h
-    # each distinct bit pattern once (0.0 and -0.0 stay apart), in order of first occurrence
-    _, first, inverse = np.unique(lattice.view(np.int64), return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    nodes = lattice[first[order]]
-    gather = np.argsort(order)[inverse].reshape(len(grid.h_set), xs.size, -1).transpose(2, 0, 1).copy()
-    for a in (xs, nodes, gather):
-        a.flags.writeable = False
-    return _Plan(xs, nodes, gather)
-
-
-# plans by the exact bits of their grid's fields: GridSpec(-0.0, ...) == GridSpec(0.0, ...)
-# as dataclasses, but their grids hold other nodes
-_PLANS: dict[tuple, _Plan] = {}
-_PLANS_KEPT = 32
-
-
-def _grid_plan(grid: GridSpec) -> _Plan:
-    """The plan of ``grid``, built once for every grid of the same bits (the oldest of _PLANS_KEPT goes first)."""
-    key = (float(grid.x_min).hex(), float(grid.x_max).hex(), grid.points, grid.spacing,
-           tuple(float(h).hex() for h in grid.h_set), grid.max_order)
-    plan = _PLANS.get(key)
-    if plan is None:
-        if len(_PLANS) >= _PLANS_KEPT:
-            del _PLANS[next(iter(_PLANS))]
-        plan = _PLANS[key] = _plan(grid)
-    return plan
-
-
 def forward_difference(f: Callable[[float], float], x: float, h: float, n: int) -> float:
-    """Delta_h^n f(x) = sum_j (-1)^j C(n, j) f(x + (n-j) h)."""
+    """Delta_h^n f(x) = sum_j (-1)^j C(n, j) f(x + (n-j) h), added in order of j as check_cm adds it.
+
+    f is called at x + n h first, then down to x.
+    """
     if h <= 0.0:
         raise DomainError(f"forward_difference requires h > 0, got {h!r}")
     if n < 0:
         raise DomainError(f"forward_difference requires n >= 0, got {n!r}")
-    return _alternating_sum(lambda i: f(x + i * h), n)
+    vals = [f(x + i * h) for i in range(n, -1, -1)]
+    if n == 0:
+        return 0.0 + vals[0]
+    out = np.empty((n, 1, 1))
+    _differences(np.array(vals[::-1], dtype=float)[:, None, None], out)
+    return float(out[-1, 0, 0] if n % 2 == 0 else -out[-1, 0, 0])
 
 
 @_quiet
@@ -248,10 +207,16 @@ def check_cm(
         thresh = radius[lo:] + tol_abs + tol_rel * np.maximum(np.abs(values[0]), np.abs(values[lo:]))
         labels = [(n, 0.0) for n in range(lo, grid.max_order + 1)]
         return _report(case_id, grid, tol_abs, tol_rel, labels, signed, thresh, xs, values.size)
-    plan = _grid_plan(grid)
-    xs, n_max, n_h = plan.xs, grid.max_order, len(grid.h_set)
+    xs, n_max, n_h = grid.xs(), grid.max_order, len(grid.h_set)
+    steps = np.arange(n_max + 1) * np.asarray(grid.h_set, dtype=float)[:, None, None]
+    lattice = (xs[None, :, None] + steps).ravel()  # (h, x, j): x + j h
+    # each distinct bit pattern once (0.0 and -0.0 stay apart), in order of first occurrence
+    _, first, inverse = np.unique(lattice.view(np.int64), return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    nodes = lattice[first[order]]
+    gather = np.argsort(order)[inverse].reshape(n_h, xs.size, -1).transpose(2, 0, 1)
     # fn(x + j h) on the lattice, laid out (j, h, x)
-    vals = np.broadcast_to(np.asarray(fn(plan.nodes.copy()), dtype=float), plan.nodes.shape)[plan.gather]
+    vals = np.broadcast_to(np.asarray(fn(nodes), dtype=float), nodes.shape)[gather]
     f0 = vals[0, 0]  # fn at the grid points
 
     # one row per (n, h) in scan order: order 0, then n, h (x along each row)
@@ -265,7 +230,7 @@ def check_cm(
     limit = thresh[top:].reshape(n_max, n_h, -1)  # tol_abs + tol_rel * max |fn| over x + (0..n) h
     np.multiply(_running(np.maximum, np.abs(vals))[1:], tol_rel, out=limit)
     np.add(limit, tol_abs, out=limit)
-    return _report(case_id, grid, tol_abs, tol_rel, labels, signed, thresh, xs, plan.nodes.size)
+    return _report(case_id, grid, tol_abs, tol_rel, labels, signed, thresh, xs, nodes.size)
 
 
 def _report(case_id, grid, tol_abs, tol_rel, labels, signed, thresh, xs, evaluations) -> CMReport:

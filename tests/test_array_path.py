@@ -802,16 +802,25 @@ def test_check_cm_calls_fn_once_on_the_whole_lattice():
 
 @pytest.mark.parametrize("max_order", [1, 2, 5, 12, 20, 40])
 def test_check_cm_differences_equal_the_alternating_sum_order_by_order(max_order):
-    # (j, h, x) stencil values of every magnitude, infinities and NaN among them
+    # (j, h, x) stencil values of every magnitude, infinities, NaN and -0.0 among them
     rng = np.random.default_rng(max_order)
     vals = rng.standard_normal((max_order + 1, 3, 17)) * 10.0 ** rng.integers(-8, 8, (max_order + 1, 3, 17))
     vals.reshape(-1)[rng.choice(vals.size, 12, replace=False)] = [np.inf, -np.inf, np.nan, -0.0] * 3
     out = np.empty((max_order, 3, 17))
-    with np.errstate(all="ignore"):  # inf - inf, as check_cm's quiet scan meets it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # inf - inf is NaN, as in Python's float arithmetic, not a warning
         cm._differences(vals, out)
-        for n in range(1, max_order + 1):
-            delta = cm._alternating_sum(lambda i: vals[i], n)
-            assert out[n - 1].tobytes() == (delta if n % 2 == 0 else -delta).tobytes(), n
+        for h, x in np.ndindex(3, 17):
+            for n in range(1, max_order + 1):
+                delta = 0.0  # sum_j (-1)^j C(n, j) f(x + (n - j) h), added in order of j
+                for j in range(n + 1):
+                    delta = delta + (-1) ** j * math.comb(n, j) * float(vals[n - j, h, x])
+                signed = delta if n % 2 == 0 else -delta
+                assert np.float64(out[n - 1, h, x]).tobytes() == np.float64(signed).tobytes(), (n, h, x)
+                nodes = []
+                got = cm.forward_difference(lambda t: nodes.append(t) or vals[int(t), h, x], 0.0, 1.0, n)
+                assert np.float64(got).tobytes() == np.float64(delta).tobytes(), (n, h, x)
+                assert nodes == [float(i) for i in range(n, -1, -1)]  # x + n h first
 
 
 # the first argument outside (0, inf) each closure meets on a lattice from x = -0.5:

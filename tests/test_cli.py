@@ -6,6 +6,7 @@ import io
 import math
 import os
 import shlex
+import stat
 import subprocess
 import sys
 import types
@@ -358,6 +359,39 @@ def test_verify_all_deterministic(capsys, tmp_path):
     assert run(capsys, "verify", "thm2.2", "--output", str(p1))[0] == 0
     assert run(capsys, "verify", "thm2.2", "--output", str(p2))[0] == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_output_onto_a_fifo_writes_into_it(capsys, tmp_path):
+    # a target that is not a regular file is written in place, never replaced by one
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run(capsys, "verify", "thm2.2", "--output", str(fifo)) == (0, "")
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        got = b"".join(iter(lambda: os.read(reader, 1 << 16), b""))
+    finally:
+        os.close(reader)
+    assert got.decode() == run(capsys, "verify", "thm2.2")[1]
+    assert os.listdir(tmp_path) == ["pipe"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    ("verify thm2.2 --x-max inf", "inf"),
+    ("verify thm2.2 --x-min -inf --spacing linear", "-inf"),
+    ("bounds kershaw-psi --x-grid 0.1:inf:5 --s 0.5", "inf"),
+    ("bounds rademacher --c 0.5 --sigma-grid 1:inf:3 --tau 0", "inf"),
+    # finite endpoints whose distance overflows: linspace's step would be inf
+    ("verify thm2.2 --x-min -1e308 --x-max 1e308 --spacing linear", "1e+308"),
+    ("bounds kershaw-psi --x-grid -1e308:1e308:5 --s 0.5", "1e308"),
+])
+def test_grid_endpoints_must_be_a_finite_distance_apart(capsys, argv, named):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv.split())
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert named in captured.err and "nan" not in captured.err
 
 
 # ---------------------------------------------------------------------------
