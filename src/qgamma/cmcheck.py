@@ -210,8 +210,9 @@ def check_cm(
     xs, n_max, n_h = grid.xs(), grid.max_order, len(grid.h_set)
     steps = np.arange(n_max + 1) * np.asarray(grid.h_set, dtype=float)[:, None, None]
     lattice = (xs[None, :, None] + steps).ravel()  # (h, x, j): x + j h
-    # each distinct bit pattern once (0.0 and -0.0 stay apart), in order of first occurrence
-    _, first, inverse = np.unique(lattice.view(np.int64), return_index=True, return_inverse=True)
+    # each distinct node once, in order of first occurrence; equal values are equal bits, since with
+    # GridSpec's finite ends and steps h > 0 no node is NaN or -0.0 (x + 0 h is +0.0 at x = -0.0)
+    _, first, inverse = np.unique(lattice, return_index=True, return_inverse=True)
     order = np.argsort(first)
     nodes = lattice[first[order]]
     gather = np.argsort(order)[inverse].reshape(n_h, xs.size, -1).transpose(2, 0, 1)

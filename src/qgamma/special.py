@@ -207,13 +207,13 @@ def _checked_complex(fn: str, z, lo: float = -math.inf, what: str = "z") -> np.n
     return zc
 
 
-def _checked_order(fn: str, n) -> np.ndarray:
-    """n, an int or an integer array, as an int64 order array with every element >= 0."""
+def _checked_order(fn: str, n, lowest: int = 0) -> np.ndarray:
+    """n, an int or an integer array, as an int64 order array with every element >= ``lowest``."""
     arr = np.asarray(n)
     if arr.dtype.kind not in "iu":
         raise DomainError(f"{fn} requires integer orders, got dtype {arr.dtype}")
-    if arr.min(initial=0) < 0:
-        raise DomainError(f"{fn} requires order n >= 0, got {_first(arr, arr < 0)}")
+    if arr.min(initial=0) < lowest:
+        raise DomainError(f"{fn} requires order n >= {lowest}, got {_first(arr, arr < lowest)}")
     return arr.astype(np.int64, copy=False)
 
 
@@ -338,8 +338,8 @@ def _rows(column: np.ndarray, a) -> np.ndarray:
 # (see _with_orders).  The helpers below take a single order's cheapest form and
 # give each element of an order array the bits of its single-order call.
 
-# what numpy makes of base ** k for a scalar k in -1..2: pow gives other bits at 2 and -1
-_SCALAR_POWERS = {-1: np.reciprocal, 0: np.ones_like, 1: np.positive, 2: np.square}
+# what numpy makes of base ** k for a scalar k of -1 or 2, where pow gives other bits
+_SCALAR_POWERS = {-1: np.reciprocal, 2: np.square}
 
 
 def _pow(base, n):
@@ -348,12 +348,12 @@ def _pow(base, n):
     A single order k is base ** k itself.  numpy takes an array to a scalar
     power 2 as its square and to -1 as its reciprocal, and pow, which an
     array of exponents calls, can differ from both in the last bit; at every
-    other integer exponent it gives the bits of a scalar exponent.  So an
-    order array runs pow, and where its orders lie in -1..2 the scalar forms
-    of those four orders replace pow's values (a pow masked to the other
-    orders costs more than the whole).  Every base this module
-    passes is positive.  A base that is not an ndarray (a Python float) keeps
-    Python's ``**``, order by order.
+    other integer exponent, 0 and 1 included (exactly 1.0 and the base), it
+    gives the bits of a scalar exponent.  So an order array runs pow, and
+    where its orders are -1 or 2 the scalar forms replace pow's values (a
+    pow masked to the other orders costs more than the whole).  Every base
+    this module passes is positive.  A base that is not an ndarray (a
+    Python float) keeps Python's ``**``, order by order.
     """
     n = np.asarray(n)
     if n.size == 1:
@@ -362,7 +362,7 @@ def _pow(base, n):
         return np.array([base ** k for k in n.ravel().tolist()]).reshape(n.shape)
     lo, hi = int(n.min(initial=0)), int(n.max(initial=0))  # an empty n has no element to set
     out = np.power(base, n)
-    for k in range(max(lo, -1), min(hi, 2) + 1):
+    for k in [k for k in _SCALAR_POWERS if lo <= k <= hi]:
         np.copyto(out, _SCALAR_POWERS[k](base), where=n == k)
     return out
 
@@ -695,15 +695,16 @@ def _eulerian_poly(k, z) -> np.ndarray:
     return poly
 
 
-def _one_minus_q_pow(e):
-    """1 - q^t = -expm1(e) for e = t log q, checked to be nonzero.
+def _one_minus_q_pow(e, lq):
+    """1 - q^t = -expm1(e) for e = t log q, checked to be nonzero where q < 1 (log q, ``lq``, is not 0).
 
-    Each q-series checks its smallest abscissa once, here; its other
-    abscissae lie further out, where 1 - q^t is larger.
+    The q-series and the moments check their smallest abscissa once, here; a
+    later abscissa lies further out, where 1 - q^t is larger.
     """
     w = -np.expm1(e)
-    if not w.all():  # some t log q underflowed: the q-series term is beyond float64
-        raise OverflowError(f"q-series term at t log q = {_first(e, w == 0.0)} exceeds the float64 range")
+    under = w == 0.0  # t log q underflowed: where q < 1, the q-series term is beyond float64
+    if under.any() and (under := under & (lq != 0.0)).any():
+        raise OverflowError(f"q-series term at t log q = {_first(e, under)} exceeds the float64 range")
     return w
 
 
@@ -1055,8 +1056,8 @@ def _q_series(fn: str, n, x, q, cfg: EvalConfig, classical, series) -> SeriesRes
     included.  Otherwise the order n,
     if there is one, and x, in its own shape, are checked, x and q broadcast
     together (a single q is not expanded), and 1 - q^x must be nonzero at
-    every element with q < 1: that is the q-series' one underflow check, and
-    it names the element by its index in that broadcast.  Every later
+    every element with q < 1 (see _one_minus_q_pow): that is the q-series'
+    one underflow check, naming the element by its index in that broadcast.  Every later
     abscissa t is >= x or >= 1, and for t >= 1, |t log q| >= |log
     nextafter(1, 0)| ~ 1.1e-16 is a normal float: only term 0, at t = x, can
     have a subnormal exponent, and both series' budgets count its rounding.
@@ -1084,10 +1085,7 @@ def _q_series(fn: str, n, x, q, cfg: EvalConfig, classical, series) -> SeriesRes
         mixed = distinct[-1] == 1.0  # then q = 1, the largest q, is the last distinct q, with log q = 0
     else:
         logq, mixed = _LogQ(math.log(qa.item())), False
-    e = xs * logq.lq
-    under = np.expm1(e) == 0.0  # x log q underflowed: where q < 1, term 0 is beyond float64
-    if under.any() and (under := under & (logq.lq != 0.0)).any():
-        raise OverflowError(f"q-series term at t log q = {_first(e, under)} exceeds the float64 range")
+    _one_minus_q_pow(xs * logq.lq, logq.lq)
     if n is not None:
         n, xs, index, shape = _with_orders(fn, n, xs, shape, logq.index)
         logq = _LogQ(logq.distinct, index)
@@ -1251,25 +1249,52 @@ def dilog_F(x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
     return _result("dilog_F", value, bound, terms, np.shape(x))
 
 
-@_quiet
-def _moment(k, x, lq: float):
-    """k-th x-derivative of int e^{-xt} d gamma_q(t) = -log q * q^x/(1-q^x), for lq = log q.
+# The classical moment (-1)^k k!/x^(k+1), in units of u times |value|: a
+# factorial exact or rounded once, a pow within one ulp, one product.
+_CLASSICAL_MOMENT_ULPS = 4.0
 
-    x is a float or an ndarray; an element outside (0, inf) is a DomainError
-    naming it.  k is an order >= 0 or an integer order array that broadcasts
-    with x, each element equal to its scalar-order call bit for bit.  The
-    result is an array of the broadcast shape.
+
+@_quiet
+def _moment(k, x, lq: float) -> tuple:
+    """(value, bound) of the k-th x-derivative of int e^{-xt} d gamma_q(t) = -log q q^x/(1-q^x), lq = log q.
+
+    k is an order >= -1, or an integer order array that broadcasts with x,
+    each element equal to its scalar-order call bit for bit; order -1 is
+    log((1-q^x)/(1-q)), the log of the q-number [x]_q.  At lq = 0 (q = 1)
+    they are (-1)^k k!/x^(k+1) and log x, x is not checked and a float x is
+    an np.float64 (1/0 is inf, as in an array).  Otherwise an x outside (0,
+    inf) is a DomainError naming it, and the results have the broadcast
+    shape.  The bound is the rounding error: at k >= 0, _TERM_ULPS + 3(k +
+    min(|x log q|, _EXP_ARG_MAX)) ulps of the value (see _lambert) plus
+    _UNDERFLOW_ERR, or _CLASSICAL_MOMENT_ULPS ulps at q = 1; at order -1,
+    (_TERM_ULPS + |value|) u, the ratio's relative error made absolute.
     """
-    xs = _checked("measure_moment", x)
-    k, xs, shape = _with_orders("measure_moment", _checked_order("measure_moment", k), xs, np.shape(x))
-    e = xs * lq
-    v = (1.0 - 2.0 * (k % 2)) * _lambert(k, np.exp(e), _one_minus_q_pow(e), lq)  # (-1)^k |log q g^(k)|
-    bad = ~np.isfinite(v)
-    if bad.any():
-        order = np.broadcast_to(k, bad.shape)[bad][0]
-        at = _first(np.broadcast_to(xs, bad.shape), bad)
-        raise OverflowError(f"moment derivative of order {order} at x={at} exceeds the float64 range")
-    return v.reshape(shape)
+    if classical := lq == 0.0:
+        k, y = _checked_order("measure_moment", k, -1), x if isinstance(x, np.ndarray) else np.float64(x)
+    else:
+        xs = _checked("measure_moment", x)
+        k, xs, shape = _with_orders("measure_moment", _checked_order("measure_moment", k, -1), xs, np.shape(x))
+        e = xs * lq
+        w = _one_minus_q_pow(e, lq)
+
+    def moments():  # order -1 elements, which log_q_number takes, at order 0
+        n = np.maximum(k, 0)
+        if classical:
+            v = (1 - 2 * (n % 2)) * _factorial(n) * _pow(y, -n - 1)
+            return v, _CLASSICAL_MOMENT_ULPS * _U * np.abs(v)
+        v = (1.0 - 2.0 * (n % 2)) * _lambert(n, np.exp(e), w, lq)  # (-1)^n |log q g^(n)|
+        if not (ok := np.isfinite(v)).all():
+            order, at = np.broadcast_to(n, ok.shape)[~ok][0], _first(np.broadcast_to(xs, ok.shape), ~ok)
+            raise OverflowError(f"moment derivative of order {order} at x={at} exceeds the float64 range")
+        ulps = _TERM_ULPS + 3.0 * (n + np.minimum(-e, _EXP_ARG_MAX))
+        return v, ulps * _U * np.abs(v) + _UNDERFLOW_ERR
+
+    def log_q_number():
+        v = np.log(y) if classical else _log_q_number(w, _one_minus_q(lq))
+        return v, (_TERM_ULPS + np.abs(v)) * _U
+
+    v, bound = _branch(k >= 0, moments, log_q_number)
+    return (v, bound) if classical else (v.reshape(shape), bound.reshape(shape))
 
 
 @_quiet
@@ -1295,7 +1320,7 @@ def _moment_log_q(fn: str, q) -> float:
 
 def measure_moment(x, q):
     """int e^{-xt} d gamma_q(t) = -q^x log q / (1 - q^x) in closed form (0 < q < 1)."""
-    return _shaped(_moment(0, x, _moment_log_q("measure_moment", q)), np.shape(x))
+    return _shaped(_moment(0, x, _moment_log_q("measure_moment", q))[0], np.shape(x))
 
 
 def measure_moment_over_t(x, q):

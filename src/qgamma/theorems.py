@@ -53,7 +53,7 @@ n = 1..max_order (and n = 0 for "f CM"), at the grid points.  One
 ``case.deriv`` call with the order column base..base + max_order gives every
 row, with a radius: each value of a closure is a ``_Ball``, which carries an
 error radius through the closure's sums and scalings from the evaluators'
-``abs_error_bound`` and the closed forms' ulp models (see ``_Q``).  A row
+``abs_error_bound`` and ``special._moment``'s bound (see ``_Q``).  A row
 value below -(radius + tol_abs + tol_rel * max(|f|, |row|)) proves that the
 target is not completely monotonic; a "neither" case's -f' check reads the
 f' rows negated.
@@ -76,7 +76,7 @@ at alpha x are one call whose q is an array, one q per abscissa, and each
 half keeps its own ``_Q``'s slope; x is checked alone first, so a bad x is
 named as a call of its own names it.  Where a
 closure needs one primitive at two orders (the moments of orders k - 1 and
-k - 2 in thm2.1's and thm3.4's families, log_scale at order -1),
+k - 2 in thm2.1's and thm3.4's families, order -1 among them),
 ``_Q.mom_pair`` evaluates the orders between in one call.  Every
 evaluator's array call equals its scalar calls element for element, so
 sharing changes no value.
@@ -94,15 +94,11 @@ import numpy as np
 from .cmcheck import CMReport, DEFAULT_TOL_ABS, DEFAULT_TOL_REL, GridSpec, VIOLATES, check_cm
 from .kernels import KERNELS, NEGATIVE, ONE_SIGN_CHANGE, POSITIVE
 from .special import (
-    _EXP_ARG_MAX,
-    _TERM_ULPS,
     _U,
-    _UNDERFLOW_ERR,
     ConvergenceError,
     DomainError,
     QValue,
     _checked,
-    _factorial,
     _log_one_minus_q,
     _log_q_number,
     _moment,
@@ -308,11 +304,6 @@ def _rounded(c, ulps: float = 1.0) -> _Ball:
 # relative widening of a final radius for the roundings of its own sum (a few dozen terms)
 _RADIUS_ROUNDING = 1.0 + 2.0 ** -40
 
-# The radius model of each closed form, in units of u times |value|.  The
-# classical moment (-1)^k k! / y^(k+1): a factorial exact or rounded once, a
-# pow within one ulp, one product.
-_CLASSICAL_MOMENT_ULPS = 4.0
-
 
 class _Q:
     """Primitives bound to one deformation parameter (q = 1 means classical).
@@ -324,14 +315,14 @@ class _Q:
     Each primitive takes its abscissa y as a _Ball, whose radius bounds how
     far the float y (a shift x + a the closure rounded, say) lies from the
     exact one, and returns a _Ball.  Its radius is the evaluator's
-    ``abs_error_bound`` or the closed form's ulp model, plus twice y's radius
+    ``abs_error_bound`` (the moments' is special._moment's), plus twice y's radius
     times a bound on the primitive's slope at y.  With r = |log q|/(1 - q^y)
     <= 1/y + |log q| (1/y at q = 1) and A_(k+1) <= (k+1) A_k on [0, 1] for
     the Eulerian polynomials, the slopes are:
     - psi_q^(k), k >= 1, and the moments of order k >= 0: (k+1) r |value|,
       since each is a sum of terms of one sign (see special._lambert);
     - psi_q: r (1 + r), the first term of psi_q' plus the integral of the rest;
-    - log((1-q^y)/(1-q)): r, since its slope is the first moment.
+    - the moment of order -1, log((1-q^y)/(1-q)): r, its slope the first moment.
     The pieces of the order-0 value of the f' families (log Gamma_q,
     log(1 - q^y), the q-Stirling term) have no radius model: their radius is
     inf, and no verified row reads them.
@@ -410,36 +401,25 @@ class _Q:
         return self.lg if _is_order(k, 0) else lambda y: self.ps(k - 1, y)
 
     def mom(self, k, y: _Ball) -> _Ball:
-        """k-th derivative of the first moment -q^y log q / (1 - q^y); (-1)^k k! / y^(k+1) classically.
+        """k-th derivative, k >= -1, of the first moment -q^y log q / (1 - q^y): special._moment, value and bound.
 
-        The radius model of special._lambert: _TERM_ULPS + 3k + 3|y log q|
-        ulps, plus gradual underflow; classically _CLASSICAL_MOMENT_ULPS.
+        Classically (-1)^k k! / y^(k+1).  Order -1 is log((1-q^y)/(1-q)), log y
+        classically, whose slope is the first moment.
         """
-        if self.classical:  # a float y as np.float64, so 1/0 is inf, as in an array, not ZeroDivisionError
-            yv = y.v if isinstance(y.v, np.ndarray) else np.float64(y.v)
-            v = (1 - 2 * (k % 2)) * _factorial(k) * _pow(yv, -k - 1)
-            err = _CLASSICAL_MOMENT_ULPS * _U * np.abs(v)
-        else:
-            v = _moment(k, y.v, self.lq)
-            ulps = _TERM_ULPS + 3.0 * (k + np.minimum(np.abs(y.v * self.lq), _EXP_ARG_MAX))
-            err = ulps * _U * np.abs(v) + _UNDERFLOW_ERR
-        return self._at(v, err, y, lambda r: (k + 1) * r * np.abs(v))
+        v, err = _moment(k, y.v, self.lq)
+        return self._at(v, err, y, lambda r: np.where(k < 0, r, (k + 1) * r * np.abs(v)))
 
     def mom_pair(self, k, y: _Ball) -> _Ball:
         """(mom(k - 1, y), mom(k - 2, y)), stacked on a new leading axis, from one call on the orders between.
 
-        Order -1 is log_scale(y), whose derivative is mom(0, y): thm2.2's
-        family reads it at k = 1.  The call takes the contiguous column
-        lo - 2..hi - 1 of the orders k spans; for an order column lo..hi the
-        pair is its rows from 1 on and its rows up to the last.
+        thm2.2's family reads order -1 at k = 1.  The call takes the
+        contiguous column lo - 2..hi - 1 of the orders k >= 1 spans; for an
+        order column lo..hi the pair is its rows from 1 on and its rows up to
+        the last.
         """
         lo, hi = int(np.min(k)), int(np.max(k))
-        moms = self.mom(np.maximum(np.arange(lo - 2, hi), 0).reshape(-1, *(1,) * np.ndim(y.v)), y)
+        moms = self.mom(np.arange(lo - 2, hi).reshape(-1, *(1,) * np.ndim(y.v)), y)
         v, r = moms.v.reshape(hi - lo + 2, -1), moms.radius().reshape(hi - lo + 2, -1)
-        if lo < 2:  # row 0 is order -1 (or below it, which no closure reads)
-            scale = self.log_scale(y)
-            v, r = v.copy(), r.copy()
-            v[0], r[0] = np.reshape(scale.v, -1), np.reshape(scale.radius(), -1)
         # row k - lo + 1 is order k - 1, row k - lo order k - 2, at each element of y
         at = (np.reshape((1, 0), (2, *(1,) * max(np.ndim(k), np.ndim(y.v)))) + (k - lo),
               np.arange(v.shape[1]).reshape(np.shape(y.v)))
@@ -451,18 +431,10 @@ class _Q:
             return _Ball(np.log(y.v), math.inf)
         return _Ball(-_moment_over_t(y.v, self.lq), math.inf)
 
-    def log_scale(self, y: _Ball) -> _Ball:
-        """log((1-q^y)/(1-q)) for q < 1, log(y) classically, within (_TERM_ULPS + |value|) u."""
-        if self.classical:
-            v = np.log(y.v)
-        else:
-            v = _log_q_number(-np.expm1(y.v * self.lq), _one_minus_q(self.lq))
-        return self._at(v, (_TERM_ULPS + np.abs(v)) * _U, y, lambda r: r)
-
     def stirling(self, y: _Ball) -> _Ball:
         """The q-Stirling term y log(1-q) + F(q^y)/log q; y - y log y classically.
 
-        Its derivative is -log_scale(y); y - y log y is its q -> 1 limit up to
+        Its derivative is -mom(-1, y); y - y log y is its q -> 1 limit up to
         a constant.
         """
         if self.classical:
@@ -615,7 +587,7 @@ def _thm22_family(alpha: float, P: _Q):
     def deriv(k, x):
         if _is_order(k, 0):
             return P.stirling(x) + alpha * P.log1m(x) + P.lg(x)
-        m1, m2 = P.mom_pair(k, x)  # at k = 1, m2 is log_scale(x)
+        m1, m2 = P.mom_pair(k, x)  # at k = 1, m2 is order -1
         return alpha * m1 + P.ps(k - 1, x) - m2
 
     return deriv
@@ -638,9 +610,9 @@ def _case_thm23(case_id: str, params: dict) -> TheoremCase:
 def _thm25_family(a: float, b: float, c: float, P: _Q):
     """log of Gamma_q(x+b)/Gamma_q(x+a) ((1-q^{x+c})/(1-q))^{a-b} and its derivatives; thm2.6's at b = c = 0."""
     def deriv(k, x):
-        scale = P.log_scale(x + c) if _is_order(k, 0) else P.mom(k - 1, x + c)
+        at_c = P.mom(k - 1, x + c)
         at_b, at_a = P.stacked(P.dlg(k), x + b, x + a)
-        return _rounded(a - b) * scale + at_b - at_a
+        return _rounded(a - b) * at_c + at_b - at_a
 
     return deriv
 

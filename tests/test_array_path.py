@@ -244,7 +244,7 @@ def test_empty_order_arrays_give_empty_results():
     assert res.value.shape == res.abs_error_bound.shape == (2, 0)
     assert sp.psi_q_n(np.array([[1], [2]]), np.array([]), 0.5).value.shape == (2, 0)
     assert sp.psi_q_n(np.array([], int), 1.3, 0.5).abs_error_bound.shape == (0,)
-    assert sp._moment(np.array([], int), np.array([]), math.log(0.5)).shape == (0,)
+    assert [part.shape for part in sp._moment(np.array([], int), np.array([]), math.log(0.5))] == [(0,), (0,)]
     # an order array that does not broadcast with x is a DomainError naming both shapes
     for call, fn, shapes in [
         (lambda: sp.psi_q_n(np.array([1, 2]), np.array([]), 0.5), "psi_q_n", (2,)),
@@ -256,21 +256,31 @@ def test_empty_order_arrays_give_empty_results():
             call()
 
 
-@pytest.mark.parametrize("q", ORDER_QS[:-1])
+def _moment_bytes(*parts) -> tuple:
+    """The bytes of _moment's (value, bound), or of the list of such pairs that scalar calls give, value first."""
+    if isinstance(parts[0], tuple):
+        parts = zip(*parts)
+    return tuple(np.array(p, dtype=float).tobytes() for p in parts)
+
+
+@pytest.mark.parametrize("q", ORDER_QS)
 def test_moment_order_arrays_equal_scalar_orders(q):
+    # value and bound, order -1 (the log of the q-number) and q = 1 (the classical forms) included
     lq = math.log(q)
     xs = _order_xs()
-    orders = np.random.default_rng(9).integers(0, 9, xs.size)
+    orders = np.random.default_rng(9).integers(-1, 9, xs.size)
     got = sp._moment(orders, xs, lq)
-    assert got.tobytes() == np.array([sp._moment(int(k), float(x), lq) for k, x in zip(orders, xs)]).tobytes()
-    rows = sp._moment(np.arange(9)[:, None], _GRID, lq)
-    assert rows.shape == (9, _GRID.size)
-    for k, row in enumerate(rows):
-        assert row.tobytes() == sp._moment(k, _GRID, lq).tobytes()
-        # every form of one order, order 0 included, has the bits of the scalar calls
-        scalars = np.array([sp._moment(k, float(x), lq) for x in _GRID])
+    if q < 1.0:  # a float x at q = 1 takes numpy's scalar power, whose last bit may differ
+        assert _moment_bytes(*got) == _moment_bytes(*(sp._moment(int(k), float(x), lq) for k, x in zip(orders, xs)))
+    assert _moment_bytes(*got) == _moment_bytes(*(sp._moment(k, x[None], lq) for k, x in zip(orders, xs)))
+    rows = sp._moment(np.arange(-1, 9)[:, None], _GRID, lq)
+    assert rows[0].shape == rows[1].shape == (10, _GRID.size)
+    for k, row, bound in zip(range(-1, 9), *rows):
+        assert _moment_bytes(row, bound) == _moment_bytes(*sp._moment(k, _GRID, lq))
+        # every form of one order, orders -1 and 0 included, has the bits of the scalar calls
+        scalars = _moment_bytes(*(sp._moment(k, x if q < 1.0 else x[None], lq) for x in _GRID))
         for form in _order_forms(k):
-            assert sp._moment(form, _GRID, lq).tobytes() == scalars.tobytes()
+            assert _moment_bytes(*sp._moment(form, _GRID, lq)) == scalars
 
 
 def test_order_arrays_run_over_blocks():
@@ -293,6 +303,21 @@ def test_pow_keeps_the_bits_of_a_scalar_exponent():
     # a Python float keeps Python's **, order by order
     col = np.array([[0], [1], [2], [3], [-1]])
     assert sp._pow(0.7, col).ravel().tolist() == [0.7 ** k for k in (0, 1, 2, 3, -1)]
+
+
+def test_numpy_power_of_an_order_array_is_exact_at_orders_0_and_1():
+    # _pow runs np.power for orders 0 and 1 and fixes up only -1 and 2: pow with an int64
+    # exponent array gives exactly 1.0 and the base itself there, on every kind of base
+    rng = np.random.default_rng(30)
+    base = np.concatenate([
+        rng.uniform(0.0, 1.0, 100_000),
+        np.exp(rng.uniform(-700.0, 700.0, 100_000)),
+        rng.uniform(0.0, 1.0, 20_000) * 2.0 ** -1022,  # subnormal
+        [5e-324, 2.0 ** -1022, 1.0, np.finfo(float).max],
+    ])
+    for k, want in ((0, np.ones_like(base)), (1, base)):
+        assert np.power(base, np.full(base.size, k)).tobytes() == want.tobytes(), k
+        assert sp._pow(base, np.full(base.size, k)).tobytes() == want.tobytes(), k
 
 
 def _with_edge_values(shape, seed: int) -> np.ndarray:
@@ -403,8 +428,10 @@ def test_order_arrays_are_checked():
         sp.psi_q_n(np.array([1, 2, -1]), 1.0, 0.5)
     with pytest.raises(sp.DomainError, match="^psi_n requires integer orders"):
         sp.psi_n(np.array([1.0, 2.0]), 1.0)
-    with pytest.raises(sp.DomainError, match=r"^measure_moment requires order n >= 0, got -1"):
-        sp._moment(np.array([[1], [-1]]), 1.0, math.log(0.5))
+    # the moments take order -1, the log of the q-number, at every q
+    for lq in (math.log(0.5), 0.0):
+        with pytest.raises(sp.DomainError, match=r"^measure_moment requires order n >= -1, got -2"):
+            sp._moment(np.array([[1], [-2]]), 1.0, lq)
     # x is checked in its own shape, before it broadcasts with the orders
     with pytest.raises(sp.DomainError, match=r"got -1.0 \(element 1\)$"):
         sp.psi_q_n(np.array([[1], [2]]), np.array([1.0, -1.0]), 0.5)
@@ -421,8 +448,9 @@ def test_order_arrays_equal_scalar_orders_on_random_draws(pairs, q):
         _same(f(orders, xs), [f(k, x) for x, k in pairs])
     if q < 1.0:
         lq = math.log(q)
-        got = sp._moment(orders - 1, xs, lq)
-        assert got.tobytes() == np.array([sp._moment(k - 1, x, lq) for x, k in pairs]).tobytes()
+        for low in (1, 2):  # orders from 0, and from -1
+            got = sp._moment(orders - low, xs, lq)
+            assert _moment_bytes(*got) == _moment_bytes(*(sp._moment(k - low, x, lq) for x, k in pairs))
 
 
 # ---------------------------------------------------------------------------

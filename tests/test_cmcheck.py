@@ -173,6 +173,9 @@ def test_stencils_keep_the_bits_of_their_grid():
 
             rep = cm.check_cm(fn, grid)
             assert nodes[0].tobytes() == _lattice(grid).tobytes()
+            # x + 0 h is +0.0 even at x = -0.0: no node is -0.0, so distinct values are distinct bits
+            zeros = nodes[0][nodes[0] == 0.0]
+            assert zeros.size == 1 and not np.signbit(zeros).any()
             assert np.float64(rep.witness[0]).tobytes() == grid.xs()[-1].tobytes()
     # the grid ending at -0.0 has -0.0 for its last point, and names it so in its witness
     assert np.signbit(cm.GridSpec(-1.0, -0.0, 21, "linear").xs()[-1])

@@ -596,7 +596,8 @@ def test_verify_all_makes_one_node_and_one_rows_call_per_case(evaluator_calls):
         orders.clear()
     names = [name for name, *_ in evaluator_calls]
     assert names.count("psi_q_n") <= 28
-    assert names.count("_moment") <= 12
+    # one moment call per case of the f' families (thm2.1-2.6, thm3.4, cor2.4, cor3.5/3.6), q = 1 members included
+    assert names.count("_moment") <= 21
 
 
 @pytest.mark.parametrize("cid", T.registry_ids())
@@ -635,8 +636,8 @@ def test_moment_pair_equals_two_scalar_order_calls(q):
             assert got.tobytes() == np.asarray(P.mom(order, _exact(x)).v, dtype=float).tobytes(), order
     pair = P.mom_pair(2, _exact(1.5)).v
     assert pair.tobytes() == np.array([P.mom(1, _exact(1.5)).v, P.mom(0, _exact(1.5)).v]).tobytes()
-    # order -1 is log_scale: the thm2.2 family's order-1 row reads it from the same call
-    scale = P.log_scale(_exact(x)).v.tobytes()
+    # order -1, the log of the q-number: the thm2.2 family's order-1 row reads it from the same call
+    scale = P.mom(-1, _exact(x)).v.tobytes()
     assert P.mom_pair(1, _exact(x)).v[1].tobytes() == scale
     assert P.mom_pair(np.array([[1], [2], [3]]), _exact(x)).v[1, 0].tobytes() == scale
 
@@ -689,8 +690,8 @@ def test_x_outside_the_interval_names_the_first_bad_request(capsys, cid, params)
 def test_stacked_shifts_equal_separate_calls_bit_for_bit(q):
     P = T._Q(q)
     x = np.concatenate([np.geomspace(0.05, 30.0, 17), [0.5, 1.0, 2.0]])
-    pieces = [P.lg, P.log1m, P.log_scale, P.stirling] + [
-        (lambda y, k=k: P.ps(k, y)) for k in (0, 1, 3)] + [(lambda y, k=k: P.mom(k, y)) for k in (0, 2)]
+    pieces = [P.lg, P.log1m, P.stirling] + [
+        (lambda y, k=k: P.ps(k, y)) for k in (0, 1, 3)] + [(lambda y, k=k: P.mom(k, y)) for k in (-1, 0, 2)]
     for piece in pieces:
         ys = (x + 0.5, x, x + 2.0)
         rows = T._Q.stacked(piece, *map(_exact, ys)).v
@@ -722,13 +723,13 @@ def test_classical_polygamma_is_one_path_for_every_order():
 def test_log_scale_is_within_4u_of_high_precision(q):
     # one logarithm of (1-q^y)/(1-q): near q = 1 two large logarithms no longer cancel
     y = np.concatenate([np.geomspace(1e-3, 1e3, 301), [0.5, 1.0, 2.0]])
-    got = T._Q(q).log_scale(_exact(y)).v
+    got = T._Q(q).mom(-1, _exact(y)).v
     with mp.workdps(40):
         qq = mp.mpf(q)
         for yi, gi in zip(y, got):
             want = mp.log((1 - qq ** mp.mpf(yi)) / (1 - qq))
             assert abs(gi - want) <= 4 * 2.0 ** -53 * max(1, abs(want)), (yi, gi, want)
-    assert T._Q(q).log_scale(_exact(1.0)).v == 0.0
+    assert T._Q(q).mom(-1, _exact(1.0)).v == 0.0
 
 
 # ---------------------------------------------------------------------------
