@@ -1,15 +1,15 @@
 """Numerical complete-monotonicity testing: analytic derivative rows, or alternating forward differences.
 
 A function f is completely monotonic when (-1)^n f^(n)(x) >= 0 for all
-orders (Bernstein; Widder, *The Laplace Transform*, ch. IV).  ``check_cm``
-tests it two ways:
+orders (Bernstein; Widder, *The Laplace Transform*, ch. IV).  Two checks test
+it:
 
-- From analytic rows (``fn`` None): the values f^(n) at the grid points for
-  n = 0..max_order, each with a radius bounding its error.  A row value
-  (-1)^n f^(n)(x) below -(radius + tol_abs + tol_rel * max(|f|, |f^(n)|))
-  proves that f is not CM, with the witness (x, 0, n).  The theorem corpus
-  is verified this way.
-- From a function handle: (-1)^n Delta_h^n f(x) >= 0 over a grid of
+- ``check_rows(grid, values, radius)`` reads the values f^(n) at the grid
+  points for n = 0..max_order, each with a radius bounding its error.  A row
+  value (-1)^n f^(n)(x) below -(radius + tol_abs + tol_rel * max(|f|,
+  |f^(n)|)) proves that f is not CM, with the witness (x, 0, n).  Its
+  tolerances default to 0.  The theorem corpus is verified this way.
+- ``check_cm(fn, grid)`` tests (-1)^n Delta_h^n f(x) >= 0 over a grid of
   (x, h, n), the finite analogue, each against tol_abs + tol_rel times the
   stencil's largest |f|.  A violation comes with the witness (x, h, n).  f is
   called once, on the distinct nodes x + j h, and one pass of array steps
@@ -17,9 +17,11 @@ tests it two ways:
   (x, h, n) from the same pass.
 
 Either test is one-sided: "consistent-with-CM" is necessary-condition
-evidence on the grid, never a proof.  Order 0 (f >= 0 pointwise) is included
-by default for bare function handles and excluded for difference checks;
-theorem cases opt in only when their statement asserts it.
+evidence on the grid, never a proof.  Both run with numpy's flags quiet: a
+value that overflows to inf or NaN is read as no evidence, never reported as
+a RuntimeWarning.  Order 0 (f >= 0 pointwise) is included by default for bare
+function handles and excluded for difference checks; theorem cases opt in
+only when their statement asserts it.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ __all__ = [
     "GridSpec",
     "CMReport",
     "forward_difference",
+    "check_rows",
     "check_cm",
     "check_difference_cm",
     "gautschi_sum_check",
@@ -44,8 +47,8 @@ __all__ = [
     "DEFAULT_TOL_REL",
 ]
 
-# High-order alternating sums amplify roundoff by ~2^n, so the violation
-# threshold sits well above it for the function scales in the corpus.
+# The stencil check's defaults: high-order alternating sums amplify roundoff
+# by ~2^n, so the violation threshold sits well above it.
 DEFAULT_TOL_ABS = 1e-9
 DEFAULT_TOL_REL = 1e-9
 
@@ -100,9 +103,9 @@ class GridSpec:
 class CMReport:
     """Outcome of a CM scan; ``verdict`` is violates-CM iff some signed value
     falls below its own threshold, ``worst_threshold`` at the witness: the
-    radius plus tol_abs + tol_rel * scale for a row, tol_abs + tol_rel * scale
-    for a stencil.  ``evaluations`` counts the row values read, or the
-    distinct stencil nodes passed to the tested function."""
+    radius plus tol_abs + tol_rel * scale in ``check_rows``, tol_abs + tol_rel
+    * scale in ``check_cm``.  ``evaluations`` counts the row values read, or
+    the distinct stencil nodes passed to the tested function."""
 
     case_id: str
     grid: GridSpec
@@ -164,49 +167,46 @@ def forward_difference(f: Callable[[float], float], x: float, h: float, n: int) 
 
 
 @_quiet
-def check_cm(
-    fn: Callable[[np.ndarray], np.ndarray] | None,
-    grid: GridSpec,
-    tol_abs: float = DEFAULT_TOL_ABS,
-    tol_rel: float = DEFAULT_TOL_REL,
-    rows: tuple[np.ndarray, np.ndarray] | None = None,
-    include_order_zero: bool = True,
-    case_id: str = "",
-) -> CMReport:
-    """Scan (-1)^n Delta_h^n fn(x) over the grid, or, with fn None, the analytic rows (-1)^n f^(n)(x).
+def check_rows(grid: GridSpec, values, radius, tol_abs: float = 0.0, tol_rel: float = 0.0, *,
+               include_order_zero: bool = True, case_id: str = "") -> CMReport:
+    """Scan the analytic rows (-1)^n f^(n)(x) over the grid points.
 
-    The stencil path: ``fn`` must map an ndarray of x elementwise: it is
-    called once, on the distinct stencil nodes x + j h of the grid
-    (j = 0..max_order) in order of first occurrence, and its values are
-    scattered back over the lattice, so a node shared by several (x, h, j) is
-    evaluated once and an error names the first bad node of the lattice.  The
-    violation threshold at each stencil is tol_abs + tol_rel * max |fn| over
-    the stencil.
-
-    The analytic path: ``rows`` is (values, radius), each broadcasting to
-    (max_order + 1, points): f^(n) at the grid points in row n, and a bound on
-    each value's error.  Orders 1..max_order are checked as
-    (-1)^n f^(n)(x) >= 0, each against radius + tol_abs + tol_rel *
+    ``values`` and ``radius`` each broadcast to (max_order + 1, points): f^(n)
+    at the grid points in row n, and a bound on each value's error.  Row n is
+    checked as (-1)^n f^(n)(x) >= 0 against radius + tol_abs + tol_rel *
     max(|f|, |f^(n)|), so a violation beyond the radius proves that f is not
-    completely monotonic.  The witness of a row has h = 0.
+    completely monotonic; row 0 (f >= 0) only when ``include_order_zero``.
+    The witness (x, 0.0, n) is the first worst margin (signed + threshold) in
+    scan order, n then x, and ``evaluations`` is ``values.size``.
+    """
+    xs = grid.xs()
+    values, radius = (np.broadcast_to(np.asarray(a, dtype=float), (grid.max_order + 1, xs.size)) for a in (values, radius))
+    top = int(include_order_zero)
+    lo = 1 - top  # the first order checked
+    signed = values[lo:].copy()
+    np.negative(signed[top::2], out=signed[top::2])  # the odd orders
+    thresh = radius[lo:] + tol_abs + tol_rel * np.maximum(np.abs(values[0]), np.abs(values[lo:]))
+    labels = [(n, 0.0) for n in range(lo, grid.max_order + 1)]
+    return _report(case_id, grid, tol_abs, tol_rel, labels, signed, thresh, xs, values.size)
+
+
+@_quiet
+def check_cm(fn: Callable[[np.ndarray], np.ndarray], grid: GridSpec, tol_abs: float = DEFAULT_TOL_ABS,
+             tol_rel: float = DEFAULT_TOL_REL, *, include_order_zero: bool = True, case_id: str = "") -> CMReport:
+    """Scan (-1)^n Delta_h^n fn(x) over the grid.
+
+    ``fn`` must map an ndarray of x elementwise: it is called once, on the
+    distinct stencil nodes x + j h of the grid (j = 0..max_order) in order of
+    first occurrence, and its values are scattered back over the lattice, so
+    a node shared by several (x, h, j) is evaluated once and an error names
+    the first bad node of the lattice.  The violation threshold at each
+    stencil is tol_abs + tol_rel * max |fn| over the stencil.
 
     Order 0 (f >= 0) comes first when ``include_order_zero``.  The witness is
     the first worst margin (signed + threshold) in scan order: n, then h,
-    then x.  The scan runs with numpy's flags quiet: a value that overflows
-    to inf or NaN is read as no evidence, never reported as a RuntimeWarning.
+    then x.
     """
-    if (fn is None) == (rows is None):
-        raise DomainError("check_cm takes a function or analytic rows, exactly one of them")
     top = int(include_order_zero)
-    if fn is None:
-        xs = grid.xs()
-        values, radius = (np.broadcast_to(np.asarray(a, dtype=float), (grid.max_order + 1, xs.size)) for a in rows)
-        lo = 1 - top  # the first order checked
-        signed = values[lo:].copy()
-        np.negative(signed[top::2], out=signed[top::2])  # the odd orders
-        thresh = radius[lo:] + tol_abs + tol_rel * np.maximum(np.abs(values[0]), np.abs(values[lo:]))
-        labels = [(n, 0.0) for n in range(lo, grid.max_order + 1)]
-        return _report(case_id, grid, tol_abs, tol_rel, labels, signed, thresh, xs, values.size)
     xs, n_max, n_h = grid.xs(), grid.max_order, len(grid.h_set)
     steps = np.arange(n_max + 1) * np.asarray(grid.h_set, dtype=float)[:, None, None]
     lattice = (xs[None, :, None] + steps).ravel()  # (h, x, j): x + j h

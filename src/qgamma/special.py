@@ -1250,7 +1250,9 @@ def dilog_F(x, cfg: EvalConfig = DEFAULT_CONFIG) -> SeriesResult:
 
 
 # The classical moment (-1)^k k!/x^(k+1), in units of u times |value|: a
-# factorial exact or rounded once, a pow within one ulp, one product.
+# factorial exact or rounded once, a pow within one ulp, one product.  Where
+# x^-(k+1) is subnormal or flushed to 0, its error is up to 2^-1074 absolute,
+# which k! scales: the bound adds k! 2^-1074 for that.
 _CLASSICAL_MOMENT_ULPS = 4.0
 
 
@@ -1261,16 +1263,16 @@ def _moment(k, x, lq: float) -> tuple:
     k is an order >= -1, or an integer order array that broadcasts with x,
     each element equal to its scalar-order call bit for bit; order -1 is
     log((1-q^x)/(1-q)), the log of the q-number [x]_q.  At lq = 0 (q = 1)
-    they are (-1)^k k!/x^(k+1) and log x, x is not checked and a float x is
-    an np.float64 (1/0 is inf, as in an array).  Otherwise an x outside (0,
-    inf) is a DomainError naming it, and the results have the broadcast
-    shape.  The bound is the rounding error: at k >= 0, _TERM_ULPS + 3(k +
-    min(|x log q|, _EXP_ARG_MAX)) ulps of the value (see _lambert) plus
-    _UNDERFLOW_ERR, or _CLASSICAL_MOMENT_ULPS ulps at q = 1; at order -1,
+    they are (-1)^k k!/x^(k+1) and log x, x is not checked and runs as a
+    float array (1/0 is inf).  Otherwise an x outside (0, inf) is a
+    DomainError naming it, and the results have the broadcast shape.  The
+    bound is the rounding error: at k >= 0, _TERM_ULPS + 3(k + min(|x log q|,
+    _EXP_ARG_MAX)) ulps of the value (see _lambert) plus _UNDERFLOW_ERR, or
+    _CLASSICAL_MOMENT_ULPS ulps plus k! 2^-1074 at q = 1; at order -1,
     (_TERM_ULPS + |value|) u, the ratio's relative error made absolute.
     """
     if classical := lq == 0.0:
-        k, y = _checked_order("measure_moment", k, -1), x if isinstance(x, np.ndarray) else np.float64(x)
+        k, y = _checked_order("measure_moment", k, -1), np.asarray(x, dtype=float)
     else:
         xs = _checked("measure_moment", x)
         k, xs, shape = _with_orders("measure_moment", _checked_order("measure_moment", k, -1), xs, np.shape(x))
@@ -1281,7 +1283,7 @@ def _moment(k, x, lq: float) -> tuple:
         n = np.maximum(k, 0)
         if classical:
             v = (1 - 2 * (n % 2)) * _factorial(n) * _pow(y, -n - 1)
-            return v, _CLASSICAL_MOMENT_ULPS * _U * np.abs(v)
+            return v, _CLASSICAL_MOMENT_ULPS * _U * np.abs(v) + _factorial(n) * 2.0 ** -1074
         v = (1.0 - 2.0 * (n % 2)) * _lambert(n, np.exp(e), w, lq)  # (-1)^n |log q g^(n)|
         if not (ok := np.isfinite(v)).all():
             order, at = np.broadcast_to(n, ok.shape)[~ok][0], _first(np.broadcast_to(xs, ok.shape), ~ok)

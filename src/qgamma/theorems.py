@@ -91,7 +91,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cmcheck import CMReport, DEFAULT_TOL_ABS, DEFAULT_TOL_REL, GridSpec, VIOLATES, check_cm
+from .cmcheck import CMReport, DEFAULT_TOL_ABS, DEFAULT_TOL_REL, GridSpec, VIOLATES, check_rows
+from .cmcheck import check_cm  # unused here: qbench patches this name until ROADMAP item 19 removes it
 from .kernels import KERNELS, NEGATIVE, ONE_SIGN_CHANGE, POSITIVE
 from .special import (
     _U,
@@ -182,7 +183,7 @@ def verify_case(
     """Run the CM check on every direction the case claims and compare verdicts.
 
     One ``case.deriv`` call gives every row: the order column base..base +
-    max_order on the grid points, with the radius of each value.  check_cm
+    max_order on the grid points, with the radius of each value.  check_rows
     reads them as (-1)^n (target)^(n), each against its radius plus the
     tolerances; the -f' check of a "neither" case reads the f' rows negated,
     which is exact.  An x outside the case's interval still raises
@@ -195,17 +196,14 @@ def verify_case(
     """
     g = grid or case.grid
     directions = case.directions()
-    xs = g.xs()
-    shape = (g.max_order + 1, xs.size)
-    values, radius = case.deriv(directions[0][2] + np.arange(g.max_order + 1)[:, None], xs, radius=True)
-    values, radius = np.broadcast_to(values, shape), np.broadcast_to(radius, shape)
+    values, radius = case.deriv(directions[0][2] + np.arange(g.max_order + 1)[:, None], g.xs(), radius=True)
     reports = {
-        label: check_cm(
-            None,
+        label: check_rows(
             g,
+            sign * values,
+            radius,
             tol_abs=tol_abs,
             tol_rel=tol_rel,
-            rows=(sign * values, radius),
             include_order_zero=case.expected == F_CM,
             case_id=f"{case.id}[{label}]",
         )
@@ -511,11 +509,19 @@ def _regime_verdict(kernel_id: str, params: dict, orientation: int, target: str 
 
 
 def _deriv(closure) -> Callable:
-    """A case's ``deriv`` from its family closure: x enters as an exact ball, under quiet numpy flags."""
+    """A case's ``deriv`` from its family closure: x enters as an exact ball, under quiet numpy flags.
+
+    A float x runs as the array [x], so that it takes the array's power path;
+    at a single order the result is that array's element, bit for bit.
+    """
     @_quiet
     def deriv(k, x, radius: bool = False):
-        out = closure(k, _Ball(x, 0.0))
-        return (out.v, out.r * _RADIUS_ROUNDING) if radius else out.v
+        scalar = not isinstance(x, np.ndarray)
+        out = closure(k, _Ball(np.array([x], dtype=float) if scalar else x, 0.0))
+        v, r = out.v, out.r * _RADIUS_ROUNDING
+        if scalar and np.ndim(k) == 0:
+            v, r = v[0], r[0]
+        return (v, r) if radius else v
 
     return deriv
 

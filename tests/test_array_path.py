@@ -270,15 +270,14 @@ def test_moment_order_arrays_equal_scalar_orders(q):
     xs = _order_xs()
     orders = np.random.default_rng(9).integers(-1, 9, xs.size)
     got = sp._moment(orders, xs, lq)
-    if q < 1.0:  # a float x at q = 1 takes numpy's scalar power, whose last bit may differ
-        assert _moment_bytes(*got) == _moment_bytes(*(sp._moment(int(k), float(x), lq) for k, x in zip(orders, xs)))
+    assert _moment_bytes(*got) == _moment_bytes(*(sp._moment(int(k), float(x), lq) for k, x in zip(orders, xs)))
     assert _moment_bytes(*got) == _moment_bytes(*(sp._moment(k, x[None], lq) for k, x in zip(orders, xs)))
     rows = sp._moment(np.arange(-1, 9)[:, None], _GRID, lq)
     assert rows[0].shape == rows[1].shape == (10, _GRID.size)
     for k, row, bound in zip(range(-1, 9), *rows):
         assert _moment_bytes(row, bound) == _moment_bytes(*sp._moment(k, _GRID, lq))
         # every form of one order, orders -1 and 0 included, has the bits of the scalar calls
-        scalars = _moment_bytes(*(sp._moment(k, x if q < 1.0 else x[None], lq) for x in _GRID))
+        scalars = _moment_bytes(*(sp._moment(k, x, lq) for x in _GRID))
         for form in _order_forms(k):
             assert _moment_bytes(*sp._moment(form, _GRID, lq)) == scalars
 

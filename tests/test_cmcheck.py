@@ -86,20 +86,19 @@ _ORDERS = np.arange(GRID.max_order + 1)[:, None]
 def test_check_cm_analytic_derivative_rows():
     # the rows of e^{-x} pass; the same rows with the wrong sign at odd orders are caught at order 1 (h = 0)
     xs = GRID.xs()
-    rep = cm.check_cm(None, GRID, rows=((-1.0) ** _ORDERS * np.exp(-xs), 0.0))
+    rep = cm.check_rows(GRID, (-1.0) ** _ORDERS * np.exp(-xs), 0.0)
     assert rep.verdict == cm.CONSISTENT and set(rep.per_order_worst) == set(range(GRID.max_order + 1))
     assert rep.evaluations == (GRID.max_order + 1) * GRID.points
-    rep = cm.check_cm(None, GRID, rows=(np.exp(-xs), 0.0))
+    rep = cm.check_rows(GRID, np.exp(-xs), 0.0)
     assert rep.verdict == cm.VIOLATES and rep.witness == (float(xs[0]), 0.0, 1)
     # order 0 only when asked for: -e^{-x} fails there and nowhere else
-    rows = (-((-1.0) ** _ORDERS) * np.exp(-xs), 0.0)
-    assert cm.check_cm(None, GRID, rows=rows, include_order_zero=False).verdict == cm.VIOLATES
-    rep = cm.check_cm(None, GRID, rows=(np.where(_ORDERS == 0, -1.0, 0.0) * np.exp(-xs), 0.0))
+    values = -((-1.0) ** _ORDERS) * np.exp(-xs)
+    assert cm.check_rows(GRID, values, 0.0, include_order_zero=False).verdict == cm.VIOLATES
+    rep = cm.check_rows(GRID, np.where(_ORDERS == 0, -1.0, 0.0) * np.exp(-xs), 0.0)
     assert rep.verdict == cm.VIOLATES and rep.witness[2] == 0 and set(rep.per_order_worst) == {*range(9)}
-    with pytest.raises(DomainError):
-        cm.check_cm(lambda x: np.exp(-x), GRID, rows=(np.exp(-xs), 0.0))
-    with pytest.raises(DomainError):
-        cm.check_cm(None, GRID)
+    # the options after the tolerances are keywords: rows passed where check_cm once took them fail loudly
+    with pytest.raises(TypeError):
+        cm.check_cm(lambda x: np.exp(-x), GRID, 1e-9, 1e-9, (np.exp(-xs), 0.0))
 
 
 @pytest.mark.parametrize("tol", [0.0, 1e-9])
@@ -112,7 +111,7 @@ def test_analytic_row_threshold_is_its_radius_plus_the_tolerances(tol):
         values = (-1.0) ** _ORDERS * f
         values[3, 4] = -(radius[3, 4] + tol + tol * f[4]) * scale  # order 3: its sign is (-1)^3
         values[3, 4] *= -1.0
-        rep = cm.check_cm(None, GRID, tol, tol, rows=(values, radius), include_order_zero=False)
+        rep = cm.check_rows(GRID, values, radius, tol, tol, include_order_zero=False)
         want = radius[3, 4] + tol + tol * max(f[4], abs(values[3, 4]))
         assert rep.witness == (float(xs[4]), 0.0, 3) and rep.worst_threshold == want
         assert rep.verdict == (cm.VIOLATES if scale > 1.0 else cm.CONSISTENT)

@@ -418,14 +418,18 @@ def _moment_reference(k, x, q):
 # (q, orders, abscissae) at which _moment's bound is checked: the classical forms at
 # orders 0..20 on log-uniform x in [1e-6, 1e6], where every power x^-(k+1) is normal;
 # order -1 at q = 0.5, 0.99, 1 there, and on test_theorems' log-scale grid at each of
-# its q; orders 0..8 of the q-forms
+# its q; orders 0..8 of the q-forms; the classical forms at orders 0..59 on log-uniform
+# x in [1e-3, 1e16], where many powers are subnormal or flushed to 0 (at x = 1e15,
+# k = 20 the value 2.4e-297 is off by 3.7e-306, far past 4 ulps of it)
 _LOG_UNIFORM_XS = tuple(np.exp(np.random.default_rng(30).uniform(math.log(1e-6), math.log(1e6), 60)).tolist())
+_UNDERFLOW_XS = (1e15, *np.exp(np.random.default_rng(31).uniform(math.log(1e-3), math.log(1e16), 60)).tolist())
 _LOG_SCALE_XS = tuple(np.concatenate([np.geomspace(1e-3, 1e3, 301), [0.5, 1.0, 2.0]]).tolist())
 _MOMENT_BOUND_CASES = [
     (1.0, range(21), _LOG_UNIFORM_XS),
     *((q, (-1,), _LOG_UNIFORM_XS) for q in (0.5, 0.99, 1.0)),
     *((q, (-1,), _LOG_SCALE_XS) for q in (0.01, 0.5, 0.9, 0.99, 0.999, 1.0 - 1e-6)),
     *((q, range(9), _LOG_UNIFORM_XS[:20]) for q in (0.5, 0.99)),
+    (1.0, range(60), _UNDERFLOW_XS),
 ]
 
 
@@ -443,14 +447,6 @@ def test_moment_bound_covers_its_error_against_40_digits(q, orders, xs):
         assert max(errs) > 0, (q, k)
     if -1 in orders:  # the q-number [1]_q is 1: its log is 0 exactly
         assert sp._moment(-1, 1.0, lq)[0] == 0.0
-
-
-@pytest.mark.xfail(strict=True, reason="the classical moments' bound has no underflow term (ROADMAP item 20)")
-def test_classical_moment_bound_covers_a_subnormal_power():
-    # 1e15^-21 is subnormal, off by up to 2^-1075, and 20! carries that far past 4 ulps of the value
-    # 2.4e-297; the x above, up to 1e6, keep every power normal
-    value, bound = sp._moment(20, np.array([1e15]), 0.0)
-    assert abs(mp.mpf(value[0]) - _moment_reference(20, 1e15, 1.0)) <= bound[0]
 
 
 @pytest.mark.parametrize("x", [5e-324, 1e-320])

@@ -23,7 +23,7 @@ from scipy.integrate import quad
 from qgamma import kernels as K
 from qgamma import theorems as T
 from qgamma.cli import main
-from qgamma.cmcheck import CONSISTENT, VIOLATES, check_cm
+from qgamma.cmcheck import CONSISTENT, VIOLATES, check_rows
 from test_special import _li_neg, _psi_q_n_reference
 
 from qgamma.special import (
@@ -497,15 +497,20 @@ def _rows(case):
 
 
 def _unshared_reports(case):
-    """The reports of verify_case from one check_cm per direction, each row from a scalar-order call."""
+    """The reports of verify_case from one check_rows per direction, each row from a scalar-order call.
+
+    The tolerances are verify_case's defaults, passed explicitly: check_rows' own are 0.
+    """
     orders, xs = _rows(case)
     values, radius = map(np.array, zip(*(case.deriv(int(k), xs, radius=True) for k in orders.ravel())))
     reports = {}
     for label, sign, _ in case.directions():
-        reports[label] = check_cm(
-            None,
+        reports[label] = check_rows(
             case.grid,
-            rows=(sign * values, radius),
+            sign * values,
+            radius,
+            T.DEFAULT_TOL_ABS,
+            T.DEFAULT_TOL_REL,
             include_order_zero=case.expected == T.F_CM,
             case_id=f"{case.id}[{label}]",
         )
@@ -810,6 +815,20 @@ def _deriv_outcome(case, k, x) -> str:
 
 
 @pytest.mark.parametrize("cid", T.registry_ids())
+def test_deriv_at_a_float_x_equals_the_array_element(cid):
+    # value and radius, bit for bit, against the shape-(1,) call and the whole array's element: a float
+    # x takes the array's power path (at q = 1 a float's ** and an array's np.power differ in the
+    # last bit on a few percent of x)
+    case = T.make_case(cid)
+    base = case.directions()[0][2]
+    xs = case.x_start + np.geomspace(0.3, 30.0, 25)
+    for k in range(base, base + 6):
+        for x, want in zip(xs.tolist(), np.stack(case.deriv(k, xs, radius=True), axis=-1)):
+            assert np.array(case.deriv(k, x, radius=True)).tobytes() == want.tobytes(), (k, x)
+            assert np.concatenate(case.deriv(k, np.array([x]), radius=True)).tobytes() == want.tobytes(), (k, x)
+
+
+@pytest.mark.parametrize("cid", T.registry_ids())
 def test_scalar_and_array_x_outside_the_interval_give_one_quiet_outcome(cid):
     case = T.make_case(cid)
     for x in (0.0, -0.0, -0.5):
@@ -900,16 +919,14 @@ def test_row_moved_by_twice_its_threshold_violates(cid, params):
     (label, sign, base), = case.directions()
     orders, xs = _rows(case)
     values, radius = case.deriv(orders, xs, radius=True)
-    rows = (sign * values, radius)
-    assert check_cm(None, case.grid, rows=rows, include_order_zero=False).verdict == CONSISTENT
-    tol = T.DEFAULT_TOL_ABS
+    assert check_rows(case.grid, sign * values, radius, include_order_zero=False).verdict == CONSISTENT
     for n, p in ((1, 0), (4, 11), (8, 20)):
-        # the threshold at the moved value: |f| outweighs it in tol_rel * max(|f|, |row|), or nearly
-        threshold = radius[n, p] + tol + tol * abs(values[0, p])
+        # check_rows' tolerances default to 0: the threshold at the moved value is its radius alone
+        threshold = radius[n, p]
         for scale, verdict in ((2.0, VIOLATES), (0.5, CONSISTENT)):
             moved = sign * values.copy()
             moved[n, p] = (-1) ** (n + 1) * scale * threshold  # the signed value (-1)^n row is -scale * threshold
-            rep = check_cm(None, case.grid, rows=(moved, radius), include_order_zero=False)
+            rep = check_rows(case.grid, moved, radius, include_order_zero=False)
             assert rep.verdict == verdict, (n, p, scale)
             if verdict == VIOLATES:
                 assert rep.witness == (float(xs[p]), 0.0, n)
