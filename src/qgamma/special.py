@@ -1265,11 +1265,12 @@ def _moment(k, x, lq: float) -> tuple:
     log((1-q^x)/(1-q)), the log of the q-number [x]_q.  At lq = 0 (q = 1)
     they are (-1)^k k!/x^(k+1) and log x, x is not checked and runs as a
     float array (1/0 is inf).  Otherwise an x outside (0, inf) is a
-    DomainError naming it, and the results have the broadcast shape.  The
-    bound is the rounding error: at k >= 0, _TERM_ULPS + 3(k + min(|x log q|,
-    _EXP_ARG_MAX)) ulps of the value (see _lambert) plus _UNDERFLOW_ERR, or
-    _CLASSICAL_MOMENT_ULPS ulps plus k! 2^-1074 at q = 1; at order -1,
-    (_TERM_ULPS + |value|) u, the ratio's relative error made absolute.
+    DomainError naming it.  Either way the results have the broadcast shape,
+    at orders -1 alone too.  The bound is the rounding error: at k >= 0,
+    _TERM_ULPS + 3(k + min(|x log q|, _EXP_ARG_MAX)) ulps of the value (see
+    _lambert) plus _UNDERFLOW_ERR, or _CLASSICAL_MOMENT_ULPS ulps plus
+    k! 2^-1074 at q = 1; at order -1, (_TERM_ULPS + |value|) u, the ratio's
+    relative error made absolute.
     """
     if classical := lq == 0.0:
         k, y = _checked_order("measure_moment", k, -1), np.asarray(x, dtype=float)
@@ -1293,6 +1294,8 @@ def _moment(k, x, lq: float) -> tuple:
 
     def log_q_number():
         v = np.log(y) if classical else _log_q_number(w, _one_minus_q(lq))
+        if np.ndim(k) and k.max() < 0:  # no moments() to broadcast with: x alone does not meet k's shape
+            v = np.broadcast_to(v, np.broadcast_shapes(k.shape, v.shape))
         return v, (_TERM_ULPS + np.abs(v)) * _U
 
     v, bound = _branch(k >= 0, moments, log_q_number)

@@ -62,29 +62,25 @@ Sharing.  Each evaluation is made once.  Every primitive takes an integer
 order array that broadcasts with its abscissae and evaluates all the orders
 in one call, each element equal to its scalar-order call bit for bit.  Where
 a closure needs one primitive on several shifts of x (the difference
-compositions, thm2.5, thm2.6, thm3.2, thm4.1), ``_Q.stacked`` evaluates it
-in one call on the concatenated abscissae; each closure keeps the order in
-which it calls its primitives, so an x outside the interval is named as
-separate calls would name it.  Where a closure needs psi_q at several
-orders and shifts (thm3.2's psi_q^(k-1) at x + a and x + b and psi_q^(k) at
-x + c; thm3.4's psi_q^(k-1) at x and psi_q^(k+1) at x + alpha, and through
-the difference composition cor3.5's and cor3.6's), ``_Q.ps_rows`` answers
-its requests from one call on the union order column over the stacked
-abscissae, and an error's element index counts in that argument.  A request
-may carry its own ``_Q``: thm3.1's psi_q^(k) at x and psi_{q^(1/alpha)}^(k)
-at alpha x are one call whose q is an array, one q per abscissa, and each
-half keeps its own ``_Q``'s slope; x is checked alone first, so a bad x is
-named as a call of its own names it.  Where a
-closure needs one primitive at two orders (the moments of orders k - 1 and
-k - 2 in thm2.1's and thm3.4's families, order -1 among them),
-``_Q.mom_pair`` evaluates the orders between in one call.  Every
-evaluator's array call equals its scalar calls element for element, so
-sharing changes no value.
+compositions, and the order-0 values of thm2.5, thm2.6, thm3.2 and thm4.1),
+``_Q.stacked`` evaluates it in one call on the concatenated abscissae.
+Where it needs psi_q or the first moment at several orders and abscissae,
+``_Q.ps_rows`` and ``_Q.mom_rows`` answer its requests through one gather,
+``_Q._union``: one evaluator call on the order column the requests span
+against their distinct abscissae, from which each request reads its rows.
+thm3.1's request at q^(1/alpha) rides in the same psi call, whose q is then
+an array; its x is checked alone first, so a bad x is named as a call of its
+own names it.  Each closure keeps the order in which it calls evaluators
+(the moments before psi), so an x outside the interval is named as separate
+calls would name it, its element index counted in the argument the
+evaluator received.  Every evaluator's array call equals its scalar calls
+element for element, so sharing changes no value.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -140,15 +136,16 @@ class TheoremCase:
     interval: str
     x_start: float
     expected: str
-    # k-th derivative of f at x for any k >= 0, elementwise in x.  k may also be
-    # an integer array of orders at or above the case's base order (1; 0 for
-    # "f CM"), as for the rows verify_case asks for, broadcasting with x (an
-    # order column gives one row per order); each element equals its
-    # scalar-order call bit for bit.  Given radius=True it returns (value,
-    # radius), the radius a bound on each value's error at every order from
-    # the base order on (inf below it; see _Q).  An x outside the interval
-    # raises DomainError, a scalar x as an array element does, with no numpy
-    # warning
+    # k-th derivative of f at x for a single order k >= 0 (an int or a 0-d
+    # array), elementwise in an x of any shape.  k may also be an order
+    # column (m, 1) at or above the case's base order (1; 0 for "f CM"), as
+    # verify_case asks for its rows, against a float or 1-d x: one row per
+    # order, each element equal to its scalar-order call bit for bit.  Any
+    # other order array is a DomainError naming both shapes, raised before
+    # any evaluator runs.  Given radius=True it returns (value, radius), the
+    # radius a bound on each value's error at every order from the base
+    # order on (inf below it; see _Q).  An x outside the interval raises
+    # DomainError, a scalar x as an array element does, with no numpy warning
     deriv: Callable[..., np.ndarray | tuple[np.ndarray, np.ndarray]]
     grid: GridSpec
     kernel_id: str = ""
@@ -222,8 +219,8 @@ def verify_case(
 
 
 def _is_order(k, n: int) -> bool:
-    """k is the single order n; an order array (see TheoremCase.deriv) never takes a low-order branch."""
-    return not isinstance(k, np.ndarray) and k == n
+    """k is the single order n (an int or a 0-d array); an order column never takes a low-order branch."""
+    return np.ndim(k) == 0 and k == n
 
 
 class _Ball:
@@ -286,9 +283,6 @@ class _Ball:
     def map(self, f) -> "_Ball":
         """f applied to the value and to the radius in the value's shape: a reshape or a move of axes."""
         return _Ball(f(self.v), f(self.radius()))
-
-    def __getitem__(self, i) -> "_Ball":
-        return self.map(lambda a: a[i])
 
     def __iter__(self):
         return (_Ball(v, r) for v, r in zip(self.v, self.radius()))
@@ -364,39 +358,50 @@ class _Q:
         res = psi_q_n(k, y.v, self.qv)
         return self._psi_at(k, res.value, res.abs_error_bound, y)
 
-    def ps_rows(self, *requests: tuple) -> list[_Ball]:
-        """[P.ps(k, y) for k, y, P in requests] from one psi_q_n call; each k an order or an order array.
+    def _union(self, requests, evaluate, at) -> list[_Ball]:
+        """[at(P, k, value, error, y) for k, y, P in requests] from one evaluate(orders, ys, qs) call.
 
-        A request is (k, y) for psi at this q, or (k, y, P) for psi at P's q.
-        The call takes the order column lo..hi that the requests span against
-        their abscissae concatenated as ``stacked`` concatenates them, each
-        with its own q, and each request reads its own elements back.  An
-        element of an order or q array equals its scalar call and each
-        request's ``_psi_at`` is elementwise, so each ball equals its own
-        P.ps(k, y) call bit for bit, value and radius.  An error names the
-        first bad abscissa in the order of the requests, its element index
+        A request is (k, y), or (k, y, P) at P's q.  The call takes the order
+        column lo..hi that the requests span against the abscissae of their
+        distinct (y, P) concatenated, with ``qs`` None at this q alone, else
+        one q per abscissa.  ``at`` widens each distinct ball once, and each
+        request reads its own rows back, k a single order or an order column
+        against a y of at most one dimension (see TheoremCase.deriv).  So each
+        ball equals its own call's bit for bit, value and radius, and an error
+        names the first bad abscissa in request order, its element index
         counted in the concatenated argument.
         """
-        requests = [(k, y, *rest) if rest else (k, y, self) for k, y, *rest in requests]
-        lo = min(int(np.min(k)) for k, *_ in requests)
-        hi = max(int(np.max(k)) for k, *_ in requests)
-        sizes = [np.size(y.v) for _, y, _ in requests]
+        requests = [(k, y, *P) if P else (k, y, self) for k, y, *P in requests]
+        rows = [np.asarray(k).reshape(-1) for k, *_ in requests]  # each request's orders, flat
+        lo, hi = min(min(r.tolist()) for r in rows), max(max(r.tolist()) for r in rows)
         orders = np.arange(lo, hi + 1)[:, None]
-        ys = np.concatenate([np.reshape(y.v, -1) for _, y, _ in requests])
-        if all(P is self for *_, P in requests):
-            res = psi_q_n(orders, ys, self.qv)
-        else:  # several q, by the name qbench's tracer leaves alone (see special._psi_q_n)
-            res = _psi_q_n(orders, ys, np.repeat([P.q for *_, P in requests], sizes))
-        out, start = [], 0
-        for (k, y, P), size in zip(requests, sizes):
-            at = (k - lo, start + np.arange(size).reshape(np.shape(y.v)))  # broadcasts as k with y
-            out.append(P._psi_at(k, res.value[at], res.abs_error_bound[at], y))
-            start += size
+        balls = {(id(y), id(P)): (y, P) for _, y, P in requests}  # the distinct (y, P), in request order
+        sizes = [np.size(y.v) for y, _ in balls.values()]
+        ys = [np.asarray(y.v).reshape(-1) for y, _ in balls.values()]
+        qs = None if all(P is self for _, P in balls.values()) else np.repeat([P.q for _, P in balls.values()], sizes)
+        value, err = evaluate(orders, ys[0] if len(ys) == 1 else np.concatenate(ys), qs)
+        blocks = {}
+        for (key, (y, P)), flat, end in zip(balls.items(), ys, itertools.accumulate(sizes)):
+            flat_y = _Ball(flat, y.r.reshape(-1) if np.ndim(y.r) else y.r)
+            blocks[key] = at(P, orders, value[:, end - flat.size:end], err[:, end - flat.size:end], flat_y)
+        out = []
+        for (k, y, P), r in zip(requests, rows):
+            block, r = blocks[id(y), id(P)], r - lo
+            shape = np.shape(y.v) if np.ndim(k) == 0 else (len(k), np.size(y.v))  # k against y
+            out.append(_Ball(block.v[r].reshape(shape), block.r[r].reshape(shape)))
         return out
 
-    def dlg(self, k) -> Callable[[_Ball], _Ball]:
-        """The k-th derivative of log Gamma_q as a function of y: lg at k = 0, psi_q^(k-1) above."""
-        return self.lg if _is_order(k, 0) else lambda y: self.ps(k - 1, y)
+    def ps_rows(self, *requests: tuple) -> list[_Ball]:
+        """[P.ps(k, y) for k, y, P in requests] from one psi_q_n call (see _union); P is this _Q if not given."""
+        def psi(orders, ys, qs):  # several q by the name qbench's tracer leaves alone (see special._psi_q_n)
+            res = psi_q_n(orders, ys, self.qv) if qs is None else _psi_q_n(orders, ys, qs)
+            return res.value, res.abs_error_bound
+
+        return self._union(requests, psi, _Q._psi_at)
+
+    def _mom_at(self, k, v, err, y: _Ball) -> _Ball:
+        """The k-th moment derivative at y = v within err, widened for y's radius by its slope bound."""
+        return self._at(v, err, y, lambda r: np.where(k < 0, r, (k + 1) * r * np.abs(v)))
 
     def mom(self, k, y: _Ball) -> _Ball:
         """k-th derivative, k >= -1, of the first moment -q^y log q / (1 - q^y): special._moment, value and bound.
@@ -404,24 +409,11 @@ class _Q:
         Classically (-1)^k k! / y^(k+1).  Order -1 is log((1-q^y)/(1-q)), log y
         classically, whose slope is the first moment.
         """
-        v, err = _moment(k, y.v, self.lq)
-        return self._at(v, err, y, lambda r: np.where(k < 0, r, (k + 1) * r * np.abs(v)))
+        return self._mom_at(k, *_moment(k, y.v, self.lq), y)
 
-    def mom_pair(self, k, y: _Ball) -> _Ball:
-        """(mom(k - 1, y), mom(k - 2, y)), stacked on a new leading axis, from one call on the orders between.
-
-        thm2.2's family reads order -1 at k = 1.  The call takes the
-        contiguous column lo - 2..hi - 1 of the orders k >= 1 spans; for an
-        order column lo..hi the pair is its rows from 1 on and its rows up to
-        the last.
-        """
-        lo, hi = int(np.min(k)), int(np.max(k))
-        moms = self.mom(np.arange(lo - 2, hi).reshape(-1, *(1,) * np.ndim(y.v)), y)
-        v, r = moms.v.reshape(hi - lo + 2, -1), moms.radius().reshape(hi - lo + 2, -1)
-        # row k - lo + 1 is order k - 1, row k - lo order k - 2, at each element of y
-        at = (np.reshape((1, 0), (2, *(1,) * max(np.ndim(k), np.ndim(y.v)))) + (k - lo),
-              np.arange(v.shape[1]).reshape(np.shape(y.v)))
-        return _Ball(v[at], r[at])
+    def mom_rows(self, *requests: tuple) -> list[_Ball]:
+        """[self.mom(k, y) for k, y in requests] from one special._moment call (see _union)."""
+        return self._union(requests, lambda orders, ys, _: _moment(orders, ys, self.lq), _Q._mom_at)
 
     def log1m(self, y: _Ball) -> _Ball:
         """log(1 - q^y) for q < 1, log(y) classically."""
@@ -511,12 +503,17 @@ def _regime_verdict(kernel_id: str, params: dict, orientation: int, target: str 
 def _deriv(closure) -> Callable:
     """A case's ``deriv`` from its family closure: x enters as an exact ball, under quiet numpy flags.
 
-    A float x runs as the array [x], so that it takes the array's power path;
-    at a single order the result is that array's element, bit for bit.
+    It checks the order layout (see TheoremCase.deriv) before the closure
+    runs.  A float or 0-d x runs as the array [x], so that it takes the
+    array's power path; at a single order the result is that array's
+    element, bit for bit.
     """
     @_quiet
     def deriv(k, x, radius: bool = False):
-        scalar = not isinstance(x, np.ndarray)
+        if np.ndim(k) and (np.shape(k)[1:] != (1,) or np.ndim(x) > 1):
+            raise DomainError(f"deriv takes a single order, or an order column of shape (m, 1) against a float or "
+                              f"1-d x; got orders of shape {np.shape(k)} against x of shape {np.shape(x)}")
+        scalar = np.ndim(x) == 0
         out = closure(k, _Ball(np.array([x], dtype=float) if scalar else x, 0.0))
         v, r = out.v, out.r * _RADIUS_ROUNDING
         if scalar and np.ndim(k) == 0:
@@ -593,7 +590,7 @@ def _thm22_family(alpha: float, P: _Q):
     def deriv(k, x):
         if _is_order(k, 0):
             return P.stirling(x) + alpha * P.log1m(x) + P.lg(x)
-        m1, m2 = P.mom_pair(k, x)  # at k = 1, m2 is order -1
+        m1, m2 = P.mom_rows((k - 1, x), (k - 2, x))  # at k = 1, m2 is order -1
         return alpha * m1 + P.ps(k - 1, x) - m2
 
     return deriv
@@ -617,7 +614,8 @@ def _thm25_family(a: float, b: float, c: float, P: _Q):
     """log of Gamma_q(x+b)/Gamma_q(x+a) ((1-q^{x+c})/(1-q))^{a-b} and its derivatives; thm2.6's at b = c = 0."""
     def deriv(k, x):
         at_c = P.mom(k - 1, x + c)
-        at_b, at_a = P.stacked(P.dlg(k), x + b, x + a)
+        ys = (x + b, x + a)
+        at_b, at_a = P.stacked(P.lg, *ys) if _is_order(k, 0) else P.ps_rows(*((k - 1, y) for y in ys))
         return _rounded(a - b) * at_c + at_b - at_a
 
     return deriv
@@ -704,7 +702,7 @@ def _thm34_family(alpha: float, P: _Q):
             return h(0, x) - P.ps(1, x + alpha) / 12.0
         # h(k, x) written out, so that its psi row and psi_q^(k+1)(x + alpha) come from one call; the
         # moments come first, as in h, so an x outside the interval is named by the same evaluator
-        m1, m2 = P.mom_pair(k, x)
+        m1, m2 = P.mom_rows((k - 1, x), (k - 2, x))
         at_x, at_alpha = P.ps_rows((k - 1, x), (k + 1, x + alpha))
         return 0.5 * m1 + at_x - m2 - at_alpha / 12.0
 
@@ -741,7 +739,8 @@ def _case_thm41(case_id: str, params: dict) -> TheoremCase:
     P = _Q(params["q"])
 
     def deriv(k, x):
-        vals = P.stacked(P.dlg(k), *(x + ai for ai in a), *(x + shift for _, shift in denominator))
+        ys = [x + ai for ai in a] + [x + shift for _, shift in denominator]
+        vals = list(P.stacked(P.lg, *ys)) if _is_order(k, 0) else P.ps_rows(*((k - 1, y) for y in ys))
         out = sum(vals[:len(a)])
         for (power, _), v in zip(denominator, vals[len(a):]):
             out = out - power * v

@@ -282,6 +282,17 @@ def test_moment_order_arrays_equal_scalar_orders(q):
             assert _moment_bytes(*sp._moment(form, _GRID, lq)) == scalars
 
 
+@pytest.mark.parametrize("q", [0.5, 1.0])
+def test_moment_order_minus_one_arrays_take_the_broadcast_shape(q):
+    # at q = 1 the order -1 elements are log x, which alone does not meet the orders' shape
+    lq, x = math.log(q), np.array([0.5, 1.0, 2.0])
+    for k in (np.array([[-1]]), np.array([[-1], [-1]]), np.full((2, 3), -1)):
+        value, bound = sp._moment(k, x, lq)
+        assert value.shape == bound.shape == np.broadcast_shapes(k.shape, x.shape), k.shape
+        for row, row_bound in zip(value, bound):
+            assert _moment_bytes(row, row_bound) == _moment_bytes(*sp._moment(-1, x, lq))
+
+
 def test_order_arrays_run_over_blocks():
     big = np.linspace(0.05, 40.0, sp._BLOCK + 37)
     orders = np.arange(big.size) % 4 + 1

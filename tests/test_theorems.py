@@ -9,6 +9,7 @@ same integrand (q = 1).  Agreement validates both sides independently.
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import re
 import warnings
@@ -622,29 +623,42 @@ def test_stacked_order_column_equals_scalar_orders(q):
     x = np.concatenate([np.geomspace(0.05, 30.0, 17), [0.5, 1.0, 2.0]])
     ys = (x + 0.5, x, x + 2.0)
     # mom at order 0 reaches the classical exponent -1, ps at order 2 the exponent 2
-    for piece, ks in ((P.ps, (1, 2, 3)), (P.mom, (0, 1, 2)), (lambda k, y: P.dlg(k)(y), (2, 3, 4))):
+    for piece, ks in ((P.ps, (1, 2, 3)), (P.mom, (0, 1, 2))):
         rows = T._Q.stacked(lambda y: piece(np.array(ks)[:, None], y), *map(_exact, ys)).v
         assert rows.shape == (len(ys), len(ks), x.size)
         for per_shift, y in zip(rows, ys):
             for k, row in zip(ks, per_shift):
                 assert row.tobytes() == np.asarray(piece(k, _exact(y)).v, dtype=float).tobytes(), k
+    # the same shifts as ps_rows requests: psi_q^(k-1), the k-th derivative of log Gamma_q that thm2.5 and
+    # thm4.1 read at orders k >= 1
+    ks = (2, 3, 4)
+    rows = P.ps_rows(*((np.array(ks)[:, None] - 1, _exact(y)) for y in ys))
+    for per_shift, y in zip(rows, ys):
+        assert per_shift.v.shape == (len(ks), x.size)
+        for k, row in zip(ks, per_shift.v):
+            assert row.tobytes() == np.asarray(P.ps(k - 1, _exact(y)).v, dtype=float).tobytes(), k
 
 
 @pytest.mark.parametrize("q", [1.0, 0.5, 1.0 - 1e-6])
 def test_moment_pair_equals_two_scalar_order_calls(q):
     P = T._Q(q)
     x = np.concatenate([np.geomspace(0.05, 30.0, 17), [0.5, 1.0, 2.0]])
-    for k in (2, 3, 5, np.array([[2], [3], [4]])):
-        pair = P.mom_pair(k, _exact(x)).v
-        assert pair.shape == (2, *np.broadcast_shapes(np.shape(k), x.shape))
-        for got, order in zip(pair, (k - 1, k - 2)):
-            assert got.tobytes() == np.asarray(P.mom(order, _exact(x)).v, dtype=float).tobytes(), order
-    pair = P.mom_pair(2, _exact(1.5)).v
-    assert pair.tobytes() == np.array([P.mom(1, _exact(1.5)).v, P.mom(0, _exact(1.5)).v]).tobytes()
+    # one ball, exact or rounded (x + 0.5 carries a radius), gives one call on the orders k - 2..k - 1
+    for y, k in itertools.product((_exact(x), _exact(x) + 0.5), (2, 3, 5, np.array([[2], [3], [4]]))):
+        for got, order in zip(P.mom_rows((k - 1, y), (k - 2, y)), (k - 1, k - 2)):
+            want = P.mom(order, y)
+            assert got.v.shape == np.broadcast_shapes(np.shape(k), x.shape)
+            assert got.v.tobytes() == np.asarray(want.v, dtype=float).tobytes(), order
+            assert got.radius().tobytes() == want.radius().tobytes(), order
+    y = _exact(x)
+    half = _exact(1.5)
+    pair = [got.v for got in P.mom_rows((1, half), (0, half))]
+    assert np.array(pair).tobytes() == np.array([P.mom(1, half).v, P.mom(0, half).v]).tobytes()
     # order -1, the log of the q-number: the thm2.2 family's order-1 row reads it from the same call
-    scale = P.mom(-1, _exact(x)).v.tobytes()
-    assert P.mom_pair(1, _exact(x)).v[1].tobytes() == scale
-    assert P.mom_pair(np.array([[1], [2], [3]]), _exact(x)).v[1, 0].tobytes() == scale
+    scale = P.mom(-1, y).v.tobytes()
+    assert P.mom_rows((0, y), (-1, y))[1].v.tobytes() == scale
+    k = np.array([[1], [2], [3]])
+    assert P.mom_rows((k - 1, y), (k - 2, y))[1].v[0].tobytes() == scale
 
 
 @given(
@@ -816,16 +830,45 @@ def _deriv_outcome(case, k, x) -> str:
 
 @pytest.mark.parametrize("cid", T.registry_ids())
 def test_deriv_at_a_float_x_equals_the_array_element(cid):
-    # value and radius, bit for bit, against the shape-(1,) call and the whole array's element: a float
-    # x takes the array's power path (at q = 1 a float's ** and an array's np.power differ in the
-    # last bit on a few percent of x)
+    # value and radius, bit for bit, of a float x and a 0-d x against the shape-(1,) call and the whole
+    # array's element: a float x takes the array's power path (at q = 1 a float's ** and an array's
+    # np.power differ in the last bit on a few percent of x)
     case = T.make_case(cid)
     base = case.directions()[0][2]
     xs = case.x_start + np.geomspace(0.3, 30.0, 25)
     for k in range(base, base + 6):
         for x, want in zip(xs.tolist(), np.stack(case.deriv(k, xs, radius=True), axis=-1)):
             assert np.array(case.deriv(k, x, radius=True)).tobytes() == want.tobytes(), (k, x)
+            assert np.array(case.deriv(k, np.array(x), radius=True)).tobytes() == want.tobytes(), (k, x)
             assert np.concatenate(case.deriv(k, np.array([x]), radius=True)).tobytes() == want.tobytes(), (k, x)
+
+
+@pytest.mark.parametrize("cid", T.registry_ids())
+def test_deriv_takes_a_single_order_or_an_order_column_against_at_most_1d_x(cid, evaluator_calls):
+    # any other order array is a DomainError naming both shapes, before any evaluator runs: a flat
+    # order array once gave thm2.3 one value that was neither order's, and other cases an IndexError
+    case = T.make_case(cid)
+    orders = case.directions()[0][2] + np.arange(2)
+    x = case.x_start + np.array([1.3, 2.1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, xs in ((orders, x[:1]), (orders, x), (orders[None, :], x), (orders[:, None], np.stack([x, x]))):
+            message = (f"deriv takes a single order, or an order column of shape (m, 1) against a float or 1-d x; "
+                       f"got orders of shape {k.shape} against x of shape {xs.shape}")
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                case.deriv(k, xs)
+    assert evaluator_calls == []
+
+
+@pytest.mark.parametrize("cid", T.registry_ids())
+def test_a_single_order_may_be_an_int_an_int64_or_a_0d_array(cid):
+    # the f' families take order 0 (the function itself) in a branch of its own, which a 0-d order once missed
+    case = T.make_case(cid)
+    x = case.x_start + np.array([0.4, 1.3, 7.0])
+    for k in range(3):
+        want = np.concatenate(case.deriv(k, x, radius=True)).tobytes()
+        for form in (np.int64(k), np.array(k)):
+            assert np.concatenate(case.deriv(form, x, radius=True)).tobytes() == want, (k, type(form))
 
 
 @pytest.mark.parametrize("cid", T.registry_ids())
